@@ -30,7 +30,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vc"
 	"repro/internal/workloads"
 )
 
@@ -166,74 +165,68 @@ func BenchmarkJoinIncrement(b *testing.B) {
 }
 
 // BenchmarkFastPathLatency measures the per-access cost of each lock-free
-// rule on each detector and clock representation — the microscopic
-// version of Table 1's story. Allocations are reported: the fast paths
-// must show 0 allocs/op for either representation (pinned by
-// TestFastPathZeroAllocs in internal/core).
+// rule on each detector — the microscopic version of Table 1's story.
+// Allocations are reported: the fast paths must show 0 allocs/op (pinned
+// by TestFastPathZeroAllocs in internal/core).
 func BenchmarkFastPathLatency(b *testing.B) {
-	for _, impl := range []vc.Impl{vc.ImplDense, vc.ImplTree} {
-		impl := impl
-		cfg := core.DefaultConfig()
-		cfg.ClockImpl = impl
-		for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas", "djit"} {
-			det := det
-			b.Run(fmt.Sprintf("ReadSameEpoch/%s/%s", det, impl), func(b *testing.B) {
-				d, err := core.New(det, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				d.Read(0, 1) // prime: R = 0@1
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Read(0, 1)
-				}
-			})
-			b.Run(fmt.Sprintf("WriteSameEpoch/%s/%s", det, impl), func(b *testing.B) {
-				d, err := core.New(det, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				d.Write(0, 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Write(0, 1)
-				}
-			})
-			b.Run(fmt.Sprintf("ReadSharedSameEpoch/%s/%s", det, impl), func(b *testing.B) {
-				d, err := core.New(det, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Drive x into Shared: reads by two concurrent threads.
-				d.Fork(0, 1)
+	cfg := core.DefaultConfig()
+	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas", "djit"} {
+		det := det
+		b.Run("ReadSameEpoch/"+det, func(b *testing.B) {
+			d, err := core.New(det, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Read(0, 1) // prime: R = 0@1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				d.Read(0, 1)
+			}
+		})
+		b.Run("WriteSameEpoch/"+det, func(b *testing.B) {
+			d, err := core.New(det, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Write(0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Write(0, 1)
+			}
+		})
+		b.Run("ReadSharedSameEpoch/"+det, func(b *testing.B) {
+			d, err := core.New(det, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Drive x into Shared: reads by two concurrent threads.
+			d.Fork(0, 1)
+			d.Read(0, 1)
+			d.Read(1, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				d.Read(1, 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Read(1, 1)
-				}
-			})
-			b.Run(fmt.Sprintf("ReacquireJoin/%s/%s", det, impl), func(b *testing.B) {
-				d, err := core.New(det, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Steady-state lock cycle by one thread: the acquire's join
-				// argument is entirely covered, the release's snapshot is
-				// reused — the shape the clock layer optimizes.
+			}
+		})
+		b.Run("ReacquireJoin/"+det, func(b *testing.B) {
+			d, err := core.New(det, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Steady-state lock cycle by one thread: the acquire's join
+			// argument is entirely covered, so it writes nothing.
+			d.Acquire(0, 3)
+			d.Release(0, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				d.Acquire(0, 3)
 				d.Release(0, 3)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Acquire(0, 3)
-					d.Release(0, 3)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -140,7 +140,7 @@ type ThreadState struct {
 	T epoch.Tid
 
 	e  epoch.Epoch
-	vc vc.Clock
+	vc *vc.VC
 
 	// rules counts analysis-rule firings. Each entry is written only by
 	// the owning thread, so counting is free of contention and races.
@@ -157,8 +157,8 @@ type ThreadState struct {
 	retries    uint64
 }
 
-func newThreadState(t epoch.Tid, impl vc.Impl, pool *vc.Pool) *ThreadState {
-	c := vc.NewClock(impl, pool)
+func newThreadState(t epoch.Tid) *ThreadState {
+	c := vc.New()
 	c.Inc(t)
 	return &ThreadState{T: t, e: c.Get(t), vc: c}
 }
@@ -168,7 +168,7 @@ func (st *ThreadState) Epoch() epoch.Epoch { return st.e }
 
 // VC returns the thread's vector clock (owned by the thread; callers other
 // than the owning thread must be ordered by a fork/join edge).
-func (st *ThreadState) VC() vc.Clock { return st.vc }
+func (st *ThreadState) VC() *vc.VC { return st.vc }
 
 // refresh re-caches E_t after a vector-clock update.
 func (st *ThreadState) refresh() { st.e = st.vc.Get(st.T) }
@@ -192,7 +192,7 @@ func (st *ThreadState) countRetry()     { st.retries++ }
 // snapshots are retained per access, so copy-on-write sharing wins; see
 // internal/parcheck.
 type LockState struct {
-	vc vc.Clock
+	vc *vc.VC
 }
 
 // syncBase carries the state and handler code shared by all the
@@ -204,27 +204,14 @@ type syncBase struct {
 	threads *shadow.Table[ThreadState]
 	locks   *shadow.Table[LockState]
 	joinInc bool // FastTrackOrig's extra Su.V(u) increment
-
-	// pool recycles clock backing arrays across this detector's thread
-	// and lock clocks (nil when Config.DisablePool); impl selects the
-	// clock representation for both.
-	pool *vc.Pool
-	impl vc.Impl
 }
 
 func newSyncBase(name string, cfg Config, joinInc bool) syncBase {
-	var pool *vc.Pool
-	if !cfg.DisablePool {
-		pool = vc.NewPool()
-	}
-	impl := cfg.ClockImpl
 	return syncBase{
 		sink:    reportSink{name: name, maxPerVar: cfg.MaxReportsPerVar},
 		joinInc: joinInc,
-		pool:    pool,
-		impl:    impl,
-		threads: shadow.NewTable(cfg.Threads, func(i int) *ThreadState { return newThreadState(epoch.Tid(i), impl, pool) }),
-		locks:   shadow.NewTable(cfg.Locks, func(int) *LockState { return &LockState{vc: vc.NewClock(impl, pool)} }),
+		threads: shadow.NewTable(cfg.Threads, func(i int) *ThreadState { return newThreadState(epoch.Tid(i)) }),
+		locks:   shadow.NewTable(cfg.Locks, func(int) *LockState { return &LockState{vc: vc.New()} }),
 	}
 }
 
@@ -312,15 +299,9 @@ type Config struct {
 	// behaviour. Suppressed reports are counted, not lost silently — see
 	// DroppedReports.
 	MaxReportsPerVar int
-	// ClockImpl selects the vector-clock representation for thread and
-	// lock clocks (the zero value is the dense Fig. 3 slice;
-	// vc.ImplTree is the lazy tree-clock). Per-variable read vectors
-	// stay dense regardless: they are epoch maps, not synchronization
-	// clocks, and never join.
+	// ClockImpl is a zero-size placeholder read only by bench/probes.go
+	// (frozen with the benchmark); delete with the next `benchmark` PR.
 	ClockImpl vc.Impl
-	// DisablePool turns off the clock storage pool (vc.Pool), reverting
-	// to plain allocation; for benchmarking the pool's effect.
-	DisablePool bool
 }
 
 // DefaultConfig suits the test workloads.

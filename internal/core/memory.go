@@ -1,6 +1,10 @@
 package core
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/vc"
+)
 
 // ShadowSized is implemented by detectors that can report the size of
 // their shadow state. The number is a semantic footprint — bytes of
@@ -21,9 +25,8 @@ const (
 )
 
 // vcBytes is the footprint of a vector clock: its entries plus the slice
-// header. Both representations report their dense entry span; the tree
-// representation's version stamps add ~1/16 overhead not counted here.
-func vcBytes(v interface{ Size() int }) uint64 {
+// header.
+func vcBytes(v *vc.VC) uint64 {
 	return uint64(v.Size())*epochBytes + 3*pointerBytes
 }
 

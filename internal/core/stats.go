@@ -91,12 +91,6 @@ func (b *syncBase) statsCommon() obs.Snapshot {
 	s.Counters["reports.dropped"] = b.sink.droppedCount()
 
 	addClockMetrics(s, clocks)
-	if b.pool != nil {
-		ps := b.pool.Stats()
-		s.Counters["vc.pool.gets"] = ps.Gets
-		s.Counters["vc.pool.fresh"] = ps.Fresh
-		s.Counters["vc.pool.recycled"] = ps.Puts
-	}
 	s.Gauges["vc.max_entries"] = uint64(maxEntries)
 	s.Gauges["shadow.threads"] = uint64(b.threads.Len())
 	s.Gauges["shadow.locks"] = uint64(b.locks.Len())
@@ -109,7 +103,6 @@ func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
 	s.Counters["vc.grows"] += m.Grows
 	s.Counters["vc.joins"] += m.Joins
 	s.Counters["vc.join_scanned"] += m.JoinScanned
-	s.Counters["vc.joins_elided"] += m.JoinsElided
 	s.Counters["vc.freezes"] += m.Freezes
 	s.Counters["vc.freeze_reuses"] += m.FreezeReuses
 }

@@ -171,7 +171,7 @@ func writeLocked(st *ThreadState, e epoch.Epoch, r, w *epoch.Epoch, v *vc.VC, si
 
 // firstUnorderedEntry returns race evidence for [Shared-Write Race]: the
 // first read-vector entry not covered by the writer's clock.
-func firstUnorderedEntry(v *vc.VC, clock vc.Clock) epoch.Epoch {
+func firstUnorderedEntry(v, clock *vc.VC) epoch.Epoch {
 	for i := 0; i < v.Size(); i++ {
 		t := epoch.Tid(i)
 		if !clock.EpochLeq(v.Get(t)) {

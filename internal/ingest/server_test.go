@@ -140,6 +140,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			bytes.NewReader(encodeBody(t, bad, "text")))
 		wantError(t, code, m, http.StatusBadRequest)
 	})
+	t.Run("thread id out of range", func(t *testing.T) {
+		code, _, m := post(t, s, "/v1/traces?tenant=t",
+			strings.NewReader("fork 0 70000\nwr 70000 1\nwr 0 1\n"))
+		wantError(t, code, m, http.StatusBadRequest)
+	})
 }
 
 func TestServerAcceptsAllEncodings(t *testing.T) {

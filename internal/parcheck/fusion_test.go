@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/vc"
 )
 
 // fusionTraces are shapes chosen to stress the fused-run elision rule
@@ -153,29 +152,6 @@ func TestFusionNoElisionAfterReport(t *testing.T) {
 		requireEqualReports(t, want, got, variant, 2)
 		if e := snap.Counters["ops.elided"]; e != 0 {
 			t.Fatalf("%s: elided %d ops of an all-reporting run", variant, e)
-		}
-	}
-}
-
-// TestParcheckClockImpls runs the equivalence suite under the tree
-// representation and with the pool disabled: the prepass's clock layer
-// must be invisible in the reports.
-func TestParcheckClockImpls(t *testing.T) {
-	for name, tr := range fusionTraces() {
-		trace.MustValidate(tr)
-		for _, variant := range []string{"vft-v2", "ft-cas", "djit"} {
-			want := sequential(t, tr, variant, 0)
-			for _, opts := range []Options{
-				{Variant: variant, Workers: 4, ClockImpl: vc.ImplTree},
-				{Variant: variant, Workers: 4, DisablePool: true},
-				{Variant: variant, Workers: 4, ClockImpl: vc.ImplTree, DisablePool: true},
-			} {
-				got, err := CheckTrace(tr, nil, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireEqualReports(t, want, got, name+"/"+variant, opts.Workers)
-			}
 		}
 	}
 }

@@ -72,13 +72,6 @@ type Options struct {
 	// thousands of uploads per registry lifetime) fold each run's stats
 	// into its own accumulators without growing the registry per check.
 	StatsSink func(obs.Snapshot)
-	// ClockImpl selects the prepass's vector-clock representation
-	// (vc.ImplDense or vc.ImplTree); the report list is identical either
-	// way.
-	ClockImpl vc.Impl
-	// DisablePool turns off backing-array recycling for the prepass's
-	// clocks and snapshots (the seed allocation behavior).
-	DisablePool bool
 	// Sampling, when non-nil, enables the per-variable sampling tier:
 	// accesses to variables the policy rejects are dropped in the prepass
 	// (counted in the stats as sampling.suppressed_*) before they reach a
@@ -159,12 +152,7 @@ func (w *shardWorker) runBatch(batch []access) {
 
 // threadState is one thread's prepass context.
 type threadState struct {
-	vc vc.Clock // clock modes
-	// dense is vc's concrete value when the representation is the dense
-	// default: stamp() is once-per-clock-change on the serial critical
-	// path, and the devirtualized Freeze call inlines its cached-snapshot
-	// fast path. nil under other representations.
-	dense *vc.VC
+	vc *vc.VC // clock modes
 
 	// lastRaw/lastInterned memoize the interning of the thread's current
 	// snapshot so the intern table is consulted once per clock change,
@@ -244,15 +232,9 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 	}
 
 	// Phase 1: the sync prepass, in the calling goroutine.
-	var vcPool *vc.Pool
-	if !opts.DisablePool {
-		vcPool = vc.NewPool()
-	}
 	p := &prepassState{
 		mode:     mode,
-		impl:     opts.ClockImpl,
 		sampler:  opts.Sampling,
-		vcPool:   vcPool,
 		joinInc:  vs.joinInc,
 		intern:   vc.NewInterner(),
 		threads:  make([]*threadState, 0, opts.Threads),
@@ -322,8 +304,6 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 // prepassState is the phase-1 streaming state.
 type prepassState struct {
 	mode    checkMode
-	impl    vc.Impl
-	vcPool  *vc.Pool
 	joinInc bool
 	intern  *vc.Interner
 
@@ -401,8 +381,7 @@ func (p *prepassState) thread(t epoch.Tid) *threadState {
 			ts.held = emptyLockSet
 		} else {
 			// Mirror core.newThreadState: the clock starts at inc_t(⊥V).
-			ts.vc = vc.NewClock(p.impl, p.vcPool)
-			ts.dense, _ = ts.vc.(*vc.VC)
+			ts.vc = vc.New()
 			ts.vc.Inc(t)
 		}
 		p.threads[t] = ts
@@ -426,25 +405,11 @@ func (p *prepassState) setLock(m trace.Lock, f *vc.Frozen) {
 
 // stamp returns the interned snapshot of the thread's current clock,
 // re-interning only when the clock changed since the thread's last stamp.
-// When interning finds an existing canonical snapshot, the fresh duplicate
-// never escaped this function: the thread clock adopts the canonical (so
-// its next Freeze reuses it) and the duplicate's storage goes back to the
-// pool.
 func (p *prepassState) stamp(ts *threadState) *vc.Frozen {
-	var f *vc.Frozen
-	if ts.dense != nil {
-		f = ts.dense.Freeze()
-	} else {
-		f = ts.vc.Freeze()
-	}
+	f := ts.vc.Freeze()
 	if f != ts.lastRaw {
-		canon := p.intern.Intern(f)
-		if canon != f {
-			ts.vc.AdoptFrozen(canon)
-			p.vcPool.PutFrozen(f)
-		}
-		ts.lastRaw = canon
-		ts.lastInterned = canon
+		ts.lastRaw = f
+		ts.lastInterned = p.intern.Intern(f)
 	}
 	return ts.lastInterned
 }
@@ -694,15 +659,8 @@ func (p *prepassState) stats(ws []*shardWorker, reports uint64) obs.Snapshot {
 	s.Counters["vc.grows"] = clocks.Grows
 	s.Counters["vc.joins"] = clocks.Joins
 	s.Counters["vc.join_scanned"] = clocks.JoinScanned
-	s.Counters["vc.joins_elided"] = clocks.JoinsElided
 	s.Counters["vc.freezes"] = clocks.Freezes
 	s.Counters["vc.freeze_reuses"] = clocks.FreezeReuses
-	if p.vcPool != nil {
-		ps := p.vcPool.Stats()
-		s.Counters["vc.pool.gets"] = ps.Gets
-		s.Counters["vc.pool.fresh"] = ps.Fresh
-		s.Counters["vc.pool.recycled"] = ps.Gets - ps.Fresh
-	}
 
 	if p.sampler != nil {
 		s.Counters["sampling.suppressed_reads"] = p.suppressedReads

@@ -166,6 +166,7 @@ func TestFusedInfeasibleErrorParity(t *testing.T) {
 		{trace.VWr(0, 5), trace.Wr(2, 0)},                    // error past an extended op
 		{trace.BarrierOp(0, 1), trace.Acq(0, 1<<30)},         // lock id out of range
 		{trace.ForkOp(0, 1), trace.Wr(1, 0), trace.Wr(2, 1)}, // unforked thread acting
+		{trace.ForkOp(0, 70000), trace.Wr(70000, 1)},         // tid beyond epoch.MaxTid (*TidRangeError)
 	}
 	for i, tr := range infeasible {
 		src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)

@@ -44,6 +44,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add("send 0 c0\nrecv 1 c0\nclose 0 c0\n")
 	f.Add("aload 0 a2\nastore 1 a2\narmw 0 a2\nonce 1 o3\n")
 	f.Add("garbage in\n\n\x00\xff")
+	f.Add("fork 0 70000\nwr 70000 1\nwr 0 1\n") // tid beyond epoch.MaxTid
 	// Instrumented-program captures, re-rendered as text so the text
 	// decoder sees the op mixes vft-go actually produces.
 	for _, name := range []string{"goinstr_racy_counter.bin", "goinstr_clean_chan.bin"} {
@@ -62,6 +63,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		_ = Validate(tr) // likewise: any verdict, no panic
 		// Whatever decoded must round-trip.
 		var buf bytes.Buffer
 		if err := Encode(&buf, tr); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -119,6 +120,37 @@ func TestValidateConstraint4LifecycleViolations(t *testing.T) {
 func TestValidateConstraint5EmptyThread(t *testing.T) {
 	tr := Trace{ForkOp(0, 1), JoinOp(0, 1)}
 	wantRule(t, tr, 5)
+}
+
+// TestValidateRejectsOutOfRangeTid: a thread id no epoch can hold — above
+// epoch.MaxTid or negative, acting or forked — is a typed, positioned
+// error from the validator, not a panic further down the pipeline.
+func TestValidateRejectsOutOfRangeTid(t *testing.T) {
+	for _, tc := range []struct {
+		tr    Trace
+		index int
+		tid   epoch.Tid
+	}{
+		{Trace{ForkOp(0, 70000), Wr(70000, 1), Wr(0, 1)}, 0, 70000},
+		{Trace{Wr(0, 1), ForkOp(0, epoch.MaxTid+1)}, 1, epoch.MaxTid + 1},
+		{Trace{Wr(0, 1), Wr(70000, 1)}, 1, 70000},
+		{Trace{JoinOp(0, -1)}, 0, -1},
+		{Trace{Rd(-7, 0)}, 0, -7},
+	} {
+		_, streamErr := ReadAll(ValidateSource(tc.tr.Source(), nil))
+		for _, err := range []error{Validate(tc.tr), streamErr} {
+			var re *TidRangeError
+			if !errors.As(err, &re) {
+				t.Fatalf("%v: err = %v, want *TidRangeError", tc.tr, err)
+			}
+			if re.Index != tc.index || re.Tid != tc.tid || re.Op != tc.tr[tc.index] {
+				t.Errorf("%v: err = %+v, want index %d tid %d", tc.tr, re, tc.index, tc.tid)
+			}
+		}
+	}
+	if err := Validate(Trace{ForkOp(0, epoch.MaxTid), Wr(epoch.MaxTid, 0)}); err != nil {
+		t.Errorf("tid MaxTid rejected: %v", err)
+	}
 }
 
 func wantRule(t *testing.T, tr Trace, rule int) {

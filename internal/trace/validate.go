@@ -20,6 +20,20 @@ func (e *InfeasibleError) Error() string {
 		e.Index, e.Op, e.Rule, e.Msg)
 }
 
+// TidRangeError reports an operation naming a thread id outside
+// [0, epoch.MaxTid]: no epoch can represent it, so no detector can check
+// the trace.
+type TidRangeError struct {
+	Index int // position of the offending operation
+	Op    Op
+	Tid   epoch.Tid
+}
+
+func (e *TidRangeError) Error() string {
+	return fmt.Sprintf("trace: #%d %v: thread id %d outside 0..%d",
+		e.Index, e.Op, e.Tid, epoch.MaxTid)
+}
+
 // threadPhase tracks a thread through the fork/join lifecycle imposed by
 // constraints (3)-(5) of §2.
 type threadPhase uint8
@@ -68,8 +82,9 @@ const (
 // runs in front of the detector, and in the parallel checker it is part
 // of the serial prepass Amdahl's law punishes — so the per-id state lives
 // in dense slices indexed by id, one byte per thread and one slot per
-// lock, with a map spill for ids outside the dense window (huge or
+// lock, with a map spill for lock ids outside the dense window (huge or
 // negative) so the accepted language is exactly the map implementation's.
+// Thread ids need no spill: Check admits only [0, epoch.MaxTid].
 type Validator struct {
 	// MaxLock is the exclusive upper bound on acceptable lock ids; zero
 	// means the default real-lock space (so Desugar's pseudo-locks can
@@ -86,13 +101,13 @@ type Validator struct {
 
 	// threads packs a thread's lifecycle into one byte: the low two bits
 	// hold the threadPhase, actedBit records whether it has performed any
-	// op yet. Index is the tid for tids inside the dense window.
+	// op yet. Index is the tid.
 	threads []uint8
 	locks   []lockSlot
 
-	// Spill state for ids outside [0, denseValidatorIDs).
-	threadsHi map[epoch.Tid]uint8
-	locksHi   map[Lock]lockSlot
+	// locksHi is the spill state for lock ids outside
+	// [0, denseValidatorIDs).
+	locksHi map[Lock]lockSlot
 
 	// Channel-discipline state (constraint 6); allocated on first channel
 	// op so core-language traces pay nothing.
@@ -118,9 +133,9 @@ const (
 	phaseMask = 0b011
 	actedBit  = 0b100
 
-	// denseValidatorIDs bounds the slice-indexed id window; beyond it (or
-	// below zero) state spills to maps so hostile sparse ids cannot force
-	// huge allocations.
+	// denseValidatorIDs bounds the slice-indexed lock id window; beyond it
+	// (or below zero) state spills to a map so hostile sparse ids cannot
+	// force huge allocations.
 	denseValidatorIDs = 1 << 16
 )
 
@@ -133,30 +148,20 @@ func NewValidator() *Validator {
 // Count returns how many operations have been accepted so far.
 func (v *Validator) Count() int { return v.n }
 
-// thread reads a thread's packed lifecycle byte. The unsigned compare
-// routes negative tids to the spill map along with the huge ones.
+// thread reads a thread's packed lifecycle byte; t is in range (Check
+// rejects the rest first) and never-touched threads read as zero.
 func (v *Validator) thread(t epoch.Tid) uint8 {
-	if uint32(t) < uint32(len(v.threads)) {
+	if int(t) < len(v.threads) {
 		return v.threads[t]
 	}
-	if uint32(t) < denseValidatorIDs {
-		return 0 // inside the window but never touched: zero value
-	}
-	return v.threadsHi[t]
+	return 0
 }
 
 func (v *Validator) setThread(t epoch.Tid, s uint8) {
-	if uint32(t) < denseValidatorIDs {
-		for int(t) >= len(v.threads) {
-			v.threads = append(v.threads, 0)
-		}
-		v.threads[t] = s
-		return
+	for int(t) >= len(v.threads) {
+		v.threads = append(v.threads, 0)
 	}
-	if v.threadsHi == nil {
-		v.threadsHi = map[epoch.Tid]uint8{}
-	}
-	v.threadsHi[t] = s
+	v.threads[t] = s
 }
 
 func (v *Validator) lock(m Lock) lockSlot {
@@ -213,10 +218,19 @@ func (v *Validator) unblock(st *chanValState) {
 }
 
 // Check validates the next operation of the stream against the state
-// accumulated so far. On violation it returns an *InfeasibleError whose
-// Index is the operation's position (0-based) and leaves the validator
-// unchanged; the op is not admitted.
+// accumulated so far. On violation it returns an *InfeasibleError — or,
+// for a thread id no epoch can hold, a *TidRangeError — whose Index is the
+// operation's position (0-based) and leaves the validator unchanged; the
+// op is not admitted.
 func (v *Validator) Check(op Op) error {
+	// U is zero outside fork/join; the unsigned compares reject negative
+	// ids along with the huge ones.
+	if uint32(op.T) > epoch.MaxTid {
+		return &TidRangeError{Index: v.n, Op: op, Tid: op.T}
+	}
+	if uint32(op.U) > epoch.MaxTid {
+		return &TidRangeError{Index: v.n, Op: op, Tid: op.U}
+	}
 	// Constraint (4), first half: the acting thread must be running.
 	ts := v.thread(op.T)
 	switch threadPhase(ts & phaseMask) {

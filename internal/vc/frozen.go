@@ -99,30 +99,16 @@ func (c *VC) Freeze() *Frozen {
 		c.m.FreezeReuses++
 		return c.frozen
 	}
-	c.frozen = freezeSlice(c.v, c.pool)
+	n := len(c.v)
+	for n > 0 && c.v[n-1] == epoch.Min(epoch.Tid(n-1)) {
+		n--
+	}
+	out := make([]epoch.Epoch, n)
+	copy(out, c.v[:n])
+	c.frozen = &Frozen{v: out}
 	c.m.Freezes++
 	return c.frozen
 }
-
-// freezeSlice copies v — trailing minimal entries trimmed — into a fresh
-// snapshot whose storage comes from pool (plain make when nil).
-func freezeSlice(v []epoch.Epoch, pool *Pool) *Frozen {
-	n := len(v)
-	for n > 0 && v[n-1] == epoch.Min(epoch.Tid(n-1)) {
-		n--
-	}
-	out := pool.getSlice(n)
-	copy(out, v[:n])
-	return &Frozen{v: out}
-}
-
-// AdoptFrozen replaces the cached Freeze snapshot with f, which must
-// denote the clock's current value. It exists for interning callers: after
-// Intern maps a freshly frozen duplicate to its canonical snapshot,
-// adopting the canonical lets the next Freeze reuse it — and leaves the
-// duplicate unreachable, so its storage can go back to the pool
-// (Pool.PutFrozen).
-func (c *VC) AdoptFrozen(f *Frozen) { c.frozen = f }
 
 // JoinFrozen merges a frozen snapshot into c pointwise: c := c ⊔ f. It has
 // the same fast paths as Join: a nil or empty snapshot returns without

@@ -2,14 +2,11 @@
 // analysis (§3 and Fig. 3 of the paper).
 //
 // A vector clock maps every thread id to an epoch for that thread. The
-// Clock interface (clock.go) abstracts the representation; this file is the
-// dense implementation: a slice indexed by thread id, entries beyond the
+// representation is a slice indexed by thread id, entries beyond the
 // slice's length reading as the minimal epoch t@0, exactly as the
 // VectorClock.get method in Fig. 3 does. This keeps clocks proportional to
 // the highest thread id that has actually synchronized through them rather
-// than to the total number of threads. tree.go adds a lazy tree-clock
-// representation behind the same interface, and pool.go recycles backing
-// arrays for both.
+// than to the total number of threads.
 //
 // The well-formedness invariant of §3 — for all t, Tid(V.Get(t)) == t — is
 // maintained by every method and checked by the test suite.
@@ -26,7 +23,7 @@ import (
 )
 
 // VC is a dense vector clock. The zero value is the minimal clock ⊥V
-// (every entry reads as t@0) and is ready to use (with no pool).
+// (every entry reads as t@0) and is ready to use.
 type VC struct {
 	v []epoch.Epoch
 	m Metrics
@@ -34,11 +31,6 @@ type VC struct {
 	// frozen caches the last Freeze snapshot; any mutation clears it. See
 	// Freeze in frozen.go.
 	frozen *Frozen
-
-	// pool, when non-nil, supplies and recycles backing arrays (growth
-	// only ever retires arrays this clock exclusively owns, so recycling
-	// them is safe; Frozen arrays are shared and never recycled here).
-	pool *Pool
 }
 
 // Metrics counts a clock's structural costs. Because a clock is not safe
@@ -57,10 +49,6 @@ type Metrics struct {
 	// JoinScanned counts entries compared across all Joins — the O(threads)
 	// work epochs exist to avoid on the access paths.
 	JoinScanned uint64
-	// JoinsElided counts joins the tree representation answered entirely
-	// from its monotone-copy memo — no entry scanned at all. Always zero
-	// for the dense representation.
-	JoinsElided uint64
 	// Freezes counts Freeze calls that had to copy the representation;
 	// FreezeReuses counts the calls answered by the cached snapshot. Their
 	// ratio is the copy-on-write win of the Frozen layer.
@@ -73,7 +61,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.Grows += other.Grows
 	m.Joins += other.Joins
 	m.JoinScanned += other.JoinScanned
-	m.JoinsElided += other.JoinsElided
 	m.Freezes += other.Freezes
 	m.FreezeReuses += other.FreezeReuses
 }
@@ -85,12 +72,6 @@ func (c *VC) Metrics() Metrics { return c.m }
 // New returns an empty (minimal) vector clock.
 func New() *VC {
 	return &VC{}
-}
-
-// NewPooled returns an empty vector clock drawing backing storage from
-// pool (nil pool behaves like New).
-func NewPooled(pool *Pool) *VC {
-	return &VC{pool: pool}
 }
 
 // FromClocks builds a vector clock whose entry for thread i carries clock
@@ -135,9 +116,7 @@ func (c *VC) Set(t epoch.Tid, e epoch.Epoch) {
 // slots with minimal epochs, as Fig. 3's ensureCapacity does via get.
 // Capacity grows geometrically (powers of two), so a clock touched by
 // threads 0..k reallocates O(log k) times, not O(k); in-place extensions
-// within existing capacity cost only the minimal fill. Retired arrays are
-// recycled through the pool — the clock is their sole owner, snapshots
-// having been copied out by Freeze.
+// within existing capacity cost only the minimal fill.
 func (c *VC) ensureCapacity(n int) {
 	if n <= len(c.v) {
 		return
@@ -152,10 +131,9 @@ func (c *VC) ensureCapacity(n int) {
 	for newCap < n {
 		newCap *= 2
 	}
-	grown := c.pool.getSlice(newCap)[:n]
+	grown := make([]epoch.Epoch, n, newCap)
 	copy(grown, c.v)
 	epoch.FillMin(grown, 0, old)
-	c.pool.putSlice(c.v)
 	c.v = grown
 	c.m.Grows++
 }
@@ -165,26 +143,15 @@ func (c *VC) Inc(t epoch.Tid) {
 	c.Set(t, c.Get(t).Inc())
 }
 
-// Leq reports the pointwise order c ⊑ other. The dense-vs-dense case is
-// the historical fast path; a tree argument is compared through the
-// interface.
-func (c *VC) Leq(other Clock) bool {
-	if o, ok := other.(*VC); ok {
-		n := len(c.v)
-		if len(o.v) > n {
-			n = len(o.v)
-		}
-		for i := 0; i < n; i++ {
-			t := epoch.Tid(i)
-			if !c.Get(t).Leq(o.Get(t)) {
-				return false
-			}
-		}
-		return true
+// Leq reports the pointwise order c ⊑ other.
+func (c *VC) Leq(other *VC) bool {
+	n := len(c.v)
+	if len(other.v) > n {
+		n = len(other.v)
 	}
-	for i := range c.v {
+	for i := 0; i < n; i++ {
 		t := epoch.Tid(i)
-		if !c.v[i].Leq(other.Get(t)) {
+		if !c.Get(t).Leq(other.Get(t)) {
 			return false
 		}
 	}
@@ -205,39 +172,17 @@ func (c *VC) EpochLeq(e epoch.Epoch) bool {
 // whose argument is entirely ⊑ c (re-acquiring a lock the thread itself
 // released last, barrier re-arrivals) mutates nothing, grows nothing, and
 // preserves c's cached Freeze snapshot.
-func (c *VC) Join(other Clock) {
+func (c *VC) Join(other *VC) {
 	c.m.Joins++
-	o, ok := other.(*VC)
-	if !ok {
-		c.joinGeneric(other)
+	if len(other.v) == 0 {
 		return
 	}
-	if len(o.v) == 0 {
-		return
-	}
-	c.m.JoinScanned += uint64(len(o.v))
-	for i, oe := range o.v {
+	c.m.JoinScanned += uint64(len(other.v))
+	for i, oe := range other.v {
 		t := epoch.Tid(i)
 		// Same-tid epochs order by their clock bits, so the raw comparison
 		// is the pointwise order (both sides are well-formed entries for t).
 		if oe > c.Get(t) {
-			c.Set(t, oe)
-		}
-	}
-}
-
-// joinGeneric merges a non-dense clock through the interface; it exists
-// for cross-implementation joins, which the detectors never perform (an
-// entire detector runs one implementation) but the property tests do.
-func (c *VC) joinGeneric(other Clock) {
-	n := other.Size()
-	if n == 0 {
-		return
-	}
-	c.m.JoinScanned += uint64(n)
-	for i := 0; i < n; i++ {
-		t := epoch.Tid(i)
-		if oe := other.Get(t); oe > c.Get(t) {
 			c.Set(t, oe)
 		}
 	}
@@ -249,40 +194,19 @@ func (c *VC) joinGeneric(other Clock) {
 // capacity check, the cache clear and the well-formedness branch n times.
 // Entries beyond other's representation are reset to minimal, so the
 // result denotes exactly other's value regardless of c's previous size.
-func (c *VC) Assign(other Clock) {
+func (c *VC) Assign(other *VC) {
 	c.frozen = nil
-	if o, ok := other.(*VC); ok {
-		c.assignRaw(o.v)
-		return
-	}
-	if t, ok := other.(*Tree); ok {
-		c.assignRaw(t.v)
-		return
-	}
-	n := other.Size()
-	c.ensureCapacity(n)
-	for i := 0; i < n; i++ {
-		c.v[i] = other.Get(epoch.Tid(i))
-	}
-	epoch.FillMin(c.v, 0, n)
-}
-
-// assignRaw bulk-copies a well-formed epoch slice into c.
-func (c *VC) assignRaw(src []epoch.Epoch) {
-	c.ensureCapacity(len(src))
-	copy(c.v, src)
-	epoch.FillMin(c.v, 0, len(src))
+	c.ensureCapacity(len(other.v))
+	copy(c.v, other.v)
+	epoch.FillMin(c.v, 0, len(other.v))
 }
 
 // Clone returns an independent copy of c's clock value. The copy starts
 // with zero Metrics (counters describe one clock object's life, not the
-// value's history) and — deliberately — no cached Freeze snapshot: a
-// *Frozen must be reachable from at most the clock it snapshots, or the
-// pool's recycling contract breaks, so the clone's first Freeze performs
-// a fresh copy rather than reusing the original's cache. The clone shares
-// c's pool.
+// value's history) and no cached Freeze snapshot, so the clone's first
+// Freeze performs a fresh copy.
 func (c *VC) Clone() *VC {
-	out := &VC{v: make([]epoch.Epoch, len(c.v)), pool: c.pool}
+	out := &VC{v: make([]epoch.Epoch, len(c.v))}
 	copy(out.v, c.v)
 	return out
 }

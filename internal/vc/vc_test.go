@@ -126,6 +126,97 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestGeometricGrowth pins the ensureCapacity contract: Grows counts only
+// reallocation-and-copy events, so a clock touched at increasing tids
+// reallocates O(log n) times, and an in-place extension within existing
+// capacity fills the slots it exposes with minimal epochs.
+func TestGeometricGrowth(t *testing.T) {
+	c := New()
+	for i := 0; i < 1000; i++ {
+		c.Inc(epoch.Tid(i))
+	}
+	if g := c.Metrics().Grows; g > 10 {
+		t.Fatalf("1000 single-step grows cost %d reallocations, want <= 10 (geometric)", g)
+	}
+	for i := 0; i < 1000; i++ {
+		if got := c.Get(epoch.Tid(i)); got != epoch.Make(epoch.Tid(i), 1) {
+			t.Fatalf("entry %d corrupted after growth: %v", i, got)
+		}
+	}
+
+	// Size 5 reallocates to capacity 8; reaching tid 7 then extends in
+	// place and must not expose the array's zero words at 5 and 6.
+	d := New()
+	d.Inc(4)
+	grows := d.Metrics().Grows
+	d.Inc(7)
+	if d.Metrics().Grows != grows {
+		t.Fatalf("extension within capacity counted as a grow")
+	}
+	for _, i := range []epoch.Tid{5, 6} {
+		if got := d.Get(i); got != epoch.Min(i) {
+			t.Fatalf("in-place extension exposed %v at t%d, want minimal", got, i)
+		}
+	}
+}
+
+// TestAssignSingleGrow is the regression test for Assign's single
+// grow-and-copy: one Assign from a much larger clock performs exactly one
+// reallocation (one Grows tick), not one per entry, and clears the frozen
+// cache once.
+func TestAssignSingleGrow(t *testing.T) {
+	big := New()
+	for i := 0; i < 100; i++ {
+		big.Inc(epoch.Tid(i))
+	}
+	c := New()
+	f := c.Freeze()
+	before := c.Metrics().Grows
+	c.Assign(big)
+	if got := c.Metrics().Grows - before; got != 1 {
+		t.Fatalf("Assign from 100-entry clock cost %d grows, want exactly 1", got)
+	}
+	if !c.Equal(big) {
+		t.Fatalf("Assign result differs from source")
+	}
+	// The pre-Assign snapshot must not be reused: the clock changed.
+	if g := c.Freeze(); g == f {
+		t.Fatalf("Freeze after Assign returned the stale snapshot")
+	}
+	// Assigning a smaller value resets the tail to minimal.
+	small := New()
+	small.Inc(0)
+	c.Assign(small)
+	for i := 1; i < 100; i++ {
+		if got := c.Get(epoch.Tid(i)); got != epoch.Min(epoch.Tid(i)) {
+			t.Fatalf("Assign left stale tail entry at %d: %v", i, got)
+		}
+	}
+}
+
+// TestCloneFreezesFresh pins Clone's frozen-cache contract: a clone
+// starts with zero Metrics and no cached snapshot, so its first Freeze is
+// a fresh copy, equal in value to the original's.
+func TestCloneFreezesFresh(t *testing.T) {
+	c := New()
+	c.Inc(2)
+	orig := c.Freeze()
+	cl := c.Clone()
+	if m := cl.Metrics(); m != (Metrics{}) {
+		t.Fatalf("clone inherited metrics: %+v", m)
+	}
+	got := cl.Freeze()
+	if got == orig {
+		t.Fatalf("clone's first Freeze reused the original's cached snapshot")
+	}
+	if !got.Equal(orig) {
+		t.Fatalf("clone snapshot differs in value: %v vs %v", got, orig)
+	}
+	if m := cl.Metrics(); m.Freezes != 1 || m.FreezeReuses != 0 {
+		t.Fatalf("clone's first Freeze was not a fresh copy: %+v", m)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := FromClocks(3, 1, 4)
 	b := FromSnapshot(a.Snapshot())

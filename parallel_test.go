@@ -1,12 +1,15 @@
 package verifiedft
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/rtsim"
 	"repro/internal/trace"
@@ -81,6 +84,35 @@ func TestParallelMatchesSequentialOnGeneratedTraces(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequentialOnConformanceCorpus covers the racy
+// programs under controlled schedules: two PCT seeds per program vary
+// where the races land, and every variant's report list must be
+// byte-identical through the parallel checker.
+func TestParallelMatchesSequentialOnConformanceCorpus(t *testing.T) {
+	for _, prog := range conformance.Programs() {
+		for _, seed := range []uint64{1, 42} {
+			tr, _, err := conformance.RunOne(prog, "pct", seed, nil)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", prog.Name, seed, err)
+			}
+			for _, variant := range Variants() {
+				want, err := CheckTrace(tr, WithVariant(variant))
+				if err != nil {
+					t.Fatalf("%s/%s sequential: %v", prog.Name, variant, err)
+				}
+				got, err := CheckTrace(tr, WithVariant(variant), WithParallelism(4))
+				if err != nil {
+					t.Fatalf("%s/%s parallel: %v", prog.Name, variant, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s/%s seed %d: parallel diverged\nsequential: %+v\nparallel:   %+v",
+						prog.Name, variant, seed, want, got)
+				}
+			}
+		}
+	}
+}
+
 // TestWithParallelismZeroMeansGOMAXPROCS: n <= 0 resolves to all cores
 // and still matches the sequential replay.
 func TestWithParallelismZeroMeansGOMAXPROCS(t *testing.T) {
@@ -114,6 +146,26 @@ func TestParallelInfeasibleTrace(t *testing.T) {
 	}
 	if reports != nil {
 		t.Fatalf("parallel: want nil reports on error, got %+v", reports)
+	}
+}
+
+// TestOutOfRangeTidIsTypedError: a trace naming a thread id beyond
+// epoch.MaxTid comes back as a positioned *trace.TidRangeError from the
+// reader pipeline and from the parallel checker, where it used to panic.
+func TestOutOfRangeTidIsTypedError(t *testing.T) {
+	const hostile = "fork 0 70000\nwr 70000 1\nwr 0 1\n"
+	for name, opts := range map[string][]CheckOption{
+		"sequential": nil,
+		"parallel":   {WithParallelism(2)},
+	} {
+		reports, err := CheckReader(strings.NewReader(hostile), opts...)
+		var re *trace.TidRangeError
+		if !errors.As(err, &re) || re.Index != 0 || re.Tid != 70000 {
+			t.Errorf("%s: err = %v, want *TidRangeError at #0 for tid 70000", name, err)
+		}
+		if reports != nil {
+			t.Errorf("%s: want nil reports on error, got %+v", name, reports)
+		}
 	}
 }
 

@@ -226,9 +226,6 @@ func New(variant string, opts ...Option) (Detector, error) {
 	for _, o := range opts {
 		o.applyNew(&s)
 	}
-	if err := s.resolveClock(); err != nil {
-		return nil, err
-	}
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
@@ -296,9 +293,6 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	for _, o := range opts {
 		o.applyCheck(&s)
 	}
-	if err := s.resolveClock(); err != nil {
-		return nil, err
-	}
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
@@ -357,8 +351,6 @@ func parcheckOptions(s settings) parcheck.Options {
 		Vars:             s.cfg.Vars,
 		Locks:            s.cfg.Locks,
 		Metrics:          s.metrics,
-		ClockImpl:        s.cfg.ClockImpl,
-		DisablePool:      s.cfg.DisablePool,
 		Sampling:         s.sampling,
 	}
 }
@@ -403,9 +395,6 @@ func CheckTrace(tr Trace, opts ...CheckOption) ([]Report, error) {
 		o.applyCheck(&s)
 	}
 	if s.parallel != 1 {
-		if err := s.resolveClock(); err != nil {
-			return nil, err
-		}
 		if err := s.resolveSampling(); err != nil {
 			return nil, err
 		}
@@ -454,11 +443,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.3.0 redesigns the trace
-// language around the Go memory model: channel send/recv/close, atomic
-// load/store/RMW and once-do are first-class operations (binary wire
-// format v2, WithChanCapacities, EncodeBinary/WithFormatVersion), lowered
-// onto pseudo-locks by the shared trace.Lowerer so every detector variant
-// checks them unchanged. The deprecated NewWithConfig, DefaultConfig and
-// CheckTraceWith wrappers from the 2.0 options migration are removed.
-const Version = "2.3.0"
+// Version identifies this implementation. 2.4.0 removes the second
+// vector-clock representation and its selectors: the clock-implementation
+// option and the -clock flags now fail at compile or flag-parse time.
+const Version = "2.4.0"
