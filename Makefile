@@ -49,7 +49,9 @@ metrics-smoke:
 	$(GO) run ./scripts/metrics-smoke
 
 # End-to-end check of streaming ingestion: pipes gzipped binary traces
-# into `vft-run -` over stdin and verifies the verdict exit codes.
+# into `vft-run -` over stdin and verifies the verdict exit codes; also
+# gates the FT-CAS thread-id limit (exit 2, sequential and -parallel) and
+# the sampled sparse-variable upload (child max-RSS <= 64 MiB).
 stream-smoke:
 	$(GO) run ./scripts/stream-smoke
 

@@ -24,7 +24,6 @@ import (
 	verifiedft "repro"
 	"repro/internal/arrayshadow"
 	"repro/internal/core"
-	"repro/internal/elide"
 	"repro/internal/epoch"
 	"repro/internal/rtsim"
 	"repro/internal/spec"
@@ -292,47 +291,6 @@ func BenchmarkCheckTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := verifiedft.CheckTrace(tr); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkElision measures the E10 extension: a RedCard/BigFoot-style
-// redundant-check filter over vft-v2. Dynamic elision pays exactly where
-// the elided check is expensive (locked slow paths) and costs where the
-// fast path was already one atomic load — the honest trade-off recorded in
-// EXPERIMENTS.md; static systems like BigFoot avoid the dynamic cost.
-func BenchmarkElision(b *testing.B) {
-	for _, name := range []string{"montecarlo", "sparse", "h2"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, elided := range []bool{false, true} {
-			label := name + "/plain"
-			if elided {
-				label = name + "/elided"
-			}
-			b.Run(label, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					inner, err := core.New("vft-v2", core.Config{Threads: 32, Vars: 1 << 10, Locks: 64})
-					if err != nil {
-						b.Fatal(err)
-					}
-					var d core.Detector = inner
-					if elided {
-						el, err := elide.New(inner)
-						if err != nil {
-							b.Fatal(err)
-						}
-						d = el
-					}
-					rt := rtsim.New(d)
-					w.Run(rt, w.TestSize)
-					if len(d.Reports()) != 0 {
-						b.Fatal("unexpected race")
-					}
-				}
-			})
 		}
 	}
 }

@@ -144,16 +144,15 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	ext := &trace.Extensions{BarrierParties: partyMap, ChanCapacity: caps}
-	if err := trace.ValidateExt(tr, ext); err != nil {
-		fmt.Fprintln(stderr, "vft-race:", err)
-		return 2
-	}
-	low := tr.Desugar(ext)
-
 	variants := []string{*variant}
 	if *all {
 		variants = core.PreciseVariants()
 	}
+	if err := validateFor(tr, ext, variants); err != nil {
+		fmt.Fprintln(stderr, "vft-race:", err)
+		return 2
+	}
+	low := tr.Desugar(ext)
 
 	raced := false
 	var verdicts []bool
@@ -280,7 +279,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	warmup := fs.Int("warmup", 2, "warm-up iterations per cell")
 	quick := fs.Bool("quick", false, "use the small test sizes")
 	detectors := fs.String("detectors", "ft-mutex,ft-cas,vft-v1,vft-v1.5,vft-v2",
-		"comma-separated detector variants (append +elide for check elision)")
+		"comma-separated detector variants")
 	programs := fs.String("programs", "", "comma-separated program subset (default: whole suite)")
 	ablation := fs.Bool("ablation", false, "also run the §3 rule-change ablations")
 	parallel := fs.String("parallel", "",
@@ -413,7 +412,7 @@ func benchTrace(path string, detectors []string, iters, warmup int, stdout, stde
 		fmt.Fprintln(stderr, "vft-bench:", err)
 		return 2
 	}
-	if err := trace.Validate(tr); err != nil {
+	if err := validateFor(tr, nil, detectors); err != nil {
 		fmt.Fprintln(stderr, "vft-bench:", err)
 		return 2
 	}
@@ -860,7 +859,7 @@ func fuzzReplay(path string, stdin io.Reader, schedules int, policy string, seed
 		fmt.Fprintln(stderr, "vft-fuzz:", err)
 		return 2
 	}
-	if err := trace.Validate(tr); err != nil {
+	if err := validateFor(tr, nil, core.Variants()); err != nil { // CheckOne replays every variant
 		fmt.Fprintln(stderr, "vft-fuzz:", err)
 		return 2
 	}
@@ -1195,6 +1194,24 @@ func runTraceParallel(in io.Reader, path, variant string, workers int, ext *trac
 
 // clampTableHint bounds a prescan size hint so hostile sparse ids in an
 // input file cannot force huge eager shadow allocations.
+// validateFor checks a materialized trace against the §2 feasibility
+// constraints under the narrowest thread-id ceiling of the variants about
+// to replay it (ft-cas's 8-bit tids, when it is among them), so a format
+// limit is a positioned input error here rather than a panic in a handler.
+func validateFor(tr trace.Trace, ext *trace.Extensions, variants []string) error {
+	val := trace.NewValidator()
+	val.Ext = ext
+	for _, v := range variants {
+		val.MaxTid = min(val.MaxTid, core.MaxTid(v))
+	}
+	for _, op := range tr {
+		if err := val.Check(op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func clampTableHint(n, max int) int {
 	if n < 1 {
 		return 1
@@ -1221,7 +1238,7 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 		}
 	}
 	rt := rtsim.New(d, rtOpts...)
-	pipe := trace.DesugarSource(trace.ValidateSource(src, ext), ext)
+	pipe := core.LoweredSource(variant, src, ext)
 	pprof.Do(context.Background(), pprof.Labels("program", path, "detector", variant), func(context.Context) {
 		err = rtsim.Replay(rt, pipe)
 	})

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -95,11 +97,11 @@ func TestRaceBarrierParties(t *testing.T) {
 func TestBenchQuickSubset(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := Bench([]string{"-quick", "-iters", "1", "-warmup", "0", "-json", "",
-		"-programs", "series,fop", "-detectors", "vft-v2,vft-v2+elide"}, &out, &errBuf)
+		"-programs", "series,fop", "-detectors", "vft-v2,djit"}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
 	}
-	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "vft-v2+elide"} {
+	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "DJIT+"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -297,5 +299,31 @@ func TestPhilosophersEraserFalsePositive(t *testing.T) {
 	out.Reset()
 	if code := RunProg([]string{"-d", "eraser", "../../examples/minilang/philosophers.vft"}, strings.NewReader(""), &out, &errBuf); code != 1 {
 		t.Fatalf("eraser: exit = %d, want 1 (the classic false positive), out: %s", code, out.String())
+	}
+}
+
+// TestFTCASTidLimitIsInputError: every CLI path that replays a materialized
+// trace through ft-cas validates under its 8-bit thread-id ceiling first, so
+// a valid 300-thread trace is a positioned input error (exit 2), never a
+// Pack32 panic inside a handler.
+func TestFTCASTidLimitIsInputError(t *testing.T) {
+	var sb strings.Builder
+	for u := 1; u < 300; u++ {
+		fmt.Fprintf(&sb, "fork 0 %d\n", u)
+	}
+	sb.WriteString("wr 299 1\nwr 0 1\n")
+	path := filepath.Join(t.TempDir(), "wide.trace")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(stdout, stderr io.Writer) int{
+		"vft-race -d ft-cas": func(o, e io.Writer) int { return Race([]string{"-d", "ft-cas", path}, nil, o, e) },
+		"vft-bench -trace":   func(o, e io.Writer) int { return Bench([]string{"-trace", path, "-iters", "1", "-warmup", "0"}, o, e) },
+		"vft-fuzz -replay":   func(o, e io.Writer) int { return Fuzz([]string{"-replay", path}, nil, o, e) },
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(&out, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "thread id 255 outside 0..254") {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 naming thread id 255", name, code, errBuf.String())
+		}
 	}
 }

@@ -113,6 +113,13 @@ func (s *reportSink) add(r Report) {
 	s.mu.Unlock()
 }
 
+// addRace sinks one piece of kernel evidence, if it holds a race.
+func (s *reportSink) addRace(ev Evidence, t epoch.Tid, x trace.Var) {
+	if ev.Rule != spec.RuleNone {
+		s.add(Report{Rule: ev.Rule, T: t, X: x, Prev: ev.Prev})
+	}
+}
+
 // droppedCount returns how many reports the per-variable cap suppressed.
 func (s *reportSink) droppedCount() uint64 {
 	s.mu.Lock()
@@ -348,6 +355,18 @@ func PreciseVariants() []string {
 	return out
 }
 
+// LoweredSource is the checking pipeline in front of a detector of the
+// named variant: incremental §2 validation — under the variant's thread-id
+// ceiling, so a format limit surfaces as a positioned *trace.TidRangeError
+// instead of a panic inside a handler — then on-the-fly lowering of
+// extended operations.
+func LoweredSource(variant string, src trace.Source, ext *trace.Extensions) trace.Source {
+	v := trace.NewValidator()
+	v.Ext = ext
+	v.MaxTid = MaxTid(variant)
+	return trace.DesugarSource(v.Source(src), ext)
+}
+
 // Replay drives a detector sequentially over a core-language trace,
 // dispatching each operation to its handler, and returns the detector's
 // reports. It is the reference driver for differential testing; concurrent
@@ -409,8 +428,8 @@ func SortReports(rs []Report) {
 }
 
 // EpochSource is implemented by the vector-clock detectors: it exposes a
-// thread's current epoch E_t, which optimization layers (internal/elide,
-// internal/arrayshadow) key their bookkeeping on. Calls must come from the
+// thread's current epoch E_t, which optimization layers
+// (internal/arrayshadow) key their bookkeeping on. Calls must come from the
 // thread t itself (the value is goroutine-confined, like the ThreadState).
 type EpochSource interface {
 	ThreadEpoch(t epoch.Tid) epoch.Epoch

@@ -89,3 +89,15 @@ func (d *DJIT) Write(t epoch.Tid, x trace.Var) {
 	st.count(rule)
 	st.countSlowWrite()
 }
+
+// firstUnorderedEntry returns DJIT's race evidence: the first entry of v
+// not covered by the accessor's clock.
+func firstUnorderedEntry(v, clock *vc.VC) epoch.Epoch {
+	for i := 0; i < v.Size(); i++ {
+		t := epoch.Tid(i)
+		if !clock.EpochLeq(v.Get(t)) {
+			return v.Get(t)
+		}
+	}
+	return epoch.Min(0)
+}

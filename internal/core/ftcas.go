@@ -26,6 +26,17 @@ const (
 	MaxClock32 = 1<<24 - 1
 )
 
+// MaxTid returns the largest thread id the named variant's epoch format
+// holds: MaxTid32 for ft-cas, epoch.MaxTid for every other name. The trace
+// validator is given it as its ceiling, which makes a variant's format
+// limit an input error on every checking path.
+func MaxTid(variant string) epoch.Tid {
+	if variant == "ft-cas" {
+		return MaxTid32
+	}
+	return epoch.MaxTid
+}
+
 // Pack32 converts a 64-bit epoch into the packed 32-bit form. It panics if
 // the epoch does not fit: FT-CAS inherits the historical format's limits of
 // 254 threads and 2^24 clock ticks per thread.
@@ -51,59 +62,13 @@ func unpackRW(rw uint64) (r, w Epoch32) { return Epoch32(rw >> 32), Epoch32(rw) 
 
 // casVarState is FT-CAS's per-variable shadow: one atomic word carrying
 // both epochs, plus the mutex-protected read vector for the Shared case
-// ("the lock sx is still used for the vector clock").
+// ("the lock sx is still used for the vector clock"). Unlike
+// atomicVarState's, the vector never needs unlocked readers (FT-CAS has no
+// lock-free shared fast path), so it is a plain field guarded by mu.
 type casVarState struct {
 	rw atomic.Uint64 // packed (R, W); zero value is (0@0, 0@0)
 	mu sync.Mutex
-	v  atomicVec
-}
-
-// atomicVec is the lock-protected read vector; unlike atomicVarState's, it
-// never needs unlocked readers (FT-CAS has no lock-free shared fast path),
-// so entries and pointer are plain fields guarded by casVarState.mu.
-type atomicVec struct {
-	arr []epoch.Epoch
-}
-
-func (v *atomicVec) get(t epoch.Tid) epoch.Epoch {
-	if int(t) < len(v.arr) {
-		return v.arr[t]
-	}
-	return epoch.Min(t)
-}
-
-func (v *atomicVec) set(t epoch.Tid, e epoch.Epoch) {
-	if int(t) >= len(v.arr) {
-		n := len(v.arr) * 2
-		if n <= int(t) {
-			n = int(t) + 1
-		}
-		grown := make([]epoch.Epoch, n)
-		copy(grown, v.arr)
-		for i := len(v.arr); i < n; i++ {
-			grown[i] = epoch.Min(epoch.Tid(i))
-		}
-		v.arr = grown
-	}
-	v.arr[t] = e
-}
-
-func (v *atomicVec) leq(st *ThreadState) bool {
-	for _, e := range v.arr {
-		if !st.vc.EpochLeq(e) {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *atomicVec) evidence(st *ThreadState) epoch.Epoch {
-	for _, e := range v.arr {
-		if !st.vc.EpochLeq(e) {
-			return e
-		}
-	}
-	return epoch.Min(0)
+	v  ReadVec
 }
 
 func newCASVarState(int) *casVarState { return &casVarState{} }
@@ -134,7 +99,8 @@ func (d *FTCAS) Name() string { return "ft-cas" }
 
 // Read handles rd(t,x). Fast paths ([Read Same Epoch], [Read Exclusive])
 // are single-CAS lock-free; Share transitions and Shared bookkeeping take
-// the lock, validating the packed word before committing.
+// the lock, validating the packed word before committing. Reports are
+// sunk only once the update has committed, so a retry never repeats one.
 func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 	st := d.thread(t)
 	e32 := Pack32(st.e)
@@ -148,71 +114,55 @@ func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 			return
 		}
 
-		rule := spec.RuleNone
-		if w != 0 && !st.vc.EpochLeq(Unpack32(w)) {
-			d.sink.add(Report{Rule: spec.WriteReadRace, T: st.T, X: x, Prev: Unpack32(w)})
-			rule = spec.WriteReadRace
-		}
-
+		var rule spec.Rule
+		var upd Update
+		var race Evidence
 		if r != Shared32 {
-			prev := Unpack32(r)
-			if st.vc.EpochLeq(prev) {
+			rule, upd, race = StepRead(Unpack32(r), Unpack32(w), 0, st.e, st.vc.View(), true)
+			if upd == SetR {
 				// [Read Exclusive]: one CAS swings R; W rides along
 				// unchanged, which is why the pair shares a word.
 				if sx.rw.CompareAndSwap(rw, packRW(e32, w)) {
-					if rule == spec.RuleNone {
-						rule = spec.ReadExclusive
-					}
+					d.sink.addRace(race, t, x)
 					st.count(rule)
 					return
 				}
 				st.countRetry()
 				continue // interference: retry from the top
 			}
-			// [Read Share]: vector work needs the lock.
-			sx.mu.Lock()
-			if sx.rw.Load() != rw {
-				sx.mu.Unlock()
-				st.countRetry()
-				continue
-			}
-			sx.v.set(prev.Tid(), prev)
-			sx.v.set(t, st.e)
-			if !sx.rw.CompareAndSwap(rw, packRW(Shared32, w)) {
-				// A lock-free CASer cannot run while we hold the lock and
-				// the word was validated above, so this cannot fail; keep
-				// the retry for defense in depth.
-				sx.mu.Unlock()
-				st.countRetry()
-				continue
-			}
-			sx.mu.Unlock()
-			if rule == spec.RuleNone {
-				rule = spec.ReadShare
-			}
-			st.count(rule)
-			st.countSlowRead()
-			return
 		}
 
-		// Shared: [Read Shared] / [Read Shared Same Epoch], under the lock.
+		// [Read Share] and the Shared cases touch the read vector: take
+		// the lock and validate the word. A [Read Share] decision made
+		// above stands for the validated word (it read nothing else); the
+		// Shared cases are decided here, on the vector entry the lock
+		// guards.
 		sx.mu.Lock()
 		if sx.rw.Load() != rw {
 			sx.mu.Unlock()
 			st.countRetry()
 			continue
 		}
-		if sx.v.get(t) == st.e {
-			if rule == spec.RuleNone {
-				rule = spec.ReadSharedSameEpoch
+		if r == Shared32 {
+			rule, upd, race = StepRead(epoch.Shared, Unpack32(w), sx.v.Get(t), st.e, st.vc.View(), true)
+		}
+		switch upd {
+		case Share:
+			prev := Unpack32(r)
+			sx.v = sx.v.Set(prev.Tid(), prev).Set(t, st.e)
+			// Lock-free CASers do not take the lock, so the word can
+			// still move under us: publish Shared with a CAS and retry
+			// on interference.
+			if !sx.rw.CompareAndSwap(rw, packRW(Shared32, w)) {
+				sx.mu.Unlock()
+				st.countRetry()
+				continue
 			}
-		} else {
-			sx.v.set(t, st.e)
-			if rule == spec.RuleNone {
-				rule = spec.ReadShared
-			}
+		case SetOwn:
+			sx.v = sx.v.Set(t, st.e)
 		}
 		sx.mu.Unlock()
+		d.sink.addRace(race, t, x)
 		st.count(rule)
 		st.countSlowRead()
 		return
@@ -220,7 +170,8 @@ func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 }
 
 // Write handles wr(t,x); [Write Same Epoch] and [Write Exclusive] are
-// lock-free, [Write Shared] validates under the lock.
+// lock-free, [Write Shared] validates under the lock. Past the same-epoch
+// exit the kernel's update is always SetW, applied as a CAS on the word.
 func (d *FTCAS) Write(t epoch.Tid, x trace.Var) {
 	st := d.thread(t)
 	e32 := Pack32(st.e)
@@ -234,24 +185,12 @@ func (d *FTCAS) Write(t epoch.Tid, x trace.Var) {
 			return
 		}
 
-		rule := spec.RuleNone
-		if w != 0 && !st.vc.EpochLeq(Unpack32(w)) {
-			d.sink.add(Report{Rule: spec.WriteWriteRace, T: st.T, X: x, Prev: Unpack32(w)})
-			rule = spec.WriteWriteRace
-		}
-
 		if r != Shared32 {
-			prev := Unpack32(r)
-			if r != 0 && !st.vc.EpochLeq(prev) {
-				d.sink.add(Report{Rule: spec.ReadWriteRace, T: st.T, X: x, Prev: prev})
-				if rule == spec.RuleNone {
-					rule = spec.ReadWriteRace
-				}
-			} else if rule == spec.RuleNone {
-				rule = spec.WriteExclusive
-			}
 			// [Write Exclusive] (or post-race repair): CAS W.
+			rule, _, race, race2 := StepWrite(Unpack32(r), Unpack32(w), st.e, nil, st.vc.View())
 			if sx.rw.CompareAndSwap(rw, packRW(r, e32)) {
+				d.sink.addRace(race, t, x)
+				d.sink.addRace(race2, t, x)
 				st.count(rule)
 				return
 			}
@@ -266,20 +205,15 @@ func (d *FTCAS) Write(t epoch.Tid, x trace.Var) {
 			st.countRetry()
 			continue
 		}
-		if !sx.v.leq(st) {
-			d.sink.add(Report{Rule: spec.SharedWriteRace, T: st.T, X: x, Prev: sx.v.evidence(st)})
-			if rule == spec.RuleNone {
-				rule = spec.SharedWriteRace
-			}
-		} else if rule == spec.RuleNone {
-			rule = spec.WriteShared
-		}
+		rule, _, race, race2 := StepWrite(epoch.Shared, Unpack32(w), st.e, sx.v, st.vc.View())
 		if !sx.rw.CompareAndSwap(rw, packRW(r, e32)) {
 			sx.mu.Unlock()
 			st.countRetry()
 			continue
 		}
 		sx.mu.Unlock()
+		d.sink.addRace(race, t, x)
+		d.sink.addRace(race2, t, x)
 		st.count(rule)
 		st.countSlowWrite()
 		return

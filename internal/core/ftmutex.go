@@ -42,8 +42,9 @@ func NewFTMutex(cfg Config) *FTMutex {
 // Name implements Detector.
 func (d *FTMutex) Name() string { return "ft-mutex" }
 
-// Read handles rd(t,x) optimistically: snapshot R (and W) unlocked, decide,
-// then validate under the lock before updating; retry on interference.
+// Read handles rd(t,x) optimistically: snapshot R (and W) unlocked, then
+// validate under the lock before deciding and updating; retry on
+// interference.
 func (d *FTMutex) Read(t epoch.Tid, x trace.Var) {
 	st := d.thread(t)
 	e := st.e
@@ -64,34 +65,8 @@ func (d *FTMutex) Read(t epoch.Tid, x trace.Var) {
 			st.countRetry()
 			continue
 		}
-		rule := spec.RuleNone
-		if !st.vc.EpochLeq(w0) {
-			d.sink.add(Report{Rule: spec.WriteReadRace, T: st.T, X: x, Prev: w0})
-			rule = spec.WriteReadRace
-		}
-		switch {
-		case r0.IsShared() && sx.getShared(t) == e:
-			if rule == spec.RuleNone {
-				rule = spec.ReadSharedSameEpoch
-			}
-		case r0.IsShared():
-			sx.setShared(t, e)
-			if rule == spec.RuleNone {
-				rule = spec.ReadShared
-			}
-		case st.vc.EpochLeq(r0):
-			sx.r.Store(uint64(e))
-			if rule == spec.RuleNone {
-				rule = spec.ReadExclusive
-			}
-		default:
-			sx.setShared(r0.Tid(), r0)
-			sx.setShared(t, e)
-			sx.r.Store(uint64(epoch.Shared))
-			if rule == spec.RuleNone {
-				rule = spec.ReadShare
-			}
-		}
+		// The snapshot is validated: run the shared critical section on it.
+		rule := sx.lockedRead(r0, w0, st, e, true, &d.sink, x)
 		sx.mu.Unlock()
 		st.count(rule)
 		st.countSlowRead()
@@ -119,31 +94,7 @@ func (d *FTMutex) Write(t epoch.Tid, x trace.Var) {
 			st.countRetry()
 			continue
 		}
-		rule := spec.RuleNone
-		if !st.vc.EpochLeq(w0) {
-			d.sink.add(Report{Rule: spec.WriteWriteRace, T: st.T, X: x, Prev: w0})
-			rule = spec.WriteWriteRace
-		}
-		if !r0.IsShared() {
-			if !st.vc.EpochLeq(r0) {
-				d.sink.add(Report{Rule: spec.ReadWriteRace, T: st.T, X: x, Prev: r0})
-				if rule == spec.RuleNone {
-					rule = spec.ReadWriteRace
-				}
-			} else if rule == spec.RuleNone {
-				rule = spec.WriteExclusive
-			}
-		} else {
-			if !sx.sharedLeq(st) {
-				d.sink.add(Report{Rule: spec.SharedWriteRace, T: st.T, X: x, Prev: sx.sharedEvidence(st)})
-				if rule == spec.RuleNone {
-					rule = spec.SharedWriteRace
-				}
-			} else if rule == spec.RuleNone {
-				rule = spec.WriteShared
-			}
-		}
-		sx.w.Store(uint64(e))
+		rule := sx.lockedWrite(w0, r0, st, e, &d.sink, x)
 		sx.mu.Unlock()
 		st.count(rule)
 		st.countSlowWrite()

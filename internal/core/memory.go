@@ -47,7 +47,7 @@ func (b *syncBase) threadLockBytes() uint64 {
 func (d *V1) ShadowBytes() uint64 {
 	total := d.threadLockBytes()
 	for _, sx := range d.vars.Snapshot() {
-		total += 2*epochBytes + vcBytes(sx.v)
+		total += 2*epochBytes + uint64(len(sx.v))*epochBytes + 3*pointerBytes
 	}
 	return total
 }
@@ -95,7 +95,7 @@ func (d *FTCAS) ShadowBytes() uint64 {
 	total := d.threadLockBytes()
 	for _, sx := range d.vars.Snapshot() {
 		total += epochBytes // the packed (R,W) word
-		total += uint64(len(sx.v.arr)) * epochBytes
+		total += uint64(len(sx.v)) * epochBytes
 	}
 	return total
 }

@@ -49,7 +49,7 @@ func (d *V2) SeedVar(x trace.Var, s VarSnap) {
 	if s.R.IsShared() {
 		// Publish the vector before the Shared marker, preserving the
 		// discipline's ordering for any unlocked fast-path reader.
-		vec := append([]epoch.Epoch(nil), s.Vec...)
+		vec := append(ReadVec(nil), s.Vec...)
 		sx.v.Store(&vec)
 	}
 	sx.r.Store(uint64(s.R))

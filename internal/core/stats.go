@@ -136,14 +136,11 @@ func countSharedAtomic(t *shadow.Table[atomicVarState]) int {
 func (d *V1) Stats() obs.Snapshot {
 	s := d.statsCommon()
 	shared := 0
-	var clocks vc.Metrics
 	for _, sx := range d.vars.Snapshot() {
 		if sx.r.IsShared() {
 			shared++
 		}
-		clocks.Add(sx.v.Metrics())
 	}
-	addClockMetrics(s, clocks)
 	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
 	return s
 }

@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/epoch"
 	"repro/internal/shadow"
-	"repro/internal/spec"
 	"repro/internal/trace"
-	"repro/internal/vc"
 )
 
 // V1 is VerifiedFT-v1, the basic concurrent implementation of Fig. 3: mutex
@@ -35,11 +33,11 @@ type v1VarState struct {
 	mu sync.Mutex
 	r  epoch.Epoch
 	w  epoch.Epoch
-	v  *vc.VC
+	v  ReadVec
 }
 
 func newV1VarState(int) *v1VarState {
-	return &v1VarState{r: epoch.Min(0), w: epoch.Min(0), v: vc.New()}
+	return &v1VarState{r: epoch.Min(0), w: epoch.Min(0)}
 }
 
 // NewV1 returns a VerifiedFT-v1 detector.
@@ -53,14 +51,25 @@ func NewV1(cfg Config) *V1 {
 // Name implements Detector.
 func (d *V1) Name() string { return "vft-v1" }
 
-// Read implements the read handler of Fig. 3 (lines 60-82).
+// Read implements the read handler of Fig. 3 (lines 60-82): the kernel
+// decides, plain stores under sx.mu apply.
 func (d *V1) Read(t epoch.Tid, x trace.Var) {
 	st := d.thread(t)
 	e := st.e
 	sx := d.vars.Get(int(x))
 
 	sx.mu.Lock()
-	rule := readLocked(st, e, &sx.r, &sx.w, sx.v, &d.sink, x)
+	rule, upd, race := StepRead(sx.r, sx.w, sx.v.Get(t), e, st.vc.View(), false)
+	d.sink.addRace(race, t, x)
+	switch upd {
+	case SetR:
+		sx.r = e
+	case Share:
+		sx.v = sx.v.Set(sx.r.Tid(), sx.r).Set(t, e)
+		sx.r = epoch.Shared
+	case SetOwn:
+		sx.v = sx.v.Set(t, e)
+	}
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowRead() // v1 has no fast path: every read is a lock round-trip
@@ -73,110 +82,13 @@ func (d *V1) Write(t epoch.Tid, x trace.Var) {
 	sx := d.vars.Get(int(x))
 
 	sx.mu.Lock()
-	rule := writeLocked(st, e, &sx.r, &sx.w, sx.v, &d.sink, x)
+	rule, upd, race, race2 := StepWrite(sx.r, sx.w, e, sx.v, st.vc.View())
+	d.sink.addRace(race, t, x)
+	d.sink.addRace(race2, t, x)
+	if upd == SetW {
+		sx.w = e
+	}
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowWrite()
-}
-
-// readLocked is the body of the read handler once the variable lock is
-// held, operating on v1's plain-field representation. The atomic variants
-// have the same logic over atomic fields in readSlow (v15.go); the slow
-// paths are deliberately line-for-line parallel so the only difference
-// between v1, v1.5 and v2 is how much work happens before taking the lock.
-func readLocked(st *ThreadState, e epoch.Epoch, r, w *epoch.Epoch, v *vc.VC, sink *reportSink, x trace.Var) spec.Rule {
-	// [Read Same Epoch] — re-checked under the lock: the epoch may have
-	// been written between an unlocked fast-path check and lock acquisition
-	// in the optimized variants; in v1 this is simply the first check.
-	if *r == e {
-		return spec.ReadSameEpoch
-	}
-	// [Read Shared Same Epoch]
-	if r.IsShared() && v.Get(st.T) == e {
-		return spec.ReadSharedSameEpoch
-	}
-	rule := spec.RuleNone
-	// [Write-Read Race]
-	if !st.vc.EpochLeq(*w) {
-		sink.add(Report{Rule: spec.WriteReadRace, T: st.T, X: x, Prev: *w})
-		rule = spec.WriteReadRace
-		// Continue checking (§7): fall through and update the read state
-		// as if the access had been race-free.
-	}
-	switch {
-	case !r.IsShared() && st.vc.EpochLeq(*r):
-		// [Read Exclusive]
-		*r = e
-		if rule == spec.RuleNone {
-			rule = spec.ReadExclusive
-		}
-	case !r.IsShared():
-		// [Read Share]: v := ⊥V[t := E_t, u := Sx.R]
-		u := r.Tid()
-		v.Set(u, *r)
-		v.Set(st.T, e)
-		*r = epoch.Shared
-		if rule == spec.RuleNone {
-			rule = spec.ReadShare
-		}
-	default:
-		// [Read Shared]
-		v.Set(st.T, e)
-		if rule == spec.RuleNone {
-			rule = spec.ReadShared
-		}
-	}
-	return rule
-}
-
-// writeLocked is the body of the write handler under the variable lock,
-// shared by v1, v1.5 and v2.
-func writeLocked(st *ThreadState, e epoch.Epoch, r, w *epoch.Epoch, v *vc.VC, sink *reportSink, x trace.Var) spec.Rule {
-	// [Write Same Epoch] — re-checked under the lock.
-	if *w == e {
-		return spec.WriteSameEpoch
-	}
-	rule := spec.RuleNone
-	// [Write-Write Race]
-	if !st.vc.EpochLeq(*w) {
-		sink.add(Report{Rule: spec.WriteWriteRace, T: st.T, X: x, Prev: *w})
-		rule = spec.WriteWriteRace
-	}
-	if !r.IsShared() {
-		// [Read-Write Race]
-		if !st.vc.EpochLeq(*r) {
-			sink.add(Report{Rule: spec.ReadWriteRace, T: st.T, X: x, Prev: *r})
-			if rule == spec.RuleNone {
-				rule = spec.ReadWriteRace
-			}
-		} else if rule == spec.RuleNone {
-			rule = spec.WriteExclusive
-		}
-	} else {
-		// [Shared-Write Race]
-		if !v.Leq(st.vc) {
-			sink.add(Report{Rule: spec.SharedWriteRace, T: st.T, X: x, Prev: firstUnorderedEntry(v, st.vc)})
-			if rule == spec.RuleNone {
-				rule = spec.SharedWriteRace
-			}
-		} else if rule == spec.RuleNone {
-			rule = spec.WriteShared
-		}
-	}
-	// [Write Exclusive] / [Write Shared] update; also the repair action
-	// after a detected race, so checking continues downstream.
-	*w = e
-	return rule
-}
-
-// firstUnorderedEntry returns race evidence for [Shared-Write Race]: the
-// first read-vector entry not covered by the writer's clock.
-func firstUnorderedEntry(v, clock *vc.VC) epoch.Epoch {
-	for i := 0; i < v.Size(); i++ {
-		t := epoch.Tid(i)
-		if !clock.EpochLeq(v.Get(t)) {
-			return v.Get(t)
-		}
-	}
-	return epoch.Min(0)
 }

@@ -28,9 +28,9 @@ import (
 //	    exactly the role VarState's volatile declarations play in §5.
 type atomicVarState struct {
 	mu sync.Mutex
-	w  atomic.Uint64                 // an epoch; zero value is ⊥e (0@0)
-	r  atomic.Uint64                 // an epoch or epoch.Shared
-	v  atomic.Pointer[[]epoch.Epoch] // nil until the first Share transition
+	w  atomic.Uint64           // an epoch; zero value is ⊥e (0@0)
+	r  atomic.Uint64           // an epoch or epoch.Shared
+	v  atomic.Pointer[ReadVec] // nil until the first Share transition
 }
 
 func newAtomicVarState(int) *atomicVarState { return &atomicVarState{} }
@@ -54,140 +54,64 @@ func (sx *atomicVarState) getShared(t epoch.Tid) epoch.Epoch {
 // atomic pointer store makes the copied entries visible to unlocked
 // fast-path readers that load the new pointer.
 func (sx *atomicVarState) setShared(t epoch.Tid, e epoch.Epoch) {
-	var arr []epoch.Epoch
+	var v ReadVec
 	if p := sx.v.Load(); p != nil {
-		arr = *p
+		v = *p
 	}
-	if int(t) < len(arr) {
-		arr[t] = e
+	if int(t) < len(v) {
+		v[t] = e
 		return
 	}
-	n := len(arr) * 2
-	if n <= int(t) {
-		n = int(t) + 1
-	}
-	grown := make([]epoch.Epoch, n)
-	copy(grown, arr)
-	for i := len(arr); i < n; i++ {
-		grown[i] = epoch.Min(epoch.Tid(i))
-	}
-	grown[t] = e
+	grown := v.Set(t, e)
 	sx.v.Store(&grown)
 }
 
-// sharedLeq reports Sx.V ⊑ St.V; mu must be held.
-func (sx *atomicVarState) sharedLeq(st *ThreadState) bool {
-	p := sx.v.Load()
-	if p == nil {
-		return true
+// lockedRead is the read handler's critical section for the atomic
+// representation — the body of Fig. 4's synchronized block (lines 136-151)
+// — given the R and W the caller loaded under mu (v1.5, v2) or validated
+// under mu (FT-Mutex). The kernel re-checks the fast-path cases, since the
+// state may have changed between an unlocked pure block and lock
+// acquisition; the discipline here is the order of the stores: vector
+// entries first, then Shared published through the atomic R — the
+// release/acquire pair that makes the v2 fast path sound.
+func (sx *atomicVarState) lockedRead(r, w epoch.Epoch, st *ThreadState, e epoch.Epoch, priorRead bool, sink *reportSink, x trace.Var) spec.Rule {
+	var own epoch.Epoch
+	if r.IsShared() {
+		own = sx.getShared(st.T)
 	}
-	for _, e := range *p {
-		if !st.vc.EpochLeq(e) {
-			return false
-		}
-	}
-	return true
-}
-
-// sharedEvidence returns the first vector entry not covered by st's clock;
-// mu must be held.
-func (sx *atomicVarState) sharedEvidence(st *ThreadState) epoch.Epoch {
-	p := sx.v.Load()
-	if p == nil {
-		return epoch.Min(0)
-	}
-	for _, e := range *p {
-		if !st.vc.EpochLeq(e) {
-			return e
-		}
-	}
-	return epoch.Min(0)
-}
-
-// readSlow is the read handler's critical section for the atomic
-// representation — the body of Fig. 4's synchronized block (lines 136-151).
-// mu must be held.
-func (sx *atomicVarState) readSlow(st *ThreadState, e epoch.Epoch, sink *reportSink, x trace.Var) spec.Rule {
-	// Re-check the fast-path cases: the state may have changed between
-	// the unlocked pure block and lock acquisition.
-	r := sx.loadR()
-	if r == e {
-		return spec.ReadSameEpoch
-	}
-	if r.IsShared() && sx.getShared(st.T) == e {
-		return spec.ReadSharedSameEpoch
-	}
-	rule := spec.RuleNone
-	// [Write-Read Race]
-	if w := sx.loadW(); !st.vc.EpochLeq(w) {
-		sink.add(Report{Rule: spec.WriteReadRace, T: st.T, X: x, Prev: w})
-		rule = spec.WriteReadRace
-	}
-	switch {
-	case !r.IsShared() && st.vc.EpochLeq(r):
-		// [Read Exclusive]
+	rule, upd, race := StepRead(r, w, own, e, st.vc.View(), priorRead)
+	sink.addRace(race, st.T, x)
+	switch upd {
+	case SetR:
 		sx.r.Store(uint64(e))
-		if rule == spec.RuleNone {
-			rule = spec.ReadExclusive
-		}
-	case !r.IsShared():
-		// [Read Share]: populate the vector first, then publish Shared —
-		// the release/acquire pair that makes the v2 fast path sound.
+	case Share:
 		sx.setShared(r.Tid(), r)
 		sx.setShared(st.T, e)
 		sx.r.Store(uint64(epoch.Shared))
-		if rule == spec.RuleNone {
-			rule = spec.ReadShare
-		}
-	default:
-		// [Read Shared]
+	case SetOwn:
 		sx.setShared(st.T, e)
-		if rule == spec.RuleNone {
-			rule = spec.ReadShared
-		}
 	}
 	return rule
 }
 
-// writeSlow is the write handler's critical section for the atomic
-// representation — the body of Fig. 4's synchronized block (lines 161-172).
-// mu must be held.
-func (sx *atomicVarState) writeSlow(st *ThreadState, e epoch.Epoch, sink *reportSink, x trace.Var) spec.Rule {
-	w := sx.loadW()
-	if w == e {
-		return spec.WriteSameEpoch
-	}
-	rule := spec.RuleNone
-	// [Write-Write Race]
-	if !st.vc.EpochLeq(w) {
-		sink.add(Report{Rule: spec.WriteWriteRace, T: st.T, X: x, Prev: w})
-		rule = spec.WriteWriteRace
-	}
-	r := sx.loadR()
-	if !r.IsShared() {
-		// [Read-Write Race]
-		if !st.vc.EpochLeq(r) {
-			sink.add(Report{Rule: spec.ReadWriteRace, T: st.T, X: x, Prev: r})
-			if rule == spec.RuleNone {
-				rule = spec.ReadWriteRace
-			}
-		} else if rule == spec.RuleNone {
-			rule = spec.WriteExclusive
-		}
-	} else {
-		// [Shared-Write Race]
-		if !sx.sharedLeq(st) {
-			sink.add(Report{Rule: spec.SharedWriteRace, T: st.T, X: x, Prev: sx.sharedEvidence(st)})
-			if rule == spec.RuleNone {
-				rule = spec.SharedWriteRace
-			}
-		} else if rule == spec.RuleNone {
-			rule = spec.WriteShared
+// lockedWrite is the write handler's critical section for the atomic
+// representation — the body of Fig. 4's synchronized block (lines
+// 161-172); w and r as in lockedRead (W first: the order Fig. 4 reads
+// them). The W store is also the repair action after a race, so checking
+// continues.
+func (sx *atomicVarState) lockedWrite(w, r epoch.Epoch, st *ThreadState, e epoch.Epoch, sink *reportSink, x trace.Var) spec.Rule {
+	var v ReadVec
+	if r.IsShared() {
+		if p := sx.v.Load(); p != nil {
+			v = *p
 		}
 	}
-	// [Write Exclusive] / [Write Shared] update (also the repair action
-	// after a race, so checking continues).
-	sx.w.Store(uint64(e))
+	rule, upd, race, race2 := StepWrite(r, w, e, v, st.vc.View())
+	sink.addRace(race, st.T, x)
+	sink.addRace(race2, st.T, x)
+	if upd == SetW {
+		sx.w.Store(uint64(e))
+	}
 	return rule
 }
 
@@ -224,7 +148,7 @@ func (d *V15) Read(t epoch.Tid, x trace.Var) {
 		return
 	}
 	sx.mu.Lock()
-	rule := sx.readSlow(st, e, &d.sink, x)
+	rule := sx.lockedRead(sx.loadR(), sx.loadW(), st, e, false, &d.sink, x)
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowRead()
@@ -243,7 +167,7 @@ func (d *V15) Write(t epoch.Tid, x trace.Var) {
 		return
 	}
 	sx.mu.Lock()
-	rule := sx.writeSlow(st, e, &d.sink, x)
+	rule := sx.lockedWrite(sx.loadW(), sx.loadR(), st, e, &d.sink, x)
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowWrite()

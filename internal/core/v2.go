@@ -57,7 +57,7 @@ func (d *V2) Read(t epoch.Tid, x trace.Var) {
 	}
 	// }
 	sx.mu.Lock()
-	rule := sx.readSlow(st, e, &d.sink, x)
+	rule := sx.lockedRead(sx.loadR(), sx.loadW(), st, e, false, &d.sink, x)
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowRead() // pure-block miss: the access paid for the lock
@@ -75,7 +75,7 @@ func (d *V2) Write(t epoch.Tid, x trace.Var) {
 		return
 	}
 	sx.mu.Lock()
-	rule := sx.writeSlow(st, e, &d.sink, x)
+	rule := sx.lockedWrite(sx.loadW(), sx.loadR(), st, e, &d.sink, x)
 	sx.mu.Unlock()
 	st.count(rule)
 	st.countSlowWrite()

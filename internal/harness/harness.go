@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/elide"
 	"repro/internal/obs"
 	"repro/internal/rtsim"
 	"repro/internal/workloads"
@@ -173,14 +171,7 @@ func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
 	rt := rtsim.New(wrapped, rtsim.WithMetrics(reg))
 	w.Run(rt, size)
 
-	inner := d
-	if el, ok := d.(*elide.Elider); ok {
-		hits, misses := el.Stats()
-		reg.Counter("elide.hits").Add(0, hits)
-		reg.Counter("elide.misses").Add(0, misses)
-		inner = el.Inner()
-	}
-	if ss, ok := inner.(core.StatsSource); ok {
+	if ss, ok := d.(core.StatsSource); ok {
 		// The run has quiesced (w.Run joins its threads), so the per-thread
 		// counters are coherent; freeze them as a source.
 		reg.RegisterSource("detector", ss.Stats().Source())
@@ -209,27 +200,13 @@ func detectorConfig() core.Config {
 	return core.Config{Threads: 32, Vars: 1 << 10, Locks: 64}
 }
 
-// buildDetector resolves a detector column name. A "+elide" suffix wraps
-// the base variant in the redundant-check filter of internal/elide, so the
-// E10 extension (`vft-bench -detectors vft-v2,vft-v2+elide`) measures the
-// RedCard/BigFoot-style layering the paper calls compatible (§8).
+// buildDetector resolves a detector column name.
 func buildDetector(name string) core.Detector {
-	base, wrap := name, false
-	if strings.HasSuffix(name, "+elide") {
-		base, wrap = strings.TrimSuffix(name, "+elide"), true
-	}
-	d, err := core.New(base, detectorConfig())
+	d, err := core.New(name, detectorConfig())
 	if err != nil {
 		panic(err)
 	}
-	if !wrap {
-		return d
-	}
-	el, err := elide.New(d)
-	if err != nil {
-		panic(err)
-	}
-	return el
+	return d
 }
 
 // timeRuns measures mean time per iteration. Each iteration gets a fresh

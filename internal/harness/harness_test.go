@@ -133,23 +133,6 @@ func TestDefaultOptions(t *testing.T) {
 	}
 }
 
-func TestBuildDetectorResolvesElide(t *testing.T) {
-	d := buildDetector("vft-v2+elide")
-	if d.Name() != "vft-v2+elide" {
-		t.Fatalf("Name = %q", d.Name())
-	}
-	plain := buildDetector("djit")
-	if plain.Name() != "djit" {
-		t.Fatalf("Name = %q", plain.Name())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown detector should panic")
-		}
-	}()
-	buildDetector("nope+elide")
-}
-
 func TestFormatCSV(t *testing.T) {
 	table := &Table{
 		Options: Options{Detectors: []string{"vft-v2"}},

@@ -117,19 +117,3 @@ func TestWriteJSONCarriesMetrics(t *testing.T) {
 		t.Errorf("bench.cells_done = %d", live.Gauges["bench.cells_done"])
 	}
 }
-
-// The "+elide" wrapper path must still yield detector stats (via Inner) and
-// its own hit/miss counters.
-func TestMetricsPassElide(t *testing.T) {
-	w, err := workloads.ByName("montecarlo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := metricsPass(w, w.TestSize, "vft-v2+elide")
-	if snap.Counters["detector.reads.total"] == 0 {
-		t.Errorf("elide-wrapped detector stats missing: %v", snap.Counters)
-	}
-	if snap.Counters["elide.hits"]+snap.Counters["elide.misses"] == 0 {
-		t.Errorf("elide counters missing")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,8 @@ import (
 //   - the handler never panics;
 //   - every response is well-formed JSON with a JSON Content-Type;
 //   - every non-200 response carries an "error" string;
-//   - the status code is one the API documents.
+//   - the status code is one the API documents;
+//   - one upload allocates at most 64 MiB, whatever ids its ops name.
 //
 // Limits are set small so coverage-guided exploration spends its budget
 // on the decode/validate/check error surface rather than on big uploads.
@@ -27,23 +29,23 @@ func FuzzIngestHTTP(f *testing.F) {
 	// Seeds: one per wire encoding the decoder sniffs, plus truncated,
 	// garbage and empty bodies and hostile parameter values.
 	valid := racyTrace()
-	f.Add("t0", "vft-v2", "", encodeBody(f, valid, "text"))
-	f.Add("t1", "vft-v1", "", encodeBody(f, valid, "binary"))
-	f.Add("t2", "djit", "", encodeBody(f, valid, "gzip"))
+	f.Add("t0", "vft-v2", "", "", encodeBody(f, valid, "text"))
+	f.Add("t1", "vft-v1", "", "", encodeBody(f, valid, "binary"))
+	f.Add("t2", "djit", "", "", encodeBody(f, valid, "gzip"))
 	bin := encodeBody(f, valid, "binary")
-	f.Add("t3", "eraser", "", bin[:len(bin)-3])
-	f.Add("t4", "", "", []byte("rd 0 0\nbogus"))
-	f.Add("bad/tenant", "vft-v2", "", []byte{0x1f, 0x8b, 0xff, 0x00}) // gzip magic, broken stream
-	f.Add("", "nope", "", []byte{})
-	f.Add(strings.Repeat("x", 80), "vft-v2", "", []byte("VFTb\x01garbage"))
+	f.Add("t3", "eraser", "", "", bin[:len(bin)-3])
+	f.Add("t4", "", "", "", []byte("rd 0 0\nbogus"))
+	f.Add("bad/tenant", "vft-v2", "", "", []byte{0x1f, 0x8b, 0xff, 0x00}) // gzip magic, broken stream
+	f.Add("", "nope", "", "", []byte{})
+	f.Add(strings.Repeat("x", 80), "vft-v2", "", "", []byte("VFTb\x01garbage"))
 	// Trace format v2: Go-synchronization kinds, the chancap parameter
 	// (valid and hostile), and a future-version header.
-	f.Add("t5", "vft-v2", "0:2", encodeBody(f, bufferedChanTrace(), "binary"))
-	f.Add("t6", "vft-v2", "", encodeBody(f, bufferedChanTrace(), "text"))
-	f.Add("t7", "vft-v2", "", []byte("send 0 c0\nrecv 1 c0\nonce 0 o1\narmw 1 a2\n"))
-	f.Add("t8", "vft-v2", "0:-1,zzz", encodeBody(f, valid, "text"))
-	f.Add("t9", "vft-v2", strings.Repeat("0:2,", 40), []byte{})
-	f.Add("t10", "vft-v2", "", []byte("VFTb\x03"))
+	f.Add("t5", "vft-v2", "0:2", "", encodeBody(f, bufferedChanTrace(), "binary"))
+	f.Add("t6", "vft-v2", "", "", encodeBody(f, bufferedChanTrace(), "text"))
+	f.Add("t7", "vft-v2", "", "", []byte("send 0 c0\nrecv 1 c0\nonce 0 o1\narmw 1 a2\n"))
+	f.Add("t8", "vft-v2", "0:-1,zzz", "", encodeBody(f, valid, "text"))
+	f.Add("t9", "vft-v2", strings.Repeat("0:2,", 40), "", []byte{})
+	f.Add("t10", "vft-v2", "", "", []byte("VFTb\x03"))
 	// Traces captured from instrumented real Go programs (vft-go over the
 	// goinstr testdata corpus): the upload bodies the front-end actually
 	// produces, with and without the chancap sidecar parameter.
@@ -55,8 +57,14 @@ func FuzzIngestHTTP(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(fmt.Sprintf("goinstr%d", i), "vft-v2", seed.chancap, b)
+		f.Add(fmt.Sprintf("goinstr%d", i), "vft-v2", seed.chancap, "", b)
 	}
+	// A sampled upload naming one huge variable id: the allocation budget
+	// below must hold however sparse the ids are.
+	sparse := []byte("fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n")
+	f.Add("t11", "vft-v2", "", "0.5", sparse)
+	f.Add("t12", "djit", "", "", sparse) // the sequential arm, unsampled and sampled
+	f.Add("t13", "eraser", "", "1", sparse)
 
 	allowed := map[int]bool{
 		http.StatusOK:                    true,
@@ -66,7 +74,7 @@ func FuzzIngestHTTP(f *testing.F) {
 		http.StatusServiceUnavailable:    true,
 	}
 
-	f.Fuzz(func(t *testing.T, tenant, variant, chancap string, body []byte) {
+	f.Fuzz(func(t *testing.T, tenant, variant, chancap, sampleRate string, body []byte) {
 		// A fresh small-limit server per input: no cross-input quota state,
 		// so failures minimize deterministically.
 		s := New(Config{
@@ -83,9 +91,19 @@ func FuzzIngestHTTP(f *testing.F) {
 		if chancap != "" {
 			q.Set("chancap", chancap)
 		}
+		if sampleRate != "" {
+			q.Set("sample", sampleRate)
+		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/traces?"+q.Encode(), bytes.NewReader(body))
 		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s.Handler().ServeHTTP(rec, req) // must not panic
+		runtime.ReadMemStats(&after)
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 64<<20 {
+			t.Fatalf("upload allocated %d MiB (budget 64) for variant=%q sample=%q body=%q",
+				delta>>20, variant, sampleRate, body)
+		}
 
 		if !allowed[rec.Code] {
 			t.Fatalf("undocumented status %d for tenant=%q variant=%q body=%q",

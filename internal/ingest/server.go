@@ -682,8 +682,7 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 		return nil, err
 	}
 	counted := &countingSource{src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
-	pipe := trace.DesugarSource(trace.ValidateSource(counted, ext), ext)
-	reports, err := parcheck.Check(pipe, parcheck.Options{
+	reports, err := parcheck.Check(core.LoweredSource(variant, counted, ext), parcheck.Options{
 		Variant:          variant,
 		Workers:          s.cfg.ShardWorkers,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,

@@ -145,6 +145,19 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			strings.NewReader("fork 0 70000\nwr 70000 1\nwr 0 1\n"))
 		wantError(t, code, m, http.StatusBadRequest)
 	})
+	t.Run("thread id beyond the ft-cas format", func(t *testing.T) {
+		var body strings.Builder
+		for u := 1; u < 300; u++ {
+			fmt.Fprintf(&body, "fork 0 %d\n", u)
+		}
+		body.WriteString("wr 299 1\nwr 0 1\n")
+		code, _, m := post(t, s, "/v1/traces?tenant=t&variant=ft-cas", strings.NewReader(body.String()))
+		wantError(t, code, m, http.StatusBadRequest)
+		// The same bytes are a plain racy upload for a 16-bit-tid variant.
+		if code, _, m := post(t, s, "/v1/traces?tenant=t&variant=ft-mutex", strings.NewReader(body.String())); code != http.StatusOK || m["races"].(float64) != 1 {
+			t.Fatalf("ft-mutex: status %d, %v; want 200 with 1 race", code, m)
+		}
+	})
 }
 
 func TestServerAcceptsAllEncodings(t *testing.T) {

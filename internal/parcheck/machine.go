@@ -12,22 +12,19 @@ import (
 
 // access is a fused run of n >= 1 adjacent read/write events of the
 // lowered stream — same thread, same variable, no operation of any other
-// kind in between — together with the acting thread's precomputed
-// synchronization context: its vector clock (precise modes) or its held
-// lockset (Eraser mode) at the moment of the accesses. Because the Fig. 2
-// access rules never mutate thread clocks — only acquire/release/fork/join
-// do — these snapshots are exactly the values the sequential detector
-// would have observed, which is the correctness foundation of the
-// two-phase split; and because nothing at all separates the run's ops,
-// one snapshot and one lockset serve all n of them.
+// kind in between — together with the acting thread's vector clock at the
+// moment of the accesses. Because the Fig. 2 access rules never mutate
+// thread clocks — only acquire/release/fork/join do — the snapshot is
+// exactly the value the sequential detector would have observed, which is
+// the correctness foundation of the two-phase split; and because nothing
+// at all separates the run's ops, one snapshot serves all n of them.
 type access struct {
 	idx     int // position of op 0 in the lowered stream; op j is at idx+j
 	t       epoch.Tid
 	x       trace.Var
-	n       uint16     // ops fused into this record (1..fuseMax)
-	pattern uint64     // bit j set: op j is a write
-	clock   *vc.Frozen // modeFT, modeDJIT
-	held    *lockSet   // modeEraser
+	n       uint16 // ops fused into this record (1..fuseMax)
+	pattern uint64 // bit j set: op j is a write
+	clock   *vc.Frozen
 }
 
 // fuseMax caps a fused run at the pattern bitmask's width.
@@ -41,138 +38,58 @@ type taggedReport struct {
 	rep      core.Report
 }
 
-// checkMode selects the per-variable state machine a shard worker runs.
-type checkMode int
-
-const (
-	// modeFT is the Fig. 2/Fig. 4 epoch state machine shared by the five
-	// precise epoch variants (vft-v1/v1.5/v2, ft-mutex, ft-cas): the fast
-	// paths, locking disciplines and word packings they differ in are
-	// invisible to a single-threaded replay. The one visible difference is
-	// the read rule ordering, selected by variantSpec.priorRead.
-	modeFT checkMode = iota
-	// modeDJIT is the pure vector-clock machine (two clocks per variable).
-	modeDJIT
-	// modeEraser is the lockset state machine (virgin → exclusive →
-	// shared/shared-modified, warn once per variable).
-	modeEraser
-)
-
-// variantSpec is what a detector variant name resolves to: which machine
-// replays its accesses and which discipline quirks of the historical
-// baselines apply.
+// variantSpec is what a detector variant name resolves to. The five
+// precise epoch variants (vft-v1/v1.5/v2, ft-mutex, ft-cas) share the one
+// sharded machine — the fast paths, locking disciplines and word packings
+// they differ in are invisible to a single-threaded replay — up to the two
+// discipline quirks of the historical baselines below. djit and eraser
+// keep no per-variable epoch state to shard: they are answered by core's
+// own detector on the calling goroutine (checkSequential).
 type variantSpec struct {
-	mode checkMode
+	sequential bool
 	// joinInc restores the original FastTrack [Join] increment of the
 	// joined thread's clock, which the FT baselines keep and VerifiedFT
 	// drops (§3).
 	joinInc bool
-	// priorRead selects the historical FT-Mutex/FT-CAS read ordering:
-	// those handlers run the [Write-Read Race] check in every case past
-	// the lock-free [Read Same Epoch] exit — including [Read Shared Same
-	// Epoch] — whereas the VerifiedFT handlers return from the shared
-	// same-epoch case before any race check.
+	// priorRead selects the historical FT-Mutex/FT-CAS read ordering; see
+	// core.StepRead.
 	priorRead bool
 }
 
-// modeFor maps a detector variant name to its replay specification.
-func modeFor(variant string) (variantSpec, error) {
+// specFor maps a detector variant name to its replay specification.
+func specFor(variant string) (variantSpec, error) {
 	switch variant {
 	case "vft-v1", "vft-v1.5", "vft-v2":
-		return variantSpec{mode: modeFT}, nil
+		return variantSpec{}, nil
 	case "ft-mutex", "ft-cas":
-		return variantSpec{mode: modeFT, joinInc: true, priorRead: true}, nil
-	case "djit":
-		return variantSpec{mode: modeDJIT}, nil
-	case "eraser":
-		return variantSpec{mode: modeEraser}, nil
+		return variantSpec{joinInc: true, priorRead: true}, nil
+	case "djit", "eraser":
+		return variantSpec{sequential: true}, nil
 	default:
 		return variantSpec{}, fmt.Errorf("parcheck: unknown detector %q (want one of %v)", variant, core.Variants())
 	}
 }
 
-// ftVar is the per-variable shadow of the epoch machine. The zero value
+// varState is the per-variable shadow of the epoch machine. The zero value
 // is the initial state: r = w = 0@0 (the minimal epoch Min(0), as the
 // sequential detectors initialize), no read vector.
-type ftVar struct {
+type varState struct {
 	r, w    epoch.Epoch
-	v       []epoch.Epoch // read vector, allocated by the Share transition
+	v       core.ReadVec // allocated by the Share transition
 	reports int
 }
 
-// djitVar is the per-variable shadow of the vector-clock machine; nil
-// slices are minimal clocks.
-type djitVar struct {
-	rvc, wvc []epoch.Epoch
-	reports  int
-}
-
-// eraserVar is the per-variable lockset machine state; the zero value is
-// Virgin.
-type eraserVar struct {
-	state    eraserState
-	owner    epoch.Tid
-	lockset  []trace.Lock // valid once state > exclusive; sorted
-	reported bool
-}
-
-type eraserState uint8
-
-const (
-	virgin eraserState = iota
-	exclusive
-	sharedRO
-	sharedModified
-)
-
-// vget/vset are the Fig. 3 VectorClock.get/set over a raw epoch slice:
-// entries beyond the representation read as minimal and writing grows
-// with minimal fill.
-func vget(v []epoch.Epoch, t epoch.Tid) epoch.Epoch {
-	if int(t) < len(v) {
-		return v[t]
-	}
-	return epoch.Min(t)
-}
-
-func vset(v *[]epoch.Epoch, t epoch.Tid, e epoch.Epoch) {
-	if int(t) >= len(*v) {
-		grown := make([]epoch.Epoch, int(t)+1)
-		copy(grown, *v)
-		for i := len(*v); i < len(grown); i++ {
-			grown[i] = epoch.Min(epoch.Tid(i))
-		}
-		*v = grown
-	}
-	(*v)[t] = e
-}
-
-// firstUnordered returns the first entry of v not covered by the clock,
-// mirroring core's firstUnorderedEntry evidence selection. ok is false
-// when v ⊑ clock (entries beyond v's representation are minimal and
-// always covered).
-func firstUnordered(v []epoch.Epoch, clock *vc.Frozen) (epoch.Epoch, bool) {
-	for _, e := range v {
-		if !clock.EpochLeq(e) {
-			return e, true
-		}
-	}
-	return 0, false
-}
-
-// runAccess replays a fused run through the selected machine. Op 0 always
-// runs. A later op is elided — skipped as a proven no-op — exactly when
-// (a) no race condition has fired anywhere in this run and (b) it repeats
-// the immediately preceding op's kind. Justification: the run's ops share
-// one thread, one variable, one clock and one lockset, so after a clean
-// read the machine's read state is a fixpoint for an identical read (the
-// same-epoch exits of Fig. 2/4; in DJIT and Eraser the transition is
-// idempotent and its checks — which passed — see unchanged state), and
+// runAccess replays a fused run. Op 0 always runs. A later op is elided —
+// skipped as a proven no-op — exactly when (a) no race condition has fired
+// anywhere in this run and (b) it repeats the immediately preceding op's
+// kind. Justification: the run's ops share one thread, one variable and
+// one clock, so after a clean read the machine's read state is a fixpoint
+// for an identical read (the same-epoch exits of Fig. 2/4), and
 // symmetrically for writes. A kind switch (read after write, write after
-// read) can change state in every machine and always replays; and once
-// any check fires, all remaining ops replay, because the historical
-// variants report racy repeats on every access (priorRead, DJIT) and the
-// report stream must stay byte-identical.
+// read) can change state and always replays; and once any check fires,
+// all remaining ops replay, because the historical variants report racy
+// repeats on every access (priorRead) and the report stream must stay
+// byte-identical.
 func (w *shardWorker) runAccess(a access) {
 	fired := false
 	prevWrite := false
@@ -182,253 +99,77 @@ func (w *shardWorker) runAccess(a access) {
 			w.elided++
 			continue
 		}
-		if w.stepOne(a, a.idx+j, write) {
+		if w.step(a, a.idx+j, write) {
 			fired = true
 		}
 		prevWrite = write
 	}
 }
 
-// stepOne dispatches one op of a run; it reports whether any race
-// condition fired (admitted to the sink or suppressed by the cap — either
-// way the op was not a no-op).
-func (w *shardWorker) stepOne(a access, idx int, write bool) bool {
-	switch w.mode {
-	case modeFT:
-		return w.stepFT(a, idx, write)
-	case modeDJIT:
-		return w.stepDJIT(a, idx, write)
-	default:
-		return w.stepEraser(a, idx, write)
-	}
-}
-
-// stepFT replays one access through the epoch machine, line-parallel to
-// core's readLocked/writeLocked (v1.go) with the thread state replaced by
-// the precomputed frozen clock.
-func (w *shardWorker) stepFT(a access, idx int, write bool) bool {
-	s := w.ft.get(a.x)
+// step replays one access: load the variable's plain fields, ask the
+// Fig. 2 kernel (core.StepRead/StepWrite) against the precomputed frozen
+// clock, sink the evidence, store the update. The shard owns the variable,
+// so the discipline is no synchronization at all. It reports whether any
+// race condition fired (admitted to the sink or suppressed by the cap —
+// either way the op was not a no-op).
+func (w *shardWorker) step(a access, idx int, write bool) bool {
+	s := w.vars.get(a.x)
+	clock := core.ClockView(a.clock.View())
 	e := a.clock.Get(a.t)
-	sub := 0
-	fired := false
+	var upd core.Update
+	var race, race2 core.Evidence
 	if write {
-		// [Write Same Epoch]
-		if s.w == e {
-			return false
+		_, upd, race, race2 = core.StepWrite(s.r, s.w, e, s.v, clock)
+	} else {
+		var own epoch.Epoch
+		if s.r.IsShared() {
+			own = s.v.Get(a.t)
 		}
-		// [Write-Write Race]
-		if !a.clock.EpochLeq(s.w) {
-			fired = true
-			w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.WriteWriteRace, T: a.t, X: a.x, Prev: s.w})
-		}
-		if !s.r.IsShared() {
-			// [Read-Write Race]
-			if !a.clock.EpochLeq(s.r) {
-				fired = true
-				w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.ReadWriteRace, T: a.t, X: a.x, Prev: s.r})
-			}
-		} else {
-			// [Shared-Write Race]
-			if prev, bad := firstUnordered(s.v, a.clock); bad {
-				fired = true
-				w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.SharedWriteRace, T: a.t, X: a.x, Prev: prev})
-			}
-		}
-		// [Write Exclusive] / [Write Shared] update; also the repair action
-		// after a detected race, so checking continues downstream.
-		s.w = e
-		return fired
+		_, upd, race = core.StepRead(s.r, s.w, own, e, clock, w.priorRead)
 	}
-	// [Read Same Epoch]
-	if s.r == e {
-		return false
+	fired := race.Rule != spec.RuleNone || race2.Rule != spec.RuleNone
+	if fired {
+		sub := 0
+		w.emitCapped(s, a, idx, &sub, race)
+		w.emitCapped(s, a, idx, &sub, race2)
 	}
-	// [Read Shared Same Epoch]: the VerifiedFT handlers exit here before
-	// any race check; the historical baselines (priorRead) fall through to
-	// the [Write-Read Race] check first and skip only the state update.
-	sameSharedEpoch := s.r.IsShared() && vget(s.v, a.t) == e
-	if sameSharedEpoch && !w.priorRead {
-		return false
-	}
-	// [Write-Read Race]
-	if !a.clock.EpochLeq(s.w) {
-		fired = true
-		w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.WriteReadRace, T: a.t, X: a.x, Prev: s.w})
-	}
-	if sameSharedEpoch {
-		return fired
-	}
-	switch {
-	case !s.r.IsShared() && a.clock.EpochLeq(s.r):
-		// [Read Exclusive]
+	switch upd {
+	case core.SetR:
 		s.r = e
-	case !s.r.IsShared():
-		// [Read Share]: v := ⊥V[u := Sx.R, t := E_t]
-		u := s.r.Tid()
-		vset(&s.v, u, s.r)
-		vset(&s.v, a.t, e)
+	case core.Share:
+		s.v = s.v.Set(s.r.Tid(), s.r).Set(a.t, e)
 		s.r = epoch.Shared
-	default:
-		// [Read Shared]
-		vset(&s.v, a.t, e)
+	case core.SetOwn:
+		s.v = s.v.Set(a.t, e)
+	case core.SetW:
+		s.w = e
 	}
 	return fired
 }
 
-// stepDJIT replays one access through the pure vector-clock machine,
-// mirroring core's DJIT handlers.
-func (w *shardWorker) stepDJIT(a access, idx int, write bool) bool {
-	s := w.djit.get(a.x)
-	e := a.clock.Get(a.t)
-	sub := 0
-	fired := false
-	if write {
-		if prev, bad := firstUnordered(s.wvc, a.clock); bad {
-			fired = true
-			w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.WriteWriteRace, T: a.t, X: a.x, Prev: prev})
-		}
-		if prev, bad := firstUnordered(s.rvc, a.clock); bad {
-			fired = true
-			w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.ReadWriteRace, T: a.t, X: a.x, Prev: prev})
-		}
-		vset(&s.wvc, a.t, e)
-		return fired
+// emitCapped records one piece of evidence subject to the per-variable
+// cap, exactly as core's reportSink does: suppressed reports are counted,
+// not silently lost. Because a variable's accesses all land in one shard
+// in stream order, the cap cuts off at the same access as the sequential
+// sink.
+func (w *shardWorker) emitCapped(s *varState, a access, idx int, sub *int, ev core.Evidence) {
+	if ev.Rule == spec.RuleNone {
+		return
 	}
-	if prev, bad := firstUnordered(s.wvc, a.clock); bad {
-		fired = true
-		w.emitCapped(&s.reports, idx, &sub, core.Report{Rule: spec.WriteReadRace, T: a.t, X: a.x, Prev: prev})
-	}
-	vset(&s.rvc, a.t, e)
-	return fired
-}
-
-// stepEraser replays one access through the lockset machine, mirroring
-// core's Eraser.access. Eraser warns once per variable via the reported
-// flag; its sink is uncapped, so emissions bypass the per-variable cap.
-func (w *shardWorker) stepEraser(a access, idx int, write bool) bool {
-	s := w.eraser.get(a.x)
-	switch s.state {
-	case virgin:
-		s.state = exclusive
-		s.owner = a.t
-		return false
-	case exclusive:
-		if s.owner == a.t {
-			return false
-		}
-		// Second thread: start refining from the accessor's held set.
-		s.lockset = a.held.clone()
-		if write {
-			s.state = sharedModified
-		} else {
-			s.state = sharedRO
-		}
-	case sharedRO:
-		s.lockset = intersectSorted(s.lockset, a.held.ms)
-		if write {
-			s.state = sharedModified
-		}
-	case sharedModified:
-		s.lockset = intersectSorted(s.lockset, a.held.ms)
-	}
-	if s.state == sharedModified && len(s.lockset) == 0 && !s.reported {
-		s.reported = true
-		w.out = append(w.out, taggedReport{idx: idx, sub: 0, rep: core.Report{
-			T: a.t, X: a.x,
-			Msg: fmt.Sprintf("lockset for x%d became empty in state shared-modified", a.x),
-		}})
-		return true
-	}
-	return false
-}
-
-// emitCapped records a report subject to the per-variable cap, exactly as
-// core's reportSink does: suppressed reports are counted, not silently
-// lost. varReports is the variable's admitted-report counter; because a
-// variable's accesses all land in one shard in stream order, the cap cuts
-// off at the same access as the sequential sink.
-func (w *shardWorker) emitCapped(varReports *int, idx int, sub *int, rep core.Report) {
-	if w.maxPerVar > 0 && *varReports >= w.maxPerVar {
+	if w.maxPerVar > 0 && s.reports >= w.maxPerVar {
 		w.dropped++
 		return
 	}
-	*varReports++
-	w.out = append(w.out, taggedReport{idx: idx, sub: *sub, rep: rep})
+	s.reports++
+	w.out = append(w.out, taggedReport{idx: idx, sub: *sub, rep: core.Report{Rule: ev.Rule, T: a.t, X: a.x, Prev: ev.Prev}})
 	*sub++
 }
 
-// lockSet is an immutable sorted set of held locks; with/without return
-// new sets so every access can share the acting thread's current set by
-// pointer. The zero value (and nil) is the empty set.
-type lockSet struct {
-	ms []trace.Lock
-}
-
-var emptyLockSet = &lockSet{}
-
-func (s *lockSet) with(m trace.Lock) *lockSet {
-	i := searchLocks(s.ms, m)
-	if i < len(s.ms) && s.ms[i] == m {
-		return s
-	}
-	out := make([]trace.Lock, 0, len(s.ms)+1)
-	out = append(out, s.ms[:i]...)
-	out = append(out, m)
-	out = append(out, s.ms[i:]...)
-	return &lockSet{ms: out}
-}
-
-func (s *lockSet) without(m trace.Lock) *lockSet {
-	i := searchLocks(s.ms, m)
-	if i >= len(s.ms) || s.ms[i] != m {
-		return s
-	}
-	out := make([]trace.Lock, 0, len(s.ms)-1)
-	out = append(out, s.ms[:i]...)
-	out = append(out, s.ms[i+1:]...)
-	return &lockSet{ms: out}
-}
-
-func (s *lockSet) clone() []trace.Lock {
-	out := make([]trace.Lock, len(s.ms))
-	copy(out, s.ms)
-	return out
-}
-
-// searchLocks is sort.Search specialized to the sorted lock slice.
-func searchLocks(ms []trace.Lock, m trace.Lock) int {
-	lo, hi := 0, len(ms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ms[mid] < m {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// intersectSorted filters dst (sorted, owned by the variable) down to the
-// locks also present in held (sorted, immutable), in place.
-func intersectSorted(dst, held []trace.Lock) []trace.Lock {
-	out := dst[:0]
-	j := 0
-	for _, m := range dst {
-		for j < len(held) && held[j] < m {
-			j++
-		}
-		if j < len(held) && held[j] == m {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// varTable maps variable ids to per-variable machine state inside one
-// shard. Ids dense in the shard (q = x/stride) live in a value slice for
-// cache locality; sparse ids beyond maxDenseVars spill into a map so a
-// hostile id space cannot force huge allocations.
+// varTable maps variable ids to per-variable state: the machine state
+// inside one shard (stride = worker count), and the prepass's sampling
+// decisions (stride 1). Ids dense in the table (q = x/stride) live in a
+// value slice for cache locality; sparse ids beyond maxDenseVars spill
+// into a map so a hostile id space cannot force huge allocations.
 type varTable[S any] struct {
 	stride int
 	dense  []S

@@ -17,11 +17,10 @@
 //
 // Phase 2 (sharded replay) runs one worker per shard, each replaying its
 // variables' accesses — in stream order, which sharding by variable
-// preserves — through the unmodified per-variable state machine of the
-// selected detector variant (Fig. 2/Fig. 4 epochs, DJIT vector clocks, or
-// the Eraser lockset machine) against the precomputed timestamps. Phase 2
-// overlaps phase 1: workers drain their queues while the prepass is still
-// streaming.
+// preserves — through the Fig. 2 access-rule kernel (core.StepRead and
+// core.StepWrite, the same body core's concurrent variants wrap) against
+// the precomputed timestamps. Phase 2 overlaps phase 1: workers drain
+// their queues while the prepass is still streaming.
 //
 // The split is sound because the access rules never mutate thread clocks:
 // a read/write handler only inspects the acting thread's clock and
@@ -32,6 +31,14 @@
 // order. A final merge sorts reports by (stream position, emission index)
 // and assigns Seq, reproducing the sequential sink's order and numbering
 // deterministically, independent of worker scheduling.
+//
+// The sharded engine is one machine: the epoch state the five precise
+// epoch variants share. djit and eraser have no such state to shard, so
+// Check and CheckTrace answer them by running core's own sequential
+// detector over the same validated, lowered stream on the calling
+// goroutine, behind a first-touch dense renumbering of variable ids so its
+// flat shadow tables stay proportional to the variables the trace names —
+// identical reports by construction (see checkSequential).
 package parcheck
 
 import (
@@ -51,8 +58,9 @@ import (
 // Options configures a parallel check.
 type Options struct {
 	// Variant is the detector variant to emulate (default vft-v2). The
-	// five precise epoch variants share one offline report semantics;
-	// djit and eraser run their own machines.
+	// five precise epoch variants are sharded; djit and eraser run
+	// core's sequential detector on the calling goroutine, Workers
+	// notwithstanding.
 	Variant string
 	// Workers is the shard worker count; <= 0 means GOMAXPROCS.
 	Workers int
@@ -92,13 +100,10 @@ const queueDepth = 8
 
 // shardWorker is one shard's replay state.
 type shardWorker struct {
-	mode      checkMode
 	priorRead bool
 	maxPerVar int
 
-	ft     varTable[ftVar]
-	djit   varTable[djitVar]
-	eraser varTable[eraserVar]
+	vars varTable[varState]
 
 	out      []taggedReport
 	dropped  uint64
@@ -113,54 +118,30 @@ func (w *shardWorker) run(ch <-chan []access, pool *sync.Pool) {
 	}
 }
 
-// runBatch replays one batch. The mode dispatch is hoisted out of the
-// per-access loop and unfused records (the overwhelmingly common case on
-// run-free traces) call their step directly: this loop is the workers'
+// runBatch replays one batch. Unfused records (the overwhelmingly common
+// case on run-free traces) call step directly: this loop is the workers'
 // entire hot path, and an extra call layer per access is measurable on
 // the Table-1 workloads.
 func (w *shardWorker) runBatch(batch []access) {
-	switch w.mode {
-	case modeFT:
-		for _, a := range batch {
-			w.accesses += uint64(a.n)
-			if a.n == 1 {
-				w.stepFT(a, a.idx, a.pattern&1 != 0)
-			} else {
-				w.runAccess(a)
-			}
-		}
-	case modeDJIT:
-		for _, a := range batch {
-			w.accesses += uint64(a.n)
-			if a.n == 1 {
-				w.stepDJIT(a, a.idx, a.pattern&1 != 0)
-			} else {
-				w.runAccess(a)
-			}
-		}
-	default:
-		for _, a := range batch {
-			w.accesses += uint64(a.n)
-			if a.n == 1 {
-				w.stepEraser(a, a.idx, a.pattern&1 != 0)
-			} else {
-				w.runAccess(a)
-			}
+	for _, a := range batch {
+		w.accesses += uint64(a.n)
+		if a.n == 1 {
+			w.step(a, a.idx, a.pattern&1 != 0)
+		} else {
+			w.runAccess(a)
 		}
 	}
 }
 
 // threadState is one thread's prepass context.
 type threadState struct {
-	vc *vc.VC // clock modes
+	vc *vc.VC
 
 	// lastRaw/lastInterned memoize the interning of the thread's current
 	// snapshot so the intern table is consulted once per clock change,
 	// not once per access.
 	lastRaw      *vc.Frozen
 	lastInterned *vc.Frozen
-
-	held *lockSet // eraser mode
 }
 
 // Check streams the lowered core-language trace from src through the
@@ -170,7 +151,7 @@ type threadState struct {
 // stream error the error is returned and all reports are discarded,
 // matching the sequential contract.
 func Check(src trace.Source, opts Options) ([]core.Report, error) {
-	return run(opts, func(p *prepassState) error { return p.stream(src) })
+	return run(opts, func(emit func(trace.Op)) error { return stream(src, emit) })
 }
 
 // CheckTrace is the materialized-trace fast path: it checks a raw (not
@@ -187,21 +168,25 @@ func Check(src trace.Source, opts Options) ([]core.Report, error) {
 // operation for operation, and the first infeasible op yields the
 // identical *InfeasibleError the streaming pipeline would have produced.
 func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return run(opts, func(p *prepassState) error { return p.streamTrace(tr, ext) })
+	return run(opts, func(emit func(trace.Op)) error { return streamTrace(tr, ext, opts.Variant, emit) })
 }
 
-// run is the shared two-phase engine: spawn the shard workers, drive the
-// prepass via streamFn in the calling goroutine, then merge.
-func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error) {
-	variant := opts.Variant
-	if variant == "" {
-		variant = "vft-v2"
+// run is the shared engine: feed pushes the validated, lowered stream
+// into emit, one operation at a time, in the calling goroutine. For the
+// sharded variants emit is the prepass (prepassState.dispatch) with the
+// shard workers behind it, followed by the merge; for djit and eraser it
+// is core's sequential detector.
+func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
+	if opts.Variant == "" {
+		opts.Variant = "vft-v2"
 	}
-	vs, err := modeFor(variant)
+	vs, err := specFor(opts.Variant)
 	if err != nil {
 		return nil, err
 	}
-	mode := vs.mode
+	if vs.sequential {
+		return checkSequential(opts, feed)
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -215,14 +200,10 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 	var wg sync.WaitGroup
 	for i := range chans {
 		chans[i] = make(chan []access, queueDepth)
-		ws[i] = &shardWorker{mode: mode, priorRead: vs.priorRead, maxPerVar: opts.MaxReportsPerVar}
-		switch mode {
-		case modeFT:
-			ws[i].ft = newVarTable[ftVar](workers, opts.Vars)
-		case modeDJIT:
-			ws[i].djit = newVarTable[djitVar](workers, opts.Vars)
-		default:
-			ws[i].eraser = newVarTable[eraserVar](workers, opts.Vars)
+		ws[i] = &shardWorker{
+			priorRead: vs.priorRead,
+			maxPerVar: opts.MaxReportsPerVar,
+			vars:      newVarTable[varState](workers, opts.Vars),
 		}
 		wg.Add(1)
 		go func(w *shardWorker, ch <-chan []access) {
@@ -233,16 +214,15 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 
 	// Phase 1: the sync prepass, in the calling goroutine.
 	p := &prepassState{
-		mode:     mode,
-		sampler:  opts.Sampling,
-		joinInc:  vs.joinInc,
-		intern:   vc.NewInterner(),
-		threads:  make([]*threadState, 0, opts.Threads),
-		locks:    make([]*vc.Frozen, 0, opts.Locks),
-		batches:  make([][]access, workers),
-		chans:    chans,
-		pool:     pool,
-		nWorkers: workers,
+		varFilter: newVarFilter(opts.Sampling, opts.Vars),
+		joinInc:   vs.joinInc,
+		intern:    vc.NewInterner(),
+		threads:   make([]*threadState, 0, opts.Threads),
+		locks:     make([]*vc.Frozen, 0, opts.Locks),
+		batches:   make([][]access, workers),
+		chans:     chans,
+		pool:      pool,
+		nWorkers:  workers,
 		shardMask: func() int {
 			if workers&(workers-1) == 0 {
 				return workers - 1
@@ -250,7 +230,7 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 			return -1
 		}(),
 	}
-	streamErr := streamFn(p)
+	streamErr := feed(p.dispatch)
 
 	for i, b := range p.batches {
 		if len(b) > 0 {
@@ -284,38 +264,160 @@ func run(opts Options, streamFn func(*prepassState) error) ([]core.Report, error
 	reports := make([]core.Report, 0, total)
 	for i, tr := range merged {
 		r := tr.rep
-		r.Detector = variant
+		r.Detector = opts.Variant
 		r.Seq = i
 		reports = append(reports, r)
 	}
 
 	if opts.Metrics != nil || opts.StatsSink != nil {
-		snap := p.stats(ws, uint64(total))
-		if opts.Metrics != nil {
-			opts.Metrics.RegisterSource("parcheck", snap.Source())
-		}
-		if opts.StatsSink != nil {
-			opts.StatsSink(snap)
-		}
+		opts.publish(p.stats(ws, uint64(total)))
 	}
 	return reports, nil
 }
 
+// publish hands a finished run's snapshot to the configured consumers.
+func (o Options) publish(snap obs.Snapshot) {
+	if o.Metrics != nil {
+		o.Metrics.RegisterSource("parcheck", snap.Source())
+	}
+	if o.StatsSink != nil {
+		o.StatsSink(snap)
+	}
+}
+
+// checkSequential is the djit/eraser arm: a fresh core detector consumes
+// the stream on the calling goroutine, so the reports are the sequential
+// replay's by construction. Two things sit in front of it. The sampling
+// filter is the prepass's own (the same pure (seed, var) decisions, the
+// same bounded cache), so a sampled run is the precise run restricted to
+// the sampled variables, as everywhere else. And admitted variables are
+// renumbered densely in first-touch order — the detectors never look at a
+// variable's id, only at its state, and reports are mapped back — because
+// core's shadow tables are flat arrays indexed by id: without it one access
+// to x2000000000 in a 40-byte upload asks for gigabytes. The snapshot is
+// the detector's own Stats plus the prepass's ops.* and sampling.* keys.
+func checkSequential(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
+	// No Vars hint: it bounds the largest id, not the number of distinct
+	// variables, and core's tables initialize every hinted entry eagerly.
+	d, err := core.New(opts.Variant, core.Config{
+		Threads: opts.Threads, Locks: opts.Locks,
+		MaxReportsPerVar: opts.MaxReportsPerVar,
+	})
+	if err != nil {
+		return nil, err
+	}
+	filter := newVarFilter(opts.Sampling, opts.Vars)
+	ids := newVarTable[trace.Var](1, opts.Vars) // x -> dense id + 1; 0 = unseen
+	var orig []trace.Var                        // dense id -> x
+	var ops, accesses, syncs uint64
+	err = feed(func(op trace.Op) {
+		ops++
+		if op.Kind != trace.Read && op.Kind != trace.Write {
+			syncs++
+		} else {
+			if filter.sampler != nil && !filter.admit(op.X, op.Kind == trace.Write) {
+				return
+			}
+			accesses++
+			id := ids.get(op.X)
+			if *id == 0 {
+				orig = append(orig, op.X)
+				*id = trace.Var(len(orig))
+			}
+			op.X = *id - 1
+		}
+		core.Dispatch(d, op)
+	})
+	if err != nil {
+		return nil, err
+	}
+	reports := d.Reports()
+	for i := range reports {
+		reports[i].X = orig[reports[i].X]
+	}
+	if opts.Metrics != nil || opts.StatsSink != nil {
+		snap := d.(core.StatsSource).Stats()
+		snap.Counters["ops.total"] = ops
+		snap.Counters["ops.access"] = accesses
+		snap.Counters["ops.sync"] = syncs
+		filter.addStats(snap)
+		snap.Gauges["workers"] = 1
+		opts.publish(snap)
+	}
+	return reports, nil
+}
+
+// varFilter is the per-variable sampling tier in front of either engine:
+// the policy plus its decision cache (0 undecided, 1 sampled, 2
+// suppressed). The cache is plain bytes because the stream is consumed
+// serially — the hot check is one slice load and a compare — in the same
+// bounded-dense-plus-spill table the shards use, so a sparse id costs a
+// map entry, not a slice of its magnitude.
+type varFilter struct {
+	sampler   *sample.Policy // nil: every access is admitted
+	decisions varTable[uint8]
+
+	suppressedReads, suppressedWrites uint64
+	sampledVars, suppressedVars       uint64
+}
+
+func newVarFilter(pol *sample.Policy, vars int) varFilter {
+	f := varFilter{sampler: pol}
+	if pol != nil {
+		f.decisions = newVarTable[uint8](1, vars)
+	}
+	return f
+}
+
+// admit reports whether an access to x is under analysis, counting it as
+// suppressed when not. The policy hash is consulted only on a variable's
+// first access. Callers test f.sampler != nil first.
+func (f *varFilter) admit(x trace.Var, write bool) bool {
+	d := f.decisions.get(x)
+	if *d == 0 {
+		if f.sampler.Sampled(x) {
+			*d = 1
+			f.sampledVars++
+		} else {
+			*d = 2
+			f.suppressedVars++
+		}
+	}
+	if *d == 1 {
+		return true
+	}
+	if write {
+		f.suppressedWrites++
+	} else {
+		f.suppressedReads++
+	}
+	return false
+}
+
+// addStats records the tier's sampling.* accounting, if it is on.
+func (f *varFilter) addStats(s obs.Snapshot) {
+	if f.sampler == nil {
+		return
+	}
+	s.Counters["sampling.suppressed_reads"] = f.suppressedReads
+	s.Counters["sampling.suppressed_writes"] = f.suppressedWrites
+	s.Gauges["sampling.vars.sampled"] = f.sampledVars
+	s.Gauges["sampling.vars.suppressed"] = f.suppressedVars
+	s.Gauges["sampling.rate_ppm"] = core.RatePPM(f.sampler.Rate)
+	if total := f.sampledVars + f.suppressedVars; total > 0 {
+		s.Gauges["sampling.effective_rate_ppm"] = f.sampledVars * 1_000_000 / total
+	}
+}
+
 // prepassState is the phase-1 streaming state.
 type prepassState struct {
-	mode    checkMode
+	varFilter // the optional sampling tier
+
 	joinInc bool
 	intern  *vc.Interner
 
-	// sampler is the optional per-variable sampling policy; decisions is
-	// its dense cache (0 undecided, 1 sampled, 2 suppressed), plain bytes
-	// because the prepass is the single serial phase — the hot check is
-	// one slice load and a compare.
-	sampler   *sample.Policy
-	decisions []uint8
-
 	threads []*threadState
-	locks   []*vc.Frozen // release clocks by lowered lock id (clock modes)
+	locks   []*vc.Frozen // release clocks by lowered lock id
 
 	// last points at the most recently appended access record — the open
 	// fused run: an adjacent same-thread read/write of the same variable
@@ -324,9 +426,9 @@ type prepassState struct {
 	// pool at their full fixed capacity and are never reallocated. It is
 	// cleared by anything that ends a run — a sync operation (the next
 	// access needs a fresh stamp), or the batch being handed to its
-	// worker. The first op's eager clock/lockset stamp covers the whole
-	// run because nothing at all separates the run's ops, so the thread's
-	// context is identical at every one.
+	// worker. The first op's eager clock stamp covers the whole run
+	// because nothing at all separates the run's ops, so the thread's
+	// clock is identical at every one.
 	last *access
 
 	batches  [][]access
@@ -342,32 +444,6 @@ type prepassState struct {
 	ops, accesses, syncs, batchesSent uint64
 	fusedRuns, fusedOps               uint64
 	maxQueueDepth                     int
-
-	suppressedReads, suppressedWrites uint64
-	sampledVars, suppressedVars       uint64
-}
-
-// sampledVar answers the sampling decision for x through the dense cache,
-// consulting the policy hash only on a variable's first access.
-func (p *prepassState) sampledVar(x trace.Var) bool {
-	i := int(uint32(x))
-	if i >= len(p.decisions) {
-		p.decisions = append(p.decisions, make([]uint8, i+1-len(p.decisions))...)
-	}
-	switch p.decisions[i] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	if p.sampler.Sampled(x) {
-		p.decisions[i] = 1
-		p.sampledVars++
-		return true
-	}
-	p.decisions[i] = 2
-	p.suppressedVars++
-	return false
 }
 
 func (p *prepassState) thread(t epoch.Tid) *threadState {
@@ -376,14 +452,9 @@ func (p *prepassState) thread(t epoch.Tid) *threadState {
 	}
 	ts := p.threads[t]
 	if ts == nil {
-		ts = &threadState{}
-		if p.mode == modeEraser {
-			ts.held = emptyLockSet
-		} else {
-			// Mirror core.newThreadState: the clock starts at inc_t(⊥V).
-			ts.vc = vc.New()
-			ts.vc.Inc(t)
-		}
+		// Mirror core.newThreadState: the clock starts at inc_t(⊥V).
+		ts = &threadState{vc: vc.New()}
+		ts.vc.Inc(t)
 		p.threads[t] = ts
 	}
 	return ts
@@ -435,12 +506,7 @@ func (p *prepassState) emitAccess(idx int, t epoch.Tid, x trace.Var, write bool)
 	// as if the filtered trace had never contained it — which is what
 	// keeps the sharded sampled run byte-identical to the sequential
 	// sampled replay (both equal the precise check of the filtered trace).
-	if p.sampler != nil && !p.sampledVar(x) {
-		if write {
-			p.suppressedWrites++
-		} else {
-			p.suppressedReads++
-		}
+	if p.sampler != nil && !p.admit(x, write) {
 		return
 	}
 	p.accesses++
@@ -456,14 +522,9 @@ func (p *prepassState) emitAccess(idx int, t epoch.Tid, x trace.Var, write bool)
 		p.fusedOps++
 		return
 	}
-	a := access{idx: idx, t: t, x: x, n: 1}
+	a := access{idx: idx, t: t, x: x, n: 1, clock: p.stamp(p.thread(t))}
 	if write {
 		a.pattern = 1
-	}
-	if p.mode == modeEraser {
-		a.held = p.thread(t).held
-	} else {
-		a.clock = p.stamp(p.thread(t))
 	}
 	shard := int(uint32(x)) & p.shardMask
 	if p.shardMask < 0 {
@@ -485,64 +546,68 @@ func (p *prepassState) emitAccess(idx int, t epoch.Tid, x trace.Var, write bool)
 }
 
 // The prepass sync handlers mirror the sequential detectors'
-// [Acquire]/[Release]/[Fork]/[Join] rules (lockset bookkeeping in eraser
-// mode). They take already-lowered lock ids.
+// [Acquire]/[Release]/[Fork]/[Join] rules. They take already-lowered lock
+// ids.
 
 func (p *prepassState) acquire(t epoch.Tid, m trace.Lock) {
-	p.last = nil // a sync edge ends the open fused run
-	p.syncs++
-	ts := p.thread(t)
-	if p.mode == modeEraser {
-		ts.held = ts.held.with(m)
-	} else {
-		// [Acquire]: St.V := St.V ⊔ Sm.V.
-		ts.vc.JoinFrozen(p.lock(m))
-	}
+	// [Acquire]: St.V := St.V ⊔ Sm.V.
+	p.thread(t).vc.JoinFrozen(p.lock(m))
 }
 
 func (p *prepassState) release(t epoch.Tid, m trace.Lock) {
-	p.last = nil // a sync edge ends the open fused run
-	p.syncs++
+	// [Release]: Sm.V := St.V; St.V := inc_t(St.V).
 	ts := p.thread(t)
-	if p.mode == modeEraser {
-		ts.held = ts.held.without(m)
-	} else {
-		// [Release]: Sm.V := St.V; St.V := inc_t(St.V).
-		p.setLock(m, p.stamp(ts))
-		ts.vc.Inc(t)
-	}
+	p.setLock(m, p.stamp(ts))
+	ts.vc.Inc(t)
 }
 
 func (p *prepassState) fork(t, u epoch.Tid) {
-	p.last = nil // a sync edge ends the open fused run
-	p.syncs++
-	if p.mode != modeEraser {
-		// [Fork]: Su.V := Su.V ⊔ St.V; St.V := inc_t(St.V).
-		st, su := p.thread(t), p.thread(u)
-		su.vc.Join(st.vc)
-		st.vc.Inc(t)
-	}
+	// [Fork]: Su.V := Su.V ⊔ St.V; St.V := inc_t(St.V).
+	st, su := p.thread(t), p.thread(u)
+	su.vc.Join(st.vc)
+	st.vc.Inc(t)
 }
 
 func (p *prepassState) join(t, u epoch.Tid) {
-	p.last = nil // a sync edge ends the open fused run
-	p.syncs++
-	if p.mode != modeEraser {
-		// [Join]: St.V := St.V ⊔ Su.V, plus the original FastTrack
-		// Su.V(u) increment for the FT baselines.
-		st, su := p.thread(t), p.thread(u)
-		st.vc.Join(su.vc)
-		if p.joinInc {
-			su.vc.Inc(u)
-		}
+	// [Join]: St.V := St.V ⊔ Su.V, plus the original FastTrack Su.V(u)
+	// increment for the FT baselines.
+	st, su := p.thread(t), p.thread(u)
+	st.vc.Join(su.vc)
+	if p.joinInc {
+		su.vc.Inc(u)
 	}
 }
 
-// stream pulls the lowered stream to EOF (or error), running the sync
-// handlers and routing accesses.
-func (p *prepassState) stream(src trace.Source) error {
-	idx := 0
-	for {
+// dispatch is the prepass's one op switch: it consumes the next operation
+// of the lowered stream, whichever entry point produced it. p.ops is the
+// op's position in that stream, so the merge order of reports is
+// identical for Check and CheckTrace.
+func (p *prepassState) dispatch(op trace.Op) {
+	switch op.Kind {
+	case trace.Read:
+		p.emitAccess(int(p.ops), op.T, op.X, false)
+	case trace.Write:
+		p.emitAccess(int(p.ops), op.T, op.X, true)
+	default:
+		p.last = nil // a sync edge ends the open fused run
+		p.syncs++
+		switch op.Kind {
+		case trace.Acquire:
+			p.acquire(op.T, op.M)
+		case trace.Release:
+			p.release(op.T, op.M)
+		case trace.Fork:
+			p.fork(op.T, op.U)
+		case trace.Join:
+			p.join(op.T, op.U)
+		}
+	}
+	p.ops++
+}
+
+// stream pulls an already validated and lowered stream to EOF (or error).
+func stream(src trace.Source, emit func(trace.Op)) error {
+	for idx := 0; ; idx++ {
 		op, err := src.Next()
 		if err == io.EOF {
 			return nil
@@ -550,30 +615,16 @@ func (p *prepassState) stream(src trace.Source) error {
 		if err != nil {
 			return err
 		}
-		switch op.Kind {
-		case trace.Read:
-			p.emitAccess(idx, op.T, op.X, false)
-		case trace.Write:
-			p.emitAccess(idx, op.T, op.X, true)
-		case trace.Acquire:
-			p.acquire(op.T, op.M)
-		case trace.Release:
-			p.release(op.T, op.M)
-		case trace.Fork:
-			p.fork(op.T, op.U)
-		case trace.Join:
-			p.join(op.T, op.U)
-		default:
+		if !op.Kind.IsCore() {
 			return &trace.InfeasibleError{Index: idx, Op: op, Msg: "extended op reached parcheck (desugar first)"}
 		}
-		idx++
-		p.ops++
+		emit(op)
 	}
 }
 
-// streamTrace is the fused slice prepass: validation and lowering run
-// inline per operation, so the serial phase costs a few slice loads per
-// op instead of three interface dispatches plus pipeline bookkeeping.
+// streamTrace is the fused slice feed: validation and lowering run inline
+// per operation, so the serial phase costs a few slice loads per op
+// instead of three interface dispatches plus pipeline bookkeeping.
 // Semantics parity with the streaming pipeline, piece by piece:
 //
 //   - validation sees the raw (pre-lowering) ops in order, exactly like
@@ -581,42 +632,19 @@ func (p *prepassState) stream(src trace.Source) error {
 //     produces the identical error at the identical raw index;
 //   - the lowering is the shared trace.Lowerer in its parity numbering
 //     (real lock m → 2m, k-th pseudo-lock → 2k+1, first-use allocation
-//     order) — the same code DesugarSource runs, dispatching into the
-//     prepass handlers instead of a queue, so the two paths cannot drift.
-//
-// idx counts lowered ops, mirroring the stream path, so the merge order
-// of reports is identical whichever entry point saw the trace.
-func (p *prepassState) streamTrace(tr trace.Trace, ext *trace.Extensions) error {
+//     order) — the same code DesugarSource runs, dispatching into emit
+//     instead of a queue, so the two paths cannot drift.
+func streamTrace(tr trace.Trace, ext *trace.Extensions, variant string, emit func(trace.Op)) error {
 	v := trace.NewValidator()
 	v.Ext = ext
+	v.MaxTid = core.MaxTid(variant)
 	low := trace.NewParityLowerer(ext)
-	idx := 0
-	emit := func(op trace.Op) {
-		switch op.Kind {
-		case trace.Read:
-			p.emitAccess(idx, op.T, op.X, false)
-		case trace.Write:
-			p.emitAccess(idx, op.T, op.X, true)
-		case trace.Acquire:
-			p.acquire(op.T, op.M)
-		case trace.Release:
-			p.release(op.T, op.M)
-		case trace.Fork:
-			p.fork(op.T, op.U)
-		case trace.Join:
-			p.join(op.T, op.U)
-		}
-		idx++
-	}
 	for _, op := range tr {
 		if err := v.Check(op); err != nil {
 			return err
 		}
 		low.Lower(op, emit)
 	}
-	// ops.total counts lowered ops, as the stream path does; idx tracked
-	// exactly that.
-	p.ops = uint64(idx)
 	return nil
 }
 
@@ -662,16 +690,7 @@ func (p *prepassState) stats(ws []*shardWorker, reports uint64) obs.Snapshot {
 	s.Counters["vc.freezes"] = clocks.Freezes
 	s.Counters["vc.freeze_reuses"] = clocks.FreezeReuses
 
-	if p.sampler != nil {
-		s.Counters["sampling.suppressed_reads"] = p.suppressedReads
-		s.Counters["sampling.suppressed_writes"] = p.suppressedWrites
-		s.Gauges["sampling.vars.sampled"] = p.sampledVars
-		s.Gauges["sampling.vars.suppressed"] = p.suppressedVars
-		s.Gauges["sampling.rate_ppm"] = core.RatePPM(p.sampler.Rate)
-		if total := p.sampledVars + p.suppressedVars; total > 0 {
-			s.Gauges["sampling.effective_rate_ppm"] = p.sampledVars * 1_000_000 / total
-		}
-	}
+	p.addStats(s)
 
 	s.Gauges["workers"] = uint64(len(ws))
 	s.Gauges["intern.distinct"] = uint64(p.intern.Len())

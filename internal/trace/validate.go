@@ -20,18 +20,20 @@ func (e *InfeasibleError) Error() string {
 		e.Index, e.Op, e.Rule, e.Msg)
 }
 
-// TidRangeError reports an operation naming a thread id outside
-// [0, epoch.MaxTid]: no epoch can represent it, so no detector can check
-// the trace.
+// TidRangeError reports an operation naming a thread id outside [0, Max]:
+// the selected detector's epoch format cannot represent it, so the trace
+// cannot be checked. Max is epoch.MaxTid unless the variant's format is
+// narrower (Validator.MaxTid).
 type TidRangeError struct {
 	Index int // position of the offending operation
 	Op    Op
 	Tid   epoch.Tid
+	Max   epoch.Tid
 }
 
 func (e *TidRangeError) Error() string {
 	return fmt.Sprintf("trace: #%d %v: thread id %d outside 0..%d",
-		e.Index, e.Op, e.Tid, epoch.MaxTid)
+		e.Index, e.Op, e.Tid, e.Max)
 }
 
 // threadPhase tracks a thread through the fork/join lifecycle imposed by
@@ -84,8 +86,14 @@ const (
 // in dense slices indexed by id, one byte per thread and one slot per
 // lock, with a map spill for lock ids outside the dense window (huge or
 // negative) so the accepted language is exactly the map implementation's.
-// Thread ids need no spill: Check admits only [0, epoch.MaxTid].
+// Thread ids need no spill: Check admits only [0, MaxTid].
 type Validator struct {
+	// MaxTid is the largest acceptable thread id; NewValidator sets it to
+	// epoch.MaxTid. Callers checking with a detector whose epoch format is
+	// narrower (FT-CAS's 8-bit tids) lower it, so the limit is a positioned
+	// input error instead of a panic inside the detector.
+	MaxTid epoch.Tid
+
 	// MaxLock is the exclusive upper bound on acceptable lock ids; zero
 	// means the default real-lock space (so Desugar's pseudo-locks can
 	// never collide with a real lock). Stages validating an
@@ -142,7 +150,7 @@ const (
 // NewValidator returns a Validator in the initial state (main thread
 // running, no locks held, no operation seen).
 func NewValidator() *Validator {
-	return &Validator{threads: []uint8{uint8(phaseRunning)}}
+	return &Validator{MaxTid: epoch.MaxTid, threads: []uint8{uint8(phaseRunning)}}
 }
 
 // Count returns how many operations have been accepted so far.
@@ -225,11 +233,11 @@ func (v *Validator) unblock(st *chanValState) {
 func (v *Validator) Check(op Op) error {
 	// U is zero outside fork/join; the unsigned compares reject negative
 	// ids along with the huge ones.
-	if uint32(op.T) > epoch.MaxTid {
-		return &TidRangeError{Index: v.n, Op: op, Tid: op.T}
+	if uint32(op.T) > uint32(v.MaxTid) {
+		return &TidRangeError{Index: v.n, Op: op, Tid: op.T, Max: v.MaxTid}
 	}
-	if uint32(op.U) > epoch.MaxTid {
-		return &TidRangeError{Index: v.n, Op: op, Tid: op.U}
+	if uint32(op.U) > uint32(v.MaxTid) {
+		return &TidRangeError{Index: v.n, Op: op, Tid: op.U, Max: v.MaxTid}
 	}
 	// Constraint (4), first half: the acting thread must be running.
 	ts := v.thread(op.T)
@@ -389,6 +397,12 @@ type validateSource struct {
 func ValidateSource(src Source, ext *Extensions) Source {
 	v := NewValidator()
 	v.Ext = ext
+	return v.Source(src)
+}
+
+// Source is ValidateSource over a caller-configured validator (MaxTid,
+// MaxLock); the validator must be fresh and not used otherwise.
+func (v *Validator) Source(src Source) Source {
 	return &validateSource{src: src, v: v}
 }
 

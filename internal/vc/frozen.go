@@ -50,6 +50,15 @@ func (f *Frozen) EpochLeq(e epoch.Epoch) bool {
 	return e.Leq(f.Get(e.Tid()))
 }
 
+// View returns the snapshot's entries without copying, like VC.View; the
+// slice is immutable along with the snapshot.
+func (f *Frozen) View() []epoch.Epoch {
+	if f == nil {
+		return nil
+	}
+	return f.v
+}
+
 // Equal reports whether two snapshots denote the same clock.
 func (f *Frozen) Equal(other *Frozen) bool {
 	// Freeze trims trailing minimal entries, so equal clocks have equal

@@ -164,6 +164,12 @@ func (c *VC) EpochLeq(e epoch.Epoch) bool {
 	return e.Leq(c.Get(e.Tid()))
 }
 
+// View returns the clock's entries without copying: entry i belongs to
+// thread i and entries beyond the slice are minimal. The slice is
+// read-only and valid until the clock's next mutation; it is what the
+// access-rule kernel (internal/core) compares epochs against.
+func (c *VC) View() []epoch.Epoch { return c.v }
+
 // Join merges other into c pointwise: c := c ⊔ other.
 //
 // Two fast paths keep the common synchronization shapes cheap: an empty

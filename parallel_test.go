@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/rtsim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -149,23 +150,52 @@ func TestParallelInfeasibleTrace(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeTidIsTypedError: a trace naming a thread id beyond
-// epoch.MaxTid comes back as a positioned *trace.TidRangeError from the
-// reader pipeline and from the parallel checker, where it used to panic.
+// ftcas300 is a valid 300-thread trace: fine for every 16-bit-tid variant,
+// beyond FT-CAS's 8-bit tids (core.MaxTid32 = 254) from "fork 0 255" on.
+func ftcas300() string {
+	var b strings.Builder
+	for u := 1; u < 300; u++ {
+		fmt.Fprintf(&b, "fork 0 %d\n", u)
+	}
+	b.WriteString("wr 299 1\nwr 0 1\n")
+	return b.String()
+}
+
+// TestOutOfRangeTidIsTypedError: a trace naming a thread id beyond the
+// selected variant's epoch format — epoch.MaxTid, or core.MaxTid32 under
+// ft-cas — comes back as a positioned *trace.TidRangeError from the reader
+// pipeline and from the parallel checker, where it used to panic.
 func TestOutOfRangeTidIsTypedError(t *testing.T) {
-	const hostile = "fork 0 70000\nwr 70000 1\nwr 0 1\n"
-	for name, opts := range map[string][]CheckOption{
-		"sequential": nil,
-		"parallel":   {WithParallelism(2)},
-	} {
-		reports, err := CheckReader(strings.NewReader(hostile), opts...)
-		var re *trace.TidRangeError
-		if !errors.As(err, &re) || re.Index != 0 || re.Tid != 70000 {
-			t.Errorf("%s: err = %v, want *TidRangeError at #0 for tid 70000", name, err)
+	cases := []struct {
+		name, input string
+		variant     string
+		index       int
+		tid, max    epoch.Tid
+	}{
+		{"beyond every format", "fork 0 70000\nwr 70000 1\nwr 0 1\n", V2, 0, 70000, epoch.MaxTid},
+		{"beyond ft-cas", ftcas300(), FTCAS, 254, 255, core.MaxTid32},
+	}
+	for _, tc := range cases {
+		for name, opts := range map[string][]CheckOption{
+			"sequential": nil,
+			"parallel":   {WithParallelism(2)},
+		} {
+			opts = append(opts, WithVariant(tc.variant))
+			reports, err := CheckReader(strings.NewReader(tc.input), opts...)
+			var re *trace.TidRangeError
+			if !errors.As(err, &re) || re.Index != tc.index || re.Tid != tc.tid || re.Max != tc.max {
+				t.Errorf("%s/%s: err = %v, want *TidRangeError at #%d for tid %d (max %d)",
+					tc.name, name, err, tc.index, tc.tid, tc.max)
+			}
+			if reports != nil {
+				t.Errorf("%s/%s: want nil reports on error, got %+v", tc.name, name, reports)
+			}
 		}
-		if reports != nil {
-			t.Errorf("%s: want nil reports on error, got %+v", name, reports)
-		}
+	}
+	// The same 300 threads are an ordinary race under a 16-bit variant.
+	reports, err := CheckReader(strings.NewReader(ftcas300()), WithVariant(FTMutex))
+	if err != nil || len(reports) != 1 {
+		t.Errorf("ft-mutex on 300 threads: %d reports, err %v; want the one write-write race", len(reports), err)
 	}
 }
 

@@ -3,9 +3,13 @@
 // and a known-clean trace into the gzipped binary wire format, pipes each
 // into `vft-run -` over stdin, and verifies the verdicts through the exit
 // codes (1 race, 0 clean) — no file ever touches disk on the consumer side,
-// and format detection must work on an unseekable pipe. It is a Go program
-// rather than a shell script so `make stream-smoke` works on any machine
-// with just the toolchain.
+// and format detection must work on an unseekable pipe. Two hostile-input
+// fixes are gated the same way, by exit code and child max-RSS: a valid
+// 300-thread trace under -d ft-cas must be a positioned input error (exit
+// 2) sequentially and with -parallel, not a Pack32 panic; and a -parallel
+// check of a trace naming one huge variable id — sampled on the sharded
+// engine, unsampled on the djit/eraser arm — must stay under 64 MiB. It is a Go program rather than a shell script so `make
+// stream-smoke` works on any machine with just the toolchain.
 package main
 
 import (
@@ -15,7 +19,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 
 	"repro/internal/trace"
 )
@@ -64,23 +70,44 @@ func run() int {
 		trace.Rd(0, 0),
 	}
 
+	racyGz, err := gzBinary(racy)
+	if err != nil {
+		return fail("encode: %v", err)
+	}
+	cleanGz, err := gzBinary(clean)
+	if err != nil {
+		return fail("encode: %v", err)
+	}
+	// 300 threads: valid for 16-bit tids, beyond FT-CAS's 8-bit format.
+	var wide strings.Builder
+	for u := 1; u < 300; u++ {
+		fmt.Fprintf(&wide, "fork 0 %d\n", u)
+	}
+	wide.WriteString("wr 299 1\nwr 0 1\n")
+	// One huge variable id; under the default seed rate 0.5 suppresses it,
+	// so the sampled verdict is clean.
+	sparse := "fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n"
+
 	cases := []struct {
-		name     string
-		tr       trace.Trace
-		wantExit int
-		wantOut  string
+		name      string
+		args      []string
+		stdin     []byte
+		wantExit  int
+		wantOut   string
+		maxRSSMiB int64 // 0: unchecked
 	}{
-		{"racy", racy, 1, "race"},
-		{"clean", clean, 0, "no races detected"},
+		{"racy gzip binary", []string{"-"}, racyGz, 1, "race", 0},
+		{"clean gzip binary", []string{"-"}, cleanGz, 0, "no races detected", 0},
+		{"300 threads, ft-cas", []string{"-trace", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, ft-cas -parallel", []string{"-trace", "-parallel", "2", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, ft-mutex -parallel", []string{"-trace", "-parallel", "2", "-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
+		{"sparse var, sampled -parallel", []string{"-trace", "-parallel", "2", "-sample", "0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
+		{"sparse var, djit -parallel", []string{"-trace", "-parallel", "2", "-d", "djit", "-"}, []byte(sparse), 1, "x2000000000", 64},
 	}
 	for _, c := range cases {
-		data, err := gzBinary(c.tr)
-		if err != nil {
-			return fail("%s: encode: %v", c.name, err)
-		}
 		var out bytes.Buffer
-		cmd := exec.Command(bin, "-")
-		cmd.Stdin = bytes.NewReader(data)
+		cmd := exec.Command(bin, c.args...)
+		cmd.Stdin = bytes.NewReader(c.stdin)
 		cmd.Stdout, cmd.Stderr = &out, &out
 		err = cmd.Run()
 		exit := 0
@@ -95,9 +122,24 @@ func run() int {
 		if !strings.Contains(out.String(), c.wantOut) {
 			return fail("%s: output lacks %q:\n%s", c.name, c.wantOut, out.String())
 		}
-		fmt.Printf("stream-smoke: %s trace over gzipped binary stdin → exit %d ✓\n", c.name, exit)
+		rss := ""
+		if c.maxRSSMiB > 0 {
+			ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+			if !ok {
+				return fail("%s: no rusage for the child", c.name)
+			}
+			mib := int64(ru.Maxrss) >> 10 // KiB on Linux
+			if runtime.GOOS == "darwin" {
+				mib >>= 10 // bytes there
+			}
+			if mib > c.maxRSSMiB {
+				return fail("%s: child peaked at %d MiB, budget %d MiB", c.name, mib, c.maxRSSMiB)
+			}
+			rss = fmt.Sprintf(", peak RSS %d MiB", mib)
+		}
+		fmt.Printf("stream-smoke: %s → exit %d%s ✓\n", c.name, exit, rss)
 	}
 
-	fmt.Println("stream-smoke: OK — vft-run consumed piped gzip binary traces with correct verdicts")
+	fmt.Println("stream-smoke: OK — vft-run consumed piped traces with correct verdicts, errors and memory")
 	return 0
 }

@@ -307,8 +307,7 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	if s.metrics != nil {
 		det = core.InstrumentLatency(d, s.metrics, metricsSampleInterval)
 	}
-	ext := s.extensions()
-	pipe := trace.DesugarSource(trace.ValidateSource(src, ext), ext)
+	pipe := core.LoweredSource(s.variant, src, s.extensions())
 	for {
 		op, err := pipe.Next()
 		if err == io.EOF {
@@ -335,9 +334,7 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 // checker instead of a sequential detector. The report list is identical
 // to the sequential replay's by construction (see internal/parcheck).
 func checkParallel(src Source, s settings) ([]Report, error) {
-	ext := s.extensions()
-	pipe := trace.DesugarSource(trace.ValidateSource(src, ext), ext)
-	return parcheck.Check(pipe, parcheckOptions(s))
+	return parcheck.Check(core.LoweredSource(s.variant, src, s.extensions()), parcheckOptions(s))
 }
 
 // parcheckOptions maps resolved check settings onto the parallel
