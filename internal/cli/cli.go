@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	verifiedft "repro"
 	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/epoch"
@@ -31,7 +32,6 @@ import (
 	"repro/internal/hb"
 	"repro/internal/minilang"
 	"repro/internal/obs"
-	"repro/internal/parcheck"
 	"repro/internal/rtsim"
 	"repro/internal/sample"
 	"repro/internal/sched"
@@ -69,32 +69,6 @@ func serveMetrics(addr, name string, reg *obs.Registry, stderr io.Writer) (func(
 	return func() { srv.Close() }, nil
 }
 
-// parseChanCaps parses a -chancaps flag value: comma-separated id:cap
-// pairs ("0:2,3:1"). Channels absent from the map default to capacity 0,
-// an unbuffered channel. Empty input yields nil (all defaults).
-func parseChanCaps(s string) (map[trace.Lock]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	caps := map[trace.Lock]int{}
-	for _, pair := range strings.Split(s, ",") {
-		id, val, ok := strings.Cut(pair, ":")
-		if !ok {
-			return nil, fmt.Errorf("-chancaps: %q is not an id:cap pair", pair)
-		}
-		i, err := strconv.Atoi(id)
-		if err != nil || i < 0 {
-			return nil, fmt.Errorf("-chancaps: bad channel id %q", id)
-		}
-		c, err := strconv.Atoi(val)
-		if err != nil || c < 0 {
-			return nil, fmt.Errorf("-chancaps: bad capacity %q for channel %d", val, i)
-		}
-		caps[trace.Lock(i)] = c
-	}
-	return caps, nil
-}
-
 // Race implements vft-race: check a trace (file argument, or stdin via
 // "-" or no argument) for races. Inputs may be text, binary or gzip; the
 // encoding is sniffed from the stream. The multi-variant cross-check and
@@ -114,7 +88,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	caps, err := parseChanCaps(*chancaps)
+	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-race:", err)
 		return 2
@@ -152,17 +126,16 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-race:", err)
 		return 2
 	}
-	low := tr.Desugar(ext)
 
 	raced := false
 	var verdicts []bool
 	for _, v := range variants {
-		d, err := newDetectorFor(v, configFor(low))
+		reports, err := verifiedft.CheckTrace(tr, verifiedft.WithVariant(v),
+			verifiedft.WithBarrierParties(partyMap), verifiedft.WithChanCapacities(caps))
 		if err != nil {
 			fmt.Fprintln(stderr, "vft-race:", err)
 			return 2
 		}
-		reports := core.Replay(d, low)
 		verdicts = append(verdicts, len(reports) > 0)
 		if len(reports) > 0 {
 			raced = true
@@ -185,6 +158,10 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if !raced {
 			fmt.Fprintf(stdout, "no races detected by any of %v (%d operations)\n", variants, len(tr))
 		}
+	}
+	var low trace.Trace
+	if *oracle || *explain {
+		low = tr.Desugar(ext)
 	}
 	if *oracle {
 		rep := hb.Analyze(low)
@@ -212,63 +189,6 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// newDetectorFor builds the detector for a variant spelling, accepting
-// the "sampled[:rate]" tier everywhere the precise names are accepted.
-// The inner detector of a sampled tier is pre-sized for the expected
-// sampled population, not the full id space (lazy materialization); the
-// decision table covers the full space at four bytes per variable.
-func newDetectorFor(variant string, cfg core.Config) (core.Detector, error) {
-	base, pol, err := sample.ParseVariant(variant)
-	if err != nil {
-		return nil, err
-	}
-	return newSampled(base, cfg, pol)
-}
-
-// newSampled builds a base-variant detector, wrapped in the sampling tier
-// when pol is non-nil.
-func newSampled(base string, cfg core.Config, pol *sample.Policy) (core.Detector, error) {
-	if pol == nil {
-		return core.New(base, cfg)
-	}
-	innerCfg := cfg
-	innerCfg.Vars = sampledVarsHint(pol.Rate, cfg.Vars)
-	inner, err := core.New(base, innerCfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSampling(inner, *pol, cfg.Vars), nil
-}
-
-// sampledVarsHint sizes a sampled tier's inner shadow tables for the
-// expected sampled population: rate·vars plus slack, clamped to [1, vars].
-func sampledVarsHint(rate float64, vars int) int {
-	hint := int(rate*float64(vars)) + 16
-	if hint > vars {
-		hint = vars
-	}
-	if hint < 1 {
-		hint = 1
-	}
-	return hint
-}
-
-func configFor(tr trace.Trace) core.Config {
-	cfg := core.Config{Threads: 8, Vars: 64, Locks: 16}
-	for _, op := range tr {
-		if int(op.T)+1 > cfg.Threads {
-			cfg.Threads = int(op.T) + 1
-		}
-		if op.IsAccess() && int(op.X)+1 > cfg.Vars {
-			cfg.Vars = int(op.X) + 1
-		}
-		if (op.Kind == trace.Acquire || op.Kind == trace.Release) && int(op.M)+1 > cfg.Locks {
-			cfg.Locks = int(op.M) + 1
-		}
-	}
-	return cfg
 }
 
 // Bench implements vft-bench: regenerate Table 1 (+ ablations).
@@ -392,7 +312,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchTrace is vft-bench -trace: time detector replay over one recorded
+// benchTrace is vft-bench -trace: time the offline check of one recorded
 // trace, reporting throughput per variant — for sizing detectors on
 // captured workloads rather than the built-in suite.
 func benchTrace(path string, detectors []string, iters, warmup int, stdout, stderr io.Writer) int {
@@ -416,19 +336,16 @@ func benchTrace(path string, detectors []string, iters, warmup int, stdout, stde
 		fmt.Fprintln(stderr, "vft-bench:", err)
 		return 2
 	}
-	low := tr.Desugar(nil)
-	fmt.Fprintf(stdout, "Detector throughput over %s (%d ops after lowering; best of %d iterations)\n\n",
-		path, len(low), iters)
+	fmt.Fprintf(stdout, "Detector throughput over %s (%d ops; validation, lowering and check; best of %d iterations)\n\n",
+		path, len(tr), iters)
 	for _, v := range detectors {
 		var best time.Duration
 		for i := 0; i < warmup+iters; i++ {
-			d, err := core.New(v, core.DefaultConfig())
-			if err != nil {
+			start := time.Now()
+			if _, err := verifiedft.CheckTrace(tr, verifiedft.WithVariant(v)); err != nil {
 				fmt.Fprintln(stderr, "vft-bench:", err)
 				return 2
 			}
-			start := time.Now()
-			core.Replay(d, low)
 			if el := time.Since(start); i >= warmup && (best == 0 || el < best) {
 				best = el
 			}
@@ -437,7 +354,7 @@ func benchTrace(path string, detectors []string, iters, warmup int, stdout, stde
 			best = time.Nanosecond
 		}
 		fmt.Fprintf(stdout, "%-10s %14.0f ops/sec  (best %v)\n",
-			v, float64(len(low))/best.Seconds(), best)
+			v, float64(len(tr))/best.Seconds(), best)
 	}
 	return 0
 }
@@ -951,35 +868,18 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-run: usage: vft-run [-d variant] [-runs N] [-trace] program.vft | trace | -")
 		return 2
 	}
-	base, pol, err := sample.ParseVariant(*variant)
+	base, pol, err := sample.Resolve(*variant, ifSet(fs, "sample", sampleRate), *sampleSeed)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
 		return 2
 	}
 	*variant = base
-	fs.Visit(func(f *flag.Flag) {
-		// An explicit -sample (even -sample 1, the identity gate) selects
-		// the sampling tier and overrides a -d sampled:<rate> spelling.
-		if f.Name == "sample" {
-			pol = &sample.Policy{Rate: *sampleRate}
-		}
-	})
-	if pol != nil {
-		pol.Seed = *sampleSeed
-		if pol.Seed == 0 {
-			pol.Seed = sample.DefaultSeed
-		}
-		if err := pol.Validate(); err != nil {
-			fmt.Fprintln(stderr, "vft-run:", err)
-			return 2
-		}
-		if *variant == "none" {
-			fmt.Fprintln(stderr, "vft-run: -sample needs a detector variant, not 'none'")
-			return 2
-		}
+	if pol != nil && *variant == "none" {
+		fmt.Fprintln(stderr, "vft-run: -sample needs a detector variant, not 'none'")
+		return 2
 	}
 	detCfg := core.DefaultConfig()
-	caps, err := parseChanCaps(*chancaps)
+	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
 		return 2
@@ -1034,7 +934,7 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "vft-run: -parallel needs a detector variant, not 'none'")
 				return 2
 			}
-			return runTraceParallel(br, path, *variant, *parallelN, ext, reg, pol, stdout, stderr)
+			return runTraceParallel(br, path, *variant, *parallelN, caps, reg, pol, stdout, stderr)
 		}
 		if (path == "-" || path == "") && *runs > 1 {
 			fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
@@ -1068,7 +968,7 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	for i := 0; i < *runs; i++ {
 		var d core.Detector
 		if *variant != "none" {
-			d, err = newSampled(*variant, detCfg, pol)
+			d, err = core.NewSampled(*variant, detCfg, pol)
 			if err != nil {
 				fmt.Fprintln(stderr, "vft-run:", err)
 				return 2
@@ -1110,6 +1010,19 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// ifSet returns v if the command line set the named flag, else nil: an
+// explicit -sample (even -sample 1, the identity gate) selects the sampling
+// tier and overrides a -d sampled:<rate> spelling; the default does neither.
+func ifSet(fs *flag.FlagSet, name string, v *float64) *float64 {
+	var set *float64
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = v
+		}
+	})
+	return set
+}
+
 // runTrace is RunProg's trace mode: each run streams the input through
 // decode → validate → desugar → rtsim.Replay on a fresh runtime, never
 // materializing the trace. The first run consumes in; later runs reopen
@@ -1145,12 +1058,12 @@ func runTrace(path string, in io.Reader, variant string, runs int, cfg core.Conf
 }
 
 // runTraceParallel is vft-run -parallel: materialize the trace and check
-// it offline through the variable-sharded parallel checker. The report
-// set equals the sequential offline replay of the recorded interleaving
+// it offline with that many workers (CheckTrace with WithParallelism).
+// The report set is the offline replay of the recorded interleaving
 // (schedule-independent, unlike re-execution), printed deduplicated per
 // variable like the other modes. With -metrics-addr, the checker's
 // "parcheck" source lands in the registry.
-func runTraceParallel(in io.Reader, path, variant string, workers int, ext *trace.Extensions, reg *obs.Registry, pol *sample.Policy, stdout, stderr io.Writer) int {
+func runTraceParallel(in io.Reader, path, variant string, workers int, caps map[trace.Lock]int, reg *obs.Registry, pol *sample.Policy, stdout, stderr io.Writer) int {
 	src, err := trace.NewDecoder(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -1161,18 +1074,16 @@ func runTraceParallel(in io.Reader, path, variant string, workers int, ext *trac
 		fmt.Fprintln(stderr, "vft-run:", err)
 		return 2
 	}
-	ids := trace.Scan(tr)
+	opts := []verifiedft.CheckOption{
+		verifiedft.WithVariant(variant), verifiedft.WithParallelism(workers),
+		verifiedft.WithChanCapacities(caps), verifiedft.WithMetrics(reg),
+	}
+	if pol != nil {
+		opts = append(opts, verifiedft.WithSampling(pol.Rate, verifiedft.WithSamplingSeed(pol.Seed)))
+	}
 	var reports []core.Report
 	pprof.Do(context.Background(), pprof.Labels("program", path, "detector", variant), func(context.Context) {
-		reports, err = parcheck.CheckTrace(tr, ext, parcheck.Options{
-			Variant:  variant,
-			Workers:  workers,
-			Threads:  clampTableHint(ids.Threads, 1<<16),
-			Vars:     clampTableHint(ids.Vars, 1<<20),
-			Locks:    clampTableHint(ids.Locks, 1<<20),
-			Metrics:  reg,
-			Sampling: pol,
-		})
+		reports, err = verifiedft.CheckTrace(tr, opts...)
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -1192,8 +1103,6 @@ func runTraceParallel(in io.Reader, path, variant string, workers int, ext *trac
 	return 0
 }
 
-// clampTableHint bounds a prescan size hint so hostile sparse ids in an
-// input file cannot force huge eager shadow allocations.
 // validateFor checks a materialized trace against the §2 feasibility
 // constraints under the narrowest thread-id ceiling of the variants about
 // to replay it (ft-cas's 8-bit tids, when it is among them), so a format
@@ -1212,16 +1121,6 @@ func validateFor(tr trace.Trace, ext *trace.Extensions, variants []string) error
 	return nil
 }
 
-func clampTableHint(n, max int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > max {
-		return max
-	}
-	return n
-}
-
 // runTraceOnce re-executes one trace stream as a live concurrent program.
 // Like a program run, reports are deduplicated per variable for printing.
 func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trace.Extensions, reg *obs.Registry, rtOpts []rtsim.Option, pol *sample.Policy, stdout, stderr io.Writer) (bool, int) {
@@ -1232,7 +1131,7 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 	}
 	var d core.Detector
 	if variant != "none" {
-		if d, err = newSampled(variant, cfg, pol); err != nil {
+		if d, err = core.NewSampled(variant, cfg, pol); err != nil {
 			fmt.Fprintln(stderr, "vft-run:", err)
 			return false, 2
 		}

@@ -46,20 +46,10 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var pol *sample.Policy
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "sample" {
-			pol = &sample.Policy{Rate: *sampleRate, Seed: *sampleSeed}
-		}
-	})
-	if pol != nil {
-		if pol.Seed == 0 {
-			pol.Seed = sample.DefaultSeed
-		}
-		if err := pol.Validate(); err != nil {
-			fmt.Fprintln(stderr, "vft-go:", err)
-			return 2
-		}
+	_, pol, err := sample.Resolve("", ifSet(fs, "sample", sampleRate), *sampleSeed)
+	if err != nil {
+		fmt.Fprintln(stderr, "vft-go:", err)
+		return 2
 	}
 	rest := fs.Args()
 	if len(rest) < 2 {

@@ -34,6 +34,12 @@ type latTick struct {
 	_ [56]byte
 }
 
+// LatencySampleInterval is the stride the checking entry points pass to
+// InstrumentLatency when a metrics registry is attached: every 64th event a
+// thread performs is timed. Dense enough to fill histograms on realistic
+// runs, sparse enough that the sampled run stays usable.
+const LatencySampleInterval = 64
+
 // InstrumentLatency wraps d so that every interval-th event per thread is
 // timed into the registry's latency.* histograms (values in nanoseconds).
 // interval < 1 means time every event. The wrapper forwards Name, Reports,

@@ -75,12 +75,42 @@ func (tb *suppressedTable) install(band int) *suppressedChunk {
 // NewSampling wraps inner with the sampling tier under pol. varHint
 // pre-sizes the decision table (grown on demand); size the *inner*
 // detector's Vars hint for the expected sampled population, not the full
-// id space — that is the lazy-materialization half of the design.
+// id space — that is the lazy-materialization half of the design, and
+// what NewSampled does.
 func NewSampling(inner Detector, pol sample.Policy, varHint int) *Sampling {
 	return &Sampling{
 		inner: inner,
 		words: sample.NewWords(pol, varHint),
 	}
+}
+
+// NewSampled is the online constructor every caller shares: the named
+// variant under cfg, wrapped in the sampling tier when pol is non-nil.
+// The wrapper's four-byte decision words cover cfg.Vars; the inner
+// detector's variable table is pre-sized only for SampledVars of them.
+func NewSampled(variant string, cfg Config, pol *sample.Policy) (Detector, error) {
+	if pol == nil {
+		return New(variant, cfg)
+	}
+	innerCfg := cfg
+	innerCfg.Vars = SampledVars(pol, cfg.Vars)
+	inner, err := New(variant, innerCfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewSampling(inner, *pol, cfg.Vars), nil
+}
+
+// SampledVars scales a variable-count hint down to the population pol is
+// expected to sample — rate·vars plus slack for the hash's variance, at
+// least 1 — so tables behind a sampling filter, online or offline, are
+// pre-sized for the variables that will reach them. A nil pol samples
+// everything.
+func SampledVars(pol *sample.Policy, vars int) int {
+	if pol == nil {
+		return vars
+	}
+	return max(1, min(vars, int(pol.Rate*float64(vars))+16))
 }
 
 // SamplingInner returns the detector underneath a sampling wrapper, or d
@@ -193,16 +223,24 @@ func (d *Sampling) Stats() obs.Snapshot {
 	}
 	reads, writes := d.SuppressedAccesses()
 	sampled, suppressedVars := d.words.Counts()
-	s.Counters["sampling.suppressed_reads"] = reads
-	s.Counters["sampling.suppressed_writes"] = writes
-	s.Gauges["sampling.vars.sampled"] = sampled
-	s.Gauges["sampling.vars.suppressed"] = suppressedVars
-	s.Gauges["sampling.rate_ppm"] = RatePPM(d.words.Policy().Rate)
-	if total := sampled + suppressedVars; total > 0 {
-		s.Gauges["sampling.effective_rate_ppm"] = sampled * 1_000_000 / total
-	}
+	AddSamplingStats(s, d.words.Policy(), reads, writes, sampled, suppressedVars)
 	s.Gauges["sampling.words.bytes"] = d.words.Bytes()
 	return s
+}
+
+// AddSamplingStats writes the sampling tier's accounting into s: filtered
+// accesses, the decided-variable split, and the configured and observed
+// rates. It is the one definition of the sampling.* keys, shared by the
+// online wrapper and the offline checker's filter.
+func AddSamplingStats(s obs.Snapshot, pol sample.Policy, suppressedReads, suppressedWrites, sampledVars, suppressedVars uint64) {
+	s.Counters["sampling.suppressed_reads"] = suppressedReads
+	s.Counters["sampling.suppressed_writes"] = suppressedWrites
+	s.Gauges["sampling.vars.sampled"] = sampledVars
+	s.Gauges["sampling.vars.suppressed"] = suppressedVars
+	s.Gauges["sampling.rate_ppm"] = RatePPM(pol.Rate)
+	if total := sampledVars + suppressedVars; total > 0 {
+		s.Gauges["sampling.effective_rate_ppm"] = sampledVars * 1_000_000 / total
+	}
 }
 
 // RatePPM renders a sampling rate as integral parts per million for obs

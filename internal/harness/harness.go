@@ -153,11 +153,6 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 	return row, nil
 }
 
-// latencySampleInterval times every 64th event per thread in the metrics
-// pass: dense enough for thousands of samples per histogram on the bench
-// sizes, sparse enough that the pass stays cheap.
-const latencySampleInterval = 64
-
 // metricsPass runs one extra, untimed, fully instrumented execution of the
 // workload under the detector and returns the resulting snapshot: the
 // detector's own counters (frozen at quiescence under "detector."), rtsim
@@ -167,7 +162,7 @@ const latencySampleInterval = 64
 func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
 	reg := obs.NewRegistry()
 	d := buildDetector(det)
-	wrapped := core.InstrumentLatency(d, reg, latencySampleInterval)
+	wrapped := core.InstrumentLatency(d, reg, core.LatencySampleInterval)
 	rt := rtsim.New(wrapped, rtsim.WithMetrics(reg))
 	w.Run(rt, size)
 

@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
+	verifiedft "repro"
 	"repro/internal/core"
-	"repro/internal/parcheck"
 	"repro/internal/rtsim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -22,10 +22,9 @@ type ParallelOptions struct {
 	// Warmup and Iters follow the Table 1 methodology.
 	Warmup int
 	Iters  int
-	// Workers lists the worker counts to measure; 1 means the sequential
-	// detector dispatch loop (the pre-existing CheckTrace path), so the
-	// speedup column is end-to-end against the real baseline, not against
-	// a one-worker configuration of the parallel machinery.
+	// Workers lists the worker counts to measure; 1 is the sequential
+	// detector (CheckTrace's default), so the speedup column is end-to-end
+	// against the real baseline.
 	Workers []int
 	// Variant is the detector variant to replay (default vft-v2).
 	Variant string
@@ -102,9 +101,8 @@ func RunParallel(opts ParallelOptions) (*ParallelTable, error) {
 			Times:   map[int]time.Duration{},
 			Speedup: map[int]float64{},
 		}
-		ids := trace.Scan(tr)
 		for _, workers := range opts.Workers {
-			mean, reports, err := timeCheck(tr, ids, opts, workers)
+			mean, reports, err := timeCheck(tr, opts, workers)
 			if err != nil {
 				return nil, fmt.Errorf("%s with %d workers: %w", name, workers, err)
 			}
@@ -121,39 +119,13 @@ func RunParallel(opts ParallelOptions) (*ParallelTable, error) {
 	return table, nil
 }
 
-// timeCheck measures one (trace, worker count) cell. Both arms run
-// end-to-end — validation, lowering, checking — on pre-sized shadow
-// tables: the sequential arm through the composable Source pipeline
-// (exactly CheckTrace's path), the parallel arm through the fused
-// materialized-trace prepass (exactly CheckTrace with WithParallelism).
-func timeCheck(tr trace.Trace, ids trace.IDSpace, opts ParallelOptions, workers int) (time.Duration, int, error) {
+// timeCheck measures one (trace, worker count) cell end-to-end — prescan,
+// validation, lowering, checking — as CheckTrace with WithParallelism
+// runs it; one worker is the sequential detector, the baseline column.
+func timeCheck(tr trace.Trace, opts ParallelOptions, workers int) (time.Duration, int, error) {
 	check := func() (int, error) {
-		if workers == 1 {
-			src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
-			cfg := core.Config{Threads: ids.Threads, Vars: ids.Vars, Locks: ids.Locks}
-			d, err := core.New(opts.Variant, cfg)
-			if err != nil {
-				return 0, err
-			}
-			for {
-				op, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return 0, err
-				}
-				core.Dispatch(d, op)
-			}
-			return len(d.Reports()), nil
-		}
-		reports, err := parcheck.CheckTrace(tr, nil, parcheck.Options{
-			Variant: opts.Variant,
-			Workers: workers,
-			Threads: ids.Threads,
-			Vars:    ids.Vars,
-			Locks:   ids.Locks,
-		})
+		reports, err := verifiedft.CheckTrace(tr,
+			verifiedft.WithVariant(opts.Variant), verifiedft.WithParallelism(workers))
 		return len(reports), err
 	}
 	for i := 0; i < opts.Warmup; i++ {

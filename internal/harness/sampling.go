@@ -70,7 +70,7 @@ type SamplingRow struct {
 	AccessNs float64
 
 	// The overhead arm: best-of-Iters wall time to check the generated
-	// trace (TraceOps lowered operations) at this rate.
+	// trace (TraceOps operations) at this rate.
 	CheckSeconds       float64
 	NsPerOp            float64
 	Reports            int
@@ -103,8 +103,8 @@ type SamplingTable struct {
 	// MicroOps and MicroVars size the micro loop.
 	MicroOps, MicroVars int
 
-	// TraceOps is the overhead arm's lowered-trace length;
-	// PreciseCheckSeconds its precise-tier (unwrapped) check time.
+	// TraceOps is the overhead arm's trace length;
+	// PreciseCheckSeconds its precise-tier (unsampled) check time.
 	TraceOps            int
 	PreciseCheckSeconds float64
 
@@ -125,26 +125,6 @@ func (noopDetector) Name() string                  { return "none" }
 func (noopDetector) Reports() []core.Report        { return nil }
 func (noopDetector) RuleCounts() [spec.NumRules]uint64 {
 	return [spec.NumRules]uint64{}
-}
-
-// newSampledDetector builds the base variant wrapped in the sampling tier
-// (nil pol = precise), sizing the inner tables for the expected sampled
-// population.
-func newSampledDetector(variant string, cfg core.Config, pol *sample.Policy) (core.Detector, error) {
-	if pol == nil {
-		return core.New(variant, cfg)
-	}
-	innerCfg := cfg
-	hint := int(pol.Rate*float64(cfg.Vars)) + 16
-	if hint > cfg.Vars {
-		hint = cfg.Vars
-	}
-	innerCfg.Vars = hint
-	inner, err := core.New(variant, innerCfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSampling(inner, *pol, cfg.Vars), nil
 }
 
 // RunSampling measures the sampling sweep: the micro access-cost arm, the
@@ -210,7 +190,7 @@ func (t *SamplingTable) runMicro() error {
 	}
 	for i := range t.Rows {
 		pol := &sample.Policy{Rate: t.Rows[i].Rate, Seed: t.Options.Seed}
-		d, err := newSampledDetector(t.Options.Variant, cfg, pol)
+		d, err := core.NewSampled(t.Options.Variant, cfg, pol)
 		if err != nil {
 			return err
 		}
@@ -245,74 +225,57 @@ func samplingGenConfig(quick bool) trace.GenConfig {
 	return cfg
 }
 
-// runOverhead times full checks of the generated trace, one cell per
-// rate plus the precise tier, in round-robin order within each iteration
-// (the same interleaving rationale as runMicro: slow windows on a shared
-// machine should hit every cell, not skew one).
+// runOverhead times full offline checks of the generated trace
+// (CheckTrace: validation, lowering, the front stage's filter, the
+// detector), one cell per rate plus the precise tier, in round-robin
+// order within each iteration (the same interleaving rationale as
+// runMicro: slow windows on a shared machine should hit every cell, not
+// skew one). A final untimed check per rate under a metrics registry
+// supplies the row's accounting.
 func (t *SamplingTable) runOverhead() error {
 	tr := trace.Generate(rand.New(rand.NewSource(7)), samplingGenConfig(t.Options.Quick))
-	if err := trace.Validate(tr); err != nil {
-		return err
-	}
-	low := tr.Desugar(nil)
-	t.TraceOps = len(low)
-	cfg := configForTrace(low)
+	t.TraceOps = len(tr)
 
-	pols := make([]*sample.Policy, 1+len(t.Rows)) // pols[0] = precise
-	for i := range t.Rows {
-		pols[i+1] = &sample.Policy{Rate: t.Rows[i].Rate, Seed: t.Options.Seed}
+	opts := make([][]verifiedft.CheckOption, 1+len(t.Rows)) // opts[0] = precise
+	for c := range opts {
+		opts[c] = []verifiedft.CheckOption{verifiedft.WithVariant(t.Options.Variant)}
+		if c > 0 {
+			opts[c] = append(opts[c], verifiedft.WithSampling(t.Rows[c-1].Rate,
+				verifiedft.WithSamplingSeed(t.Options.Seed)))
+		}
 	}
-	bests := make([]float64, len(pols))
-	lasts := make([]core.Detector, len(pols))
+	bests := make([]float64, len(opts))
 	for it := 0; it < t.Options.Warmup+t.Options.Iters; it++ {
-		for c, pol := range pols {
-			d, err := newSampledDetector(t.Options.Variant, cfg, pol)
-			if err != nil {
+		for c := range opts {
+			start := time.Now()
+			if _, err := verifiedft.CheckTrace(tr, opts[c]...); err != nil {
 				return err
 			}
-			start := time.Now()
-			core.Replay(d, low)
 			secs := time.Since(start).Seconds()
 			if it >= t.Options.Warmup && (bests[c] == 0 || secs < bests[c]) {
 				bests[c] = secs
 			}
-			lasts[c] = d
 		}
 	}
 
 	t.PreciseCheckSeconds = bests[0]
 	for i := range t.Rows {
 		row := &t.Rows[i]
-		d := lasts[i+1]
 		row.CheckSeconds = bests[i+1]
-		row.NsPerOp = bests[i+1] * 1e9 / float64(len(low))
-		row.Reports = len(d.Reports())
-		if s, ok := d.(*core.Sampling); ok {
-			reads, writes := s.SuppressedAccesses()
-			row.SuppressedAccesses = reads + writes
-			row.SampledVars, row.SuppressedVars = s.Counts()
+		row.NsPerOp = bests[i+1] * 1e9 / float64(len(tr))
+		m := verifiedft.NewMetrics()
+		reports, err := verifiedft.CheckTrace(tr, append(opts[i+1], verifiedft.WithMetrics(m))...)
+		if err != nil {
+			return err
 		}
-		if ss, ok := d.(core.ShadowSized); ok {
-			row.ShadowBytes = ss.ShadowBytes()
-		}
+		row.Reports = len(reports)
+		snap, key := m.Snapshot(), t.Options.Variant+"."
+		row.SuppressedAccesses = snap.Counters[key+"sampling.suppressed_reads"] + snap.Counters[key+"sampling.suppressed_writes"]
+		row.SampledVars = snap.Gauges[key+"sampling.vars.sampled"]
+		row.SuppressedVars = snap.Gauges[key+"sampling.vars.suppressed"]
+		row.ShadowBytes = snap.Gauges[key+"shadow.bytes"]
 	}
 	return nil
-}
-
-// configForTrace sizes a detector config from a lowered trace.
-func configForTrace(tr trace.Trace) core.Config {
-	ids := trace.Scan(tr)
-	cfg := core.Config{Threads: ids.Threads, Vars: ids.Vars, Locks: ids.Locks}
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	if cfg.Vars < 1 {
-		cfg.Vars = 1
-	}
-	if cfg.Locks < 1 {
-		cfg.Locks = 1
-	}
-	return cfg
 }
 
 // recallSeeds is how many sampling seeds the recall arm averages over.
@@ -445,7 +408,7 @@ func (t *SamplingTable) MonotoneNsPerOp() bool {
 func (t *SamplingTable) Format(w io.Writer) error {
 	fmt.Fprintf(w, "micro (%d ops over %d vars): baseline %.2f ns/op, precise %s %.2f ns/op\n",
 		t.MicroOps, t.MicroVars, t.BaselineNs, t.Options.Variant, t.PreciseNs)
-	fmt.Fprintf(w, "trace (%d lowered ops): precise check %.1f ms\n\n",
+	fmt.Fprintf(w, "trace (%d ops): precise check %.1f ms\n\n",
 		t.TraceOps, t.PreciseCheckSeconds*1000)
 	fmt.Fprintf(w, "%10s %12s %12s %12s %10s %10s %8s %s\n",
 		"rate", "access ns", "check ms", "check ns/op", "shadow B", "suppressed", "recall", "gates")

@@ -65,6 +65,12 @@ func FuzzIngestHTTP(f *testing.F) {
 	f.Add("t11", "vft-v2", "", "0.5", sparse)
 	f.Add("t12", "djit", "", "", sparse) // the sequential arm, unsampled and sampled
 	f.Add("t13", "eraser", "", "1", sparse)
+	// One huge thread id, one huge lock id: tables are sized by the ids an
+	// upload names, on the sharded engine and on the sequential one.
+	for i, hostile := range []string{"fork 0 65000\nwr 65000 1\nwr 0 1\n", "acq 0 16000000\nrel 0 16000000\n"} {
+		f.Add(fmt.Sprintf("t%d", 14+2*i), "vft-v2", "", "", []byte(hostile))
+		f.Add(fmt.Sprintf("t%d", 15+2*i), "djit", "", "", []byte(hostile))
+	}
 
 	allowed := map[int]bool{
 		http.StatusOK:                    true,

@@ -11,8 +11,9 @@
 //	  → admission (drain flag, in-flight slots, tenant quotas)
 //	  → trace.NewDecoder (sniffs gzip / binary "VFTb" / text)
 //	  → trace.Limit (per-upload operation budget)
-//	  → trace.ValidateSource → trace.DesugarSource
-//	  → parcheck.Check (variable-sharded workers, bounded memory)
+//	  → parcheck.CheckSource (validation and lowering inline; the sequential
+//	    detector on one worker, variable-sharded workers on more; memory
+//	    bounded by the ids an upload names, not their magnitude)
 //	  → per-tenant depot (interned dedup/aggregation) + retained result
 //
 // Precision is the product (PAPER.md): the service must return exactly
@@ -41,7 +42,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,8 +76,9 @@ type Config struct {
 	MaxOpsPerUpload int
 
 	// ShardWorkers is the parcheck worker count per upload (<= 0 means
-	// GOMAXPROCS). Per-upload memory is bounded by the streaming
-	// pipeline's O(ids) state plus the shard queues' fixed depth.
+	// GOMAXPROCS); a resolved count of one is the sequential detector.
+	// Per-upload memory is bounded by the streaming pipeline's O(distinct
+	// ids) state plus the shard queues' fixed depth.
 	ShardWorkers int
 	// MaxReportsPerVar caps reports per variable within one upload's
 	// check, exactly like verifiedft.WithMaxReportsPerVar (0 =
@@ -584,11 +585,11 @@ func (s *Server) admitTenant(t *tenant) error {
 // is a barrier or channel id and the value a participant count or buffer
 // capacity. Empty parameters yield nil — the all-defaults extensions.
 func parseExtensions(parties, chancap string) (*trace.Extensions, error) {
-	pm, err := parseIntPairs(parties, "parties", 1)
+	pm, err := trace.ParseIDValues(parties, "parties", 1)
 	if err != nil {
 		return nil, err
 	}
-	cm, err := parseIntPairs(chancap, "chancap", 0)
+	cm, err := trace.ParseIDValues(chancap, "chancap", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -598,81 +599,46 @@ func parseExtensions(parties, chancap string) (*trace.Extensions, error) {
 	return &trace.Extensions{BarrierParties: pm, ChanCapacity: cm}, nil
 }
 
-func parseIntPairs(s, name string, min int) (map[trace.Lock]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	m := make(map[trace.Lock]int)
-	for _, pair := range strings.Split(s, ",") {
-		id, val, ok := strings.Cut(pair, ":")
-		if !ok {
-			return nil, fmt.Errorf("%s: %q is not an id:value pair", name, pair)
-		}
-		i, err := strconv.Atoi(id)
-		if err != nil || i < 0 {
-			return nil, fmt.Errorf("%s: bad id %q", name, id)
-		}
-		v, err := strconv.Atoi(val)
-		if err != nil || v < min {
-			return nil, fmt.Errorf("%s: bad value %q for id %d (min %d)", name, val, i, min)
-		}
-		m[trace.Lock(i)] = v
-	}
-	return m, nil
-}
-
 // resolveSampling resolves the per-upload sampling policy: the ?sample=
-// query parameter wins, then a "sampled:<rate>" variant spelling (pol),
-// then the tenant's configured rate, then the server default. The seed is
-// ?sample_seed= when present, else Config.SampleSeed, else the library
-// default — so a server-side check stays byte-identical to an offline
-// CheckTrace of the same bytes at the same rate and seed.
-func (s *Server) resolveSampling(q map[string][]string, tenant string, pol *sample.Policy) (*sample.Policy, error) {
+// query parameter wins, then a "sampled:<rate>" variant spelling
+// (spelled), then the tenant's configured rate, then the server default.
+// The seed is ?sample_seed= when present, else Config.SampleSeed, else the
+// library default — so a server-side check stays byte-identical to an
+// offline CheckTrace of the same bytes at the same rate and seed.
+func (s *Server) resolveSampling(q map[string][]string, tenant string, spelled *sample.Policy) (*sample.Policy, error) {
 	get := func(key string) string {
 		if v := q[key]; len(v) > 0 {
 			return v[0]
 		}
 		return ""
 	}
+	var rate *float64
 	if raw := get("sample"); raw != "" {
-		rate, err := sample.ParseRate(raw) // its errors already carry the "sample:" prefix
+		r, err := sample.ParseRate(raw) // its errors already carry the "sample:" prefix
 		if err != nil {
 			return nil, err
 		}
-		pol = &sample.Policy{Rate: rate}
+		rate = &r
+	} else if spelled != nil {
+		rate = &spelled.Rate
+	} else if r, ok := s.cfg.TenantSampleRates[tenant]; ok {
+		rate = &r
+	} else if s.cfg.DefaultSampleRate > 0 {
+		rate = &s.cfg.DefaultSampleRate
 	}
-	if pol == nil {
-		if rate, ok := s.cfg.TenantSampleRates[tenant]; ok {
-			pol = &sample.Policy{Rate: rate}
-		} else if s.cfg.DefaultSampleRate > 0 {
-			pol = &sample.Policy{Rate: s.cfg.DefaultSampleRate}
-		}
-	}
-	if pol == nil {
-		return nil, nil
-	}
-	p := *pol // never alias the caller's (or config's) policy
-	if p.Seed == 0 {
-		p.Seed = s.cfg.SampleSeed
-	}
+	seed := s.cfg.SampleSeed
 	if raw := get("sample_seed"); raw != "" {
-		seed, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
+		var err error
+		if seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
 			return nil, fmt.Errorf("sample_seed: bad seed %q", raw)
 		}
-		p.Seed = seed
 	}
-	if p.Seed == 0 {
-		p.Seed = sample.DefaultSeed
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	_, pol, err := sample.Resolve("", rate, seed)
+	return pol, err
 }
 
-// check runs one stream through decode → limit → validate → desugar →
-// parcheck and returns the upload result (Tenant/Upload/Bytes unset).
+// check runs one stream through decode → limit → parcheck (validation and
+// lowering inline) and returns the upload result (Tenant/Upload/Bytes unset).
 // A non-nil pol checks the upload through the sampling tier; the
 // decisions are a pure function of (seed, variable id), so the reports
 // are exactly what an offline sampled check of the same bytes returns.
@@ -682,7 +648,7 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 		return nil, err
 	}
 	counted := &countingSource{src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
-	reports, err := parcheck.Check(core.LoweredSource(variant, counted, ext), parcheck.Options{
+	reports, err := parcheck.CheckSource(counted, ext, parcheck.Options{
 		Variant:          variant,
 		Workers:          s.cfg.ShardWorkers,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,

@@ -43,8 +43,9 @@ type taggedReport struct {
 // sharded machine — the fast paths, locking disciplines and word packings
 // they differ in are invisible to a single-threaded replay — up to the two
 // discipline quirks of the historical baselines below. djit and eraser
-// keep no per-variable epoch state to shard: they are answered by core's
-// own detector on the calling goroutine (checkSequential).
+// keep no per-variable epoch state to shard: at any worker count they are
+// answered by core's own detector on the calling goroutine
+// (checkSequential).
 type variantSpec struct {
 	sequential bool
 	// joinInc restores the original FastTrack [Join] increment of the
@@ -113,7 +114,7 @@ func (w *shardWorker) runAccess(a access) {
 // race condition fired (admitted to the sink or suppressed by the cap —
 // either way the op was not a no-op).
 func (w *shardWorker) step(a access, idx int, write bool) bool {
-	s := w.vars.get(a.x)
+	s := w.state(a.x)
 	clock := core.ClockView(a.clock.View())
 	e := a.clock.Get(a.t)
 	var upd core.Update
@@ -165,53 +166,16 @@ func (w *shardWorker) emitCapped(s *varState, a access, idx int, sub *int, ev co
 	*sub++
 }
 
-// varTable maps variable ids to per-variable state: the machine state
-// inside one shard (stride = worker count), and the prepass's sampling
-// decisions (stride 1). Ids dense in the table (q = x/stride) live in a
-// value slice for cache locality; sparse ids beyond maxDenseVars spill
-// into a map so a hostile id space cannot force huge allocations.
-type varTable[S any] struct {
-	stride int
-	dense  []S
-	sparse map[trace.Var]*S
-}
-
-// maxDenseVars bounds the dense slice per shard (entries, not bytes).
-const maxDenseVars = 1 << 21
-
-func newVarTable[S any](stride, hint int) varTable[S] {
-	n := hint/stride + 1
-	if n > maxDenseVars {
-		n = maxDenseVars
+// state returns variable x's machine state. The front stage hands out
+// variable ids densely and a shard owns every stride-th one, so its
+// variables sit at x/stride in a plain slice, bounded by the variables the
+// trace names.
+func (w *shardWorker) state(x trace.Var) *varState {
+	q := int(x) / w.stride
+	if q >= len(w.vars) {
+		grown := make([]varState, max(2*len(w.vars), q+1))
+		copy(grown, w.vars)
+		w.vars = grown
 	}
-	return varTable[S]{stride: stride, dense: make([]S, n)}
-}
-
-func (vt *varTable[S]) get(x trace.Var) *S {
-	q := int(x) / vt.stride
-	if q < len(vt.dense) {
-		return &vt.dense[q]
-	}
-	if q < maxDenseVars {
-		n := 2 * len(vt.dense)
-		if n <= q {
-			n = q + 1
-		}
-		if n > maxDenseVars {
-			n = maxDenseVars
-		}
-		grown := make([]S, n)
-		copy(grown, vt.dense)
-		vt.dense = grown
-		return &vt.dense[q]
-	}
-	if vt.sparse == nil {
-		vt.sparse = map[trace.Var]*S{}
-	}
-	s, ok := vt.sparse[x]
-	if !ok {
-		s = new(S)
-		vt.sparse[x] = s
-	}
-	return s
+	return &w.vars[q]
 }

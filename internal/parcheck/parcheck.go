@@ -32,13 +32,16 @@
 // and assigns Seq, reproducing the sequential sink's order and numbering
 // deterministically, independent of worker scheduling.
 //
-// The sharded engine is one machine: the epoch state the five precise
-// epoch variants share. djit and eraser have no such state to shard, so
-// Check and CheckTrace answer them by running core's own sequential
-// detector over the same validated, lowered stream on the calling
-// goroutine, behind a first-touch dense renumbering of variable ids so its
-// flat shadow tables stay proportional to the variables the trace names —
-// identical reports by construction (see checkSequential).
+// Every offline check is assembled here, once (see run): a push feed
+// (validation and lowering inline, or an already-lowered source) → the
+// front stage (sampling on raw variable ids, then first-touch compaction
+// of thread, variable and lock ids; see frontStage) → the engine the
+// resolved worker count picks. One worker, or djit/eraser, which keep no
+// per-variable epoch state to shard, is core's own sequential detector on
+// the calling goroutine; two or more workers are the prepass and shards
+// above. Both engines see the same compact stream and their reports are
+// mapped back the same way, so which one ran is not observable in the
+// report list.
 package parcheck
 
 import (
@@ -55,23 +58,30 @@ import (
 	"repro/internal/vc"
 )
 
-// Options configures a parallel check.
+// Options configures a check.
 type Options struct {
-	// Variant is the detector variant to emulate (default vft-v2). The
-	// five precise epoch variants are sharded; djit and eraser run
-	// core's sequential detector on the calling goroutine, Workers
-	// notwithstanding.
+	// Variant is the detector variant to emulate (default vft-v2).
 	Variant string
-	// Workers is the shard worker count; <= 0 means GOMAXPROCS.
+	// Workers is the shard worker count; <= 0 means GOMAXPROCS. It picks
+	// the engine: one worker is core's sequential detector, two or more
+	// are the prepass and shards. djit and eraser run the sequential
+	// detector, Workers notwithstanding.
 	Workers int
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited),
 	// with the same semantics as the sequential sink.
 	MaxReportsPerVar int
-	// Threads, Vars and Locks are table size hints (grown on demand).
+	// Threads, Vars and Locks are table size hints: how many distinct
+	// threads, variables and lowered locks to expect (the tables grow on
+	// demand). They are counts, not id bounds — the engines see compact
+	// ids — and hinted entries are allocated up front.
 	Threads, Vars, Locks int
-	// Metrics, when non-nil, receives a frozen "parcheck" source after a
-	// successful run: shard balance, queue depth, intern hit rate, freeze
-	// reuse, and op/report accounting.
+	// Metrics, when non-nil, receives the run's observability. From the
+	// sharded engine that is a frozen "parcheck" source after a successful
+	// run: shard balance, queue depth, intern hit rate, freeze reuse, and
+	// op/report accounting. From the sequential engine it is what an
+	// online detector under a registry gives: sampled latency.* histograms
+	// while the check runs, and afterwards the detector's counters frozen
+	// under the variant name (plus ops.* and, when sampling, sampling.*).
 	Metrics *obs.Registry
 	// StatsSink, when non-nil, is called once with the same snapshot a
 	// Metrics registry would receive. Unlike Metrics — which registers a
@@ -81,12 +91,11 @@ type Options struct {
 	// into its own accumulators without growing the registry per check.
 	StatsSink func(obs.Snapshot)
 	// Sampling, when non-nil, enables the per-variable sampling tier:
-	// accesses to variables the policy rejects are dropped in the prepass
-	// (counted in the stats as sampling.suppressed_*) before they reach a
-	// shard. The policy is a pure function of (seed, variable id), so the
-	// sharded run and the sequential sampled replay drop exactly the same
-	// accesses and their report lists stay byte-identical; see
-	// internal/sample for the soundness argument.
+	// accesses to variables the policy rejects are dropped by the front
+	// stage (counted in the stats as sampling.suppressed_*) before they
+	// reach either engine. The policy is a pure function of (seed, raw
+	// variable id), so every run of one trace drops exactly the same
+	// accesses; see internal/sample for the soundness argument.
 	Sampling *sample.Policy
 }
 
@@ -103,7 +112,8 @@ type shardWorker struct {
 	priorRead bool
 	maxPerVar int
 
-	vars varTable[varState]
+	vars   []varState // indexed by compact variable id / stride
+	stride int        // the worker count
 
 	out      []taggedReport
 	dropped  uint64
@@ -144,38 +154,52 @@ type threadState struct {
 	lastInterned *vc.Frozen
 }
 
-// Check streams the lowered core-language trace from src through the
-// two-phase parallel checker and returns the same report list the
-// sequential replay of the selected variant would produce. src must
-// already be validated and desugared (the CheckSource pipeline); on a
-// stream error the error is returned and all reports are discarded,
-// matching the sequential contract.
+// CheckSource checks a raw (not yet validated or lowered) stream: the §2
+// feasibility validation, under the variant's thread-id ceiling, and the
+// extended-op lowering run inline in the loop that pulls src, each lowered
+// operation going straight into the check — no stage in between holds a
+// queue or costs a virtual Next() hop per operation. ext has
+// DesugarSource's meaning (barrier participant counts, channel capacities;
+// nil for all defaults), and the lowering is the shared trace.Lowerer in
+// its parity numbering, so it matches DesugarSource operation for
+// operation. The first infeasible op ends the check with the validator's
+// positioned error; on any error all reports are discarded.
+func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, error) {
+	return run(opts, func(emit func(trace.Op)) error {
+		v := trace.NewValidator()
+		v.Ext = ext
+		v.MaxTid = core.MaxTid(opts.Variant)
+		low := trace.NewParityLowerer(ext)
+		for {
+			op, err := src.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := v.Check(op); err != nil {
+				return err
+			}
+			low.Lower(op, emit)
+		}
+	})
+}
+
+// CheckTrace is CheckSource over a materialized trace.
+func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Report, error) {
+	return CheckSource(tr.Source(), ext, opts)
+}
+
+// Check is CheckSource for a stream that is already validated and lowered
+// to the core language (an extended op in it is an error).
 func Check(src trace.Source, opts Options) ([]core.Report, error) {
 	return run(opts, func(emit func(trace.Op)) error { return stream(src, emit) })
 }
 
-// CheckTrace is the materialized-trace fast path: it checks a raw (not
-// yet validated or lowered) trace by fusing the feasibility validation
-// and extended-op lowering of the CheckSource pipeline into the prepass
-// loop itself. The three per-op virtual Next() hops of the composable
-// stages are the dominant serial cost the prepass would otherwise pay, so
-// fusing them is what lets phase 2's parallelism show up end-to-end.
-// ext has DesugarSource's meaning (barrier participant counts, channel
-// capacities; nil for all defaults); the lowering — parity lock remap,
-// pseudo-lock allocation order, barrier round and channel communication
-// grouping, incomplete rounds and still-blocked sends dropped — is the
-// shared trace.Lowerer itself, so it matches the streaming pipeline
-// operation for operation, and the first infeasible op yields the
-// identical *InfeasibleError the streaming pipeline would have produced.
-func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return run(opts, func(emit func(trace.Op)) error { return streamTrace(tr, ext, opts.Variant, emit) })
-}
-
-// run is the shared engine: feed pushes the validated, lowered stream
-// into emit, one operation at a time, in the calling goroutine. For the
-// sharded variants emit is the prepass (prepassState.dispatch) with the
-// shard workers behind it, followed by the merge; for djit and eraser it
-// is core's sequential detector.
+// run assembles a check: feed pushes the validated, lowered stream, one
+// operation at a time in the calling goroutine, into the front stage,
+// which hands what it admits to the engine the worker count selects.
 func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
@@ -184,14 +208,27 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 	if err != nil {
 		return nil, err
 	}
-	if vs.sequential {
-		return checkSequential(opts, feed)
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	front := &frontStage{sampler: opts.Sampling}
+	opts.Vars = core.SampledVars(opts.Sampling, opts.Vars) // only sampled variables reach a table
+	var reports []core.Report
+	if vs.sequential || workers == 1 {
+		reports, err = checkSequential(opts, front, feed)
+	} else {
+		reports, err = checkSharded(opts, vs, workers, front, feed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return front.restore(reports), nil
+}
 
+// checkSharded is the engine for two or more workers: the sync prepass
+// in the calling goroutine, the shard workers behind it, then the merge.
+func checkSharded(opts Options, vs variantSpec, workers int, front *frontStage, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
 	// Phase 2 plumbing: one queue + worker per shard, batches recycled
 	// through a pool.
 	pool := &sync.Pool{New: func() any { return make([]access, 0, batchSize) }}
@@ -203,7 +240,8 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 		ws[i] = &shardWorker{
 			priorRead: vs.priorRead,
 			maxPerVar: opts.MaxReportsPerVar,
-			vars:      newVarTable[varState](workers, opts.Vars),
+			vars:      make([]varState, opts.Vars/workers+1),
+			stride:    workers,
 		}
 		wg.Add(1)
 		go func(w *shardWorker, ch <-chan []access) {
@@ -214,15 +252,14 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 
 	// Phase 1: the sync prepass, in the calling goroutine.
 	p := &prepassState{
-		varFilter: newVarFilter(opts.Sampling, opts.Vars),
-		joinInc:   vs.joinInc,
-		intern:    vc.NewInterner(),
-		threads:   make([]*threadState, 0, opts.Threads),
-		locks:     make([]*vc.Frozen, 0, opts.Locks),
-		batches:   make([][]access, workers),
-		chans:     chans,
-		pool:      pool,
-		nWorkers:  workers,
+		joinInc:  vs.joinInc,
+		intern:   vc.NewInterner(),
+		threads:  make([]*threadState, 0, opts.Threads),
+		locks:    make([]*vc.Frozen, 0, opts.Locks),
+		batches:  make([][]access, workers),
+		chans:    chans,
+		pool:     pool,
+		nWorkers: workers,
 		shardMask: func() int {
 			if workers&(workers-1) == 0 {
 				return workers - 1
@@ -230,7 +267,8 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 			return -1
 		}(),
 	}
-	streamErr := feed(p.dispatch)
+	front.emit = p.dispatch
+	streamErr := feed(front.push)
 
 	for i, b := range p.batches {
 		if len(b) > 0 {
@@ -270,149 +308,59 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 	}
 
 	if opts.Metrics != nil || opts.StatsSink != nil {
-		opts.publish(p.stats(ws, uint64(total)))
+		snap := p.stats(ws, uint64(total))
+		front.addStats(snap)
+		opts.publish("parcheck", snap)
 	}
 	return reports, nil
 }
 
 // publish hands a finished run's snapshot to the configured consumers.
-func (o Options) publish(snap obs.Snapshot) {
+func (o Options) publish(source string, snap obs.Snapshot) {
 	if o.Metrics != nil {
-		o.Metrics.RegisterSource("parcheck", snap.Source())
+		o.Metrics.RegisterSource(source, snap.Source())
 	}
 	if o.StatsSink != nil {
 		o.StatsSink(snap)
 	}
 }
 
-// checkSequential is the djit/eraser arm: a fresh core detector consumes
-// the stream on the calling goroutine, so the reports are the sequential
-// replay's by construction. Two things sit in front of it. The sampling
-// filter is the prepass's own (the same pure (seed, var) decisions, the
-// same bounded cache), so a sampled run is the precise run restricted to
-// the sampled variables, as everywhere else. And admitted variables are
-// renumbered densely in first-touch order — the detectors never look at a
-// variable's id, only at its state, and reports are mapped back — because
-// core's shadow tables are flat arrays indexed by id: without it one access
-// to x2000000000 in a 40-byte upload asks for gigabytes. The snapshot is
-// the detector's own Stats plus the prepass's ops.* and sampling.* keys.
-func checkSequential(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
-	// No Vars hint: it bounds the largest id, not the number of distinct
-	// variables, and core's tables initialize every hinted entry eagerly.
+// checkSequential is the engine for one worker, and for djit and eraser
+// at any worker count: a fresh core detector consumes the stream on the
+// calling goroutine. Its flat shadow tables are safe to size from the
+// hints and to index directly because the front stage has made every id
+// compact. A Metrics registry observes it the way it observes an online
+// detector: through the latency sampler while it runs, then the frozen
+// counters under the variant's name.
+func checkSequential(opts Options, front *frontStage, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
 	d, err := core.New(opts.Variant, core.Config{
-		Threads: opts.Threads, Locks: opts.Locks,
+		Threads: opts.Threads, Vars: opts.Vars, Locks: opts.Locks,
 		MaxReportsPerVar: opts.MaxReportsPerVar,
 	})
 	if err != nil {
 		return nil, err
 	}
-	filter := newVarFilter(opts.Sampling, opts.Vars)
-	ids := newVarTable[trace.Var](1, opts.Vars) // x -> dense id + 1; 0 = unseen
-	var orig []trace.Var                        // dense id -> x
-	var ops, accesses, syncs uint64
-	err = feed(func(op trace.Op) {
-		ops++
-		if op.Kind != trace.Read && op.Kind != trace.Write {
-			syncs++
-		} else {
-			if filter.sampler != nil && !filter.admit(op.X, op.Kind == trace.Write) {
-				return
-			}
-			accesses++
-			id := ids.get(op.X)
-			if *id == 0 {
-				orig = append(orig, op.X)
-				*id = trace.Var(len(orig))
-			}
-			op.X = *id - 1
-		}
-		core.Dispatch(d, op)
-	})
-	if err != nil {
+	det := d
+	if opts.Metrics != nil {
+		det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
+	}
+	front.emit = func(op trace.Op) { core.Dispatch(det, op) }
+	if err := feed(front.push); err != nil {
 		return nil, err
 	}
-	reports := d.Reports()
-	for i := range reports {
-		reports[i].X = orig[reports[i].X]
-	}
 	if opts.Metrics != nil || opts.StatsSink != nil {
+		// The feed has returned, so the detector is quiescent and its
+		// per-thread counters are coherent.
 		snap := d.(core.StatsSource).Stats()
-		snap.Counters["ops.total"] = ops
-		snap.Counters["ops.access"] = accesses
-		snap.Counters["ops.sync"] = syncs
-		filter.addStats(snap)
+		front.addStats(snap)
 		snap.Gauges["workers"] = 1
-		opts.publish(snap)
+		opts.publish(opts.Variant, snap)
 	}
-	return reports, nil
-}
-
-// varFilter is the per-variable sampling tier in front of either engine:
-// the policy plus its decision cache (0 undecided, 1 sampled, 2
-// suppressed). The cache is plain bytes because the stream is consumed
-// serially — the hot check is one slice load and a compare — in the same
-// bounded-dense-plus-spill table the shards use, so a sparse id costs a
-// map entry, not a slice of its magnitude.
-type varFilter struct {
-	sampler   *sample.Policy // nil: every access is admitted
-	decisions varTable[uint8]
-
-	suppressedReads, suppressedWrites uint64
-	sampledVars, suppressedVars       uint64
-}
-
-func newVarFilter(pol *sample.Policy, vars int) varFilter {
-	f := varFilter{sampler: pol}
-	if pol != nil {
-		f.decisions = newVarTable[uint8](1, vars)
-	}
-	return f
-}
-
-// admit reports whether an access to x is under analysis, counting it as
-// suppressed when not. The policy hash is consulted only on a variable's
-// first access. Callers test f.sampler != nil first.
-func (f *varFilter) admit(x trace.Var, write bool) bool {
-	d := f.decisions.get(x)
-	if *d == 0 {
-		if f.sampler.Sampled(x) {
-			*d = 1
-			f.sampledVars++
-		} else {
-			*d = 2
-			f.suppressedVars++
-		}
-	}
-	if *d == 1 {
-		return true
-	}
-	if write {
-		f.suppressedWrites++
-	} else {
-		f.suppressedReads++
-	}
-	return false
-}
-
-// addStats records the tier's sampling.* accounting, if it is on.
-func (f *varFilter) addStats(s obs.Snapshot) {
-	if f.sampler == nil {
-		return
-	}
-	s.Counters["sampling.suppressed_reads"] = f.suppressedReads
-	s.Counters["sampling.suppressed_writes"] = f.suppressedWrites
-	s.Gauges["sampling.vars.sampled"] = f.sampledVars
-	s.Gauges["sampling.vars.suppressed"] = f.suppressedVars
-	s.Gauges["sampling.rate_ppm"] = core.RatePPM(f.sampler.Rate)
-	if total := f.sampledVars + f.suppressedVars; total > 0 {
-		s.Gauges["sampling.effective_rate_ppm"] = f.sampledVars * 1_000_000 / total
-	}
+	return d.Reports(), nil
 }
 
 // prepassState is the phase-1 streaming state.
 type prepassState struct {
-	varFilter // the optional sampling tier
-
 	joinInc bool
 	intern  *vc.Interner
 
@@ -441,9 +389,9 @@ type prepassState struct {
 	// critical path once per access.
 	shardMask int
 
-	ops, accesses, syncs, batchesSent uint64
-	fusedRuns, fusedOps               uint64
-	maxQueueDepth                     int
+	ops, batchesSent    uint64 // ops: stream position, the reports' merge key
+	fusedRuns, fusedOps uint64
+	maxQueueDepth       int
 }
 
 func (p *prepassState) thread(t epoch.Tid) *threadState {
@@ -499,17 +447,10 @@ func (p *prepassState) send(shard int, batch []access) {
 // place inside the still-unsent batch, so a long run costs one append and
 // one stamp no matter its length, and the no-run path is one compare
 // heavier than plain routing. A batch boundary splits a run into two
-// records, which replay identically.
+// records, which replay identically. (The front stage has already dropped
+// unsampled accesses, so one neither ends an open run nor reaches a
+// shard, exactly as if the trace had never contained it.)
 func (p *prepassState) emitAccess(idx int, t epoch.Tid, x trace.Var, write bool) {
-	// Sampling filters here, before run fusion and routing: a suppressed
-	// access neither ends the open fused run nor reaches a shard, exactly
-	// as if the filtered trace had never contained it — which is what
-	// keeps the sharded sampled run byte-identical to the sequential
-	// sampled replay (both equal the precise check of the filtered trace).
-	if p.sampler != nil && !p.admit(x, write) {
-		return
-	}
-	p.accesses++
 	if a := p.last; a != nil && a.t == t && a.x == x && int(a.n) < fuseMax {
 		if write {
 			a.pattern |= 1 << a.n
@@ -579,9 +520,8 @@ func (p *prepassState) join(t, u epoch.Tid) {
 }
 
 // dispatch is the prepass's one op switch: it consumes the next operation
-// of the lowered stream, whichever entry point produced it. p.ops is the
-// op's position in that stream, so the merge order of reports is
-// identical for Check and CheckTrace.
+// the front stage admits. p.ops is the op's position among those, which
+// is all the merge needs to order reports as the sequential sink does.
 func (p *prepassState) dispatch(op trace.Op) {
 	switch op.Kind {
 	case trace.Read:
@@ -590,7 +530,6 @@ func (p *prepassState) dispatch(op trace.Op) {
 		p.emitAccess(int(p.ops), op.T, op.X, true)
 	default:
 		p.last = nil // a sync edge ends the open fused run
-		p.syncs++
 		switch op.Kind {
 		case trace.Acquire:
 			p.acquire(op.T, op.M)
@@ -622,38 +561,10 @@ func stream(src trace.Source, emit func(trace.Op)) error {
 	}
 }
 
-// streamTrace is the fused slice feed: validation and lowering run inline
-// per operation, so the serial phase costs a few slice loads per op
-// instead of three interface dispatches plus pipeline bookkeeping.
-// Semantics parity with the streaming pipeline, piece by piece:
-//
-//   - validation sees the raw (pre-lowering) ops in order, exactly like
-//     ValidateSource in front of DesugarSource, so an infeasible trace
-//     produces the identical error at the identical raw index;
-//   - the lowering is the shared trace.Lowerer in its parity numbering
-//     (real lock m → 2m, k-th pseudo-lock → 2k+1, first-use allocation
-//     order) — the same code DesugarSource runs, dispatching into emit
-//     instead of a queue, so the two paths cannot drift.
-func streamTrace(tr trace.Trace, ext *trace.Extensions, variant string, emit func(trace.Op)) error {
-	v := trace.NewValidator()
-	v.Ext = ext
-	v.MaxTid = core.MaxTid(variant)
-	low := trace.NewParityLowerer(ext)
-	for _, op := range tr {
-		if err := v.Check(op); err != nil {
-			return err
-		}
-		low.Lower(op, emit)
-	}
-	return nil
-}
-
-// stats assembles the run's observability snapshot.
+// stats assembles the sharded engine's observability snapshot (the front
+// stage adds ops.* and sampling.*).
 func (p *prepassState) stats(ws []*shardWorker, reports uint64) obs.Snapshot {
 	s := obs.NewSnapshot()
-	s.Counters["ops.total"] = p.ops
-	s.Counters["ops.access"] = p.accesses
-	s.Counters["ops.sync"] = p.syncs
 	s.Counters["batches"] = p.batchesSent
 	s.Counters["reports.recorded"] = reports
 	s.Counters["fused.runs"] = p.fusedRuns
@@ -689,8 +600,6 @@ func (p *prepassState) stats(ws []*shardWorker, reports uint64) obs.Snapshot {
 	s.Counters["vc.join_scanned"] = clocks.JoinScanned
 	s.Counters["vc.freezes"] = clocks.Freezes
 	s.Counters["vc.freeze_reuses"] = clocks.FreezeReuses
-
-	p.addStats(s)
 
 	s.Gauges["workers"] = uint64(len(ws))
 	s.Gauges["intern.distinct"] = uint64(p.intern.Len())

@@ -4,11 +4,9 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
@@ -237,40 +235,6 @@ func TestParallelDefaults(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Detector != "vft-v2" {
 		t.Fatalf("want one vft-v2 report, got %+v", got)
-	}
-}
-
-// TestSparseVarIsBounded: a check of a trace naming one huge variable id
-// allocates a map entry, not memory proportional to the id — in the
-// prepass's sampling-decision cache (a dense one would need 1.9 GiB for
-// this 40-byte trace), in the shards, and on the djit/eraser arm, whose
-// core detector sees first-touch dense ids (its flat shadow table would
-// otherwise ask for 16 GB). Reports still name the original id.
-func TestSparseVarIsBounded(t *testing.T) {
-	const sparse = trace.Var(2_000_000_000)
-	tr := trace.Trace{trace.ForkOp(0, 1), trace.Wr(1, sparse), trace.Wr(0, sparse)}
-	for _, variant := range []string{"vft-v2", "djit", "eraser"} {
-		for _, rate := range []float64{-1, 0.5, 1} { // unsampled; x is suppressed at 0.5 under the default seed; 1 samples it
-			opts := Options{Variant: variant, Workers: 2}
-			want := 1
-			if rate >= 0 {
-				opts.Sampling = &sample.Policy{Rate: rate, Seed: sample.DefaultSeed}
-				want = int(rate)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			got, err := CheckTrace(tr, nil, opts)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatalf("%s rate %v: %v", variant, rate, err)
-			}
-			if len(got) != want || (want == 1 && got[0].X != sparse) {
-				t.Errorf("%s rate %v: reports %+v, want %d on x%d", variant, rate, got, want, sparse)
-			}
-			if delta := after.TotalAlloc - before.TotalAlloc; delta > 64<<20 {
-				t.Errorf("%s rate %v: check allocated %d MiB, budget 64 MiB", variant, rate, delta>>20)
-			}
-		}
 	}
 }
 

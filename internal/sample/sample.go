@@ -272,3 +272,27 @@ func ParseVariant(name string) (base string, pol *Policy, err error) {
 	}
 	return "vft-v2", &Policy{Rate: rate, Seed: DefaultSeed}, nil
 }
+
+// Resolve is the one policy resolver behind every entry point that takes
+// a variant name and sampling settings (library options, CLI flags, the
+// server's query parameters): it splits a "sampled[:rate]" spelling off
+// variant, lets an explicit rate (non-nil) beat the spelling's, takes
+// seed 0 to mean DefaultSeed, and validates the result. pol is nil when
+// neither the spelling nor rate selects the tier.
+func Resolve(variant string, rate *float64, seed uint64) (base string, pol *Policy, err error) {
+	base, pol, err = ParseVariant(variant)
+	if err != nil {
+		return "", nil, err
+	}
+	if rate != nil {
+		pol = &Policy{Rate: *rate}
+	}
+	if pol == nil {
+		return base, nil, nil
+	}
+	pol.Seed = seed
+	if seed == 0 {
+		pol.Seed = DefaultSeed
+	}
+	return base, pol, pol.Validate()
+}

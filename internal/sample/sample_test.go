@@ -190,3 +190,39 @@ func TestWordsConcurrent(t *testing.T) {
 		t.Fatalf("Counts() = %d, %d; want %d sampled of %d", sampled, suppressed, len(seen), vars)
 	}
 }
+
+// TestResolve: an explicit rate beats the spelling's, seed 0 means the
+// default seed, a bad rate from either source is an error, and a precise
+// variant with no explicit rate has no policy.
+func TestResolve(t *testing.T) {
+	rate := func(r float64) *float64 { return &r }
+	cases := []struct {
+		variant string
+		rate    *float64
+		seed    uint64
+		base    string
+		want    *Policy
+		bad     bool
+	}{
+		{"vft-v1", nil, 7, "vft-v1", nil, false},
+		{"sampled", nil, 0, "vft-v2", &Policy{Rate: DefaultRate, Seed: DefaultSeed}, false},
+		{"sampled:0.25", nil, 7, "vft-v2", &Policy{Rate: 0.25, Seed: 7}, false},
+		{"sampled:0.25", rate(1), 0, "vft-v2", &Policy{Rate: 1, Seed: DefaultSeed}, false},
+		{"djit", rate(0.5), 9, "djit", &Policy{Rate: 0.5, Seed: 9}, false},
+		{"", rate(0), 0, "", &Policy{Rate: 0, Seed: DefaultSeed}, false},
+		{"sampled:2", nil, 0, "", nil, true},
+		{"vft-v2", rate(-0.1), 0, "", nil, true},
+	}
+	for _, tc := range cases {
+		base, pol, err := Resolve(tc.variant, tc.rate, tc.seed)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("Resolve(%q, %v, %d): no error", tc.variant, tc.rate, tc.seed)
+			}
+			continue
+		}
+		if err != nil || base != tc.base || (pol == nil) != (tc.want == nil) || pol != nil && *pol != *tc.want {
+			t.Errorf("Resolve(%q, %v, %d) = %q, %+v, %v; want %q, %+v", tc.variant, tc.rate, tc.seed, base, pol, err, tc.base, tc.want)
+		}
+	}
+}

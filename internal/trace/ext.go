@@ -1,5 +1,11 @@
 package trace
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
 // Extensions carries the out-of-band parameters of the extended trace
 // language — facts about the program the trace itself cannot express. A
 // nil *Extensions is valid everywhere one is accepted and means "all
@@ -44,6 +50,33 @@ func (e *Extensions) Capacity(c Lock) int {
 		return n
 	}
 	return 0
+}
+
+// ParseIDValues parses the textual form of an Extensions map, shared by
+// the CLI flags and the server's query parameters: comma-separated
+// id:value pairs ("0:4,2:1") with non-negative ids and values of at least
+// min. name labels the errors. Empty input yields nil (all defaults).
+func ParseIDValues(s, name string, min int) (map[Lock]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	m := map[Lock]int{}
+	for _, pair := range strings.Split(s, ",") {
+		id, val, ok := strings.Cut(pair, ":")
+		if !ok {
+			return nil, fmt.Errorf("%s: %q is not an id:value pair", name, pair)
+		}
+		i, err := strconv.Atoi(id)
+		if err != nil || i < 0 {
+			return nil, fmt.Errorf("%s: bad id %q", name, id)
+		}
+		v, err := strconv.Atoi(val)
+		if err != nil || v < min {
+			return nil, fmt.Errorf("%s: bad value %q for id %d (min %d)", name, val, i, min)
+		}
+		m[Lock(i)] = v
+	}
+	return m, nil
 }
 
 // barrierExt wraps a bare parties map as an *Extensions; nil maps stay a

@@ -37,9 +37,8 @@ type settings struct {
 	parties  map[LockID]int
 	chancaps map[LockID]int
 	metrics  *Metrics
-	// parallel is the CheckTrace/CheckSource worker count: 1 = the
-	// sequential replay, 0 = parallel with GOMAXPROCS workers, n > 1 =
-	// parallel with n workers.
+	// parallel is the CheckTrace/CheckSource worker count; 0 means
+	// GOMAXPROCS.
 	parallel int
 	// sampling is the WithSampling policy; nil is the precise tier. The
 	// "sampled[:rate]" variant spelling also sets it, via resolveSampling.
@@ -51,33 +50,20 @@ type settings struct {
 // erroring at the New/CheckTrace entry points. An explicit WithSampling
 // wins over a rate embedded in the variant name.
 func (s *settings) resolveSampling() error {
-	base, pol, err := sample.ParseVariant(s.variant)
+	var rate *float64
+	var seed uint64
+	if s.sampling != nil {
+		rate, seed = &s.sampling.Rate, s.sampling.Seed
+	}
+	base, pol, err := sample.Resolve(s.variant, rate, seed)
 	if err != nil {
 		return err
 	}
-	s.variant = base
-	if s.sampling == nil {
-		s.sampling = pol
+	if rate != nil {
+		pol.Seed = seed // WithSamplingSeed(0) is the seed 0, not "unset"
 	}
-	if s.sampling != nil {
-		return s.sampling.Validate()
-	}
+	s.variant, s.sampling = base, pol
 	return nil
-}
-
-// samplingVarHint scales a variable-table hint down to the expected
-// sampled population (plus slack for the hash's variance), so the inner
-// detector of the sampling tier pre-sizes for the variables it will
-// actually materialize rather than the whole id space.
-func samplingVarHint(rate float64, vars int) int {
-	h := int(rate*float64(vars)) + 16
-	if h > vars {
-		h = vars
-	}
-	if h < 1 {
-		h = 1
-	}
-	return h
 }
 
 // extensions folds the out-of-band trace parameters into the form the
@@ -222,26 +208,22 @@ func WithSampling(rate float64, opts ...SamplingOption) CommonOption {
 	})
 }
 
-// WithParallelism sets the number of shard workers CheckTrace and
-// CheckSource use to replay the trace (default 1: the sequential
-// replay). Any other value selects the two-phase parallel offline
-// checker: a sequential synchronization prepass annotates every access
-// with an interned clock snapshot, then read/write events are sharded by
-// variable across n workers, each running the unmodified per-variable
-// state machine. n <= 0 means GOMAXPROCS. The report list is identical
-// to the sequential replay's — same reports, same order, same Seq
-// numbering — for every detector variant.
+// WithParallelism sets the number of workers CheckTrace and CheckSource
+// use (default 1); n <= 0 means GOMAXPROCS. The resolved count picks the
+// engine. One worker is the sequential detector on the calling goroutine.
+// Two or more select the two-phase parallel offline checker: a sequential
+// synchronization prepass annotates every access with an interned clock
+// snapshot, then read/write events are sharded by variable across the
+// workers, each running the unmodified per-variable state machine (DJIT
+// and Eraser have no such state and stay sequential). The report list is
+// the same either way — same reports, same order, same Seq numbering —
+// for every detector variant.
 //
-// In parallel mode a WithMetrics registry receives the checker's own
-// "parcheck" source (shard balance, queue depth, intern hit rate)
+// With two or more workers a WithMetrics registry receives the checker's
+// own "parcheck" source (shard balance, queue depth, intern hit rate)
 // instead of per-handler latency samples and detector counters.
 func WithParallelism(n int) CheckOption {
-	return checkOption(func(s *settings) {
-		if n <= 0 {
-			n = 0 // resolve to GOMAXPROCS at check time
-		}
-		s.parallel = n
-	})
+	return checkOption(func(s *settings) { s.parallel = n })
 }
 
 // WithThreads hints the thread shadow-table size (tables grow on demand).

@@ -6,10 +6,12 @@
 // and format detection must work on an unseekable pipe. Two hostile-input
 // fixes are gated the same way, by exit code and child max-RSS: a valid
 // 300-thread trace under -d ft-cas must be a positioned input error (exit
-// 2) sequentially and with -parallel, not a Pack32 panic; and a -parallel
-// check of a trace naming one huge variable id — sampled on the sharded
-// engine, unsampled on the djit/eraser arm — must stay under 64 MiB. It is a Go program rather than a shell script so `make
-// stream-smoke` works on any machine with just the toolchain.
+// 2) sequentially and with -parallel, not a Pack32 panic; and an offline
+// check — vft-run -parallel and vft-race, on the sharded engine and on the
+// sequential one — of a trace naming one huge thread, variable or lock id
+// must stay under 64 MiB with the ordinary verdict. It is a Go program
+// rather than a shell script so `make stream-smoke` works on any machine
+// with just the toolchain.
 package main
 
 import (
@@ -53,8 +55,7 @@ func run() int {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "vft-run")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/vft-run")
+	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator), "./cmd/vft-run", "./cmd/vft-race")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
 		return fail("build: %v", err)
@@ -87,26 +88,42 @@ func run() int {
 	// One huge variable id; under the default seed rate 0.5 suppresses it,
 	// so the sampled verdict is clean.
 	sparse := "fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n"
+	// One huge thread id (racy), one huge lock id (clean).
+	bigTid := "fork 0 65000\nwr 65000 1\nwr 0 1\n"
+	bigLock := "acq 0 16000000\nrel 0 16000000\n"
 
-	cases := []struct {
+	type smokeCase struct {
 		name      string
+		tool      string // "" = vft-run
 		args      []string
 		stdin     []byte
 		wantExit  int
 		wantOut   string
 		maxRSSMiB int64 // 0: unchecked
-	}{
-		{"racy gzip binary", []string{"-"}, racyGz, 1, "race", 0},
-		{"clean gzip binary", []string{"-"}, cleanGz, 0, "no races detected", 0},
-		{"300 threads, ft-cas", []string{"-trace", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, ft-cas -parallel", []string{"-trace", "-parallel", "2", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, ft-mutex -parallel", []string{"-trace", "-parallel", "2", "-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
-		{"sparse var, sampled -parallel", []string{"-trace", "-parallel", "2", "-sample", "0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
-		{"sparse var, djit -parallel", []string{"-trace", "-parallel", "2", "-d", "djit", "-"}, []byte(sparse), 1, "x2000000000", 64},
+	}
+	cases := []smokeCase{
+		{"racy gzip binary", "", []string{"-"}, racyGz, 1, "race", 0},
+		{"clean gzip binary", "", []string{"-"}, cleanGz, 0, "no races detected", 0},
+		{"300 threads, ft-cas", "", []string{"-trace", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, ft-cas -parallel", "", []string{"-trace", "-parallel", "2", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, ft-mutex -parallel", "", []string{"-trace", "-parallel", "2", "-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
+		{"sparse var, sampled -parallel", "", []string{"-trace", "-parallel", "2", "-sample", "0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
+		{"sparse var, djit -parallel", "", []string{"-trace", "-parallel", "2", "-d", "djit", "-"}, []byte(sparse), 1, "x2000000000", 64},
+	}
+	cases = append(cases, smokeCase{"sparse var, vft-race", "vft-race", []string{"-"}, []byte(sparse), 1, "x2000000000", 64})
+	for _, d := range []string{"vft-v2", "djit"} {
+		cases = append(cases,
+			smokeCase{"huge tid, -parallel -d " + d, "", []string{"-trace", "-parallel", "2", "-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
+			smokeCase{"huge tid, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
+			smokeCase{"huge lock, -parallel -d " + d, "", []string{"-trace", "-parallel", "2", "-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64},
+			smokeCase{"huge lock, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64})
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
-		cmd := exec.Command(bin, c.args...)
+		if c.tool == "" {
+			c.tool = "vft-run"
+		}
+		cmd := exec.Command(filepath.Join(tmp, c.tool), c.args...)
 		cmd.Stdin = bytes.NewReader(c.stdin)
 		cmd.Stdout, cmd.Stderr = &out, &out
 		err = cmd.Run()
@@ -140,6 +157,6 @@ func run() int {
 		fmt.Printf("stream-smoke: %s → exit %d%s ✓\n", c.name, exit, rss)
 	}
 
-	fmt.Println("stream-smoke: OK — vft-run consumed piped traces with correct verdicts, errors and memory")
+	fmt.Println("stream-smoke: OK — vft-run and vft-race consumed piped traces with correct verdicts, errors and memory")
 	return 0
 }

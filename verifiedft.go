@@ -206,12 +206,6 @@ type (
 	Barrier = rtsim.Barrier
 )
 
-// metricsSampleInterval is the per-thread latency sampling stride used when
-// a Metrics registry is attached: every 64th event a thread performs is
-// timed into the latency.* histograms. Dense enough to fill histograms on
-// realistic runs, sparse enough that the sampled run stays usable.
-const metricsSampleInterval = 64
-
 // New constructs a detector variant; see the variant constants. With no
 // options the shadow tables get mid-sized hints (they grow on demand, so
 // hints only matter for construction cost):
@@ -229,32 +223,14 @@ func New(variant string, opts ...Option) (Detector, error) {
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
-	d, err := newDetector(s)
+	d, err := core.NewSampled(s.variant, s.cfg, s.sampling)
 	if err != nil {
 		return nil, err
 	}
 	if s.metrics != nil {
-		return core.InstrumentLatency(d, s.metrics, metricsSampleInterval), nil
+		return core.InstrumentLatency(d, s.metrics, core.LatencySampleInterval), nil
 	}
 	return d, nil
-}
-
-// newDetector builds the resolved settings' detector: the precise variant,
-// wrapped in the sampling tier when one is configured. The inner
-// detector's variable table is pre-sized for the expected sampled
-// population only — the full id space is covered by the wrapper's
-// four-byte decision words, which is the tier's lazy-materialization rule.
-func newDetector(s settings) (Detector, error) {
-	if s.sampling == nil {
-		return core.New(s.variant, s.cfg)
-	}
-	innerCfg := s.cfg
-	innerCfg.Vars = samplingVarHint(s.sampling.Rate, s.cfg.Vars)
-	inner, err := core.New(s.variant, innerCfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSampling(inner, *s.sampling, s.cfg.Vars), nil
 }
 
 // Variants lists all detector variant names.
@@ -268,26 +244,31 @@ func NewRuntime(d Detector) *Runtime { return rtsim.New(d) }
 func ValidateTrace(tr Trace) error { return trace.Validate(tr) }
 
 // CheckSource is the streaming form of CheckTrace: it pulls operations
-// from src through a pipeline of composable stages — incremental §2
-// feasibility validation (erroring at the offending op index), on-the-fly
-// lowering of extended operations, and dispatch into a fresh detector
-// (VerifiedFT-v2 unless WithVariant says otherwise) — and returns every
-// detected race once the stream ends:
+// from src and pushes each through incremental §2 feasibility validation
+// (erroring at the offending op index), on-the-fly lowering of extended
+// operations, and the check itself — a fresh detector, VerifiedFT-v2 unless
+// WithVariant says otherwise — and returns every detected race once the
+// stream ends:
 //
 //	src, err := verifiedft.NewTraceDecoder(file) // text, binary or gzip
 //	reports, err := verifiedft.CheckSource(src,
 //		verifiedft.WithVariant(verifiedft.FTCAS),
 //		verifiedft.WithMaxReportsPerVar(1))
 //
-// Every stage holds state proportional to the id spaces in use, never to
-// the stream's length, so arbitrarily long traces check in bounded memory
-// (pair with WithMaxReportsPerVar on racy streams so the report list stays
-// bounded too). Shadow tables start from the defaults and grow on demand.
-// On a validation or decode error the error is returned and any reports
-// from the consumed prefix are discarded, matching CheckTrace's contract
-// that an infeasible trace yields no reports. With WithMetrics, the run is
-// latency-sampled and the detector's counters are frozen into the registry
-// under the variant name when the stream ends.
+// Every stage holds state proportional to the number of distinct thread,
+// variable and lock ids the stream names — never to their magnitude, and
+// never to the stream's length — so arbitrarily long traces check in
+// bounded memory (pair with WithMaxReportsPerVar on racy streams so the
+// report list stays bounded too). Shadow tables start from the defaults and
+// grow on demand. On a validation or decode error the error is returned
+// and any reports from the consumed prefix are discarded, matching
+// CheckTrace's contract that an infeasible trace yields no reports. With
+// WithMetrics and one worker (the default), the run is latency-sampled and
+// the detector's counters are frozen into the registry under the variant
+// name when the stream ends; see WithParallelism for the other case.
+//
+// CheckSource, CheckReader and CheckTrace are one path: the options map
+// onto internal/parcheck's, which assembles the check.
 func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	s := settings{variant: V2, cfg: core.DefaultConfig(), parallel: 1}
 	for _, o := range opts {
@@ -296,51 +277,7 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
-	if s.parallel != 1 {
-		return checkParallel(src, s)
-	}
-	d, err := newDetector(s)
-	if err != nil {
-		return nil, err
-	}
-	var det Detector = d
-	if s.metrics != nil {
-		det = core.InstrumentLatency(d, s.metrics, metricsSampleInterval)
-	}
-	pipe := core.LoweredSource(s.variant, src, s.extensions())
-	for {
-		op, err := pipe.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		core.Dispatch(det, op)
-	}
-	if s.metrics != nil {
-		// The pipeline is sequential and has ended: the detector is
-		// quiescent, so its per-thread counters are coherent and safe to
-		// freeze.
-		if ss, ok := d.(core.StatsSource); ok {
-			s.metrics.RegisterSource(s.variant, ss.Stats().Source())
-		}
-	}
-	return det.Reports(), nil
-}
-
-// checkParallel is CheckSource's WithParallelism arm: the same
-// validation/lowering pipeline feeds the two-phase variable-sharded
-// checker instead of a sequential detector. The report list is identical
-// to the sequential replay's by construction (see internal/parcheck).
-func checkParallel(src Source, s settings) ([]Report, error) {
-	return parcheck.Check(core.LoweredSource(s.variant, src, s.extensions()), parcheckOptions(s))
-}
-
-// parcheckOptions maps resolved check settings onto the parallel
-// checker's option set.
-func parcheckOptions(s settings) parcheck.Options {
-	return parcheck.Options{
+	return parcheck.CheckSource(src, s.extensions(), parcheck.Options{
 		Variant:          s.variant,
 		Workers:          s.parallel,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,
@@ -349,7 +286,7 @@ func parcheckOptions(s settings) parcheck.Options {
 		Locks:            s.cfg.Locks,
 		Metrics:          s.metrics,
 		Sampling:         s.sampling,
-	}
+	})
 }
 
 // CheckReader decodes a trace stream from r — sniffing gzip, the binary
@@ -373,60 +310,30 @@ func CheckReader(r io.Reader, opts ...CheckOption) ([]Report, error) {
 //		verifiedft.WithBarrierParties(map[verifiedft.LockID]int{0: 4}),
 //		verifiedft.WithMetrics(m))
 //
-// Sequentially it is a thin wrapper over CheckSource on a slice-backed
-// Source, so the materialized and streaming paths cannot drift: identical
-// operation sequences produce identical reports whichever entry point
-// sees them. Because the trace is materialized, CheckTrace first runs a
-// cheap O(n) id-space prescan and pre-sizes the shadow tables so they
-// never grow mid-run; explicit WithThreads/WithVars/WithLocks/WithConfig
-// options override the prescan. With WithParallelism, the materialized
-// form additionally lets the checker fuse validation and lowering into
-// the parallel prepass (parcheck.CheckTrace) — same reports, same errors,
-// without the streaming pipeline's per-op dispatch on the serial phase.
+// It is CheckSource on a slice-backed Source, so the materialized and
+// streaming paths cannot drift: identical operation sequences produce
+// identical reports whichever entry point sees them. Because the trace is
+// materialized, CheckTrace first runs a cheap O(n) id-space prescan and
+// pre-sizes the shadow tables so they never grow mid-run; explicit
+// WithThreads/WithVars/WithLocks/WithConfig options override the prescan.
 func CheckTrace(tr Trace, opts ...CheckOption) ([]Report, error) {
 	sized := make([]CheckOption, 0, len(opts)+1)
-	sized = append(sized, withIDSpace(trace.Scan(tr)))
+	sized = append(sized, withIDSpace(trace.Scan(tr), len(tr)))
 	sized = append(sized, opts...)
-	s := settings{variant: V2, cfg: core.DefaultConfig(), parallel: 1}
-	for _, o := range sized {
-		o.applyCheck(&s)
-	}
-	if s.parallel != 1 {
-		if err := s.resolveSampling(); err != nil {
-			return nil, err
-		}
-		return parcheck.CheckTrace(tr, s.extensions(), parcheckOptions(s))
-	}
 	return CheckSource(tr.Source(), sized...)
 }
 
-// Pre-sizing caps: a prescan hint eagerly allocates that many shadow
-// entries, so hostile traces with huge sparse ids must not translate into
-// huge tables. Beyond the cap, tables fall back to growing on demand.
-const (
-	maxThreadHint = 1 << 16 // the whole Tid space
-	maxVarHint    = 1 << 20
-	maxLockHint   = 1 << 20
-)
-
-// withIDSpace seeds the shadow-table hints from a trace prescan. It is
-// prepended to the user's options so explicit sizing options win.
-func withIDSpace(ids trace.IDSpace) CheckOption {
+// withIDSpace seeds the shadow-table hints from a prescan of an n-op
+// trace. It is prepended to the user's options so explicit sizing options
+// win. A hint allocates that many entries up front and the check numbers
+// ids densely, so each hint is capped at what n operations can name: a
+// hostile trace with huge sparse ids gets tables sized for the ids it has.
+func withIDSpace(ids trace.IDSpace, n int) CheckOption {
 	return checkOption(func(s *settings) {
-		s.cfg.Threads = clampHint(ids.Threads, maxThreadHint)
-		s.cfg.Vars = clampHint(ids.Vars, maxVarHint)
-		s.cfg.Locks = clampHint(ids.Locks, maxLockHint)
+		s.cfg.Threads = min(ids.Threads, n+1) // main, plus one fork per op
+		s.cfg.Vars = min(ids.Vars, n)
+		s.cfg.Locks = min(ids.Locks, n)
 	})
-}
-
-func clampHint(n, max int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > max {
-		return max
-	}
-	return n
 }
 
 // HasRace is the oracle of §2: it decides, directly from the happens-before
