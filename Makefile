@@ -69,9 +69,12 @@ par-smoke:
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
+# The clock-kernel micro-benchmarks run a hundred iterations each so they
+# cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
+	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 
 # End-to-end check of the multi-tenant ingestion service under the Go
 # race detector: concurrent tenants streaming all three wire encodings
@@ -111,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFromBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryDecodeChunked -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minilang -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticrace -run '^$$' -fuzz FuzzStaticNoPanic -fuzztime $(FUZZTIME)

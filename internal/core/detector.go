@@ -142,7 +142,11 @@ func (s *reportSink) snapshot() []Report {
 // Per the §4 synchronization discipline, a ThreadState is thread-local to
 // its owning thread between fork and termination; the fork/join handlers
 // are the only cross-thread accessors and the real fork/join edges order
-// them.
+// them. The vector clock relies on exactly that confinement: it is only
+// ever the destination of a join under its owner (Acquire, Join) or before
+// its owner starts (Fork), and vc.Join stores every entry it scans whether
+// or not the entry advances. As a join's source (Fork, Join, Release) it
+// is only read.
 type ThreadState struct {
 	T epoch.Tid
 
@@ -189,7 +193,8 @@ func (st *ThreadState) countRetry()     { st.retries++ }
 // LockState is the per-lock shadow object: the clock of the lock's last
 // release. Per the discipline it is protected by the target lock m itself —
 // handlers run while m is held — so no additional synchronization appears
-// here.
+// here: Release overwrites the clock and Acquire reads it as a join's
+// source, both under m.
 //
 // The lock owns a mutable clock that Release overwrites in place
 // (Fig. 3's Sm.V := St.V): copying into existing storage keeps the online
@@ -228,10 +233,10 @@ func (b *syncBase) DroppedReports() uint64 { return b.sink.droppedCount() }
 
 func (b *syncBase) thread(t epoch.Tid) *ThreadState { return b.threads.Get(int(t)) }
 
-// Acquire implements [Acquire]: St.V := St.V ⊔ Sm.V. Join's fast paths
-// make the common shapes cheap: a never-released lock joins in O(1) and a
-// re-acquire whose release clock is already ⊑ the thread's clock performs
-// no writes.
+// Acquire implements [Acquire]: St.V := St.V ⊔ Sm.V. A never-released
+// lock has an empty clock and joins in O(1); a re-acquire whose release
+// clock is already ⊑ the thread's leaves St.V's value and its cached
+// Freeze snapshot as they were.
 func (b *syncBase) Acquire(t epoch.Tid, m trace.Lock) {
 	st := b.thread(t)
 	st.vc.Join(b.locks.Get(int(m)).vc)

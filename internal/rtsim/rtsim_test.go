@@ -230,3 +230,47 @@ func TestNestedForkTree(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncDenseKernelKeepsClocksConfined runs a sync-dense kernel — a
+// dozen workers taking turns on striped mutexes, each forking and joining
+// helpers of its own along the way — for the Go race detector to watch
+// (`go test -race`). vc.Join stores every entry it scans whether or not
+// the entry advances, so a clock that were joined into while another
+// goroutine could read it would be reported as a data race here, even on a
+// join that changes nothing. The kernel itself is race-free.
+func TestSyncDenseKernelKeepsClocksConfined(t *testing.T) {
+	const workers, stripes, rounds = 12, 8, 200
+	for _, d := range detectors(t) {
+		rt := New(d)
+		main := rt.Main()
+		cells := rt.NewArray(stripes)
+		locks := make([]*Mutex, stripes)
+		for i := range locks {
+			locks[i] = rt.NewMutex()
+		}
+		bump := func(w *Thread, s int) {
+			locks[s].Lock(w)
+			cells.Add(w, s, 1)
+			locks[s].Unlock(w)
+		}
+		main.Parallel(workers, func(w *Thread, i int) {
+			for n := 0; n < rounds; n++ {
+				s := (i + n) % stripes
+				bump(w, s)
+				if n%50 == 0 {
+					w.Join(w.Go(func(h *Thread) { bump(h, s) }))
+				}
+			}
+		})
+		if reports := rt.Reports(); len(reports) != 0 {
+			t.Errorf("%s: false positive: %v", d.Name(), reports[0])
+		}
+		var sum int64
+		for s := 0; s < stripes; s++ {
+			sum += cells.Load(main, s)
+		}
+		if want := int64(workers * (rounds + rounds/50)); sum != want {
+			t.Errorf("%s: cells sum to %d, want %d", d.Name(), sum, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -200,6 +201,15 @@ func (e *BinaryEncoder) Flush() error {
 	return e.w.Flush()
 }
 
+// binaryWindow is the most one record can occupy on the wire: a maximal
+// length varint plus a maximal record. With that many bytes in view the
+// decoder reads a record in place, whatever the record turns out to be.
+const binaryWindow = binary.MaxVarintLen64 + maxBinaryRecord
+
+// errVarintOverflow is encoding/binary's own overflow error, which a
+// length prefix that does not terminate has always been reported with.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
 // BinaryDecoder reads the binary format as a Source, accepting every
 // version up to MaxBinaryVersion.
 type BinaryDecoder struct {
@@ -208,18 +218,28 @@ type BinaryDecoder struct {
 	version int
 	opened  bool
 	err     error // sticky
-	buf     [maxBinaryRecord]byte
+
+	// Records are decoded in place out of r's buffer: win is the part of
+	// it not yet decoded, used the bytes decoded since the last refill.
+	// A win shorter than binaryWindow is all the input there is, and tail
+	// the read error that ended it.
+	win  []byte
+	used int
+	tail error
 }
 
 // NewBinaryDecoder returns a Source decoding the binary format from r.
 // The magic header is checked on the first Next call; a header declaring
 // a version newer than MaxBinaryVersion fails with a typed
-// *UnsupportedVersionError.
+// *UnsupportedVersionError. The decoder wants binaryWindow bytes in view
+// before it decodes, so on a live pipe an operation is delivered once that
+// many bytes follow its first one, or the stream ends.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	if br, ok := r.(*bufio.Reader); ok {
-		return &BinaryDecoder{r: br}
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < binaryWindow {
+		br = bufio.NewReader(r)
 	}
-	return &BinaryDecoder{r: bufio.NewReader(r)}
+	return &BinaryDecoder{r: br}
 }
 
 // Version returns the format version the stream's header declared, or 0
@@ -231,17 +251,55 @@ func (d *BinaryDecoder) fail(format string, args ...any) (Op, error) {
 	return Op{}, d.err
 }
 
+// view returns the undecoded input, at least binaryWindow bytes of it
+// unless the input ends sooner. When too little is left in view it hands
+// the decoded bytes back to r and reads on. The read error that ends the
+// input is kept, not asked for again: bufio reports an error once, and the
+// records in front of it are still to be decoded.
+func (d *BinaryDecoder) view() []byte {
+	if len(d.win) < binaryWindow {
+		d.r.Discard(d.used) // cannot fail: the bytes were peeked
+		d.used = 0
+		if d.tail == nil {
+			_, d.tail = d.r.Peek(binaryWindow)
+		}
+		d.win, _ = d.r.Peek(d.r.Buffered())
+	}
+	return d.win
+}
+
+// consume marks the first n bytes in view as decoded.
+func (d *BinaryDecoder) consume(n int) {
+	d.win = d.win[n:]
+	d.used += n
+}
+
+// truncated is the error for input that stops inside a header or record:
+// a clean end of input there is io.ErrUnexpectedEOF, any other read error
+// is itself.
+func (d *BinaryDecoder) truncated() error {
+	if d.tail == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return d.tail
+}
+
 // Next returns the next decoded operation, io.EOF at a clean end of
 // stream, or a positioned decode error (sticky thereafter).
 func (d *BinaryDecoder) Next() (Op, error) {
 	if d.err != nil {
 		return Op{}, d.err
 	}
+	win := d.view()
 	if !d.opened {
-		hdr := make([]byte, len(binaryMagicPrefix)+1)
-		if _, err := io.ReadFull(d.r, hdr); err != nil {
-			return d.fail("reading header: %v", err)
+		const hdrLen = len(binaryMagicPrefix) + 1
+		if len(win) == 0 {
+			return d.fail("reading header: %v", d.tail)
 		}
+		if len(win) < hdrLen {
+			return d.fail("reading header: %v", d.truncated())
+		}
+		hdr := win[:hdrLen]
 		if string(hdr[:len(binaryMagicPrefix)]) != binaryMagicPrefix {
 			return d.fail("bad magic %q (not a binary trace)", hdr)
 		}
@@ -252,59 +310,72 @@ func (d *BinaryDecoder) Next() (Op, error) {
 		}
 		d.version = v
 		d.opened = true
+		d.consume(hdrLen)
+		win = d.view()
 	}
-	ln, err := binary.ReadUvarint(d.r)
-	if err == io.EOF {
+	ln, lw := binary.Uvarint(win)
+	switch {
+	case lw > 0:
+	case lw < 0 || len(win) >= binary.MaxVarintLen64:
+		return d.fail("reading record length: %v", errVarintOverflow)
+	case len(win) > 0:
+		return d.fail("reading record length: %v", d.truncated())
+	case d.tail == io.EOF:
 		d.err = io.EOF // clean end: the stream stops at a record boundary
 		return Op{}, io.EOF
-	}
-	if err != nil {
-		return d.fail("reading record length: %v", err)
+	default:
+		return d.fail("reading record length: %v", d.tail)
 	}
 	if ln == 0 || ln > maxBinaryRecord {
 		return d.fail("record length %d out of range [1,%d]", ln, maxBinaryRecord)
 	}
-	rec := d.buf[:ln]
-	if _, err := io.ReadFull(d.r, rec); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return d.fail("reading %d-byte record: %v", ln, err)
+	if uint64(len(win)-lw) < ln {
+		return d.fail("reading %d-byte record: %v", ln, d.truncated())
 	}
+	rec := win[lw : lw+int(ln)]
 	kind := Kind(rec[0])
 	if kind > maxKindForVersion(d.version) {
 		return d.fail("unknown kind %d", rec[0])
 	}
-	t, w, ok := decodeUvarint32(rec[1:])
-	if !ok {
+	t, w := uvarint32(rec[1:])
+	if w == 0 {
 		return d.fail("bad thread varint")
 	}
-	arg, w2, ok := decodeUvarint32(rec[1+w:])
-	if !ok {
+	arg, w2 := uvarint32(rec[1+w:])
+	if w2 == 0 {
 		return d.fail("bad operand varint")
 	}
 	if 1+w+w2 != int(ln) {
 		return d.fail("record has %d trailing bytes", int(ln)-1-w-w2)
 	}
-	op := Op{Kind: kind, T: epoch.Tid(t)}
+	d.consume(lw + len(rec))
+	d.n++
+	// The operand lands in the one field the kind uses. Selected as scalars
+	// and assembled once: patching a field of an Op already in memory makes
+	// the return read a word the stores only partly wrote.
+	var x, m, u int32
 	switch kind {
 	case Read, Write, VolatileRead, VolatileWrite, AtomicLoad, AtomicStore, AtomicRMW:
-		op.X = Var(arg)
+		x = arg
 	case Acquire, Release, Barrier, ChanSend, ChanRecv, ChanClose, OnceDo:
-		op.M = Lock(arg)
+		m = arg
 	case Fork, Join:
-		op.U = epoch.Tid(arg)
+		u = arg
 	}
-	d.n++
-	return op, nil
+	return Op{Kind: kind, T: epoch.Tid(t), X: Var(x), M: Lock(m), U: epoch.Tid(u)}, nil
 }
 
-// decodeUvarint32 decodes a uvarint that must fit a non-negative int32 —
-// the id space of every Op field.
-func decodeUvarint32(b []byte) (int32, int, bool) {
+// uvarint32 decodes a uvarint that must fit a non-negative int32 — the id
+// space of every Op field — and returns it with its width, 0 if there is
+// no such value at the head of b. Ids below 128 are one byte, and most ids
+// are: that case skips the general loop.
+func uvarint32(b []byte) (int32, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return int32(b[0]), 1
+	}
 	v, w := binary.Uvarint(b)
 	if w <= 0 || v > 1<<31-1 {
-		return 0, 0, false
+		return 0, 0
 	}
-	return int32(v), w, true
+	return int32(v), w
 }

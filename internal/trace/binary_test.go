@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // allKindsTrace exercises every Kind and both small and multi-byte-varint
@@ -175,6 +178,7 @@ func TestBinaryDecoderErrors(t *testing.T) {
 		{"truncated-record", good[:len(good)-1], "op #1"},
 		{"oversized-length", append(encode(nil), 0xff, 0xff, 0x01), "out of range"},
 		{"zero-length", append(encode(nil), 0x00), "out of range"},
+		{"endless-length", append(encode(nil), bytes.Repeat([]byte{0x80}, 11)...), "binary: varint overflows a 64-bit integer"},
 		{"unknown-kind", append(encode(nil), 0x03, 0xff, 0x00, 0x00), "unknown kind"},
 		{"trailing-bytes", append(encode(nil), 0x04, byte(Read), 0x00, 0x00, 0x00), "trailing"},
 	}
@@ -303,4 +307,98 @@ func BenchmarkBinaryDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+var updateTruncations = flag.Bool("update-truncations", false,
+	"rewrite testdata/*.truncations from the decoder under test")
+
+// TestBinaryDecodeTruncations pins what the decoder returns — how many
+// operations, then which error — for a v1 and a v2 stream cut at every byte
+// offset, ending either in EOF or in a read error, against goldens recorded
+// from the ReadUvarint/ReadFull decoder this one replaced; and that the
+// outcome does not depend on how the bytes arrive: one at a time, in
+// halves, with the error riding on the last data, or through a
+// caller-supplied bufio.Reader smaller than one decode window.
+func TestBinaryDecodeTruncations(t *testing.T) {
+	errBoom := errors.New("boom")
+	deliveries := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+		{"bufio-16", func(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 16) }},
+	}
+	outcome := func(r io.Reader) (Trace, string) {
+		tr, err := ReadAll(NewBinaryDecoder(r))
+		if err == nil {
+			err = io.EOF // ReadAll folds the clean end into nil
+		}
+		return tr, fmt.Sprintf("%d\t%v", len(tr), err)
+	}
+	for _, name := range []string{"golden_v1.bin", "goinstr_racy_counter.bin"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := ReadAll(NewBinaryDecoder(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		fmt.Fprintf(&got, "ops\t%v\n", full)
+		for k := 0; k <= len(data); k++ {
+			for _, end := range []error{io.EOF, errBoom} {
+				input := func() io.Reader {
+					return io.MultiReader(bytes.NewReader(data[:k]), iotest.ErrReader(end))
+				}
+				// The operations decoded before the error are a prefix of
+				// the full stream's: compare them, not just their number.
+				tr, want := outcome(input())
+				if fmt.Sprint(tr) != fmt.Sprint(full[:len(tr)]) {
+					t.Errorf("%s[:%d]: decoded %v, not a prefix of %v", name, k, tr, full)
+				}
+				fmt.Fprintf(&got, "%d\t%v\t%s\n", k, end, want)
+				for _, dl := range deliveries {
+					if _, o := outcome(dl.wrap(input())); o != want {
+						t.Errorf("%s[:%d] then %v, delivered %s: %q, want %q", name, k, end, dl.name, o, want)
+					}
+				}
+			}
+		}
+		golden := filepath.Join("testdata", name+".truncations")
+		if *updateTruncations {
+			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s: outcomes differ from %s:\n%s", name, golden, lineDiff(string(want), got.String()))
+		}
+	}
+}
+
+// lineDiff lists the lines at which two texts differ.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n  want %s\n  got  %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // goinstrSeed reads a checked-in binary trace captured by running vft-go
@@ -123,6 +126,41 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr, back) {
 			t.Fatalf("round trip mismatch: %v vs %v", tr, back)
+		}
+	})
+}
+
+// chunkReader delivers at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// FuzzBinaryDecodeChunked: the decoder reads records in place out of a
+// peeked window, and what that window holds depends on how the bytes
+// arrive. Whatever the bytes and whatever the chunking, it must decode the
+// operations and report the error it does when fed one byte at a time —
+// the delivery under which every window is refilled at every byte.
+func FuzzBinaryDecodeChunked(f *testing.F) {
+	for _, name := range []string{"golden_v1.bin", "goinstr_racy_counter.bin", "goinstr_clean_chan.bin"} {
+		data := goinstrSeed(f, name)
+		for _, chunk := range []uint8{1, 2, 5, binaryWindow - 1, binaryWindow, 64} {
+			f.Add(data, chunk)
+			f.Add(data[:len(data)-1], chunk)
+		}
+	}
+	// Length prefixes that run on: non-canonical, then overflowing.
+	f.Add([]byte(binaryMagicPrefix+"\x02\x83\x80\x00\x00\x00\x00"), uint8(3))
+	f.Add(append([]byte(binaryMagicPrefix+"\x02"), bytes.Repeat([]byte{0x80}, 12)...), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		want, werr := ReadAll(NewBinaryDecoder(iotest.OneByteReader(bytes.NewReader(data))))
+		got, gerr := ReadAll(NewBinaryDecoder(chunkReader{bytes.NewReader(data), int(chunk) + 1}))
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("in %d-byte chunks: %v, %v\nbyte at a time: %v, %v", int(chunk)+1, got, gerr, want, werr)
 		}
 	})
 }

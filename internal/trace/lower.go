@@ -8,19 +8,19 @@ package trace
 // allocation order is the order of first use, which is what keeps the
 // dense (slice Desugar) and parity (streaming) numberings bijective.
 const (
-	classVolatile int32 = iota // id = volatile variable
-	classBarrier               // id = barrier (one round lock, reused)
-	classAtomic                // id = atomic location
-	classOnce                  // id = once id
-	classChanClose             // id = channel (close → zero-value recvs)
-	classChanRendz             // id = channel (unbuffered rendezvous)
-	classChanSlot              // class+slot, id = channel (buffer ring)
+	classVolatile  int32 = iota // id = volatile variable
+	classBarrier                // id = barrier (one round lock, reused)
+	classAtomic                 // id = atomic location
+	classOnce                   // id = once id
+	classChanClose              // id = channel (close → zero-value recvs)
+	classChanRendz              // id = channel (unbuffered rendezvous)
+	classChanSlot               // class+slot, id = channel (buffer ring)
 )
 
 // chanLowering is one channel's lowering state.
 type chanLowering struct {
-	sends   int  // completed sends (value entered the buffer or rendezvoused)
-	recvs   int  // completed receives
+	sends   int // completed sends (value entered the buffer or rendezvoused)
+	recvs   int // completed receives
 	closed  bool
 	blocked []Op // blocked send ops, FIFO arrival order
 }
@@ -95,43 +95,41 @@ func NewLowerer(ext *Extensions, real func(Lock) Lock, alloc func(class, id int3
 	return &Lowerer{ext: ext, real: real, alloc: alloc}
 }
 
+// pseudoLocks returns a pseudo-lock allocator: the k-th distinct
+// (class, id) pair, in first-use order, is lock number(k). The pair is
+// packed into one word, which the runtime's map hashes on its 64-bit fast
+// path — the allocator is consulted on every extended operation.
+func pseudoLocks(number func(k Lock) Lock) func(class, id int32) Lock {
+	var next Lock
+	locks := map[uint64]Lock{}
+	return func(class, id int32) Lock {
+		key := uint64(class)<<32 | uint64(uint32(id))
+		m, ok := locks[key]
+		if !ok {
+			m = number(next)
+			next++
+			locks[key] = m
+		}
+		return m
+	}
+}
+
 // NewParityLowerer returns a Lowerer with the streaming id discipline: a
 // real lock m maps to 2m and the k-th pseudo-lock (first-use order) to
 // 2k+1, so the two spaces cannot collide without a whole-trace pre-scan.
 func NewParityLowerer(ext *Extensions) *Lowerer {
-	var next Lock
-	pseudo := map[[2]int32]Lock{}
 	return NewLowerer(ext,
 		func(m Lock) Lock { return 2 * m },
-		func(class, id int32) Lock {
-			key := [2]int32{class, id}
-			m, ok := pseudo[key]
-			if !ok {
-				m = 2*next + 1
-				next++
-				pseudo[key] = m
-			}
-			return m
-		})
+		pseudoLocks(func(k Lock) Lock { return 2*k + 1 }))
 }
 
 // NewDenseLowerer returns a Lowerer with the slice Desugar id discipline:
 // real locks keep their ids and pseudo-locks are numbered densely from
 // next (which must exceed every real lock id in the input).
 func NewDenseLowerer(ext *Extensions, next Lock) *Lowerer {
-	pseudo := map[[2]int32]Lock{}
 	return NewLowerer(ext,
 		func(m Lock) Lock { return m },
-		func(class, id int32) Lock {
-			key := [2]int32{class, id}
-			m, ok := pseudo[key]
-			if !ok {
-				m = next
-				next++
-				pseudo[key] = m
-			}
-			return m
-		})
+		pseudoLocks(func(k Lock) Lock { return next + k }))
 }
 
 func (l *Lowerer) chanFor(c Lock) *chanLowering {

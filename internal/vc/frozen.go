@@ -119,26 +119,10 @@ func (c *VC) Freeze() *Frozen {
 	return c.frozen
 }
 
-// JoinFrozen merges a frozen snapshot into c pointwise: c := c ⊔ f. It has
-// the same fast paths as Join: a nil or empty snapshot returns without
-// scanning, and entries already covered by c are skipped without writing,
-// so joining a snapshot that is entirely ⊑ c performs no mutation (and
-// leaves c's own frozen cache intact).
-func (c *VC) JoinFrozen(f *Frozen) {
-	c.m.Joins++
-	if f == nil || len(f.v) == 0 {
-		return
-	}
-	c.m.JoinScanned += uint64(len(f.v))
-	for i, fe := range f.v {
-		t := epoch.Tid(i)
-		// Same-tid epochs order by their clock bits, so the raw comparison
-		// is the pointwise order.
-		if fe > c.Get(t) {
-			c.Set(t, fe)
-		}
-	}
-}
+// JoinFrozen merges a frozen snapshot into c pointwise: c := c ⊔ f, by the
+// kernel and under the contract of Join; a nil snapshot is the minimal
+// clock.
+func (c *VC) JoinFrozen(f *Frozen) { c.join(f.View()) }
 
 // Interner deduplicates frozen snapshots by value: Intern returns one
 // canonical *Frozen per distinct clock. The parcheck prepass interns the

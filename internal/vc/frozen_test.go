@@ -115,7 +115,7 @@ func TestJoinFastPaths(t *testing.T) {
 	if m := c.Metrics(); m.Joins != 1 || m.JoinScanned != 0 {
 		t.Fatalf("Metrics = %+v, want Joins=1 JoinScanned=0", m)
 	}
-	// Covered other (other ⊑ c, shorter): no writes, no growth.
+	// Covered other (other ⊑ c, shorter): value unchanged, no growth.
 	before := c.Metrics().Grows
 	c.Join(FromClocks(1))
 	if !c.Equal(FromClocks(2, 3)) {
@@ -163,8 +163,8 @@ func TestInterner(t *testing.T) {
 }
 
 // joinBenchClocks builds a receiver and an argument of n entries each; when
-// covered is true the argument is entirely ⊑ the receiver (the fast-path
-// shape of barrier re-arrivals and same-thread re-acquires).
+// covered is true the argument is entirely ⊑ the receiver (the shape of
+// barrier re-arrivals and same-thread re-acquires).
 func joinBenchClocks(n int, covered bool) (*VC, *VC) {
 	recv, arg := New(), New()
 	for i := 0; i < n; i++ {
@@ -180,9 +180,7 @@ func joinBenchClocks(n int, covered bool) (*VC, *VC) {
 }
 
 // BenchmarkJoinAdvancing is the general case: every entry of the argument
-// advances the receiver. The fast-path check adds one compare per entry;
-// this benchmark is the no-regression guard for satellite "vc.Join fast
-// path".
+// advances the receiver (into a fresh clone, so the copy is timed too).
 func BenchmarkJoinAdvancing(b *testing.B) {
 	recv, arg := joinBenchClocks(32, false)
 	b.ReportAllocs()
@@ -192,8 +190,8 @@ func BenchmarkJoinAdvancing(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinCovered is the fast-path case: the argument is already ⊑
-// the receiver, so the loop performs no writes.
+// BenchmarkJoinCovered is the re-acquire case: the argument is already ⊑
+// the receiver, so the join changes nothing.
 func BenchmarkJoinCovered(b *testing.B) {
 	recv, arg := joinBenchClocks(32, true)
 	c := recv.Clone()

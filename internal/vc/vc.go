@@ -140,18 +140,29 @@ func (c *VC) ensureCapacity(n int) {
 
 // Inc increments the t-component: V := inc_t(V).
 func (c *VC) Inc(t epoch.Tid) {
-	c.Set(t, c.Get(t).Inc())
+	if int(t) >= len(c.v) {
+		c.ensureCapacity(int(t) + 1)
+	}
+	c.frozen = nil
+	c.v[t] = c.v[t].Inc()
 }
 
-// Leq reports the pointwise order c ⊑ other.
+// Leq reports the pointwise order c ⊑ other: a bulk compare over the
+// common prefix (same-tid epochs order by their raw bits), and c's entries
+// beyond other's representation must be minimal.
 func (c *VC) Leq(other *VC) bool {
-	n := len(c.v)
-	if len(other.v) > n {
-		n = len(other.v)
+	a, b := c.v, other.v
+	if len(a) > len(b) {
+		for _, e := range a[len(b):] {
+			if e.Clock() != 0 {
+				return false
+			}
+		}
+		a = a[:len(b)]
 	}
-	for i := 0; i < n; i++ {
-		t := epoch.Tid(i)
-		if !c.Get(t).Leq(other.Get(t)) {
+	b = b[:len(a)]
+	for i, e := range a {
+		if e > b[i] {
 			return false
 		}
 	}
@@ -172,25 +183,45 @@ func (c *VC) View() []epoch.Epoch { return c.v }
 
 // Join merges other into c pointwise: c := c ⊔ other.
 //
-// Two fast paths keep the common synchronization shapes cheap: an empty
-// other (a never-released lock) returns without scanning, and entries of
-// other already covered by c are skipped without writing — so a join
-// whose argument is entirely ⊑ c (re-acquiring a lock the thread itself
-// released last, barrier re-arrivals) mutates nothing, grows nothing, and
-// preserves c's cached Freeze snapshot.
-func (c *VC) Join(other *VC) {
+// A join whose argument is entirely ⊑ c (a never-released lock,
+// re-acquiring a lock the thread itself released last, barrier
+// re-arrivals) leaves c's value, size and cached Freeze snapshot
+// unchanged. It is not write-free: the kernel stores every scanned entry
+// unconditionally, so c must be confined to its owner for the duration of
+// the call — which the Metrics counters have always required.
+func (c *VC) Join(other *VC) { c.join(other.v) }
+
+// join is the one kernel behind Join and JoinFrozen: c := c ⊔ src, where
+// entry i of src belongs to thread i. Fig. 3 writes it as a get/set call
+// per entry; this is the same pointwise maximum with the per-entry bounds,
+// well-formedness and capacity checks hoisted out of the loop, and the
+// "did this entry advance" decision taken by arithmetic (max compiles to a
+// conditional move) instead of a branch the predictor cannot learn when
+// the two clocks interleave. Same-tid epochs order by their raw bits, so
+// the integer max is the pointwise order.
+func (c *VC) join(src []epoch.Epoch) {
 	c.m.Joins++
-	if len(other.v) == 0 {
-		return
+	c.m.JoinScanned += uint64(len(src))
+	// Entries of src beyond c's representation that are minimal cannot
+	// raise anything: trimming them keeps a covered join from growing c.
+	n := len(src)
+	for n > len(c.v) && src[n-1].Clock() == 0 {
+		n--
 	}
-	c.m.JoinScanned += uint64(len(other.v))
-	for i, oe := range other.v {
-		t := epoch.Tid(i)
-		// Same-tid epochs order by their clock bits, so the raw comparison
-		// is the pointwise order (both sides are well-formed entries for t).
-		if oe > c.Get(t) {
-			c.Set(t, oe)
-		}
+	src = src[:n]
+	if n > len(c.v) {
+		c.ensureCapacity(n)
+	}
+	dst := c.v[:len(src)]
+	var diff epoch.Epoch
+	for i, e := range src {
+		old := dst[i]
+		m := max(old, e)
+		diff |= m ^ old
+		dst[i] = m
+	}
+	if diff != 0 {
+		c.frozen = nil // the cached snapshot no longer reflects the clock
 	}
 }
 
