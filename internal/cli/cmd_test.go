@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -183,6 +184,33 @@ func TestCommandSmoke(t *testing.T) {
 		}
 		if !strings.Contains(out, "no divergence") || !strings.Contains(out, "schedules explored") {
 			t.Fatalf("missing summary lines:\n%s", out)
+		}
+	})
+
+	// A relative -o: go build runs with the shadow module as its working
+	// directory, where the same relative path would name rel/rel/vftbin.
+	t.Run("vft-go/relative-o", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("vft-go run builds a shadow module")
+		}
+		work := t.TempDir()
+		code, out := runCmd(t, work, bin("vft-go"), "", "-v", "-o", "rel", "run",
+			filepath.Join(root, "internal", "goinstr", "testdata", "corpus", "racy_global_counter"))
+		if code != 1 || !strings.Contains(out, "race on counter") {
+			t.Fatalf("exit %d, want 1 and a report naming counter\n%s", code, out)
+		}
+		if !regexp.MustCompile(`(?m)^vft-go: instrument \S+ \(go list \S+\) build \S+ run \S+ check \S+$`).MatchString(out) {
+			t.Errorf("-v printed no phase line:\n%s", out)
+		}
+		var found []string
+		filepath.WalkDir(work, func(path string, d os.DirEntry, err error) error {
+			if err == nil && d.Name() == "vftbin" {
+				found = append(found, path)
+			}
+			return nil
+		})
+		if len(found) != 1 || found[0] != filepath.Join(work, "rel", "vftbin") {
+			t.Errorf("found binaries %v, want exactly rel/vftbin", found)
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	verifiedft "repro"
 	"repro/internal/goinstr"
@@ -87,6 +88,20 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		shadow = tmp
 	}
 
+	// The -v phase line: wall time around each goinstr call, in call order.
+	var phases []string
+	span := func(name string, t0 time.Time, detail string) {
+		phases = append(phases, name+" "+time.Since(t0).Round(time.Millisecond).String()+detail)
+	}
+	if *verbose {
+		defer func() {
+			if len(phases) > 0 {
+				fmt.Fprintln(stderr, "vft-go:", strings.Join(phases, " "))
+			}
+		}()
+	}
+
+	t0 := time.Now()
 	inst, err := goinstr.Instrument(dir, goinstr.Options{
 		Elide:        *elide,
 		IncludeTests: mode == "test",
@@ -96,6 +111,8 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-go:", err)
 		return 2
 	}
+	span("instrument", t0, " (go list "+inst.GoList.Round(time.Millisecond).String()+")")
+	shadow = inst.Dir // absolute, whatever -o said
 	cSites.Add(0, uint64(inst.Stats.Sites))
 	cElided.Add(0, uint64(inst.Stats.Elided))
 	cSkipped.Add(0, uint64(inst.Stats.Skipped))
@@ -112,11 +129,13 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var metaPath string
 	switch mode {
 	case "build":
+		t0 = time.Now()
 		bin, err := goinstr.Build(shadow)
 		if err != nil {
 			fmt.Fprintln(stderr, "vft-go:", err)
 			return 2
 		}
+		span("build", t0, "")
 		fmt.Fprintf(stdout, "vft-go: built %s (shadow module %s)\n", bin, shadow)
 		if *keep == "" {
 			fmt.Fprintln(stderr, "vft-go: note: shadow module is temporary; use -o to keep it")
@@ -128,23 +147,29 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "vft-go: %s is not a main package (use vft-go test)\n", dir)
 			return 2
 		}
+		t0 = time.Now()
 		bin, err := goinstr.Build(shadow)
 		if err != nil {
 			fmt.Fprintln(stderr, "vft-go:", err)
 			return 2
 		}
+		span("build", t0, "")
+		t0 = time.Now()
 		metaPath, err = goinstr.Run(bin, tracePath, progArgs, stdout, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "vft-go:", err)
 			return 2
 		}
+		span("run", t0, "")
 
 	case "test":
+		t0 = time.Now()
 		metaPath, err = goinstr.RunTests(shadow, tracePath, progArgs, stdout, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "vft-go:", err)
 			return 2
 		}
+		span("test", t0, "")
 	}
 
 	var checkOpts []verifiedft.CheckOption
@@ -152,11 +177,13 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		checkOpts = append(checkOpts,
 			verifiedft.WithSampling(pol.Rate, verifiedft.WithSamplingSeed(pol.Seed)))
 	}
+	t0 = time.Now()
 	cr, err := goinstr.Check(tracePath, metaPath, checkOpts...)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-go:", err)
 		return 2
 	}
+	span("check", t0, "")
 	cEvents.Add(0, uint64(cr.Events))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: checked %d events, %d reports\n", cr.Events, len(cr.Reports))

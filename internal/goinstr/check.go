@@ -18,32 +18,23 @@ type CheckResult struct {
 	Reports []verifiedft.Report
 	// Meta is the run's sidecar (names, capacities, shim counters).
 	Meta *rt.Meta
-	// Events is the decoded trace length.
+	// Events is the number of operations the trace decoded to.
 	Events int
 }
 
-// Check decodes the binary trace at tracePath, loads the meta sidecar,
-// and replays the trace through the verified detector with the channel
-// capacities the shim recorded. Extra options (a sampling tier, a clock
-// implementation) are appended after the defaults, so they win.
+// Check streams the binary trace at tracePath through the verified
+// detector, with the channel capacities from the meta sidecar the shim
+// wrote: the capture is decoded once and never held in memory. Extra
+// options (a sampling tier, a clock implementation) are appended after
+// the defaults, so they win. A capture that does not decode to its end
+// yields the decoder's positioned error and no reports.
 func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckResult, error) {
-	f, err := os.Open(tracePath)
-	if err != nil {
-		return nil, fmt.Errorf("goinstr: %w", err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadAll(trace.NewBinaryDecoder(f))
-	if err != nil {
-		return nil, fmt.Errorf("goinstr: decoding trace: %w", err)
-	}
-
 	meta := &rt.Meta{}
 	if raw, err := os.ReadFile(metaPath); err == nil {
 		if err := json.Unmarshal(raw, meta); err != nil {
 			return nil, fmt.Errorf("goinstr: meta sidecar: %w", err)
 		}
 	}
-
 	caps := map[verifiedft.LockID]int{}
 	for id, c := range meta.ChanCaps() {
 		caps[verifiedft.LockID(id)] = c
@@ -53,11 +44,21 @@ func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckR
 		opts = append(opts, verifiedft.WithChanCapacities(caps))
 	}
 	opts = append(opts, extra...)
-	reports, err := verifiedft.CheckTrace(tr, opts...)
+
+	f, err := os.Open(tracePath)
+	if err != nil {
+		return nil, fmt.Errorf("goinstr: %w", err)
+	}
+	defer f.Close()
+	src := &trace.Counter{Src: trace.NewBinaryDecoder(f)}
+	reports, err := verifiedft.CheckSource(src, opts...)
+	if src.Err != nil {
+		return nil, fmt.Errorf("goinstr: decoding trace: %w", src.Err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("goinstr: checking trace: %w", err)
 	}
-	return &CheckResult{Reports: reports, Meta: meta, Events: len(tr)}, nil
+	return &CheckResult{Reports: reports, Meta: meta, Events: src.N}, nil
 }
 
 // VarName renders a report's variable with its source-level name from

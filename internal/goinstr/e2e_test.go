@@ -46,7 +46,7 @@ func TestCorpusTableMatchesDirs(t *testing.T) {
 // must be silent, and the reports must be byte-identical across modes.
 func TestCorpusEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("corpus end-to-end is slow (type-checks and builds every program twice)")
+		t.Skip("corpus end-to-end is slow (builds and runs every program twice)")
 	}
 	var mu sync.Mutex
 	elided, total := 0, 0

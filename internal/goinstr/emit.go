@@ -13,20 +13,18 @@ import (
 	"repro/internal/goinstr/rt"
 )
 
-// emit writes the rewritten package and its runtime into a
-// self-contained shadow module:
+// emitModule writes everything of the shadow module that does not depend
+// on the package being instrumented:
 //
-//	OutDir/
+//	out/
 //	  go.mod          module vftshadow (no requirements: builds offline)
-//	  <pkg files>     the rewritten sources, printed from the mutated ASTs
 //	  rt/             the runtime shim, copied from its embedded sources
 //	  goid/           the shim's only repo dependency, likewise embedded
 //
 // The shim sources import "repro/internal/goid" when compiled inside this
 // repo; the copy rewrites that path to "vftshadow/goid" so the shadow
 // module resolves everything within itself.
-func emit(pkg *Package, rw *rewriter, opts Options) error {
-	out := opts.OutDir
+func emitModule(out string) error {
 	for _, sub := range []string{"", "rt", "goid"} {
 		if err := os.MkdirAll(filepath.Join(out, sub), 0o755); err != nil {
 			return fmt.Errorf("goinstr: %w", err)
@@ -55,7 +53,13 @@ func emit(pkg *Package, rw *rewriter, opts Options) error {
 	if err := os.WriteFile(filepath.Join(out, "goid", "goid.go"), gsrc, 0o644); err != nil {
 		return fmt.Errorf("goinstr: %w", err)
 	}
+	return nil
+}
 
+// emitPackage adds the rewritten sources, printed from the mutated ASTs,
+// to the shadow module in out, and for `vft-go test` a TestMain that
+// flushes the trace unless the package brings its own.
+func emitPackage(out string, pkg *Package, includeTests bool) error {
 	cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}
 	for i, f := range pkg.Files {
 		var buf bytes.Buffer
@@ -67,7 +71,7 @@ func emit(pkg *Package, rw *rewriter, opts Options) error {
 		}
 	}
 
-	if opts.IncludeTests && !hasTestMain(pkg) {
+	if includeTests && !hasTestMain(pkg) {
 		tm := fmt.Sprintf(testMainSrc, pkg.Pkg.Name())
 		if err := os.WriteFile(filepath.Join(out, "vft_testmain_test.go"), []byte(tm), 0o644); err != nil {
 			return fmt.Errorf("goinstr: %w", err)

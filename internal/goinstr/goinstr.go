@@ -1,20 +1,23 @@
 // Package goinstr is the vft-go front-end: it turns a real Go package
 // into a VerifiedFT workload by source rewriting. The pipeline is
 //
-//	Load      parse + type-check the package (go/parser, go/types — the
-//	          stdlib "source" importer, so no toolchain dependencies)
+//	Load      parse + type-check the package (go/parser, go/types);
+//	          imports come from the compiler's export data, located by
+//	          one `go list -export` in the shadow module — the go tool
+//	          the Run step needs anyway, and no network: on a cold build
+//	          cache that call compiles the imported packages once
 //	Analyze   flow-insensitive may-share analysis over the typed AST
 //	Rewrite   instrument shared memory accesses and map Go
 //	          synchronization (go statements, sync.Mutex/RWMutex/
 //	          WaitGroup/Once, channels, sync/atomic) onto calls into the
 //	          runtime shim (internal/goinstr/rt)
-//	Emit      write the rewritten package plus the shim and its goid
-//	          dependency into a self-contained shadow module that builds
+//	Emit      write the rewritten package into the shadow module, which
+//	          already holds the shim and its goid dependency and builds
 //	          offline (module vftshadow, no requirements)
 //	Run       go build the shadow module and execute it with VFT_TRACE
 //	          set, yielding a binary v2 trace + meta sidecar
-//	Check     decode the trace and replay it through the verified
-//	          checker, rendering reports with source-level names
+//	Check     stream the trace through the verified checker, rendering
+//	          reports with source-level names
 //
 // The verified core is untouched: the front-end only manufactures traces
 // in the v2 language the checker already speaks.
@@ -49,6 +52,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"time"
 )
 
 // Options configure one Instrument run.
@@ -97,34 +102,48 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	Dir   string
+
+	goList time.Duration // what Load spent in `go list -export`
 }
 
 // Instrumented is the result of Instrument: a shadow module on disk plus
 // the rewrite statistics.
 type Instrumented struct {
-	// Dir is the shadow module root (go build runs here).
+	// Dir is the shadow module root (go build runs here), absolute.
 	Dir string
 	// Stats are the rewrite counters.
 	Stats Stats
 	// Main reports whether the package is a main package.
 	Main bool
+	// GoList is the part of Instrument's time spent waiting for `go list
+	// -export` (zero for a package without imports).
+	GoList time.Duration
 }
 
 // Instrument loads the package in dir, runs the analysis and rewriter,
-// and emits the shadow module into opts.OutDir.
+// and emits the shadow module into opts.OutDir: Load writes the module's
+// fixed part, because it resolves imports from inside it, and the
+// rewritten package is added at the end.
 func Instrument(dir string, opts Options) (*Instrumented, error) {
 	if opts.OutDir == "" {
 		return nil, fmt.Errorf("goinstr: Options.OutDir must be set")
 	}
-	pkg, err := Load(dir, opts.IncludeTests)
+	// Absolute once, here: go build and go test run with the shadow module
+	// as their working directory, where a relative path would point inside
+	// it a second time.
+	out, err := filepath.Abs(opts.OutDir)
+	if err != nil {
+		return nil, fmt.Errorf("goinstr: %w", err)
+	}
+	pkg, err := Load(dir, opts.IncludeTests, out)
 	if err != nil {
 		return nil, err
 	}
 	sh := Analyze(pkg)
 	rw := newRewriter(pkg, sh, opts.Elide)
 	rw.rewriteAll()
-	if err := emit(pkg, rw, opts); err != nil {
+	if err := emitPackage(out, pkg, opts.IncludeTests); err != nil {
 		return nil, err
 	}
-	return &Instrumented{Dir: opts.OutDir, Stats: rw.stats, Main: pkg.Pkg.Name() == "main"}, nil
+	return &Instrumented{Dir: out, Stats: rw.stats, Main: pkg.Pkg.Name() == "main", GoList: pkg.goList}, nil
 }

@@ -8,13 +8,21 @@ import (
 	"testing"
 )
 
-func loadSrc(t *testing.T, src string) *Package {
+// writePkg writes the named sources into a fresh package directory.
+func writePkg(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pkg, err := Load(dir, false)
+	return dir
+}
+
+func loadSrc(t *testing.T, src string) *Package {
+	t.Helper()
+	pkg, err := Load(writePkg(t, map[string]string{"main.go": src}), false, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,35 +108,31 @@ func main() {
 }
 
 func TestLoadRejectsNonStdlibImport(t *testing.T) {
-	dir := t.TempDir()
 	src := "package main\n\nimport \"example.com/dep\"\n\nfunc main() { dep.Go() }\n"
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(dir, false)
+	mod := t.TempDir()
+	_, err := Load(writePkg(t, map[string]string{"main.go": src}), false, mod)
 	if err == nil || !strings.Contains(err.Error(), "standard-library") {
 		t.Fatalf("Load = %v, want non-stdlib import rejection", err)
+	}
+	// A package rejected while parsing leaves no shadow module behind.
+	if left, _ := os.ReadDir(mod); len(left) != 0 {
+		t.Errorf("rejected package left %d entries in the shadow directory, first %s", len(left), left[0].Name())
 	}
 }
 
 func TestLoadSkipsTestFilesByDefault(t *testing.T) {
-	dir := t.TempDir()
 	main := "package main\n\nfunc main() {}\n"
 	tests := "package main\n\nimport \"testing\"\n\nfunc TestX(t *testing.T) {}\n"
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(main), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "main_test.go"), []byte(tests), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := Load(dir, false)
+	dir := writePkg(t, map[string]string{"main.go": main, "main_test.go": tests})
+	mod := t.TempDir()
+	pkg, err := Load(dir, false, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkg.Files) != 1 {
 		t.Fatalf("Load without tests parsed %d files, want 1", len(pkg.Files))
 	}
-	pkg, err = Load(dir, true)
+	pkg, err = Load(dir, true, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func TestInstrumentRequiresOutDir(t *testing.T) {
 // references remain, and the shadow module would not build.
 func TestVersionedImportKeepsQualifier(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks math/rand/v2 from source and builds a shadow module")
+		t.Skip("builds a shadow module")
 	}
 	dir := t.TempDir()
 	src := `package main

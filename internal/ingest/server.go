@@ -430,20 +430,6 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingSource counts decoded (pre-lowering) operations.
-type countingSource struct {
-	src trace.Source
-	n   int
-}
-
-func (c *countingSource) Next() (trace.Op, error) {
-	op, err := c.src.Next()
-	if err == nil {
-		c.n++
-	}
-	return op, err
-}
-
 // handleTraces is POST /v1/traces?tenant=...&variant=...: admit, decode,
 // validate, lower and check one trace stream, then record the result
 // under the tenant. Every response, success or failure, is JSON.
@@ -647,7 +633,8 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	if err != nil {
 		return nil, err
 	}
-	counted := &countingSource{src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
+	// Ops is the decoded, pre-lowering count.
+	counted := &trace.Counter{Src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
 	reports, err := parcheck.CheckSource(counted, ext, parcheck.Options{
 		Variant:          variant,
 		Workers:          s.cfg.ShardWorkers,
@@ -660,7 +647,7 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	}
 	res := &UploadResult{
 		Variant: variant,
-		Ops:     counted.n,
+		Ops:     counted.N,
 		Races:   len(reports),
 		Reports: FromCoreAll(reports),
 	}

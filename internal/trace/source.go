@@ -122,3 +122,27 @@ func Limit(src Source, n int) Source {
 	}
 	return &limitSource{src: src, n: n, left: n}
 }
+
+// Counter is a Source that passes Src's operations through and counts
+// them, for a consumer that drives a streaming check and afterwards wants
+// the stream's length without having held it.
+type Counter struct {
+	Src Source
+	// N is the number of operations yielded so far.
+	N int
+	// Err is the first error other than io.EOF that Src returned: the
+	// stream's own failure, which a caller can then tell apart from an
+	// error of the stage that consumed it.
+	Err error
+}
+
+func (c *Counter) Next() (Op, error) {
+	op, err := c.Src.Next()
+	switch {
+	case err == nil:
+		c.N++
+	case err != io.EOF && c.Err == nil:
+		c.Err = err
+	}
+	return op, err
+}

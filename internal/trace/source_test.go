@@ -46,6 +46,28 @@ func TestLimit(t *testing.T) {
 	}
 }
 
+// TestCounter: every yielded op is counted, io.EOF is not a failure, and
+// the first real error of the wrapped source is kept (repeat calls after
+// it do not overwrite it).
+func TestCounter(t *testing.T) {
+	tr := Trace{Wr(0, 0), Rd(0, 1), Wr(0, 2)}
+	c := &Counter{Src: tr.Source()}
+	back, err := ReadAll(c)
+	if err != nil || !reflect.DeepEqual(tr, back) || c.N != 3 || c.Err != nil {
+		t.Fatalf("clean stream: %v, %v, N=%d Err=%v", back, err, c.N, c.Err)
+	}
+	c = &Counter{Src: Limit(tr.Source(), 2)}
+	_, err = ReadAll(c)
+	var tooLong *TooLongError
+	if !errors.As(c.Err, &tooLong) || c.Err != err || c.N != 2 {
+		t.Fatalf("failing stream: N=%d Err=%v, ReadAll err %v", c.N, c.Err, err)
+	}
+	first := c.Err
+	if _, err := c.Next(); err == nil || c.Err != first || c.N != 2 {
+		t.Fatalf("after the failure: err %v, N=%d, Err changed: %v", err, c.N, c.Err != first)
+	}
+}
+
 // TestValidateSourceMatchesValidate: the incremental validator accepts and
 // rejects exactly what the slice fold does, with identical errors.
 func TestValidateSourceMatchesValidate(t *testing.T) {
