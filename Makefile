@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet lint bench bench-parallel bench-sampling metrics-smoke stream-smoke static-smoke par-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke fuzz fuzz-smoke soak coverage clean
+.PHONY: all build test race vet lint bench bench-sampling metrics-smoke stream-smoke static-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke fuzz fuzz-smoke soak coverage clean
 
 all: build
 
@@ -30,12 +30,6 @@ lint: vet
 bench:
 	$(GO) run ./cmd/vft-bench -quick -iters 3
 
-# The sequential-vs-sharded checking comparison (EXPERIMENTS.md E17);
-# BENCH_parallel.json lands in the repo root. Drop -quick to reproduce the
-# committed numbers at the paper-scale trace sizes.
-bench-parallel:
-	$(GO) run ./cmd/vft-bench -parallel 1,2,4,8 -quick -iters 3
-
 # The sampling-tier overhead-vs-recall sweep (EXPERIMENTS.md E22);
 # BENCH_sampling.json lands in the repo root. Drop -quick to reproduce the
 # committed numbers. Exits nonzero if any rate violates the soundness
@@ -50,8 +44,8 @@ metrics-smoke:
 
 # End-to-end check of streaming ingestion: pipes gzipped binary traces
 # into `vft-run -` over stdin and verifies the verdict exit codes; also
-# gates the FT-CAS thread-id limit (exit 2, sequential and -parallel) and
-# the sampled sparse-variable upload (child max-RSS <= 64 MiB).
+# gates the FT-CAS thread-id limit (exit 2 from vft-run and vft-race) and
+# vft-race's checks of huge-id traces (child max-RSS <= 64 MiB).
 stream-smoke:
 	$(GO) run ./scripts/stream-smoke
 
@@ -59,12 +53,6 @@ stream-smoke:
 # shipped example, verifying exit codes, warning positions and -json.
 static-smoke:
 	$(GO) run ./scripts/static-smoke
-
-# End-to-end check of the parallel checker under the Go race detector:
-# a ~100k-op generated trace must produce byte-identical report lists
-# sequentially and with WithParallelism(4), for every detector variant.
-par-smoke:
-	$(GO) run -race ./scripts/par-smoke
 
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
@@ -86,7 +74,7 @@ server-smoke:
 	$(GO) run -race ./scripts/server-smoke
 
 # End-to-end check of trace format v2's Go-synchronization kinds: two
-# channel-heavy traces round-trip text -> binary-v2 -> vft-run -parallel
+# channel-heavy traces round-trip text -> binary-v2 -> vft-race
 # -> vft-server upload, each leg's reports diffed against an offline
 # CheckTrace with the same channel capacities.
 chan-smoke:
@@ -102,7 +90,8 @@ go-smoke:
 # End-to-end check of the sampling tier under the Go race detector: a
 # rate sweep over a generated trace plus the conformance corpus, failing
 # on any soundness violation (sampled reports must equal the precise
-# reports filtered to sampled variables) or any rate-1.0 divergence.
+# reports filtered to sampled variables) or any rate-1.0 divergence,
+# through the library and through vft-race -d sampled:<rate>.
 sample-smoke:
 	$(GO) run -race ./scripts/sample-smoke
 
@@ -143,4 +132,4 @@ coverage:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 clean:
-	rm -f coverage.out BENCH_table1.json BENCH_parallel.json
+	rm -f coverage.out BENCH_table1.json

@@ -2,8 +2,8 @@
 // detection as a service over the repository's streaming trace formats.
 // Clients POST binary, gzip or text trace streams to
 // /v1/traces?tenant=NAME&variant=vft-v2; each upload is validated,
-// lowered and checked through per-tenant variable-sharded parcheck
-// workers in bounded memory, and the resulting race reports — verbatim
+// lowered and checked in bounded memory through the offline check path
+// every other tool uses, and the resulting race reports — verbatim
 // per upload, deduplicated and aggregated per tenant — are served as
 // JSON from /v1/reports. Saturation answers 429 + Retry-After instead of
 // growing queues, and SIGTERM drains: accepted uploads finish, new ones

@@ -205,9 +205,10 @@ func optCaps(caps map[verifiedft.LockID]int) []verifiedft.CheckOption {
 	return []verifiedft.CheckOption{verifiedft.WithChanCapacities(caps)}
 }
 
-// Sequential and parallel checking agree byte for byte on a
-// channel/atomic/once trace — the WithParallelism leg of the acceptance
-// criterion (the vft-server leg lives in internal/ingest's e2e suite).
+// The accepted-and-ignored WithParallelism changes nothing on a
+// channel/atomic/once trace either, for any variant, and the fixture races
+// under all of them (the vft-server leg of the Go-sync acceptance criterion
+// lives in internal/ingest's e2e suite).
 func TestGoSyncParallelParity(t *testing.T) {
 	caps := map[verifiedft.LockID]int{0: 1}
 	tr := verifiedft.Trace{
@@ -232,16 +233,16 @@ func TestGoSyncParallelParity(t *testing.T) {
 		seq, err := verifiedft.CheckTrace(tr,
 			verifiedft.WithVariant(variant), verifiedft.WithChanCapacities(caps))
 		if err != nil {
-			t.Fatalf("%s sequential: %v", variant, err)
+			t.Fatalf("%s: %v", variant, err)
 		}
 		par, err := verifiedft.CheckTrace(tr,
 			verifiedft.WithVariant(variant), verifiedft.WithChanCapacities(caps),
 			verifiedft.WithParallelism(4))
 		if err != nil {
-			t.Fatalf("%s parallel: %v", variant, err)
+			t.Fatalf("%s WithParallelism(4): %v", variant, err)
 		}
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("%s: parallel reports diverge:\n%v\nvs\n%v", variant, seq, par)
+			t.Fatalf("%s: WithParallelism(4) changed the reports:\n%v\nvs\n%v", variant, seq, par)
 		}
 		if len(seq) == 0 {
 			t.Fatalf("%s: fixture should race", variant)

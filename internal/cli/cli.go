@@ -20,7 +20,7 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"runtime/pprof"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -80,7 +80,8 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	variant := fs.String("d", "vft-v2", "detector variant")
 	all := fs.Bool("all", false, "run every precise variant and cross-check")
-	oracle := fs.Bool("oracle", false, "also compare against the happens-before oracle")
+	oracle := fs.Bool("oracle", false,
+		"also run the happens-before oracle; a precise variant's verdict must equal it (on the sampled variables under -d sampled:<rate>; eraser is shown beside it, not compared)")
 	explain := fs.Bool("explain", false, "explain every conflicting pair: a happens-before witness chain or RACE")
 	parties := fs.Int("parties", 2, "participant count for barrier lowering")
 	chancaps := fs.String("chancaps", "",
@@ -170,7 +171,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, " (first completes at operation #%d)", rep.FirstRaceAt())
 		}
 		fmt.Fprintln(stdout)
-		if rep.HasRace() != raced {
+		if want, precise := oracleVerdict(variants[0], low, rep.Races); precise && want != raced {
 			fmt.Fprintln(stderr, "vft-race: detector verdict disagrees with the oracle — precision bug")
 			return 2
 		}
@@ -191,6 +192,25 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// oracleVerdict is the verdict the happens-before oracle's races imply for
+// the named variant, and whether equality with it is that variant's
+// contract. Eraser's lockset warnings are not happens-before races, so its
+// verdict is not comparable. A "sampled[:rate]" spelling promises the
+// precise reports restricted to the sampled variables, so the oracle's
+// races are restricted the same way. low is the lowered trace races index.
+func oracleVerdict(variant string, low trace.Trace, races []hb.RacePair) (raced, precise bool) {
+	base, pol, err := sample.ParseVariant(variant)
+	if err != nil || !slices.Contains(core.PreciseVariants(), base) {
+		return false, false
+	}
+	for _, p := range races {
+		if pol == nil || pol.Sampled(low[p.Second].X) {
+			return true, true
+		}
+	}
+	return false, true
+}
+
 // Bench implements vft-bench: regenerate Table 1 (+ ablations).
 func Bench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vft-bench", flag.ContinueOnError)
@@ -202,8 +222,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 		"comma-separated detector variants")
 	programs := fs.String("programs", "", "comma-separated program subset (default: whole suite)")
 	ablation := fs.Bool("ablation", false, "also run the §3 rule-change ablations")
-	parallel := fs.String("parallel", "",
-		"comma-separated worker counts (e.g. 1,2,4,8): run the parallel-checking benchmark (EXPERIMENTS.md E17) instead of Table 1; 1 is the sequential baseline; uses the -detectors variant when exactly one is named, else vft-v2")
 	sampling := fs.Bool("sampling", false,
 		"run the sampling-tier benchmark (EXPERIMENTS.md E22) instead of Table 1: per-access cost, trace-checking overhead and conformance recall per sampling rate, with the soundness gates checked")
 	samplingRates := fs.String("rates", "",
@@ -234,13 +252,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 			path = "BENCH_sampling.json" // the -json default names the other table
 		}
 		return benchSampling(*samplingRates, *iters, *warmup, *quick, path, stdout, stderr)
-	}
-	if *parallel != "" {
-		path := *jsonPath
-		if path == "BENCH_table1.json" {
-			path = "BENCH_parallel.json" // the -json default names the other table
-		}
-		return benchParallel(*parallel, splitList(*detectors), *programs, *iters, *warmup, *quick, path, stdout, stderr)
 	}
 
 	opts := harness.Options{
@@ -404,55 +415,6 @@ func benchSampling(rates string, iters, warmup int, quick bool, jsonPath string,
 	if table.Divergent() {
 		fmt.Fprintln(stderr, "vft-bench: sampling soundness gate failed (see the gates column)")
 		return 1
-	}
-	return 0
-}
-
-// benchParallel is vft-bench -parallel: the sequential-vs-sharded
-// end-to-end comparison of EXPERIMENTS.md E17, written to
-// BENCH_parallel.json unless -json renames or disables it.
-func benchParallel(workerSpec string, detectors []string, programs string, iters, warmup int, quick bool, jsonPath string, stdout, stderr io.Writer) int {
-	var workers []int
-	for _, w := range splitList(workerSpec) {
-		n, err := strconv.Atoi(w)
-		if err != nil || n < 1 {
-			fmt.Fprintf(stderr, "vft-bench: -parallel wants positive worker counts, got %q\n", w)
-			return 2
-		}
-		workers = append(workers, n)
-	}
-	opts := harness.DefaultParallelOptions()
-	opts.Warmup, opts.Iters, opts.Workers, opts.Quick = warmup, iters, workers, quick
-	if len(detectors) == 1 {
-		opts.Variant = detectors[0]
-	}
-	if programs != "" {
-		opts.Programs = splitList(programs)
-	}
-	table, err := harness.RunParallel(opts)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-bench:", err)
-		return 2
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-bench:", err)
-			return 2
-		}
-		err = table.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-bench:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "vft-bench: wrote %s\n", jsonPath)
-	}
-	if err := table.Format(stdout); err != nil {
-		fmt.Fprintln(stderr, "vft-bench:", err)
-		return 2
 	}
 	return 0
 }
@@ -847,8 +809,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	runs := fs.Int("runs", 1, "number of executions (races are schedule-dependent; more runs, more schedules)")
 	traceMode := fs.Bool("trace", false,
 		"treat the input as a trace to re-execute (automatic for binary and gzip inputs)")
-	parallelN := fs.Int("parallel", 1,
-		"check a trace input offline with this many shard workers (0 = all cores) instead of re-executing it; deterministic, and incompatible with -runs > 1 and -static")
 	static := fs.Bool("static", false,
 		"run the static race analyzer on the program before executing it (warnings go to stderr; the exit code still reflects the dynamic runs — use vft-lint to gate on static warnings)")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -921,30 +881,11 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vft-run: -static applies to program sources, not traces")
 			return 2
 		}
-		if *parallelN != 1 {
-			// The parallel checker replays the recorded interleaving
-			// offline, so repeating it is pointless (it is deterministic,
-			// unlike re-execution) and -runs > 1 is rejected rather than
-			// silently re-measured.
-			if *runs > 1 {
-				fmt.Fprintln(stderr, "vft-run: -parallel replays offline deterministically; -runs must be 1")
-				return 2
-			}
-			if *variant == "none" {
-				fmt.Fprintln(stderr, "vft-run: -parallel needs a detector variant, not 'none'")
-				return 2
-			}
-			return runTraceParallel(br, path, *variant, *parallelN, caps, reg, pol, stdout, stderr)
-		}
 		if (path == "-" || path == "") && *runs > 1 {
 			fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
 			return 2
 		}
 		return runTrace(path, br, *variant, *runs, detCfg, ext, reg, rtOpts, pol, stdout, stderr)
-	}
-	if *parallelN != 1 {
-		fmt.Fprintln(stderr, "vft-run: -parallel applies to trace inputs (use -trace for text traces)")
-		return 2
 	}
 	src, err := io.ReadAll(br)
 	if err != nil {
@@ -990,14 +931,7 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				reg.RegisterSource(*variant, ss.Stats().Source())
 			}
 		}
-		seen := map[trace.Var]bool{}
-		for _, r := range reports {
-			if !seen[r.X] {
-				seen[r.X] = true
-				fmt.Fprintln(stdout, r)
-			}
-		}
-		if len(reports) > 0 {
+		if printFirstPerVar(stdout, reports) {
 			raced = true
 		}
 	}
@@ -1057,52 +991,6 @@ func runTrace(path string, in io.Reader, variant string, runs int, cfg core.Conf
 	return 0
 }
 
-// runTraceParallel is vft-run -parallel: materialize the trace and check
-// it offline with that many workers (CheckTrace with WithParallelism).
-// The report set is the offline replay of the recorded interleaving
-// (schedule-independent, unlike re-execution), printed deduplicated per
-// variable like the other modes. With -metrics-addr, the checker's
-// "parcheck" source lands in the registry.
-func runTraceParallel(in io.Reader, path, variant string, workers int, caps map[trace.Lock]int, reg *obs.Registry, pol *sample.Policy, stdout, stderr io.Writer) int {
-	src, err := trace.NewDecoder(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	tr, err := trace.ReadAll(src)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	opts := []verifiedft.CheckOption{
-		verifiedft.WithVariant(variant), verifiedft.WithParallelism(workers),
-		verifiedft.WithChanCapacities(caps), verifiedft.WithMetrics(reg),
-	}
-	if pol != nil {
-		opts = append(opts, verifiedft.WithSampling(pol.Rate, verifiedft.WithSamplingSeed(pol.Seed)))
-	}
-	var reports []core.Report
-	pprof.Do(context.Background(), pprof.Labels("program", path, "detector", variant), func(context.Context) {
-		reports, err = verifiedft.CheckTrace(tr, opts...)
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	seen := map[trace.Var]bool{}
-	for _, r := range reports {
-		if !seen[r.X] {
-			seen[r.X] = true
-			fmt.Fprintln(stdout, r)
-		}
-	}
-	if len(reports) > 0 {
-		return 1
-	}
-	fmt.Fprintf(stdout, "[%s] no races detected (parallel offline check, %d ops)\n", variant, len(tr))
-	return 0
-}
-
 // validateFor checks a materialized trace against the §2 feasibility
 // constraints under the narrowest thread-id ceiling of the variants about
 // to replay it (ft-cas's 8-bit tids, when it is among them), so a format
@@ -1150,7 +1038,12 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 			reg.RegisterSource(variant, ss.Stats().Source())
 		}
 	}
-	reports := rt.Reports()
+	return printFirstPerVar(stdout, rt.Reports()), 0
+}
+
+// printFirstPerVar prints each racy variable's first report — a run's
+// reports deduplicated per variable — and reports whether there was any.
+func printFirstPerVar(stdout io.Writer, reports []core.Report) bool {
 	seen := map[trace.Var]bool{}
 	for _, r := range reports {
 		if !seen[r.X] {
@@ -1158,7 +1051,7 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 			fmt.Fprintln(stdout, r)
 		}
 	}
-	return len(reports) > 0, 0
+	return len(reports) > 0
 }
 
 // lintFile is one file's worth of vft-lint -json output.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/trace"
 )
 
@@ -298,68 +299,26 @@ func TestStreamingCommandSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("vft-run/parallel-racy-stdin", func(t *testing.T) {
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), gz(encodeBin(racy)),
-			"-parallel", "4", "-")
-		if code != 1 || !strings.Contains(out, "race") {
-			t.Fatalf("exit %d, want 1 with a report\n%s", code, out)
-		}
-	})
-	t.Run("vft-run/parallel-clean-text", func(t *testing.T) {
-		var txt bytes.Buffer
-		trace.Encode(&txt, clean)
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), txt.Bytes(),
-			"-trace", "-parallel", "0", "-")
-		if code != 0 || !strings.Contains(out, "parallel offline check") {
-			t.Fatalf("exit %d, want 0 with verdict\n%s", code, out)
-		}
-	})
-	t.Run("vft-run/parallel-rejects-runs", func(t *testing.T) {
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), encodeBin(clean),
-			"-parallel", "2", "-runs", "3", "-")
-		if code != 2 || !strings.Contains(out, "-runs must be 1") {
-			t.Fatalf("exit %d, want 2 with an explanation\n%s", code, out)
-		}
-	})
-	t.Run("vft-run/parallel-rejects-program", func(t *testing.T) {
-		code, out := runCmd(t, t.TempDir(), bin("vft-run"), "thread 0 { wr 0 }\n",
-			"-parallel", "2", "-")
-		if code != 2 || !strings.Contains(out, "trace inputs") {
-			t.Fatalf("exit %d, want 2 with an explanation\n%s", code, out)
-		}
-	})
-
-	t.Run("vft-bench/parallel", func(t *testing.T) {
-		work := t.TempDir()
-		code, out := runCmd(t, work, bin("vft-bench"), "",
-			"-parallel", "1,2", "-quick", "-iters", "1", "-warmup", "0", "-programs", "pmd")
-		if code != 0 || !strings.Contains(out, "Parallel checking") {
-			t.Fatalf("exit %d, want 0 with the table\n%s", code, out)
-		}
-		data, err := os.ReadFile(filepath.Join(work, "BENCH_parallel.json"))
-		if err != nil {
-			t.Fatalf("BENCH_parallel.json not written: %v", err)
-		}
-		var table struct {
-			Variant string `json:"variant"`
-			Workers []int  `json:"workers"`
-			Rows    []struct {
-				Program string             `json:"program"`
-				Ops     int                `json:"ops"`
-				Seconds map[string]float64 `json:"seconds"`
-				Speedup map[string]float64 `json:"speedup"`
-			} `json:"rows"`
-		}
-		if err := json.Unmarshal(data, &table); err != nil {
-			t.Fatalf("invalid JSON: %v", err)
-		}
-		if table.Variant != "vft-v2" || len(table.Rows) != 1 || table.Rows[0].Program != "pmd" {
-			t.Fatalf("unexpected table shape: %+v", table)
-		}
-		if table.Rows[0].Seconds["1"] <= 0 || table.Rows[0].Speedup["2"] <= 0 {
-			t.Fatalf("malformed row: %+v", table.Rows[0])
-		}
-	})
+	// The sharded engine's knob is gone, not ignored: whatever else the
+	// command line says, -parallel is the flag package's undefined-flag
+	// error.
+	for _, tc := range []struct {
+		name, tool string
+		stdin      []byte
+		args       []string
+	}{
+		{"vft-run/parallel-racy-stdin", "vft-run", gz(encodeBin(racy)), []string{"-parallel", "2", "-"}},
+		{"vft-run/parallel-rejects-runs", "vft-run", encodeBin(clean), []string{"-parallel", "2", "-runs", "3", "-"}},
+		{"vft-run/parallel-rejects-program", "vft-run", []byte("thread 0 { wr 0 }\n"), []string{"-parallel", "2", "-"}},
+		{"vft-bench/parallel", "vft-bench", nil, []string{"-parallel", "1,2", "-quick"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out := runCmdBytes(t, t.TempDir(), bin(tc.tool), tc.stdin, tc.args...)
+			if code != 2 || !strings.Contains(out, "flag provided but not defined: -parallel") {
+				t.Fatalf("exit %d, want 2 with the undefined-flag message\n%s", code, out)
+			}
+		})
+	}
 
 	t.Run("vft-stats/snapshot-gzip-stdin", func(t *testing.T) {
 		snap := []byte(`{"counters":{"demo.events":42}}`)
@@ -389,4 +348,52 @@ func TestStreamingCommandSmoke(t *testing.T) {
 			t.Fatalf("exit %d, want 0 with throughput\n%s", code, out)
 		}
 	})
+}
+
+// TestRaceOracleComparesOnlyWhatIsPromised: -oracle asserts verdict
+// equality only where it is the detector's contract. Eraser's lockset
+// warning on a happens-before-ordered trace and a sampled run whose sample
+// misses the racy variable are both correct answers, not precision bugs; a
+// precise variant whose verdict differs from the oracle's still is one.
+func TestRaceOracleComparesOnlyWhatIsPromised(t *testing.T) {
+	const ordered = "wr 0 5\nfork 0 1\nwr 1 5\njoin 0 1\nwr 0 5\n"
+	const racy = "fork 0 1\nwr 0 5\nwr 1 5\njoin 0 1\n"
+	for _, tc := range []struct {
+		name, variant, input string
+		code                 int
+		oracleLine           string
+	}{
+		{"eraser warns where the oracle sees order", "eraser", ordered, 1, "oracle: 0 concurrent conflicting pairs"},
+		{"sample misses the racy variable", "sampled:0.5", racy, 0, "oracle: 1 concurrent conflicting pairs"},
+		{"sample holds the racy variable", "sampled:1", racy, 1, "oracle: 1 concurrent conflicting pairs"},
+		{"precise control", "djit", racy, 1, "oracle: 1 concurrent conflicting pairs"},
+	} {
+		code, out, errOut := runRace(t, []string{"-d", tc.variant, "-oracle"}, tc.input)
+		if code != tc.code || !strings.Contains(out, tc.oracleLine) || strings.Contains(errOut, "precision bug") {
+			t.Errorf("%s: exit %d, want %d with %q and no precision-bug verdict\nstdout: %s\nstderr: %s",
+				tc.name, code, tc.code, tc.oracleLine, out, errOut)
+		}
+	}
+
+	// Forced mismatches: the comparison Race makes, with a detector
+	// verdict that cannot be right.
+	low := trace.Trace{trace.ForkOp(0, 1), trace.Wr(0, 5), trace.Wr(1, 5)}
+	races := hb.Analyze(low).Races
+	for _, tc := range []struct {
+		variant       string
+		want, precise bool
+	}{
+		{"vft-v2", true, true}, // a silent precise detector would exit 2
+		{"ft-cas", true, true},
+		{"sampled:1", true, true},
+		{"sampled:0", false, true}, // and so would a sampled one reporting outside its sample
+		{"eraser", false, false},
+	} {
+		if want, precise := oracleVerdict(tc.variant, low, races); want != tc.want || precise != tc.precise {
+			t.Errorf("oracleVerdict(%s) = (%v, %v), want (%v, %v)", tc.variant, want, precise, tc.want, tc.precise)
+		}
+	}
+	if want, precise := oracleVerdict("vft-v2", low, nil); want || !precise {
+		t.Errorf("oracleVerdict(vft-v2) on a race-free trace = (%v, %v), want (false, true)", want, precise)
+	}
 }

@@ -69,8 +69,6 @@ func Server(args []string, stdout, stderr io.Writer) int {
 		"per-upload wire-byte cap (0 = 128 MiB); beyond it 413")
 	maxOps := fs.Int("max-ops", 0,
 		"per-upload decoded-operation cap (0 = 50M); beyond it 413")
-	shards := fs.Int("shards", 0,
-		"parcheck shard workers per upload (0 = GOMAXPROCS; 1 = the sequential detector)")
 	maxReportsPerVar := fs.Int("max-reports-per-var", 0,
 		"cap race reports per variable within one upload (0 = unlimited)")
 	reportQuota := fs.Int("tenant-report-quota", 0,
@@ -114,7 +112,6 @@ func Server(args []string, stdout, stderr io.Writer) int {
 		RetryAfter:        *retryAfter,
 		MaxBodyBytes:      *maxBody,
 		MaxOpsPerUpload:   *maxOps,
-		ShardWorkers:      *shards,
 		MaxReportsPerVar:  *maxReportsPerVar,
 		TenantReportQuota: *reportQuota,
 		TenantMaxBytes:    *tenantBytes,

@@ -141,6 +141,7 @@ func TestServerServeDrainRestart(t *testing.T) {
 func TestServerBadInvocations(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
+		{"-shards", "2"}, // the sharded engine's knob: undefined, not ignored
 		{"positional"},
 		{"-addr", "256.256.256.256:99999"},
 	}

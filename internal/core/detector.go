@@ -199,10 +199,7 @@ func (st *ThreadState) countRetry()     { st.retries++ }
 // The lock owns a mutable clock that Release overwrites in place
 // (Fig. 3's Sm.V := St.V): copying into existing storage keeps the online
 // release path allocation-free at steady state, which the bounded-memory
-// streaming guarantee relies on. The offline parallel checker instead
-// publishes releases as immutable vc.Frozen snapshots — there the
-// snapshots are retained per access, so copy-on-write sharing wins; see
-// internal/parcheck.
+// streaming guarantee relies on.
 type LockState struct {
 	vc *vc.VC
 }
@@ -235,8 +232,7 @@ func (b *syncBase) thread(t epoch.Tid) *ThreadState { return b.threads.Get(int(t
 
 // Acquire implements [Acquire]: St.V := St.V ⊔ Sm.V. A never-released
 // lock has an empty clock and joins in O(1); a re-acquire whose release
-// clock is already ⊑ the thread's leaves St.V's value and its cached
-// Freeze snapshot as they were.
+// clock is already ⊑ the thread's leaves St.V's value as it was.
 func (b *syncBase) Acquire(t epoch.Tid, m trace.Lock) {
 	st := b.thread(t)
 	st.vc.Join(b.locks.Get(int(m)).vc)

@@ -137,8 +137,8 @@ func (d *Eraser) access(t epoch.Tid, x trace.Var, isWrite bool) {
 	if sx.state == sharedModified && len(sx.lockset) == 0 && !sx.reported {
 		sx.reported = true
 		// The message does not repeat the variable: Report.X names it, and
-		// layers that renumber variables (Sampling, parcheck's sequential
-		// arm) translate X back but cannot translate text.
+		// layers that renumber variables (Sampling, parcheck's front
+		// stage) translate X back but cannot translate text.
 		d.sink.add(Report{
 			T: t, X: x,
 			Msg: fmt.Sprintf("lockset became empty in state %v", sx.state),

@@ -11,15 +11,15 @@ import (
 // variable's shadow fields and the acting thread's epoch and clock; they
 // decide which rule fires, which races to report and which single state
 // update to apply, and touch no memory of their own. Every implementation
-// — v1, the v1.5/v2 slow path, FT-Mutex, FT-CAS and parcheck's shard
-// worker — is "load my representation, call the kernel, sink the reports,
-// apply the update under my synchronization discipline".
+// — v1, the v1.5/v2 slow path, FT-Mutex and FT-CAS — is "load my
+// representation, call the kernel, sink the reports, apply the update
+// under my synchronization discipline".
 //
 // The file imports only internal/epoch and internal/spec (for the Rule
 // names): it depends on no clock type, shadow table or lock.
 
 // ClockView is the acting thread's vector clock C_t as the raw entries of
-// its representation (vc.VC.View, vc.Frozen.View): entry i belongs to
+// its representation (vc.VC.View): entry i belongs to
 // thread i and entries beyond the slice are minimal. The rules ask it one
 // question, e ⪯ C_t, and a slice keeps the answer free of calls.
 type ClockView []epoch.Epoch

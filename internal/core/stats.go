@@ -103,8 +103,6 @@ func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
 	s.Counters["vc.grows"] += m.Grows
 	s.Counters["vc.joins"] += m.Joins
 	s.Counters["vc.join_scanned"] += m.JoinScanned
-	s.Counters["vc.freezes"] += m.Freezes
-	s.Counters["vc.freeze_reuses"] += m.FreezeReuses
 }
 
 // addVarTable records a detector's variable shadow table: occupancy,

@@ -9,6 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -364,5 +367,69 @@ func TestE2EVerbatimUploadParity(t *testing.T) {
 		if !bytes.Equal(got, exp) {
 			t.Fatalf("upload %d verbatim reports drifted:\n got %s\nwant %s", id, got, exp)
 		}
+	}
+}
+
+// TestE2EProcessorCountIsInvisible: how many processors the host has
+// selects nothing in the service. The same upload mix — every corpus
+// entry, cycling through the seven variants and three encodings, plus a
+// sampled upload and a rejected one — posted to a fresh server under
+// GOMAXPROCS 1 and under 4 gets byte-identical response bodies, the same
+// aggregated reports, and a /metrics document with the same keys.
+func TestE2EProcessorCountIsInvisible(t *testing.T) {
+	corpus := buildCorpus(t)
+	variants := verifiedft.Variants()
+	formats := []string{"text", "binary", "gzip"}
+	type upload struct {
+		url  string
+		body []byte
+	}
+	var mix []upload
+	for i, e := range corpus {
+		mix = append(mix, upload{
+			url:  fmt.Sprintf("/v1/traces?tenant=t%d&variant=%s", i%3, variants[i%len(variants)]),
+			body: encodeBody(t, e.tr, formats[i%len(formats)]),
+		})
+	}
+	mix = append(mix,
+		upload{"/v1/traces?tenant=t0&sample=0.5&sample_seed=9", encodeBody(t, corpus[0].tr, "binary")},
+		upload{"/v1/traces?tenant=t1", []byte("rel 0 0\n")}) // infeasible: 400
+
+	run := func(procs int) (bodies []string, keys []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := New(Config{})
+		do := func(method, url string, body []byte) []byte {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(body)))
+			return rec.Body.Bytes()
+		}
+		for _, u := range mix {
+			bodies = append(bodies, string(do(http.MethodPost, u.url, u.body)))
+		}
+		for _, tenant := range []string{"t0", "t1", "t2"} {
+			bodies = append(bodies, string(do(http.MethodGet, "/v1/reports?tenant="+tenant, nil)))
+		}
+		var snap map[string]map[string]json.RawMessage
+		if err := json.Unmarshal(do(http.MethodGet, "/metrics", nil), &snap); err != nil {
+			t.Fatalf("GOMAXPROCS %d: /metrics is not a JSON object of sections: %v", procs, err)
+		}
+		for section, m := range snap {
+			for k := range m {
+				keys = append(keys, section+" "+k)
+			}
+		}
+		sort.Strings(keys)
+		return bodies, keys
+	}
+
+	bodies1, keys1 := run(1)
+	bodies4, keys4 := run(4)
+	for i := range bodies1 {
+		if bodies1[i] != bodies4[i] {
+			t.Errorf("response %d differs:\nGOMAXPROCS 1: %s\nGOMAXPROCS 4: %s", i, bodies1[i], bodies4[i])
+		}
+	}
+	if !reflect.DeepEqual(keys1, keys4) {
+		t.Errorf("/metrics key set differs:\nGOMAXPROCS 1: %v\nGOMAXPROCS 4: %v", keys1, keys4)
 	}
 }

@@ -87,7 +87,6 @@ func FuzzIngestHTTP(f *testing.F) {
 			MaxInFlight:     2,
 			MaxBodyBytes:    1 << 16,
 			MaxOpsPerUpload: 4096,
-			ShardWorkers:    2,
 		})
 		q := url.Values{}
 		q.Set("tenant", tenant)

@@ -1,8 +1,8 @@
 // Package ingest implements the multi-tenant trace-ingestion service
 // behind cmd/vft-server: a long-running HTTP front end that accepts
 // concurrent binary/gzip/text trace streams, checks each upload through
-// the streaming validation pipeline into per-tenant parcheck shards with
-// bounded memory, and serves the resulting race reports as JSON.
+// the streaming offline check path (internal/parcheck) with bounded
+// memory, and serves the resulting race reports as JSON.
 //
 // The flow per upload is the offline checker's flow, wrapped in admission
 // control:
@@ -11,9 +11,9 @@
 //	  → admission (drain flag, in-flight slots, tenant quotas)
 //	  → trace.NewDecoder (sniffs gzip / binary "VFTb" / text)
 //	  → trace.Limit (per-upload operation budget)
-//	  → parcheck.CheckSource (validation and lowering inline; the sequential
-//	    detector on one worker, variable-sharded workers on more; memory
-//	    bounded by the ids an upload names, not their magnitude)
+//	  → parcheck.CheckSource (validation and lowering inline, then the
+//	    variant's detector on the handler's goroutine; memory bounded by
+//	    the ids an upload names, not their magnitude)
 //	  → per-tenant depot (interned dedup/aggregation) + retained result
 //
 // Precision is the product (PAPER.md): the service must return exactly
@@ -75,11 +75,6 @@ type Config struct {
 	// truncating (trace.Limit, not trace.Head).
 	MaxOpsPerUpload int
 
-	// ShardWorkers is the parcheck worker count per upload (<= 0 means
-	// GOMAXPROCS); a resolved count of one is the sequential detector.
-	// Per-upload memory is bounded by the streaming pipeline's O(distinct
-	// ids) state plus the shard queues' fixed depth.
-	ShardWorkers int
 	// MaxReportsPerVar caps reports per variable within one upload's
 	// check, exactly like verifiedft.WithMaxReportsPerVar (0 =
 	// unlimited). See the quota ladder below for how it composes with
@@ -136,7 +131,6 @@ func DefaultConfig() Config {
 		RetryAfter:      time.Second,
 		MaxBodyBytes:    128 << 20,
 		MaxOpsPerUpload: 50_000_000,
-		ShardWorkers:    0,
 		UploadRetention: 64,
 	}
 }
@@ -637,7 +631,6 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	counted := &trace.Counter{Src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
 	reports, err := parcheck.CheckSource(counted, ext, parcheck.Options{
 		Variant:          variant,
-		Workers:          s.cfg.ShardWorkers,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,
 		StatsSink:        s.foldParcheck,
 		Sampling:         pol,

@@ -8,19 +8,18 @@ import (
 	"repro/internal/trace"
 )
 
-// frontStage sits between the feed and the engine, whichever engine it
-// is, and does the two things that must happen exactly once per check.
+// frontStage sits between the feed and the detector and does the two
+// things that must happen exactly once per check.
 //
 // It samples: the policy decides on the *raw* variable id — the decision
 // stays a pure function of (seed, var) whatever else the trace names — and
 // an access to a rejected variable is counted and dropped here, before it
-// can end a fused run or reach a table.
+// can reach a table.
 //
 // It compacts: thread, variable and lowered-lock ids are renumbered
 // densely in first-touch order, so every table behind it — core's flat
-// shadow tables, the prepass's clock slices, the shards' state slices, the
-// entries of every vector clock — is proportional to the ids the trace
-// names, not to their magnitude: `fork 0 65000` costs a second thread, not
+// shadow tables, the entries of every vector clock — is proportional to
+// the ids the trace names, not to their magnitude: `fork 0 65000` costs a second thread, not
 // 65,000 clocks each spanning its own tid. The analyses look only at the
 // state an id indexes, never at the id, and restore maps reports back, so
 // compaction is invisible with one exception: where several prior accesses
@@ -30,14 +29,14 @@ import (
 // producer in this repository forks that way).
 type frontStage struct {
 	sampler *sample.Policy // nil: every access is admitted
-	emit    func(trace.Op) // the engine
+	emit    func(trace.Op) // the detector
 
 	tids, vars, locks idMap
 	origT             []epoch.Tid // compact tid -> raw
 	origX             []trace.Var // compact variable -> raw
 	nLocks            uint32
 
-	accesses, syncs                   uint64 // ops handed to the engine
+	accesses, syncs                   uint64 // ops handed to the detector
 	suppressedReads, suppressedWrites uint64
 	suppressedVars                    uint64
 }
@@ -103,7 +102,7 @@ func (f *frontStage) tid(t epoch.Tid) epoch.Tid {
 	return epoch.Tid(v - firstID)
 }
 
-// restore rewrites the engine's reports onto the trace's own ids.
+// restore rewrites the detector's reports onto the trace's own ids.
 func (f *frontStage) restore(reports []core.Report) []core.Report {
 	for i := range reports {
 		r := &reports[i]

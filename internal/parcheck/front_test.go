@@ -84,7 +84,7 @@ func rename(rng *rand.Rand, tr trace.Trace, ext *trace.Extensions, maxTid epoch.
 // TestFrontStageIsInvisible is the front stage's contract as a property:
 // relabel a feasible trace (Go-sync kinds included) with sparse, unordered
 // ids and the check returns the original run's reports with the relabelling
-// applied — for every variant, on both engines. With sampling on, the
+// applied — for every variant. With sampling on, the
 // reports are that list restricted to the variables the policy samples by
 // their *renamed* raw ids: compaction never feeds the sampler.
 func TestFrontStageIsInvisible(t *testing.T) {
@@ -98,7 +98,7 @@ func TestFrontStageIsInvisible(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tr := trace.Generate(rng, cfg)
 			renamed, rext, rn := rename(rng, tr, ext, core.MaxTid(variant))
-			base, err := CheckTrace(tr, ext, Options{Variant: variant, Workers: 1})
+			base, err := CheckTrace(tr, ext, Options{Variant: variant})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", variant, seed, err)
 			}
@@ -115,46 +115,44 @@ func TestFrontStageIsInvisible(t *testing.T) {
 					wantSampled = append(wantSampled, r)
 				}
 			}
-			for _, workers := range []int{1, 4} {
-				got, err := CheckTrace(renamed, rext, Options{Variant: variant, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s seed %d renamed, %d workers: %v", variant, seed, workers, err)
-				}
-				requireEqualReports(t, want, got, variant, workers)
+			got, err := CheckTrace(renamed, rext, Options{Variant: variant})
+			if err != nil {
+				t.Fatalf("%s seed %d renamed: %v", variant, seed, err)
+			}
+			requireEqualReports(t, want, got, variant)
 
-				var snap obs.Snapshot
-				got, err = CheckTrace(renamed, rext, Options{Variant: variant, Workers: workers,
-					Sampling: &pol, StatsSink: func(s obs.Snapshot) { snap = s }})
-				if err != nil {
-					t.Fatalf("%s seed %d renamed and sampled, %d workers: %v", variant, seed, workers, err)
+			var snap obs.Snapshot
+			got, err = CheckTrace(renamed, rext, Options{Variant: variant,
+				Sampling: &pol, StatsSink: func(s obs.Snapshot) { snap = s }})
+			if err != nil {
+				t.Fatalf("%s seed %d renamed and sampled: %v", variant, seed, err)
+			}
+			if len(got) != len(wantSampled) {
+				t.Fatalf("%s seed %d: %d sampled reports, want %d", variant, seed, len(got), len(wantSampled))
+			}
+			if len(got) > 0 {
+				requireEqualReports(t, wantSampled, got, variant)
+			}
+			var sampledVars uint64
+			for _, x := range renamed.Vars() {
+				if pol.Sampled(x) {
+					sampledVars++
 				}
-				if len(got) != len(wantSampled) {
-					t.Fatalf("%s seed %d, %d workers: %d sampled reports, want %d", variant, seed, workers, len(got), len(wantSampled))
-				}
-				if len(got) > 0 {
-					requireEqualReports(t, wantSampled, got, variant, workers)
-				}
-				var sampledVars uint64
-				for _, x := range renamed.Vars() {
-					if pol.Sampled(x) {
-						sampledVars++
-					}
-				}
-				if n := snap.Gauges["sampling.vars.sampled"]; n != sampledVars {
-					t.Fatalf("%s seed %d, %d workers: %d variables sampled, the policy samples %d of the renamed ids",
-						variant, seed, workers, n, sampledVars)
-				}
+			}
+			if n := snap.Gauges["sampling.vars.sampled"]; n != sampledVars {
+				t.Fatalf("%s seed %d: %d variables sampled, the policy samples %d of the renamed ids",
+					variant, seed, n, sampledVars)
 			}
 		}
 	}
 }
 
-// TestWorkersOneIsSequential: one worker is core's sequential detector and
+// TestOfflineCheckIsBareReplay: the offline check is core's detector and
 // nothing else — for every variant the reports and the detector's own
 // counters (rule firings, access and sync totals, report accounting) are
 // those of a bare core.New detector replayed over the same lowered trace,
 // and the sink's snapshot carries the stream's ops.* totals beside them.
-func TestWorkersOneIsSequential(t *testing.T) {
+func TestOfflineCheckIsBareReplay(t *testing.T) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 500
 	for _, variant := range core.Variants() {
@@ -168,12 +166,12 @@ func TestWorkersOneIsSequential(t *testing.T) {
 			want := core.Replay(bare, low)
 
 			var snap obs.Snapshot
-			got, err := CheckTrace(tr, nil, Options{Variant: variant, Workers: 1,
+			got, err := CheckTrace(tr, nil, Options{Variant: variant,
 				StatsSink: func(s obs.Snapshot) { snap = s }})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", variant, seed, err)
 			}
-			requireEqualReports(t, want, got, variant, 1)
+			requireEqualReports(t, want, got, variant)
 
 			for key, n := range bare.(core.StatsSource).Stats().Counters {
 				if strings.HasPrefix(key, "shadow.") || strings.HasPrefix(key, "vc.") {
@@ -190,9 +188,9 @@ func TestWorkersOneIsSequential(t *testing.T) {
 				}
 			}
 			if snap.Counters["ops.total"] != uint64(len(low)) || snap.Counters["ops.access"] != uint64(accesses) ||
-				snap.Counters["ops.sync"] != uint64(len(low)-accesses) || snap.Gauges["workers"] != 1 {
-				t.Errorf("%s seed %d: ops %d/%d/%d workers %d, want %d/%d/%d on one worker", variant, seed,
-					snap.Counters["ops.total"], snap.Counters["ops.access"], snap.Counters["ops.sync"], snap.Gauges["workers"],
+				snap.Counters["ops.sync"] != uint64(len(low)-accesses) {
+				t.Errorf("%s seed %d: ops %d/%d/%d, want %d/%d/%d", variant, seed,
+					snap.Counters["ops.total"], snap.Counters["ops.access"], snap.Counters["ops.sync"],
 					len(low), accesses, len(low)-accesses)
 			}
 		}
@@ -206,17 +204,15 @@ func TestWorkersOneIsSequential(t *testing.T) {
 // the report names thread 2's read where a detector fed raw ids names
 // thread 1's; both reads do race with the write. Traces that fork threads
 // in increasing id order — every producer in this repository — see no
-// difference (TestWorkersOneIsSequential, the equivalence suites).
+// difference (TestOfflineCheckIsBareReplay, the equivalence suites).
 func TestEvidenceFollowsFirstTouchOrder(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(0, 2), trace.ForkOp(0, 1),
 		trace.Rd(2, 7), trace.Rd(1, 7), trace.Wr(0, 7),
 	}
-	for _, workers := range []int{1, 2} {
-		got, err := CheckTrace(tr, nil, Options{Workers: workers})
-		if err != nil || len(got) != 1 || got[0].Rule != spec.SharedWriteRace || got[0].Prev.Tid() != 2 {
-			t.Errorf("%d workers: reports %v, err %v; want one Shared-Write Race naming thread 2's read", workers, got, err)
-		}
+	got, err := CheckTrace(tr, nil, Options{})
+	if err != nil || len(got) != 1 || got[0].Rule != spec.SharedWriteRace || got[0].Prev.Tid() != 2 {
+		t.Errorf("reports %v, err %v; want one Shared-Write Race naming thread 2's read", got, err)
 	}
 	bare, _ := core.New("vft-v2", core.DefaultConfig())
 	if raw := core.Replay(bare, tr); len(raw) != 1 || raw[0].Prev.Tid() != 1 {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// sequential replays the lowered trace through the sequential detector —
-// the reference the parallel checker must reproduce exactly.
-func sequential(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core.Report {
+// bareReplay replays the lowered trace through a bare core.New detector —
+// the reference the offline check path must reproduce exactly.
+func bareReplay(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core.Report {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.MaxReportsPerVar = maxPerVar
@@ -27,45 +27,46 @@ func sequential(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []c
 			break
 		}
 		if err != nil {
-			t.Fatalf("sequential stream: %v", err)
+			t.Fatalf("reference stream: %v", err)
 		}
 		core.Dispatch(d, op)
 	}
 	return d.Reports()
 }
 
-func parallel(t testing.TB, tr trace.Trace, variant string, workers, maxPerVar int) []core.Report {
+// offline checks tr through both entry points of the offline path: Check
+// over the separately validated and lowered stream, and CheckTrace, which
+// validates and lowers inline. The two must agree op for op, so every
+// equivalence site checks both.
+func offline(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core.Report {
 	t.Helper()
 	src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
-	got, err := Check(src, Options{Variant: variant, Workers: workers, MaxReportsPerVar: maxPerVar})
+	got, err := Check(src, Options{Variant: variant, MaxReportsPerVar: maxPerVar})
 	if err != nil {
-		t.Fatalf("parallel check (%q, %d workers): %v", variant, workers, err)
+		t.Fatalf("Check (%q): %v", variant, err)
 	}
-	// The fused materialized-trace path must agree with the streaming
-	// pipeline op for op, so every equivalence site checks both.
-	fused, err := CheckTrace(tr, nil, Options{Variant: variant, Workers: workers, MaxReportsPerVar: maxPerVar})
+	fused, err := CheckTrace(tr, nil, Options{Variant: variant, MaxReportsPerVar: maxPerVar})
 	if err != nil {
-		t.Fatalf("fused parallel check (%q, %d workers): %v", variant, workers, err)
+		t.Fatalf("CheckTrace (%q): %v", variant, err)
 	}
 	if !reflect.DeepEqual(got, fused) {
-		t.Fatalf("%s with %d workers: CheckTrace diverged from Check:\nstreaming (%d): %+v\nfused     (%d): %+v",
-			variant, workers, len(got), got, len(fused), fused)
+		t.Fatalf("%s: CheckTrace diverged from Check:\nstreaming (%d): %+v\nfused     (%d): %+v",
+			variant, len(got), got, len(fused), fused)
 	}
 	return got
 }
 
-func requireEqualReports(t testing.TB, want, got []core.Report, variant string, workers int) {
+func requireEqualReports(t testing.TB, want, got []core.Report, variant string) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s with %d workers diverged from sequential:\nsequential (%d): %+v\nparallel   (%d): %+v",
-			variant, workers, len(want), want, len(got), got)
+		t.Fatalf("%s diverged from the reference:\nreference (%d): %+v\noffline   (%d): %+v",
+			variant, len(want), want, len(got), got)
 	}
 }
 
-// TestParallelEquivalenceGenerated is the satellite-3 core: for every
-// detector variant, the parallel checker's report list equals the
-// sequential replay's — same reports, same order, same Seq — across
-// generated feasible traces, worker counts and report caps.
+// TestParallelEquivalenceGenerated: for every detector variant, the
+// offline check's report list equals the bare replay's — same reports,
+// same order, same Seq — across generated feasible traces and report caps.
 func TestParallelEquivalenceGenerated(t *testing.T) {
 	cfgs := []trace.GenConfig{
 		trace.DefaultGenConfig(),
@@ -74,18 +75,13 @@ func TestParallelEquivalenceGenerated(t *testing.T) {
 		{Ops: 300, Threads: 3, Vars: 32, Locks: 4, ReadWeight: 5, WriteWeight: 5,
 			AcquireWeight: 3, ForkWeight: 1, JoinWeight: 1, LockedFraction: 800},
 	}
-	workerCounts := []int{1, 2, 3, 4, 8}
 	for _, variant := range core.Variants() {
 		t.Run(variant, func(t *testing.T) {
 			for ci, cfg := range cfgs {
 				for seed := int64(0); seed < 12; seed++ {
 					tr := trace.Generate(rand.New(rand.NewSource(seed+int64(ci)*100)), cfg)
 					for _, cap := range []int{0, 1} {
-						want := sequential(t, tr, variant, cap)
-						for _, w := range workerCounts {
-							got := parallel(t, tr, variant, w, cap)
-							requireEqualReports(t, want, got, variant, w)
-						}
+						requireEqualReports(t, bareReplay(t, tr, variant, cap), offline(t, tr, variant, cap), variant)
 					}
 				}
 			}
@@ -95,8 +91,8 @@ func TestParallelEquivalenceGenerated(t *testing.T) {
 
 // TestParallelEquivalenceExtendedOps runs the lowering pipeline over
 // volatiles and barriers: the pseudo-lock acquire/release pairs they lower
-// to must drive the parallel prepass exactly as they drive the sequential
-// sync handlers.
+// to must reach the detector behind the front stage exactly as they reach a
+// bare one.
 func TestParallelEquivalenceExtendedOps(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(0, 1),
@@ -113,18 +109,13 @@ func TestParallelEquivalenceExtendedOps(t *testing.T) {
 		trace.JoinOp(0, 2),
 	}
 	for _, variant := range core.Variants() {
-		want := sequential(t, tr, variant, 0)
-		for _, w := range []int{1, 2, 4} {
-			got := parallel(t, tr, variant, w, 0)
-			requireEqualReports(t, want, got, variant, w)
-		}
+		requireEqualReports(t, bareReplay(t, tr, variant, 0), offline(t, tr, variant, 0), variant)
 	}
 }
 
-// TestParallelEmptyTrace: like the sequential path, no races means an
-// empty, non-nil report list.
+// TestParallelEmptyTrace: no races means an empty, non-nil report list.
 func TestParallelEmptyTrace(t *testing.T) {
-	got, err := Check(trace.Trace{}.Source(), Options{Workers: 4})
+	got, err := Check(trace.Trace{}.Source(), Options{})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -144,7 +135,7 @@ func TestParallelStreamError(t *testing.T) {
 		trace.Acq(1, 0), // infeasible: lock already held
 	}
 	src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
-	got, err := Check(src, Options{Workers: 4})
+	got, err := Check(src, Options{})
 	if err == nil {
 		t.Fatal("want feasibility error, got nil")
 	}
@@ -170,11 +161,11 @@ func TestFusedInfeasibleErrorParity(t *testing.T) {
 	}
 	for i, tr := range infeasible {
 		src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
-		_, wantErr := Check(src, Options{Workers: 2})
+		_, wantErr := Check(src, Options{})
 		if wantErr == nil {
 			t.Fatalf("case %d: streaming path accepted an infeasible trace", i)
 		}
-		_, gotErr := CheckTrace(tr, nil, Options{Workers: 2})
+		_, gotErr := CheckTrace(tr, nil, Options{})
 		if !reflect.DeepEqual(wantErr, gotErr) {
 			t.Errorf("case %d: error diverged:\nstreaming: %v\nfused:     %v", i, wantErr, gotErr)
 		}
@@ -201,15 +192,15 @@ func TestFusedBarrierParties(t *testing.T) {
 	}
 	for _, variant := range core.Variants() {
 		src := trace.DesugarSource(trace.ValidateSource(tr.Source(), ext), ext)
-		want, err := Check(src, Options{Variant: variant, Workers: 3})
+		want, err := Check(src, Options{Variant: variant})
 		if err != nil {
 			t.Fatalf("%s streaming: %v", variant, err)
 		}
-		got, err := CheckTrace(tr, ext, Options{Variant: variant, Workers: 3})
+		got, err := CheckTrace(tr, ext, Options{Variant: variant})
 		if err != nil {
 			t.Fatalf("%s fused: %v", variant, err)
 		}
-		requireEqualReports(t, want, got, variant, 3)
+		requireEqualReports(t, want, got, variant)
 	}
 }
 
@@ -220,8 +211,7 @@ func TestParallelUnknownVariant(t *testing.T) {
 	}
 }
 
-// TestParallelDefaults: zero-value Options mean vft-v2 with GOMAXPROCS
-// workers.
+// TestParallelDefaults: zero-value Options mean vft-v2.
 func TestParallelDefaults(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(0, 1),
@@ -240,8 +230,8 @@ func TestParallelDefaults(t *testing.T) {
 
 // FuzzParallelEquivalence drives the equivalence property from arbitrary
 // bytes: FromBytes repairs any input into a feasible trace, and the
-// parallel checker must match the sequential replay on it for a variant
-// and worker count also drawn from the input.
+// offline check must match the bare replay on it for a variant and report
+// cap also drawn from the input.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
@@ -251,10 +241,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
 		tr := trace.FromBytes(data)
 		variant := variants[int(pick)%len(variants)]
-		workers := 1 + int(pick)%4
 		maxPerVar := int(pick) % 2
-		want := sequential(t, tr, variant, maxPerVar)
-		got := parallel(t, tr, variant, workers, maxPerVar)
-		requireEqualReports(t, want, got, variant, workers)
+		requireEqualReports(t, bareReplay(t, tr, variant, maxPerVar), offline(t, tr, variant, maxPerVar), variant)
 	})
 }

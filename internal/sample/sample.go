@@ -13,9 +13,9 @@
 //
 // The policy itself is a pure function of (seed, variable id): variable x
 // is sampled iff the top 32 bits of a splitmix64-style hash of (seed, x)
-// fall below rate·2³². Purity is what makes the whole stack agree — the
-// sequential replay, the sharded parallel checker and a server-side check
-// of the same upload all decide identically from the same seed, so their
+// fall below rate·2³². Purity is what makes the whole stack agree — an
+// online detector, the offline check and a server-side check of the same
+// upload all decide identically from the same seed, so their
 // report lists stay byte-identical, and racing deciders in a concurrent
 // run can only write the same answer twice.
 package sample

@@ -12,7 +12,7 @@ import (
 // defaults": every barrier has two parties and every channel is
 // unbuffered.
 //
-// The lowering (Desugar, DesugarSource, parcheck's fused prepass) and the
+// The lowering (Desugar, DesugarSource, parcheck.CheckSource) and the
 // feasibility validator both consult the same Extensions; feeding a trace
 // through validation and lowering with different Extensions values is a
 // caller bug, as it can make the validator admit a trace the lowering

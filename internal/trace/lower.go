@@ -27,7 +27,7 @@ type chanLowering struct {
 
 // Lowerer is the incremental §7 lowering of the extended trace language
 // onto the six-kind core, shared by Trace.Desugar, DesugarSource and
-// parcheck's fused prepass so the three entry points cannot drift. Feed
+// parcheck.CheckSource so the three entry points cannot drift. Feed
 // it raw operations in trace order; it calls emit zero or more times per
 // op with the lowered core operations.
 //

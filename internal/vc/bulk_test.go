@@ -9,8 +9,8 @@ import (
 )
 
 // refJoin is Fig. 3's VectorClock.join transcribed literally — one get and
-// one guarded set per entry — and the reference the slice kernel behind
-// Join and JoinFrozen is checked against.
+// one guarded set per entry — and the reference Join's slice kernel is
+// checked against.
 func refJoin(dst *VC, src []epoch.Epoch) {
 	dst.m.Joins++
 	dst.m.JoinScanned += uint64(len(src))
@@ -41,21 +41,13 @@ func clockOf(vals []uint8) *VC {
 	return FromClocks(clocks...)
 }
 
-// checkJoin joins src into a copy of dst by the kernel (through Join or
-// JoinFrozen) and by refJoin, and reports the first disagreement in value,
-// size, counters or Freeze-cache behaviour.
-func checkJoin(t *testing.T, dst, src *VC, frozen bool) bool {
+// checkJoin joins src into a copy of dst by Join and by refJoin, and
+// reports the first disagreement in value, size or counters.
+func checkJoin(t *testing.T, dst, src *VC) bool {
 	t.Helper()
 	got, want := dst.Clone(), dst.Clone()
-	snap := got.Freeze()
-	want.Freeze()
-	if frozen {
-		got.JoinFrozen(src.Freeze())
-		refJoin(want, src.Freeze().View())
-	} else {
-		got.Join(src)
-		refJoin(want, src.v)
-	}
+	got.Join(src)
+	refJoin(want, src.v)
 	if got.Size() != want.Size() || !refLeq(got, want) || !refLeq(want, got) {
 		t.Errorf("%v ⊔ %v = %v, reference %v", dst, src, got, want)
 		return false
@@ -72,17 +64,12 @@ func checkJoin(t *testing.T, dst, src *VC, frozen bool) bool {
 		t.Errorf("%v ⊔ %v: Metrics = %+v, reference %+v", dst, src, gm, wm)
 		return false
 	}
-	// The cached snapshot survives exactly the joins that change nothing.
-	if covered := refLeq(src, dst); (got.Freeze() == snap) != covered {
-		t.Errorf("%v ⊔ %v: source covered = %v, cached snapshot kept = %v", dst, src, covered, !covered)
-		return false
-	}
 	return true
 }
 
 func TestQuickBulkJoinMatchesPerEntry(t *testing.T) {
-	prop := func(d, s []uint8, frozen bool) bool {
-		return checkJoin(t, clockOf(d), clockOf(s), frozen)
+	prop := func(d, s []uint8) bool {
+		return checkJoin(t, clockOf(d), clockOf(s))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -111,41 +98,108 @@ func TestQuickBulkLeqMatchesPerEntry(t *testing.T) {
 
 // TestBulkJoinShapes pins the shapes quick reaches only by luck.
 func TestBulkJoinShapes(t *testing.T) {
-	for _, frozen := range []bool{false, true} {
-		// A source whose minimal tail extends past the destination must not
-		// grow it (JoinFrozen never sees one: Freeze trims).
-		dst := FromClocks(3, 4)
-		before := dst.Metrics().Grows
-		src := FromClocks(1, 2, 0, 0, 0, 0, 0, 0, 0)
-		checkJoin(t, dst, src, frozen)
-		dst.Join(src)
-		if dst.Size() != 2 || dst.Metrics().Grows != before {
-			t.Fatalf("minimal tail grew the destination: Size=%d Grows=%d", dst.Size(), dst.Metrics().Grows)
-		}
-		// A tail that is minimal except for one late entry grows to it.
-		checkJoin(t, dst, FromClocks(0, 0, 0, 0, 0, 0, 1, 0, 0), frozen)
-		// Fully covered, equal, one-entry advance, empty on either side.
-		checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 4, 3), frozen)
-		checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 5, 5), frozen)
-		checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 6, 5), frozen)
-		checkJoin(t, FromClocks(5, 5, 5), New(), frozen)
-		checkJoin(t, New(), FromClocks(5, 5, 5), frozen)
+	// A source whose minimal tail extends past the destination must not
+	// grow it.
+	dst := FromClocks(3, 4)
+	before := dst.Metrics().Grows
+	src := FromClocks(1, 2, 0, 0, 0, 0, 0, 0, 0)
+	checkJoin(t, dst, src)
+	dst.Join(src)
+	if dst.Size() != 2 || dst.Metrics().Grows != before {
+		t.Fatalf("minimal tail grew the destination: Size=%d Grows=%d", dst.Size(), dst.Metrics().Grows)
 	}
-	c := FromClocks(1, 2)
-	c.JoinFrozen(nil)
+	// A tail that is minimal except for one late entry grows to it.
+	checkJoin(t, dst, FromClocks(0, 0, 0, 0, 0, 0, 1, 0, 0))
+	// Fully covered, equal, one-entry advance, empty on either side.
+	checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 4, 3))
+	checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 5, 5))
+	checkJoin(t, FromClocks(5, 5, 5), FromClocks(5, 6, 5))
+	checkJoin(t, FromClocks(5, 5, 5), New())
+	checkJoin(t, New(), FromClocks(5, 5, 5))
+}
+
+func TestJoinFastPaths(t *testing.T) {
+	// Empty other: no scan recorded, no growth.
+	c := FromClocks(2, 3)
+	c.Join(New())
+	if !c.Equal(FromClocks(2, 3)) {
+		t.Fatal("Join with empty clock changed the receiver")
+	}
 	if m := c.Metrics(); m.Joins != 1 || m.JoinScanned != 0 {
-		t.Fatalf("JoinFrozen(nil): Metrics = %+v, want Joins=1 JoinScanned=0", m)
+		t.Fatalf("Metrics = %+v, want Joins=1 JoinScanned=0", m)
+	}
+	// Covered other (other ⊑ c, shorter): value unchanged, no growth.
+	before := c.Metrics().Grows
+	c.Join(FromClocks(1))
+	if !c.Equal(FromClocks(2, 3)) {
+		t.Fatal("covered Join changed the receiver")
+	}
+	if c.Metrics().Grows != before {
+		t.Fatal("covered Join grew the representation")
+	}
+	// General join still merges pointwise.
+	c.Join(FromClocks(0, 9, 4))
+	if !c.Equal(FromClocks(2, 9, 4)) {
+		t.Fatalf("Join = %v, want <0@2,1@9,2@4>", c)
 	}
 }
 
 func TestJoinWithinCapacityDoesNotAllocate(t *testing.T) {
 	recv, arg := joinBenchClocks(32, false)
-	f := arg.Freeze()
-	if n := testing.AllocsPerRun(100, func() {
-		recv.Join(arg)
-		recv.JoinFrozen(f)
-	}); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { recv.Join(arg) }); n != 0 {
 		t.Fatalf("join within capacity allocated %v times per run", n)
+	}
+}
+
+// joinBenchClocks builds a receiver and an argument of n entries each; when
+// covered is true the argument is entirely ⊑ the receiver (the shape of
+// barrier re-arrivals and same-thread re-acquires).
+func joinBenchClocks(n int, covered bool) (*VC, *VC) {
+	recv, arg := New(), New()
+	for i := 0; i < n; i++ {
+		t := epoch.Tid(i)
+		recv.Set(t, epoch.Make(t, uint64(10+i)))
+		if covered {
+			arg.Set(t, epoch.Make(t, uint64(1+i)))
+		} else {
+			arg.Set(t, epoch.Make(t, uint64(20+i)))
+		}
+	}
+	return recv, arg
+}
+
+// BenchmarkJoinAdvancing is the general case: every entry of the argument
+// advances the receiver (into a fresh clone, so the copy is timed too).
+func BenchmarkJoinAdvancing(b *testing.B) {
+	recv, arg := joinBenchClocks(32, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := recv.Clone()
+		c.Join(arg)
+	}
+}
+
+// BenchmarkJoinCovered is the re-acquire case: the argument is already ⊑
+// the receiver, so the join changes nothing.
+func BenchmarkJoinCovered(b *testing.B) {
+	recv, arg := joinBenchClocks(32, true)
+	c := recv.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Join(arg)
+	}
+}
+
+// BenchmarkJoinEmpty is the O(1) fast path: joining a never-released
+// lock's minimal clock.
+func BenchmarkJoinEmpty(b *testing.B) {
+	recv, _ := joinBenchClocks(32, true)
+	empty := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recv.Join(empty)
 	}
 }
 

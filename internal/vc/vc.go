@@ -27,10 +27,6 @@ import (
 type VC struct {
 	v []epoch.Epoch
 	m Metrics
-
-	// frozen caches the last Freeze snapshot; any mutation clears it. See
-	// Freeze in frozen.go.
-	frozen *Frozen
 }
 
 // Metrics counts a clock's structural costs. Because a clock is not safe
@@ -43,17 +39,11 @@ type Metrics struct {
 	// In-place extensions within an array's existing capacity (the
 	// geometric-growth headroom) are free and not counted.
 	Grows uint64
-	// Joins counts Join/JoinFrozen operations applied to this clock (as
-	// destination).
+	// Joins counts Join operations applied to this clock (as destination).
 	Joins uint64
 	// JoinScanned counts entries compared across all Joins — the O(threads)
 	// work epochs exist to avoid on the access paths.
 	JoinScanned uint64
-	// Freezes counts Freeze calls that had to copy the representation;
-	// FreezeReuses counts the calls answered by the cached snapshot. Their
-	// ratio is the copy-on-write win of the Frozen layer.
-	Freezes      uint64
-	FreezeReuses uint64
 }
 
 // Add accumulates other into m.
@@ -61,8 +51,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.Grows += other.Grows
 	m.Joins += other.Joins
 	m.JoinScanned += other.JoinScanned
-	m.Freezes += other.Freezes
-	m.FreezeReuses += other.FreezeReuses
 }
 
 // Metrics returns the clock's structural counters. Call under the same
@@ -107,7 +95,6 @@ func (c *VC) Set(t epoch.Tid, e epoch.Epoch) {
 	if e.Tid() != t {
 		panic("vc: Set would break well-formedness: epoch tid mismatch")
 	}
-	c.frozen = nil // the cached snapshot no longer reflects the clock
 	c.ensureCapacity(int(t) + 1)
 	c.v[t] = e
 }
@@ -143,7 +130,6 @@ func (c *VC) Inc(t epoch.Tid) {
 	if int(t) >= len(c.v) {
 		c.ensureCapacity(int(t) + 1)
 	}
-	c.frozen = nil
 	c.v[t] = c.v[t].Inc()
 }
 
@@ -185,21 +171,20 @@ func (c *VC) View() []epoch.Epoch { return c.v }
 //
 // A join whose argument is entirely ⊑ c (a never-released lock,
 // re-acquiring a lock the thread itself released last, barrier
-// re-arrivals) leaves c's value, size and cached Freeze snapshot
-// unchanged. It is not write-free: the kernel stores every scanned entry
-// unconditionally, so c must be confined to its owner for the duration of
-// the call — which the Metrics counters have always required.
-func (c *VC) Join(other *VC) { c.join(other.v) }
-
-// join is the one kernel behind Join and JoinFrozen: c := c ⊔ src, where
-// entry i of src belongs to thread i. Fig. 3 writes it as a get/set call
-// per entry; this is the same pointwise maximum with the per-entry bounds,
-// well-formedness and capacity checks hoisted out of the loop, and the
-// "did this entry advance" decision taken by arithmetic (max compiles to a
-// conditional move) instead of a branch the predictor cannot learn when
-// the two clocks interleave. Same-tid epochs order by their raw bits, so
-// the integer max is the pointwise order.
-func (c *VC) join(src []epoch.Epoch) {
+// re-arrivals) leaves c's value and size unchanged. It is not write-free:
+// the kernel stores every scanned entry unconditionally, so c must be
+// confined to its owner for the duration of the call — which the Metrics
+// counters have always required.
+//
+// Fig. 3 writes the join as a get/set call per entry; this is the same
+// pointwise maximum with the per-entry bounds, well-formedness and
+// capacity checks hoisted out of the loop, and the "did this entry
+// advance" decision taken by arithmetic (max compiles to a conditional
+// move) instead of a branch the predictor cannot learn when the two clocks
+// interleave. Same-tid epochs order by their raw bits, so the integer max
+// is the pointwise order.
+func (c *VC) Join(other *VC) {
+	src := other.v
 	c.m.Joins++
 	c.m.JoinScanned += uint64(len(src))
 	// Entries of src beyond c's representation that are minimal cannot
@@ -213,26 +198,18 @@ func (c *VC) join(src []epoch.Epoch) {
 		c.ensureCapacity(n)
 	}
 	dst := c.v[:len(src)]
-	var diff epoch.Epoch
 	for i, e := range src {
-		old := dst[i]
-		m := max(old, e)
-		diff |= m ^ old
-		dst[i] = m
-	}
-	if diff != 0 {
-		c.frozen = nil // the cached snapshot no longer reflects the clock
+		dst[i] = max(dst[i], e)
 	}
 }
 
 // Assign overwrites c with other's contents: c := other (Fig. 3's copy).
-// It is a single grow-and-copy: one capacity check, one frozen-cache
-// clear, and a bulk copy — where a per-entry Set loop would pay the
-// capacity check, the cache clear and the well-formedness branch n times.
+// It is a single grow-and-copy: one capacity check and a bulk copy — where
+// a per-entry Set loop would pay the capacity check and the
+// well-formedness branch n times.
 // Entries beyond other's representation are reset to minimal, so the
 // result denotes exactly other's value regardless of c's previous size.
 func (c *VC) Assign(other *VC) {
-	c.frozen = nil
 	c.ensureCapacity(len(other.v))
 	copy(c.v, other.v)
 	epoch.FillMin(c.v, 0, len(other.v))
@@ -240,8 +217,7 @@ func (c *VC) Assign(other *VC) {
 
 // Clone returns an independent copy of c's clock value. The copy starts
 // with zero Metrics (counters describe one clock object's life, not the
-// value's history) and no cached Freeze snapshot, so the clone's first
-// Freeze performs a fresh copy.
+// value's history).
 func (c *VC) Clone() *VC {
 	out := &VC{v: make([]epoch.Epoch, len(c.v))}
 	copy(out.v, c.v)

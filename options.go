@@ -37,9 +37,6 @@ type settings struct {
 	parties  map[LockID]int
 	chancaps map[LockID]int
 	metrics  *Metrics
-	// parallel is the CheckTrace/CheckSource worker count; 0 means
-	// GOMAXPROCS.
-	parallel int
 	// sampling is the WithSampling policy; nil is the precise tier. The
 	// "sampled[:rate]" variant spelling also sets it, via resolveSampling.
 	sampling *sample.Policy
@@ -175,7 +172,7 @@ type SamplingOption func(*samplingConfig)
 // WithSamplingSeed sets the sampling seed (default sample.DefaultSeed's
 // fixed value, 1). The per-variable decision is a pure function of
 // (seed, variable id), so two runs with the same seed and rate — on one
-// machine or across a fleet, sequential or sharded — sample the same
+// machine or across a fleet, online or offline — sample the same
 // variables and report identically; distinct seeds give independent
 // samples, which is how repeated deployments accumulate coverage.
 func WithSamplingSeed(seed uint64) SamplingOption {
@@ -208,22 +205,12 @@ func WithSampling(rate float64, opts ...SamplingOption) CommonOption {
 	})
 }
 
-// WithParallelism sets the number of workers CheckTrace and CheckSource
-// use (default 1); n <= 0 means GOMAXPROCS. The resolved count picks the
-// engine. One worker is the sequential detector on the calling goroutine.
-// Two or more select the two-phase parallel offline checker: a sequential
-// synchronization prepass annotates every access with an interned clock
-// snapshot, then read/write events are sharded by variable across the
-// workers, each running the unmodified per-variable state machine (DJIT
-// and Eraser have no such state and stay sequential). The report list is
-// the same either way — same reports, same order, same Seq numbering —
-// for every detector variant.
-//
-// With two or more workers a WithMetrics registry receives the checker's
-// own "parcheck" source (shard balance, queue depth, intern hit rate)
-// instead of per-handler latency samples and detector counters.
-func WithParallelism(n int) CheckOption {
-	return checkOption(func(s *settings) { s.parallel = n })
+// WithParallelism is accepted and ignored: every offline check runs the
+// one sequential engine on the calling goroutine, whatever n is. Caller:
+// bench/offline.go, bench/server.go, bench/bench_test.go (frozen with the
+// benchmark); delete with the next `benchmark` PR.
+func WithParallelism(int) CheckOption {
+	return checkOption(func(*settings) {})
 }
 
 // WithThreads hints the thread shadow-table size (tables grow on demand).

@@ -39,8 +39,7 @@ func sameReports(a, b []Report) bool {
 
 // TestSamplingIdentityAtRateOne is the tentpole acceptance gate: at rate
 // 1.0 the sampling tier is report-identical to the precise tier across
-// the conformance corpus, for every detector variant, both sequentially
-// and through the parallel checker.
+// the conformance corpus, for every detector variant.
 func TestSamplingIdentityAtRateOne(t *testing.T) {
 	for _, prog := range conformance.Programs() {
 		for _, seed := range []uint64{1, 42} {
@@ -58,16 +57,8 @@ func TestSamplingIdentityAtRateOne(t *testing.T) {
 					t.Fatalf("%s/%s sampled: %v", prog.Name, variant, err)
 				}
 				if !sameReports(want, seq) {
-					t.Fatalf("%s/%s: rate-1.0 sequential diverged from precise:\nwant %+v\ngot  %+v",
+					t.Fatalf("%s/%s: rate 1.0 diverged from precise:\nwant %+v\ngot  %+v",
 						prog.Name, variant, want, seq)
-				}
-				par, err := CheckTrace(tr, WithVariant(variant), WithSampling(1), WithParallelism(4))
-				if err != nil {
-					t.Fatalf("%s/%s sampled parallel: %v", prog.Name, variant, err)
-				}
-				if !sameReports(want, par) {
-					t.Fatalf("%s/%s: rate-1.0 parallel diverged from precise:\nwant %+v\ngot  %+v",
-						prog.Name, variant, want, par)
 				}
 			}
 		}
@@ -76,8 +67,7 @@ func TestSamplingIdentityAtRateOne(t *testing.T) {
 
 // TestSamplingFilteredIdentity pins the below-1.0 contract, which is
 // stronger than "no new false positives": the sampled reports are exactly
-// the precise reports restricted to the sampled variables — sequentially
-// and sharded.
+// the precise reports restricted to the sampled variables.
 func TestSamplingFilteredIdentity(t *testing.T) {
 	for _, prog := range conformance.Programs() {
 		for _, schedSeed := range []uint64{1, 42} {
@@ -100,17 +90,8 @@ func TestSamplingFilteredIdentity(t *testing.T) {
 							t.Fatalf("%s/%s rate %v: %v", prog.Name, variant, rate, err)
 						}
 						if !sameReports(want, seq) {
-							t.Fatalf("%s/%s rate %v seed %d: sequential != filtered precise:\nwant %+v\ngot  %+v",
+							t.Fatalf("%s/%s rate %v seed %d: sampled != filtered precise:\nwant %+v\ngot  %+v",
 								prog.Name, variant, rate, seed, want, seq)
-						}
-						par, err := CheckTrace(tr, WithVariant(variant),
-							WithSampling(rate, WithSamplingSeed(seed)), WithParallelism(4))
-						if err != nil {
-							t.Fatalf("%s/%s rate %v parallel: %v", prog.Name, variant, rate, err)
-						}
-						if !sameReports(want, par) {
-							t.Fatalf("%s/%s rate %v seed %d: parallel != filtered precise:\nwant %+v\ngot  %+v",
-								prog.Name, variant, rate, seed, want, par)
 						}
 					}
 				}
@@ -121,8 +102,8 @@ func TestSamplingFilteredIdentity(t *testing.T) {
 
 // TestSamplingSeededDeterminism pins that the decision is a pure function
 // of (seed, variable id): the same trace at the same rate and seed yields
-// byte-identical reports from the sequential replay, the sharded checker,
-// and a vft-server upload of the same bytes.
+// byte-identical reports from two offline checks and from a vft-server
+// upload of the same bytes.
 func TestSamplingSeededDeterminism(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.Ops = 20_000
@@ -132,26 +113,16 @@ func TestSamplingSeededDeterminism(t *testing.T) {
 	tr := trace.Generate(rand.New(rand.NewSource(3)), gen)
 
 	const rate, seed = 0.5, uint64(9)
-	opt := func(extra ...CheckOption) []CheckOption {
-		return append([]CheckOption{WithSampling(rate, WithSamplingSeed(seed))}, extra...)
-	}
-	first, err := CheckTrace(tr, opt()...)
+	first, err := CheckTrace(tr, WithSampling(rate, WithSamplingSeed(seed)))
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("check: %v", err)
 	}
-	again, err := CheckTrace(tr, opt()...)
+	again, err := CheckTrace(tr, WithSampling(rate, WithSamplingSeed(seed)))
 	if err != nil {
-		t.Fatalf("sequential repeat: %v", err)
+		t.Fatalf("repeat: %v", err)
 	}
 	if !sameReports(first, again) {
-		t.Fatal("two sequential sampled checks of the same trace disagreed")
-	}
-	par, err := CheckTrace(tr, opt(WithParallelism(4))...)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if !sameReports(first, par) {
-		t.Fatalf("sharded sampled check diverged from sequential:\nwant %+v\ngot  %+v", first, par)
+		t.Fatal("two sampled checks of the same trace disagreed")
 	}
 
 	srv := ingest.New(ingest.Config{})
@@ -236,9 +207,6 @@ func TestWithSamplingValidation(t *testing.T) {
 		if _, err := CheckTrace(tr, WithSampling(rate)); err == nil {
 			t.Fatalf("CheckTrace accepted rate %v", rate)
 		}
-		if _, err := CheckTrace(tr, WithSampling(rate), WithParallelism(2)); err == nil {
-			t.Fatalf("parallel CheckTrace accepted rate %v", rate)
-		}
 		if _, err := New(V2, WithSampling(rate)); err == nil {
 			t.Fatalf("New accepted rate %v", rate)
 		}
@@ -251,9 +219,8 @@ func TestWithSamplingValidation(t *testing.T) {
 // FuzzSamplingSoundness drives the restriction property from arbitrary
 // bytes: for any feasible trace, variant, rate and seed, the sampled
 // reports must equal the precise reports filtered to the sampled
-// variables (re-numbered), sequentially and under a fuzzed worker count —
-// which subsumes both headline gates (identity at rate 1.0, and
-// reported ⊆ precise below it).
+// variables (re-numbered) — which subsumes both headline gates (identity
+// at rate 1.0, and reported ⊆ precise below it).
 func FuzzSamplingSoundness(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(255), uint64(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), uint8(128), uint64(7))
@@ -279,15 +246,6 @@ func FuzzSamplingSoundness(f *testing.F) {
 		if !sameReports(want, seq) {
 			t.Fatalf("%s rate %v seed %d: sampled != filtered precise:\nwant %+v\ngot  %+v",
 				variant, rate, seed, want, seq)
-		}
-		par, err := CheckTrace(tr, WithVariant(variant),
-			WithSampling(rate, WithSamplingSeed(seed)), WithParallelism(1+int(pick)%4))
-		if err != nil {
-			t.Fatalf("sampled parallel: %v", err)
-		}
-		if !sameReports(want, par) {
-			t.Fatalf("%s rate %v seed %d: sharded sampled != filtered precise:\nwant %+v\ngot  %+v",
-				variant, rate, seed, want, par)
 		}
 	})
 }

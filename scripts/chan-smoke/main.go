@@ -2,7 +2,7 @@
 // Go-synchronization kinds. Two channel-heavy traces — a generated
 // gosync mix and a deterministic "channel mill" with hundreds of
 // buffered and unbuffered sends — each round-trip text → binary-v2 →
-// decoded, get checked with `vft-run -parallel` the way a consumer
+// decoded, get checked with `vft-race -chancaps` the way a consumer
 // would, and get uploaded as the same binary-v2 bytes to a real
 // vft-server with the chancap parameter; both report lists must diff
 // clean against an offline CheckTrace of the same trace. It also pins
@@ -119,27 +119,27 @@ func run() int {
 		minSends: 1000,
 	}
 
-	runBin, cleanup, err := buildVftRun()
+	raceBin, cleanup, err := buildVftRace()
 	if err != nil {
-		return fail("build vft-run: %v", err)
+		return fail("build vft-race: %v", err)
 	}
 	defer cleanup()
 
 	for _, sc := range []smokeCase{generated, mill} {
-		if code := smoke(sc, runBin); code != 0 {
+		if code := smoke(sc, raceBin); code != 0 {
 			return code
 		}
 	}
 	return 0
 }
 
-func buildVftRun() (string, func(), error) {
+func buildVftRace() (string, func(), error) {
 	tmp, err := os.MkdirTemp("", "chan-smoke")
 	if err != nil {
 		return "", nil, err
 	}
-	bin := filepath.Join(tmp, "vft-run")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/vft-run")
+	bin := filepath.Join(tmp, "vft-race")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/vft-race")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
 		os.RemoveAll(tmp)
@@ -148,7 +148,7 @@ func buildVftRun() (string, func(), error) {
 	return bin, func() { os.RemoveAll(tmp) }, nil
 }
 
-func smoke(sc smokeCase, runBin string) int {
+func smoke(sc smokeCase, raceBin string) int {
 	tr, ext := sc.tr, sc.ext
 	if err := trace.ValidateExt(tr, ext); err != nil {
 		return fail("%s: trace infeasible: %v", sc.name, err)
@@ -199,7 +199,7 @@ func smoke(sc smokeCase, runBin string) int {
 		return fail("%s: channel trace encoded under a v1 pin", sc.name)
 	}
 
-	// Offline truth, sequential and parallel.
+	// Offline truth.
 	caps := map[verifiedft.LockID]int{}
 	for c, n := range ext.ChanCapacity {
 		caps[c] = n
@@ -209,21 +209,12 @@ func smoke(sc smokeCase, runBin string) int {
 	if err != nil {
 		return fail("%s: offline check: %v", sc.name, err)
 	}
-	par, err := verifiedft.CheckTrace(tr,
-		verifiedft.WithVariant(verifiedft.V2), verifiedft.WithChanCapacities(caps),
-		verifiedft.WithParallelism(4))
-	if err != nil {
-		return fail("%s: parallel check: %v", sc.name, err)
-	}
-	if !reflect.DeepEqual(offline, par) {
-		return fail("%s: WithParallelism(4) reports diverge from sequential", sc.name)
-	}
 	if sc.name == "chan-mill" && len(offline) == 0 {
 		return fail("chan-mill: the planted write-write race went undetected")
 	}
 
-	// Leg 2: vft-run -parallel over the binary-v2 file, diffed against
-	// the offline reports (vft-run prints the first report per variable).
+	// Leg 2: vft-race over the binary-v2 file, diffed against the offline
+	// reports (vft-race prints every report).
 	tmp, err := os.MkdirTemp("", "chan-smoke-trace")
 	if err != nil {
 		return fail("%v", err)
@@ -233,7 +224,7 @@ func smoke(sc smokeCase, runBin string) int {
 	if err := os.WriteFile(tracePath, bin.Bytes(), 0o644); err != nil {
 		return fail("%v", err)
 	}
-	cmd := exec.Command(runBin, "-parallel", "2", "-chancaps", capsFlag(ext.ChanCapacity), tracePath)
+	cmd := exec.Command(raceBin, "-chancaps", capsFlag(ext.ChanCapacity), tracePath)
 	var stdout, stderrBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderrBuf
 	err = cmd.Run()
@@ -242,15 +233,11 @@ func smoke(sc smokeCase, runBin string) int {
 		wantExit = 1
 	}
 	if code := cmd.ProcessState.ExitCode(); code != wantExit {
-		return fail("%s: vft-run: exit %d (want %d): %v\n%s", sc.name, code, wantExit, err, stderrBuf.String())
+		return fail("%s: vft-race: exit %d (want %d): %v\n%s", sc.name, code, wantExit, err, stderrBuf.String())
 	}
 	var wantLines []string
-	seen := map[verifiedft.VarID]bool{}
 	for _, r := range offline {
-		if !seen[r.X] {
-			seen[r.X] = true
-			wantLines = append(wantLines, r.String())
-		}
+		wantLines = append(wantLines, r.String())
 	}
 	gotLines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 	if len(gotLines) == 1 && gotLines[0] == "" {
@@ -259,10 +246,10 @@ func smoke(sc smokeCase, runBin string) int {
 	if len(offline) == 0 {
 		// Clean traces print a "no races detected" banner instead.
 		if len(gotLines) != 1 || !strings.Contains(gotLines[0], "no races detected") {
-			return fail("%s: vft-run on a clean trace printed %q", sc.name, gotLines)
+			return fail("%s: vft-race on a clean trace printed %q", sc.name, gotLines)
 		}
 	} else if !reflect.DeepEqual(wantLines, gotLines) {
-		return fail("%s: vft-run reports diverge from offline CheckTrace:\n got %q\nwant %q",
+		return fail("%s: vft-race reports diverge from offline CheckTrace:\n got %q\nwant %q",
 			sc.name, gotLines, wantLines)
 	}
 
@@ -309,7 +296,7 @@ func smoke(sc smokeCase, runBin string) int {
 			sc.name, got.Bytes(), want.Bytes())
 	}
 
-	fmt.Printf("chan-smoke: OK: %s: %d ops (%d sends, %d recvs, %d closes, %d atomics, %d onces), %d report(s), text=binary-v2=vft-run=vft-server=offline\n",
+	fmt.Printf("chan-smoke: OK: %s: %d ops (%d sends, %d recvs, %d closes, %d atomics, %d onces), %d report(s), text=binary-v2=vft-race=vft-server=offline\n",
 		sc.name, len(tr), kinds[trace.ChanSend], kinds[trace.ChanRecv], kinds[trace.ChanClose],
 		kinds[trace.AtomicLoad]+kinds[trace.AtomicStore]+kinds[trace.AtomicRMW], kinds[trace.OnceDo],
 		len(offline))

@@ -6,10 +6,10 @@
 // and format detection must work on an unseekable pipe. Two hostile-input
 // fixes are gated the same way, by exit code and child max-RSS: a valid
 // 300-thread trace under -d ft-cas must be a positioned input error (exit
-// 2) sequentially and with -parallel, not a Pack32 panic; and an offline
-// check — vft-run -parallel and vft-race, on the sharded engine and on the
-// sequential one — of a trace naming one huge thread, variable or lock id
-// must stay under 64 MiB with the ordinary verdict. It is a Go program
+// 2) from vft-run's re-execution and from vft-race's offline check, not a
+// Pack32 panic; and vft-race's check of a trace naming one huge thread,
+// variable or lock id must stay under 64 MiB with the ordinary verdict. It
+// is a Go program
 // rather than a shell script so `make stream-smoke` works on any machine
 // with just the toolchain.
 package main
@@ -105,17 +105,14 @@ func run() int {
 		{"racy gzip binary", "", []string{"-"}, racyGz, 1, "race", 0},
 		{"clean gzip binary", "", []string{"-"}, cleanGz, 0, "no races detected", 0},
 		{"300 threads, ft-cas", "", []string{"-trace", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, ft-cas -parallel", "", []string{"-trace", "-parallel", "2", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, ft-mutex -parallel", "", []string{"-trace", "-parallel", "2", "-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
-		{"sparse var, sampled -parallel", "", []string{"-trace", "-parallel", "2", "-sample", "0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
-		{"sparse var, djit -parallel", "", []string{"-trace", "-parallel", "2", "-d", "djit", "-"}, []byte(sparse), 1, "x2000000000", 64},
+		{"300 threads, vft-race -d ft-cas", "vft-race", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, vft-race -d ft-mutex", "vft-race", []string{"-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
+		{"sparse var, vft-race -d sampled:0.5", "vft-race", []string{"-d", "sampled:0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
 	}
-	cases = append(cases, smokeCase{"sparse var, vft-race", "vft-race", []string{"-"}, []byte(sparse), 1, "x2000000000", 64})
 	for _, d := range []string{"vft-v2", "djit"} {
 		cases = append(cases,
-			smokeCase{"huge tid, -parallel -d " + d, "", []string{"-trace", "-parallel", "2", "-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
+			smokeCase{"sparse var, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(sparse), 1, "x2000000000", 64},
 			smokeCase{"huge tid, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
-			smokeCase{"huge lock, -parallel -d " + d, "", []string{"-trace", "-parallel", "2", "-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64},
 			smokeCase{"huge lock, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64})
 	}
 	for _, c := range cases {

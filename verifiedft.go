@@ -263,14 +263,13 @@ func ValidateTrace(tr Trace) error { return trace.Validate(tr) }
 // grow on demand. On a validation or decode error the error is returned
 // and any reports from the consumed prefix are discarded, matching
 // CheckTrace's contract that an infeasible trace yields no reports. With
-// WithMetrics and one worker (the default), the run is latency-sampled and
-// the detector's counters are frozen into the registry under the variant
-// name when the stream ends; see WithParallelism for the other case.
+// WithMetrics the run is latency-sampled and the detector's counters are
+// frozen into the registry under the variant name when the stream ends.
 //
 // CheckSource, CheckReader and CheckTrace are one path: the options map
 // onto internal/parcheck's, which assembles the check.
 func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
-	s := settings{variant: V2, cfg: core.DefaultConfig(), parallel: 1}
+	s := settings{variant: V2, cfg: core.DefaultConfig()}
 	for _, o := range opts {
 		o.applyCheck(&s)
 	}
@@ -279,7 +278,6 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	}
 	return parcheck.CheckSource(src, s.extensions(), parcheck.Options{
 		Variant:          s.variant,
-		Workers:          s.parallel,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,
 		Threads:          s.cfg.Threads,
 		Vars:             s.cfg.Vars,
@@ -347,7 +345,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.4.0 removes the second
-// vector-clock representation and its selectors: the clock-implementation
-// option and the -clock flags now fail at compile or flag-parse time.
-const Version = "2.4.0"
+// Version identifies this implementation. 2.5.0 removes the sharded
+// offline engine and its selectors: vft-run/vft-bench -parallel and
+// vft-server -shards now fail at flag-parse time, and WithParallelism is
+// accepted and ignored.
+const Version = "2.5.0"
