@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet lint bench bench-sampling metrics-smoke stream-smoke static-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke fuzz fuzz-smoke soak coverage clean
+.PHONY: all build test race vet lint bench bench-sampling smoke metrics-smoke stream-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke fuzz fuzz-smoke soak coverage clean
 
 all: build
 
@@ -37,6 +37,10 @@ bench:
 bench-sampling:
 	$(GO) run ./cmd/vft-bench -sampling -quick -iters 3
 
+# Every end-to-end smoke check below; CI's smoke job runs the same list,
+# one matrix entry per target.
+smoke: metrics-smoke stream-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke
+
 # End-to-end check of the live metrics endpoint: runs vft-bench with
 # -metrics-addr and scrapes /metrics + /debug/vars while it serves.
 metrics-smoke:
@@ -48,11 +52,6 @@ metrics-smoke:
 # vft-race's checks of huge-id traces (child max-RSS <= 64 MiB).
 stream-smoke:
 	$(GO) run ./scripts/stream-smoke
-
-# End-to-end check of the static race analyzer: vft-lint over every
-# shipped example, verifying exit codes, warning positions and -json.
-static-smoke:
-	$(GO) run ./scripts/static-smoke
 
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
@@ -83,9 +82,12 @@ chan-smoke:
 # End-to-end check of the vft-go front-end over the real-Go corpus:
 # every racy program must name its racy variable, every clean program
 # must be silent, elide-on and elide-off canonical reports must be
-# byte-identical, and elision must fire on at least half the corpus.
+# byte-identical, and elision must fire on at least half the corpus. Then
+# the vft-go binary driven from a scratch directory: a relative -o builds
+# exactly one binary and -v prints the phase line.
 go-smoke:
 	$(GO) run ./scripts/go-smoke -v
+	bash scripts/go-smoke/cli.sh
 
 # End-to-end check of the sampling tier under the Go race detector: a
 # rate sweep over a generated trace plus the conformance corpus, failing
@@ -105,9 +107,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryDecodeChunked -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/minilang -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticrace -run '^$$' -fuzz FuzzStaticNoPanic -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parcheck -run '^$$' -fuzz FuzzParallelEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestHTTP -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzSamplingSoundness -fuzztime $(FUZZTIME)
@@ -116,9 +116,7 @@ fuzz:
 # (no fuzzing time budget — just the deterministic seeds, as CI does).
 fuzz-smoke:
 	$(GO) test ./internal/trace -run 'Fuzz' -count 1
-	$(GO) test ./internal/minilang -run 'FuzzParse' -count 1
 	$(GO) test ./internal/spec -run 'FuzzPrecision' -count 1
-	$(GO) test ./internal/staticrace -run 'FuzzStaticNoPanic' -count 1
 	$(GO) test ./internal/parcheck -run 'FuzzParallelEquivalence' -count 1
 	$(GO) test ./internal/ingest -run 'FuzzIngestHTTP' -count 1
 	$(GO) test . -run 'FuzzSamplingSoundness' -count 1

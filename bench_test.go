@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	verifiedft "repro"
-	"repro/internal/arrayshadow"
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/rtsim"
@@ -293,49 +292,4 @@ func BenchmarkCheckTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkArrayShadow measures the [58]-style compression extension on a
-// sweep-heavy access pattern (crypt's shape): per-op time and — via
-// ReportAllocs — the shadow-state allocation the compressed mode avoids.
-func BenchmarkArrayShadow(b *testing.B) {
-	const n = 4096
-	const sweeps = 8
-	b.Run("compressed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// The compressed id sits below the element ids so the dense
-			// shadow table materializes exactly one VarState until (unless)
-			// the array expands.
-			d := core.NewV2(core.Config{Threads: 8, Vars: 1, Locks: 8})
-			arr := arrayshadow.New(d, 0, 1, n)
-			for s := 0; s < sweeps; s++ {
-				for j := 0; j < n; j++ {
-					if s == 0 {
-						arr.Write(0, j)
-					} else {
-						arr.Read(0, j)
-					}
-				}
-			}
-			if arr.Expanded() {
-				b.Fatal("sweeps should stay compressed")
-			}
-		}
-	})
-	b.Run("fine-grained", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d := core.NewV2(core.Config{Threads: 8, Vars: n, Locks: 8})
-			for s := 0; s < sweeps; s++ {
-				for j := 0; j < n; j++ {
-					if s == 0 {
-						d.Write(0, trace.Var(j))
-					} else {
-						d.Read(0, trace.Var(j))
-					}
-				}
-			}
-		}
-	})
 }

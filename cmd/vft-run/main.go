@@ -1,17 +1,14 @@
-// Command vft-run executes a minilang program under a race detector: the
-// interpreter routes every shared access and synchronization operation
-// through the analysis, so concurrent programs can be written, shared and
-// checked as plain source files (the repository's analogue of running a
-// target program under RoadRunner, §7). Recorded traces re-execute as live
-// concurrent programs instead: binary and gzip inputs are recognized
-// automatically, -trace forces it for text traces, and "-" reads stdin, so
-// a captured stream pipes straight in (e.g. `gzip -dc t.bin.gz | vft-run -`
-// works too, but plain `vft-run t.bin.gz` already decompresses). See
-// internal/minilang for the language and internal/cli for the flags.
+// Command vft-run re-executes a recorded trace as live goroutines under a
+// race detector: one goroutine per trace thread, every access and
+// synchronization operation routed through the analysis. The input is a
+// file or "-" for stdin, in text, binary or gzip encoding (recognized from
+// the stream head), so a captured stream pipes straight in. To check a
+// trace offline without re-executing it, use vft-race. See internal/cli
+// for the flags.
 //
 // Usage:
 //
-//	vft-run [-d variant] [-runs N] [-trace] program.vft | trace | -
+//	vft-run [-d variant] [-runs N] trace | -
 package main
 
 import (

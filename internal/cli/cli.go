@@ -1,13 +1,12 @@
 // Package cli implements the command-line tools (vft-race, vft-bench,
-// vft-stats, vft-fuzz, vft-run, vft-lint) as testable functions: each
-// command is a Run function over explicit streams and returns its exit
-// code, and the binaries under cmd/ are one-line wrappers. Exit codes
-// follow the usual grep-style convention for vft-race and vft-lint:
-// 0 no race/warning, 1 race/warning found, 2 error.
+// vft-stats, vft-fuzz, vft-run, vft-server, vft-go) as testable functions:
+// each command is a Run function over explicit streams and returns its
+// exit code, and the binaries under cmd/ are one-line wrappers. Exit codes
+// follow the usual grep-style convention for vft-race and vft-run:
+// 0 no race, 1 race found, 2 error.
 package cli
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"expvar"
@@ -30,13 +29,11 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/harness"
 	"repro/internal/hb"
-	"repro/internal/minilang"
 	"repro/internal/obs"
 	"repro/internal/rtsim"
 	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/spec"
-	"repro/internal/staticrace"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -73,8 +70,8 @@ func serveMetrics(addr, name string, reg *obs.Registry, stderr io.Writer) (func(
 // "-" or no argument) for races. Inputs may be text, binary or gzip; the
 // encoding is sniffed from the stream. The multi-variant cross-check and
 // the oracle need the whole trace, so this tool materializes it; use
-// CheckReader/CheckSource (or vft-run on a trace input) for streams that
-// must stay out of memory.
+// CheckReader/CheckSource (or vft-run) for streams that must stay out of
+// memory.
 func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vft-race", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -792,31 +789,26 @@ func CheckOne(tr trace.Trace) error { return conformance.CheckTrace(tr) }
 // human-readable size. See conformance.Shrink.
 func Shrink(tr trace.Trace) trace.Trace { return conformance.Shrink(tr) }
 
-// RunProg implements vft-run: execute a minilang program — or re-execute
-// a recorded trace — under a detector. The input may be a file or "-" for
-// stdin. Gzip-compressed and binary-encoded inputs are recognized from the
-// stream head and replayed as traces through the streaming pipeline
-// (decode → validate → desugar → rtsim demux replay), never materialized;
-// -trace forces the same for a text-format trace, which is otherwise
-// indistinguishable from a program source. Re-execution runs the trace's
-// threads as real concurrent goroutines, so on racy inputs the detected
-// interleaving (and with it the report set) is schedule-dependent, exactly
-// as re-running a live program would be.
+// RunProg implements vft-run: re-execute a recorded trace as live
+// goroutines under a detector. The input is a file or "-" for stdin, in
+// text, binary or gzip encoding (sniffed from the stream head). Each run
+// streams it through decode → validate → desugar → rtsim.Replay on a fresh
+// runtime, never materializing the trace; the first run consumes the opened
+// input and later runs reopen the file. The trace's threads run as real
+// concurrent goroutines, so on racy inputs the detected interleaving (and
+// with it the report set) is schedule-dependent, exactly as re-running a
+// live program would be.
 func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vft-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	variant := fs.String("d", "vft-v2", "detector variant ('none' for an uninstrumented run)")
 	runs := fs.Int("runs", 1, "number of executions (races are schedule-dependent; more runs, more schedules)")
-	traceMode := fs.Bool("trace", false,
-		"treat the input as a trace to re-execute (automatic for binary and gzip inputs)")
-	static := fs.Bool("static", false,
-		"run the static race analyzer on the program before executing it (warnings go to stderr; the exit code still reflects the dynamic runs — use vft-lint to gate on static warnings)")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve metrics over HTTP on this address: live rtsim event counts during the run, frozen detector stats after each run")
 	metricsLinger := fs.Duration("metrics-linger", 0,
 		"keep the metrics endpoint up this long after the last run")
 	chancaps := fs.String("chancaps", "",
-		"per-channel buffer capacities for trace inputs, comma-separated id:cap pairs (absent channels are unbuffered)")
+		"per-channel buffer capacities, comma-separated id:cap pairs (absent channels are unbuffered)")
 	sampleRate := fs.Float64("sample", 1,
 		"check through the sampling tier at this per-variable rate (1 = precise unless set explicitly; overrides a -d sampled:<rate> spelling)")
 	sampleSeed := fs.Uint64("sample-seed", 0,
@@ -825,7 +817,16 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "vft-run: usage: vft-run [-d variant] [-runs N] [-trace] program.vft | trace | -")
+		fmt.Fprintln(stderr, "vft-run: usage: vft-run [-d variant] [-runs N] trace | -")
+		return 2
+	}
+	if *runs < 1 {
+		fmt.Fprintf(stderr, "vft-run: -runs must be at least 1, got %d\n", *runs)
+		return 2
+	}
+	path := fs.Arg(0)
+	if (path == "-" || path == "") && *runs > 1 {
+		fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
 		return 2
 	}
 	base, pol, err := sample.Resolve(*variant, ifSet(fs, "sample", sampleRate), *sampleSeed)
@@ -838,7 +839,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-run: -sample needs a detector variant, not 'none'")
 		return 2
 	}
-	detCfg := core.DefaultConfig()
 	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -848,7 +848,6 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if caps != nil {
 		ext = &trace.Extensions{ChanCapacity: caps}
 	}
-	path := fs.Arg(0)
 	in, closeIn, err := openInput(path, stdin)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -875,65 +874,25 @@ func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	br := bufio.NewReader(in)
-	if *traceMode || sniffGzipOrBinaryTrace(br) {
-		if *static {
-			fmt.Fprintln(stderr, "vft-run: -static applies to program sources, not traces")
-			return 2
-		}
-		if (path == "-" || path == "") && *runs > 1 {
-			fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
-			return 2
-		}
-		return runTrace(path, br, *variant, *runs, detCfg, ext, reg, rtOpts, pol, stdout, stderr)
-	}
-	src, err := io.ReadAll(br)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	if *static {
-		prog, err := minilang.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-run:", err)
-			return 2
-		}
-		res := staticrace.Analyze(prog)
-		for _, w := range res.Warnings {
-			fmt.Fprintf(stderr, "%s:%s\n", path, w)
-		}
-		fmt.Fprintf(stderr, "vft-run: static analysis: %d warning(s); executing\n", len(res.Warnings))
-	}
-
 	raced := false
 	for i := 0; i < *runs; i++ {
-		var d core.Detector
-		if *variant != "none" {
-			d, err = core.NewSampled(*variant, detCfg, pol)
+		r := in
+		if i > 0 {
+			f, err := os.Open(path)
 			if err != nil {
 				fmt.Fprintln(stderr, "vft-run:", err)
 				return 2
 			}
+			r = f
 		}
-		var reports []core.Report
-		pprof.Do(context.Background(), pprof.Labels("program", fs.Arg(0), "detector", *variant), func(context.Context) {
-			reports, err = minilang.Run(string(src), d, stdout, rtOpts...)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-run:", err)
-			return 2
+		racedOnce, code := runTraceOnce(r, path, *variant, ext, reg, rtOpts, pol, stdout, stderr)
+		if f, ok := r.(*os.File); ok && i > 0 {
+			f.Close()
 		}
-		if reg != nil {
-			// The program has quiesced (minilang joins all threads), so the
-			// detector's per-thread counters are coherent: freeze them into
-			// the live registry. Repeat runs get ".2", ".3", … suffixes.
-			if ss, ok := d.(core.StatsSource); ok {
-				reg.RegisterSource(*variant, ss.Stats().Source())
-			}
+		if code != 0 {
+			return code
 		}
-		if printFirstPerVar(stdout, reports) {
-			raced = true
-		}
+		raced = raced || racedOnce
 	}
 	if raced {
 		return 1
@@ -957,40 +916,6 @@ func ifSet(fs *flag.FlagSet, name string, v *float64) *float64 {
 	return set
 }
 
-// runTrace is RunProg's trace mode: each run streams the input through
-// decode → validate → desugar → rtsim.Replay on a fresh runtime, never
-// materializing the trace. The first run consumes in; later runs reopen
-// path (the caller has already ruled out stdin when runs > 1).
-func runTrace(path string, in io.Reader, variant string, runs int, cfg core.Config, ext *trace.Extensions, reg *obs.Registry, rtOpts []rtsim.Option, pol *sample.Policy, stdout, stderr io.Writer) int {
-	raced := false
-	for i := 0; i < runs; i++ {
-		r := in
-		if i > 0 {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "vft-run:", err)
-				return 2
-			}
-			r = f
-		}
-		racedOnce, code := runTraceOnce(r, path, variant, cfg, ext, reg, rtOpts, pol, stdout, stderr)
-		if f, ok := r.(*os.File); ok && i > 0 {
-			f.Close()
-		}
-		if code != 0 {
-			return code
-		}
-		raced = raced || racedOnce
-	}
-	if raced {
-		return 1
-	}
-	if variant != "none" {
-		fmt.Fprintf(stdout, "[%s] no races detected over %d run(s)\n", variant, runs)
-	}
-	return 0
-}
-
 // validateFor checks a materialized trace against the §2 feasibility
 // constraints under the narrowest thread-id ceiling of the variants about
 // to replay it (ft-cas's 8-bit tids, when it is among them), so a format
@@ -1009,9 +934,10 @@ func validateFor(tr trace.Trace, ext *trace.Extensions, variants []string) error
 	return nil
 }
 
-// runTraceOnce re-executes one trace stream as a live concurrent program.
-// Like a program run, reports are deduplicated per variable for printing.
-func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trace.Extensions, reg *obs.Registry, rtOpts []rtsim.Option, pol *sample.Policy, stdout, stderr io.Writer) (bool, int) {
+// runTraceOnce re-executes one trace stream as a live concurrent program
+// and prints each racy variable's first report. It returns whether the run
+// raced and a nonzero exit code on error.
+func runTraceOnce(in io.Reader, path, variant string, ext *trace.Extensions, reg *obs.Registry, rtOpts []rtsim.Option, pol *sample.Policy, stdout, stderr io.Writer) (bool, int) {
 	src, err := trace.NewDecoder(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-run:", err)
@@ -1019,7 +945,7 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 	}
 	var d core.Detector
 	if variant != "none" {
-		if d, err = core.NewSampled(variant, cfg, pol); err != nil {
+		if d, err = core.NewSampled(variant, core.DefaultConfig(), pol); err != nil {
 			fmt.Fprintln(stderr, "vft-run:", err)
 			return false, 2
 		}
@@ -1038,12 +964,7 @@ func runTraceOnce(in io.Reader, path, variant string, cfg core.Config, ext *trac
 			reg.RegisterSource(variant, ss.Stats().Source())
 		}
 	}
-	return printFirstPerVar(stdout, rt.Reports()), 0
-}
-
-// printFirstPerVar prints each racy variable's first report — a run's
-// reports deduplicated per variable — and reports whether there was any.
-func printFirstPerVar(stdout io.Writer, reports []core.Report) bool {
+	reports := rt.Reports()
 	seen := map[trace.Var]bool{}
 	for _, r := range reports {
 		if !seen[r.X] {
@@ -1051,85 +972,5 @@ func printFirstPerVar(stdout io.Writer, reports []core.Report) bool {
 			fmt.Fprintln(stdout, r)
 		}
 	}
-	return len(reports) > 0
-}
-
-// lintFile is one file's worth of vft-lint -json output.
-type lintFile struct {
-	File     string               `json:"file"`
-	Warnings []staticrace.Warning `json:"warnings"`
-}
-
-// Lint implements vft-lint: run the static race analyzer over minilang
-// program files (or stdin via "-" or no argument) without executing them.
-// Warnings print one per line as file:line:col: ..., grep/editor style;
-// -json emits a machine-readable array instead. Exit codes follow
-// vft-race's convention: 0 clean, 1 warnings, 2 bad input. The analyzer
-// is sound but not precise — a warning means no locking discipline or
-// program structure visible to the analyzer rules the race out, not that
-// some schedule certainly exhibits it (vft-run and schedule exploration
-// answer that).
-func Lint(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vft-lint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit warnings as JSON")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	paths := fs.Args()
-	if len(paths) == 0 {
-		paths = []string{"-"}
-	}
-
-	warned := false
-	var files []lintFile
-	for _, path := range paths {
-		in, closeIn, err := openInput(path, stdin)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-lint:", err)
-			return 2
-		}
-		src, err := io.ReadAll(in)
-		closeIn()
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-lint:", err)
-			return 2
-		}
-		name := path
-		if name == "-" || name == "" {
-			name = "<stdin>"
-		}
-		prog, err := minilang.Parse(string(src))
-		if err != nil {
-			fmt.Fprintf(stderr, "vft-lint: %s: %v\n", name, err)
-			return 2
-		}
-		res := staticrace.Analyze(prog)
-		if len(res.Warnings) > 0 {
-			warned = true
-		}
-		if *jsonOut {
-			ws := res.Warnings
-			if ws == nil {
-				ws = []staticrace.Warning{} // encode clean files as [], not null
-			}
-			files = append(files, lintFile{File: name, Warnings: ws})
-			continue
-		}
-		for _, w := range res.Warnings {
-			fmt.Fprintf(stdout, "%s:%s\n", name, w)
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(files); err != nil {
-			fmt.Fprintln(stderr, "vft-lint:", err)
-			return 2
-		}
-	}
-	if warned {
-		return 1
-	}
-	return 0
+	return len(reports) > 0, 0
 }

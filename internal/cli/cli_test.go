@@ -232,13 +232,14 @@ func TestBenchCSV(t *testing.T) {
 
 func TestRunProg(t *testing.T) {
 	dir := t.TempDir()
-	racy := filepath.Join(dir, "racy.vft")
-	os.WriteFile(racy, []byte("shared x\nspawn { x = 1 }\nx = 2\nwait\n"), 0o644)
-	clean := filepath.Join(dir, "clean.vft")
-	os.WriteFile(clean, []byte("shared x\nx = 1\nprint x\n"), 0o644)
-	bad := filepath.Join(dir, "bad.vft")
-	os.WriteFile(bad, []byte("if {\n"), 0o644)
+	racy := filepath.Join(dir, "racy.trace")
+	os.WriteFile(racy, []byte("fork 0 1\nwr 0 0\nwr 1 0\njoin 0 1\n"), 0o644)
+	clean := filepath.Join(dir, "clean.trace")
+	os.WriteFile(clean, []byte("fork 0 1\nwr 1 0\njoin 0 1\nrd 0 0\n"), 0o644)
+	bad := filepath.Join(dir, "bad.trace")
+	os.WriteFile(bad, []byte("frobnicate 1 2\n"), 0o644)
 
+	// A text trace needs no mode flag.
 	var out, errBuf bytes.Buffer
 	if code := RunProg([]string{racy}, strings.NewReader(""), &out, &errBuf); code != 1 {
 		t.Fatalf("racy: exit = %d (stderr %s)", code, errBuf.String())
@@ -264,9 +265,9 @@ func TestRunProg(t *testing.T) {
 	}
 
 	if code := RunProg([]string{bad}, strings.NewReader(""), &out, &errBuf); code != 2 {
-		t.Fatalf("parse error: exit = %d", code)
+		t.Fatalf("malformed trace: exit = %d", code)
 	}
-	if code := RunProg([]string{"/no/such/file.vft"}, strings.NewReader(""), &out, &errBuf); code != 2 {
+	if code := RunProg([]string{"/no/such/file.trace"}, strings.NewReader(""), &out, &errBuf); code != 2 {
 		t.Fatalf("missing file: exit = %d", code)
 	}
 	if code := RunProg(nil, strings.NewReader(""), &out, &errBuf); code != 2 {
@@ -275,30 +276,25 @@ func TestRunProg(t *testing.T) {
 	if code := RunProg([]string{"-d", "nope", clean}, strings.NewReader(""), &out, &errBuf); code != 2 {
 		t.Fatalf("bad detector: exit = %d", code)
 	}
-}
 
-// The shipped example programs stay working.
-func TestExampleProgramsRun(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := RunProg([]string{"../../examples/minilang/account.vft"}, strings.NewReader(""), &out, &errBuf); code != 1 {
-		t.Fatalf("account.vft: exit = %d, stderr %s", code, errBuf.String())
+	// A run count below 1 would certify a trace that never ran.
+	for _, n := range []string{"0", "-1"} {
+		out.Reset()
+		errBuf.Reset()
+		if code := RunProg([]string{"-runs", n, clean}, strings.NewReader(""), &out, &errBuf); code != 2 ||
+			out.Len() != 0 || strings.Count(errBuf.String(), "\n") != 1 {
+			t.Fatalf("-runs %s: exit = %d, stdout %q, stderr %q; want exit 2 and one line on stderr",
+				n, code, out.String(), errBuf.String())
+		}
 	}
-	out.Reset()
-	if code := RunProg([]string{"../../examples/minilang/pipeline.vft"}, strings.NewReader(""), &out, &errBuf); code != 0 {
-		t.Fatalf("pipeline.vft: exit = %d, stderr %s", code, errBuf.String())
-	}
-}
 
-// philosophers.vft: pairwise lock protection is race-free for the precise
-// detectors but an Eraser false positive (global lockset intersection ∅).
-func TestPhilosophersEraserFalsePositive(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := RunProg([]string{"../../examples/minilang/philosophers.vft"}, strings.NewReader(""), &out, &errBuf); code != 0 {
-		t.Fatalf("vft-v2: exit = %d, out %s", code, out.String())
-	}
-	out.Reset()
-	if code := RunProg([]string{"-d", "eraser", "../../examples/minilang/philosophers.vft"}, strings.NewReader(""), &out, &errBuf); code != 1 {
-		t.Fatalf("eraser: exit = %d, want 1 (the classic false positive), out: %s", code, out.String())
+	// The two flags that told program mode from trace mode went with it.
+	for _, flag := range []string{"-trace", "-static"} {
+		errBuf.Reset()
+		if code := RunProg([]string{flag, clean}, strings.NewReader(""), &out, &errBuf); code != 2 ||
+			!strings.Contains(errBuf.String(), "flag provided but not defined: "+flag) {
+			t.Fatalf("%s: exit = %d, stderr %q; want exit 2 with the undefined-flag message", flag, code, errBuf.String())
+		}
 	}
 }
 

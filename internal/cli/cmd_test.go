@@ -106,25 +106,26 @@ func TestCommandSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("vft-run/racy", func(t *testing.T) {
-		work := t.TempDir()
-		code, out := runCmd(t, work, bin("vft-run"), "",
-			filepath.Join(root, "examples", "minilang", "account.vft"))
-		if code != 1 {
-			t.Fatalf("exit %d, want 1 (account.vft has a racy audit counter)\n%s", code, out)
-		}
-	})
-	t.Run("vft-run/clean", func(t *testing.T) {
-		work := t.TempDir()
-		code, out := runCmd(t, work, bin("vft-run"), "",
-			filepath.Join(root, "examples", "minilang", "philosophers.vft"))
-		if code != 0 {
-			t.Fatalf("exit %d, want 0\n%s", code, out)
-		}
-		if !strings.Contains(out, "no races detected") {
-			t.Fatalf("missing verdict line:\n%s", out)
-		}
-	})
+	for _, tc := range []struct {
+		name, input string
+		wantExit    int
+		wantOut     string
+	}{
+		{"racy", racyTrace, 1, "race"},
+		{"clean", cleanTrace, 0, "no races detected"},
+	} {
+		t.Run("vft-run/"+tc.name, func(t *testing.T) {
+			work := t.TempDir()
+			path := filepath.Join(work, tc.name+".trace")
+			if err := os.WriteFile(path, []byte(tc.input), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, out := runCmd(t, work, bin("vft-run"), "", path)
+			if code != tc.wantExit || !strings.Contains(out, tc.wantOut) {
+				t.Fatalf("exit %d, want %d with %q in the output\n%s", code, tc.wantExit, tc.wantOut, out)
+			}
+		})
+	}
 
 	t.Run("vft-stats", func(t *testing.T) {
 		work := t.TempDir()
@@ -284,10 +285,10 @@ func TestStreamingCommandSmoke(t *testing.T) {
 			t.Fatalf("exit %d, want 0 with verdict\n%s", code, out)
 		}
 	})
-	t.Run("vft-run/trace-flag-text-stdin", func(t *testing.T) {
+	t.Run("vft-run/text-stdin", func(t *testing.T) {
 		var txt bytes.Buffer
 		trace.Encode(&txt, clean)
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), txt.Bytes(), "-trace", "-")
+		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), txt.Bytes(), "-")
 		if code != 0 || !strings.Contains(out, "no races detected") {
 			t.Fatalf("exit %d, want 0 with verdict\n%s", code, out)
 		}

@@ -9,8 +9,6 @@ import (
 	"compress/gzip"
 	"io"
 	"os"
-
-	"repro/internal/trace"
 )
 
 // openInput resolves an input argument: "-" (or "") yields stdin with a
@@ -39,19 +37,4 @@ func maybeGzip(r io.Reader) (io.Reader, error) {
 		return gzip.NewReader(br)
 	}
 	return br, nil
-}
-
-// sniffGzipOrBinaryTrace reports whether the buffered stream head looks
-// like a gzip stream or a binary trace — the two formats that cannot be a
-// minilang program, which is how vft-run decides to replay its input as a
-// trace without being told.
-func sniffGzipOrBinaryTrace(br *bufio.Reader) bool {
-	head, err := br.Peek(4)
-	if err != nil && len(head) < 2 {
-		return false
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		return true
-	}
-	return trace.IsBinary(head)
 }

@@ -427,16 +427,3 @@ func SortReports(rs []Report) {
 		return rs[i].T < rs[j].T
 	})
 }
-
-// EpochSource is implemented by the vector-clock detectors: it exposes a
-// thread's current epoch E_t, which optimization layers
-// (internal/arrayshadow) key their bookkeeping on. Calls must come from the
-// thread t itself (the value is goroutine-confined, like the ThreadState).
-type EpochSource interface {
-	ThreadEpoch(t epoch.Tid) epoch.Epoch
-}
-
-// ThreadEpoch implements EpochSource for every vector-clock detector.
-func (b *syncBase) ThreadEpoch(t epoch.Tid) epoch.Epoch {
-	return b.thread(t).e
-}

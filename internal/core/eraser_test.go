@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/trace"
 )
 
@@ -100,24 +102,39 @@ func TestEraserReportsOncePerVariable(t *testing.T) {
 	}
 }
 
-// False positive: fork/join ordering is invisible to a lockset analysis.
-// The precise detectors accept this program; Eraser flags it.
+// False positives: orderings a lockset analysis cannot see. The precise
+// detectors accept both programs; Eraser flags both.
 func TestEraserFalsePositiveOnForkJoin(t *testing.T) {
-	tr := trace.Trace{
-		trace.ForkOp(0, 1),
-		trace.Wr(1, 0),
-		trace.JoinOp(0, 1),
-		trace.Wr(0, 0), // ordered by the join, but lockset is empty
+	// section is one write of x by thread t holding locks m and n.
+	section := func(t epoch.Tid, m, n trace.Lock) trace.Trace {
+		return trace.Trace{trace.Acq(t, m), trace.Acq(t, n), trace.Wr(t, 0), trace.Rel(t, n), trace.Rel(t, m)}
 	}
-	e := newEraser(t)
-	Replay(e, tr)
-	if len(e.Reports()) == 0 {
-		t.Fatal("expected the classic Eraser false positive on fork/join data")
-	}
-	v2 := newDetector(t, "vft-v2")
-	Replay(v2, tr)
-	if len(v2.Reports()) != 0 {
-		t.Fatalf("precise detector must accept the fork/join program: %v", v2.Reports())
+	for name, tr := range map[string]trace.Trace{
+		// Ordered by the join, but the lockset is empty.
+		"fork/join": {
+			trace.ForkOp(0, 1),
+			trace.Wr(1, 0),
+			trace.JoinOp(0, 1),
+			trace.Wr(0, 0),
+		},
+		// Three threads guard x with {m0,m1}, {m1,m2} and {m0,m2}: every
+		// pair shares a lock, so all writes are ordered, but the global
+		// intersection is empty.
+		"pairwise locks": slices.Concat(
+			trace.Trace{trace.ForkOp(0, 1), trace.ForkOp(0, 2)},
+			section(1, 0, 1), section(2, 1, 2), section(0, 0, 2), section(1, 0, 1),
+		),
+	} {
+		e := newEraser(t)
+		Replay(e, tr)
+		if len(e.Reports()) == 0 {
+			t.Errorf("%s: expected the classic Eraser false positive", name)
+		}
+		v2 := newDetector(t, "vft-v2")
+		Replay(v2, tr)
+		if len(v2.Reports()) != 0 {
+			t.Errorf("%s: precise detector must accept the program: %v", name, v2.Reports())
+		}
 	}
 }
 

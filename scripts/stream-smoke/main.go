@@ -104,7 +104,7 @@ func run() int {
 	cases := []smokeCase{
 		{"racy gzip binary", "", []string{"-"}, racyGz, 1, "race", 0},
 		{"clean gzip binary", "", []string{"-"}, cleanGz, 0, "no races detected", 0},
-		{"300 threads, ft-cas", "", []string{"-trace", "-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, ft-cas", "", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
 		{"300 threads, vft-race -d ft-cas", "vft-race", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
 		{"300 threads, vft-race -d ft-mutex", "vft-race", []string{"-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
 		{"sparse var, vft-race -d sampled:0.5", "vft-race", []string{"-d", "sampled:0.5", "-"}, []byte(sparse), 0, "no races detected", 64},

@@ -345,8 +345,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.5.0 removes the sharded
-// offline engine and its selectors: vft-run/vft-bench -parallel and
-// vft-server -shards now fail at flag-parse time, and WithParallelism is
-// accepted and ignored.
-const Version = "2.5.0"
+// Version identifies this implementation. 2.6.0 removes vft-lint and
+// vft-run's program mode with its -trace and -static flags: every vft-run
+// input is a trace.
+const Version = "2.6.0"
