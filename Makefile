@@ -56,13 +56,15 @@ stream-smoke:
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
-# The clock-kernel micro-benchmarks run a hundred iterations each, and
-# vft-go's load and streamed-check benchmarks three, so they cannot rot.
+# The clock-kernel micro-benchmarks run a hundred iterations each, vft-go's
+# load and streamed-check benchmarks and the offline machine-beside-core.V2
+# comparison three, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|CheckStream' -benchtime 3x ./internal/goinstr
+	$(GO) test -run '^$$' -bench 'CheckLowered' -benchtime 3x ./internal/parcheck
 
 # End-to-end check of the multi-tenant ingestion service under the Go
 # race detector: concurrent tenants streaming all three wire encodings

@@ -30,18 +30,19 @@ func vcBytes(v *vc.VC) uint64 {
 	return uint64(v.Size())*epochBytes + 3*pointerBytes
 }
 
-// ShadowBytes for the common thread/lock state of the vector-clock
-// detectors.
-func (b *syncBase) threadLockBytes() uint64 {
-	var total uint64
-	for _, st := range b.threads.Snapshot() {
-		total += vcBytes(st.vc) + epochBytes // the cached epoch
-	}
-	for _, lk := range b.locks.Snapshot() {
-		total += vcBytes(lk.vc)
+// clockTableBytes is the footprint of the thread and lock state of a
+// vector-clock detector: every clock, plus each thread's cached epoch.
+func clockTableBytes(threads, locks []*vc.VC) uint64 {
+	total := uint64(len(threads)) * epochBytes // the cached epochs
+	for _, tables := range [][]*vc.VC{threads, locks} {
+		for _, c := range tables {
+			total += vcBytes(c)
+		}
 	}
 	return total
 }
+
+func (b *syncBase) threadLockBytes() uint64 { return clockTableBytes(b.clocks()) }
 
 // ShadowBytes implements ShadowSized for VerifiedFT-v1.
 func (d *V1) ShadowBytes() uint64 {
@@ -52,14 +53,28 @@ func (d *V1) ShadowBytes() uint64 {
 	return total
 }
 
-// atomicVarBytes is the footprint of the optimized VarState: two epochs,
-// the vector pointer, and the vector if the Share transition allocated it.
+// epochVarBytes is the fixed part of the optimized VarState: two epochs
+// and the vector pointer.
+const epochVarBytes = 2*epochBytes + pointerBytes
+
+// atomicVarBytes is the footprint of the optimized VarState: the fixed
+// part, and the vector if the Share transition allocated it.
 func atomicVarBytes(sx *atomicVarState) uint64 {
-	total := uint64(2*epochBytes + pointerBytes)
+	total := uint64(epochVarBytes)
 	if p := sx.v.Load(); p != nil {
 		total += uint64(len(*p)) * epochBytes
 	}
 	return total
+}
+
+// EpochShadowBytes is ShadowBytes for a detector that keeps the optimized
+// VarState's fields without its synchronization (internal/parcheck's
+// offline machine): vars variables whose read vectors hold vecEntries
+// entries in all, behind the given thread and lock clocks. It is
+// threadLockBytes plus atomicVarBytes per variable, so shadow.bytes means
+// one thing whichever of the two produced it.
+func EpochShadowBytes(threads, locks []*vc.VC, vars, vecEntries int) uint64 {
+	return clockTableBytes(threads, locks) + uint64(vars)*epochVarBytes + uint64(vecEntries)*epochBytes
 }
 
 // ShadowBytes implements ShadowSized for VerifiedFT-v1.5.

@@ -36,14 +36,30 @@ var writeRules = [...]spec.Rule{
 	spec.WriteWriteRace, spec.ReadWriteRace, spec.SharedWriteRace,
 }
 
-// statsCommon assembles the counters shared by every vector-clock
-// detector: rule firings, access totals split into fast (pure-block) and
-// slow (lock-taking) executions, optimistic retries, report-sink
-// accounting, thread/lock table occupancy and the aggregated vector-clock
-// costs. Call at quiescence.
-func (b *syncBase) statsCommon() obs.Snapshot {
+// Tally is what the snapshot of a vector-clock detector is assembled from,
+// whatever holds the state: syncBase's concurrent tables (statsCommon) or
+// the unsynchronized offline machine in internal/parcheck. One assembly
+// (Snapshot) keeps the two key sets one key set.
+type Tally struct {
+	Rules [spec.NumRules]uint64
+	// SlowReads/SlowWrites are the accesses a pure block missed (for a
+	// sequential run: every access that fired no same-epoch rule); Retries
+	// the optimistic-validation restarts of the FT baselines.
+	SlowReads, SlowWrites, Retries uint64
+	Recorded, Dropped              uint64 // report-sink accounting
+	// Threads and Locks hold every thread's and every lock's clock, in
+	// table order; the grow counts are the tables' own.
+	Threads, Locks         []*vc.VC
+	ThreadGrows, LockGrows uint64
+}
+
+// Snapshot assembles the counters shared by every vector-clock detector:
+// rule firings, access totals split into fast (pure-block) and slow
+// (lock-taking) executions, optimistic retries, report-sink accounting,
+// thread/lock table occupancy and the aggregated vector-clock costs.
+func (t Tally) Snapshot() obs.Snapshot {
 	s := obs.NewSnapshot()
-	counts := b.RuleCounts()
+	counts := t.Rules
 	for r := spec.Rule(1); r < spec.NumRules; r++ {
 		if n := counts[r]; n > 0 {
 			s.Counters["rule."+r.Key()] = n
@@ -58,45 +74,65 @@ func (b *syncBase) statsCommon() obs.Snapshot {
 		writes += counts[r]
 	}
 
-	var slowReads, slowWrites, retries uint64
 	var clocks vc.Metrics
 	maxEntries := 0
-	for _, st := range b.threads.Snapshot() {
-		slowReads += st.slowReads
-		slowWrites += st.slowWrites
-		retries += st.retries
-		clocks.Add(st.vc.Metrics())
-		if st.vc.Size() > maxEntries {
-			maxEntries = st.vc.Size()
-		}
-	}
-	for _, lk := range b.locks.Snapshot() {
-		clocks.Add(lk.vc.Metrics())
-		if lk.vc.Size() > maxEntries {
-			maxEntries = lk.vc.Size()
+	for _, tables := range [][]*vc.VC{t.Threads, t.Locks} {
+		for _, c := range tables {
+			clocks.Add(c.Metrics())
+			maxEntries = max(maxEntries, c.Size())
 		}
 	}
 
 	s.Counters["reads.total"] = reads
-	s.Counters["reads.slow"] = slowReads
-	s.Counters["reads.fast"] = reads - slowReads
+	s.Counters["reads.slow"] = t.SlowReads
+	s.Counters["reads.fast"] = reads - t.SlowReads
 	s.Counters["writes.total"] = writes
-	s.Counters["writes.slow"] = slowWrites
-	s.Counters["writes.fast"] = writes - slowWrites
-	s.Counters["handler.retries"] = retries
+	s.Counters["writes.slow"] = t.SlowWrites
+	s.Counters["writes.fast"] = writes - t.SlowWrites
+	s.Counters["handler.retries"] = t.Retries
 	// Share transitions are the epoch-overflow promotions to SHARED: after
 	// one, the variable pays vector-clock costs forever (§5).
 	s.Counters["promotions.to_shared"] = counts[spec.ReadShare]
-	s.Counters["reports.recorded"] = uint64(len(b.sink.snapshot()))
-	s.Counters["reports.dropped"] = b.sink.droppedCount()
+	s.Counters["reports.recorded"] = t.Recorded
+	s.Counters["reports.dropped"] = t.Dropped
 
 	addClockMetrics(s, clocks)
 	s.Gauges["vc.max_entries"] = uint64(maxEntries)
-	s.Gauges["shadow.threads"] = uint64(b.threads.Len())
-	s.Gauges["shadow.locks"] = uint64(b.locks.Len())
-	s.Counters["shadow.threads.grows"] = b.threads.GrowCount()
-	s.Counters["shadow.locks.grows"] = b.locks.GrowCount()
+	s.Gauges["shadow.threads"] = uint64(len(t.Threads))
+	s.Gauges["shadow.locks"] = uint64(len(t.Locks))
+	s.Counters["shadow.threads.grows"] = t.ThreadGrows
+	s.Counters["shadow.locks.grows"] = t.LockGrows
 	return s
+}
+
+// clocks returns every thread's and every lock's clock, in table order.
+func (b *syncBase) clocks() (threads, locks []*vc.VC) {
+	for _, st := range b.threads.Snapshot() {
+		threads = append(threads, st.vc)
+	}
+	for _, lk := range b.locks.Snapshot() {
+		locks = append(locks, lk.vc)
+	}
+	return threads, locks
+}
+
+// statsCommon is the Tally of the shared tables, assembled. Call at
+// quiescence.
+func (b *syncBase) statsCommon() obs.Snapshot {
+	t := Tally{
+		Rules:       b.RuleCounts(),
+		Recorded:    uint64(len(b.sink.snapshot())),
+		Dropped:     b.sink.droppedCount(),
+		ThreadGrows: b.threads.GrowCount(),
+		LockGrows:   b.locks.GrowCount(),
+	}
+	t.Threads, t.Locks = b.clocks()
+	for _, st := range b.threads.Snapshot() {
+		t.SlowReads += st.slowReads
+		t.SlowWrites += st.slowWrites
+		t.Retries += st.retries
+	}
+	return t.Snapshot()
 }
 
 func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
@@ -105,11 +141,11 @@ func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
 	s.Counters["vc.join_scanned"] += m.JoinScanned
 }
 
-// addVarTable records a detector's variable shadow table: occupancy,
+// AddVarTable records a detector's variable shadow table: occupancy,
 // growth beyond the configured hint, how many variables have been promoted
 // to the Shared representation (pass -1 for detectors without one), and
 // the semantic footprint.
-func addVarTable(s obs.Snapshot, entries int, grows uint64, shared int, bytes uint64) {
+func AddVarTable(s obs.Snapshot, entries int, grows uint64, shared int, bytes uint64) {
 	s.Gauges["shadow.vars"] = uint64(entries)
 	s.Counters["shadow.vars.grows"] = grows
 	if shared >= 0 {
@@ -139,28 +175,28 @@ func (d *V1) Stats() obs.Snapshot {
 			shared++
 		}
 	}
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for VerifiedFT-v1.5.
 func (d *V15) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for VerifiedFT-v2.
 func (d *V2) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for FT-Mutex.
 func (d *FTMutex) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
@@ -173,7 +209,7 @@ func (d *FTCAS) Stats() obs.Snapshot {
 			shared++
 		}
 	}
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
 	return s
 }
 
@@ -188,7 +224,7 @@ func (d *DJIT) Stats() obs.Snapshot {
 		clocks.Add(sx.wvc.Metrics())
 	}
 	addClockMetrics(s, clocks)
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
 	return s
 }
 
@@ -222,7 +258,7 @@ func (d *Eraser) Stats() obs.Snapshot {
 	}
 	s.Gauges["shadow.threads"] = uint64(d.threads.Len())
 	s.Counters["shadow.threads.grows"] = d.threads.GrowCount()
-	addVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
 	return s
 }
 

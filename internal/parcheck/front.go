@@ -29,7 +29,7 @@ import (
 // producer in this repository forks that way).
 type frontStage struct {
 	sampler *sample.Policy // nil: every access is admitted
-	emit    func(trace.Op) // the detector
+	det     core.Detector  // receives what the stage admits, under compact ids
 
 	tids, vars, locks idMap
 	origT             []epoch.Tid // compact tid -> raw
@@ -50,9 +50,10 @@ const (
 )
 
 // push is the stage's one entry: the next operation of the validated,
-// lowered stream.
+// lowered stream. Its switch on the kind is the only one between the feed
+// and the handler.
 func (f *frontStage) push(op trace.Op) {
-	op.T = f.tid(op.T)
+	t := f.tid(op.T)
 	switch op.Kind {
 	case trace.Read, trace.Write:
 		v := f.vars.get(uint32(op.X))
@@ -74,8 +75,13 @@ func (f *frontStage) push(op trace.Op) {
 			}
 			return
 		}
-		op.X = trace.Var(v - firstID)
 		f.accesses++
+		x := trace.Var(v - firstID)
+		if op.Kind == trace.Write {
+			f.det.Write(t, x)
+		} else {
+			f.det.Read(t, x)
+		}
 	case trace.Acquire, trace.Release:
 		v := f.locks.get(uint32(op.M))
 		if v == unseen {
@@ -83,13 +89,20 @@ func (f *frontStage) push(op trace.Op) {
 			f.nLocks++
 			f.locks.set(uint32(op.M), v)
 		}
-		op.M = trace.Lock(v - firstID)
 		f.syncs++
-	default: // fork, join
-		op.U = f.tid(op.U)
+		l := trace.Lock(v - firstID)
+		if op.Kind == trace.Release {
+			f.det.Release(t, l)
+		} else {
+			f.det.Acquire(t, l)
+		}
+	case trace.Fork:
 		f.syncs++
+		f.det.Fork(t, f.tid(op.U))
+	default: // join
+		f.syncs++
+		f.det.Join(t, f.tid(op.U))
 	}
-	f.emit(op)
 }
 
 func (f *frontStage) tid(t epoch.Tid) epoch.Tid {

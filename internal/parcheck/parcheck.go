@@ -5,10 +5,13 @@
 // A push feed (validation and lowering inline, or an already-lowered
 // source) hands one operation at a time to the front stage (sampling on
 // raw variable ids, then first-touch compaction of thread, variable and
-// lock ids; see frontStage), which hands what it admits to a fresh core
-// detector of the requested variant through core.Dispatch, all on the
-// calling goroutine. The reports are the detector's own, mapped back onto
-// the trace's ids.
+// lock ids; see frontStage), which calls the matching handler of a fresh
+// detector for what it admits, all on the calling goroutine. For vft-v2 —
+// the default, and what every product path runs — the detector is this
+// package's machine: core.V2's state and rules without the
+// synchronization that only concurrent callers need (see machine). The
+// other six variants are core's own detectors. The reports are the
+// detector's, mapped back onto the trace's ids.
 //
 // There is no parallel checker behind the name (EXPERIMENTS.md E17 has the
 // verdict on the one there was): the package name and Options.Workers are
@@ -39,12 +42,17 @@ type Options struct {
 	// Threads, Vars and Locks are table size hints: how many distinct
 	// threads, variables and lowered locks to expect (the tables grow on
 	// demand). They are counts, not id bounds — the detector sees compact
-	// ids — and hinted entries are allocated up front.
+	// ids. For the other six variants a hint's worth of table is populated
+	// up front and counted in shadow.threads/vars/locks/bytes; the vft-v2
+	// machine only reserves capacity, so there those gauges count the
+	// entries the trace touched.
 	Threads, Vars, Locks int
 	// Metrics, when non-nil, observes the check the way it observes an
 	// online detector: sampled latency.* histograms while the check runs,
 	// and afterwards the detector's counters frozen under the variant name
-	// (plus ops.* and, when sampling, sampling.*).
+	// (plus ops.* and, when sampling, sampling.*). It does not choose the
+	// detector: a vft-v2 check is the machine with or without it, and the
+	// machine's counters carry core.V2's names.
 	Metrics *obs.Registry
 	// StatsSink, when non-nil, is called once with the same snapshot a
 	// Metrics registry would receive. Unlike Metrics — which registers a
@@ -107,27 +115,32 @@ func Check(src trace.Source, opts Options) ([]core.Report, error) {
 
 // run assembles a check: feed pushes the validated, lowered stream, one
 // operation at a time in the calling goroutine, into the front stage,
-// which hands what it admits to a fresh core detector. The detector's flat
-// shadow tables are safe to size from the hints and to index directly
-// because the front stage has made every id compact.
+// which calls the handlers of a fresh detector — the unsynchronized
+// machine for vft-v2, core's own detector for the other six. Either may
+// size flat tables from the hints and index them directly because the
+// front stage has made every id compact.
 func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
 	}
-	front := &frontStage{sampler: opts.Sampling}
-	d, err := core.New(opts.Variant, core.Config{
+	cfg := core.Config{
 		Threads: opts.Threads, Locks: opts.Locks,
 		Vars:             core.SampledVars(opts.Sampling, opts.Vars), // only sampled variables reach a table
 		MaxReportsPerVar: opts.MaxReportsPerVar,
-	})
-	if err != nil {
-		return nil, err
 	}
-	det := d
+	var d core.Detector
+	if opts.Variant == "vft-v2" {
+		d = newMachine(cfg)
+	} else {
+		var err error
+		if d, err = core.New(opts.Variant, cfg); err != nil {
+			return nil, err
+		}
+	}
+	front := &frontStage{sampler: opts.Sampling, det: d}
 	if opts.Metrics != nil {
-		det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
+		front.det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
 	}
-	front.emit = func(op trace.Op) { core.Dispatch(det, op) }
 	if err := feed(front.push); err != nil {
 		return nil, err
 	}

@@ -4,15 +4,23 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // bareReplay replays the lowered trace through a bare core.New detector —
 // the reference the offline check path must reproduce exactly.
 func bareReplay(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core.Report {
+	t.Helper()
+	return bareDetector(t, tr, variant, maxPerVar).Reports()
+}
+
+// bareDetector is bareReplay's detector after the replay, for its counters.
+func bareDetector(t testing.TB, tr trace.Trace, variant string, maxPerVar int) core.Detector {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.MaxReportsPerVar = maxPerVar
@@ -31,7 +39,31 @@ func bareReplay(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []c
 		}
 		core.Dispatch(d, op)
 	}
-	return d.Reports()
+	return d
+}
+
+// analysisCounters are the counters of s that follow the analysis alone,
+// not table hints or clock growth: what any two engines must agree on.
+func analysisCounters(s obs.Snapshot) map[string]uint64 {
+	out := map[string]uint64{}
+	for key, n := range s.Counters {
+		for _, prefix := range []string{"rule.", "reads.", "writes.", "reports."} {
+			if strings.HasPrefix(key, prefix) {
+				out[key] = n
+			}
+		}
+	}
+	return out
+}
+
+// requireEqualAnalysisCounters holds got's analysis counters, names and
+// values, to the bare detector's.
+func requireEqualAnalysisCounters(t testing.TB, bare core.Detector, got obs.Snapshot, variant string) {
+	t.Helper()
+	want := analysisCounters(bare.(core.StatsSource).Stats())
+	if have := analysisCounters(got); !reflect.DeepEqual(want, have) {
+		t.Fatalf("%s: analysis counters diverged from the reference:\nreference: %v\noffline:   %v", variant, want, have)
+	}
 }
 
 // offline checks tr through both entry points of the offline path: Check
@@ -40,12 +72,21 @@ func bareReplay(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []c
 // equivalence site checks both.
 func offline(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core.Report {
 	t.Helper()
+	got, _ := offlineStats(t, tr, variant, maxPerVar)
+	return got
+}
+
+// offlineStats is offline with the snapshot CheckTrace's sink received.
+func offlineStats(t testing.TB, tr trace.Trace, variant string, maxPerVar int) ([]core.Report, obs.Snapshot) {
+	t.Helper()
 	src := trace.DesugarSource(trace.ValidateSource(tr.Source(), nil), nil)
 	got, err := Check(src, Options{Variant: variant, MaxReportsPerVar: maxPerVar})
 	if err != nil {
 		t.Fatalf("Check (%q): %v", variant, err)
 	}
-	fused, err := CheckTrace(tr, nil, Options{Variant: variant, MaxReportsPerVar: maxPerVar})
+	var snap obs.Snapshot
+	fused, err := CheckTrace(tr, nil, Options{Variant: variant, MaxReportsPerVar: maxPerVar,
+		StatsSink: func(s obs.Snapshot) { snap = s }})
 	if err != nil {
 		t.Fatalf("CheckTrace (%q): %v", variant, err)
 	}
@@ -53,7 +94,7 @@ func offline(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []core
 		t.Fatalf("%s: CheckTrace diverged from Check:\nstreaming (%d): %+v\nfused     (%d): %+v",
 			variant, len(got), got, len(fused), fused)
 	}
-	return got
+	return got, snap
 }
 
 func requireEqualReports(t testing.TB, want, got []core.Report, variant string) {
@@ -230,18 +271,34 @@ func TestParallelDefaults(t *testing.T) {
 
 // FuzzParallelEquivalence drives the equivalence property from arbitrary
 // bytes: FromBytes repairs any input into a feasible trace, and the
-// offline check must match the bare replay on it for a variant and report
-// cap also drawn from the input.
+// offline check must match the bare replay on it — reports and analysis
+// counters — for a report cap drawn from the input, under a variant also
+// drawn from it and, on every input, under the default variant: that one
+// is parcheck's own machine, where the other six are core's detectors.
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
 	f.Add([]byte{0, 4, 0, 1, 0, 0, 1, 1, 0, 2, 5, 0}, uint8(2))
 	f.Add([]byte{9, 9, 2, 2, 3, 3, 0, 0, 1, 1, 4, 4, 5, 5, 0, 1}, uint8(3))
+	// fork 0 1, fork 0 2, rd 1 x5, rd 2 x5 (Share), wr 0 x5 ([Shared-Write
+	// Race]), rd 1 x5 and rd 2 x5 again ([Read Shared Same Epoch]); cap 2.
+	f.Add([]byte{0, 4, 0, 4, 1, 0, 5, 2, 0, 5, 0, 1, 5, 1, 0, 5, 2, 0, 5}, uint8(2))
+	// fork 0 1, then threads 0 and 1 write x3 in turn and 0 reads it: four
+	// races on one variable under cap 1, three of them dropped.
+	f.Add([]byte{0, 4, 0, 1, 3, 1, 1, 3, 0, 1, 3, 1, 1, 3, 0, 0, 3}, uint8(1))
 	variants := core.Variants()
 	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
 		tr := trace.FromBytes(data)
-		variant := variants[int(pick)%len(variants)]
-		maxPerVar := int(pick) % 2
-		requireEqualReports(t, bareReplay(t, tr, variant, maxPerVar), offline(t, tr, variant, maxPerVar), variant)
+		maxPerVar := int(pick) % 3
+		checked := []string{variants[int(pick)%len(variants)]}
+		if checked[0] != "vft-v2" {
+			checked = append(checked, "vft-v2")
+		}
+		for _, variant := range checked {
+			bare := bareDetector(t, tr, variant, maxPerVar)
+			got, snap := offlineStats(t, tr, variant, maxPerVar)
+			requireEqualReports(t, bare.Reports(), got, variant)
+			requireEqualAnalysisCounters(t, bare, snap, variant)
+		}
 	})
 }
