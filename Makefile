@@ -47,9 +47,9 @@ metrics-smoke:
 	$(GO) run ./scripts/metrics-smoke
 
 # End-to-end check of streaming ingestion: pipes gzipped binary traces
-# into `vft-run -` over stdin and verifies the verdict exit codes; also
-# gates the FT-CAS thread-id limit (exit 2 from vft-run and vft-race) and
-# vft-race's checks of huge-id traces (child max-RSS <= 64 MiB).
+# into `vft-race -` over stdin and verifies the verdict exit codes; also
+# gates the FT-CAS thread-id limit (exit 2) and the checks of huge-id
+# traces, -all -oracle included (child max-RSS <= 64 MiB).
 stream-smoke:
 	$(GO) run ./scripts/stream-smoke
 
@@ -99,12 +99,12 @@ go-smoke:
 sample-smoke:
 	$(GO) run -race ./scripts/sample-smoke
 
-# The differential fuzzers: the sequential trace fuzzer, the controlled
-# schedule explorer, then a bounded run of each coverage-guided target.
+# The differential fuzzers: generated core and Go-sync traces through the
+# sequential check and 20,000 controlled schedules each (it logs the
+# schedules/distinct/racy summary), then a bounded run of each
+# coverage-guided target.
 fuzz:
-	$(GO) run ./cmd/vft-fuzz -n 2000
-	$(GO) run ./cmd/vft-fuzz -n 2000 -gosync
-	$(GO) run ./cmd/vft-fuzz -n 200 -schedules 25
+	VFT_SOAK=1 $(GO) test ./internal/conformance -run TestGeneratedTracesConform -count 1 -v
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFromBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)

@@ -6,7 +6,6 @@ package verifiedft_test
 //	                             (run cmd/vft-bench for the formatted table
 //	                             with overheads and the geo-mean line)
 //	BenchmarkFigure1           — the Fig. 1 example trace through the spec
-//	BenchmarkRuleFrequency     — the §5 rule-mix measurement (E3)
 //	BenchmarkWriteSharedThrash — §3 ablation: VerifiedFT vs original
 //	                             FastTrack [Write Shared] (E5)
 //	BenchmarkJoinIncrement     — §3 ablation: the dropped [Join] increment (E6)
@@ -26,7 +25,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/rtsim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -77,19 +75,6 @@ func BenchmarkFigure1(b *testing.B) {
 		res := spec.Run(spec.VerifiedFT, tr)
 		if res.RaceAt != len(tr)-1 {
 			b.Fatal("Fig. 1 race not detected at the final write")
-		}
-	}
-}
-
-// BenchmarkRuleFrequency regenerates the §5 rule-mix numbers (quick sizes).
-func BenchmarkRuleFrequency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := stats.CollectSuite(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.FastPathPercent() < 50 {
-			b.Fatalf("fast-path share %.1f%% implausibly low", s.FastPathPercent())
 		}
 	}
 }

@@ -1,24 +1,20 @@
 // Package cli implements the command-line tools (vft-race, vft-bench,
-// vft-stats, vft-fuzz, vft-run, vft-server, vft-go) as testable functions:
-// each command is a Run function over explicit streams and returns its
-// exit code, and the binaries under cmd/ are one-line wrappers. Exit codes
-// follow the usual grep-style convention for vft-race and vft-run:
-// 0 no race, 1 race found, 2 error.
+// vft-server, vft-go) as testable functions: each command is a Run
+// function over explicit streams and returns its exit code, and the
+// binaries under cmd/ are one-line wrappers. Exit codes follow the usual
+// grep-style convention for vft-race and vft-go: 0 no race, 1 race found,
+// 2 error.
 package cli
 
 import (
-	"context"
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -30,13 +26,9 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hb"
 	"repro/internal/obs"
-	"repro/internal/rtsim"
 	"repro/internal/sample"
-	"repro/internal/sched"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // serveMetrics publishes reg as the expvar variable name and serves it over
@@ -69,14 +61,16 @@ func serveMetrics(addr, name string, reg *obs.Registry, stderr io.Writer) (func(
 // Race implements vft-race: check a trace (file argument, or stdin via
 // "-" or no argument) for races. Inputs may be text, binary or gzip; the
 // encoding is sniffed from the stream. The multi-variant cross-check and
-// the oracle need the whole trace, so this tool materializes it; use
-// CheckReader/CheckSource (or vft-run) for streams that must stay out of
-// memory.
+// the oracle need the whole trace, so this tool materializes it (and -all
+// -oracle and -explain build the order graph's transitive closure, one bit
+// per pair of operations); use CheckReader/CheckSource for streams that
+// must stay out of memory.
 func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vft-race", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	variant := fs.String("d", "vft-v2", "detector variant")
-	all := fs.Bool("all", false, "run every precise variant and cross-check")
+	all := fs.Bool("all", false,
+		"run every precise variant; with -oracle, cross-check them differentially (first-report positions against the oracle, both specification flavours, rule counts; memory quadratic in the trace length, like -explain)")
 	oracle := fs.Bool("oracle", false,
 		"also run the happens-before oracle; a precise variant's verdict must equal it (on the sampled variables under -d sampled:<rate>; eraser is shown beside it, not compared)")
 	explain := fs.Bool("explain", false, "explain every conflicting pair: a happens-before witness chain or RACE")
@@ -84,6 +78,10 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	chancaps := fs.String("chancaps", "",
 		"per-channel buffer capacities as comma-separated id:cap pairs, e.g. 0:2,1:0 (absent channels are unbuffered)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 1 {
+		fmt.Fprintln(stderr, "vft-race: usage: vft-race [flags] [trace | -] (one trace per run)")
 		return 2
 	}
 	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
@@ -126,7 +124,6 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	raced := false
-	var verdicts []bool
 	for _, v := range variants {
 		reports, err := verifiedft.CheckTrace(tr, verifiedft.WithVariant(v),
 			verifiedft.WithBarrierParties(partyMap), verifiedft.WithChanCapacities(caps))
@@ -134,7 +131,6 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vft-race:", err)
 			return 2
 		}
-		verdicts = append(verdicts, len(reports) > 0)
 		if len(reports) > 0 {
 			raced = true
 		}
@@ -145,17 +141,8 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "[%s] no races detected (%d operations)\n", v, len(tr))
 		}
 	}
-	if *all {
-		for i := 1; i < len(verdicts); i++ {
-			if verdicts[i] != verdicts[0] {
-				fmt.Fprintf(stderr, "vft-race: VERDICT MISMATCH between %s and %s — detector bug\n",
-					variants[0], variants[i])
-				return 2
-			}
-		}
-		if !raced {
-			fmt.Fprintf(stdout, "no races detected by any of %v (%d operations)\n", variants, len(tr))
-		}
+	if *all && !raced {
+		fmt.Fprintf(stdout, "no races detected by any of %v (%d operations)\n", variants, len(tr))
 	}
 	var low trace.Trace
 	if *oracle || *explain {
@@ -168,7 +155,15 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, " (first completes at operation #%d)", rep.FirstRaceAt())
 		}
 		fmt.Fprintln(stdout)
-		if want, precise := oracleVerdict(variants[0], low, rep.Races); precise && want != raced {
+		if *all {
+			// The triage path for a trace a conformance test printed or a
+			// capture from the field: the whole differential stack on the
+			// lowered trace, not just verdict booleans.
+			if err := conformance.CheckTrace(denseIDs(low)); err != nil {
+				fmt.Fprintf(stderr, "vft-race: DIVERGENCE: %v — detector bug\n", err)
+				return 2
+			}
+		} else if want, precise := oracleVerdict(variants[0], low, rep.Races); precise && want != raced {
 			fmt.Fprintln(stderr, "vft-race: detector verdict disagrees with the oracle — precision bug")
 			return 2
 		}
@@ -308,7 +303,11 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "Table 1 — checking overhead (x base time); cf. paper §8")
 	fmt.Fprintln(stdout)
-	if err := table.Format(stdout); err != nil {
+	err = table.Format(stdout)
+	if err == nil {
+		err = table.FormatRuleMix(stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "vft-bench:", err)
 		return 2
 	}
@@ -491,418 +490,6 @@ func JoinLadder(rounds int) trace.Trace {
 	return tr
 }
 
-// Stats implements vft-stats: the §5 rule-frequency table. -snapshot
-// accepts a file or "-" for stdin, and gzip-compressed snapshots are
-// decompressed transparently.
-func Stats(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vft-stats", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "use the small test sizes")
-	perProgram := fs.Bool("per-program", false, "also print the per-program serialization table")
-	memory := fs.Bool("memory", false, "also print the shadow-memory footprint table (v2 vs djit)")
-	snapshotFile := fs.String("snapshot", "",
-		"pretty-print an obs metrics snapshot JSON file (as served at /metrics; '-' for stdin, gzip ok) and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *snapshotFile != "" {
-		in, closeIn, err := openInput(*snapshotFile, stdin)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-		defer closeIn()
-		r, err := maybeGzip(in)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-		b, err := io.ReadAll(r)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-		snap := obs.NewSnapshot()
-		if err := json.Unmarshal(b, &snap); err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-		fmt.Fprint(stdout, obs.FormatSnapshot(snap))
-		return 0
-	}
-
-	s, err := stats.CollectSuite(*quick)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-stats:", err)
-		return 2
-	}
-	fmt.Fprintln(stdout, "Analysis-rule frequency across the suite (cf. paper §5)")
-	fmt.Fprintln(stdout)
-	if err := s.Format(stdout); err != nil {
-		fmt.Fprintln(stderr, "vft-stats:", err)
-		return 2
-	}
-	if *perProgram {
-		fmt.Fprintln(stdout)
-		printSerializationTable(stdout, s)
-	}
-	if *memory {
-		detectors := []string{"vft-v2", "ft-cas", "djit"}
-		rows, err := stats.CollectMemory(*quick, detectors)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "Shadow-state footprint at end of run (epochs vs full vector clocks)")
-		fmt.Fprintln(stdout)
-		if err := stats.FormatMemory(stdout, rows, detectors); err != nil {
-			fmt.Fprintln(stderr, "vft-stats:", err)
-			return 2
-		}
-	}
-	return 0
-}
-
-func printSerializationTable(stdout io.Writer, s *stats.Summary) {
-	fmt.Fprintln(stdout, "Per-program share of accesses serialized through the variable lock")
-	fmt.Fprintln(stdout, "(the hardware-independent predictor of Table 1's many-core blowups;")
-	fmt.Fprintln(stdout, " on the paper's 16-core testbed, high v1/v1.5 shares on sparse and")
-	fmt.Fprintln(stdout, " sunflow are what produce the 316x/159x overheads)")
-	fmt.Fprintln(stdout)
-	variants := []string{"vft-v1", "vft-v1.5", "ft-mutex", "ft-cas", "vft-v2"}
-	fmt.Fprintf(stdout, "%-12s %10s", "Program", "Accesses")
-	for _, v := range variants {
-		fmt.Fprintf(stdout, " %9s", v)
-	}
-	fmt.Fprintln(stdout)
-	for _, w := range workloads.All() {
-		counts := s.PerProgram[w.Name]
-		var total uint64
-		for r := spec.Rule(0); r < spec.NumRules; r++ {
-			switch r {
-			case spec.ReadSameEpoch, spec.WriteSameEpoch, spec.ReadSharedSameEpoch,
-				spec.ReadExclusive, spec.ReadShare, spec.ReadShared,
-				spec.WriteExclusive, spec.WriteShared:
-				total += counts[r]
-			}
-		}
-		fmt.Fprintf(stdout, "%-12s %10d", w.Name, total)
-		for _, v := range variants {
-			fmt.Fprintf(stdout, " %8.0f%%", 100*stats.SerializedShare(counts, v))
-		}
-		fmt.Fprintln(stdout)
-	}
-}
-
-// Fuzz implements vft-fuzz: differential fuzzing of the whole stack. The
-// sequential pass checks every generated trace as-is; with -schedules N,
-// each trace is additionally re-executed as a concurrent program under N
-// controlled schedules and every detector is cross-checked against the
-// oracle on every explored linearization (see internal/conformance). The
-// whole run, including schedule exploration, is a deterministic function of
-// -seed. With -replay, one recorded trace (file or "-" for stdin; text,
-// binary or gzip) goes through the same differential stack instead of
-// generated ones — the triage path for traces captured in the field.
-func Fuzz(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vft-fuzz", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	n := fs.Int("n", 2000, "number of traces to check")
-	ops := fs.Int("ops", 60, "operations per trace")
-	threads := fs.Int("threads", 4, "maximum threads per trace")
-	seed := fs.Int64("seed", 1, "base RNG seed")
-	racy := fs.Bool("racy", false, "disable the generator's locking bias (more races)")
-	gosync := fs.Bool("gosync", false,
-		"mix Go synchronization (channels, atomics, once) into the generated traces and lower it onto the core language before the differential check")
-	shrink := fs.Bool("shrink", true, "delta-minimize a diverging trace before printing it")
-	schedules := fs.Int("schedules", 0, "controlled schedules to explore per trace (0: sequential check only)")
-	policy := fs.String("sched-policy", "pct",
-		fmt.Sprintf("schedule exploration policy, one of %v", sched.PolicyNames()))
-	replayFile := fs.String("replay", "",
-		"differentially re-check one recorded trace (file or '-' for stdin; text, binary or gzip) and exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := sched.NewPolicy(*policy, 0); err != nil {
-		fmt.Fprintln(stderr, "vft-fuzz:", err)
-		return 2
-	}
-
-	if *replayFile != "" {
-		return fuzzReplay(*replayFile, stdin, *schedules, *policy, *seed, *shrink, stdout, stderr)
-	}
-
-	cfg := trace.DefaultGenConfig()
-	if *gosync {
-		cfg = trace.GoSyncGenConfig()
-	}
-	cfg.Ops = *ops
-	cfg.Threads = *threads
-	if *racy {
-		cfg.LockedFraction = 0
-	}
-	ext := cfg.Extensions()
-
-	races, clean := 0, 0
-	var explored harness.ScheduleStats
-	for i := 0; i < *n; i++ {
-		traceSeed := *seed + int64(i)
-		rng := rand.New(rand.NewSource(traceSeed))
-		tr := trace.Generate(rng, cfg)
-		if *gosync {
-			// The differential stack compares detectors on the §2 core
-			// language; lower the Go-synchronization kinds first. The
-			// lowering is what's under test here: a bug in it surfaces
-			// as a divergence on the lowered trace.
-			tr = tr.Desugar(ext)
-		}
-		if err := CheckOne(tr); err != nil {
-			if *shrink {
-				tr = Shrink(tr)
-				err = CheckOne(tr) // re-derive the message for the minimized trace
-			}
-			fmt.Fprintf(stderr, "vft-fuzz: divergence on trace %d (seed %d): %v\n\n",
-				i, traceSeed, err)
-			fmt.Fprintln(stderr, "# replay with: vft-race -all -oracle <this file>")
-			trace.Encode(stderr, tr)
-			return 1
-		}
-		if hb.Analyze(tr).HasRace() {
-			races++
-		} else {
-			clean++
-		}
-
-		if *schedules > 0 {
-			prog, err := conformance.FromTrace(fmt.Sprintf("trace-%d", i), tr)
-			if err != nil {
-				fmt.Fprintln(stderr, "vft-fuzz:", err)
-				return 2
-			}
-			sum, err := conformance.Explore(prog, conformance.Options{
-				Policy:    *policy,
-				Schedules: *schedules,
-				// Derived from the trace seed alone, so replaying one
-				// trace with `-n 1 -seed <traceSeed>` re-explores the
-				// identical schedules.
-				SeedBase: sched.SplitMix64(uint64(traceSeed)),
-				Shrink:   *shrink,
-			})
-			if err != nil {
-				fmt.Fprintln(stderr, "vft-fuzz:", err)
-				return 2
-			}
-			explored.Add(sum.Schedules, sum.Distinct, sum.Racy, sum.Events)
-			if len(sum.Divergences) > 0 {
-				d := sum.Divergences[0]
-				fmt.Fprintf(stderr, "vft-fuzz: schedule divergence on trace %d: %v\n\n", i, d)
-				fmt.Fprintf(stderr, "# replay this trace's exploration with: vft-fuzz -n 1 -seed %d -schedules %d -sched-policy %s\n",
-					traceSeed, *schedules, *policy)
-				fmt.Fprintf(stderr, "# schedule seed %#x; minimized linearization (vft-race -all -oracle <this file>):\n", d.Seed)
-				trace.Encode(stderr, d.Trace)
-				return 1
-			}
-		}
-	}
-	fmt.Fprintf(stdout, "vft-fuzz: %d traces checked, no divergence (%d racy, %d race-free)\n",
-		*n, races, clean)
-	if *schedules > 0 {
-		fmt.Fprintf(stdout, "vft-fuzz: %s\n", explored.Summary(*policy))
-	}
-	return 0
-}
-
-// fuzzReplay is vft-fuzz -replay: load one recorded trace, lower extended
-// operations (the differential checker compares detectors on the core
-// language), run the sequential cross-check, and optionally explore
-// controlled schedules of it. Exit codes mirror the fuzz loop: 0 agreement,
-// 1 divergence, 2 bad input.
-func fuzzReplay(path string, stdin io.Reader, schedules int, policy string, seed int64, shrink bool, stdout, stderr io.Writer) int {
-	in, closeIn, err := openInput(path, stdin)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-fuzz:", err)
-		return 2
-	}
-	defer closeIn()
-	src, err := trace.NewDecoder(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-fuzz:", err)
-		return 2
-	}
-	tr, err := trace.ReadAll(src)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-fuzz:", err)
-		return 2
-	}
-	if err := validateFor(tr, nil, core.Variants()); err != nil { // CheckOne replays every variant
-		fmt.Fprintln(stderr, "vft-fuzz:", err)
-		return 2
-	}
-	low := tr.Desugar(nil)
-	if err := CheckOne(low); err != nil {
-		fmt.Fprintf(stderr, "vft-fuzz: divergence on replayed trace: %v\n", err)
-		return 1
-	}
-	verdict := "race-free"
-	if hb.Analyze(low).HasRace() {
-		verdict = "racy"
-	}
-	fmt.Fprintf(stdout, "vft-fuzz: replayed trace agrees across all detectors and the oracle (%d ops after lowering, %s)\n",
-		len(low), verdict)
-	if schedules > 0 {
-		prog, err := conformance.FromTrace(path, low)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-fuzz:", err)
-			return 2
-		}
-		sum, err := conformance.Explore(prog, conformance.Options{
-			Policy:    policy,
-			Schedules: schedules,
-			SeedBase:  sched.SplitMix64(uint64(seed)),
-			Shrink:    shrink,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-fuzz:", err)
-			return 2
-		}
-		if len(sum.Divergences) > 0 {
-			d := sum.Divergences[0]
-			fmt.Fprintf(stderr, "vft-fuzz: schedule divergence on replayed trace: %v\n\n", d)
-			fmt.Fprintf(stderr, "# schedule seed %#x; minimized linearization (vft-race -all -oracle <this file>):\n", d.Seed)
-			trace.Encode(stderr, d.Trace)
-			return 1
-		}
-		var explored harness.ScheduleStats
-		explored.Add(sum.Schedules, sum.Distinct, sum.Racy, sum.Events)
-		fmt.Fprintf(stdout, "vft-fuzz: %s\n", explored.Summary(policy))
-	}
-	return 0
-}
-
-// CheckOne runs the full differential comparison on one feasible trace.
-// (The implementation lives in internal/conformance, which also applies it
-// per explored schedule; this wrapper keeps the historical cli API.)
-func CheckOne(tr trace.Trace) error { return conformance.CheckTrace(tr) }
-
-// Shrink delta-minimizes a diverging trace so fuzz failures arrive at a
-// human-readable size. See conformance.Shrink.
-func Shrink(tr trace.Trace) trace.Trace { return conformance.Shrink(tr) }
-
-// RunProg implements vft-run: re-execute a recorded trace as live
-// goroutines under a detector. The input is a file or "-" for stdin, in
-// text, binary or gzip encoding (sniffed from the stream head). Each run
-// streams it through decode → validate → desugar → rtsim.Replay on a fresh
-// runtime, never materializing the trace; the first run consumes the opened
-// input and later runs reopen the file. The trace's threads run as real
-// concurrent goroutines, so on racy inputs the detected interleaving (and
-// with it the report set) is schedule-dependent, exactly as re-running a
-// live program would be.
-func RunProg(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vft-run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	variant := fs.String("d", "vft-v2", "detector variant ('none' for an uninstrumented run)")
-	runs := fs.Int("runs", 1, "number of executions (races are schedule-dependent; more runs, more schedules)")
-	metricsAddr := fs.String("metrics-addr", "",
-		"serve metrics over HTTP on this address: live rtsim event counts during the run, frozen detector stats after each run")
-	metricsLinger := fs.Duration("metrics-linger", 0,
-		"keep the metrics endpoint up this long after the last run")
-	chancaps := fs.String("chancaps", "",
-		"per-channel buffer capacities, comma-separated id:cap pairs (absent channels are unbuffered)")
-	sampleRate := fs.Float64("sample", 1,
-		"check through the sampling tier at this per-variable rate (1 = precise unless set explicitly; overrides a -d sampled:<rate> spelling)")
-	sampleSeed := fs.Uint64("sample-seed", 0,
-		"sampling seed (0 = library default); decisions are a pure function of (seed, variable id)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "vft-run: usage: vft-run [-d variant] [-runs N] trace | -")
-		return 2
-	}
-	if *runs < 1 {
-		fmt.Fprintf(stderr, "vft-run: -runs must be at least 1, got %d\n", *runs)
-		return 2
-	}
-	path := fs.Arg(0)
-	if (path == "-" || path == "") && *runs > 1 {
-		fmt.Fprintln(stderr, "vft-run: -runs > 1 needs a re-readable file, not stdin")
-		return 2
-	}
-	base, pol, err := sample.Resolve(*variant, ifSet(fs, "sample", sampleRate), *sampleSeed)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	*variant = base
-	if pol != nil && *variant == "none" {
-		fmt.Fprintln(stderr, "vft-run: -sample needs a detector variant, not 'none'")
-		return 2
-	}
-	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	var ext *trace.Extensions
-	if caps != nil {
-		ext = &trace.Extensions{ChanCapacity: caps}
-	}
-	in, closeIn, err := openInput(path, stdin)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return 2
-	}
-	defer closeIn()
-
-	var reg *obs.Registry
-	var rtOpts []rtsim.Option
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		rtOpts = append(rtOpts, rtsim.WithMetrics(reg))
-		shutdown, err := serveMetrics(*metricsAddr, "vft-run", reg, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-run:", err)
-			return 2
-		}
-		defer shutdown()
-		defer func() {
-			if *metricsLinger > 0 {
-				fmt.Fprintf(stderr, "vft-run: metrics endpoint lingering %v\n", *metricsLinger)
-				time.Sleep(*metricsLinger)
-			}
-		}()
-	}
-
-	raced := false
-	for i := 0; i < *runs; i++ {
-		r := in
-		if i > 0 {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "vft-run:", err)
-				return 2
-			}
-			r = f
-		}
-		racedOnce, code := runTraceOnce(r, path, *variant, ext, reg, rtOpts, pol, stdout, stderr)
-		if f, ok := r.(*os.File); ok && i > 0 {
-			f.Close()
-		}
-		if code != 0 {
-			return code
-		}
-		raced = raced || racedOnce
-	}
-	if raced {
-		return 1
-	}
-	if *variant != "none" {
-		fmt.Fprintf(stdout, "[%s] no races detected over %d run(s)\n", *variant, *runs)
-	}
-	return 0
-}
-
 // ifSet returns v if the command line set the named flag, else nil: an
 // explicit -sample (even -sample 1, the identity gate) selects the sampling
 // tier and overrides a -d sampled:<rate> spelling; the default does neither.
@@ -934,43 +521,33 @@ func validateFor(tr trace.Trace, ext *trace.Extensions, variants []string) error
 	return nil
 }
 
-// runTraceOnce re-executes one trace stream as a live concurrent program
-// and prints each racy variable's first report. It returns whether the run
-// raced and a nonzero exit code on error.
-func runTraceOnce(in io.Reader, path, variant string, ext *trace.Extensions, reg *obs.Registry, rtOpts []rtsim.Option, pol *sample.Policy, stdout, stderr io.Writer) (bool, int) {
-	src, err := trace.NewDecoder(in)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return false, 2
-	}
-	var d core.Detector
-	if variant != "none" {
-		if d, err = core.NewSampled(variant, core.DefaultConfig(), pol); err != nil {
-			fmt.Fprintln(stderr, "vft-run:", err)
-			return false, 2
+// denseIDs renumbers a core-language trace's variables and locks in
+// first-use order. conformance.CheckTrace replays raw ids into the
+// specification and every detector, whose tables are indexed by id; this
+// keeps a capture naming x2000000000 a three-entry check (thread ids are
+// already bounded by validateFor's ft-cas ceiling). Operation positions,
+// which is what a divergence reports, are unchanged.
+func denseIDs(tr trace.Trace) trace.Trace {
+	vars, locks := map[trace.Var]trace.Var{}, map[trace.Lock]trace.Lock{}
+	out := make(trace.Trace, len(tr))
+	for i, op := range tr {
+		switch op.Kind {
+		case trace.Read, trace.Write:
+			x, ok := vars[op.X]
+			if !ok {
+				x = trace.Var(len(vars))
+				vars[op.X] = x
+			}
+			op.X = x
+		case trace.Acquire, trace.Release:
+			m, ok := locks[op.M]
+			if !ok {
+				m = trace.Lock(len(locks))
+				locks[op.M] = m
+			}
+			op.M = m
 		}
+		out[i] = op
 	}
-	rt := rtsim.New(d, rtOpts...)
-	pipe := core.LoweredSource(variant, src, ext)
-	pprof.Do(context.Background(), pprof.Labels("program", path, "detector", variant), func(context.Context) {
-		err = rtsim.Replay(rt, pipe)
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-run:", err)
-		return false, 2
-	}
-	if reg != nil && d != nil {
-		if ss, ok := d.(core.StatsSource); ok {
-			reg.RegisterSource(variant, ss.Stats().Source())
-		}
-	}
-	reports := rt.Reports()
-	seen := map[trace.Var]bool{}
-	for _, r := range reports {
-		if !seen[r.X] {
-			seen[r.X] = true
-			fmt.Fprintln(stdout, r)
-		}
-	}
-	return len(reports) > 0, 0
+	return out
 }

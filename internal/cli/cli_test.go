@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/conformance"
 	"repro/internal/trace"
 )
 
@@ -84,6 +85,18 @@ func TestRaceErrors(t *testing.T) {
 	if code, _, _ := runRace(t, []string{"-definitely-not-a-flag"}, ""); code != 2 {
 		t.Fatalf("bad flag exit = %d, want 2", code)
 	}
+	// Two traces: checking the first and calling the pair clean would
+	// certify a file that was never read.
+	dir := t.TempDir()
+	clean, racy := filepath.Join(dir, "clean.txt"), filepath.Join(dir, "racy.txt")
+	for path, text := range map[string]string{clean: "wr 0 0\nrd 0 0\n", racy: "fork 0 1\nwr 0 0\nwr 1 0\n"} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, out, errOut := runRace(t, []string{clean, racy}, ""); code != 2 || out != "" || !strings.Contains(errOut, "usage") {
+		t.Fatalf("two traces: exit = %d, stdout %q, stderr %q; want exit 2 and a usage line", code, out, errOut)
+	}
 }
 
 func TestRaceBarrierParties(t *testing.T) {
@@ -101,7 +114,8 @@ func TestBenchQuickSubset(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
 	}
-	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "DJIT+"} {
+	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "DJIT+",
+		"Rule mix under v2", "[Read Shared Same Epoch]", "lock-free fast paths"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -127,49 +141,24 @@ func TestBenchAblation(t *testing.T) {
 	}
 }
 
-func TestStatsQuick(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := Stats([]string{"-quick", "-per-program"}, strings.NewReader(""), &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
-	}
-	for _, want := range []string{"Read Same Epoch", "lock-free fast paths", "sparse", "serialized"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestFuzzSmallRun(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := Fuzz([]string{"-n", "50", "-ops", "30"}, strings.NewReader(""), &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "no divergence") {
-		t.Fatalf("output: %s", out.String())
-	}
-}
-
+// The differential check vft-race -all -oracle runs, on generated traces
+// (named for cli.CheckOne, the wrapper the fuzz driver called it through).
 func TestCheckOneAgreesWithSuiteInvariants(t *testing.T) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 40
 	for seed := int64(0); seed < 50; seed++ {
 		tr := trace.Generate(rand.New(rand.NewSource(seed)), cfg)
-		if err := CheckOne(tr); err != nil {
+		if err := conformance.CheckTrace(tr); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// Shrink keeps divergence... there is none in a correct stack, so exercise
-// it on a synthetic predicate instead: a trace that "diverges" as long as
-// it contains a specific racy pair. We simulate by checking that Shrink on
-// a healthy trace is the identity.
+// There is no divergence to minimize in a correct stack, so Shrink must
+// hand a healthy trace back unchanged.
 func TestShrinkIdentityOnHealthyTrace(t *testing.T) {
 	tr := trace.Generate(rand.New(rand.NewSource(1)), trace.DefaultGenConfig())
-	got := Shrink(tr)
-	if len(got) != len(tr) {
+	if got := conformance.Shrink(tr); len(got) != len(tr) {
 		t.Fatalf("Shrink changed a healthy trace: %d -> %d ops", len(tr), len(got))
 	}
 }
@@ -179,7 +168,7 @@ func TestThrashAndLadderTracesAreFeasibleAndRaceFree(t *testing.T) {
 		if err := trace.Validate(tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckOne(tr); err != nil {
+		if err := conformance.CheckTrace(tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,19 +183,6 @@ func TestRaceExplain(t *testing.T) {
 	for _, want := range []string{"conflicting pairs", "ordered", "lock order on m0", "RACE"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestStatsMemory(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := Stats([]string{"-quick", "-memory"}, strings.NewReader(""), &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
-	}
-	for _, want := range []string{"Shadow-state footprint", "djit (KB)", "djit/vft-v2"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -230,74 +206,6 @@ func TestBenchCSV(t *testing.T) {
 	}
 }
 
-func TestRunProg(t *testing.T) {
-	dir := t.TempDir()
-	racy := filepath.Join(dir, "racy.trace")
-	os.WriteFile(racy, []byte("fork 0 1\nwr 0 0\nwr 1 0\njoin 0 1\n"), 0o644)
-	clean := filepath.Join(dir, "clean.trace")
-	os.WriteFile(clean, []byte("fork 0 1\nwr 1 0\njoin 0 1\nrd 0 0\n"), 0o644)
-	bad := filepath.Join(dir, "bad.trace")
-	os.WriteFile(bad, []byte("frobnicate 1 2\n"), 0o644)
-
-	// A text trace needs no mode flag.
-	var out, errBuf bytes.Buffer
-	if code := RunProg([]string{racy}, strings.NewReader(""), &out, &errBuf); code != 1 {
-		t.Fatalf("racy: exit = %d (stderr %s)", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "race") {
-		t.Fatalf("racy output: %q", out.String())
-	}
-
-	out.Reset()
-	if code := RunProg([]string{"-runs", "2", clean}, strings.NewReader(""), &out, &errBuf); code != 0 {
-		t.Fatalf("clean: exit = %d", code)
-	}
-	if !strings.Contains(out.String(), "no races detected over 2 run(s)") {
-		t.Fatalf("clean output: %q", out.String())
-	}
-
-	out.Reset()
-	if code := RunProg([]string{"-d", "none", clean}, strings.NewReader(""), &out, &errBuf); code != 0 {
-		t.Fatalf("uninstrumented: exit = %d", code)
-	}
-	if strings.Contains(out.String(), "no races") {
-		t.Fatalf("uninstrumented run should not print a verdict: %q", out.String())
-	}
-
-	if code := RunProg([]string{bad}, strings.NewReader(""), &out, &errBuf); code != 2 {
-		t.Fatalf("malformed trace: exit = %d", code)
-	}
-	if code := RunProg([]string{"/no/such/file.trace"}, strings.NewReader(""), &out, &errBuf); code != 2 {
-		t.Fatalf("missing file: exit = %d", code)
-	}
-	if code := RunProg(nil, strings.NewReader(""), &out, &errBuf); code != 2 {
-		t.Fatalf("no args: exit = %d", code)
-	}
-	if code := RunProg([]string{"-d", "nope", clean}, strings.NewReader(""), &out, &errBuf); code != 2 {
-		t.Fatalf("bad detector: exit = %d", code)
-	}
-
-	// A run count below 1 would certify a trace that never ran.
-	for _, n := range []string{"0", "-1"} {
-		out.Reset()
-		errBuf.Reset()
-		if code := RunProg([]string{"-runs", n, clean}, strings.NewReader(""), &out, &errBuf); code != 2 ||
-			out.Len() != 0 || strings.Count(errBuf.String(), "\n") != 1 {
-			t.Fatalf("-runs %s: exit = %d, stdout %q, stderr %q; want exit 2 and one line on stderr",
-				n, code, out.String(), errBuf.String())
-		}
-	}
-
-	// The two flags that told program mode from trace mode went with it.
-	for _, flag := range []string{"-trace", "-static"} {
-		errBuf.Reset()
-		if code := RunProg([]string{flag, clean}, strings.NewReader(""), &out, &errBuf); code != 2 ||
-			!strings.Contains(errBuf.String(), "flag provided but not defined: "+flag) {
-			t.Fatalf("%s: exit = %d, stderr %q; want exit 2 with the undefined-flag message", flag, code, errBuf.String())
-		}
-	}
-}
-
 // TestFTCASTidLimitIsInputError: every CLI path that replays a materialized
 // trace through ft-cas validates under its 8-bit thread-id ceiling first, so
 // a valid 300-thread trace is a positioned input error (exit 2), never a
@@ -313,13 +221,37 @@ func TestFTCASTidLimitIsInputError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func(stdout, stderr io.Writer) int{
-		"vft-race -d ft-cas": func(o, e io.Writer) int { return Race([]string{"-d", "ft-cas", path}, nil, o, e) },
-		"vft-bench -trace":   func(o, e io.Writer) int { return Bench([]string{"-trace", path, "-iters", "1", "-warmup", "0"}, o, e) },
-		"vft-fuzz -replay":   func(o, e io.Writer) int { return Fuzz([]string{"-replay", path}, nil, o, e) },
+		"vft-race -d ft-cas":    func(o, e io.Writer) int { return Race([]string{"-d", "ft-cas", path}, nil, o, e) },
+		"vft-bench -trace":      func(o, e io.Writer) int { return Bench([]string{"-trace", path, "-iters", "1", "-warmup", "0"}, o, e) },
+		"vft-race -all -oracle": func(o, e io.Writer) int { return Race([]string{"-all", "-oracle", path}, nil, o, e) },
 	} {
 		var out, errBuf bytes.Buffer
 		if code := run(&out, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "thread id 255 outside 0..254") {
 			t.Errorf("%s: exit %d, stderr %q; want exit 2 naming thread id 255", name, code, errBuf.String())
+		}
+	}
+}
+
+// TestHelpGolden pins every command's -h output, so a flag added, dropped
+// or reworded is a reviewed diff of testdata/<command>.help. To accept a
+// change: go run ./cmd/<command> -h 2> internal/cli/testdata/<command>.help
+func TestHelpGolden(t *testing.T) {
+	for name, run := range map[string]func(stderr io.Writer) int{
+		"vft-race":   func(e io.Writer) int { return Race([]string{"-h"}, nil, io.Discard, e) },
+		"vft-bench":  func(e io.Writer) int { return Bench([]string{"-h"}, io.Discard, e) },
+		"vft-server": func(e io.Writer) int { return Server([]string{"-h"}, io.Discard, e) },
+		"vft-go":     func(e io.Writer) int { return RunVftGo([]string{"-h"}, nil, io.Discard, e) },
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".help"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if code := run(&got); code != 2 {
+			t.Errorf("%s -h: exit %d, want 2", name, code)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s -h differs from testdata/%s.help; got:\n%s", name, name, got.String())
 		}
 	}
 }

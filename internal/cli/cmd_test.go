@@ -106,38 +106,6 @@ func TestCommandSmoke(t *testing.T) {
 		}
 	})
 
-	for _, tc := range []struct {
-		name, input string
-		wantExit    int
-		wantOut     string
-	}{
-		{"racy", racyTrace, 1, "race"},
-		{"clean", cleanTrace, 0, "no races detected"},
-	} {
-		t.Run("vft-run/"+tc.name, func(t *testing.T) {
-			work := t.TempDir()
-			path := filepath.Join(work, tc.name+".trace")
-			if err := os.WriteFile(path, []byte(tc.input), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			code, out := runCmd(t, work, bin("vft-run"), "", path)
-			if code != tc.wantExit || !strings.Contains(out, tc.wantOut) {
-				t.Fatalf("exit %d, want %d with %q in the output\n%s", code, tc.wantExit, tc.wantOut, out)
-			}
-		})
-	}
-
-	t.Run("vft-stats", func(t *testing.T) {
-		work := t.TempDir()
-		code, out := runCmd(t, work, bin("vft-stats"), "", "-quick")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0\n%s", code, out)
-		}
-		if !strings.Contains(out, "Analysis-rule frequency") {
-			t.Fatalf("missing table header:\n%s", out)
-		}
-	})
-
 	t.Run("vft-bench", func(t *testing.T) {
 		work := t.TempDir()
 		code, out := runCmd(t, work, bin("vft-bench"), "",
@@ -177,18 +145,6 @@ func TestCommandSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("vft-fuzz", func(t *testing.T) {
-		work := t.TempDir()
-		code, out := runCmd(t, work, bin("vft-fuzz"), "",
-			"-n", "25", "-schedules", "5", "-seed", "7")
-		if code != 0 {
-			t.Fatalf("exit %d, want 0\n%s", code, out)
-		}
-		if !strings.Contains(out, "no divergence") || !strings.Contains(out, "schedules explored") {
-			t.Fatalf("missing summary lines:\n%s", out)
-		}
-	})
-
 	// A relative -o: go build runs with the shadow module as its working
 	// directory, where the same relative path would name rel/rel/vftbin.
 	t.Run("vft-go/relative-o", func(t *testing.T) {
@@ -219,9 +175,8 @@ func TestCommandSmoke(t *testing.T) {
 
 // TestStreamingCommandSmoke exercises the streaming ingestion surface of
 // the real binaries: stdin via "-", binary and gzip trace encodings
-// recognized from the stream head (no file extensions involved), trace
-// re-execution in vft-run, snapshot piping in vft-stats and trace replay
-// in vft-fuzz.
+// recognized from the stream head (no file extensions involved), in
+// vft-race and vft-bench -trace.
 func TestStreamingCommandSmoke(t *testing.T) {
 	bins := buildCmds(t)
 	bin := func(name string) string { return filepath.Join(bins, name) }
@@ -266,74 +221,40 @@ func TestStreamingCommandSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("vft-run/gzip-binary-stdin", func(t *testing.T) {
+	t.Run("vft-race/gzip-binary-stdin", func(t *testing.T) {
 		// The headline pipeline: a gzipped binary capture piped into
-		// vft-run's stdin re-executes as a live program and finds the race.
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), gz(encodeBin(racy)), "-")
-		if code != 1 || !strings.Contains(out, "race") {
-			t.Fatalf("exit %d, want 1 with a report\n%s", code, out)
+		// vft-race's stdin, through the whole differential stack.
+		code, out := runCmdBytes(t, t.TempDir(), bin("vft-race"), gz(encodeBin(racy)), "-all", "-oracle", "-")
+		if code != 1 || !strings.Contains(out, "race") || !strings.Contains(out, "oracle: 1 concurrent conflicting pairs") {
+			t.Fatalf("exit %d, want 1 with a report and the oracle line\n%s", code, out)
 		}
 	})
-	t.Run("vft-run/binary-file", func(t *testing.T) {
+	t.Run("vft-race/binary-file", func(t *testing.T) {
 		work := t.TempDir()
 		path := filepath.Join(work, "clean.bin")
 		if err := os.WriteFile(path, encodeBin(clean), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		code, out := runCmd(t, work, bin("vft-run"), "", "-runs", "2", path)
+		code, out := runCmd(t, work, bin("vft-race"), "", path)
 		if code != 0 || !strings.Contains(out, "no races detected") {
 			t.Fatalf("exit %d, want 0 with verdict\n%s", code, out)
 		}
 	})
-	t.Run("vft-run/text-stdin", func(t *testing.T) {
+	t.Run("vft-race/text-stdin", func(t *testing.T) {
 		var txt bytes.Buffer
 		trace.Encode(&txt, clean)
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), txt.Bytes(), "-")
+		code, out := runCmdBytes(t, t.TempDir(), bin("vft-race"), txt.Bytes(), "-")
 		if code != 0 || !strings.Contains(out, "no races detected") {
 			t.Fatalf("exit %d, want 0 with verdict\n%s", code, out)
 		}
 	})
-	t.Run("vft-run/stdin-multi-runs-rejected", func(t *testing.T) {
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-run"), encodeBin(clean), "-runs", "2", "-")
-		if code != 2 || !strings.Contains(out, "re-readable") {
-			t.Fatalf("exit %d, want 2 with an explanation\n%s", code, out)
-		}
-	})
 
-	// The sharded engine's knob is gone, not ignored: whatever else the
-	// command line says, -parallel is the flag package's undefined-flag
-	// error.
-	for _, tc := range []struct {
-		name, tool string
-		stdin      []byte
-		args       []string
-	}{
-		{"vft-run/parallel-racy-stdin", "vft-run", gz(encodeBin(racy)), []string{"-parallel", "2", "-"}},
-		{"vft-run/parallel-rejects-runs", "vft-run", encodeBin(clean), []string{"-parallel", "2", "-runs", "3", "-"}},
-		{"vft-run/parallel-rejects-program", "vft-run", []byte("thread 0 { wr 0 }\n"), []string{"-parallel", "2", "-"}},
-		{"vft-bench/parallel", "vft-bench", nil, []string{"-parallel", "1,2", "-quick"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			code, out := runCmdBytes(t, t.TempDir(), bin(tc.tool), tc.stdin, tc.args...)
-			if code != 2 || !strings.Contains(out, "flag provided but not defined: -parallel") {
-				t.Fatalf("exit %d, want 2 with the undefined-flag message\n%s", code, out)
-			}
-		})
-	}
-
-	t.Run("vft-stats/snapshot-gzip-stdin", func(t *testing.T) {
-		snap := []byte(`{"counters":{"demo.events":42}}`)
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-stats"), gz(snap), "-snapshot", "-")
-		if code != 0 || !strings.Contains(out, "demo.events") {
-			t.Fatalf("exit %d, want 0 with the counter\n%s", code, out)
-		}
-	})
-
-	t.Run("vft-fuzz/replay-stdin", func(t *testing.T) {
-		code, out := runCmdBytes(t, t.TempDir(), bin("vft-fuzz"), gz(encodeBin(racy)),
-			"-replay", "-", "-schedules", "3")
-		if code != 0 || !strings.Contains(out, "agrees") {
-			t.Fatalf("exit %d, want 0 with agreement\n%s", code, out)
+	// The sharded engine's knob is gone, not ignored: -parallel is the flag
+	// package's undefined-flag error.
+	t.Run("vft-bench/parallel", func(t *testing.T) {
+		code, out := runCmd(t, t.TempDir(), bin("vft-bench"), "", "-parallel", "1,2", "-quick")
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: -parallel") {
+			t.Fatalf("exit %d, want 2 with the undefined-flag message\n%s", code, out)
 		}
 	})
 

@@ -5,8 +5,6 @@
 package cli
 
 import (
-	"bufio"
-	"compress/gzip"
 	"io"
 	"os"
 )
@@ -22,19 +20,4 @@ func openInput(path string, stdin io.Reader) (io.Reader, func() error, error) {
 		return nil, nil, err
 	}
 	return f, f.Close, nil
-}
-
-// maybeGzip wraps r in a gzip reader when the stream head carries the gzip
-// magic, for inputs (like metric snapshots) that are not trace streams and
-// so bypass trace.NewDecoder's sniffing.
-func maybeGzip(r io.Reader) (io.Reader, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(2)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
-		return gzip.NewReader(br)
-	}
-	return br, nil
 }

@@ -19,9 +19,9 @@ import (
 // error means the whole stack agrees on tr.
 //
 // This is the offline half of the conformance story; Explore applies the
-// same verdict comparison per controlled schedule. (It used to live in
-// internal/cli as CheckOne; the fuzz driver still calls it through a thin
-// wrapper there.)
+// same verdict comparison per controlled schedule. vft-race -all -oracle
+// runs it on a trace file, which is how a trace printed by a failing test
+// here is replayed.
 func CheckTrace(tr trace.Trace) error {
 	// Oracle self-agreement.
 	vcRaces := hb.Analyze(tr)

@@ -48,13 +48,12 @@ type Program struct {
 // happens-before edge to the analyzed trace.
 //
 // FromTrace materializes the trace into per-thread projections up front
-// rather than streaming it through rtsim.Replay's bounded demultiplexer.
-// That is deliberate: under a controlled scheduler only the turn-holding
-// thread runs, and it may be one whose channel the demux has yet to fill
-// while the demux is blocked sending to a thread that cannot take its
-// turn — bounded backpressure and cooperative turn handoff deadlock.
-// Replay therefore rejects controlled runtimes, and controlled exploration
-// pays the O(trace) memory for schedule freedom instead.
+// rather than streaming it to the threads through bounded channels. That
+// is deliberate: under a controlled scheduler only the turn-holding thread
+// runs, and it may be one whose channel a demultiplexer has yet to fill
+// while the demultiplexer is blocked sending to a thread that cannot take
+// its turn — bounded backpressure and cooperative turn handoff deadlock —
+// so controlled exploration pays the O(trace) memory for schedule freedom.
 func FromTrace(name string, tr trace.Trace) (Program, error) {
 	perThread := map[epoch.Tid][]trace.Op{}
 	nVars, nLocks := 0, 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hb"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -84,35 +85,69 @@ func TestWorkloadsConform(t *testing.T) {
 	}
 }
 
-// TestGeneratedTracesConform re-executes generated feasible traces as
-// concurrent programs and explores alternative schedules of each, checking
-// detector/oracle agreement per schedule — the schedule-space counterpart
-// of the sequential differential fuzzer.
+// TestGeneratedTracesConform is the differential fuzzer: generated feasible
+// traces, core-language and Go-synchronization (lowered with Desugar first:
+// the detectors are compared on the §2 core language, so a lowering bug
+// surfaces as a divergence on the lowered trace), each checked sequentially
+// with CheckTrace and then re-executed as a concurrent program under
+// controlled schedules of both policies, with detector/oracle agreement
+// required on every linearization. Everything is a function of the seeds
+// below; a failure prints the shrunk trace in the text format vft-race reads.
 func TestGeneratedTracesConform(t *testing.T) {
 	traces, perTrace := 10, 10
 	if soak() {
 		traces, perTrace = 200, 50
 	}
-	cfg := trace.DefaultGenConfig()
-	for i := 0; i < traces; i++ {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		tr := trace.Generate(rng, cfg)
-		prog, err := FromTrace("gen", tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, policy := range sched.PolicyNames() {
-			opts := DefaultOptions()
-			opts.Policy = policy
-			opts.Schedules = perTrace
-			opts.SeedBase = uint64(i + 1)
-			sum, err := Explore(prog, opts)
+	for _, row := range []struct {
+		name string
+		cfg  trace.GenConfig
+	}{
+		{"core", trace.DefaultGenConfig()},
+		{"gosync", trace.GoSyncGenConfig()},
+	} {
+		racyTraces := 0
+		explored := map[string]Summary{}
+		for i := 0; i < traces; i++ {
+			rng := rand.New(rand.NewSource(int64(100 + i)))
+			tr := trace.Generate(rng, row.cfg).Desugar(row.cfg.Extensions())
+			if err := CheckTrace(tr); err != nil {
+				shrunk := Shrink(tr)
+				t.Fatalf("%s trace %d: %v\nshrunk (%v); replay with: vft-race -all -oracle <this file>\n%s",
+					row.name, i, err, CheckTrace(shrunk), format(shrunk))
+			}
+			if hb.Analyze(tr).HasRace() {
+				racyTraces++
+			}
+			prog, err := FromTrace("gen", tr)
 			if err != nil {
-				t.Fatalf("trace %d: %v", i, err)
+				t.Fatal(err)
 			}
-			for _, d := range sum.Divergences {
-				t.Errorf("trace %d: %v\n%s", i, d, format(d.Trace))
+			for _, policy := range sched.PolicyNames() {
+				opts := DefaultOptions()
+				opts.Policy = policy
+				opts.Schedules = perTrace
+				opts.SeedBase = uint64(i + 1)
+				sum, err := Explore(prog, opts)
+				if err != nil {
+					t.Fatalf("%s trace %d: %v", row.name, i, err)
+				}
+				for _, d := range sum.Divergences {
+					t.Errorf("%s trace %d: %v\nreplay with: vft-race -all -oracle <this file>\n%s",
+						row.name, i, d, format(d.Trace))
+				}
+				tot := explored[policy]
+				tot.Schedules += sum.Schedules
+				tot.Distinct += sum.Distinct
+				tot.Racy += sum.Racy
+				tot.Events += sum.Events
+				explored[policy] = tot
 			}
+		}
+		t.Logf("%s: %d traces checked (%d racy, %d race-free)", row.name, traces, racyTraces, traces-racyTraces)
+		for _, policy := range sched.PolicyNames() {
+			tot := explored[policy]
+			t.Logf("%s: %d schedules explored (%s policy): %d distinct linearizations, %d racy, %d events",
+				row.name, tot.Schedules, policy, tot.Distinct, tot.Racy, tot.Events)
 		}
 	}
 }

@@ -356,18 +356,6 @@ func PreciseVariants() []string {
 	return out
 }
 
-// LoweredSource is the checking pipeline in front of a detector of the
-// named variant: incremental §2 validation — under the variant's thread-id
-// ceiling, so a format limit surfaces as a positioned *trace.TidRangeError
-// instead of a panic inside a handler — then on-the-fly lowering of
-// extended operations.
-func LoweredSource(variant string, src trace.Source, ext *trace.Extensions) trace.Source {
-	v := trace.NewValidator()
-	v.Ext = ext
-	v.MaxTid = MaxTid(variant)
-	return trace.DesugarSource(v.Source(src), ext)
-}
-
 // Replay drives a detector sequentially over a core-language trace,
 // dispatching each operation to its handler, and returns the detector's
 // reports. It is the reference driver for differential testing; concurrent

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/spec"
 )
 
 // displayName maps detector ids to Table 1's column headers.
@@ -57,6 +59,52 @@ func (t *Table) Format(w io.Writer) error {
 		fmt.Fprintf(tw, "%.2f\t", t.GeoMean[det])
 	}
 	fmt.Fprintln(tw)
+	return tw.Flush()
+}
+
+// fastPathRules are the three rules VerifiedFT-v2 handles without the
+// variable lock, with the share of all accesses §5 reports for each.
+var fastPathRules = []struct {
+	rule  spec.Rule
+	paper string
+}{
+	{spec.ReadSameEpoch, "60%"},
+	{spec.WriteSameEpoch, "14%"},
+	{spec.ReadSharedSameEpoch, "12%"},
+}
+
+// RuleMix sums the vft-v2 metrics passes over the table's programs: the
+// accesses checked and how many of them each fast-path rule handled, in
+// fastPathRules order. accesses is 0 when v2 was not among the detectors.
+func (t *Table) RuleMix() (fired [3]uint64, accesses uint64) {
+	for _, r := range t.Rows {
+		c := r.Metrics["vft-v2"].Counters
+		accesses += c["detector.reads.total"] + c["detector.writes.total"]
+		for i, f := range fastPathRules {
+			fired[i] += c["detector.rule."+f.rule.Key()]
+		}
+	}
+	return fired, accesses
+}
+
+// FormatRuleMix renders the §5 rule-frequency measurement as the table's
+// footer: each fast-path rule's share of the accesses v2 checked across
+// the programs above and their sum, with the paper's numbers alongside.
+// It prints nothing when v2 was not measured.
+func (t *Table) FormatRuleMix(w io.Writer) error {
+	fired, accesses := t.RuleMix()
+	if accesses == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "\nRule mix under v2 (%d accesses; cf. paper §5)\n\n", accesses)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "Rule\tAccesses\tShare\tPaper\t")
+	var sum uint64
+	for i, f := range fastPathRules {
+		sum += fired[i]
+		fmt.Fprintf(tw, "[%v]\t%d\t%.1f%%\t%s\t\n", f.rule, fired[i], 100*float64(fired[i])/float64(accesses), f.paper)
+	}
+	fmt.Fprintf(tw, "lock-free fast paths\t%d\t%.1f%%\t~85%%\t\n", sum, 100*float64(sum)/float64(accesses))
 	return tw.Flush()
 }
 

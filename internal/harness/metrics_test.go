@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -115,5 +117,44 @@ func TestWriteJSONCarriesMetrics(t *testing.T) {
 	}
 	if live.Gauges["bench.cells_done"] != 1 {
 		t.Errorf("bench.cells_done = %d", live.Gauges["bench.cells_done"])
+	}
+}
+
+// The §5 footer over the whole suite at test sizes: the three lock-free
+// rules must carry at least half of v2's accesses (the paper reports ~85%;
+// the floor is the one BenchmarkRuleFrequency held), the printed sum is the
+// number RuleMix returns, and a table without a v2 column prints nothing.
+func TestRuleMixFooter(t *testing.T) {
+	table, err := Run(Options{Iters: 1, Quick: true, Detectors: []string{"vft-v2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired, accesses := table.RuleMix()
+	share := 100 * float64(fired[0]+fired[1]+fired[2]) / float64(accesses)
+	if accesses == 0 || share < 50 {
+		t.Fatalf("fast-path share %.1f%% of %d accesses implausibly low", share, accesses)
+	}
+	var buf bytes.Buffer
+	if err := table.FormatRuleMix(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"[Read Same Epoch]", "[Write Same Epoch]", "[Read Shared Same Epoch]",
+		"60%", "14%", "12%"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("footer missing %q:\n%s", want, buf.String())
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if got, want := strings.Join(strings.Fields(lines[len(lines)-1]), " "),
+		fmt.Sprintf("lock-free fast paths %d %.1f%% ~85%%", fired[0]+fired[1]+fired[2], share); got != want {
+		t.Errorf("sum line %q, want %q", got, want)
+	}
+	if n := strings.Count(buf.String(), "\n"); n > 40 {
+		t.Errorf("footer is %d lines, budget 40", n)
+	}
+
+	buf.Reset()
+	if err := (&Table{Rows: []Row{{Program: "series"}}}).FormatRuleMix(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("footer without v2 metrics: %q, %v; want nothing", buf.String(), err)
 	}
 }

@@ -29,7 +29,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -439,30 +438,4 @@ func (h HistogramSnapshot) delta(prev HistogramSnapshot) HistogramSnapshot {
 		}
 	}
 	return out
-}
-
-// CounterKeys returns the counter names in sorted order (for deterministic
-// formatting and tests).
-func (s Snapshot) CounterKeys() []string { return sortedKeys(s.Counters) }
-
-// GaugeKeys returns the gauge names in sorted order.
-func (s Snapshot) GaugeKeys() []string { return sortedKeys(s.Gauges) }
-
-// HistogramKeys returns the histogram names in sorted order.
-func (s Snapshot) HistogramKeys() []string {
-	keys := make([]string, 0, len(s.Histograms))
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

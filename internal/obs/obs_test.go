@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -276,20 +275,4 @@ func TestPublishIdempotent(t *testing.T) {
 	r2 := NewRegistry()
 	r2.Counter("x").Add(0, 2)
 	Publish("obs_test_registry", r2) // must not panic, must rebind
-}
-
-func TestFormatSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("core.reads").Add(0, 5)
-	r.Gauge("shadow.bytes").Set(64)
-	r.Histogram("lat").Observe(2)
-	out := FormatSnapshot(r.Snapshot())
-	for _, want := range []string{"core.reads", "shadow.bytes", "lat", "counters:", "gauges:", "histograms:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted output missing %q:\n%s", want, out)
-		}
-	}
-	if got := FormatSnapshot(Snapshot{}); got != "(empty snapshot)\n" {
-		t.Errorf("empty format = %q", got)
-	}
 }

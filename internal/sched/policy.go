@@ -156,8 +156,8 @@ func (p *RandomWalk) Pick(_ uint64, runnable []int) int {
 }
 
 // SplitMix64 derives a well-mixed 64-bit value from x — the standard
-// splitmix64 finalizer. The fuzz driver uses it to derive independent
-// schedule seeds from (base seed, trace index, schedule index) so printed
+// splitmix64 finalizer. conformance.ScheduleSeed uses it to derive
+// independent schedule seeds from (base seed, schedule index) so printed
 // seeds replay exactly.
 func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

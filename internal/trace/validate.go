@@ -397,12 +397,6 @@ type validateSource struct {
 func ValidateSource(src Source, ext *Extensions) Source {
 	v := NewValidator()
 	v.Ext = ext
-	return v.Source(src)
-}
-
-// Source is ValidateSource over a caller-configured validator (MaxTid,
-// MaxLock); the validator must be fresh and not used otherwise.
-func (v *Validator) Source(src Source) Source {
 	return &validateSource{src: src, v: v}
 }
 

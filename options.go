@@ -194,7 +194,7 @@ func WithSamplingSeed(seed uint64) SamplingOption {
 //
 // The variant spelling "sampled" (vft-v2 at the 0.01 default rate) and
 // "sampled:<rate>" select the same tier wherever variant names are
-// parsed (WithVariant, vft-run -d, the server's ?variant=).
+// parsed (WithVariant, vft-race -d, the server's ?variant=).
 func WithSampling(rate float64, opts ...SamplingOption) CommonOption {
 	return commonOption(func(s *settings) {
 		c := samplingConfig{seed: sample.DefaultSeed}

@@ -1,17 +1,16 @@
 // Command stream-smoke exercises the streaming ingestion path end to end
-// the way a capture pipeline would: it builds vft-run, encodes a known-racy
+// the way a capture pipeline would: it builds vft-race, encodes a known-racy
 // and a known-clean trace into the gzipped binary wire format, pipes each
-// into `vft-run -` over stdin, and verifies the verdicts through the exit
+// into `vft-race -` over stdin, and verifies the verdicts through the exit
 // codes (1 race, 0 clean) — no file ever touches disk on the consumer side,
 // and format detection must work on an unseekable pipe. Two hostile-input
 // fixes are gated the same way, by exit code and child max-RSS: a valid
 // 300-thread trace under -d ft-cas must be a positioned input error (exit
-// 2) from vft-run's re-execution and from vft-race's offline check, not a
-// Pack32 panic; and vft-race's check of a trace naming one huge thread,
-// variable or lock id must stay under 64 MiB with the ordinary verdict. It
-// is a Go program
-// rather than a shell script so `make stream-smoke` works on any machine
-// with just the toolchain.
+// 2), not a Pack32 panic; and the check of a trace naming one huge thread,
+// variable or lock id must stay under 64 MiB with the ordinary verdict,
+// through -all -oracle's differential stack too. It is a Go program rather
+// than a shell script so `make stream-smoke` works on any machine with
+// just the toolchain.
 package main
 
 import (
@@ -55,7 +54,7 @@ func run() int {
 	}
 	defer os.RemoveAll(tmp)
 
-	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator), "./cmd/vft-run", "./cmd/vft-race")
+	build := exec.Command("go", "build", "-o", tmp+string(filepath.Separator), "./cmd/vft-race")
 	build.Stdout, build.Stderr = os.Stdout, os.Stderr
 	if err := build.Run(); err != nil {
 		return fail("build: %v", err)
@@ -94,7 +93,6 @@ func run() int {
 
 	type smokeCase struct {
 		name      string
-		tool      string // "" = vft-run
 		args      []string
 		stdin     []byte
 		wantExit  int
@@ -102,25 +100,23 @@ func run() int {
 		maxRSSMiB int64 // 0: unchecked
 	}
 	cases := []smokeCase{
-		{"racy gzip binary", "", []string{"-"}, racyGz, 1, "race", 0},
-		{"clean gzip binary", "", []string{"-"}, cleanGz, 0, "no races detected", 0},
-		{"300 threads, ft-cas", "", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, vft-race -d ft-cas", "vft-race", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
-		{"300 threads, vft-race -d ft-mutex", "vft-race", []string{"-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
-		{"sparse var, vft-race -d sampled:0.5", "vft-race", []string{"-d", "sampled:0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
+		{"racy gzip binary", []string{"-"}, racyGz, 1, "race", 0},
+		{"clean gzip binary", []string{"-"}, cleanGz, 0, "no races detected", 0},
+		{"300 threads, -d ft-cas", []string{"-d", "ft-cas", "-"}, []byte(wide.String()), 2, "thread id 255 outside 0..254", 0},
+		{"300 threads, -d ft-mutex", []string{"-d", "ft-mutex", "-"}, []byte(wide.String()), 1, "Write-Write Race", 0},
+		{"sparse var, -d sampled:0.5", []string{"-d", "sampled:0.5", "-"}, []byte(sparse), 0, "no races detected", 64},
+		{"sparse var, -all -oracle", []string{"-all", "-oracle", "-"}, []byte(sparse), 1, "oracle: 1 concurrent conflicting pairs", 64},
+		{"huge lock, -all -oracle", []string{"-all", "-oracle", "-"}, []byte(bigLock), 0, "oracle: 0 concurrent conflicting pairs", 64},
 	}
 	for _, d := range []string{"vft-v2", "djit"} {
 		cases = append(cases,
-			smokeCase{"sparse var, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(sparse), 1, "x2000000000", 64},
-			smokeCase{"huge tid, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
-			smokeCase{"huge lock, vft-race -d " + d, "vft-race", []string{"-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64})
+			smokeCase{"sparse var, -d " + d, []string{"-d", d, "-"}, []byte(sparse), 1, "x2000000000", 64},
+			smokeCase{"huge tid, -d " + d, []string{"-d", d, "-"}, []byte(bigTid), 1, "prior access 65000@1", 64},
+			smokeCase{"huge lock, -d " + d, []string{"-d", d, "-"}, []byte(bigLock), 0, "no races detected", 64})
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
-		if c.tool == "" {
-			c.tool = "vft-run"
-		}
-		cmd := exec.Command(filepath.Join(tmp, c.tool), c.args...)
+		cmd := exec.Command(filepath.Join(tmp, "vft-race"), c.args...)
 		cmd.Stdin = bytes.NewReader(c.stdin)
 		cmd.Stdout, cmd.Stderr = &out, &out
 		err = cmd.Run()
@@ -154,6 +150,6 @@ func run() int {
 		fmt.Printf("stream-smoke: %s → exit %d%s ✓\n", c.name, exit, rss)
 	}
 
-	fmt.Println("stream-smoke: OK — vft-run and vft-race consumed piped traces with correct verdicts, errors and memory")
+	fmt.Println("stream-smoke: OK — vft-race consumed piped traces with correct verdicts, errors and memory")
 	return 0
 }

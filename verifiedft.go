@@ -345,7 +345,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.6.0 removes vft-lint and
-// vft-run's program mode with its -trace and -static flags: every vft-run
-// input is a trace.
-const Version = "2.6.0"
+// Version identifies this implementation. 2.7.0 removes the vft-fuzz,
+// vft-run and vft-stats commands: their gates run from go test, vft-race
+// -all -oracle and vft-bench's rule-mix footer.
+const Version = "2.7.0"
