@@ -17,9 +17,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static checks over the Go sources: vet always, staticcheck when it is on
-# PATH (CI installs it; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`).
+# Static checks over the Go sources: gofmt and vet always (both ship with
+# the toolchain; any file gofmt would change fails the target), staticcheck
+# when it is on PATH (CI installs it; locally
+# `go install honnef.co/go/tools/cmd/staticcheck@latest`).
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would change:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -57,14 +62,15 @@ stream-smoke:
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
 # The clock-kernel micro-benchmarks run a hundred iterations each, vft-go's
-# load and streamed-check benchmarks and the offline machine-beside-core.V2
-# comparison three, so they cannot rot.
+# load and streamed-check benchmarks, the offline machine-beside-core.V2
+# comparison and the bytes-to-verdict offline path beside the pull pipeline
+# it replaced three, so they cannot rot.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|CheckStream' -benchtime 3x ./internal/goinstr
-	$(GO) test -run '^$$' -bench 'CheckLowered' -benchtime 3x ./internal/parcheck
+	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 
 # End-to-end check of the multi-tenant ingestion service under the Go
 # race detector: concurrent tenants streaming all three wire encodings
@@ -111,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzBinaryDecodeChunked -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parcheck -run '^$$' -fuzz FuzzParallelEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parcheck -run '^$$' -fuzz FuzzFeedMatchesPulled -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzIngestHTTP -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzSamplingSoundness -fuzztime $(FUZZTIME)
 
@@ -119,7 +126,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/trace -run 'Fuzz' -count 1
 	$(GO) test ./internal/spec -run 'FuzzPrecision' -count 1
-	$(GO) test ./internal/parcheck -run 'FuzzParallelEquivalence' -count 1
+	$(GO) test ./internal/parcheck -run 'FuzzParallelEquivalence|FuzzFeedMatchesPulled' -count 1
 	$(GO) test ./internal/ingest -run 'FuzzIngestHTTP' -count 1
 	$(GO) test . -run 'FuzzSamplingSoundness' -count 1
 

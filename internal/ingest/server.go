@@ -11,9 +11,10 @@
 //	  → admission (drain flag, in-flight slots, tenant quotas)
 //	  → trace.NewDecoder (sniffs gzip / binary "VFTb" / text)
 //	  → trace.Limit (per-upload operation budget)
-//	  → parcheck.CheckSource (validation and lowering inline, then the
-//	    variant's detector on the handler's goroutine; memory bounded by
-//	    the ids an upload names, not their magnitude)
+//	  → parcheck.CheckSource (batches of decoded ops, each validated,
+//	    lowered and renumbered in one switch and handed to the variant's
+//	    detector on the handler's goroutine; memory bounded by the ids an
+//	    upload names, not their magnitude)
 //	  → per-tenant depot (interned dedup/aggregation) + retained result
 //
 // Precision is the product (PAPER.md): the service must return exactly
@@ -617,8 +618,9 @@ func (s *Server) resolveSampling(q map[string][]string, tenant string, spelled *
 	return pol, err
 }
 
-// check runs one stream through decode → limit → parcheck (validation and
-// lowering inline) and returns the upload result (Tenant/Upload/Bytes unset).
+// check runs one stream through decode → limit → parcheck (validation,
+// lowering and renumbering in one pass) and returns the upload result
+// (Tenant/Upload/Bytes unset).
 // A non-nil pol checks the upload through the sampling tier; the
 // decisions are a pure function of (seed, variable id), so the reports
 // are exactly what an offline sampled check of the same bytes returns.

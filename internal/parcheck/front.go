@@ -27,6 +27,13 @@ import (
 // is the first in thread order, which is now first-touch order. The two
 // coincide whenever threads are first named in increasing id order (every
 // producer in this repository forks that way).
+//
+// Its entries are one per lowered kind and take compact thread ids, raw
+// variable ids and lowered lock ids; the feed calls them from its own
+// switch. Thread ids arrive compact because on a validated stream the
+// validator's ordinals are first-touch order already (main, then each
+// thread at its fork: see trace.Validator.Ordinal); push, for an already
+// lowered stream, compacts them itself.
 type frontStage struct {
 	sampler *sample.Policy // nil: every access is admitted
 	det     core.Detector  // receives what the stage admits, under compact ids
@@ -49,59 +56,95 @@ const (
 	firstID    = 2
 )
 
-// push is the stage's one entry: the next operation of the validated,
-// lowered stream. Its switch on the kind is the only one between the feed
-// and the handler.
+// read hands rd(t,x) on.
+func (f *frontStage) read(t epoch.Tid, x trace.Var) {
+	v, ok := f.vars.known(uint32(x))
+	if !ok {
+		v = f.newVar(x)
+	}
+	if v == suppressed {
+		f.suppressedReads++
+		return
+	}
+	f.accesses++
+	f.det.Read(t, trace.Var(v-firstID))
+}
+
+// write hands wr(t,x) on.
+func (f *frontStage) write(t epoch.Tid, x trace.Var) {
+	v, ok := f.vars.known(uint32(x))
+	if !ok {
+		v = f.newVar(x)
+	}
+	if v == suppressed {
+		f.suppressedWrites++
+		return
+	}
+	f.accesses++
+	f.det.Write(t, trace.Var(v-firstID))
+}
+
+// newVar numbers a variable at its first access, or marks it suppressed
+// if the sampler rejects it.
+func (f *frontStage) newVar(x trace.Var) uint32 {
+	v := uint32(suppressed)
+	if f.sampler == nil || f.sampler.Sampled(x) {
+		v = uint32(len(f.origX)) + firstID
+		f.origX = append(f.origX, x)
+	} else {
+		f.suppressedVars++
+	}
+	f.vars.set(uint32(x), v)
+	return v
+}
+
+// acquire hands acq(t,m) on, m a lowered lock id.
+func (f *frontStage) acquire(t epoch.Tid, m trace.Lock) {
+	v, ok := f.locks.known(uint32(m))
+	if !ok {
+		v = f.newLock(m)
+	}
+	f.syncs++
+	f.det.Acquire(t, trace.Lock(v-firstID))
+}
+
+// release hands rel(t,m) on, m a lowered lock id.
+func (f *frontStage) release(t epoch.Tid, m trace.Lock) {
+	v, ok := f.locks.known(uint32(m))
+	if !ok {
+		v = f.newLock(m)
+	}
+	f.syncs++
+	f.det.Release(t, trace.Lock(v-firstID))
+}
+
+func (f *frontStage) fork(t, u epoch.Tid) {
+	f.syncs++
+	f.det.Fork(t, u)
+}
+
+func (f *frontStage) join(t, u epoch.Tid) {
+	f.syncs++
+	f.det.Join(t, u)
+}
+
+// push hands on one operation of an already lowered stream, renumbering
+// its threads in first-touch order.
 func (f *frontStage) push(op trace.Op) {
 	t := f.tid(op.T)
 	switch op.Kind {
-	case trace.Read, trace.Write:
-		v := f.vars.get(uint32(op.X))
-		if v == unseen {
-			if f.sampler == nil || f.sampler.Sampled(op.X) {
-				v = uint32(len(f.origX)) + firstID
-				f.origX = append(f.origX, op.X)
-			} else {
-				v = suppressed
-				f.suppressedVars++
-			}
-			f.vars.set(uint32(op.X), v)
-		}
-		if v == suppressed {
-			if op.Kind == trace.Write {
-				f.suppressedWrites++
-			} else {
-				f.suppressedReads++
-			}
-			return
-		}
-		f.accesses++
-		x := trace.Var(v - firstID)
-		if op.Kind == trace.Write {
-			f.det.Write(t, x)
-		} else {
-			f.det.Read(t, x)
-		}
-	case trace.Acquire, trace.Release:
-		v := f.locks.get(uint32(op.M))
-		if v == unseen {
-			v = f.nLocks + firstID
-			f.nLocks++
-			f.locks.set(uint32(op.M), v)
-		}
-		f.syncs++
-		l := trace.Lock(v - firstID)
-		if op.Kind == trace.Release {
-			f.det.Release(t, l)
-		} else {
-			f.det.Acquire(t, l)
-		}
+	case trace.Read:
+		f.read(t, op.X)
+	case trace.Write:
+		f.write(t, op.X)
+	case trace.Acquire:
+		f.acquire(t, op.M)
+	case trace.Release:
+		f.release(t, op.M)
 	case trace.Fork:
-		f.syncs++
-		f.det.Fork(t, f.tid(op.U))
+		f.fork(t, f.tid(op.U))
 	default: // join
-		f.syncs++
-		f.det.Join(t, f.tid(op.U))
+		f.join(t, f.tid(op.U))
 	}
 }
 
@@ -113,6 +156,14 @@ func (f *frontStage) tid(t epoch.Tid) epoch.Tid {
 		f.tids.set(uint32(t), v)
 	}
 	return epoch.Tid(v - firstID)
+}
+
+// newLock numbers a lowered lock at its first use.
+func (f *frontStage) newLock(m trace.Lock) uint32 {
+	v := f.nLocks + firstID
+	f.nLocks++
+	f.locks.set(uint32(m), v)
+	return v
 }
 
 // restore rewrites the detector's reports onto the trace's own ids.
@@ -148,6 +199,18 @@ type idMap struct {
 }
 
 const maxDenseIDs = 1 << 21
+
+// known returns id's value and whether it has one. A dense id, which
+// nearly every id is, is answered without a call: the renumbering of
+// every access and every lock op runs through here.
+func (m *idMap) known(id uint32) (uint32, bool) {
+	if id < uint32(len(m.dense)) {
+		v := m.dense[id]
+		return v, v != unseen
+	}
+	v := m.get(id)
+	return v, v != unseen
+}
 
 func (m *idMap) get(id uint32) uint32 {
 	if int(id) < len(m.dense) {

@@ -2,11 +2,14 @@
 // trace — vft-race, vft-go, each vft-server upload, the library's
 // CheckTrace/CheckSource/CheckReader — is assembled here, once (see run).
 //
-// A push feed (validation and lowering inline, or an already-lowered
-// source) hands one operation at a time to the front stage (sampling on
-// raw variable ids, then first-touch compaction of thread, variable and
-// lock ids; see frontStage), which calls the matching handler of a fresh
-// detector for what it admits, all on the calling goroutine. For vft-v2 —
+// CheckSource takes the stream a batch at a time and runs one switch per
+// operation that validates it (trace.Validator), lowers it if it is a
+// Go-sync or §7 kind (trace.Lowerer; the six core kinds pass) and hands it
+// to the front stage (sampling on raw variable ids, then first-touch
+// compaction of thread, variable and lock ids; see frontStage), which
+// calls the matching handler of a fresh detector for what it admits, all
+// on the calling goroutine; Check does the same for a stream already
+// validated and lowered. For vft-v2 —
 // the default, and what every product path runs — the detector is this
 // package's machine: core.V2's state and rules without the
 // synchronization that only concurrent callers need (see machine). The
@@ -70,36 +73,113 @@ type Options struct {
 	Sampling *sample.Policy
 }
 
+// batchSize is how many raw operations CheckSource takes from its source
+// at a time: a 10 KiB buffer of 20-byte ops.
+const batchSize = 512
+
 // CheckSource checks a raw (not yet validated or lowered) stream: the §2
-// feasibility validation, under the variant's thread-id ceiling, and the
-// extended-op lowering run inline in the loop that pulls src, each lowered
-// operation going straight into the check — no stage in between holds a
-// queue or costs a virtual Next() hop per operation. ext has
-// DesugarSource's meaning (barrier participant counts, channel capacities;
-// nil for all defaults), and the lowering is the shared trace.Lowerer in
-// its parity numbering, so it matches DesugarSource operation for
-// operation. The first infeasible op ends the check with the validator's
-// positioned error; on any error all reports are discarded.
+// feasibility validation, under the variant's thread-id ceiling, the
+// extended-op lowering and the front stage's renumbering run in one switch
+// per operation (see feed.check), over batches the source delivers (a
+// binary decoder decodes one in place; other sources yield one op per
+// batch). ext has DesugarSource's meaning (barrier participant counts,
+// channel capacities; nil for all defaults), and the lowering is the
+// shared trace.Lowerer in its parity numbering, so the detector sees what
+// DesugarSource would hand it, operation for operation. The first
+// infeasible op ends the check with the validator's positioned error; on
+// any error all reports are discarded.
 func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return run(opts, func(emit func(trace.Op)) error {
+	return run(opts, func(front *frontStage) error {
 		v := trace.NewValidator()
 		v.Ext = ext
 		v.MaxTid = core.MaxTid(opts.Variant)
-		low := trace.NewParityLowerer(ext)
+		fd := &feed{v: v, low: trace.NewParityLowerer(ext), front: front}
+		buf := make([]trace.Op, batchSize)
 		for {
-			op, err := src.Next()
+			n, err := trace.NextBatch(src, buf)
 			if err == io.EOF {
+				front.origT = v.Threads()
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if err := v.Check(op); err != nil {
+			if i, err := fd.check(buf[:n]); err != nil {
+				trace.Unread(src, n-i-1) // the ops after the refused one were never consumed
 				return err
 			}
-			low.Lower(op, emit)
 		}
 	})
+}
+
+// feed is CheckSource's per-operation work.
+type feed struct {
+	v     *trace.Validator
+	low   *trace.Lowerer
+	front *frontStage
+	pairs []trace.Pair // the lowering's output, reused
+}
+
+// check validates, lowers and renumbers ops in order, handing each to the
+// detector, and on the first infeasible one returns its index in ops and
+// the validator's error. The core kinds pass the Lowerer by (only a real
+// lock's id changes), so only the extended kinds reach it.
+func (fd *feed) check(ops []trace.Op) (int, error) {
+	v, front := fd.v, fd.front
+	for i := range ops {
+		op := ops[i]
+		var err error
+		switch op.Kind {
+		case trace.Read:
+			if err = v.Access(op); err == nil {
+				front.read(v.Ordinal(op.T), op.X)
+			}
+		case trace.Write:
+			if err = v.Access(op); err == nil {
+				front.write(v.Ordinal(op.T), op.X)
+			}
+		case trace.Acquire:
+			if err = v.Acquire(op); err == nil {
+				front.acquire(v.Ordinal(op.T), fd.low.Real(op.M))
+			}
+		case trace.Release:
+			if err = v.Release(op); err == nil {
+				front.release(v.Ordinal(op.T), fd.low.Real(op.M))
+			}
+		case trace.Fork:
+			if err = v.Fork(op); err == nil {
+				front.fork(v.Ordinal(op.T), v.Ordinal(op.U))
+			}
+		case trace.Join:
+			if err = v.Join(op); err == nil {
+				front.join(v.Ordinal(op.T), v.Ordinal(op.U))
+			}
+		case trace.ChanSend, trace.ChanRecv, trace.ChanClose:
+			var step trace.ChanStep
+			if step, err = v.Chan(op); err == nil {
+				fd.pairs = fd.low.AppendChan(fd.pairs[:0], op, step)
+				fd.lowered()
+			}
+		default:
+			if err = v.Check(op); err == nil {
+				fd.pairs = fd.low.AppendSync(fd.pairs[:0], op)
+				fd.lowered()
+			}
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
+}
+
+// lowered hands on the acquire+release pairs an extended op lowered to.
+func (fd *feed) lowered() {
+	for _, p := range fd.pairs {
+		t := fd.v.Ordinal(p.T)
+		fd.front.acquire(t, p.M)
+		fd.front.release(t, p.M)
+	}
 }
 
 // CheckTrace is CheckSource over a materialized trace.
@@ -110,16 +190,29 @@ func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Rep
 // Check is CheckSource for a stream that is already validated and lowered
 // to the core language (an extended op in it is an error).
 func Check(src trace.Source, opts Options) ([]core.Report, error) {
-	return run(opts, func(emit func(trace.Op)) error { return stream(src, emit) })
+	return run(opts, func(front *frontStage) error {
+		for idx := 0; ; idx++ {
+			op, err := src.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if !op.Kind.IsCore() {
+				return &trace.InfeasibleError{Index: idx, Op: op, Msg: "extended op reached parcheck (desugar first)"}
+			}
+			front.push(op)
+		}
+	})
 }
 
-// run assembles a check: feed pushes the validated, lowered stream, one
-// operation at a time in the calling goroutine, into the front stage,
-// which calls the handlers of a fresh detector — the unsynchronized
-// machine for vft-v2, core's own detector for the other six. Either may
-// size flat tables from the hints and index them directly because the
-// front stage has made every id compact.
-func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, error) {
+// run assembles a check: drive hands the stream, in the calling goroutine,
+// to the front stage, which calls the handlers of a fresh detector — the
+// unsynchronized machine for vft-v2, core's own detector for the other
+// six. Either may size flat tables from the hints and index them directly
+// because the front stage has made every id compact.
+func run(opts Options, drive func(*frontStage) error) ([]core.Report, error) {
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
 	}
@@ -141,11 +234,11 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 	if opts.Metrics != nil {
 		front.det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
 	}
-	if err := feed(front.push); err != nil {
+	if err := drive(front); err != nil {
 		return nil, err
 	}
 	if opts.Metrics != nil || opts.StatsSink != nil {
-		// The feed has returned, so the detector is quiescent and its
+		// The stream has ended, so the detector is quiescent and its
 		// per-thread counters are coherent.
 		snap := d.(core.StatsSource).Stats()
 		front.addStats(snap)
@@ -157,21 +250,4 @@ func run(opts Options, feed func(emit func(trace.Op)) error) ([]core.Report, err
 		}
 	}
 	return front.restore(d.Reports()), nil
-}
-
-// stream pulls an already validated and lowered stream to EOF (or error).
-func stream(src trace.Source, emit func(trace.Op)) error {
-	for idx := 0; ; idx++ {
-		op, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !op.Kind.IsCore() {
-			return &trace.InfeasibleError{Index: idx, Op: op, Msg: "extended op reached parcheck (desugar first)"}
-		}
-		emit(op)
-	}
 }

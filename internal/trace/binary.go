@@ -211,7 +211,8 @@ const binaryWindow = binary.MaxVarintLen64 + maxBinaryRecord
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // BinaryDecoder reads the binary format as a Source, accepting every
-// version up to MaxBinaryVersion.
+// version up to MaxBinaryVersion. Besides Next it delivers batches
+// (NextBatch; see Source), which is how the offline check path reads it.
 type BinaryDecoder struct {
 	r       *bufio.Reader
 	n       int // records decoded, for error positions
@@ -246,9 +247,11 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 // before the first Next call.
 func (d *BinaryDecoder) Version() int { return d.version }
 
-func (d *BinaryDecoder) fail(format string, args ...any) (Op, error) {
-	d.err = fmt.Errorf("trace: binary op #%d: %s", d.n, fmt.Sprintf(format, args...))
-	return Op{}, d.err
+// failf makes the decode error of the record after the n decoded so far
+// in this batch, and keeps it (sticky).
+func (d *BinaryDecoder) failf(n int, format string, args ...any) error {
+	d.err = fmt.Errorf("trace: binary op #%d: %s", d.n+n, fmt.Sprintf(format, args...))
+	return d.err
 }
 
 // view returns the undecoded input, at least binaryWindow bytes of it
@@ -284,98 +287,209 @@ func (d *BinaryDecoder) truncated() error {
 	return d.tail
 }
 
-// Next returns the next decoded operation, io.EOF at a clean end of
-// stream, or a positioned decode error (sticky thereafter).
-func (d *BinaryDecoder) Next() (Op, error) {
-	if d.err != nil {
-		return Op{}, d.err
-	}
+// open reads and checks the header.
+func (d *BinaryDecoder) open() error {
+	const hdrLen = len(binaryMagicPrefix) + 1
 	win := d.view()
-	if !d.opened {
-		const hdrLen = len(binaryMagicPrefix) + 1
-		if len(win) == 0 {
-			return d.fail("reading header: %v", d.tail)
-		}
-		if len(win) < hdrLen {
-			return d.fail("reading header: %v", d.truncated())
-		}
-		hdr := win[:hdrLen]
-		if string(hdr[:len(binaryMagicPrefix)]) != binaryMagicPrefix {
-			return d.fail("bad magic %q (not a binary trace)", hdr)
-		}
-		v := int(hdr[len(binaryMagicPrefix)])
-		if v < BinaryVersion1 || v > MaxBinaryVersion {
-			d.err = &UnsupportedVersionError{Got: v, Min: BinaryVersion1, Max: MaxBinaryVersion}
-			return Op{}, d.err
-		}
-		d.version = v
-		d.opened = true
-		d.consume(hdrLen)
-		win = d.view()
+	if len(win) == 0 {
+		return d.failf(0, "reading header: %v", d.tail)
 	}
-	ln, lw := binary.Uvarint(win)
-	switch {
-	case lw > 0:
-	case lw < 0 || len(win) >= binary.MaxVarintLen64:
-		return d.fail("reading record length: %v", errVarintOverflow)
-	case len(win) > 0:
-		return d.fail("reading record length: %v", d.truncated())
-	case d.tail == io.EOF:
-		d.err = io.EOF // clean end: the stream stops at a record boundary
-		return Op{}, io.EOF
-	default:
-		return d.fail("reading record length: %v", d.tail)
+	if len(win) < hdrLen {
+		return d.failf(0, "reading header: %v", d.truncated())
 	}
-	if ln == 0 || ln > maxBinaryRecord {
-		return d.fail("record length %d out of range [1,%d]", ln, maxBinaryRecord)
+	hdr := win[:hdrLen]
+	if string(hdr[:len(binaryMagicPrefix)]) != binaryMagicPrefix {
+		return d.failf(0, "bad magic %q (not a binary trace)", hdr)
 	}
-	if uint64(len(win)-lw) < ln {
-		return d.fail("reading %d-byte record: %v", ln, d.truncated())
+	v := int(hdr[len(binaryMagicPrefix)])
+	if v < BinaryVersion1 || v > MaxBinaryVersion {
+		d.err = &UnsupportedVersionError{Got: v, Min: BinaryVersion1, Max: MaxBinaryVersion}
+		return d.err
 	}
-	rec := win[lw : lw+int(ln)]
-	kind := Kind(rec[0])
-	if kind > maxKindForVersion(d.version) {
-		return d.fail("unknown kind %d", rec[0])
-	}
-	t, w := uvarint32(rec[1:])
-	if w == 0 {
-		return d.fail("bad thread varint")
-	}
-	arg, w2 := uvarint32(rec[1+w:])
-	if w2 == 0 {
-		return d.fail("bad operand varint")
-	}
-	if 1+w+w2 != int(ln) {
-		return d.fail("record has %d trailing bytes", int(ln)-1-w-w2)
-	}
-	d.consume(lw + len(rec))
-	d.n++
-	// The operand lands in the one field the kind uses. Selected as scalars
-	// and assembled once: patching a field of an Op already in memory makes
-	// the return read a word the stores only partly wrote.
-	var x, m, u int32
-	switch kind {
-	case Read, Write, VolatileRead, VolatileWrite, AtomicLoad, AtomicStore, AtomicRMW:
-		x = arg
-	case Acquire, Release, Barrier, ChanSend, ChanRecv, ChanClose, OnceDo:
-		m = arg
-	case Fork, Join:
-		u = arg
-	}
-	return Op{Kind: kind, T: epoch.Tid(t), X: Var(x), M: Lock(m), U: epoch.Tid(u)}, nil
+	d.version = v
+	d.opened = true
+	d.consume(hdrLen)
+	return nil
 }
 
-// uvarint32 decodes a uvarint that must fit a non-negative int32 — the id
-// space of every Op field — and returns it with its width, 0 if there is
-// no such value at the head of b. Ids below 128 are one byte, and most ids
-// are: that case skips the general loop.
-func uvarint32(b []byte) (int32, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return int32(b[0]), 1
+// Next returns the next decoded operation, io.EOF at a clean end of
+// stream, or a positioned decode error (sticky thereafter). It is a batch
+// of one.
+func (d *BinaryDecoder) Next() (Op, error) {
+	var op [1]Op
+	if _, err := d.NextBatch(op[:]); err != nil {
+		return Op{}, err
 	}
-	v, w := binary.Uvarint(b)
+	return op[0], nil
+}
+
+// NextBatch decodes up to len(buf) records into buf; see Source for the
+// contract. It reads the records in place out of the peeked window, and
+// refills the window only while it holds no decoded record: on a live pipe
+// a refill can wait for input, and what is decoded is delivered first.
+func (d *BinaryDecoder) NextBatch(buf []Op) (int, error) {
+	if d.err != nil {
+		return 0, d.err
+	}
+	if !d.opened {
+		if err := d.open(); err != nil {
+			return 0, err
+		}
+	}
+	maxKind := maxKindForVersion(d.version)
+	w := d.view()
+	p := 0 // w[p:] is undecoded
+	n := 0
+	for n < len(buf) {
+		// The records nearly every stream is made of — a one-byte length,
+		// ids below 2^14, a whole window in view — decode in this loop, which
+		// makes no call; anything else, and every error, takes the general
+		// path below it, one record at a time.
+		for n < len(buf) && len(w)-p >= binaryWindow {
+			end := p + 1 + int(w[p])
+			t, at, tok := varint14At(w, p+2, end)
+			arg, q, aok := varint14At(w, at, end)
+			kind := Kind(w[p+1])
+			if !tok || !aok || q != end || kind > maxKind {
+				break
+			}
+			put(&buf[n], kind, t, arg)
+			n, p = n+1, end
+		}
+		if n == len(buf) {
+			break
+		}
+		if len(w)-p < binaryWindow {
+			d.consume(p)
+			w, p = d.win, 0
+			if n > 0 && d.tail == nil {
+				break
+			}
+			w = d.view()
+		}
+		// The length prefix; a record is at most maxBinaryRecord bytes, so a
+		// well-formed one is a single byte.
+		var ln int
+		if p < len(w) && w[p] < 0x80 {
+			ln = int(w[p])
+			p++
+		} else {
+			v, lw := binary.Uvarint(w[p:])
+			switch {
+			case lw > 0:
+			case lw < 0 || len(w)-p >= binary.MaxVarintLen64:
+				return d.stop(n, p, d.failf(n, "reading record length: %v", errVarintOverflow))
+			case len(w) > p:
+				return d.stop(n, p, d.failf(n, "reading record length: %v", d.truncated()))
+			case d.tail == io.EOF:
+				d.err = io.EOF // clean end: the stream stops at a record boundary
+				return d.stop(n, p, io.EOF)
+			default:
+				return d.stop(n, p, d.failf(n, "reading record length: %v", d.tail))
+			}
+			if v == 0 || v > maxBinaryRecord {
+				return d.stop(n, p, d.failf(n, "record length %d out of range [1,%d]", v, maxBinaryRecord))
+			}
+			ln = int(v)
+			p += lw
+		}
+		if ln == 0 || ln > maxBinaryRecord {
+			return d.stop(n, p, d.failf(n, "record length %d out of range [1,%d]", ln, maxBinaryRecord))
+		}
+		if len(w)-p < ln {
+			return d.stop(n, p, d.failf(n, "reading %d-byte record: %v", ln, d.truncated()))
+		}
+		end := p + ln
+		kind := Kind(w[p])
+		if kind > maxKind {
+			return d.stop(n, p, d.failf(n, "unknown kind %d", w[p]))
+		}
+		t, at, ok := varint14At(w, p+1, end)
+		if !ok {
+			if t, at = varint32At(w, p+1, end); at < 0 {
+				return d.stop(n, p, d.failf(n, "bad thread varint"))
+			}
+		}
+		arg, q, ok := varint14At(w, at, end)
+		if !ok {
+			if arg, q = varint32At(w, at, end); q < 0 {
+				return d.stop(n, p, d.failf(n, "bad operand varint"))
+			}
+		}
+		if q != end {
+			return d.stop(n, p, d.failf(n, "record has %d trailing bytes", end-q))
+		}
+		put(&buf[n], kind, t, arg)
+		n, p = n+1, end
+	}
+	d.consume(p)
+	d.n += n
+	return n, nil
+}
+
+// stop ends a batch of n records at the error that ended the stream, which
+// is sticky by now: p bytes in view were decoded, the error is returned at
+// once only if the batch is empty, and otherwise held for the next call.
+func (d *BinaryDecoder) stop(n, p int, err error) (int, error) {
+	d.consume(p)
+	d.n += n
+	if n > 0 {
+		return n, nil
+	}
+	return 0, err
+}
+
+// put stores a decoded record into op, the operand in the one field the
+// kind uses. The fields are stored one by one: an Op assembled first would
+// be copied out with wide loads of narrow stores still in flight.
+func put(op *Op, kind Kind, t, arg int32) {
+	f := operandFields[kind&15]
+	op.Kind, op.T = kind, epoch.Tid(t)
+	op.X, op.M, op.U = Var(arg&f.x), Lock(arg&f.m), epoch.Tid(arg&f.u)
+}
+
+// operandFields says, per kind, which one of an Op's X, M and U the
+// record's operand lands in: that field's mask is all ones, the others'
+// zero.
+var operandFields = func() (fs [16]struct{ x, m, u int32 }) {
+	for k := range fs {
+		switch Kind(k) {
+		case Read, Write, VolatileRead, VolatileWrite, AtomicLoad, AtomicStore, AtomicRMW:
+			fs[k].x = -1
+		case Acquire, Release, Barrier, ChanSend, ChanRecv, ChanClose, OnceDo:
+			fs[k].m = -1
+		case Fork, Join:
+			fs[k].u = -1
+		}
+	}
+	return fs
+}()
+
+// varint14At decodes the uvarint at b[q:] when it is one or two bytes long
+// — an id below 2^14, as most ids are — and ends by end, returning it with
+// the position after it; otherwise it reports false, and the caller
+// decodes from q the long way. The width is computed, not branched on:
+// records alternate between one-byte lock and two-byte variable operands
+// in no pattern a branch predictor learns.
+func varint14At(b []byte, q, end int) (int32, int, bool) {
+	if q+1 >= len(b) {
+		return 0, q, false
+	}
+	b0, b1 := b[q], b[q+1]
+	more := int32(b0 >> 7) // 1 if the varint continues into b1
+	v := int32(b0&0x7f) | int32(b1)<<7&-more
+	next := q + 1 + int(more)
+	return v, next, next <= end && b1&byte(more<<7) == 0
+}
+
+// varint32At decodes the uvarint at the head of b[q:end], which must fit
+// a non-negative int32 — the id space of every Op field — and returns it
+// with the position after it, or a negative position if there is no such
+// value.
+func varint32At(b []byte, q, end int) (int32, int) {
+	v, w := binary.Uvarint(b[q:end])
 	if w <= 0 || v > 1<<31-1 {
-		return 0, 0
+		return 0, -1
 	}
-	return int32(v), w
+	return int32(v), q + w
 }

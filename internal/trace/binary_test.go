@@ -249,6 +249,28 @@ func TestBinaryDecoderErrors(t *testing.T) {
 	})
 }
 
+// readBatches drains src through NextBatch in batches of size, as ReadAll
+// drains it through Next, holding every batch to the contract: at least
+// one op and at most size without an error, none with one.
+func readBatches(tb testing.TB, src Source, size int) (Trace, error) {
+	tb.Helper()
+	buf := make([]Op, size)
+	var out Trace
+	for {
+		n, err := NextBatch(src, buf)
+		if err != nil && n != 0 || err == nil && (n < 1 || n > size) {
+			tb.Fatalf("NextBatch into %d slots: %d ops with error %v", size, n, err)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, buf[:n]...)
+	}
+}
+
 // benchGen builds the shared benchmark trace: n generated operations.
 func benchGen(tb testing.TB, n int) Trace {
 	cfg := DefaultGenConfig()
@@ -318,7 +340,8 @@ var updateTruncations = flag.Bool("update-truncations", false,
 // from the ReadUvarint/ReadFull decoder this one replaced; and that the
 // outcome does not depend on how the bytes arrive: one at a time, in
 // halves, with the error riding on the last data, or through a
-// caller-supplied bufio.Reader smaller than one decode window.
+// caller-supplied bufio.Reader smaller than one decode window — nor on
+// whether they are read through Next or in batches.
 func TestBinaryDecodeTruncations(t *testing.T) {
 	errBoom := errors.New("boom")
 	deliveries := []struct {
@@ -336,6 +359,13 @@ func TestBinaryDecodeTruncations(t *testing.T) {
 			err = io.EOF // ReadAll folds the clean end into nil
 		}
 		return tr, fmt.Sprintf("%d\t%v", len(tr), err)
+	}
+	batchOutcome := func(r io.Reader, size int) string {
+		tr, err := readBatches(t, NewBinaryDecoder(r), size)
+		if err == nil {
+			err = io.EOF
+		}
+		return fmt.Sprintf("%d\t%v", len(tr), err)
 	}
 	for _, name := range []string{"golden_v1.bin", "goinstr_racy_counter.bin"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -363,6 +393,12 @@ func TestBinaryDecodeTruncations(t *testing.T) {
 				for _, dl := range deliveries {
 					if _, o := outcome(dl.wrap(input())); o != want {
 						t.Errorf("%s[:%d] then %v, delivered %s: %q, want %q", name, k, end, dl.name, o, want)
+					}
+				}
+				// The batch path: the same outcome whatever the batch size.
+				for _, size := range []int{3, 512} {
+					if o := batchOutcome(input(), size); o != want {
+						t.Errorf("%s[:%d] then %v, in batches of %d: %q, want %q", name, k, end, size, o, want)
 					}
 				}
 			}

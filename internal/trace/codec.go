@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -163,21 +164,32 @@ func Decode(r io.Reader) (Trace, error) {
 }
 
 // parseOperand parses "3", "x3", "m3", "b3", "t3", "c3", "a3" or "o3" as 3.
-func parseOperand(s string) (int, error) {
+// Every Op field is an int32, so an operand beyond math.MaxInt32 is an
+// error, not a wrapped id.
+func parseOperand(s string) (int32, error) {
 	if len(s) > 1 {
 		switch s[0] {
 		case 'x', 'm', 'b', 't', 'c', 'a', 'o':
 			s = s[1:]
 		}
 	}
+	return parseID(s, "operand")
+}
+
+// parseID parses a decimal id in [0, math.MaxInt32]; what labels the
+// errors.
+func parseID(s, what string) (int32, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, err
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("negative operand %d", n)
+		return 0, fmt.Errorf("negative %s %d", what, n)
 	}
-	return n, nil
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("%s %d exceeds %d", what, n, math.MaxInt32)
+	}
+	return int32(n), nil
 }
 
 // NewDecoder returns a Source for whichever encoding r carries, sniffing

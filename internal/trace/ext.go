@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -54,8 +53,9 @@ func (e *Extensions) Capacity(c Lock) int {
 
 // ParseIDValues parses the textual form of an Extensions map, shared by
 // the CLI flags and the server's query parameters: comma-separated
-// id:value pairs ("0:4,2:1") with non-negative ids and values of at least
-// min. name labels the errors. Empty input yields nil (all defaults).
+// id:value pairs ("0:4,2:1") with ids in [0, math.MaxInt32] — the id space
+// of a trace — and values in [min, math.MaxInt32]. name labels the errors.
+// Empty input yields nil (all defaults).
 func ParseIDValues(s, name string, min int) (map[Lock]int, error) {
 	if s == "" {
 		return nil, nil
@@ -66,15 +66,15 @@ func ParseIDValues(s, name string, min int) (map[Lock]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("%s: %q is not an id:value pair", name, pair)
 		}
-		i, err := strconv.Atoi(id)
-		if err != nil || i < 0 {
+		i, err := parseID(id, "id")
+		if err != nil {
 			return nil, fmt.Errorf("%s: bad id %q", name, id)
 		}
-		v, err := strconv.Atoi(val)
-		if err != nil || v < min {
+		v, err := parseID(val, "value")
+		if err != nil || int(v) < min {
 			return nil, fmt.Errorf("%s: bad value %q for id %d (min %d)", name, val, i, min)
 		}
-		m[Lock(i)] = v
+		m[Lock(i)] = int(v)
 	}
 	return m, nil
 }

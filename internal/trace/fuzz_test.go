@@ -144,7 +144,9 @@ func (c chunkReader) Read(p []byte) (int, error) {
 // peeked window, and what that window holds depends on how the bytes
 // arrive. Whatever the bytes and whatever the chunking, it must decode the
 // operations and report the error it does when fed one byte at a time —
-// the delivery under which every window is refilled at every byte.
+// the delivery under which every window is refilled at every byte — and
+// so must batches of any size: the ops and the error Next yields one at a
+// time.
 func FuzzBinaryDecodeChunked(f *testing.F) {
 	for _, name := range []string{"golden_v1.bin", "goinstr_racy_counter.bin", "goinstr_clean_chan.bin"} {
 		data := goinstrSeed(f, name)
@@ -161,6 +163,13 @@ func FuzzBinaryDecodeChunked(f *testing.F) {
 		got, gerr := ReadAll(NewBinaryDecoder(chunkReader{bytes.NewReader(data), int(chunk) + 1}))
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
 			t.Fatalf("in %d-byte chunks: %v, %v\nbyte at a time: %v, %v", int(chunk)+1, got, gerr, want, werr)
+		}
+		for _, size := range []int{1, 2, 7, 512} {
+			got, gerr := readBatches(t, NewBinaryDecoder(chunkReader{bytes.NewReader(data), int(chunk) + 1}), size)
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("in %d-byte chunks, batches of %d: %v, %v\nNext, byte at a time: %v, %v",
+					int(chunk)+1, size, got, gerr, want, werr)
+			}
 		}
 	})
 }

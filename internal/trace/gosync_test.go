@@ -26,7 +26,7 @@ var goldenV1Trace = Trace{
 	BarrierOp(0, 2),
 	BarrierOp(1, 2),
 	JoinOp(0, 1),
-	Wr(0, 1 << 20),
+	Wr(0, 1<<20),
 	ForkOp(0, 200),
 	Wr(200, 5),
 	JoinOp(0, 200),

@@ -1,35 +1,46 @@
 package trace
 
-// Pseudo-lock classes: every extended operation lowers onto
-// acquire/release pairs of pseudo-locks drawn from one first-use-ordered
-// allocation sequence, keyed by (class, id) so distinct synchronization
-// objects never share a lock. The class constants are internal — what is
-// observable is only that equal (class, id) pairs map to one lock and the
-// allocation order is the order of first use, which is what keeps the
-// dense (slice Desugar) and parity (streaming) numberings bijective.
+import "repro/internal/epoch"
+
+// Pseudo-locks: every extended operation lowers onto acquire/release
+// pairs of pseudo-locks drawn from one first-use-ordered allocation
+// sequence, one lock per synchronization object — per volatile variable,
+// barrier, atomic location and once id (objectLock), and per channel a
+// close lock, a rendezvous lock and one lock per buffer slot (chanLock) —
+// so distinct objects never share a lock. What is observable is only that
+// one object maps to one lock and the allocation order is the order of
+// first use, which is what keeps the dense (slice Desugar) and parity
+// (streaming) numberings bijective.
 const (
-	classVolatile  int32 = iota // id = volatile variable
-	classBarrier                // id = barrier (one round lock, reused)
-	classAtomic                 // id = atomic location
-	classOnce                   // id = once id
-	classChanClose              // id = channel (close → zero-value recvs)
-	classChanRendz              // id = channel (unbuffered rendezvous)
-	classChanSlot               // class+slot, id = channel (buffer ring)
+	objVolatile = iota // by volatile variable
+	objBarrier         // by barrier (one round lock, reused)
+	objAtomic          // by atomic location
+	objOnce            // by once id
+	numObjects
 )
 
-// chanLowering is one channel's lowering state.
-type chanLowering struct {
-	sends   int // completed sends (value entered the buffer or rendezvoused)
-	recvs   int // completed receives
-	closed  bool
-	blocked []Op // blocked send ops, FIFO arrival order
+// A channel's pseudo-locks, by index into chanState.locks.
+const (
+	chanCloseLock = iota // close → zero-value receives
+	chanRendzLock        // unbuffered rendezvous
+	chanSlotLock         // + slot: the buffer ring
+)
+
+// Pair is the unit every extended operation lowers to: thread T acquires
+// lock M and then releases it.
+type Pair struct {
+	T epoch.Tid
+	M Lock
 }
 
 // Lowerer is the incremental §7 lowering of the extended trace language
-// onto the six-kind core, shared by Trace.Desugar, DesugarSource and
-// parcheck.CheckSource so the three entry points cannot drift. Feed
-// it raw operations in trace order; it calls emit zero or more times per
-// op with the lowered core operations.
+// onto the six-kind core, shared by Trace.Desugar, DesugarSource and the
+// offline check path so they cannot drift. Feed it raw operations in trace
+// order through Lower, which calls emit zero or more times per op with the
+// lowered core operations — or, from a path that switches on the kind
+// itself, pass the core kinds straight through (acquire and release with
+// Real applied) and hand only the extended kinds to AppendSync and
+// AppendChan, which Lower calls.
 //
 // The lowering per kind (the §7 strategy of the paper, extended to the Go
 // memory model per "Ready, set, Go!"):
@@ -52,9 +63,8 @@ type chanLowering struct {
 //     same lock recv k and send k+C use, which is exactly the Go memory
 //     model's buffered-channel edges ("the k-th receive happens before
 //     the (k+C)-th send completes"). With no room (or C = 0) the sender
-//     blocks: the op is buffered and its lowering is emitted at the
-//     matching receive. Sends still blocked at end of input are dropped,
-//     like incomplete barrier rounds.
+//     blocks: its lowering is emitted at the matching receive. Sends still
+//     blocked at end of input are dropped, like incomplete barrier rounds.
 //   - recv(t,c): with a buffered value, acquire+release of that value's
 //     slot lock; completing it may complete the oldest blocked send into
 //     the freed slot (emitted right after, as the sender). On an
@@ -80,74 +90,87 @@ type chanLowering struct {
 // channel, receive with nothing to receive — is dropped rather than
 // guessed at.
 type Lowerer struct {
-	ext   *Extensions
-	real  func(m Lock) Lock          // real-lock remap (identity or parity)
-	alloc func(class, id int32) Lock // pseudo-lock allocator (dense or parity)
+	ext *Extensions
 
-	arrivals map[Lock][]Op // pending ops of the current round, per barrier
-	chans    map[Lock]*chanLowering
+	// The id discipline: real lock m lowers to realScale·m, and the k-th
+	// pseudo-lock (first-use order) to pseudoBase + pseudoScale·k.
+	realScale, pseudoBase, pseudoScale Lock
+	npseudo                            Lock // pseudo-locks allocated so far
+
+	objects  [numObjects]lockTable // object id → pseudo-lock, per kind of object
+	arrivals map[Lock][]epoch.Tid  // threads in the current round, per barrier
+	chans    chanTable             // channel state, for Lower
+	pairs    []Pair                // Lower's scratch
 }
 
-// NewLowerer returns a Lowerer over the given real-lock remap and
-// pseudo-lock allocator. Both must be deterministic; alloc must return
-// one lock per distinct (class, id) pair, disjoint from real's range.
-func NewLowerer(ext *Extensions, real func(Lock) Lock, alloc func(class, id int32) Lock) *Lowerer {
-	return &Lowerer{ext: ext, real: real, alloc: alloc}
-}
-
-// pseudoLocks returns a pseudo-lock allocator: the k-th distinct
-// (class, id) pair, in first-use order, is lock number(k). The pair is
-// packed into one word, which the runtime's map hashes on its 64-bit fast
-// path — the allocator is consulted on every extended operation.
-func pseudoLocks(number func(k Lock) Lock) func(class, id int32) Lock {
-	var next Lock
-	locks := map[uint64]Lock{}
-	return func(class, id int32) Lock {
-		key := uint64(class)<<32 | uint64(uint32(id))
-		m, ok := locks[key]
-		if !ok {
-			m = number(next)
-			next++
-			locks[key] = m
-		}
-		return m
-	}
+// lockTable maps object ids to pseudo-locks, held +1 so that zero is "not
+// yet": a slice for ids in [0, denseIDs), a map beyond, so a huge
+// id costs a map entry and not a huge slice.
+type lockTable struct {
+	dense  []Lock
+	sparse map[int32]Lock
 }
 
 // NewParityLowerer returns a Lowerer with the streaming id discipline: a
 // real lock m maps to 2m and the k-th pseudo-lock (first-use order) to
 // 2k+1, so the two spaces cannot collide without a whole-trace pre-scan.
 func NewParityLowerer(ext *Extensions) *Lowerer {
-	return NewLowerer(ext,
-		func(m Lock) Lock { return 2 * m },
-		pseudoLocks(func(k Lock) Lock { return 2*k + 1 }))
+	return &Lowerer{ext: ext, realScale: 2, pseudoBase: 1, pseudoScale: 2}
 }
 
 // NewDenseLowerer returns a Lowerer with the slice Desugar id discipline:
 // real locks keep their ids and pseudo-locks are numbered densely from
 // next (which must exceed every real lock id in the input).
 func NewDenseLowerer(ext *Extensions, next Lock) *Lowerer {
-	return NewLowerer(ext,
-		func(m Lock) Lock { return m },
-		pseudoLocks(func(k Lock) Lock { return next + k }))
+	return &Lowerer{ext: ext, realScale: 1, pseudoBase: next, pseudoScale: 1}
 }
 
-func (l *Lowerer) chanFor(c Lock) *chanLowering {
-	if l.chans == nil {
-		l.chans = map[Lock]*chanLowering{}
-	}
-	st, ok := l.chans[c]
-	if !ok {
-		st = &chanLowering{}
-		l.chans[c] = st
-	}
-	return st
+// Real returns the lowered id of real lock m.
+func (l *Lowerer) Real(m Lock) Lock { return l.realScale * m }
+
+// next allocates the next pseudo-lock.
+func (l *Lowerer) next() Lock {
+	m := l.pseudoBase + l.pseudoScale*l.npseudo
+	l.npseudo++
+	return m
 }
 
-// pair emits acquire+release of m by t.
-func pair(emit func(Op), t Op, m Lock) {
-	emit(Acq(t.T, m))
-	emit(Rel(t.T, m))
+// objectLock returns the pseudo-lock of object id of the given kind,
+// allocating it on first use.
+func (l *Lowerer) objectLock(kind int, id int32) Lock {
+	t := &l.objects[kind]
+	if uint32(id) < uint32(len(t.dense)) && t.dense[id] != 0 {
+		return t.dense[id] - 1
+	}
+	if uint32(id) >= denseIDs {
+		m, ok := t.sparse[id]
+		if !ok {
+			if t.sparse == nil {
+				t.sparse = map[int32]Lock{}
+			}
+			m = l.next() + 1
+			t.sparse[id] = m
+		}
+		return m - 1
+	}
+	for int(id) >= len(t.dense) {
+		t.dense = append(t.dense, 0)
+	}
+	t.dense[id] = l.next() + 1
+	return t.dense[id] - 1
+}
+
+// chanLock returns channel lock i (chanCloseLock, ...) of st, allocating
+// it on first use. The channel's record keeps them: the one the validator
+// keeps, when the lowering follows a Validator.
+func (l *Lowerer) chanLock(st *chanState, i int) Lock {
+	for i >= len(st.locks) {
+		st.locks = append(st.locks, 0)
+	}
+	if st.locks[i] == 0 {
+		st.locks[i] = l.next() + 1
+	}
+	return st.locks[i] - 1
 }
 
 // Lower feeds one raw operation through the lowering, emitting its core
@@ -156,92 +179,85 @@ func pair(emit func(Op), t Op, m Lock) {
 func (l *Lowerer) Lower(op Op, emit func(Op)) {
 	switch op.Kind {
 	case Acquire:
-		emit(Acq(op.T, l.real(op.M)))
+		emit(Acq(op.T, l.Real(op.M)))
+		return
 	case Release:
-		emit(Rel(op.T, l.real(op.M)))
+		emit(Rel(op.T, l.Real(op.M)))
+		return
+	case ChanSend, ChanRecv, ChanClose:
+		s, why := l.chans.get(op.M, l.ext).step(op)
+		if why != "" {
+			return // infeasible; the validator rejects it
+		}
+		l.pairs = l.AppendChan(l.pairs[:0], op, s)
+	case VolatileRead, VolatileWrite, Barrier, AtomicLoad, AtomicStore, AtomicRMW, OnceDo:
+		l.pairs = l.AppendSync(l.pairs[:0], op)
+	default:
+		emit(op)
+		return
+	}
+	for _, p := range l.pairs {
+		emit(Acq(p.T, p.M))
+		emit(Rel(p.T, p.M))
+	}
+}
+
+// AppendSync appends the lowering of a volatile, barrier, atomic or once
+// op to dst.
+func (l *Lowerer) AppendSync(dst []Pair, op Op) []Pair {
+	switch op.Kind {
 	case VolatileRead, VolatileWrite:
-		pair(emit, op, l.alloc(classVolatile, int32(op.X)))
+		dst = append(dst, Pair{op.T, l.objectLock(objVolatile, int32(op.X))})
 	case Barrier:
 		n := l.ext.Parties(op.M)
 		if l.arrivals == nil {
-			l.arrivals = map[Lock][]Op{}
+			l.arrivals = map[Lock][]epoch.Tid{}
 		}
-		l.arrivals[op.M] = append(l.arrivals[op.M], op)
-		if len(l.arrivals[op.M]) == n {
-			// Complete round: every participant releases, then every
-			// participant acquires, a fresh round lock. Serializing
-			// through one lock creates the all-pairs ordering a barrier
-			// provides.
-			round := l.alloc(classBarrier, int32(op.M))
-			for _, a := range l.arrivals[op.M] {
-				pair(emit, a, round)
-			}
-			for _, a := range l.arrivals[op.M] {
-				pair(emit, a, round)
-			}
-			l.arrivals[op.M] = nil
+		round := append(l.arrivals[op.M], op.T)
+		if len(round) < n {
+			l.arrivals[op.M] = round
+			break
 		}
+		// Complete round: every participant releases, then every
+		// participant acquires, a fresh round lock. Serializing through one
+		// lock creates the all-pairs ordering a barrier provides.
+		m := l.objectLock(objBarrier, int32(op.M))
+		for range 2 {
+			for _, t := range round {
+				dst = append(dst, Pair{t, m})
+			}
+		}
+		l.arrivals[op.M] = round[:0]
 	case AtomicLoad, AtomicStore, AtomicRMW:
-		pair(emit, op, l.alloc(classAtomic, int32(op.X)))
+		dst = append(dst, Pair{op.T, l.objectLock(objAtomic, int32(op.X))})
 	case OnceDo:
-		pair(emit, op, l.alloc(classOnce, int32(op.M)))
-	case ChanSend:
-		st := l.chanFor(op.M)
-		if st.closed {
-			return // infeasible; the validator rejects it
-		}
-		c := l.ext.Capacity(op.M)
-		if c > 0 && st.sends-st.recvs < c && len(st.blocked) == 0 {
-			pair(emit, op, l.alloc(classChanSlot+int32(st.sends%c), int32(op.M)))
-			st.sends++
-		} else {
-			st.blocked = append(st.blocked, op)
-		}
-	case ChanRecv:
-		st := l.chanFor(op.M)
-		c := l.ext.Capacity(op.M)
-		switch {
-		case c > 0 && st.sends-st.recvs > 0:
-			// Take the oldest buffered value from its slot, then let the
-			// oldest blocked sender (if any) complete into the slot just
-			// freed — its completion happens-after this receive, the
-			// recv_k → send_{k+C} edge.
-			pair(emit, op, l.alloc(classChanSlot+int32(st.recvs%c), int32(op.M)))
-			st.recvs++
-			if len(st.blocked) > 0 {
-				s := st.blocked[0]
-				st.blocked = st.blocked[1:]
-				pair(emit, s, l.alloc(classChanSlot+int32(st.sends%c), int32(op.M)))
-				st.sends++
-			}
-		case len(st.blocked) > 0:
-			// Unbuffered rendezvous: the blocked sender completes here.
-			// Double round on the rendezvous lock, sender first — after
-			// it each party holds the other's clock, the bidirectional
-			// ordering of an unbuffered exchange.
-			s := st.blocked[0]
-			st.blocked = st.blocked[1:]
-			r := l.alloc(classChanRendz, int32(op.M))
-			pair(emit, s, r)
-			pair(emit, op, r)
-			pair(emit, s, r)
-			pair(emit, op, r)
-			st.sends++
-			st.recvs++
-		case st.closed:
-			// Zero-value receive: ordered after the close, nothing else.
-			pair(emit, op, l.alloc(classChanClose, int32(op.M)))
-		default:
-			// Receive with nothing to receive: infeasible; dropped.
-		}
-	case ChanClose:
-		st := l.chanFor(op.M)
-		if st.closed || len(st.blocked) > 0 {
-			return // infeasible; the validator rejects it
-		}
-		st.closed = true
-		pair(emit, op, l.alloc(classChanClose, int32(op.M)))
-	default:
-		emit(op)
+		dst = append(dst, Pair{op.T, l.objectLock(objOnce, int32(op.M))})
 	}
+	return dst
+}
+
+// AppendChan appends the lowering of a send, receive or close to dst,
+// given what the op did to its channel (Validator.Chan's step).
+func (l *Lowerer) AppendChan(dst []Pair, op Op, s ChanStep) []Pair {
+	switch s.what {
+	case chanSlot:
+		// A receive takes the oldest buffered value from its slot, then
+		// lets the oldest blocked sender (if any) complete into the slot
+		// just freed — its completion happens-after this receive, the
+		// recv_k → send_{k+C} edge.
+		dst = append(dst, Pair{op.T, l.chanLock(s.ch, chanSlotLock+int(s.slot))})
+		if s.woke {
+			dst = append(dst, Pair{s.sender, l.chanLock(s.ch, chanSlotLock+int(s.senderSlot))})
+		}
+	case chanRendezvous:
+		// Double round on the rendezvous lock, sender first — after it
+		// each party holds the other's clock, the bidirectional ordering
+		// of an unbuffered exchange.
+		r := l.chanLock(s.ch, chanRendzLock)
+		dst = append(dst, Pair{s.sender, r}, Pair{op.T, r}, Pair{s.sender, r}, Pair{op.T, r})
+	case chanZero, chanClosed:
+		// A zero-value receive is ordered after the close, nothing else.
+		dst = append(dst, Pair{op.T, l.chanLock(s.ch, chanCloseLock)})
+	}
+	return dst
 }

@@ -22,6 +22,47 @@ type Source interface {
 	Next() (Op, error)
 }
 
+// A source may also deliver operations a batch at a time, through a method
+//
+//	NextBatch(buf []Op) (int, error)
+//
+// that fills buf with the next operations of the stream — at least one
+// and at most len(buf) — and returns how many, or returns 0 and the error
+// Next would have returned (io.EOF at the end). An error met after some
+// operations is held back for the next call, so a consumer sees every
+// operation before the error, as it would pulling them one at a time. The
+// binary decoder has one, and so have Counter and Limit, which forward it.
+type batchSource interface {
+	Source
+	NextBatch(buf []Op) (int, error)
+}
+
+// NextBatch reads the next operations of src into buf (len(buf) >= 1): a
+// batch when src delivers batches, otherwise the one operation Next
+// returns. It returns how many it read, or 0 and src's error.
+func NextBatch(src Source, buf []Op) (int, error) {
+	if b, ok := src.(batchSource); ok {
+		return b.NextBatch(buf)
+	}
+	op, err := src.Next()
+	if err != nil {
+		return 0, err
+	}
+	buf[0] = op
+	return 1, nil
+}
+
+// Unread tells src that its consumer stopped with the last k operations of
+// the latest batch unconsumed — at an error in the operation before them.
+// The stages that account for what passes through them take those k back
+// (Counter's N, Limit's budget), so they read exactly as if the consumer
+// had pulled one operation at a time; the stream itself is not rewound.
+func Unread(src Source, k int) {
+	if u, ok := src.(interface{ unread(int) }); ok && k > 0 {
+		u.unread(k)
+	}
+}
+
 // sliceSource adapts a materialized Trace to the Source interface.
 type sliceSource struct {
 	tr  Trace
@@ -111,6 +152,27 @@ func (l *limitSource) Next() (Op, error) {
 	return op, nil
 }
 
+// NextBatch forwards a batch of src's, cut to the budget left.
+func (l *limitSource) NextBatch(buf []Op) (int, error) {
+	if l.left <= 0 {
+		// One more operation decides between the stream's own end or error
+		// and the budget's.
+		var one [1]Op
+		if _, err := NextBatch(l.src, one[:]); err != nil {
+			return 0, err
+		}
+		return 0, &TooLongError{Limit: l.n}
+	}
+	n, err := NextBatch(l.src, buf[:min(len(buf), l.left)])
+	l.left -= n
+	return n, err
+}
+
+func (l *limitSource) unread(k int) {
+	l.left += k
+	Unread(l.src, k)
+}
+
 // Limit returns a Source that yields src's operations but fails with a
 // *TooLongError as soon as the stream runs past n operations. Unlike Head,
 // which silently truncates, Limit makes an over-budget stream an error —
@@ -128,7 +190,8 @@ func Limit(src Source, n int) Source {
 // the stream's length without having held it.
 type Counter struct {
 	Src Source
-	// N is the number of operations yielded so far.
+	// N is the number of operations yielded so far (less any a consumer
+	// handed back with Unread).
 	N int
 	// Err is the first error other than io.EOF that Src returned: the
 	// stream's own failure, which a caller can then tell apart from an
@@ -145,4 +208,19 @@ func (c *Counter) Next() (Op, error) {
 		c.Err = err
 	}
 	return op, err
+}
+
+// NextBatch forwards a batch of Src's (see Source) and counts it.
+func (c *Counter) NextBatch(buf []Op) (int, error) {
+	n, err := NextBatch(c.Src, buf)
+	c.N += n
+	if err != nil && err != io.EOF && c.Err == nil {
+		c.Err = err
+	}
+	return n, err
+}
+
+func (c *Counter) unread(k int) {
+	c.N -= k
+	Unread(c.Src, k)
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -65,6 +67,69 @@ func TestCounter(t *testing.T) {
 	first := c.Err
 	if _, err := c.Next(); err == nil || c.Err != first || c.N != 2 {
 		t.Fatalf("after the failure: err %v, N=%d, Err changed: %v", err, c.N, c.Err != first)
+	}
+}
+
+// TestLimitCounterBatches: Limit and Counter forward batches, and through
+// them a batch reader meets what Next meets one op at a time — the whole
+// budget, the budget overrun, and a decode error just past the budget,
+// which wins over the overrun as it does for Next — while Counter keeps
+// N and Err as Next would have left them.
+func TestLimitCounterBatches(t *testing.T) {
+	var bin bytes.Buffer
+	if err := EncodeBinary(&bin, Trace{ForkOp(0, 1), Wr(0, 300), Rd(1, 2), Wr(1, 3), JoinOp(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	full := bin.Bytes()
+	cut := full[:len(full)-1] // the fifth record is truncated
+	pull := func(src Source) (Trace, error) { return ReadAll(src) }
+	for _, size := range []int{1, 2, 512} {
+		for _, tc := range []struct {
+			name  string
+			data  []byte
+			limit int
+			ops   int
+			err   string
+		}{
+			{"exactly n", full, 5, 5, "<nil>"},
+			{"n+1", full, 4, 4, "trace: stream exceeds 4 operations"},
+			{"decode error at n+1", cut, 4, 4, "trace: binary op #4: reading 3-byte record: unexpected EOF"},
+			{"decode error inside", cut, 9, 4, "trace: binary op #4: reading 3-byte record: unexpected EOF"},
+		} {
+			want, werr := pull(&Counter{Src: Limit(NewBinaryDecoder(bytes.NewReader(tc.data)), tc.limit)})
+			c := &Counter{Src: Limit(NewBinaryDecoder(bytes.NewReader(tc.data)), tc.limit)}
+			got, gerr := readBatches(t, c, size)
+			if len(got) != tc.ops || fmt.Sprint(gerr) != tc.err || !reflect.DeepEqual(got, want) || fmt.Sprint(werr) != tc.err {
+				t.Errorf("%s, batches of %d: %d ops, %v (Next: %d ops, %v); want %d ops, %s",
+					tc.name, size, len(got), gerr, len(want), werr, tc.ops, tc.err)
+			}
+			if c.N != tc.ops || (gerr == nil) != (c.Err == nil) || gerr != nil && c.Err.Error() != tc.err {
+				t.Errorf("%s, batches of %d: Counter N=%d Err=%v", tc.name, size, c.N, c.Err)
+			}
+		}
+	}
+
+	// A consumer that refuses the second op of a batch (a check error)
+	// hands the rest back: N counts the two ops it took, as pulling one at
+	// a time would, and the decode error behind them never reaches Err —
+	// what lets goinstr.Check tell a bad capture from a bad trace.
+	c := &Counter{Src: NewBinaryDecoder(bytes.NewReader(cut))}
+	buf := make([]Op, 512)
+	n, err := NextBatch(c, buf)
+	if n != 4 || err != nil {
+		t.Fatalf("first batch: %d ops, %v; want the 4 whole records", n, err)
+	}
+	Unread(c, n-2)
+	if c.N != 2 || c.Err != nil {
+		t.Errorf("after Unread: N=%d Err=%v, want 2 and nil", c.N, c.Err)
+	}
+	// Limit takes handed-back ops back into its budget.
+	l := Limit(NewBinaryDecoder(bytes.NewReader(full)), 3).(*limitSource)
+	if got, err := readBatches(t, Head(l, 3), 512); len(got) != 3 || err != nil || l.left != 0 {
+		t.Fatalf("Limit(3): %d ops, %v, %d left", len(got), err, l.left)
+	}
+	if Unread(l, 2); l.left != 2 {
+		t.Errorf("Limit after Unread(2): %d left, want 2", l.left)
 	}
 }
 

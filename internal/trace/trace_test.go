@@ -286,16 +286,61 @@ func TestDecodePaperStyleOperands(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"rd 0",          // too few fields
-		"frob 0 1",      // unknown op
-		"rd zero 1",     // bad thread
-		"rd 0 -1",       // negative operand
-		"rd 0 1 extra2", // too many fields
+	cases := []struct{ in, want string }{
+		{"rd 0", "line 1: want 3 fields"},
+		{"frob 0 1", "line 1: unknown operation"},
+		{"rd zero 1", "line 1: thread"},
+		{"rd 0 -1", "line 1: operand: negative operand"},
+		{"rd 0 1 extra2", "line 1: want 3 fields"},
+		// Ids past int32 are errors, not wrapped ids: 2^31 used to become
+		// a negative variable, 2^32+1 variable x1 and thread 1.
+		{"rd 0 2147483647\nwr 0 2147483648", "line 2: operand: operand 2147483648 exceeds 2147483647"},
+		{"fork 0 1\nwr 0 4294967297\nwr 1 1", "line 2: operand: operand 4294967297 exceeds"},
+		{"fork 4294967297 1", "line 1: thread: operand 4294967297 exceeds"},
+		{"acq 0 m99999999999999999999", "line 1: operand: strconv.Atoi"},
 	}
-	for _, in := range cases {
-		if _, err := Decode(strings.NewReader(in)); err == nil {
-			t.Errorf("Decode(%q): want error", in)
+	for _, tc := range cases {
+		_, err := Decode(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Decode(%q) = %v, want an error containing %q", tc.in, err, tc.want)
+		}
+	}
+	// The largest id still decodes.
+	if tr, err := Decode(strings.NewReader("rd 0 x2147483647")); err != nil || tr[0].X != 1<<31-1 {
+		t.Errorf("Decode(rd 0 x2147483647) = %v, %v", tr, err)
+	}
+}
+
+// TestParseIDValues: the -chancaps / ?chancap= form takes ids and values
+// in [0, MaxInt32]; anything beyond is an error, never a wrapped id.
+func TestParseIDValues(t *testing.T) {
+	cases := []struct {
+		in   string
+		min  int
+		want map[Lock]int
+		err  string
+	}{
+		{"", 0, nil, ""},
+		{"0:4,2:1", 0, map[Lock]int{0: 4, 2: 1}, ""},
+		{"2147483647:4", 0, map[Lock]int{1<<31 - 1: 4}, ""},
+		{"3:2147483647", 1, map[Lock]int{3: 1<<31 - 1}, ""},
+		{"4294967297:4", 0, nil, `bad id "4294967297"`},
+		{"2147483648:4", 0, nil, `bad id "2147483648"`},
+		{"-1:4", 0, nil, `bad id "-1"`},
+		{"1:4294967297", 0, nil, `bad value "4294967297" for id 1`},
+		{"1:0", 1, nil, `bad value "0" for id 1 (min 1)`},
+		{"1", 0, nil, `"1" is not an id:value pair`},
+	}
+	for _, tc := range cases {
+		got, err := ParseIDValues(tc.in, "caps", tc.min)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseIDValues(%q) = %v, %v; want an error containing %q", tc.in, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseIDValues(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }

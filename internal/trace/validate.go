@@ -80,13 +80,16 @@ const (
 // real lock ids that collide with the pseudo-lock space, none of which
 // §2's traces can express.
 //
-// Validation sits on the critical path of every check — sequentially it
-// runs in front of the detector, and in the parallel checker it is part
-// of the serial prepass Amdahl's law punishes — so the per-id state lives
-// in dense slices indexed by id, one byte per thread and one slot per
-// lock, with a map spill for lock ids outside the dense window (huge or
-// negative) so the accepted language is exactly the map implementation's.
-// Thread ids need no spill: Check admits only [0, MaxTid].
+// Validation sits on the critical path of every check, in front of the
+// detector, so the per-id state lives in dense slices indexed by id, one
+// slot per thread, lock and channel, with a map spill for lock and channel
+// ids outside the dense window (huge or negative) so the accepted language
+// is exactly the map implementation's. Thread ids need no spill: Check
+// admits only [0, MaxTid].
+//
+// Check takes any kind. A check path that already switches on the kind
+// calls the per-kind entries Check dispatches to — Access, Acquire,
+// Release, Fork, Join, Chan — directly; they are the same code.
 type Validator struct {
 	// MaxTid is the largest acceptable thread id; NewValidator sets it to
 	// epoch.MaxTid. Callers checking with a detector whose epoch format is
@@ -107,28 +110,30 @@ type Validator struct {
 
 	n int
 
-	// threads packs a thread's lifecycle into one byte: the low two bits
-	// hold the threadPhase, actedBit records whether it has performed any
-	// op yet. Index is the tid.
-	threads []uint8
+	// threads is the per-thread record, indexed by tid; tids lists the
+	// threads by ordinal.
+	threads []threadSlot
+	tids    []epoch.Tid
 	locks   []lockSlot
 
 	// locksHi is the spill state for lock ids outside
-	// [0, denseValidatorIDs).
+	// [0, denseIDs).
 	locksHi map[Lock]lockSlot
 
 	// Channel-discipline state (constraint 6); allocated on first channel
 	// op so core-language traces pay nothing.
-	chans     map[Lock]*chanValState
+	chans     chanTable
 	blockedOn map[epoch.Tid]Lock // thread -> channel it is blocked sending on
 }
 
-// chanValState is one channel's validation state.
-type chanValState struct {
-	sends   int // completed sends
-	recvs   int // completed receives
-	closed  bool
-	blocked []epoch.Tid // blocked senders, FIFO arrival order
+// threadSlot is a thread's validation state. The lifecycle byte packs the
+// threadPhase into its low two bits; actedBit records whether the thread
+// has performed any op yet, blockedBit whether it is blocked in a channel
+// send (blockedOn says on which channel). ord is the thread's ordinal:
+// 0 for main, k for the k-th thread forked.
+type threadSlot struct {
+	state uint8
+	ord   epoch.Tid
 }
 
 // lockSlot is a lock's validation state: who holds it, if anyone.
@@ -138,52 +143,66 @@ type lockSlot struct {
 }
 
 const (
-	phaseMask = 0b011
-	actedBit  = 0b100
+	phaseMask  = 0b0011
+	actedBit   = 0b0100
+	blockedBit = 0b1000
 
-	// denseValidatorIDs bounds the slice-indexed lock id window; beyond it
-	// (or below zero) state spills to a map so hostile sparse ids cannot
-	// force huge allocations.
-	denseValidatorIDs = 1 << 16
+	// settled is the lifecycle byte of a thread that has nothing left to
+	// prove before it acts: running, has acted, not blocked.
+	settled = uint8(phaseRunning) | actedBit
+
+	// denseIDs bounds the slice-indexed id window of the per-lock,
+	// per-channel and per-object tables; beyond it (or below zero) state
+	// spills to a map so hostile sparse ids cannot force huge allocations.
+	denseIDs = 1 << 16
 )
 
 // NewValidator returns a Validator in the initial state (main thread
 // running, no locks held, no operation seen).
 func NewValidator() *Validator {
-	return &Validator{MaxTid: epoch.MaxTid, threads: []uint8{uint8(phaseRunning)}}
+	return &Validator{MaxTid: epoch.MaxTid, threads: []threadSlot{{state: uint8(phaseRunning)}}, tids: []epoch.Tid{0}}
 }
 
 // Count returns how many operations have been accepted so far.
 func (v *Validator) Count() int { return v.n }
 
+// Ordinal returns the ordinal of thread t, which an admitted op named: 0
+// for the main thread, k for the k-th thread forked. Ordinals number the
+// threads densely in the order a feasible trace first names them — the
+// order the check path's renumbering wants.
+func (v *Validator) Ordinal(t epoch.Tid) epoch.Tid { return v.threads[t].ord }
+
+// Threads returns the threads forked so far, and main, by ordinal.
+func (v *Validator) Threads() []epoch.Tid { return v.tids }
+
 // thread reads a thread's packed lifecycle byte; t is in range (Check
 // rejects the rest first) and never-touched threads read as zero.
 func (v *Validator) thread(t epoch.Tid) uint8 {
 	if int(t) < len(v.threads) {
-		return v.threads[t]
+		return v.threads[t].state
 	}
 	return 0
 }
 
 func (v *Validator) setThread(t epoch.Tid, s uint8) {
 	for int(t) >= len(v.threads) {
-		v.threads = append(v.threads, 0)
+		v.threads = append(v.threads, threadSlot{})
 	}
-	v.threads[t] = s
+	v.threads[t].state = s
 }
 
 func (v *Validator) lock(m Lock) lockSlot {
 	if uint32(m) < uint32(len(v.locks)) {
 		return v.locks[m]
 	}
-	if uint32(m) < denseValidatorIDs {
+	if uint32(m) < denseIDs {
 		return lockSlot{}
 	}
 	return v.locksHi[m]
 }
 
 func (v *Validator) setLock(m Lock, s lockSlot) {
-	if uint32(m) < denseValidatorIDs {
+	if uint32(m) < denseIDs {
 		for int(m) >= len(v.locks) {
 			v.locks = append(v.locks, lockSlot{})
 		}
@@ -200,155 +219,206 @@ func (v *Validator) fail(op Op, rule int, msg string) error {
 	return &InfeasibleError{Index: v.n, Op: op, Rule: rule, Msg: msg}
 }
 
-// chanFor returns channel c's validation state, allocating it (and the
-// channel table) on first use.
-func (v *Validator) chanFor(c Lock) *chanValState {
-	if v.chans == nil {
-		v.chans = map[Lock]*chanValState{}
-	}
-	st, ok := v.chans[c]
-	if !ok {
-		st = &chanValState{}
-		v.chans[c] = st
-	}
-	return st
-}
-
-// unblock completes the oldest blocked send of st, if any.
-func (v *Validator) unblock(st *chanValState) {
-	if len(st.blocked) == 0 {
-		return
-	}
-	t := st.blocked[0]
-	st.blocked = st.blocked[1:]
-	delete(v.blockedOn, t)
-	st.sends++
-}
-
 // Check validates the next operation of the stream against the state
 // accumulated so far. On violation it returns an *InfeasibleError — or,
 // for a thread id no epoch can hold, a *TidRangeError — whose Index is the
 // operation's position (0-based) and leaves the validator unchanged; the
 // op is not admitted.
 func (v *Validator) Check(op Op) error {
+	switch op.Kind {
+	case Acquire:
+		return v.Acquire(op)
+	case Release:
+		return v.Release(op)
+	case Fork:
+		return v.Fork(op)
+	case Join:
+		return v.Join(op)
+	case ChanSend, ChanRecv, ChanClose:
+		_, err := v.Chan(op)
+		return err
+	default:
+		// Accesses, and the volatile, barrier, atomic and once kinds, which
+		// impose no discipline of their own.
+		return v.Access(op)
+	}
+}
+
+// actor checks that op's thread may act — it names ids an epoch can hold,
+// it is running (constraint (4), first half), and it is not blocked in a
+// channel send (constraint (6)) — and returns its lifecycle byte.
+func (v *Validator) actor(op Op) (uint8, error) {
+	if v.settled(op.T, op.U) {
+		return settled, nil
+	}
 	// U is zero outside fork/join; the unsigned compares reject negative
 	// ids along with the huge ones.
 	if uint32(op.T) > uint32(v.MaxTid) {
-		return &TidRangeError{Index: v.n, Op: op, Tid: op.T, Max: v.MaxTid}
+		return 0, &TidRangeError{Index: v.n, Op: op, Tid: op.T, Max: v.MaxTid}
 	}
 	if uint32(op.U) > uint32(v.MaxTid) {
-		return &TidRangeError{Index: v.n, Op: op, Tid: op.U, Max: v.MaxTid}
+		return 0, &TidRangeError{Index: v.n, Op: op, Tid: op.U, Max: v.MaxTid}
 	}
-	// Constraint (4), first half: the acting thread must be running.
 	ts := v.thread(op.T)
 	switch threadPhase(ts & phaseMask) {
 	case phaseUnstarted:
-		return v.fail(op, 4, fmt.Sprintf("thread %d acts before being forked", op.T))
+		return 0, v.fail(op, 4, fmt.Sprintf("thread %d acts before being forked", op.T))
 	case phaseJoined:
-		return v.fail(op, 4, fmt.Sprintf("thread %d acts after being joined", op.T))
+		return 0, v.fail(op, 4, fmt.Sprintf("thread %d acts after being joined", op.T))
 	}
-	// Constraint (6): a thread blocked in a channel send may not act.
-	if v.blockedOn != nil {
-		if c, ok := v.blockedOn[op.T]; ok {
-			return v.fail(op, 6, fmt.Sprintf("thread %d acts while blocked sending on channel c%d", op.T, c))
-		}
+	if ts&blockedBit != 0 {
+		return 0, v.fail(op, 6, fmt.Sprintf("thread %d acts while blocked sending on channel c%d", op.T, v.blockedOn[op.T]))
 	}
+	return ts, nil
+}
 
-	switch op.Kind {
-	case Acquire:
-		maxLock := v.MaxLock
-		if maxLock == 0 {
-			maxLock = maxRealLock
-		}
-		if op.M >= maxLock {
-			return v.fail(op, 1, "lock id exceeds the real-lock space")
-		}
-		if s := v.lock(op.M); s.held {
-			return v.fail(op, 1, fmt.Sprintf("lock m%d already held by thread %d", op.M, s.holder))
-		}
-		v.setLock(op.M, lockSlot{held: true, holder: op.T})
-	case Release:
-		if s := v.lock(op.M); !s.held || s.holder != op.T {
-			return v.fail(op, 2, fmt.Sprintf("thread %d releases lock m%d it does not hold", op.T, op.M))
-		}
-		v.setLock(op.M, lockSlot{holder: op.T})
-	case Fork:
-		if op.U == op.T {
-			return v.fail(op, 3, "self-fork")
-		}
-		if threadPhase(v.thread(op.U)&phaseMask) != phaseUnstarted {
-			return v.fail(op, 3, fmt.Sprintf("thread %d forked more than once (or is main)", op.U))
-		}
-		v.setThread(op.U, uint8(phaseRunning))
-	case Join:
-		if op.U == op.T {
-			return v.fail(op, 4, "self-join")
-		}
-		// §2 permits several threads to join the same terminated
-		// thread (constraint (4) only forbids operations *of u* after
-		// a join), so a join on an already-joined thread is legal;
-		// only joining a never-forked thread is not.
-		us := v.thread(op.U)
-		if threadPhase(us&phaseMask) == phaseUnstarted {
-			return v.fail(op, 4, fmt.Sprintf("join on thread %d which was never forked", op.U))
-		}
-		// Constraint (5): u must have acted between fork and join.
-		if us&actedBit == 0 {
-			return v.fail(op, 5, fmt.Sprintf("no operation of thread %d between fork and join", op.U))
-		}
-		// Constraint (6): a blocked sender has not terminated, so joining
-		// it would deadlock — and its send completes at a later receive,
-		// which would put operations of u after join(t,u).
-		if v.blockedOn != nil {
-			if c, ok := v.blockedOn[op.U]; ok {
-				return v.fail(op, 6, fmt.Sprintf("join on thread %d which is blocked sending on channel c%d", op.U, c))
-			}
-		}
-		v.setThread(op.U, us&actedBit|uint8(phaseJoined))
-	case ChanSend:
-		st := v.chanFor(op.M)
-		if st.closed {
-			return v.fail(op, 6, fmt.Sprintf("send on closed channel c%d", op.M))
-		}
-		if c := v.Ext.Capacity(op.M); c > 0 && st.sends-st.recvs < c && len(st.blocked) == 0 {
-			st.sends++
-		} else {
-			st.blocked = append(st.blocked, op.T)
-			if v.blockedOn == nil {
-				v.blockedOn = map[epoch.Tid]Lock{}
-			}
-			v.blockedOn[op.T] = op.M
-		}
-	case ChanRecv:
-		st := v.chanFor(op.M)
-		switch {
-		case st.sends-st.recvs > 0 || len(st.blocked) > 0:
-			// A buffered value is available, or an unbuffered rendezvous
-			// pairs with the oldest blocked sender. Either way the
-			// receive completes, and completing it lets the oldest
-			// blocked sender (if any) complete too.
-			st.recvs++
-			v.unblock(st)
-		case st.closed:
-			// Zero-value receive; no sequence number consumed.
-		default:
-			return v.fail(op, 6, fmt.Sprintf("receive on channel c%d before any send (nothing buffered, no blocked sender, not closed)", op.M))
-		}
-	case ChanClose:
-		st := v.chanFor(op.M)
-		if st.closed {
-			return v.fail(op, 6, fmt.Sprintf("close of closed channel c%d", op.M))
-		}
-		if len(st.blocked) > 0 {
-			return v.fail(op, 6, fmt.Sprintf("close of channel c%d with %d blocked senders", op.M, len(st.blocked)))
-		}
-		st.closed = true
-	}
+// settled reports whether thread t is settled and neither t nor u exceeds
+// MaxTid — for an op acting as t and naming u, the answer actor gives
+// before it looks further. It may report false where actor accepts (the
+// tid test is coarse). (It takes the two ids, not the Op: a struct copied
+// into an inlined call is reassembled through the stack.)
+func (v *Validator) settled(t, u epoch.Tid) bool {
+	return uint32(t) < uint32(len(v.threads)) && v.threads[t].state == settled &&
+		uint32(t|u) <= uint32(v.MaxTid)
+}
+
+// admit records that thread t, whose lifecycle byte actor returned, has
+// acted, and counts its op. (It takes t, not the Op, for settled's reason.)
+func (v *Validator) admit(t epoch.Tid, ts uint8) {
 	if ts&actedBit == 0 {
-		v.setThread(op.T, ts|actedBit)
+		v.setThread(t, ts|actedBit)
 	}
 	v.n++
+}
+
+// Access checks an operation that constrains only its acting thread: rd
+// and wr, and the volatile, barrier, atomic and once kinds. The most
+// frequent ops of all, so the settled case skips the call to actor.
+func (v *Validator) Access(op Op) error {
+	if v.settled(op.T, op.U) {
+		v.n++
+		return nil
+	}
+	ts, err := v.actor(op)
+	if err != nil {
+		return err
+	}
+	v.admit(op.T, ts)
 	return nil
+}
+
+// Acquire checks acq(t,m): constraint (1), and a real-lock id.
+func (v *Validator) Acquire(op Op) error {
+	ts, err := v.actor(op)
+	if err != nil {
+		return err
+	}
+	maxLock := v.MaxLock
+	if maxLock == 0 {
+		maxLock = maxRealLock
+	}
+	if op.M >= maxLock {
+		return v.fail(op, 1, "lock id exceeds the real-lock space")
+	}
+	if s := v.lock(op.M); s.held {
+		return v.fail(op, 1, fmt.Sprintf("lock m%d already held by thread %d", op.M, s.holder))
+	}
+	v.setLock(op.M, lockSlot{held: true, holder: op.T})
+	v.admit(op.T, ts)
+	return nil
+}
+
+// Release checks rel(t,m): constraint (2).
+func (v *Validator) Release(op Op) error {
+	ts, err := v.actor(op)
+	if err != nil {
+		return err
+	}
+	if s := v.lock(op.M); !s.held || s.holder != op.T {
+		return v.fail(op, 2, fmt.Sprintf("thread %d releases lock m%d it does not hold", op.T, op.M))
+	}
+	v.setLock(op.M, lockSlot{holder: op.T})
+	v.admit(op.T, ts)
+	return nil
+}
+
+// Fork checks fork(t,u): constraint (3).
+func (v *Validator) Fork(op Op) error {
+	ts, err := v.actor(op)
+	if err != nil {
+		return err
+	}
+	if op.U == op.T {
+		return v.fail(op, 3, "self-fork")
+	}
+	if threadPhase(v.thread(op.U)&phaseMask) != phaseUnstarted {
+		return v.fail(op, 3, fmt.Sprintf("thread %d forked more than once (or is main)", op.U))
+	}
+	v.setThread(op.U, uint8(phaseRunning))
+	v.threads[op.U].ord = epoch.Tid(len(v.tids))
+	v.tids = append(v.tids, op.U)
+	v.admit(op.T, ts)
+	return nil
+}
+
+// Join checks join(t,u): constraints (4) and (5), and (6)'s rule that a
+// blocked sender has not terminated.
+func (v *Validator) Join(op Op) error {
+	ts, err := v.actor(op)
+	if err != nil {
+		return err
+	}
+	if op.U == op.T {
+		return v.fail(op, 4, "self-join")
+	}
+	// §2 permits several threads to join the same terminated thread
+	// (constraint (4) only forbids operations *of u* after a join), so a
+	// join on an already-joined thread is legal; only joining a
+	// never-forked thread is not.
+	us := v.thread(op.U)
+	if threadPhase(us&phaseMask) == phaseUnstarted {
+		return v.fail(op, 4, fmt.Sprintf("join on thread %d which was never forked", op.U))
+	}
+	// Constraint (5): u must have acted between fork and join.
+	if us&actedBit == 0 {
+		return v.fail(op, 5, fmt.Sprintf("no operation of thread %d between fork and join", op.U))
+	}
+	// Constraint (6): a blocked sender has not terminated, so joining it
+	// would deadlock — and its send completes at a later receive, which
+	// would put operations of u after join(t,u).
+	if us&blockedBit != 0 {
+		return v.fail(op, 6, fmt.Sprintf("join on thread %d which is blocked sending on channel c%d", op.U, v.blockedOn[op.U]))
+	}
+	v.setThread(op.U, us&actedBit|uint8(phaseJoined))
+	v.admit(op.T, ts)
+	return nil
+}
+
+// Chan checks a send, receive or close under constraint (6) and returns
+// what it did to its channel, which is what the lowering of the same op
+// needs (Lowerer.AppendChan).
+func (v *Validator) Chan(op Op) (ChanStep, error) {
+	ts, err := v.actor(op)
+	if err != nil {
+		return ChanStep{}, err
+	}
+	s, why := v.chans.get(op.M, v.Ext).step(op)
+	if why != "" {
+		return s, v.fail(op, 6, why)
+	}
+	v.admit(op.T, ts)
+	switch {
+	case s.what == chanBlocked:
+		if v.blockedOn == nil {
+			v.blockedOn = map[epoch.Tid]Lock{}
+		}
+		v.blockedOn[op.T] = op.M
+		v.threads[op.T].state |= blockedBit
+	case s.woke:
+		delete(v.blockedOn, s.sender)
+		v.threads[s.sender].state &^= blockedBit
+	}
+	return s, nil
 }
 
 // Validate checks the feasibility constraints over a whole trace; see
