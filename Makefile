@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet lint bench bench-sampling smoke metrics-smoke stream-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke fuzz fuzz-smoke soak coverage clean
+.PHONY: all build test race vet lint bench bench-sampling bench-smoke fuzz fuzz-smoke soak coverage clean
 
 all: build
 
@@ -42,22 +42,6 @@ bench:
 bench-sampling:
 	$(GO) run ./cmd/vft-bench -sampling -quick -iters 3
 
-# Every end-to-end smoke check below; CI's smoke job runs the same list,
-# one matrix entry per target.
-smoke: metrics-smoke stream-smoke bench-smoke server-smoke chan-smoke go-smoke sample-smoke
-
-# End-to-end check of the live metrics endpoint: runs vft-bench with
-# -metrics-addr and scrapes /metrics + /debug/vars while it serves.
-metrics-smoke:
-	$(GO) run ./scripts/metrics-smoke
-
-# End-to-end check of streaming ingestion: pipes gzipped binary traces
-# into `vft-race -` over stdin and verifies the verdict exit codes; also
-# gates the FT-CAS thread-id limit (exit 2) and the checks of huge-id
-# traces, -all -oracle included (child max-RSS <= 64 MiB).
-stream-smoke:
-	$(GO) run ./scripts/stream-smoke
-
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
@@ -71,39 +55,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|CheckStream' -benchtime 3x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
-
-# End-to-end check of the multi-tenant ingestion service under the Go
-# race detector: concurrent tenants streaming all three wire encodings
-# must read back reports byte-identical to offline CheckTrace, saturation
-# must answer 429 + Retry-After, and a drain/save/restart cycle must
-# preserve every tenant's reports.
-server-smoke:
-	$(GO) run -race ./scripts/server-smoke
-
-# End-to-end check of trace format v2's Go-synchronization kinds: two
-# channel-heavy traces round-trip text -> binary-v2 -> vft-race
-# -> vft-server upload, each leg's reports diffed against an offline
-# CheckTrace with the same channel capacities.
-chan-smoke:
-	$(GO) run -race ./scripts/chan-smoke
-
-# End-to-end check of the vft-go front-end over the real-Go corpus:
-# every racy program must name its racy variable, every clean program
-# must be silent, elide-on and elide-off canonical reports must be
-# byte-identical, and elision must fire on at least half the corpus. Then
-# the vft-go binary driven from a scratch directory: a relative -o builds
-# exactly one binary and -v prints the phase line.
-go-smoke:
-	$(GO) run ./scripts/go-smoke -v
-	bash scripts/go-smoke/cli.sh
-
-# End-to-end check of the sampling tier under the Go race detector: a
-# rate sweep over a generated trace plus the conformance corpus, failing
-# on any soundness violation (sampled reports must equal the precise
-# reports filtered to sampled variables) or any rate-1.0 divergence,
-# through the library and through vft-race -d sampled:<rate>.
-sample-smoke:
-	$(GO) run -race ./scripts/sample-smoke
 
 # The differential fuzzers: generated core and Go-sync traces through the
 # sequential check and 20,000 controlled schedules each (it logs the

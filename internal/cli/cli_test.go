@@ -2,15 +2,20 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/conformance"
+	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -203,6 +208,55 @@ func TestBenchCSV(t *testing.T) {
 	}
 	if code := Bench([]string{"-format", "xml"}, &out, &errBuf); code != 2 {
 		t.Fatalf("bad format exit = %d", code)
+	}
+}
+
+// TestServeMetrics scrapes the -metrics-addr endpoint vft-bench and vft-go
+// mount, after one bench cell has frozen its detector counters into the
+// registry: /metrics is the registry's snapshot, /debug/vars the expvar
+// dump carrying it under the published name.
+func TestServeMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := harness.Run(harness.Options{Iters: 1, Quick: true,
+		Detectors: []string{"vft-v2"}, Programs: []string{"montecarlo"}, Registry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	shutdown, err := serveMetrics("127.0.0.1:0", "vft-bench", reg, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	m := regexp.MustCompile(`http://(\S+)/metrics`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no metrics address announced: %q", stderr.String())
+	}
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get("http://" + m[1] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+
+	snap := obs.NewSnapshot()
+	get("/metrics", &snap)
+	const cell = "montecarlo.vft-v2.detector."
+	reads, fast, slow := snap.Counters[cell+"reads.total"], snap.Counters[cell+"reads.fast"], snap.Counters[cell+"reads.slow"]
+	if reads == 0 || fast+slow != reads {
+		t.Errorf("/metrics: %sreads fast %d + slow %d, total %d", cell, fast, slow, reads)
+	}
+	if snap.Gauges["bench.cells_done"] != 1 {
+		t.Errorf("/metrics: bench.cells_done = %d, want 1", snap.Gauges["bench.cells_done"])
+	}
+	var vars map[string]json.RawMessage
+	get("/debug/vars", &vars)
+	if _, ok := vars["vft-bench"]; !ok {
+		t.Errorf("/debug/vars has no vft-bench variable")
 	}
 }
 

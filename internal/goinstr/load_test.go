@@ -65,7 +65,7 @@ func TestExportDataMatchesSourceImporter(t *testing.T) {
 		t.Skip("the reference importer type-checks the standard library from source")
 	}
 	dirs := []string{poolDir()}
-	for _, name := range CorpusNames() {
+	for _, name := range corpusNames() {
 		dirs = append(dirs, filepath.Join(corpusRoot(), name))
 	}
 	for _, dir := range dirs {

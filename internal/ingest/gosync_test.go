@@ -28,50 +28,83 @@ func bufferedChanTrace() trace.Trace {
 	}
 }
 
+// chanMill is a deterministic send-heavy workload (the one internal/cli's
+// TestStreamingCommandSmoke feeds vft-race -chancaps): rounds of buffered
+// slot-ring traffic on channel 0 (capacity 2), an unbuffered rendezvous on
+// channel 1, atomics and a once, then a close and a drained zero-value
+// receive. Nothing orders thread 1's read of variable 0 before thread 0's
+// next write, so the pair races once per round, and the planted
+// thread-1/thread-2 pair on variable 9 races once.
+func chanMill(rounds int) trace.Trace {
+	tr := trace.Trace{trace.ForkOp(0, 1), trace.ForkOp(0, 2)}
+	for i := 0; i < rounds; i++ {
+		tr = append(tr,
+			trace.Wr(0, 0), trace.SendOp(0, 0), trace.SendOp(0, 0),
+			trace.RecvOp(1, 0), trace.Rd(1, 0), trace.RecvOp(1, 0),
+			trace.SendOp(0, 1), trace.RecvOp(2, 1),
+			trace.AStore(1, 3), trace.ALoad(2, 3))
+		if i == 0 {
+			tr = append(tr, trace.OnceOp(1, 2), trace.OnceOp(2, 2))
+		}
+		if i == rounds/2 {
+			tr = append(tr, trace.Wr(1, 9), trace.Wr(2, 9))
+		}
+	}
+	return append(tr, trace.CloseOp(0, 0), trace.RecvOp(2, 0), trace.JoinOp(0, 1), trace.JoinOp(0, 2))
+}
+
 // TestServerChanCapParity: the chancap query parameter reaches the
 // validation and lowering stages, and the upload's reports are
 // byte-identical to an offline CheckTrace with the same capacities —
 // the vft-server leg of the v2 acceptance criterion.
 func TestServerChanCapParity(t *testing.T) {
-	tr := bufferedChanTrace()
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, variant := range verifiedft.Variants() {
-		offline, err := verifiedft.CheckTrace(tr,
-			verifiedft.WithVariant(variant),
-			verifiedft.WithChanCapacities(map[verifiedft.LockID]int{0: 2}))
-		if err != nil {
-			t.Fatalf("%s offline: %v", variant, err)
-		}
-		wantJSON, err := json.Marshal(FromCoreAll(offline))
-		if err != nil {
-			t.Fatal(err)
-		}
-		url := fmt.Sprintf("/v1/traces?tenant=chan&variant=%s&chancap=0:2", variant)
-		code, resp, err := uploadRaw(ts, url, bytes.NewReader(encodeBody(t, tr, "binary")))
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("%s upload: %d %v %s", variant, code, err, resp)
-		}
-		got, err := uploadedReports(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, wantJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, buf.Bytes()) {
-			t.Fatalf("%s: upload reports diverge from offline:\n got %s\nwant %s",
-				variant, got, buf.Bytes())
+	for _, in := range []struct {
+		name    string
+		tr      trace.Trace
+		caps    map[verifiedft.LockID]int
+		chancap string
+	}{
+		{"buffered", bufferedChanTrace(), map[verifiedft.LockID]int{0: 2}, "0:2"},
+		{"mill", chanMill(400), map[verifiedft.LockID]int{0: 2, 1: 0}, "0:2,1:0"},
+	} {
+		for _, variant := range verifiedft.Variants() {
+			offline, err := verifiedft.CheckTrace(in.tr,
+				verifiedft.WithVariant(variant), verifiedft.WithChanCapacities(in.caps))
+			if err != nil {
+				t.Fatalf("%s/%s offline: %v", in.name, variant, err)
+			}
+			wantJSON, err := json.Marshal(FromCoreAll(offline))
+			if err != nil {
+				t.Fatal(err)
+			}
+			url := fmt.Sprintf("/v1/traces?tenant=chan&variant=%s&chancap=%s", variant, in.chancap)
+			code, resp, err := uploadRaw(ts, url, bytes.NewReader(encodeBody(t, in.tr, "binary")))
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("%s/%s upload: %d %v %s", in.name, variant, code, err, resp)
+			}
+			got, err := uploadedReports(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := json.Compact(&buf, wantJSON); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, buf.Bytes()) {
+				t.Fatalf("%s/%s: upload reports diverge from offline:\n got %s\nwant %s",
+					in.name, variant, got, buf.Bytes())
+			}
 		}
 	}
 
-	// Without the parameter the same stream is infeasible (the second
+	// Without the parameter the buffered stream is infeasible (the second
 	// send blocks an acting thread): a 400, not a silent mis-check.
 	code, resp, err := uploadRaw(ts, "/v1/traces?tenant=chan",
-		bytes.NewReader(encodeBody(t, tr, "binary")))
+		bytes.NewReader(encodeBody(t, bufferedChanTrace(), "binary")))
 	if err != nil || code != http.StatusBadRequest {
 		t.Fatalf("capacity-less upload: %d %v %s", code, err, resp)
 	}

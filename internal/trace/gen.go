@@ -97,7 +97,7 @@ func (cfg GenConfig) Extensions() *Extensions {
 func Generate(rng *rand.Rand, cfg GenConfig) Trace {
 	g := &generator{rng: rng, cfg: cfg}
 	g.init()
-	for i := 0; i < cfg.Ops; i++ {
+	for g.steps < cfg.Ops {
 		g.step()
 	}
 	g.drain()
@@ -123,7 +123,6 @@ func GenerateSource(rng *rand.Rand, cfg GenConfig) Source {
 type genSource struct {
 	g       *generator
 	head    int
-	steps   int
 	drained bool
 }
 
@@ -138,9 +137,8 @@ func (s *genSource) Next() (Op, error) {
 		g.out = g.out[:0]
 		s.head = 0
 		switch {
-		case s.steps < g.cfg.Ops:
+		case g.steps < g.cfg.Ops:
 			g.step()
-			s.steps++
 		case !s.drained:
 			g.drain()
 			s.drained = true
@@ -151,9 +149,10 @@ func (s *genSource) Next() (Op, error) {
 }
 
 type generator struct {
-	rng *rand.Rand
-	cfg GenConfig
-	out Trace
+	rng   *rand.Rand
+	cfg   GenConfig
+	out   Trace
+	steps int // steps taken so far
 
 	running  []epoch.Tid          // threads currently allowed to act
 	acted    map[epoch.Tid]bool   // constraint (5) bookkeeping
@@ -192,6 +191,7 @@ func (g *generator) emit(op Op) {
 // step emits one or a few operations (an access may come wrapped in an
 // acquire/release pair).
 func (g *generator) step() {
+	g.steps++
 	t := g.running[g.rng.Intn(len(g.running))]
 	w := g.cfg
 	total := w.ReadWeight + w.WriteWeight + w.AcquireWeight + w.ForkWeight + w.JoinWeight +
@@ -359,8 +359,11 @@ func (g *generator) chanFor(c Lock) *genChan {
 // tracking the same state the validator does: a send that cannot complete
 // blocks its thread (removing it from running until a receive pairs with
 // it), which the generator only risks while at least one other thread
-// stays runnable. Sends and receives are weighted over closes; with no
-// feasible action the step degrades to a plain read, like a busy lock.
+// stays runnable. Sends and receives are weighted over closes, and a
+// close is only offered in the last tenth of the steps (the last 30 in a
+// short trace): a closed channel yields nothing but zero-value receives,
+// so an early close would leave the trace with a handful of sends. With
+// no feasible action the step degrades to a plain read, like a busy lock.
 func (g *generator) chanOp(t epoch.Tid) {
 	if g.cfg.Chans == 0 {
 		g.access(t, Read)
@@ -382,7 +385,7 @@ func (g *generator) chanOp(t epoch.Tid) {
 	if st.sends-st.recvs > 0 || len(st.blocked) > 0 || st.closed {
 		moves = append(moves, doRecv, doRecv)
 	}
-	if !st.closed && len(st.blocked) == 0 {
+	if !st.closed && len(st.blocked) == 0 && g.cfg.Ops-g.steps < max(g.cfg.Ops/10, 30) {
 		moves = append(moves, doClose)
 	}
 	if len(moves) == 0 {

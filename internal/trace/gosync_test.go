@@ -315,6 +315,39 @@ func TestGenerateGoSync(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("GenerateSource diverges from Generate on gosync config: %d vs %d ops", len(got), len(want))
 	}
+
+	// The channel mix: sends are a real share of the traffic, and most
+	// receives take a sent value rather than the zero value of a closed
+	// channel.
+	for _, ops := range []int{2_000, 20_000} {
+		cfg.Ops = ops
+		var sends, recvs, zeros, chanOps int
+		for seed := int64(0); seed < 10; seed++ {
+			var chans chanTable
+			for _, op := range Generate(rand.New(rand.NewSource(seed)), cfg) {
+				if op.Kind != ChanSend && op.Kind != ChanRecv && op.Kind != ChanClose {
+					continue
+				}
+				chanOps++
+				s, _ := chans.get(op.M, ext).step(op)
+				switch op.Kind {
+				case ChanSend:
+					sends++
+				case ChanRecv:
+					recvs++
+					if s.what == chanZero {
+						zeros++
+					}
+				}
+			}
+		}
+		t.Logf("%d ops x 10 seeds: %d sends, %d receives (%d zero-value), %d channel ops",
+			ops, sends, recvs, zeros, chanOps)
+		if 10*sends < 3*chanOps || 100*zeros > 35*recvs {
+			t.Errorf("%d ops: %d sends of %d channel ops, %d zero-value of %d receives; want sends >= 30%%, zero-value <= 35%%",
+				ops, sends, chanOps, zeros, recvs)
+		}
+	}
 }
 
 // TestGenConfigRNGParity: the zero values of the appended GenConfig fields

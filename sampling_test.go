@@ -3,6 +3,7 @@ package verifiedft
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -37,29 +38,45 @@ func sameReports(a, b []Report) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestSamplingIdentityAtRateOne is the tentpole acceptance gate: at rate
-// 1.0 the sampling tier is report-identical to the precise tier across
-// the conformance corpus, for every detector variant.
-func TestSamplingIdentityAtRateOne(t *testing.T) {
+// samplingInputs are the traces the identity gates check: every
+// conformance program under two schedules, and a generated trace with no
+// locking and no joins, which has thousands of races to filter.
+func samplingInputs(t *testing.T) map[string]Trace {
+	t.Helper()
+	inputs := map[string]Trace{}
 	for _, prog := range conformance.Programs() {
 		for _, seed := range []uint64{1, 42} {
 			tr, _, err := conformance.RunOne(prog, "pct", seed, nil)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", prog.Name, seed, err)
 			}
-			for _, variant := range Variants() {
-				want, err := CheckTrace(tr, WithVariant(variant))
-				if err != nil {
-					t.Fatalf("%s/%s precise: %v", prog.Name, variant, err)
-				}
-				seq, err := CheckTrace(tr, WithVariant(variant), WithSampling(1))
-				if err != nil {
-					t.Fatalf("%s/%s sampled: %v", prog.Name, variant, err)
-				}
-				if !sameReports(want, seq) {
-					t.Fatalf("%s/%s: rate 1.0 diverged from precise:\nwant %+v\ngot  %+v",
-						prog.Name, variant, want, seq)
-				}
+			inputs[fmt.Sprintf("%s seed %d", prog.Name, seed)] = tr
+		}
+	}
+	cfg := trace.DefaultGenConfig()
+	cfg.Ops, cfg.Threads, cfg.Vars, cfg.Locks = 20_000, 8, 256, 8
+	cfg.LockedFraction, cfg.JoinWeight = 0, 0
+	inputs["generated"] = trace.Generate(rand.New(rand.NewSource(20260808)), cfg)
+	return inputs
+}
+
+// TestSamplingIdentityAtRateOne is the tentpole acceptance gate: at rate
+// 1.0 the sampling tier is report-identical to the precise tier on every
+// sampling input, for every detector variant.
+func TestSamplingIdentityAtRateOne(t *testing.T) {
+	for name, tr := range samplingInputs(t) {
+		for _, variant := range Variants() {
+			want, err := CheckTrace(tr, WithVariant(variant))
+			if err != nil {
+				t.Fatalf("%s/%s precise: %v", name, variant, err)
+			}
+			seq, err := CheckTrace(tr, WithVariant(variant), WithSampling(1))
+			if err != nil {
+				t.Fatalf("%s/%s sampled: %v", name, variant, err)
+			}
+			if !sameReports(want, seq) {
+				t.Fatalf("%s/%s: rate 1.0 diverged from precise:\nwant %+v\ngot  %+v",
+					name, variant, want, seq)
 			}
 		}
 	}
@@ -69,30 +86,24 @@ func TestSamplingIdentityAtRateOne(t *testing.T) {
 // stronger than "no new false positives": the sampled reports are exactly
 // the precise reports restricted to the sampled variables.
 func TestSamplingFilteredIdentity(t *testing.T) {
-	for _, prog := range conformance.Programs() {
-		for _, schedSeed := range []uint64{1, 42} {
-			tr, _, err := conformance.RunOne(prog, "pct", schedSeed, nil)
+	for name, tr := range samplingInputs(t) {
+		for _, variant := range Variants() {
+			precise, err := CheckTrace(tr, WithVariant(variant))
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", prog.Name, schedSeed, err)
+				t.Fatalf("%s/%s precise: %v", name, variant, err)
 			}
-			for _, variant := range Variants() {
-				precise, err := CheckTrace(tr, WithVariant(variant))
-				if err != nil {
-					t.Fatalf("%s/%s precise: %v", prog.Name, variant, err)
-				}
-				for _, rate := range []float64{0, 0.3, 0.7} {
-					for _, seed := range []uint64{1, 7} {
-						pol := sample.Policy{Rate: rate, Seed: seed}
-						want := filterSampled(precise, pol)
-						seq, err := CheckTrace(tr, WithVariant(variant),
-							WithSampling(rate, WithSamplingSeed(seed)))
-						if err != nil {
-							t.Fatalf("%s/%s rate %v: %v", prog.Name, variant, rate, err)
-						}
-						if !sameReports(want, seq) {
-							t.Fatalf("%s/%s rate %v seed %d: sampled != filtered precise:\nwant %+v\ngot  %+v",
-								prog.Name, variant, rate, seed, want, seq)
-						}
+			for _, rate := range []float64{0, 0.3, 0.7} {
+				for _, seed := range []uint64{1, 7} {
+					pol := sample.Policy{Rate: rate, Seed: seed}
+					want := filterSampled(precise, pol)
+					seq, err := CheckTrace(tr, WithVariant(variant),
+						WithSampling(rate, WithSamplingSeed(seed)))
+					if err != nil {
+						t.Fatalf("%s/%s rate %v: %v", name, variant, rate, err)
+					}
+					if !sameReports(want, seq) {
+						t.Fatalf("%s/%s rate %v seed %d: sampled != filtered precise:\nwant %+v\ngot  %+v",
+							name, variant, rate, seed, want, seq)
 					}
 				}
 			}
