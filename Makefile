@@ -18,10 +18,12 @@ vet:
 	$(GO) vet ./...
 
 # Static checks over the Go sources: gofmt and vet always (both ship with
-# the toolchain; any file gofmt would change fails the target), staticcheck
-# when it is on PATH (CI installs it; locally
-# `go install honnef.co/go/tools/cmd/staticcheck@latest`).
+# the toolchain; any file gofmt would change fails the target; vet also
+# runs over the vftmc-tagged files of the interleaving explorer, which
+# nothing else compiles), staticcheck when it is on PATH (CI installs it;
+# locally `go install honnef.co/go/tools/cmd/staticcheck@latest`).
 lint: vet
+	$(GO) vet -tags vftmc ./internal/core ./internal/reduction
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "lint: gofmt would change:"; echo "$$unformatted"; exit 1; \
 	fi

@@ -59,15 +59,15 @@ func (d *FTMutex) Read(t epoch.Tid, x trace.Var) {
 		w0 := sx.loadW()
 
 		// Decide off-lock on the snapshot; then validate+apply.
-		sx.mu.Lock()
+		sx.lock()
 		if sx.loadR() != r0 || sx.loadW() != w0 {
-			sx.mu.Unlock() // interference: retry the whole handler
+			sx.unlock() // interference: retry the whole handler
 			st.countRetry()
 			continue
 		}
 		// The snapshot is validated: run the shared critical section on it.
 		rule := sx.lockedRead(r0, w0, st, e, true, &d.sink, x)
-		sx.mu.Unlock()
+		sx.unlock()
 		st.count(rule)
 		st.countSlowRead()
 		return
@@ -88,14 +88,14 @@ func (d *FTMutex) Write(t epoch.Tid, x trace.Var) {
 		}
 		r0 := sx.loadR()
 
-		sx.mu.Lock()
+		sx.lock()
 		if sx.loadR() != r0 || sx.loadW() != w0 {
-			sx.mu.Unlock()
+			sx.unlock()
 			st.countRetry()
 			continue
 		}
 		rule := sx.lockedWrite(w0, r0, st, e, &d.sink, x)
-		sx.mu.Unlock()
+		sx.unlock()
 		st.count(rule)
 		st.countSlowWrite()
 		return

@@ -30,9 +30,6 @@ func NewPosTracker(d Detector) *PosTracker {
 	return &PosTracker{d: d, firstAt: -1}
 }
 
-// Inner returns the wrapped detector.
-func (p *PosTracker) Inner() Detector { return p.d }
-
 // FirstReportPos returns the event index at which the wrapped detector
 // first reported, or -1 if it has not.
 func (p *PosTracker) FirstReportPos() int { return p.firstAt }

@@ -28,7 +28,8 @@ type V1 struct {
 }
 
 // v1VarState uses plain (non-atomic) fields: the discipline guarantees all
-// accesses happen under mu.
+// accesses happen under mu, so its lock and unlock (mc_off.go) are the
+// only shared actions the interleaving explorer needs to schedule.
 type v1VarState struct {
 	mu sync.Mutex
 	r  epoch.Epoch
@@ -58,7 +59,7 @@ func (d *V1) Read(t epoch.Tid, x trace.Var) {
 	e := st.e
 	sx := d.vars.Get(int(x))
 
-	sx.mu.Lock()
+	sx.lock()
 	rule, upd, race := StepRead(sx.r, sx.w, sx.v.Get(t), e, st.vc.View(), false)
 	d.sink.addRace(race, t, x)
 	switch upd {
@@ -70,7 +71,7 @@ func (d *V1) Read(t epoch.Tid, x trace.Var) {
 	case SetOwn:
 		sx.v = sx.v.Set(t, e)
 	}
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowRead() // v1 has no fast path: every read is a lock round-trip
 }
@@ -81,14 +82,14 @@ func (d *V1) Write(t epoch.Tid, x trace.Var) {
 	e := st.e
 	sx := d.vars.Get(int(x))
 
-	sx.mu.Lock()
+	sx.lock()
 	rule, upd, race, race2 := StepWrite(sx.r, sx.w, e, sx.v, st.vc.View())
 	d.sink.addRace(race, t, x)
 	d.sink.addRace(race2, t, x)
 	if upd == SetW {
 		sx.w = e
 	}
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowWrite()
 }

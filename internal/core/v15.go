@@ -35,17 +35,44 @@ type atomicVarState struct {
 
 func newAtomicVarState(int) *atomicVarState { return &atomicVarState{} }
 
-func (sx *atomicVarState) loadR() epoch.Epoch { return epoch.Epoch(sx.r.Load()) }
-func (sx *atomicVarState) loadW() epoch.Epoch { return epoch.Epoch(sx.w.Load()) }
+// mcAction names one shared action of a VarState. Every handler reaches
+// the fields above only through the accessors below (and lock/unlock,
+// defined per build in mc_off.go and mc_on.go), and each accessor first
+// calls mcStep with its action. In the default build mcStep is empty and
+// inlines away; under the vftmc tag it is a scheduling point of
+// internal/reduction's interleaving explorer.
+type mcAction uint8
+
+const (
+	mcLoadR      mcAction = iota // load of r
+	mcLoadW                      // load of w
+	mcLoadV                      // load of the vector pointer
+	mcReadEntry                  // read of one vector entry
+	mcReadVec                    // read of every vector entry (lockedWrite)
+	mcWriteEntry                 // in-place write of one vector entry
+	mcStoreR                     // store of r
+	mcStoreW                     // store of w
+	mcStoreV                     // store of the vector pointer
+	mcLock                       // mu.Lock
+	mcUnlock                     // mu.Unlock
+)
+
+func (sx *atomicVarState) loadR() epoch.Epoch   { mcStep(mcLoadR, 0); return epoch.Epoch(sx.r.Load()) }
+func (sx *atomicVarState) loadW() epoch.Epoch   { mcStep(mcLoadW, 0); return epoch.Epoch(sx.w.Load()) }
+func (sx *atomicVarState) loadV() *ReadVec      { mcStep(mcLoadV, 0); return sx.v.Load() }
+func (sx *atomicVarState) storeR(e epoch.Epoch) { mcStep(mcStoreR, 0); sx.r.Store(uint64(e)) }
+func (sx *atomicVarState) storeW(e epoch.Epoch) { mcStep(mcStoreW, 0); sx.w.Store(uint64(e)) }
+func (sx *atomicVarState) storeV(v *ReadVec)    { mcStep(mcStoreV, 0); sx.v.Store(v) }
 
 // getShared reads the read-vector entry for thread t. Callers must either
 // hold mu or be thread t itself having observed r == Shared (the v2
 // fast-path case).
 func (sx *atomicVarState) getShared(t epoch.Tid) epoch.Epoch {
-	p := sx.v.Load()
+	p := sx.loadV()
 	if p == nil || int(t) >= len(*p) {
 		return epoch.Min(t)
 	}
+	mcStep(mcReadEntry, t)
 	return (*p)[t]
 }
 
@@ -55,15 +82,16 @@ func (sx *atomicVarState) getShared(t epoch.Tid) epoch.Epoch {
 // fast-path readers that load the new pointer.
 func (sx *atomicVarState) setShared(t epoch.Tid, e epoch.Epoch) {
 	var v ReadVec
-	if p := sx.v.Load(); p != nil {
+	if p := sx.loadV(); p != nil {
 		v = *p
 	}
 	if int(t) < len(v) {
+		mcStep(mcWriteEntry, t)
 		v[t] = e
 		return
 	}
 	grown := v.Set(t, e)
-	sx.v.Store(&grown)
+	sx.storeV(&grown)
 }
 
 // lockedRead is the read handler's critical section for the atomic
@@ -83,11 +111,11 @@ func (sx *atomicVarState) lockedRead(r, w epoch.Epoch, st *ThreadState, e epoch.
 	sink.addRace(race, st.T, x)
 	switch upd {
 	case SetR:
-		sx.r.Store(uint64(e))
+		sx.storeR(e)
 	case Share:
 		sx.setShared(r.Tid(), r)
 		sx.setShared(st.T, e)
-		sx.r.Store(uint64(epoch.Shared))
+		sx.storeR(epoch.Shared)
 	case SetOwn:
 		sx.setShared(st.T, e)
 	}
@@ -102,7 +130,8 @@ func (sx *atomicVarState) lockedRead(r, w epoch.Epoch, st *ThreadState, e epoch.
 func (sx *atomicVarState) lockedWrite(w, r epoch.Epoch, st *ThreadState, e epoch.Epoch, sink *reportSink, x trace.Var) spec.Rule {
 	var v ReadVec
 	if r.IsShared() {
-		if p := sx.v.Load(); p != nil {
+		if p := sx.loadV(); p != nil {
+			mcStep(mcReadVec, 0)
 			v = *p
 		}
 	}
@@ -110,7 +139,7 @@ func (sx *atomicVarState) lockedWrite(w, r epoch.Epoch, st *ThreadState, e epoch
 	sink.addRace(race, st.T, x)
 	sink.addRace(race2, st.T, x)
 	if upd == SetW {
-		sx.w.Store(uint64(e))
+		sx.storeW(e)
 	}
 	return rule
 }
@@ -147,9 +176,9 @@ func (d *V15) Read(t epoch.Tid, x trace.Var) {
 		st.count(spec.ReadSameEpoch)
 		return
 	}
-	sx.mu.Lock()
+	sx.lock()
 	rule := sx.lockedRead(sx.loadR(), sx.loadW(), st, e, false, &d.sink, x)
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowRead()
 }
@@ -166,9 +195,9 @@ func (d *V15) Write(t epoch.Tid, x trace.Var) {
 		st.count(spec.WriteSameEpoch)
 		return
 	}
-	sx.mu.Lock()
+	sx.lock()
 	rule := sx.lockedWrite(sx.loadW(), sx.loadR(), st, e, &d.sink, x)
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowWrite()
 }

@@ -56,9 +56,9 @@ func (d *V2) Read(t epoch.Tid, x trace.Var) {
 		return
 	}
 	// }
-	sx.mu.Lock()
+	sx.lock()
 	rule := sx.lockedRead(sx.loadR(), sx.loadW(), st, e, false, &d.sink, x)
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowRead() // pure-block miss: the access paid for the lock
 }
@@ -74,9 +74,9 @@ func (d *V2) Write(t epoch.Tid, x trace.Var) {
 		st.count(spec.WriteSameEpoch) // [Write Same Epoch]
 		return
 	}
-	sx.mu.Lock()
+	sx.lock()
 	rule := sx.lockedWrite(sx.loadW(), sx.loadR(), st, e, &d.sink, x)
-	sx.mu.Unlock()
+	sx.unlock()
 	st.count(rule)
 	st.countSlowWrite()
 }

@@ -59,10 +59,9 @@ func RdWr[T any](g *G, site string, p *T) *T {
 	return p
 }
 
-// RdAddr and WrAddr are the statement-level fallback for l-value shapes
-// the rewriter does not model precisely: it prepends a whole-object
-// access through any pointer. p must be a pointer.
-func RdAddr(g *G, site string, p any) { read(g, site, addrOf(p)) }
+// WrAddr is the statement-level fallback for l-value shapes the rewriter
+// does not model precisely: it prepends a whole-object write through any
+// pointer. p must be a pointer.
 func WrAddr(g *G, site string, p any) { write(g, site, addrOf(p)) }
 
 // Map accesses: map elements are not addressable, so the map header

@@ -279,9 +279,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the registry the service's instruments live in.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops admitting uploads (new POSTs get 503 + Retry-After) and
 // waits until every already-admitted upload has completed, or ctx
 // expires. Read endpoints keep serving throughout, so a supervisor can

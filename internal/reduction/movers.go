@@ -10,18 +10,23 @@
 //     of the Fig. 2 analysis rules.
 //
 // Re-implementing a Boogie-based deductive verifier is out of scope;
-// instead this package checks the same two theorems executably:
+// instead this package checks the same two theorems executably, on the
+// handlers that ship rather than on a transcription of them:
 //
-//   - movers.go/pattern.go: the handlers are modeled as straight-line path
-//     programs over labeled primitive actions whose mover classification is
-//     *derived from the synchronization discipline* (e.g. "read of sx.W
-//     while holding sx" ⇒ both-mover, "unlocked read of sx.W" ⇒ non-mover),
-//     and every path is checked against the reduction pattern;
-//   - modelcheck.go: an exhaustive interleaving model checker runs pairs of
-//     handler invocations as atomic micro-steps over a small shadow state
-//     and verifies that every interleaving's final state and return values
-//     equal those of some serial order (serializability), and that the
-//     serial semantics matches the Fig. 2 specification.
+//   - explore.go (built with the vftmc tag, which turns every shared
+//     action of a core VarState into a scheduling point) runs every
+//     interleaving of two and three real core Read/Write calls over a
+//     small shadow state, and checks that each interleaving's final state
+//     and rules equal those of some serial order (serializability), and
+//     that the serial semantics matches the Fig. 2 specification;
+//   - movers.go/pattern.go: each action sequence the explorer recorded is
+//     labelled by a mover classification *derived from the
+//     synchronization discipline* (e.g. "read of sx.W while holding sx" ⇒
+//     both-mover, "unlocked read of sx.W" ⇒ non-mover) and checked
+//     against the reduction pattern.
+//
+// Run it with `go test -tags vftmc ./internal/reduction`; the untagged
+// test suite runs that command as a child process.
 package reduction
 
 import "fmt"

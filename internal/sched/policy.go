@@ -155,6 +155,51 @@ func (p *RandomWalk) Pick(_ uint64, runnable []int) int {
 	return runnable[p.rng.Intn(len(runnable))]
 }
 
+// Exhaustive is one run of a depth-first search over schedules: it replays
+// Prefix, a thread id per scheduling step, then picks the first runnable
+// thread at every later step, and records each step's runnable set and
+// pick. Next turns the record into the prefix of the following run.
+type Exhaustive struct {
+	Prefix   []int
+	Runnable [][]int
+	Picks    []int
+}
+
+// Name implements Policy.
+func (p *Exhaustive) Name() string { return "exhaustive" }
+
+// Register implements Policy (no per-thread state).
+func (p *Exhaustive) Register(int) {}
+
+// Pick implements Policy. It counts steps itself, so a caller may filter
+// the runnable set and skip steps it forces.
+func (p *Exhaustive) Pick(_ uint64, runnable []int) int {
+	i := len(p.Picks)
+	pick := runnable[0]
+	if i < len(p.Prefix) {
+		pick = p.Prefix[i]
+	}
+	p.Runnable = append(p.Runnable, append([]int(nil), runnable...))
+	p.Picks = append(p.Picks, pick)
+	return pick
+}
+
+// Next returns the prefix that replays the recorded run up to its deepest
+// step below limit with an untried runnable thread, and takes that
+// thread. It returns false when every such step is exhausted, which ends
+// the search.
+func (p *Exhaustive) Next(limit int) ([]int, bool) {
+	for i := min(limit, len(p.Picks)) - 1; i >= 0; i-- {
+		rs := p.Runnable[i]
+		for j, t := range rs[:len(rs)-1] {
+			if t == p.Picks[i] {
+				return append(p.Picks[:i:i], rs[j+1]), true
+			}
+		}
+	}
+	return nil, false
+}
+
 // SplitMix64 derives a well-mixed 64-bit value from x — the standard
 // splitmix64 finalizer. conformance.ScheduleSeed uses it to derive
 // independent schedule seeds from (base seed, schedule index) so printed

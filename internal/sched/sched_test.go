@@ -166,6 +166,57 @@ func TestPCTVariesOrder(t *testing.T) {
 	}
 }
 
+// yieldPair runs two threads that each log k labels, yielding between
+// them, under p, and returns the linearization.
+func yieldPair(p Policy, k int) string {
+	s := New(p)
+	var order []byte
+	s.RegisterMain(0)
+	done := make(chan struct{}, 2)
+	for _, id := range []int{1, 2} {
+		s.Fork(0, id)
+		go func() {
+			defer func() { done <- struct{}{} }()
+			defer s.Exit(id)
+			s.Started(id)
+			for j := 0; j < k; j++ {
+				if j > 0 {
+					s.Yield(id)
+				}
+				order = append(order, byte('0'+id))
+			}
+		}()
+	}
+	s.Exit(0)
+	s.Wait()
+	<-done
+	<-done
+	return string(order)
+}
+
+// TestExhaustiveEnumeratesInterleavings: a depth-first search with no
+// pruning visits every interleaving of two k-step threads exactly once —
+// C(2k, k) runs, all distinct — and replaying a prefix reproduces its run.
+func TestExhaustiveEnumeratesInterleavings(t *testing.T) {
+	const k = 4
+	const want = 70 // C(8, 4)
+	seen := map[string]bool{}
+	runs := 0
+	var prefix []int
+	for more := true; more; runs++ {
+		p := &Exhaustive{Prefix: prefix}
+		lin := yieldPair(p, k)
+		seen[lin] = true
+		if again := yieldPair(&Exhaustive{Prefix: p.Picks}, k); again != lin {
+			t.Fatalf("replaying %v gave %s, then %s", p.Picks, lin, again)
+		}
+		prefix, more = p.Next(len(p.Picks))
+	}
+	if runs != want || len(seen) != want {
+		t.Fatalf("%d runs, %d distinct linearizations; want %d of each", runs, len(seen), want)
+	}
+}
+
 // TestPolicyErrors: unknown policy names must fail construction.
 func TestPolicyErrors(t *testing.T) {
 	if _, err := NewPolicy("does-not-exist", 1); err == nil {

@@ -79,8 +79,7 @@ type Option interface{ applyNew(*settings) }
 type CheckOption interface{ applyCheck(*settings) }
 
 // CommonOption is an option accepted by both New and CheckTrace
-// (WithMaxReportsPerVar, WithMetrics, WithThreads, WithVars, WithLocks,
-// WithConfig).
+// (WithMaxReportsPerVar, WithMetrics, WithThreads, WithVars, WithLocks).
 type CommonOption interface {
 	Option
 	CheckOption
@@ -226,14 +225,6 @@ func WithVars(n int) CommonOption {
 // WithLocks hints the lock shadow-table size.
 func WithLocks(n int) CommonOption {
 	return commonOption(func(s *settings) { s.cfg.Locks = n })
-}
-
-// WithConfig replaces the whole shadow-table configuration at once; later
-// WithThreads/WithVars/WithLocks/WithMaxReportsPerVar options still apply
-// on top. For CheckTrace it also overrides the automatic pre-sizing
-// prescan.
-func WithConfig(cfg Config) CommonOption {
-	return commonOption(func(s *settings) { s.cfg = cfg })
 }
 
 // Unwrap returns the detector underneath the latency sampler WithMetrics

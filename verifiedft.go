@@ -313,7 +313,7 @@ func CheckReader(r io.Reader, opts ...CheckOption) ([]Report, error) {
 // identical reports whichever entry point sees them. Because the trace is
 // materialized, CheckTrace first runs a cheap O(n) id-space prescan and
 // pre-sizes the shadow tables so they never grow mid-run; explicit
-// WithThreads/WithVars/WithLocks/WithConfig options override the prescan.
+// WithThreads/WithVars/WithLocks options override the prescan.
 func CheckTrace(tr Trace, opts ...CheckOption) ([]Report, error) {
 	sized := make([]CheckOption, 0, len(opts)+1)
 	sized = append(sized, withIDSpace(trace.Scan(tr), len(tr)))
@@ -345,7 +345,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.7.0 removes the vft-fuzz,
-// vft-run and vft-stats commands: their gates run from go test, vft-race
-// -all -oracle and vft-bench's rule-mix footer.
-const Version = "2.7.0"
+// Version identifies this implementation. 2.8.0 removes WithConfig:
+// WithThreads, WithVars, WithLocks and WithMaxReportsPerVar set the same
+// fields one at a time.
+const Version = "2.8.0"
