@@ -50,13 +50,15 @@ bench-sampling:
 # The clock-kernel micro-benchmarks run a hundred iterations each, vft-go's
 # load and streamed-check benchmarks, the offline machine-beside-core.V2
 # comparison and the bytes-to-verdict offline path beside the pull pipeline
-# it replaced three, so they cannot rot.
+# it replaced three, so they cannot rot; so does the server's upload path,
+# with -benchmem, so its allocations per upload print on every run.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|CheckStream' -benchtime 3x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
+	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
 
 # The differential fuzzers: generated core and Go-sync traces through the
 # sequential check and 20,000 controlled schedules each (it logs the

@@ -13,11 +13,13 @@ import (
 )
 
 // BenchmarkIngestThroughput measures the full ingestion path at the
-// handler level — admission, decode, validate, lower, sharded check,
-// depot commit, JSON response — for one ~10k-operation binary upload per
-// iteration. Custom metrics: streams/sec (upload completions per wall
-// second) and p99-ms (99th-percentile upload latency). EXPERIMENTS.md
-// E18 records the committed numbers.
+// handler level — admission, decode, validate, lower and check in one
+// pass, depot commit, JSON response — for one ~10k-operation binary upload
+// per iteration. Custom metrics: streams/sec (upload completions per wall
+// second) and p99-ms (99th-percentile upload latency); allocations per
+// upload are reported too, since the checker a warm server recycles
+// should leave few. EXPERIMENTS.md E18 and E30 record the committed
+// numbers.
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 10_000
@@ -33,6 +35,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	s := New(Config{MaxInFlight: 64, UploadRetention: 1})
 	lat := make([]time.Duration, 0, b.N)
 	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {

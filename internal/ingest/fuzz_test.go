@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,10 +22,24 @@ import (
 //   - every response is well-formed JSON with a JSON Content-Type;
 //   - every non-200 response carries an "error" string;
 //   - the status code is one the API documents;
-//   - one upload allocates at most 64 MiB, whatever ids its ops name.
+//   - one upload allocates at most 64 MiB, whatever ids its ops name;
+//   - the body posted again after a hostile upload gets the same reply,
+//     but for its upload id: the checker a request recycles carries
+//     nothing from the request before.
 //
 // Limits are set small so coverage-guided exploration spends its budget
 // on the decode/validate/check error surface rather than on big uploads.
+// hostileUpload names huge thread, variable, lock and Go-sync object ids
+// beside a variable three threads share and race on.
+var hostileUpload = []byte("fork 0 300\nfork 0 3\nwr 300 2000000000\nwr 0 2000000000\n" +
+	"rd 300 7\nrd 3 7\nrd 0 7\nacq 3 16000000\nwr 3 7\nrel 3 16000000\n" +
+	"send 0 1073741824\nrecv 300 1073741824\naload 3 1073741824\nonce 300 536870912\n" +
+	"join 0 300\njoin 0 3\n")
+
+// uploadID matches the one field two replies to the same body may differ
+// in.
+var uploadID = regexp.MustCompile(`"upload": [0-9]+`)
+
 func FuzzIngestHTTP(f *testing.F) {
 	// Seeds: one per wire encoding the decoder sniffs, plus truncated,
 	// garbage and empty bodies and hostile parameter values.
@@ -99,11 +114,14 @@ func FuzzIngestHTTP(f *testing.F) {
 		if sampleRate != "" {
 			q.Set("sample", sampleRate)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/traces?"+q.Encode(), bytes.NewReader(body))
-		rec := httptest.NewRecorder()
+		serve := func(query string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces?"+query, bytes.NewReader(body)))
+			return rec
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s.Handler().ServeHTTP(rec, req) // must not panic
+		rec := serve(q.Encode(), body) // must not panic
 		runtime.ReadMemStats(&after)
 		if delta := after.TotalAlloc - before.TotalAlloc; delta > 64<<20 {
 			t.Fatalf("upload allocated %d MiB (budget 64) for variant=%q sample=%q body=%q",
@@ -134,6 +152,14 @@ func FuzzIngestHTTP(f *testing.F) {
 			if int(m["races"].(float64)) != len(m["reports"].([]any)) {
 				t.Fatalf("races=%v but %d reports", m["races"], len(m["reports"].([]any)))
 			}
+		}
+
+		if hostile := serve("tenant=hostile", hostileUpload); hostile.Code != http.StatusOK {
+			t.Fatalf("hostile upload: %d %s", hostile.Code, hostile.Body.Bytes())
+		}
+		again := serve(q.Encode(), body)
+		if again.Code != rec.Code || !bytes.Equal(uploadID.ReplaceAll(again.Body.Bytes(), nil), uploadID.ReplaceAll(rec.Body.Bytes(), nil)) {
+			t.Fatalf("after a hostile upload the same body got %d %s, first %d %s", again.Code, again.Body.Bytes(), rec.Code, rec.Body.Bytes())
 		}
 	})
 }

@@ -38,9 +38,11 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	httppprof "net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -214,6 +216,7 @@ type Server struct {
 	cRejQuota, cRejInvalid, cRejLarge       *obs.Counter
 	cBytes, cOps, cReports                  *obs.Counter
 	cDeduped, cQuotaDropped, cPerVarDropped *obs.Counter
+	cPanics                                 *obs.Counter
 	gInflight, gQueue, gTenants             *obs.Gauge
 	hLatency, hUploadOps                    *obs.Histogram
 }
@@ -244,6 +247,7 @@ func New(cfg Config) *Server {
 		cDeduped:       reg.Counter("ingest.reports.deduped"),
 		cQuotaDropped:  reg.Counter("ingest.reports.quota_dropped"),
 		cPerVarDropped: reg.Counter("ingest.reports.per_var_dropped"),
+		cPanics:        reg.Counter("ingest.panics"),
 		gInflight:      reg.Gauge("ingest.inflight"),
 		gQueue:         reg.Gauge("ingest.queue.depth"),
 		gTenants:       reg.Gauge("ingest.tenants"),
@@ -504,6 +508,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	ten.bytes += body.n
 	ten.mu.Unlock()
 	if herr != nil {
+		if errors.Is(herr, errCheckPanic) {
+			s.writeError(w, http.StatusInternalServerError, "%v", herr)
+			return
+		}
 		if body.over {
 			s.cRejLarge.Inc(slot)
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -615,13 +623,25 @@ func (s *Server) resolveSampling(q map[string][]string, tenant string, spelled *
 	return pol, err
 }
 
+// errCheckPanic marks a panic in one upload's check, recovered so that it
+// fails that upload alone (500), not the process and every tenant's state.
+var errCheckPanic = errors.New("internal error checking the upload")
+
 // check runs one stream through decode → limit → parcheck (validation,
 // lowering and renumbering in one pass) and returns the upload result
 // (Tenant/Upload/Bytes unset).
 // A non-nil pol checks the upload through the sampling tier; the
 // decisions are a pure function of (seed, variable id), so the reports
 // are exactly what an offline sampled check of the same bytes returns.
-func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, pol *sample.Policy) (*UploadResult, error) {
+// A panic becomes errCheckPanic, counted in ingest.panics, stack logged.
+func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, pol *sample.Policy) (res *UploadResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.cPanics.Inc(0)
+			log.Printf("ingest: panic checking an upload: %v\n%s", v, debug.Stack())
+			res, err = nil, fmt.Errorf("%w: %v", errCheckPanic, v)
+		}
+	}()
 	dec, err := trace.NewDecoder(body)
 	if err != nil {
 		return nil, err
@@ -637,7 +657,7 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	if err != nil {
 		return nil, err
 	}
-	res := &UploadResult{
+	res = &UploadResult{
 		Variant: variant,
 		Ops:     counted.N,
 		Races:   len(reports),

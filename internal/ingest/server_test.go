@@ -7,8 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -290,6 +294,60 @@ func TestServerSaturation(t *testing.T) {
 	}
 	if snap.Counters["ingest.rejected.saturated"] != 1 {
 		t.Fatalf("ingest.rejected.saturated = %d, want 1", snap.Counters["ingest.rejected.saturated"])
+	}
+}
+
+// panicReader returns the first n bytes of r and then panics, as a bug in
+// the check path would, partway through an upload.
+type panicReader struct {
+	r io.Reader
+	n int
+}
+
+func (p *panicReader) Read(b []byte) (int, error) {
+	if p.n <= 0 {
+		panic("reader broke mid-stream")
+	}
+	n, err := p.r.Read(b[:min(len(b), p.n)])
+	p.n -= n
+	return n, err
+}
+
+// TestServerRecoversCheckPanic: a panic inside one upload's check fails
+// that upload alone — a JSON 500, ingest.panics counted, the stack in the
+// log, the in-flight slot released — and the next upload's reply is what
+// a fresh server gives, but for its upload id.
+func TestServerRecoversCheckPanic(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	cfg := trace.GoSyncGenConfig()
+	cfg.Ops = 5000
+	big := encodeBody(t, trace.Generate(rand.New(rand.NewSource(1)), cfg), "binary")
+	s := New(Config{MaxInFlight: 1})
+	code, _, m := post(t, s, "/v1/traces?tenant=p&chancap=1:1,2:2", &panicReader{r: bytes.NewReader(big), n: len(big) / 2})
+	wantError(t, code, m, http.StatusInternalServerError)
+	snap := s.Registry().Snapshot()
+	if snap.Counters["ingest.panics"] != 1 || snap.Gauges["ingest.inflight"] != 0 {
+		t.Fatalf("ingest.panics = %d, ingest.inflight = %d; want 1 and 0",
+			snap.Counters["ingest.panics"], snap.Gauges["ingest.inflight"])
+	}
+	if !strings.Contains(logged.String(), "reader broke mid-stream") || !strings.Contains(logged.String(), "panicReader") {
+		t.Fatalf("the log lacks the panic and its stack:\n%s", logged.String())
+	}
+
+	body := encodeBody(t, racyTrace(), "binary")
+	reply := func(s *Server) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces?tenant=p", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		return regexp.MustCompile(`"upload": [0-9]+`).ReplaceAll(rec.Body.Bytes(), nil)
+	}
+	if got, want := reply(s), reply(New(Config{})); !bytes.Equal(got, want) {
+		t.Fatalf("after the panic:\n%s\na fresh server:\n%s", got, want)
 	}
 }
 

@@ -50,7 +50,9 @@ func encodeRecords(t testing.TB, tr trace.Trace) []byte {
 // every one of them: the same reports, the same error (text and
 // position), and the same Counter — N and Err — so a caller can still
 // tell a decode error from a check error. knobs picks an operation budget
-// (trace.Limit, as vft-server sets one) and a report cap.
+// (trace.Limit, as vft-server sets one) and a report cap. The feed runs
+// on a fresh state and again on one the hostile Go-sync trace has
+// dirtied, and the two must agree.
 func FuzzFeedMatchesPulled(f *testing.F) {
 	cfg := trace.GoSyncGenConfig()
 	cfg.Ops = 120
@@ -80,14 +82,17 @@ func FuzzFeedMatchesPulled(f *testing.F) {
 		data := append([]byte("VFTb\x02"), records...)
 		limit := []int{0, 1, 7, 64}[knobs&3]
 		opts := Options{MaxReportsPerVar: int(knobs>>2) % 3}
-		want, wc, werr := pulled(data, ext, limit, opts)
-		got, gc, gerr := fused(t, data, ext, limit, opts)
-		if !reflect.DeepEqual(got, want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("feed: %v, %v\npulled: %v, %v", got, gerr, want, werr)
+		var want, got, again outcome
+		onState(new(checkState), func() { want = checkBytes(t, data, ext, limit, opts, true) })
+		onState(new(checkState), func() { got = checkBytes(t, data, ext, limit, opts, false) })
+		if !reflect.DeepEqual(got.reports, want.reports) || got.err != want.err {
+			t.Fatalf("feed: %v, %v\npulled: %v, %v", got.reports, got.err, want.reports, want.err)
 		}
-		if gc.N != wc.N || fmt.Sprint(gc.Err) != fmt.Sprint(wc.Err) {
-			t.Fatalf("feed's Counter N=%d Err=%v, pulled's N=%d Err=%v", gc.N, gc.Err, wc.N, wc.Err)
+		if got.n != want.n || got.counterErr != want.counterErr {
+			t.Fatalf("feed's Counter N=%d Err=%v, pulled's N=%d Err=%v", got.n, got.counterErr, want.n, want.counterErr)
 		}
+		onState(dirtied(t), func() { again = checkBytes(t, data, ext, limit, opts, false) })
+		requireSameOutcome(t, "feed", got, again)
 	})
 }
 

@@ -38,14 +38,15 @@ type frontStage struct {
 	sampler *sample.Policy // nil: every access is admitted
 	det     core.Detector  // receives what the stage admits, under compact ids
 
+	// Every idMap entry a check sets is listed below, for reset.
 	tids, vars, locks idMap
-	origT             []epoch.Tid // compact tid -> raw
-	origX             []trace.Var // compact variable -> raw
-	nLocks            uint32
+	origT             []epoch.Tid  // compact tid -> raw
+	origX             []trace.Var  // compact variable -> raw
+	origM             []trace.Lock // compact lock -> lowered
+	rejected          []trace.Var  // variables the sampler rejected
 
 	accesses, syncs                   uint64 // ops handed to the detector
 	suppressedReads, suppressedWrites uint64
-	suppressedVars                    uint64
 }
 
 // idMap values: unseen, a variable the sampler rejected, or a compact id
@@ -92,7 +93,7 @@ func (f *frontStage) newVar(x trace.Var) uint32 {
 		v = uint32(len(f.origX)) + firstID
 		f.origX = append(f.origX, x)
 	} else {
-		f.suppressedVars++
+		f.rejected = append(f.rejected, x)
 	}
 	f.vars.set(uint32(x), v)
 	return v
@@ -160,8 +161,8 @@ func (f *frontStage) tid(t epoch.Tid) epoch.Tid {
 
 // newLock numbers a lowered lock at its first use.
 func (f *frontStage) newLock(m trace.Lock) uint32 {
-	v := f.nLocks + firstID
-	f.nLocks++
+	v := uint32(len(f.origM)) + firstID
+	f.origM = append(f.origM, m)
 	f.locks.set(uint32(m), v)
 	return v
 }
@@ -185,8 +186,19 @@ func (f *frontStage) addStats(s obs.Snapshot) {
 	s.Counters["ops.sync"] = f.syncs
 	if f.sampler != nil {
 		core.AddSamplingStats(s, *f.sampler, f.suppressedReads, f.suppressedWrites,
-			uint64(len(f.origX)), f.suppressedVars)
+			uint64(len(f.origX)), uint64(len(f.rejected)))
 	}
+}
+
+// reset empties the stage for the next check and returns how many idMap
+// entries it cleared: the ones the last check set, never more.
+func (f *frontStage) reset() int {
+	n := forget(&f.tids, f.origT) + forget(&f.vars, f.origX) + forget(&f.vars, f.rejected) + forget(&f.locks, f.origM)
+	*f = frontStage{
+		tids: f.tids, vars: f.vars, locks: f.locks,
+		origT: f.origT[:0], origX: f.origX[:0], origM: f.origM[:0], rejected: f.rejected[:0],
+	}
+	return n
 }
 
 // idMap maps raw ids to uint32 values, zero meaning absent. Ids below
@@ -220,6 +232,20 @@ func (m *idMap) get(id uint32) uint32 {
 		return 0
 	}
 	return m.sparse[id]
+}
+
+// forget clears ids' dense entries and drops the spill map, returning how
+// many dense entries it cleared.
+func forget[ID epoch.Tid | trace.Var | trace.Lock](m *idMap, ids []ID) int {
+	n := 0
+	for _, id := range ids {
+		if uint32(id) < uint32(len(m.dense)) {
+			m.dense[id] = unseen
+			n++
+		}
+	}
+	m.sparse = nil
+	return n
 }
 
 func (m *idMap) set(id, v uint32) {

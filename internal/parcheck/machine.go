@@ -1,6 +1,8 @@
 package parcheck
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/obs"
@@ -38,7 +40,7 @@ type machine struct {
 	// One caller, so one tally rather than one per thread.
 	rules                            [spec.NumRules]uint64
 	slowReads, slowWrites            uint64
-	threadGrows, lockGrows, varGrows uint64 // reallocations past the hints
+	threadGrows, lockGrows, varGrows uint64 // reallocations past the hints and the recycled capacity
 }
 
 // threadState is St: the thread's clock and its cached epoch E_t, which
@@ -49,22 +51,43 @@ type threadState struct {
 }
 
 // varState is Sx by value. The zero value is the initial state, r = w =
-// 0@0 and no read vector, as core's detectors initialize.
+// 0@0 and no read vector (or an empty one), as core's detectors initialize.
 type varState struct {
 	r, w epoch.Epoch
-	v    core.ReadVec // allocated by the Share transition
+	v    core.ReadVec // filled by the Share transition
 }
 
-// newMachine returns an empty machine. The hints are counts of distinct
-// threads, locks and variables; they reserve slice capacity and nothing
-// else, so a zero hint allocates nothing up front.
-func newMachine(cfg core.Config) *machine {
-	return &machine{
-		threads:   make([]threadState, 0, cfg.Threads),
-		locks:     make([]*vc.VC, 0, cfg.Locks),
-		vars:      make([]varState, 0, cfg.Vars),
+// reset empties the machine for a check under cfg: it truncates the tables,
+// keeping the clocks and read vectors past their length for the entries the
+// check names. The hints reserve capacity and nothing else.
+func (m *machine) reset(cfg core.Config) {
+	*m = machine{
+		threads:   slices.Grow(m.threads[:0], cfg.Threads),
+		locks:     slices.Grow(m.locks[:0], cfg.Locks),
+		vars:      slices.Grow(m.vars[:0], cfg.Vars),
+		reports:   m.reports[:0],
 		maxPerVar: cfg.MaxReportsPerVar,
 	}
+}
+
+// extend lengthens s to n entries, counting a reallocation in grows; the
+// entries it exposes hold what an earlier check left, for the caller to renew.
+func extend[E any](s []E, n int, grows *uint64) []E {
+	if n > cap(s) {
+		*grows++
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
+}
+
+// recycle returns c emptied to ⊥V, with zeroed Metrics and its array kept,
+// or a new clock where there is none to recycle.
+func recycle(c *vc.VC) *vc.VC {
+	if c == nil {
+		return vc.New()
+	}
+	*c = *vc.FromSnapshot(c.View()[:0])
+	return c
 }
 
 func (m *machine) Name() string { return "vft-v2" }
@@ -79,39 +102,57 @@ func (m *machine) thread(t epoch.Tid) *threadState {
 
 // growThreads extends the table to n threads, each starting at t@1.
 func (m *machine) growThreads(n int) {
-	if n > cap(m.threads) {
-		m.threadGrows++
-	}
-	for t := len(m.threads); t < n; t++ {
-		c := vc.New()
+	old := len(m.threads)
+	m.threads = extend(m.threads, n, &m.threadGrows)
+	for t := old; t < n; t++ {
+		c := recycle(m.threads[t].vc)
 		c.Inc(epoch.Tid(t))
-		m.threads = append(m.threads, threadState{e: c.Get(epoch.Tid(t)), vc: c})
+		m.threads[t] = threadState{e: c.Get(epoch.Tid(t)), vc: c}
 	}
 }
 
 func (m *machine) lock(l trace.Lock) *vc.VC {
 	if int(l) >= len(m.locks) {
-		if int(l) >= cap(m.locks) {
-			m.lockGrows++
-		}
-		for len(m.locks) <= int(l) {
-			m.locks = append(m.locks, vc.New())
-		}
+		m.growLocks(int(l) + 1)
 	}
 	return m.locks[l]
+}
+
+func (m *machine) growLocks(n int) {
+	old := len(m.locks)
+	m.locks = extend(m.locks, n, &m.lockGrows)
+	for i := old; i < n; i++ {
+		m.locks[i] = recycle(m.locks[i])
+	}
 }
 
 // variable returns Sx, valid until the next call of variable.
 func (m *machine) variable(x trace.Var) *varState {
 	if int(x) >= len(m.vars) {
-		if int(x) >= cap(m.vars) {
-			m.varGrows++
-		}
-		for len(m.vars) <= int(x) {
-			m.vars = append(m.vars, varState{})
-		}
+		m.growVars(int(x) + 1)
 	}
 	return &m.vars[x]
+}
+
+func (m *machine) growVars(n int) {
+	old := len(m.vars)
+	m.vars = extend(m.vars, n, &m.varGrows)
+	for i := old; i < n; i++ {
+		m.vars[i] = varState{v: m.vars[i].v[:0]}
+	}
+}
+
+// setVec is ReadVec.Set, except that growth first extends into the
+// vector's spare capacity, which a variable slot keeps from an earlier
+// check. The new length is Set's either way, so shadow.bytes does not
+// depend on the slot's history.
+func setVec(v core.ReadVec, t epoch.Tid, e epoch.Epoch) core.ReadVec {
+	if n := max(2*len(v), int(t)+1); int(t) >= len(v) && n <= cap(v) {
+		old := len(v)
+		v = v[:n]
+		epoch.FillMin(v, 0, old)
+	}
+	return v.Set(t, e)
 }
 
 // Read handles rd(t,x): Fig. 4's pure block, then the kernel.
@@ -137,10 +178,10 @@ func (m *machine) Read(t epoch.Tid, x trace.Var) {
 	case core.SetR:
 		sx.r = e
 	case core.Share:
-		sx.v = sx.v.Set(sx.r.Tid(), sx.r).Set(t, e)
+		sx.v = setVec(setVec(sx.v, sx.r.Tid(), sx.r), t, e)
 		sx.r = epoch.Shared
 	case core.SetOwn:
-		sx.v = sx.v.Set(t, e)
+		sx.v = setVec(sx.v, t, e)
 	}
 }
 

@@ -122,7 +122,7 @@ func stripedTrace(threads, stripes, rounds int) trace.Trace {
 // grows by slice doubling and appends a Report on a race, and that is all.
 func TestMachineSteadyStateDoesNotAllocate(t *testing.T) {
 	tr := stripedTrace(32, 16, 50)
-	m := newMachine(core.Config{})
+	m := &machine{}
 	replay := func() {
 		for _, op := range tr {
 			core.Dispatch(m, op)

@@ -7,14 +7,15 @@
 // Go-sync or §7 kind (trace.Lowerer; the six core kinds pass) and hands it
 // to the front stage (sampling on raw variable ids, then first-touch
 // compaction of thread, variable and lock ids; see frontStage), which
-// calls the matching handler of a fresh detector for what it admits, all
+// calls the matching handler of an empty detector for what it admits, all
 // on the calling goroutine; Check does the same for a stream already
 // validated and lowered. For vft-v2 —
 // the default, and what every product path runs — the detector is this
 // package's machine: core.V2's state and rules without the
 // synchronization that only concurrent callers need (see machine). The
 // other six variants are core's own detectors. The reports are the
-// detector's, mapped back onto the trace's ids.
+// detector's, mapped back onto the trace's ids. The machine, the front
+// stage and the batch buffer are recycled between checks (see checkState).
 //
 // There is no parallel checker behind the name (EXPERIMENTS.md E17 has the
 // verdict on the one there was): the package name and Options.Workers are
@@ -24,6 +25,7 @@ package parcheck
 
 import (
 	"io"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -89,22 +91,21 @@ const batchSize = 512
 // infeasible op ends the check with the validator's positioned error; on
 // any error all reports are discarded.
 func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return run(opts, func(front *frontStage) error {
+	return run(opts, func(st *checkState) error {
 		v := trace.NewValidator()
 		v.Ext = ext
 		v.MaxTid = core.MaxTid(opts.Variant)
-		fd := &feed{v: v, low: trace.NewParityLowerer(ext), front: front}
-		buf := make([]trace.Op, batchSize)
+		fd := &feed{v: v, low: trace.NewParityLowerer(ext), front: &st.front}
 		for {
-			n, err := trace.NextBatch(src, buf)
+			n, err := trace.NextBatch(src, st.buf[:])
 			if err == io.EOF {
-				front.origT = v.Threads()
+				st.front.origT = append(st.front.origT, v.Threads()...)
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if i, err := fd.check(buf[:n]); err != nil {
+			if i, err := fd.check(st.buf[:n]); err != nil {
 				trace.Unread(src, n-i-1) // the ops after the refused one were never consumed
 				return err
 			}
@@ -190,7 +191,7 @@ func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Rep
 // Check is CheckSource for a stream that is already validated and lowered
 // to the core language (an extended op in it is an error).
 func Check(src trace.Source, opts Options) ([]core.Report, error) {
-	return run(opts, func(front *frontStage) error {
+	return run(opts, func(st *checkState) error {
 		for idx := 0; ; idx++ {
 			op, err := src.Next()
 			if err == io.EOF {
@@ -202,17 +203,37 @@ func Check(src trace.Source, opts Options) ([]core.Report, error) {
 			if !op.Kind.IsCore() {
 				return &trace.InfeasibleError{Index: idx, Op: op, Msg: "extended op reached parcheck (desugar first)"}
 			}
-			front.push(op)
+			st.front.push(op)
 		}
 	})
 }
 
-// run assembles a check: drive hands the stream, in the calling goroutine,
-// to the front stage, which calls the handlers of a fresh detector — the
-// unsynchronized machine for vft-v2, core's own detector for the other
-// six. Either may size flat tables from the hints and index them directly
-// because the front stage has made every id compact.
-func run(opts Options, drive func(*frontStage) error) ([]core.Report, error) {
+// checkState is one check's working state: the vft-v2 machine, the front
+// stage and the batch buffer. Between checks it waits in states, so a process
+// that checks many traces (vft-server: one per upload) reuses grown tables; a
+// reset costs what the previous check touched, not what the tables hold.
+type checkState struct {
+	m     machine
+	front frontStage
+	buf   [batchSize]trace.Op
+}
+
+var states = &sync.Pool{New: func() any { return new(checkState) }}
+
+// run assembles a check on a recycled state: drive hands the stream, in
+// the calling goroutine, to the front stage, which calls the handlers of
+// an empty detector — the unsynchronized machine for vft-v2, a new core
+// detector for the other six — under the compact ids their flat tables
+// are indexed by.
+func run(opts Options, drive func(*checkState) error) ([]core.Report, error) {
+	st := states.Get().(*checkState)
+	reports, err := st.check(opts, drive)
+	states.Put(st) // not deferred: a check that panics may leave its state half-updated
+	return reports, err
+}
+
+func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core.Report, error) {
+	st.front.reset()
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
 	}
@@ -223,18 +244,20 @@ func run(opts Options, drive func(*frontStage) error) ([]core.Report, error) {
 	}
 	var d core.Detector
 	if opts.Variant == "vft-v2" {
-		d = newMachine(cfg)
+		st.m.reset(cfg)
+		d = &st.m
 	} else {
 		var err error
 		if d, err = core.New(opts.Variant, cfg); err != nil {
 			return nil, err
 		}
 	}
-	front := &frontStage{sampler: opts.Sampling, det: d}
+	front := &st.front
+	front.sampler, front.det = opts.Sampling, d
 	if opts.Metrics != nil {
 		front.det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
 	}
-	if err := drive(front); err != nil {
+	if err := drive(st); err != nil {
 		return nil, err
 	}
 	if opts.Metrics != nil || opts.StatsSink != nil {

@@ -275,6 +275,8 @@ func TestParallelDefaults(t *testing.T) {
 // counters — for a report cap drawn from the input, under a variant also
 // drawn from it and, on every input, under the default variant: that one
 // is parcheck's own machine, where the other six are core's detectors.
+// Each check runs on a fresh state and again on one the hostile Go-sync
+// trace has dirtied, and the two must agree (requireSameOutcome).
 func FuzzParallelEquivalence(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
@@ -296,9 +298,12 @@ func FuzzParallelEquivalence(f *testing.F) {
 		}
 		for _, variant := range checked {
 			bare := bareDetector(t, tr, variant, maxPerVar)
-			got, snap := offlineStats(t, tr, variant, maxPerVar)
-			requireEqualReports(t, bare.Reports(), got, variant)
-			requireEqualAnalysisCounters(t, bare, snap, variant)
+			var fresh, warm outcome
+			onState(new(checkState), func() { fresh.reports, fresh.snap = offlineStats(t, tr, variant, maxPerVar) })
+			onState(dirtied(t), func() { warm.reports, warm.snap = offlineStats(t, tr, variant, maxPerVar) })
+			requireEqualReports(t, bare.Reports(), fresh.reports, variant)
+			requireEqualAnalysisCounters(t, bare, fresh.snap, variant)
+			requireSameOutcome(t, variant, fresh, warm)
 		}
 	})
 }

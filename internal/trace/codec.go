@@ -8,6 +8,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/epoch"
 )
@@ -84,15 +86,15 @@ func (d *TextDecoder) Next() (Op, error) {
 	if d.err != nil {
 		return Op{}, d.err
 	}
+	var fields [3][]byte
 	for d.sc.Scan() {
 		d.line++
-		line := strings.TrimSpace(d.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		n := splitFields(d.sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return d.fail("want 3 fields, got %d", len(fields))
+		if n != 3 {
+			return d.fail("want 3 fields, got %d", n)
 		}
 		t, err := parseOperand(fields[1])
 		if err != nil {
@@ -103,7 +105,7 @@ func (d *TextDecoder) Next() (Op, error) {
 			return d.fail("operand: %v", err)
 		}
 		tid := epoch.Tid(t)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "rd":
 			return Rd(tid, Var(arg)), nil
 		case "wr":
@@ -152,6 +154,35 @@ func (d *TextDecoder) Next() (Op, error) {
 	return Op{}, io.EOF
 }
 
+// splitFields splits line as strings.Fields does — in place if it is ASCII,
+// by strings.Fields itself if not — keeps the first three fields in f and
+// returns how many there are.
+func splitFields(line []byte, f *[3][]byte) int {
+	n := 0
+	for i := 0; i < len(line); {
+		if line[i] >= utf8.RuneSelf {
+			fields := strings.Fields(string(line))
+			for k := range min(len(fields), len(f)) {
+				f[k] = []byte(fields[k])
+			}
+			return len(fields)
+		}
+		if unicode.IsSpace(rune(line[i])) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && line[j] < utf8.RuneSelf && !unicode.IsSpace(rune(line[j])) {
+			j++
+		}
+		if n < len(f) {
+			f[n] = line[i:j]
+		}
+		n, i = n+1, j
+	}
+	return n
+}
+
 // Decode parses the text format into a materialized Trace. It validates
 // syntax only; run Validate for feasibility. Errors carry the 1-based line
 // number of the offending line.
@@ -165,15 +196,23 @@ func Decode(r io.Reader) (Trace, error) {
 
 // parseOperand parses "3", "x3", "m3", "b3", "t3", "c3", "a3" or "o3" as 3.
 // Every Op field is an int32, so an operand beyond math.MaxInt32 is an
-// error, not a wrapped id.
-func parseOperand(s string) (int32, error) {
-	if len(s) > 1 {
-		switch s[0] {
-		case 'x', 'm', 'b', 't', 'c', 'a', 'o':
-			s = s[1:]
-		}
+// error, not a wrapped id. Decimal digits are read in place; anything else
+// goes to parseID, so the errors are strconv's.
+func parseOperand(b []byte) (int32, error) {
+	if len(b) > 1 && strings.IndexByte("xmbtcao", b[0]) >= 0 {
+		b = b[1:]
 	}
-	return parseID(s, "operand")
+	n := int64(0)
+	for _, c := range b {
+		if c < '0' || c > '9' || n > math.MaxInt32 {
+			return parseID(string(b), "operand")
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(b) == 0 || n > math.MaxInt32 {
+		return parseID(string(b), "operand")
+	}
+	return int32(n), nil
 }
 
 // parseID parses a decimal id in [0, math.MaxInt32]; what labels the

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 func TestSliceSourceReadAllHead(t *testing.T) {
@@ -312,5 +314,145 @@ func TestDecodeErrorLineNumbers(t *testing.T) {
 	_, err = Decode(strings.NewReader(oversized))
 	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "token too long") {
 		t.Fatalf("want positioned scanner error at line 2, got %v", err)
+	}
+}
+
+// referenceTextOp is the text decoder's line parser as it was before it
+// parsed in place — TrimSpace, strings.Fields and one string per operand —
+// kept as the reference the in-place parser must reproduce. ok is false
+// for a blank or comment line.
+func referenceTextOp(raw string) (op Op, ok bool, err error) {
+	line := strings.TrimSpace(raw)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return Op{}, false, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 3 {
+		return Op{}, true, fmt.Errorf("want 3 fields, got %d", len(fields))
+	}
+	t, err := referenceOperand(fields[1])
+	if err != nil {
+		return Op{}, true, fmt.Errorf("thread: %v", err)
+	}
+	arg, err := referenceOperand(fields[2])
+	if err != nil {
+		return Op{}, true, fmt.Errorf("operand: %v", err)
+	}
+	for k, name := range kindNames {
+		if name != fields[0] {
+			continue
+		}
+		op := Op{Kind: Kind(k), T: epoch.Tid(t)}
+		switch op.Kind {
+		case Read, Write, VolatileRead, VolatileWrite, AtomicLoad, AtomicStore, AtomicRMW:
+			op.X = Var(arg)
+		case Fork, Join:
+			op.U = epoch.Tid(arg)
+		default:
+			op.M = Lock(arg)
+		}
+		return op, true, nil
+	}
+	return Op{}, true, fmt.Errorf("unknown operation %q", fields[0])
+}
+
+// referenceOperand is the operand parser as it was, on a string.
+func referenceOperand(s string) (int32, error) {
+	if len(s) > 1 {
+		switch s[0] {
+		case 'x', 'm', 'b', 't', 'c', 'a', 'o':
+			s = s[1:]
+		}
+	}
+	return parseID(s, "operand")
+}
+
+// TestTextDecoderMatchesReference: on lines built to probe the in-place
+// parser's edges — prefixes, signs, leading zeros, ids at and past int32,
+// ASCII and Unicode white space, invalid UTF-8 — and on random mutations
+// of them, the decoder returns the reference parser's op or its error
+// text, at the right line.
+func TestTextDecoderMatchesReference(t *testing.T) {
+	lines := []string{
+		"rd 0 0", "wr t1 x3", "acq 1 m0", "once 0 o3", "armw 1 a2", "send 0 c0", "barrier 0 b1",
+		"  \t# a comment", "", "\v\f\r", "#", "rd 0", "rd 0 1 2", "frob 0 1", "RD 0 1",
+		"rd +3 4", "rd -0 4", "rd 0 -1", "rd 00012 x0007", "rd x 1", "rd 0 x", "rd 0 xx1",
+		"rd 0 2147483647", "rd 0 2147483648", "rd 0 9999999999", "rd 0 99999999999",
+		"rd 0 99999999999999999999", "rd 0 1_000", "rd 0 0x10",
+		"rd 0 1", "rd 0\u00851", " rd 0 1", "rd 0 1 ", "rd \xff 1", "r\xffd 0 1", "rd 0 \xc2",
+		"fork 0 70000", "wr\t0\t5",
+	}
+	check := func(line string) {
+		t.Helper()
+		want, ok, werr := referenceTextOp(line)
+		// Two lines, so a right answer at the wrong line number shows.
+		d := NewTextDecoder(strings.NewReader("# first\n" + line + "\n"))
+		got, gerr := d.Next()
+		switch {
+		case werr != nil:
+			if w := fmt.Sprintf("trace: line 2: %v", werr); gerr == nil || gerr.Error() != w {
+				t.Fatalf("line %q: error %v, want %s", line, gerr, w)
+			}
+		case !ok:
+			if gerr != io.EOF {
+				t.Fatalf("line %q: got %v, %v; want it skipped", line, got, gerr)
+			}
+		case gerr != nil || got != want:
+			t.Fatalf("line %q: got %v, %v; want %v", line, got, gerr, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte(" \t0123456789xmt#-+\xc2\xa0\x85abdrw")
+	for _, line := range lines {
+		check(line)
+		for range 200 {
+			b := []byte(line)
+			for range 1 + rng.Intn(3) {
+				switch i := rng.Intn(len(b) + 1); rng.Intn(3) {
+				case 0:
+					b = append(b[:i], append([]byte{alphabet[rng.Intn(len(alphabet))]}, b[i:]...)...)
+				case 1:
+					if i < len(b) {
+						b = append(b[:i], b[i+1:]...)
+					}
+				default:
+					if i < len(b) {
+						b[i] = alphabet[rng.Intn(len(alphabet))]
+					}
+				}
+			}
+			if !bytes.ContainsAny(b, "\n") {
+				check(string(b))
+			}
+		}
+	}
+}
+
+// TestTextDecoderDoesNotAllocatePerLine: decoding allocates for the
+// decoder and the scanner's buffer, and nothing per line.
+func TestTextDecoderDoesNotAllocatePerLine(t *testing.T) {
+	decode := func(text string) func() {
+		return func() {
+			d := NewTextDecoder(strings.NewReader(text))
+			for {
+				if _, err := d.Next(); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	lines := func(n int) string {
+		var b strings.Builder
+		b.WriteString("# a comment\nfork 0 1\n")
+		for i := range n {
+			fmt.Fprintf(&b, "%s %d x%d\n", []string{"rd", "wr", "acq", "rel", "send", "aload"}[i%6], i%2, i)
+		}
+		return b.String()
+	}
+	small, large := testing.AllocsPerRun(5, decode(lines(10))), testing.AllocsPerRun(5, decode(lines(10000)))
+	if large > small {
+		t.Errorf("decoding 10k lines allocates %v times, 10 lines %v", large, small)
 	}
 }
