@@ -219,7 +219,7 @@ func TestGoSyncParallelParity(t *testing.T) {
 		verifiedft.ChanRecv(1, 0),
 		verifiedft.AtomicLoad(1, 3),
 		verifiedft.Write(1, 0),
-		verifiedft.Write(2, 0), // write-write race with t1 (visible to every variant, even Eraser)
+		verifiedft.Write(2, 0), // write-write race with t1
 		verifiedft.OnceDo(1, 1),
 		verifiedft.OnceDo(2, 1),
 		verifiedft.Write(2, 1),

@@ -86,7 +86,7 @@ func TestHostileIDsAreBounded(t *testing.T) {
 						t.Errorf("%s: %d reports, want %d: %v", id, len(got), want, got)
 						continue
 					}
-					if want == 1 && (got[0].X != tc.x || variant != Eraser && !strings.Contains(got[0].String(), tc.names)) {
+					if want == 1 && (got[0].X != tc.x || !strings.Contains(got[0].String(), tc.names)) {
 						t.Errorf("%s: report %q does not name the trace's ids (%s)", id, got[0], tc.names)
 					}
 				}

@@ -7,15 +7,12 @@
 package cli
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	httppprof "net/http/pprof"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -44,13 +41,7 @@ func serveMetrics(addr, name string, reg *obs.Registry, stderr io.Writer) (func(
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(reg))
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	obs.HandleDebug(mux, reg)
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	fmt.Fprintf(stderr, "%s: serving metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof/)\n",
@@ -70,9 +61,9 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	variant := fs.String("d", "vft-v2", "detector variant")
 	all := fs.Bool("all", false,
-		"run every precise variant; with -oracle, cross-check them differentially (first-report positions against the oracle, both specification flavours, rule counts; memory quadratic in the trace length, like -explain)")
+		"run every variant; with -oracle, cross-check them differentially (first-report positions against the oracle, both specification flavours, rule counts; memory quadratic in the trace length, like -explain)")
 	oracle := fs.Bool("oracle", false,
-		"also run the happens-before oracle; a precise variant's verdict must equal it (on the sampled variables under -d sampled:<rate>; eraser is shown beside it, not compared)")
+		"also run the happens-before oracle; the variant's verdict must equal it (on the sampled variables under -d sampled:<rate>)")
 	explain := fs.Bool("explain", false, "explain every conflicting pair: a happens-before witness chain or RACE")
 	parties := fs.Int("parties", 2, "participant count for barrier lowering")
 	chancaps := fs.String("chancaps", "",
@@ -116,7 +107,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	ext := &trace.Extensions{BarrierParties: partyMap, ChanCapacity: caps}
 	variants := []string{*variant}
 	if *all {
-		variants = core.PreciseVariants()
+		variants = core.Variants()
 	}
 	if err := validateFor(tr, ext, variants); err != nil {
 		fmt.Fprintln(stderr, "vft-race:", err)
@@ -163,7 +154,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "vft-race: DIVERGENCE: %v — detector bug\n", err)
 				return 2
 			}
-		} else if want, precise := oracleVerdict(variants[0], low, rep.Races); precise && want != raced {
+		} else if oracleVerdict(variants[0], low, rep.Races) != raced {
 			fmt.Fprintln(stderr, "vft-race: detector verdict disagrees with the oracle — precision bug")
 			return 2
 		}
@@ -185,22 +176,18 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // oracleVerdict is the verdict the happens-before oracle's races imply for
-// the named variant, and whether equality with it is that variant's
-// contract. Eraser's lockset warnings are not happens-before races, so its
-// verdict is not comparable. A "sampled[:rate]" spelling promises the
-// precise reports restricted to the sampled variables, so the oracle's
-// races are restricted the same way. low is the lowered trace races index.
-func oracleVerdict(variant string, low trace.Trace, races []hb.RacePair) (raced, precise bool) {
-	base, pol, err := sample.ParseVariant(variant)
-	if err != nil || !slices.Contains(core.PreciseVariants(), base) {
-		return false, false
-	}
+// the named variant, which every variant's verdict must equal. A
+// "sampled[:rate]" spelling promises the precise reports restricted to the
+// sampled variables, so the oracle's races are restricted the same way. low
+// is the lowered trace races index; CheckTrace has already accepted variant.
+func oracleVerdict(variant string, low trace.Trace, races []hb.RacePair) bool {
+	_, pol, _ := sample.ParseVariant(variant)
 	for _, p := range races {
 		if pol == nil || pol.Sampled(low[p.Second].X) {
-			return true, true
+			return true
 		}
 	}
-	return false, true
+	return false
 }
 
 // Bench implements vft-bench: regenerate Table 1 (+ ablations).

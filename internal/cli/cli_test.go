@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/conformance"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -82,9 +83,13 @@ func TestRaceErrors(t *testing.T) {
 	if code, _, _ := runRace(t, []string{"/nonexistent/file"}, ""); code != 2 {
 		t.Fatalf("missing file exit = %d, want 2", code)
 	}
-	// Unknown detector.
-	if code, _, _ := runRace(t, []string{"-d", "nope"}, "rd 0 0\n"); code != 2 {
-		t.Fatalf("unknown detector exit = %d, want 2", code)
+	// Unknown detectors, the retired lockset variant among them: the
+	// message lists the six variants.
+	for _, name := range []string{"nope", "eraser"} {
+		code, _, errOut := runRace(t, []string{"-d", name}, "rd 0 0\n")
+		if code != 2 || !strings.Contains(errOut, fmt.Sprint(core.Variants())) {
+			t.Fatalf("-d %s: exit = %d, stderr %q; want exit 2 and the variant list %v", name, code, errOut, core.Variants())
+		}
 	}
 	// Bad flag.
 	if code, _, _ := runRace(t, []string{"-definitely-not-a-flag"}, ""); code != 2 {

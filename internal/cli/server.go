@@ -147,14 +147,16 @@ func Server(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-server:", err)
 		return 2
 	}
+	// Catch the shutdown signals before announcing the address: a
+	// supervisor may send SIGTERM as soon as it reads the line.
+	sig, stopSignals := serverSignals()
+	defer stopSignals()
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "vft-server: serving on http://%s (POST /v1/traces, GET /v1/reports; /metrics, /healthz)\n",
 		ln.Addr())
 
-	sig, stopSignals := serverSignals()
-	defer stopSignals()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(stderr, "vft-server:", err)

@@ -14,7 +14,7 @@ import (
 // CheckTrace runs the full sequential differential comparison on one
 // feasible core-language trace: oracle self-agreement (vector-clock pass vs
 // order graph), Theorem 3.1 precision of both specification flavors,
-// first-report positions of every precise detector against the oracle, and
+// first-report positions of every detector against the oracle, and
 // rule-count agreement with the specification on race-free traces. A nil
 // error means the whole stack agrees on tr.
 //
@@ -44,7 +44,7 @@ func CheckTrace(tr trace.Trace) error {
 
 	// Detector functional correctness.
 	specRes := spec.Run(spec.VerifiedFT, tr)
-	for _, name := range core.PreciseVariants() {
+	for _, name := range core.Variants() {
 		d, err := core.New(name, core.DefaultConfig())
 		if err != nil {
 			return err

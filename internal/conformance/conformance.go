@@ -10,7 +10,7 @@
 // scheduler, which serializes the simulated threads and drives them with a
 // seed-deterministic policy (PCT or random walk). Every explored schedule
 // yields an exact event linearization (via core.Recorder), and for that
-// linearization the suite cross-checks every precise detector's verdict and
+// linearization the suite cross-checks every detector's verdict and
 // first-report position against the happens-before oracle of internal/hb.
 // Any divergence is delta-minimized into the vft-race text format and
 // carries the seed that replays its schedule bit-for-bit.
@@ -177,17 +177,16 @@ type Options struct {
 	// SeedBase derives the per-schedule seeds: schedule j runs under
 	// ScheduleSeed(SeedBase, j), so any printed seed replays standalone.
 	SeedBase uint64
-	// Detectors lists the variants to cross-check (default: every
-	// precise variant).
+	// Detectors lists the variants to cross-check (default: all).
 	Detectors []string
 	// Shrink delta-minimizes divergent linearizations before reporting.
 	Shrink bool
 }
 
-// DefaultOptions explores 20 PCT schedules per program over all precise
-// variants with shrinking on.
+// DefaultOptions explores 20 PCT schedules per program over every
+// variant with shrinking on.
 func DefaultOptions() Options {
-	return Options{Policy: "pct", Schedules: 20, SeedBase: 1, Detectors: core.PreciseVariants(), Shrink: true}
+	return Options{Policy: "pct", Schedules: 20, SeedBase: 1, Detectors: core.Variants(), Shrink: true}
 }
 
 // ScheduleSeed derives the seed for schedule index j from a base seed.
@@ -245,7 +244,7 @@ func Explore(prog Program, opts Options) (*Summary, error) {
 	}
 	dets := opts.Detectors
 	if dets == nil {
-		dets = core.PreciseVariants()
+		dets = core.Variants()
 	}
 	sum := &Summary{Program: prog.Name, Policy: opts.Policy, Schedules: opts.Schedules}
 	seen := map[string]bool{}

@@ -1,9 +1,10 @@
 // Package core implements the paper's contribution: the VerifiedFT
 // concurrent race-detector algorithm, in the three stages evaluated in §8
 // (VerifiedFT-v1, -v1.5, -v2), together with the prior FastTrack
-// implementations it is compared against (FT-Mutex, FT-CAS) and two
-// classical baselines (a DJIT+-style pure vector-clock detector and an
-// Eraser-style lockset detector).
+// implementations it is compared against (FT-Mutex, FT-CAS) and a
+// DJIT+-style pure vector-clock baseline. Every variant is precise: it
+// reports a race exactly when the trace has two concurrent conflicting
+// accesses (Theorem 3.1).
 //
 // Every detector exposes the same six event handlers as the idealized
 // implementations of Fig. 3/Fig. 4. Handlers are designed to be called
@@ -69,14 +70,10 @@ type Report struct {
 	T        epoch.Tid   // the thread whose access completed the race
 	X        trace.Var   // the variable raced on
 	Prev     epoch.Epoch // evidence: the unordered prior-access epoch
-	Msg      string      // extra detail for non-epoch detectors (Eraser)
 	Seq      int         // detection order within this detector (0-based)
 }
 
 func (r Report) String() string {
-	if r.Msg != "" {
-		return fmt.Sprintf("[%s] race #%d on x%d by thread %d: %s", r.Detector, r.Seq, r.X, r.T, r.Msg)
-	}
 	return fmt.Sprintf("[%s] race #%d on x%d by thread %d: [%v] prior access %v",
 		r.Detector, r.Seq, r.X, r.T, r.Rule, r.Prev)
 }
@@ -331,29 +328,15 @@ func New(name string, cfg Config) (Detector, error) {
 		return NewFTCAS(cfg), nil
 	case "djit":
 		return NewDJIT(cfg), nil
-	case "eraser":
-		return NewEraser(cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown detector %q (want one of %v)", name, Variants())
 	}
 }
 
 // Variants lists the available detector names in the order Table 1 reports
-// them, plus the extra baselines.
+// them, plus the DJIT baseline.
 func Variants() []string {
-	return []string{"ft-mutex", "ft-cas", "vft-v1", "vft-v1.5", "vft-v2", "djit", "eraser"}
-}
-
-// PreciseVariants lists the detectors that implement the precise
-// happens-before analysis (everything but Eraser).
-func PreciseVariants() []string {
-	out := make([]string, 0, len(Variants())-1)
-	for _, v := range Variants() {
-		if v != "eraser" {
-			out = append(out, v)
-		}
-	}
-	return out
+	return []string{"ft-mutex", "ft-cas", "vft-v1", "vft-v1.5", "vft-v2", "djit"}
 }
 
 // Replay drives a detector sequentially over a core-language trace,

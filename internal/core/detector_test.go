@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/epoch"
@@ -31,7 +32,7 @@ func TestFactory(t *testing.T) {
 	}
 }
 
-// Every precise detector, replayed sequentially, must produce its first
+// Every detector, replayed sequentially, must produce its first
 // report at exactly the operation where the Fig. 2 specification
 // transitions to Error — which the spec tests have already tied to the
 // happens-before oracle. This is the functional-correctness check of §6 in
@@ -39,7 +40,7 @@ func TestFactory(t *testing.T) {
 func TestFirstReportMatchesSpec(t *testing.T) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 60
-	for _, name := range PreciseVariants() {
+	for _, name := range Variants() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 300; seed++ {
@@ -63,7 +64,7 @@ func TestFirstReportMatchesSpecRacy(t *testing.T) {
 	cfg.Ops = 40
 	cfg.LockedFraction = 0
 	cfg.Threads = 6
-	for _, name := range PreciseVariants() {
+	for _, name := range Variants() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 200; seed++ {
@@ -119,7 +120,7 @@ func TestDetectorsContinueAfterRace(t *testing.T) {
 		trace.Wr(0, 0), trace.Wr(1, 0), // race on x0
 		trace.Wr(0, 1), trace.Wr(1, 1), // race on x1
 	}
-	for _, name := range PreciseVariants() {
+	for _, name := range Variants() {
 		d := newDetector(t, name)
 		reports := Replay(d, tr)
 		if len(reports) != 2 {
@@ -161,6 +162,36 @@ func TestReportEvidence(t *testing.T) {
 	}
 }
 
+// Two race-free programs ordered only by a fork/join edge, or only by
+// locks shared pairwise with no lock common to every writer: a precise
+// detector must accept both, and every variant is precise.
+func TestVariantsAcceptOrderedPrograms(t *testing.T) {
+	// section is one write of x by thread t holding locks m and n.
+	section := func(t epoch.Tid, m, n trace.Lock) trace.Trace {
+		return trace.Trace{trace.Acq(t, m), trace.Acq(t, n), trace.Wr(t, 0), trace.Rel(t, n), trace.Rel(t, m)}
+	}
+	for name, tr := range map[string]trace.Trace{
+		"fork/join": {
+			trace.ForkOp(0, 1),
+			trace.Wr(1, 0),
+			trace.JoinOp(0, 1),
+			trace.Wr(0, 0),
+		},
+		// Three threads guard x with {m0,m1}, {m1,m2} and {m0,m2}: every
+		// pair shares a lock, so all writes are ordered.
+		"pairwise locks": slices.Concat(
+			trace.Trace{trace.ForkOp(0, 1), trace.ForkOp(0, 2)},
+			section(1, 0, 1), section(2, 1, 2), section(0, 0, 2), section(1, 0, 1),
+		),
+	} {
+		for _, variant := range Variants() {
+			if reports := Replay(newDetector(t, variant), tr); len(reports) != 0 {
+				t.Errorf("%s/%s: race-free program reported: %v", name, variant, reports)
+			}
+		}
+	}
+}
+
 // The repair action after a write-write race installs the racing write's
 // epoch, so a *subsequent* ordered write does not re-report.
 func TestRepairAfterRaceSuppressesEcho(t *testing.T) {
@@ -172,7 +203,7 @@ func TestRepairAfterRaceSuppressesEcho(t *testing.T) {
 		trace.JoinOp(0, 1), //
 		trace.Wr(0, 0),     // ordered after the repair: no new report
 	}
-	for _, name := range PreciseVariants() {
+	for _, name := range Variants() {
 		if name == "djit" {
 			continue // see TestDJITReReportsWithoutEpochRepair
 		}

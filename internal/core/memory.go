@@ -1,10 +1,6 @@
 package core
 
-import (
-	"unsafe"
-
-	"repro/internal/vc"
-)
+import "repro/internal/vc"
 
 // ShadowSized is implemented by detectors that can report the size of
 // their shadow state. The number is a semantic footprint — bytes of
@@ -125,20 +121,6 @@ func (d *DJIT) ShadowBytes() uint64 {
 	return total
 }
 
-// ShadowBytes implements ShadowSized for Eraser: a lockset per variable
-// and a held-set per thread.
-func (d *Eraser) ShadowBytes() uint64 {
-	var total uint64
-	for _, ts := range d.threads.Snapshot() {
-		total += uint64(len(ts.held)) * uint64(unsafe.Sizeof(int32(0)))
-	}
-	for _, sx := range d.vars.Snapshot() {
-		total += 2 // state byte + reported flag
-		total += uint64(len(sx.lockset)) * uint64(unsafe.Sizeof(int32(0)))
-	}
-	return total
-}
-
 // Compile-time interface checks.
 var (
 	_ ShadowSized = (*V1)(nil)
@@ -147,5 +129,4 @@ var (
 	_ ShadowSized = (*FTMutex)(nil)
 	_ ShadowSized = (*FTCAS)(nil)
 	_ ShadowSized = (*DJIT)(nil)
-	_ ShadowSized = (*Eraser)(nil)
 )

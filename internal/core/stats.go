@@ -228,40 +228,6 @@ func (d *DJIT) Stats() obs.Snapshot {
 	return s
 }
 
-// Stats implements StatsSource for Eraser. Eraser is not a vector-clock
-// detector: every access takes the per-variable lock (all slow), its
-// RuleCounts are coarse access/sync counters, and the interesting gauges
-// are the lockset state machine's population per state.
-func (d *Eraser) Stats() obs.Snapshot {
-	s := obs.NewSnapshot()
-	counts := d.RuleCounts()
-	reads, writes := counts[spec.ReadShared], counts[spec.WriteShared]
-	s.Counters["reads.total"] = reads
-	s.Counters["reads.slow"] = reads
-	s.Counters["reads.fast"] = 0
-	s.Counters["writes.total"] = writes
-	s.Counters["writes.slow"] = writes
-	s.Counters["writes.fast"] = 0
-	s.Counters["sync.acquire"] = counts[spec.RuleAcquire]
-	s.Counters["sync.release"] = counts[spec.RuleRelease]
-	s.Counters["sync.fork"] = counts[spec.RuleFork]
-	s.Counters["sync.join"] = counts[spec.RuleJoin]
-	s.Counters["reports.recorded"] = uint64(len(d.sink.snapshot()))
-	s.Counters["reports.dropped"] = d.sink.droppedCount()
-
-	var states [sharedModified + 1]int
-	for _, sx := range d.vars.Snapshot() {
-		states[sx.state]++
-	}
-	for st, n := range states {
-		s.Gauges["eraser.state."+eraserState(st).String()] = uint64(n)
-	}
-	s.Gauges["shadow.threads"] = uint64(d.threads.Len())
-	s.Counters["shadow.threads.grows"] = d.threads.GrowCount()
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
-	return s
-}
-
 // Compile-time checks: every detector is a StatsSource.
 var (
 	_ StatsSource = (*V1)(nil)
@@ -270,5 +236,4 @@ var (
 	_ StatsSource = (*FTMutex)(nil)
 	_ StatsSource = (*FTCAS)(nil)
 	_ StatsSource = (*DJIT)(nil)
-	_ StatsSource = (*Eraser)(nil)
 )

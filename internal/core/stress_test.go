@@ -97,12 +97,12 @@ func TestConcurrentRaceFreeWorkload(t *testing.T) {
 }
 
 // TestConcurrentRacyWorkload runs an intentionally racy program (unlocked
-// writers to one variable) and requires every precise detector to catch it.
+// writers to one variable) and requires every detector to catch it.
 // Whichever interleaving the scheduler picks contains a real race, so a
 // report is guaranteed for a precise analysis.
 func TestConcurrentRacyWorkload(t *testing.T) {
 	const workers = 4
-	for _, name := range PreciseVariants() {
+	for _, name := range Variants() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			d := newDetector(t, name)

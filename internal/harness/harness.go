@@ -176,8 +176,7 @@ func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
 
 // FastPathShare extracts the fraction of accesses a detector handled on its
 // lock-free fast paths from a metrics-pass snapshot. Returns 0 when the
-// snapshot has no detector access counters (e.g. the eraser baseline's
-// all-slow accounting still yields a genuine 0).
+// snapshot has no detector access counters.
 func FastPathShare(s obs.Snapshot) float64 {
 	fast := s.Counters["detector.reads.fast"] + s.Counters["detector.writes.fast"]
 	total := s.Counters["detector.reads.total"] + s.Counters["detector.writes.total"]

@@ -23,7 +23,6 @@ type reportKey struct {
 	t        uint64
 	x        int64
 	prev     uint64
-	msg      string
 }
 
 func keyOf(r core.Report) reportKey {
@@ -33,7 +32,6 @@ func keyOf(r core.Report) reportKey {
 		t:        uint64(r.T),
 		x:        int64(r.X),
 		prev:     uint64(r.Prev),
-		msg:      r.Msg,
 	}
 }
 

@@ -87,7 +87,6 @@ func TestDepotDistinctIdentity(t *testing.T) {
 		func() core.Report { r := base; r.T = 9; return r }(),
 		func() core.Report { r := base; r.X = trace.Var(42); return r }(),
 		func() core.Report { r := base; r.Prev = epoch.Make(8, 8); return r }(),
-		func() core.Report { r := base; r.Msg = "annotated"; return r }(),
 	}
 	d := NewDepot(0)
 	for i, r := range variants {

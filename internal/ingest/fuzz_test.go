@@ -48,7 +48,7 @@ func FuzzIngestHTTP(f *testing.F) {
 	f.Add("t1", "vft-v1", "", "", encodeBody(f, valid, "binary"))
 	f.Add("t2", "djit", "", "", encodeBody(f, valid, "gzip"))
 	bin := encodeBody(f, valid, "binary")
-	f.Add("t3", "eraser", "", "", bin[:len(bin)-3])
+	f.Add("t3", "ft-cas", "", "", bin[:len(bin)-3])
 	f.Add("t4", "", "", "", []byte("rd 0 0\nbogus"))
 	f.Add("bad/tenant", "vft-v2", "", "", []byte{0x1f, 0x8b, 0xff, 0x00}) // gzip magic, broken stream
 	f.Add("", "nope", "", "", []byte{})
@@ -79,13 +79,15 @@ func FuzzIngestHTTP(f *testing.F) {
 	sparse := []byte("fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n")
 	f.Add("t11", "vft-v2", "", "0.5", sparse)
 	f.Add("t12", "djit", "", "", sparse) // the sequential arm, unsampled and sampled
-	f.Add("t13", "eraser", "", "1", sparse)
+	f.Add("t13", "ft-mutex", "", "1", sparse)
 	// One huge thread id, one huge lock id: tables are sized by the ids an
 	// upload names, on the sharded engine and on the sequential one.
 	for i, hostile := range []string{"fork 0 65000\nwr 65000 1\nwr 0 1\n", "acq 0 16000000\nrel 0 16000000\n"} {
 		f.Add(fmt.Sprintf("t%d", 14+2*i), "vft-v2", "", "", []byte(hostile))
 		f.Add(fmt.Sprintf("t%d", 15+2*i), "djit", "", "", []byte(hostile))
 	}
+	// With t0–t3, t12 and t13, every variant has a seed.
+	f.Add("t18", "vft-v1.5", "", "", encodeBody(f, valid, "text"))
 
 	allowed := map[int]bool{
 		http.StatusOK:                    true,

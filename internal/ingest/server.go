@@ -35,12 +35,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	httppprof "net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -262,13 +260,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/v1/reports", s.handleReports)
 	mux.HandleFunc("/v1/tenants", s.handleTenants)
 	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.Handle("/metrics", obs.Handler(reg))
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	obs.HandleDebug(mux, reg)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
 	})

@@ -12,12 +12,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -112,11 +114,15 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"bad tenant chars", "/v1/traces?tenant=a/b", http.StatusBadRequest},
 		{"tenant too long", "/v1/traces?tenant=" + strings.Repeat("x", 65), http.StatusBadRequest},
 		{"unknown variant", "/v1/traces?tenant=t&variant=nope", http.StatusBadRequest},
+		{"retired lockset variant", "/v1/traces?tenant=t&variant=eraser", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, m := post(t, s, tc.url, bytes.NewReader(body))
 			wantError(t, code, m, tc.code)
+			if strings.Contains(tc.url, "variant=") && !strings.Contains(m["error"].(string), fmt.Sprint(core.Variants())) {
+				t.Fatalf("error %q does not list the variants %v", m["error"], core.Variants())
+			}
 		})
 	}
 
@@ -532,6 +538,29 @@ func TestServerStateRoundTrip(t *testing.T) {
 	}
 	if err := New(Config{}).LoadState(strings.NewReader(`{"version":99,"tenants":[]}`)); err == nil {
 		t.Fatal("future state version accepted")
+	}
+
+	// A state file saved by version 2.8.0 still loads and serves, though
+	// it holds aggregates of the retired lockset variant, whose reports
+	// carry a "msg" field this build no longer has.
+	legacy, err := os.ReadFile("testdata/state_v1_lockset.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved persistedState
+	if err := json.Unmarshal(legacy, &saved); err != nil {
+		t.Fatal(err)
+	}
+	s3 := New(Config{})
+	if err := s3.LoadState(bytes.NewReader(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	r3 := httptest.NewRecorder()
+	s3.Handler().ServeHTTP(r3, httptest.NewRequest(http.MethodGet, "/v1/reports?tenant=legacy", nil))
+	var got TenantReport
+	if err := json.Unmarshal(r3.Body.Bytes(), &got); err != nil || r3.Code != http.StatusOK ||
+		got.Uploads != 3 || got.Distinct != 2 || !reflect.DeepEqual(got.Aggregated, saved.Tenants[0].Aggregated) {
+		t.Fatalf("legacy state: status %d, err %v, reports %s", r3.Code, err, r3.Body.String())
 	}
 }
 

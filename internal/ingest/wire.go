@@ -19,7 +19,6 @@ type Report struct {
 	Thread   epoch.Tid   `json:"thread"`
 	Var      trace.Var   `json:"var"`
 	Prev     epoch.Epoch `json:"prev"`
-	Msg      string      `json:"msg,omitempty"`
 	Seq      int         `json:"seq"`
 	Text     string      `json:"text"`
 }
@@ -32,7 +31,6 @@ func FromCore(r core.Report) Report {
 		Thread:   r.T,
 		Var:      r.X,
 		Prev:     r.Prev,
-		Msg:      r.Msg,
 		Seq:      r.Seq,
 		Text:     r.String(),
 	}
@@ -46,7 +44,6 @@ func (r Report) Core() core.Report {
 		T:        r.Thread,
 		X:        r.Var,
 		Prev:     r.Prev,
-		Msg:      r.Msg,
 		Seq:      r.Seq,
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	httppprof "net/http/pprof"
 	"sync"
 )
 
 // expvar integration. Publishing a registry under a name makes its live
-// snapshot visible through the standard /debug/vars page; Handler serves
+// snapshot visible through the standard /debug/vars page; /metrics serves
 // the same snapshot alone, indented, for tooling that wants the metrics
 // without the rest of the expvar namespace.
 
@@ -54,11 +55,14 @@ func (v *registryVar) String() string {
 	return string(b)
 }
 
-// Handler returns an http.Handler serving the registry's snapshot as
-// indented JSON. It is safe to serve while instruments are being updated;
-// sources must obey the RegisterSource contract (frozen or atomic).
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+// HandleDebug registers the observability routes every server in this
+// repository exposes on mux: /metrics serves r's snapshot as indented
+// JSON, /debug/vars the expvar page, and /debug/pprof/ the net/http/pprof
+// handlers. /metrics is safe to serve while instruments are being
+// updated; sources must obey the RegisterSource contract (frozen or
+// atomic).
+func HandleDebug(mux *http.ServeMux, r *Registry) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -66,4 +70,10 @@ func Handler(r *Registry) http.Handler {
 			http.Error(w, fmt.Sprintf("obs: encode: %v", err), http.StatusInternalServerError)
 		}
 	})
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", httppprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 }

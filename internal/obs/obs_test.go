@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -253,9 +254,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestHandlerServesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(0, 3)
-	req := httptest.NewRequest("GET", "/metrics", nil)
+	mux := http.NewServeMux()
+	HandleDebug(mux, r)
 	rec := httptest.NewRecorder()
-	Handler(r).ServeHTTP(rec, req)
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -265,6 +267,15 @@ func TestHandlerServesSnapshot(t *testing.T) {
 	}
 	if s.Counters["hits"] != 3 {
 		t.Fatalf("served %+v", s)
+	}
+	// The quick debug routes answer too (profile and trace sample for
+	// seconds).
+	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Errorf("%s: status %d", path, rec.Code)
+		}
 	}
 }
 

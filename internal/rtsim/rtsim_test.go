@@ -10,7 +10,7 @@ import (
 func detectors(t *testing.T) []core.Detector {
 	t.Helper()
 	var out []core.Detector
-	for _, name := range core.PreciseVariants() {
+	for _, name := range core.Variants() {
 		d, err := core.New(name, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

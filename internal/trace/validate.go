@@ -97,12 +97,6 @@ type Validator struct {
 	// input error instead of a panic inside the detector.
 	MaxTid epoch.Tid
 
-	// MaxLock is the exclusive upper bound on acceptable lock ids; zero
-	// means the default real-lock space (so Desugar's pseudo-locks can
-	// never collide with a real lock). Stages validating an
-	// already-lowered stream raise it.
-	MaxLock Lock
-
 	// Ext supplies the channel buffer capacities constraint (6) depends
 	// on; nil means every channel is unbuffered. Use the same Extensions
 	// here as in the lowering that follows.
@@ -313,11 +307,7 @@ func (v *Validator) Acquire(op Op) error {
 	if err != nil {
 		return err
 	}
-	maxLock := v.MaxLock
-	if maxLock == 0 {
-		maxLock = maxRealLock
-	}
-	if op.M >= maxLock {
+	if op.M >= maxRealLock {
 		return v.fail(op, 1, "lock id exceeds the real-lock space")
 	}
 	if s := v.lock(op.M); s.held {

@@ -22,7 +22,7 @@
 //
 // All kernels are race-free by construction so that Table 1 measures
 // checking overhead, not report-path cost; the test suite runs every kernel
-// under every precise detector and fails on any report.
+// under every detector and fails on any report.
 package workloads
 
 import (

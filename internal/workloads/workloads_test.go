@@ -8,7 +8,7 @@ import (
 	"repro/internal/spec"
 )
 
-// Every workload must be race-free under every precise detector: Table 1
+// Every workload must be race-free under every detector: Table 1
 // measures checking overhead, and a report would mean either a workload bug
 // or a detector false positive. Run with -race to also check the detectors'
 // internal synchronization disciplines under real workload concurrency.
@@ -17,7 +17,7 @@ func TestAllWorkloadsRaceFree(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, name := range core.PreciseVariants() {
+			for _, name := range core.Variants() {
 				d, err := core.New(name, core.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)

@@ -161,9 +161,6 @@ func TestCheckTracePreSizesShadowTables(t *testing.T) {
 			s := m.Snapshot()
 			for _, table := range []string{"threads", "vars", "locks"} {
 				key := fmt.Sprintf("%s.shadow.%s.grows", variant, table)
-				if variant == Eraser && table == "locks" {
-					continue // Eraser keeps no lock shadow table
-				}
 				if n, ok := s.Counters[key]; !ok {
 					t.Errorf("%s/%s: counter %s missing", name, variant, key)
 				} else if n != 0 {

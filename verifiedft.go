@@ -37,11 +37,11 @@
 //	main.Join(child)
 //	races := rt.Reports()
 //
-// Seven detector variants share the Detector interface: the three
+// Six detector variants share the Detector interface: the three
 // VerifiedFT stages the paper evaluates (V1, V15, V2), the two prior
-// FastTrack implementations it compares against (FTMutex, FTCAS), and two
-// classical baselines (DJIT, Eraser). V2 is the paper's contribution and
-// the right default.
+// FastTrack implementations it compares against (FTMutex, FTCAS), and the
+// classical vector-clock baseline DJIT. All six are precise; V2 is the
+// paper's contribution and the right default.
 package verifiedft
 
 import (
@@ -71,8 +71,6 @@ const (
 	FTCAS = "ft-cas"
 	// DJIT is a pure vector-clock detector (no epochs).
 	DJIT = "djit"
-	// Eraser is the classical lockset detector (imprecise).
-	Eraser = "eraser"
 )
 
 // Detector is the six-handler event interface of the idealized
@@ -345,7 +343,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.8.0 removes WithConfig:
-// WithThreads, WithVars, WithLocks and WithMaxReportsPerVar set the same
-// fields one at a time.
-const Version = "2.8.0"
+// Version identifies this implementation. 2.9.0 removes the lockset
+// variant and Report.Msg, which only that variant filled: every variant New
+// accepts is now a precise happens-before detector, and every report names
+// a Fig. 2 race rule.
+const Version = "2.9.0"

@@ -89,9 +89,6 @@ func TestCheckTraceWithEveryVariant(t *testing.T) {
 		verifiedft.Read(1, 0),
 	}
 	for _, v := range verifiedft.Variants() {
-		if v == verifiedft.Eraser {
-			continue // imprecise by design
-		}
 		reports, err := verifiedft.CheckTrace(racy, verifiedft.WithVariant(v))
 		if err != nil {
 			t.Fatal(err)
