@@ -44,7 +44,7 @@ func BenchmarkTable1(b *testing.B) {
 					var d core.Detector
 					if det != "base" {
 						var err error
-						d, err = core.New(det, core.Config{Threads: 32, Vars: 1 << 10, Locks: 64})
+						d, err = core.New(det, core.Config{})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -152,7 +152,7 @@ func BenchmarkJoinIncrement(b *testing.B) {
 // Allocations are reported: the fast paths must show 0 allocs/op (pinned
 // by TestFastPathZeroAllocs in internal/core).
 func BenchmarkFastPathLatency(b *testing.B) {
-	cfg := core.DefaultConfig()
+	cfg := core.Config{}
 	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas", "djit"} {
 		det := det
 		b.Run("ReadSameEpoch/"+det, func(b *testing.B) {
@@ -231,7 +231,7 @@ func BenchmarkReadSharedScaling(b *testing.B) {
 	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
 		det := det
 		b.Run(det, func(b *testing.B) {
-			d, err := core.New(det, core.DefaultConfig())
+			d, err := core.New(det, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

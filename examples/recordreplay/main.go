@@ -23,7 +23,7 @@ import (
 
 func main() {
 	// Live run: the online detector and a recorder see the same stream.
-	online := core.NewV2(core.DefaultConfig())
+	online := core.NewV2(core.Config{})
 	recorder := core.NewRecorder()
 	rt := rtsim.New(core.NewTee(online, recorder))
 	main := rt.Main()
@@ -70,7 +70,7 @@ func main() {
 
 	// Offline replay: a fresh detector and the ground-truth oracle agree
 	// with the live verdict.
-	replay := core.NewV2(core.DefaultConfig())
+	replay := core.NewV2(core.Config{})
 	core.Replay(replay, tr)
 	oracle := hb.Analyze(tr)
 	fmt.Printf("\noffline replay: %d reports; oracle: %d racy pairs\n",

@@ -15,12 +15,11 @@ import (
 // TestHostileIDsAreBounded: a few dozen bytes naming one huge thread,
 // variable or lock id cost what the ids they name cost, not what their
 // magnitude would — on every offline path: each variant, sampled or not,
-// streamed or materialized (whose prescan must not turn
-// "tid 65000" into a 65,001-entry table hint). Before the front stage
-// compacted ids, the thread trace asked the detector for O(T²)
-// clock entries (gigabytes), the lock trace for a 32M-entry lock table,
-// and the variable trace for a 16 GB shadow table. The verdicts are the
-// unbounded ones and the report text still names the trace's own ids.
+// streamed or materialized. Before the front stage compacted ids, the
+// thread trace asked the detector for O(T²) clock entries (gigabytes), the
+// lock trace for a 32M-entry lock table, and the variable trace for a
+// 16 GB shadow table. The verdicts are the unbounded ones and the report
+// text still names the trace's own ids.
 func TestHostileIDsAreBounded(t *testing.T) {
 	const budget = 64 << 20
 	cases := []struct {

@@ -45,7 +45,7 @@ func CheckTrace(tr trace.Trace) error {
 	// Detector functional correctness.
 	specRes := spec.Run(spec.VerifiedFT, tr)
 	for _, name := range core.Variants() {
-		d, err := core.New(name, core.DefaultConfig())
+		d, err := core.New(name, core.Config{})
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func CheckTrace(tr trace.Trace) error {
 	}
 	if want == -1 {
 		for _, name := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
-			d, err := core.New(name, core.DefaultConfig())
+			d, err := core.New(name, core.Config{})
 			if err != nil {
 				return err
 			}

@@ -144,7 +144,7 @@ func RunOne(prog Program, policy string, seed uint64, detectors []string) (trace
 	ds := []core.Detector{rec}
 	trackers := make([]*core.PosTracker, 0, len(detectors))
 	for _, name := range detectors {
-		d, err := core.New(name, core.DefaultConfig())
+		d, err := core.New(name, core.Config{})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -14,7 +14,7 @@ import (
 // to avoid.
 func TestFastPathZeroAllocs(t *testing.T) {
 	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
-		d, err := New(det, DefaultConfig())
+		d, err := New(det, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 // skip-covered-entries scan).
 func TestReacquireJoinZeroAllocs(t *testing.T) {
 	for _, det := range []string{"vft-v2", "vft-v1", "ft-mutex", "djit"} {
-		d, err := New(det, DefaultConfig())
+		d, err := New(det, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

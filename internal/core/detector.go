@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/epoch"
@@ -216,8 +215,8 @@ func newSyncBase(name string, cfg Config, joinInc bool) syncBase {
 	return syncBase{
 		sink:    reportSink{name: name, maxPerVar: cfg.MaxReportsPerVar},
 		joinInc: joinInc,
-		threads: shadow.NewTable(cfg.Threads, func(i int) *ThreadState { return newThreadState(epoch.Tid(i)) }),
-		locks:   shadow.NewTable(cfg.Locks, func(int) *LockState { return &LockState{vc: vc.New()} }),
+		threads: shadow.NewTable(func(i int) *ThreadState { return newThreadState(epoch.Tid(i)) }),
+		locks:   shadow.NewTable(func(int) *LockState { return &LockState{vc: vc.New()} }),
 	}
 }
 
@@ -293,12 +292,9 @@ func (b *syncBase) RuleCounts() [spec.NumRules]uint64 {
 	return out
 }
 
-// Config sizes a detector's shadow tables. The tables grow on demand, so
-// the values are hints, not limits.
+// Config configures a detector. Its shadow tables start empty and grow
+// with the ids a run names, so there is nothing to size.
 type Config struct {
-	Threads int
-	Vars    int
-	Locks   int
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited).
 	// RoadRunner tools typically warn once per field; set 1 for that
 	// behaviour. Suppressed reports are counted, not lost silently — see
@@ -309,8 +305,10 @@ type Config struct {
 	ClockImpl vc.Impl
 }
 
-// DefaultConfig suits the test workloads.
-func DefaultConfig() Config { return Config{Threads: 16, Vars: 1 << 10, Locks: 64} }
+// DefaultConfig returns the zero Config. Callers: bench/offline.go,
+// bench/online.go and bench/probes.go (frozen with the benchmark); delete
+// with the next `benchmark` PR.
+func DefaultConfig() Config { return Config{} }
 
 // New constructs a detector variant by name. Valid names are listed by
 // Variants.
@@ -384,17 +382,4 @@ func FirstReportPosition(d Detector, tr trace.Trace) int {
 		}
 	}
 	return -1
-}
-
-// SortReports orders reports by (X, Rule, T) for set comparison in tests.
-func SortReports(rs []Report) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].X != rs[j].X {
-			return rs[i].X < rs[j].X
-		}
-		if rs[i].Rule != rs[j].Rule {
-			return rs[i].Rule < rs[j].Rule
-		}
-		return rs[i].T < rs[j].T
-	})
 }

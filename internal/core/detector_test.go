@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func newDetector(t testing.TB, name string) Detector {
 	t.Helper()
-	d, err := New(name, DefaultConfig())
+	d, err := New(name, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFactory(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", name, d.Name())
 		}
 	}
-	if _, err := New("nope", DefaultConfig()); err == nil {
+	if _, err := New("nope", Config{}); err == nil {
 		t.Error("unknown variant should error")
 	}
 }
@@ -112,6 +113,13 @@ func TestRuleCountsMatchSpecOnRaceFreeTraces(t *testing.T) {
 	}
 }
 
+// sortReports orders reports by (X, Rule, T) for set comparison.
+func sortReports(rs []Report) {
+	slices.SortFunc(rs, func(a, b Report) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Rule, b.Rule), cmp.Compare(a.T, b.T))
+	})
+}
+
 // The detectors keep checking after a race (§7): two independently racy
 // variables yield two reports.
 func TestDetectorsContinueAfterRace(t *testing.T) {
@@ -126,7 +134,7 @@ func TestDetectorsContinueAfterRace(t *testing.T) {
 		if len(reports) != 2 {
 			t.Fatalf("%s: %d reports, want 2: %v", name, len(reports), reports)
 		}
-		SortReports(reports)
+		sortReports(reports)
 		if reports[0].X != 0 || reports[1].X != 1 {
 			t.Errorf("%s: reports on wrong variables: %v", name, reports)
 		}
@@ -293,7 +301,7 @@ func TestDJITMatchesOracle(t *testing.T) {
 // MaxReportsPerVar caps per-variable reporting (RoadRunner's warn-once
 // behaviour) while counting what it suppressed.
 func TestMaxReportsPerVar(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.MaxReportsPerVar = 1
 	d := NewV2(cfg)
 	tr := trace.Trace{
@@ -321,7 +329,7 @@ func TestMaxReportsPerVar(t *testing.T) {
 	}
 
 	// Unlimited by default: the same trace yields more reports on x0.
-	d2 := NewV2(DefaultConfig())
+	d2 := NewV2(Config{})
 	Replay(d2, tr)
 	perVar2 := map[trace.Var]int{}
 	for _, r := range d2.Reports() {

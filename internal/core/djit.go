@@ -40,7 +40,7 @@ func newDJITVarState(int) *djitVarState {
 func NewDJIT(cfg Config) *DJIT {
 	return &DJIT{
 		syncBase: newSyncBase("djit", cfg, false),
-		vars:     shadow.NewTable(cfg.Vars, newDJITVarState),
+		vars:     shadow.NewTable(newDJITVarState),
 	}
 }
 

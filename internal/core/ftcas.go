@@ -37,6 +37,17 @@ func MaxTid(variant string) epoch.Tid {
 	return epoch.MaxTid
 }
 
+// MaxClock returns the largest clock the named variant's epoch format
+// holds: MaxClock32 for ft-cas, epoch.MaxClock for every other name. The
+// offline check stops with a *trace.ClockRangeError before a thread's clock
+// would pass it.
+func MaxClock(variant string) uint64 {
+	if variant == "ft-cas" {
+		return MaxClock32
+	}
+	return epoch.MaxClock
+}
+
 // Pack32 converts a 64-bit epoch into the packed 32-bit form. It panics if
 // the epoch does not fit: FT-CAS inherits the historical format's limits of
 // 254 threads and 2^24 clock ticks per thread.
@@ -90,7 +101,7 @@ func NewFTCAS(cfg Config) *FTCAS {
 	return &FTCAS{
 		// The historical implementations use the original [Join] rule.
 		syncBase: newSyncBase("ft-cas", cfg, true),
-		vars:     shadow.NewTable(cfg.Vars, newCASVarState),
+		vars:     shadow.NewTable(newCASVarState),
 	}
 }
 

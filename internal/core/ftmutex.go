@@ -35,7 +35,7 @@ func NewFTMutex(cfg Config) *FTMutex {
 	return &FTMutex{
 		// The historical implementations use the original [Join] rule.
 		syncBase: newSyncBase("ft-mutex", cfg, true),
-		vars:     shadow.NewTable(cfg.Vars, newAtomicVarState),
+		vars:     shadow.NewTable(newAtomicVarState),
 	}
 }
 

@@ -245,7 +245,7 @@ func BenchmarkKernelSlowPath(b *testing.B) {
 	for _, name := range []string{"vft-v1", "vft-v2", "ft-mutex", "ft-cas"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d, err := New(name, Config{Threads: 8, Vars: 128, Locks: 1})
+				d, err := New(name, Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

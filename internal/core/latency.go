@@ -13,16 +13,15 @@ import (
 // latencySampler wraps a detector and records sampled per-handler wall
 // times into power-of-two histograms (latency.read_ns etc.) of an obs
 // registry. Sampling is per thread: each thread counts its own events in
-// an owner-written padded slot and times every interval-th one, so the
-// common case adds one table lookup and an increment — no clock reads, no
-// shared writes. Even so, a sampled timing perturbs the access it measures
-// (time.Now costs more than a v2 pure block), which is why the benchmark
-// harness runs the sampler only in a separate untimed metrics pass and
-// never inside the timed overhead loops.
+// an owner-written padded slot and times every LatencySampleInterval-th
+// one, so the common case adds one table lookup and an increment — no
+// clock reads, no shared writes. Even so, a sampled timing perturbs the
+// access it measures (time.Now costs more than a v2 pure block), which is
+// why the benchmark harness runs the sampler only in a separate untimed
+// metrics pass and never inside the timed overhead loops.
 type latencySampler struct {
-	inner    Detector
-	interval uint64
-	ticks    *shadow.Table[latTick]
+	inner Detector
+	ticks *shadow.Table[latTick]
 
 	read, write, acquire, release, fork, join *obs.Histogram
 }
@@ -34,30 +33,25 @@ type latTick struct {
 	_ [56]byte
 }
 
-// LatencySampleInterval is the stride the checking entry points pass to
-// InstrumentLatency when a metrics registry is attached: every 64th event a
+// LatencySampleInterval is InstrumentLatency's stride: every 64th event a
 // thread performs is timed. Dense enough to fill histograms on realistic
 // runs, sparse enough that the sampled run stays usable.
 const LatencySampleInterval = 64
 
-// InstrumentLatency wraps d so that every interval-th event per thread is
-// timed into the registry's latency.* histograms (values in nanoseconds).
-// interval < 1 means time every event. The wrapper forwards Name, Reports,
-// RuleCounts and Stats to d; unwrap with LatencyInner.
-func InstrumentLatency(d Detector, reg *obs.Registry, interval int) Detector {
-	if interval < 1 {
-		interval = 1
-	}
+// InstrumentLatency wraps d so that every LatencySampleInterval-th event
+// per thread is timed into the registry's latency.* histograms (values in
+// nanoseconds). The wrapper forwards Name, Reports, RuleCounts and Stats
+// to d; unwrap with LatencyInner.
+func InstrumentLatency(d Detector, reg *obs.Registry) Detector {
 	return &latencySampler{
-		inner:    d,
-		interval: uint64(interval),
-		ticks:    shadow.NewTable(16, func(int) *latTick { return &latTick{} }),
-		read:     reg.Histogram("latency.read_ns"),
-		write:    reg.Histogram("latency.write_ns"),
-		acquire:  reg.Histogram("latency.acquire_ns"),
-		release:  reg.Histogram("latency.release_ns"),
-		fork:     reg.Histogram("latency.fork_ns"),
-		join:     reg.Histogram("latency.join_ns"),
+		inner:   d,
+		ticks:   shadow.NewTable(func(int) *latTick { return &latTick{} }),
+		read:    reg.Histogram("latency.read_ns"),
+		write:   reg.Histogram("latency.write_ns"),
+		acquire: reg.Histogram("latency.acquire_ns"),
+		release: reg.Histogram("latency.release_ns"),
+		fork:    reg.Histogram("latency.fork_ns"),
+		join:    reg.Histogram("latency.join_ns"),
 	}
 }
 
@@ -75,7 +69,7 @@ func LatencyInner(d Detector) Detector {
 func (l *latencySampler) sampleNow(t epoch.Tid) bool {
 	tk := l.ticks.Get(int(t))
 	tk.n++
-	return tk.n%l.interval == 0
+	return tk.n%LatencySampleInterval == 0
 }
 
 func (l *latencySampler) Name() string { return l.inner.Name() }

@@ -87,7 +87,7 @@ type MCRun struct {
 // ft-mutex) with thread i's clock set to clocks[i] (entry j is j's epoch)
 // and variable 0 set to v.
 func NewMCRun(variant string, clocks [][]epoch.Epoch, v MCVar) (*MCRun, error) {
-	d, err := New(variant, Config{Threads: len(clocks), Vars: 1, Locks: 1})
+	d, err := New(variant, Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/epoch"
@@ -48,7 +49,7 @@ func TestShadowBytesEpochsBeatVectors(t *testing.T) {
 // Read-shared variables cost v2 a vector too ([Read Share] allocates it);
 // the advantage narrows but the exclusive variables still dominate.
 func TestShadowBytesGrowOnShare(t *testing.T) {
-	d := NewV2(DefaultConfig())
+	d := NewV2(Config{})
 	before := d.ShadowBytes()
 	d.Fork(0, 1)
 	d.Read(0, 0)
@@ -77,5 +78,34 @@ func TestShadowBytesAllVariants(t *testing.T) {
 		if got := s.ShadowBytes(); got == 0 {
 			t.Errorf("%s: ShadowBytes = 0 after activity", name)
 		}
+	}
+}
+
+// TestV2ShadowBytesIsEpochShadowBytes: after a replay of a lowered Go-sync
+// trace, core.V2's footprint is EpochShadowBytes over V2's own clocks and
+// variables — the formula the offline machine reports with — so
+// shadow.bytes means one thing on both engines.
+func TestV2ShadowBytesIsEpochShadowBytes(t *testing.T) {
+	cfg := trace.GoSyncGenConfig()
+	cfg.Ops = 600
+	ext := cfg.Extensions()
+	shared := 0
+	for seed := int64(0); seed < 8; seed++ {
+		d := NewV2(Config{})
+		Replay(d, trace.Generate(rand.New(rand.NewSource(seed)), cfg).Desugar(ext))
+		threads, locks := d.clocks()
+		vecEntries := 0
+		for _, sx := range d.vars.Snapshot() {
+			if p := sx.v.Load(); p != nil {
+				vecEntries += len(*p)
+			}
+		}
+		shared += vecEntries
+		if got, want := d.ShadowBytes(), EpochShadowBytes(threads, locks, d.vars.Len(), vecEntries); got != want {
+			t.Errorf("seed %d: V2.ShadowBytes() = %d, EpochShadowBytes over its state = %d", seed, got, want)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no variable became read-shared; the read vectors went unchecked")
 	}
 }

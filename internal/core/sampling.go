@@ -72,54 +72,21 @@ func (tb *suppressedTable) install(band int) *suppressedChunk {
 	return tb.chunks[band].Load()
 }
 
-// NewSampling wraps inner with the sampling tier under pol. varHint
-// pre-sizes the decision table (grown on demand); size the *inner*
-// detector's Vars hint for the expected sampled population, not the full
-// id space — that is the lazy-materialization half of the design, and
-// what NewSampled does.
-func NewSampling(inner Detector, pol sample.Policy, varHint int) *Sampling {
-	return &Sampling{
-		inner: inner,
-		words: sample.NewWords(pol, varHint),
-	}
+// NewSampling wraps inner with the sampling tier under pol. Its decision
+// table starts empty, and inner sees only the dense ids of the variables
+// pol samples, so inner's tables grow with the sampled variables alone.
+func NewSampling(inner Detector, pol sample.Policy) *Sampling {
+	return &Sampling{inner: inner, words: sample.NewWords(pol)}
 }
 
 // NewSampled is the online constructor every caller shares: the named
 // variant under cfg, wrapped in the sampling tier when pol is non-nil.
-// The wrapper's four-byte decision words cover cfg.Vars; the inner
-// detector's variable table is pre-sized only for SampledVars of them.
 func NewSampled(variant string, cfg Config, pol *sample.Policy) (Detector, error) {
-	if pol == nil {
-		return New(variant, cfg)
+	inner, err := New(variant, cfg)
+	if err != nil || pol == nil {
+		return inner, err
 	}
-	innerCfg := cfg
-	innerCfg.Vars = SampledVars(pol, cfg.Vars)
-	inner, err := New(variant, innerCfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewSampling(inner, *pol, cfg.Vars), nil
-}
-
-// SampledVars scales a variable-count hint down to the population pol is
-// expected to sample — rate·vars plus slack for the hash's variance, at
-// least 1 — so tables behind a sampling filter, online or offline, are
-// pre-sized for the variables that will reach them. A nil pol samples
-// everything.
-func SampledVars(pol *sample.Policy, vars int) int {
-	if pol == nil {
-		return vars
-	}
-	return max(1, min(vars, int(pol.Rate*float64(vars))+16))
-}
-
-// SamplingInner returns the detector underneath a sampling wrapper, or d
-// itself when it is not one.
-func SamplingInner(d Detector) Detector {
-	if s, ok := d.(*Sampling); ok {
-		return s.inner
-	}
-	return d
+	return NewSampling(inner, *pol), nil
 }
 
 // Policy returns the wrapper's sampling policy.

@@ -11,11 +11,11 @@ import (
 
 func newSamplingForTest(t *testing.T, pol sample.Policy) *Sampling {
 	t.Helper()
-	inner, err := New("vft-v2", DefaultConfig())
+	inner, err := New("vft-v2", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSampling(inner, pol, 64)
+	return NewSampling(inner, pol)
 }
 
 // raceTrace races thread 1 against thread 2 on every variable in xs, with
@@ -70,9 +70,6 @@ func TestSamplingName(t *testing.T) {
 	d := newSamplingForTest(t, sample.Policy{Rate: 0.5, Seed: 1})
 	if d.Name() != "vft-v2" {
 		t.Fatalf("Name() = %q, want the inner variant's name", d.Name())
-	}
-	if inner := SamplingInner(d); inner == Detector(d) || inner.Name() != "vft-v2" {
-		t.Fatalf("SamplingInner did not unwrap: %T", inner)
 	}
 }
 

@@ -48,9 +48,8 @@ type Tally struct {
 	SlowReads, SlowWrites, Retries uint64
 	Recorded, Dropped              uint64 // report-sink accounting
 	// Threads and Locks hold every thread's and every lock's clock, in
-	// table order; the grow counts are the tables' own.
-	Threads, Locks         []*vc.VC
-	ThreadGrows, LockGrows uint64
+	// table order.
+	Threads, Locks []*vc.VC
 }
 
 // Snapshot assembles the counters shared by every vector-clock detector:
@@ -100,8 +99,6 @@ func (t Tally) Snapshot() obs.Snapshot {
 	s.Gauges["vc.max_entries"] = uint64(maxEntries)
 	s.Gauges["shadow.threads"] = uint64(len(t.Threads))
 	s.Gauges["shadow.locks"] = uint64(len(t.Locks))
-	s.Counters["shadow.threads.grows"] = t.ThreadGrows
-	s.Counters["shadow.locks.grows"] = t.LockGrows
 	return s
 }
 
@@ -120,11 +117,9 @@ func (b *syncBase) clocks() (threads, locks []*vc.VC) {
 // quiescence.
 func (b *syncBase) statsCommon() obs.Snapshot {
 	t := Tally{
-		Rules:       b.RuleCounts(),
-		Recorded:    uint64(len(b.sink.snapshot())),
-		Dropped:     b.sink.droppedCount(),
-		ThreadGrows: b.threads.GrowCount(),
-		LockGrows:   b.locks.GrowCount(),
+		Rules:    b.RuleCounts(),
+		Recorded: uint64(len(b.sink.snapshot())),
+		Dropped:  b.sink.droppedCount(),
 	}
 	t.Threads, t.Locks = b.clocks()
 	for _, st := range b.threads.Snapshot() {
@@ -141,13 +136,11 @@ func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
 	s.Counters["vc.join_scanned"] += m.JoinScanned
 }
 
-// AddVarTable records a detector's variable shadow table: occupancy,
-// growth beyond the configured hint, how many variables have been promoted
-// to the Shared representation (pass -1 for detectors without one), and
-// the semantic footprint.
-func AddVarTable(s obs.Snapshot, entries int, grows uint64, shared int, bytes uint64) {
+// AddVarTable records a detector's variable shadow table: occupancy, how
+// many variables have been promoted to the Shared representation (pass -1
+// for detectors without one), and the semantic footprint.
+func AddVarTable(s obs.Snapshot, entries, shared int, bytes uint64) {
 	s.Gauges["shadow.vars"] = uint64(entries)
-	s.Counters["shadow.vars.grows"] = grows
 	if shared >= 0 {
 		s.Gauges["shadow.vars_shared"] = uint64(shared)
 	}
@@ -175,28 +168,28 @@ func (d *V1) Stats() obs.Snapshot {
 			shared++
 		}
 	}
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), shared, d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for VerifiedFT-v1.5.
 func (d *V15) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for VerifiedFT-v2.
 func (d *V2) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
 // Stats implements StatsSource for FT-Mutex.
 func (d *FTMutex) Stats() obs.Snapshot {
 	s := d.statsCommon()
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), countSharedAtomic(d.vars), d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), countSharedAtomic(d.vars), d.ShadowBytes())
 	return s
 }
 
@@ -209,7 +202,7 @@ func (d *FTCAS) Stats() obs.Snapshot {
 			shared++
 		}
 	}
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), shared, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), shared, d.ShadowBytes())
 	return s
 }
 
@@ -224,7 +217,7 @@ func (d *DJIT) Stats() obs.Snapshot {
 		clocks.Add(sx.wvc.Metrics())
 	}
 	addClockMetrics(s, clocks)
-	AddVarTable(s, d.vars.Len(), d.vars.GrowCount(), -1, d.ShadowBytes())
+	AddVarTable(s, d.vars.Len(), -1, d.ShadowBytes())
 	return s
 }
 

@@ -45,7 +45,7 @@ func newV1VarState(int) *v1VarState {
 func NewV1(cfg Config) *V1 {
 	return &V1{
 		syncBase: newSyncBase("vft-v1", cfg, false),
-		vars:     shadow.NewTable(cfg.Vars, newV1VarState),
+		vars:     shadow.NewTable(newV1VarState),
 	}
 }
 

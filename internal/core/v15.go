@@ -157,7 +157,7 @@ type V15 struct {
 func NewV15(cfg Config) *V15 {
 	return &V15{
 		syncBase: newSyncBase("vft-v1.5", cfg, false),
-		vars:     shadow.NewTable(cfg.Vars, newAtomicVarState),
+		vars:     shadow.NewTable(newAtomicVarState),
 	}
 }
 

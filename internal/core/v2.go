@@ -29,7 +29,7 @@ type V2 struct {
 func NewV2(cfg Config) *V2 {
 	return &V2{
 		syncBase: newSyncBase("vft-v2", cfg, false),
-		vars:     shadow.NewTable(cfg.Vars, newAtomicVarState),
+		vars:     shadow.NewTable(newAtomicVarState),
 	}
 }
 

@@ -162,7 +162,7 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
 	reg := obs.NewRegistry()
 	d := buildDetector(det)
-	wrapped := core.InstrumentLatency(d, reg, core.LatencySampleInterval)
+	wrapped := core.InstrumentLatency(d, reg)
 	rt := rtsim.New(wrapped, rtsim.WithMetrics(reg))
 	w.Run(rt, size)
 
@@ -186,17 +186,9 @@ func FastPathShare(s obs.Snapshot) float64 {
 	return float64(fast) / float64(total)
 }
 
-// detectorConfig sizes shadow tables for a typical workload; tables grow on
-// demand, so a modest hint keeps construction cheap for the small programs
-// (eager over-allocation would charge tens of thousands of shadow objects
-// to every iteration of a 100-access program).
-func detectorConfig() core.Config {
-	return core.Config{Threads: 32, Vars: 1 << 10, Locks: 64}
-}
-
 // buildDetector resolves a detector column name.
 func buildDetector(name string) core.Detector {
-	d, err := core.New(name, detectorConfig())
+	d, err := core.New(name, core.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -176,8 +176,7 @@ func (t *SamplingTable) timeOnce(d core.Detector) float64 {
 // equally instead of skewing whichever cell it lands on, so the
 // cross-cell ratios stay meaningful even when absolute times wobble.
 func (t *SamplingTable) runMicro() error {
-	cfg := core.Config{Threads: 4, Vars: t.MicroVars, Locks: 4}
-	precise, err := core.New(t.Options.Variant, cfg)
+	precise, err := core.New(t.Options.Variant, core.Config{})
 	if err != nil {
 		return err
 	}
@@ -190,7 +189,7 @@ func (t *SamplingTable) runMicro() error {
 	}
 	for i := range t.Rows {
 		pol := &sample.Policy{Rate: t.Rows[i].Rate, Seed: t.Options.Seed}
-		d, err := core.NewSampled(t.Options.Variant, cfg, pol)
+		d, err := core.NewSampled(t.Options.Variant, core.Config{}, pol)
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,7 @@ type corpusEntry struct {
 // buildCorpus records every conformance kernel under the deterministic
 // pct scheduler plus one hand-built extended-operation trace (volatiles
 // and a two-party barrier) to cover the desugaring path, then computes
-// offline truth for all seven variants.
+// offline truth for all six variants.
 func buildCorpus(t testing.TB) []corpusEntry {
 	t.Helper()
 	var entries []corpusEntry
@@ -128,7 +128,7 @@ func uploadedReports(body []byte) ([]byte, error) {
 }
 
 // TestE2EMultiTenantParity is the headline test: N tenants concurrently
-// stream the whole corpus across all seven variants and rotating wire
+// stream the whole corpus across all six variants and rotating wire
 // encodings, while chaos clients inject garbage, truncated and slow
 // uploads. Every accepted upload's reports must be byte-identical to the
 // offline truth, per tenant, and the aggregated views must survive a
@@ -372,7 +372,7 @@ func TestE2EVerbatimUploadParity(t *testing.T) {
 
 // TestE2EProcessorCountIsInvisible: how many processors the host has
 // selects nothing in the service. The same upload mix — every corpus
-// entry, cycling through the seven variants and three encodings, plus a
+// entry, cycling through the six variants and three encodings, plus a
 // sampled upload and a rejected one — posted to a fresh server under
 // GOMAXPROCS 1 and under 4 gets byte-identical response bodies, the same
 // aggregated reports, and a /metrics document with the same keys.

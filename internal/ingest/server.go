@@ -73,7 +73,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxOpsPerUpload caps one upload's decoded (pre-lowering) trace
 	// operations; past it the upload fails with 413 rather than silently
-	// truncating (trace.Limit, not trace.Head).
+	// truncating (trace.Limit).
 	MaxOpsPerUpload int
 
 	// MaxReportsPerVar caps reports per variable within one upload's
@@ -326,7 +326,7 @@ func validTenant(name string) bool {
 	return true
 }
 
-// variantKnown reports whether name is one of the seven detector variants.
+// variantKnown reports whether name is one of the six detector variants.
 func variantKnown(name string) bool {
 	for _, v := range core.Variants() {
 		if v == name {

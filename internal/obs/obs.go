@@ -51,15 +51,11 @@ type stripe struct {
 	_ [56]byte
 }
 
-// NewCounter returns a counter pre-sized for the given stripe count
-// (stripes beyond it grow on demand).
-func NewCounter(stripes int) *Counter {
+// NewCounter returns a counter with no stripes; a stripe is created the
+// first time an id at or beyond it is named.
+func NewCounter() *Counter {
 	c := &Counter{}
-	s := make([]*stripe, stripes)
-	for i := range s {
-		s[i] = &stripe{}
-	}
-	c.p.Store(&s)
+	c.p.Store(new([]*stripe))
 	return c
 }
 
@@ -241,7 +237,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = NewCounter(8)
+		c = NewCounter()
 		r.counters[name] = c
 	}
 	return c

@@ -13,7 +13,7 @@ import (
 // a stripe (legal, just contended), and checks the exact total. Run under
 // -race this is also the memory-model check for grow-on-demand stripes.
 func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter(2) // force growth: ids go far past the pre-size
+	c := NewCounter()
 	const (
 		goroutines = 16
 		perG       = 10000
@@ -43,8 +43,8 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestCounterGrowth(t *testing.T) {
-	c := NewCounter(1)
-	c.Add(100, 3) // well past pre-size
+	c := NewCounter()
+	c.Add(100, 3)
 	c.Add(0, 2)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("Value() = %d, want 5", got)
@@ -57,7 +57,7 @@ func TestCounterNegativePanics(t *testing.T) {
 			t.Fatal("expected panic on negative stripe id")
 		}
 	}()
-	NewCounter(1).Inc(-1)
+	NewCounter().Inc(-1)
 }
 
 func TestGauge(t *testing.T) {

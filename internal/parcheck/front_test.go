@@ -1,6 +1,7 @@
 package parcheck
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,7 +160,7 @@ func TestOfflineCheckIsBareReplay(t *testing.T) {
 		for seed := int64(0); seed < 6; seed++ {
 			tr := trace.Generate(rand.New(rand.NewSource(seed)), cfg)
 			low := tr.Desugar(nil)
-			bare, err := core.New(variant, core.DefaultConfig())
+			bare, err := core.New(variant, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,8 +175,8 @@ func TestOfflineCheckIsBareReplay(t *testing.T) {
 			requireEqualReports(t, want, got, variant)
 
 			for key, n := range bare.(core.StatsSource).Stats().Counters {
-				if strings.HasPrefix(key, "shadow.") || strings.HasPrefix(key, "vc.") {
-					continue // table and clock growth follow the size hints, not the analysis
+				if strings.HasPrefix(key, "vc.") {
+					continue // clock growth follows the renumbered ids, not the analysis
 				}
 				if snap.Counters[key] != n {
 					t.Errorf("%s seed %d: counter %s = %d, bare detector %d", variant, seed, key, snap.Counters[key], n)
@@ -214,8 +215,43 @@ func TestEvidenceFollowsFirstTouchOrder(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0].Rule != spec.SharedWriteRace || got[0].Prev.Tid() != 2 {
 		t.Errorf("reports %v, err %v; want one Shared-Write Race naming thread 2's read", got, err)
 	}
-	bare, _ := core.New("vft-v2", core.DefaultConfig())
+	bare, _ := core.New("vft-v2", core.Config{})
 	if raw := core.Replay(bare, tr); len(raw) != 1 || raw[0].Prev.Tid() != 1 {
 		t.Errorf("raw-id replay: reports %v; want the same race naming thread 1's read", raw)
+	}
+}
+
+// TestFeedClockCeiling: under a clock ceiling the feed counts what moves a
+// thread's own clock entry — its releases, the pairs its Go-sync ops lower
+// to, its forks, and (the FT join rule) each join of it — and refuses the
+// op that would take the clock, which starts at 1, past the ceiling.
+func TestFeedClockCeiling(t *testing.T) {
+	rounds := func(n int, ops ...trace.Op) (tr trace.Trace) {
+		for ; n > 0; n-- {
+			tr = append(tr, ops...)
+		}
+		return tr
+	}
+	cases := []struct {
+		name  string
+		tr    trace.Trace
+		index int
+		tid   epoch.Tid
+	}{
+		{"releases", rounds(3, trace.Acq(0, 0), trace.Rel(0, 0)), 5, 0},
+		{"lowered pairs", rounds(3, trace.AStore(0, 5)), 2, 0},
+		{"forks", trace.Trace{trace.ForkOp(0, 1), trace.ForkOp(0, 2), trace.ForkOp(0, 3)}, 2, 0},
+		{"joins", append(trace.Trace{trace.ForkOp(0, 1), trace.Wr(1, 0)}, rounds(3, trace.JoinOp(0, 1))...), 4, 1},
+	}
+	for _, tc := range cases {
+		st := new(checkState)
+		st.m.reset(0)
+		st.front.det = &st.m
+		fd := &feed{v: trace.NewValidator(), low: trace.NewParityLowerer(nil), front: &st.front, maxClock: 3}
+		i, err := fd.check(tc.tr)
+		var ce *trace.ClockRangeError
+		if !errors.As(err, &ce) || i != tc.index || ce.Index != tc.index || ce.Op != tc.tr[tc.index] || ce.Tid != tc.tid || ce.Max != 3 {
+			t.Errorf("%s: stopped at %d with %v; want a *ClockRangeError at #%d for thread %d", tc.name, i, err, tc.index, tc.tid)
+		}
 	}
 }

@@ -38,9 +38,8 @@ type machine struct {
 	dropped   uint64
 
 	// One caller, so one tally rather than one per thread.
-	rules                            [spec.NumRules]uint64
-	slowReads, slowWrites            uint64
-	threadGrows, lockGrows, varGrows uint64 // reallocations past the hints and the recycled capacity
+	rules                 [spec.NumRules]uint64
+	slowReads, slowWrites uint64
 }
 
 // threadState is St: the thread's clock and its cached epoch E_t, which
@@ -57,27 +56,23 @@ type varState struct {
 	v    core.ReadVec // filled by the Share transition
 }
 
-// reset empties the machine for a check under cfg: it truncates the tables,
-// keeping the clocks and read vectors past their length for the entries the
-// check names. The hints reserve capacity and nothing else.
-func (m *machine) reset(cfg core.Config) {
+// reset empties the machine for a check that caps reports per variable at
+// maxPerVar (0 = none): it truncates the tables, keeping the clocks and read
+// vectors past their length for the entries the check names.
+func (m *machine) reset(maxPerVar int) {
 	*m = machine{
-		threads:   slices.Grow(m.threads[:0], cfg.Threads),
-		locks:     slices.Grow(m.locks[:0], cfg.Locks),
-		vars:      slices.Grow(m.vars[:0], cfg.Vars),
+		threads:   m.threads[:0],
+		locks:     m.locks[:0],
+		vars:      m.vars[:0],
 		reports:   m.reports[:0],
-		maxPerVar: cfg.MaxReportsPerVar,
+		maxPerVar: maxPerVar,
 	}
 }
 
-// extend lengthens s to n entries, counting a reallocation in grows; the
-// entries it exposes hold what an earlier check left, for the caller to renew.
-func extend[E any](s []E, n int, grows *uint64) []E {
-	if n > cap(s) {
-		*grows++
-		s = slices.Grow(s, n-len(s))
-	}
-	return s[:n]
+// extend lengthens s to n entries; the entries it exposes hold what an
+// earlier check left, for the caller to renew.
+func extend[E any](s []E, n int) []E {
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // recycle returns c emptied to ⊥V, with zeroed Metrics and its array kept,
@@ -103,7 +98,7 @@ func (m *machine) thread(t epoch.Tid) *threadState {
 // growThreads extends the table to n threads, each starting at t@1.
 func (m *machine) growThreads(n int) {
 	old := len(m.threads)
-	m.threads = extend(m.threads, n, &m.threadGrows)
+	m.threads = extend(m.threads, n)
 	for t := old; t < n; t++ {
 		c := recycle(m.threads[t].vc)
 		c.Inc(epoch.Tid(t))
@@ -120,7 +115,7 @@ func (m *machine) lock(l trace.Lock) *vc.VC {
 
 func (m *machine) growLocks(n int) {
 	old := len(m.locks)
-	m.locks = extend(m.locks, n, &m.lockGrows)
+	m.locks = extend(m.locks, n)
 	for i := old; i < n; i++ {
 		m.locks[i] = recycle(m.locks[i])
 	}
@@ -136,7 +131,7 @@ func (m *machine) variable(x trace.Var) *varState {
 
 func (m *machine) growVars(n int) {
 	old := len(m.vars)
-	m.vars = extend(m.vars, n, &m.varGrows)
+	m.vars = extend(m.vars, n)
 	for i := old; i < n; i++ {
 		m.vars[i] = varState{v: m.vars[i].v[:0]}
 	}
@@ -280,7 +275,6 @@ func (m *machine) Stats() obs.Snapshot {
 		SlowReads: m.slowReads, SlowWrites: m.slowWrites,
 		Recorded: uint64(len(m.reports)), Dropped: m.dropped,
 		Threads: threads, Locks: m.locks,
-		ThreadGrows: m.threadGrows, LockGrows: m.lockGrows,
 	}.Snapshot()
 	shared, vecEntries := 0, 0
 	for i := range m.vars {
@@ -289,7 +283,7 @@ func (m *machine) Stats() obs.Snapshot {
 		}
 		vecEntries += len(m.vars[i].v)
 	}
-	core.AddVarTable(s, len(m.vars), m.varGrows, shared,
+	core.AddVarTable(s, len(m.vars), shared,
 		core.EpochShadowBytes(threads, m.locks, len(m.vars), vecEntries))
 	return s
 }

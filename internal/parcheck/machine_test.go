@@ -15,13 +15,14 @@ import (
 
 // TestMachineStatsKeysMatchV2: a default-variant check's snapshot is
 // core.V2's snapshot — the same counter and gauge names, and the same
-// value wherever the value follows the analysis rather than the table
-// hints (shadow.*) or clock growth (vc.*) — on Go-sync traces, under
+// value wherever the value follows the analysis (shadow.vars_shared
+// included) rather than table occupancy (shadow.*) or clock growth
+// (vc.*) — on Go-sync traces, under
 // report caps and under a sampling policy. The stage's own ops.* and
-// sampling.* keys sit beside them and are set aside. The shadow.* gauges
-// count touched entries, where core.V2 counts populated ones: they are
-// held to a core.V2 behind the same front stage whose hints are exactly
-// the touched counts, so its tables are full and never grow.
+// sampling.* keys sit beside them and are set aside. The machine's tables
+// hold what the trace names, no more: its shadow.threads, shadow.vars and
+// shadow.locks are the distinct threads, sampled variables and locks of
+// the lowered trace.
 func TestMachineStatsKeysMatchV2(t *testing.T) {
 	cfg := trace.GoSyncGenConfig()
 	cfg.Ops = 600
@@ -34,15 +35,24 @@ func TestMachineStatsKeysMatchV2(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		tr := trace.Generate(rand.New(rand.NewSource(seed)), cfg)
 		for _, c := range cases {
-			ccfg := core.DefaultConfig()
-			ccfg.MaxReportsPerVar = c.maxPerVar
-			bare, err := core.New("vft-v2", ccfg)
+			bare, err := core.New("vft-v2", core.Config{MaxReportsPerVar: c.maxPerVar})
 			if err != nil {
 				t.Fatal(err)
 			}
+			threads, vars, locks := map[epoch.Tid]bool{}, map[trace.Var]bool{}, map[trace.Lock]bool{}
 			for _, op := range tr.Desugar(ext) {
+				threads[op.T] = true
+				switch op.Kind {
+				case trace.Fork, trace.Join:
+					threads[op.U] = true
+				case trace.Acquire, trace.Release:
+					locks[op.M] = true
+				}
 				if c.sampling == nil || !op.IsAccess() || c.sampling.Sampled(op.X) {
 					core.Dispatch(bare, op)
+					if op.IsAccess() {
+						vars[op.X] = true
+					}
 				}
 			}
 			want := bare.(core.StatsSource).Stats()
@@ -53,25 +63,9 @@ func TestMachineStatsKeysMatchV2(t *testing.T) {
 				t.Fatalf("seed %d %+v: %v", seed, c, err)
 			}
 			g := got.Gauges
-			exact, err := core.New("vft-v2", core.Config{MaxReportsPerVar: c.maxPerVar,
-				Threads: int(g["shadow.threads"]), Vars: int(g["shadow.vars"]), Locks: int(g["shadow.locks"])})
-			if err != nil {
-				t.Fatal(err)
-			}
-			front := &frontStage{sampler: c.sampling, det: exact}
-			for _, op := range tr.Desugar(ext) {
-				front.push(op)
-			}
-			full := exact.(core.StatsSource).Stats()
-			for _, key := range []string{"shadow.threads.grows", "shadow.vars.grows", "shadow.locks.grows"} {
-				if n := full.Counters[key]; n != 0 {
-					t.Fatalf("seed %d %+v: the exactly hinted core.V2 has %s = %d", seed, c, key, n)
-				}
-			}
-			for key, n := range full.Gauges {
-				if strings.HasPrefix(key, "shadow.") && g[key] != n {
-					t.Errorf("seed %d %+v: gauge %s = %d, a full core.V2 table %d", seed, c, key, g[key], n)
-				}
+			if g["shadow.threads"] != uint64(len(threads)) || g["shadow.vars"] != uint64(len(vars)) || g["shadow.locks"] != uint64(len(locks)) {
+				t.Errorf("seed %d %+v: the machine holds %d threads, %d variables and %d locks; the lowered trace names %d, %d and %d",
+					seed, c, g["shadow.threads"], g["shadow.vars"], g["shadow.locks"], len(threads), len(vars), len(locks))
 			}
 			for _, kind := range []struct {
 				name      string
@@ -81,7 +75,7 @@ func TestMachineStatsKeysMatchV2(t *testing.T) {
 					v, ok := kind.got[key]
 					if !ok {
 						t.Errorf("seed %d %+v: %s %s missing from the machine's snapshot", seed, c, kind.name, key)
-					} else if v != n && !strings.HasPrefix(key, "shadow.") && !strings.HasPrefix(key, "vc.") {
+					} else if v != n && (key == "shadow.vars_shared" || !strings.HasPrefix(key, "shadow.") && !strings.HasPrefix(key, "vc.")) {
 						t.Errorf("seed %d %+v: %s %s = %d, core.V2 %d", seed, c, kind.name, key, v, n)
 					}
 				}
@@ -139,29 +133,25 @@ func TestMachineSteadyStateDoesNotAllocate(t *testing.T) {
 
 // TestMachineTablesFollowCompactIDs is TestHostileIDsAreBounded (root) per
 // table: the machine's tables hold what the trace names, whatever the ids'
-// magnitude and whatever the hints — a hint reserves capacity, it does not
-// populate.
+// magnitude.
 func TestMachineTablesFollowCompactIDs(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(0, 65000),
 		trace.Wr(65000, 2000000000),
 		trace.Wr(0, 2000000000),
 	}
-	for _, hint := range []int{0, 8} {
-		var snap obs.Snapshot
-		got, err := CheckTrace(tr, nil, Options{Threads: hint, Vars: hint, Locks: hint,
-			StatsSink: func(s obs.Snapshot) { snap = s }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0].T != 0 || got[0].X != 2000000000 || got[0].Prev.Tid() != 65000 {
-			t.Errorf("hint %d: reports %v, want one race on x2000000000 between threads 65000 and 0", hint, got)
-		}
-		g := snap.Gauges
-		if g["shadow.threads"] != 2 || g["shadow.vars"] != 1 || g["shadow.locks"] != 0 {
-			t.Errorf("hint %d: %d threads, %d variables, %d locks; want 2, 1, 0",
-				hint, g["shadow.threads"], g["shadow.vars"], g["shadow.locks"])
-		}
+	var snap obs.Snapshot
+	got, err := CheckTrace(tr, nil, Options{StatsSink: func(s obs.Snapshot) { snap = s }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].T != 0 || got[0].X != 2000000000 || got[0].Prev.Tid() != 65000 {
+		t.Errorf("reports %v, want one race on x2000000000 between threads 65000 and 0", got)
+	}
+	g := snap.Gauges
+	if g["shadow.threads"] != 2 || g["shadow.vars"] != 1 || g["shadow.locks"] != 0 {
+		t.Errorf("%d threads, %d variables, %d locks; want 2, 1, 0",
+			g["shadow.threads"], g["shadow.vars"], g["shadow.locks"])
 	}
 }
 

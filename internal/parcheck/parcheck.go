@@ -13,7 +13,7 @@
 // the default, and what every product path runs — the detector is this
 // package's machine: core.V2's state and rules without the
 // synchronization that only concurrent callers need (see machine). The
-// other six variants are core's own detectors. The reports are the
+// other five variants are core's own detectors. The reports are the
 // detector's, mapped back onto the trace's ids. The machine, the front
 // stage and the batch buffer are recycled between checks (see checkState).
 //
@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -44,14 +45,6 @@ type Options struct {
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited),
 	// with the semantics of core's report sink.
 	MaxReportsPerVar int
-	// Threads, Vars and Locks are table size hints: how many distinct
-	// threads, variables and lowered locks to expect (the tables grow on
-	// demand). They are counts, not id bounds — the detector sees compact
-	// ids. For the other six variants a hint's worth of table is populated
-	// up front and counted in shadow.threads/vars/locks/bytes; the vft-v2
-	// machine only reserves capacity, so there those gauges count the
-	// entries the trace touched.
-	Threads, Vars, Locks int
 	// Metrics, when non-nil, observes the check the way it observes an
 	// online detector: sampled latency.* histograms while the check runs,
 	// and afterwards the detector's counters frozen under the variant name
@@ -81,21 +74,26 @@ const batchSize = 512
 
 // CheckSource checks a raw (not yet validated or lowered) stream: the §2
 // feasibility validation, under the variant's thread-id ceiling, the
-// extended-op lowering and the front stage's renumbering run in one switch
-// per operation (see feed.check), over batches the source delivers (a
-// binary decoder decodes one in place; other sources yield one op per
-// batch). ext has DesugarSource's meaning (barrier participant counts,
-// channel capacities; nil for all defaults), and the lowering is the
-// shared trace.Lowerer in its parity numbering, so the detector sees what
-// DesugarSource would hand it, operation for operation. The first
-// infeasible op ends the check with the validator's positioned error; on
-// any error all reports are discarded.
+// extended-op lowering, the variant's clock ceiling and the front stage's
+// renumbering run in one switch per operation (see feed.check), over
+// batches the source delivers (a binary decoder decodes one in place;
+// other sources yield one op per batch). ext has DesugarSource's meaning
+// (barrier participant counts, channel capacities; nil for all defaults),
+// and the lowering is the shared trace.Lowerer in its parity numbering, so
+// the detector sees what DesugarSource would hand it, operation for
+// operation. The first infeasible op ends the check with the validator's
+// positioned error, and the first op that would take a thread's clock past
+// core.MaxClock with a *trace.ClockRangeError; on any error all reports
+// are discarded.
 func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, error) {
 	return run(opts, func(st *checkState) error {
 		v := trace.NewValidator()
 		v.Ext = ext
 		v.MaxTid = core.MaxTid(opts.Variant)
 		fd := &feed{v: v, low: trace.NewParityLowerer(ext), front: &st.front}
+		if c := core.MaxClock(opts.Variant); c < epoch.MaxClock {
+			fd.maxClock = c
+		}
 		for {
 			n, err := trace.NextBatch(src, st.buf[:])
 			if err == io.EOF {
@@ -119,12 +117,20 @@ type feed struct {
 	low   *trace.Lowerer
 	front *frontStage
 	pairs []trace.Pair // the lowering's output, reused
+
+	// maxClock is the variant's clock ceiling where it is below
+	// epoch.MaxClock (ft-cas's), and 0 where there is none to police;
+	// ticks[o] then counts the increments of the clock of the thread with
+	// ordinal o, which starts at 1.
+	maxClock uint64
+	ticks    []uint64
 }
 
 // check validates, lowers and renumbers ops in order, handing each to the
 // detector, and on the first infeasible one returns its index in ops and
-// the validator's error. The core kinds pass the Lowerer by (only a real
-// lock's id changes), so only the extended kinds reach it.
+// the validator's error (or the clock ceiling's). The core kinds pass the
+// Lowerer by (only a real lock's id changes), so only the extended kinds
+// reach it.
 func (fd *feed) check(ops []trace.Op) (int, error) {
 	v, front := fd.v, fd.front
 	for i := range ops {
@@ -144,27 +150,38 @@ func (fd *feed) check(ops []trace.Op) (int, error) {
 				front.acquire(v.Ordinal(op.T), fd.low.Real(op.M))
 			}
 		case trace.Release:
-			if err = v.Release(op); err == nil {
+			if err = v.Release(op); err == nil && fd.maxClock != 0 {
+				err = fd.tick(op, op.T)
+			}
+			if err == nil {
 				front.release(v.Ordinal(op.T), fd.low.Real(op.M))
 			}
 		case trace.Fork:
-			if err = v.Fork(op); err == nil {
+			if err = v.Fork(op); err == nil && fd.maxClock != 0 {
+				err = fd.tick(op, op.T)
+			}
+			if err == nil {
 				front.fork(v.Ordinal(op.T), v.Ordinal(op.U))
 			}
 		case trace.Join:
-			if err = v.Join(op); err == nil {
+			// Under the FT join rule, ft-cas's, a join ticks the joined
+			// thread's clock.
+			if err = v.Join(op); err == nil && fd.maxClock != 0 {
+				err = fd.tick(op, op.U)
+			}
+			if err == nil {
 				front.join(v.Ordinal(op.T), v.Ordinal(op.U))
 			}
 		case trace.ChanSend, trace.ChanRecv, trace.ChanClose:
 			var step trace.ChanStep
 			if step, err = v.Chan(op); err == nil {
 				fd.pairs = fd.low.AppendChan(fd.pairs[:0], op, step)
-				fd.lowered()
+				err = fd.lowered(op)
 			}
 		default:
 			if err = v.Check(op); err == nil {
 				fd.pairs = fd.low.AppendSync(fd.pairs[:0], op)
-				fd.lowered()
+				err = fd.lowered(op)
 			}
 		}
 		if err != nil {
@@ -174,13 +191,34 @@ func (fd *feed) check(ops []trace.Op) (int, error) {
 	return len(ops), nil
 }
 
-// lowered hands on the acquire+release pairs an extended op lowered to.
-func (fd *feed) lowered() {
+// lowered hands on the acquire+release pairs op lowered to.
+func (fd *feed) lowered(op trace.Op) error {
 	for _, p := range fd.pairs {
+		if fd.maxClock != 0 {
+			if err := fd.tick(op, p.T); err != nil {
+				return err
+			}
+		}
 		t := fd.v.Ordinal(p.T)
 		fd.front.acquire(t, p.M)
 		fd.front.release(t, p.M)
 	}
+	return nil
+}
+
+// tick counts one increment of thread t's clock for op, which the
+// validator has just admitted, or fails op if the increment would take the
+// clock past maxClock.
+func (fd *feed) tick(op trace.Op, t epoch.Tid) error {
+	o := int(fd.v.Ordinal(t))
+	for o >= len(fd.ticks) {
+		fd.ticks = append(fd.ticks, 0)
+	}
+	if 1+fd.ticks[o] == fd.maxClock {
+		return &trace.ClockRangeError{Index: fd.v.Count() - 1, Op: op, Tid: t, Max: fd.maxClock}
+	}
+	fd.ticks[o]++
+	return nil
 }
 
 // CheckTrace is CheckSource over a materialized trace.
@@ -223,7 +261,7 @@ var states = &sync.Pool{New: func() any { return new(checkState) }}
 // run assembles a check on a recycled state: drive hands the stream, in
 // the calling goroutine, to the front stage, which calls the handlers of
 // an empty detector — the unsynchronized machine for vft-v2, a new core
-// detector for the other six — under the compact ids their flat tables
+// detector for the other five — under the compact ids their flat tables
 // are indexed by.
 func run(opts Options, drive func(*checkState) error) ([]core.Report, error) {
 	st := states.Get().(*checkState)
@@ -237,25 +275,20 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
 	}
-	cfg := core.Config{
-		Threads: opts.Threads, Locks: opts.Locks,
-		Vars:             core.SampledVars(opts.Sampling, opts.Vars), // only sampled variables reach a table
-		MaxReportsPerVar: opts.MaxReportsPerVar,
-	}
 	var d core.Detector
 	if opts.Variant == "vft-v2" {
-		st.m.reset(cfg)
+		st.m.reset(opts.MaxReportsPerVar)
 		d = &st.m
 	} else {
 		var err error
-		if d, err = core.New(opts.Variant, cfg); err != nil {
+		if d, err = core.New(opts.Variant, core.Config{MaxReportsPerVar: opts.MaxReportsPerVar}); err != nil {
 			return nil, err
 		}
 	}
 	front := &st.front
 	front.sampler, front.det = opts.Sampling, d
 	if opts.Metrics != nil {
-		front.det = core.InstrumentLatency(d, opts.Metrics, core.LatencySampleInterval)
+		front.det = core.InstrumentLatency(d, opts.Metrics)
 	}
 	if err := drive(st); err != nil {
 		return nil, err

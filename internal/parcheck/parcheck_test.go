@@ -22,9 +22,7 @@ func bareReplay(t testing.TB, tr trace.Trace, variant string, maxPerVar int) []c
 // bareDetector is bareReplay's detector after the replay, for its counters.
 func bareDetector(t testing.TB, tr trace.Trace, variant string, maxPerVar int) core.Detector {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.MaxReportsPerVar = maxPerVar
-	d, err := core.New(variant, cfg)
+	d, err := core.New(variant, core.Config{MaxReportsPerVar: maxPerVar})
 	if err != nil {
 		t.Fatalf("core.New(%q): %v", variant, err)
 	}
@@ -43,7 +41,7 @@ func bareDetector(t testing.TB, tr trace.Trace, variant string, maxPerVar int) c
 }
 
 // analysisCounters are the counters of s that follow the analysis alone,
-// not table hints or clock growth: what any two engines must agree on.
+// not table occupancy or clock growth: what any two engines must agree on.
 func analysisCounters(s obs.Snapshot) map[string]uint64 {
 	out := map[string]uint64{}
 	for key, n := range s.Counters {
@@ -274,7 +272,7 @@ func TestParallelDefaults(t *testing.T) {
 // offline check must match the bare replay on it — reports and analysis
 // counters — for a report cap drawn from the input, under a variant also
 // drawn from it and, on every input, under the default variant: that one
-// is parcheck's own machine, where the other six are core's detectors.
+// is parcheck's own machine, where the other five are core's detectors.
 // Each check runs on a fresh state and again on one the hostile Go-sync
 // trace has dirtied, and the two must agree (requireSameOutcome).
 func FuzzParallelEquivalence(f *testing.F) {

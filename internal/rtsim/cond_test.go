@@ -117,7 +117,7 @@ func TestOnceOrdersInitializer(t *testing.T) {
 // Without Once, the same pattern is racy — pins down that the clean result
 // above is due to the Once edges, not detector blindness.
 func TestInitializerWithoutOnceRaces(t *testing.T) {
-	d, err := core.New("vft-v2", core.DefaultConfig())
+	d, err := core.New("vft-v2", core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

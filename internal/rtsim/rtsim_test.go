@@ -11,7 +11,7 @@ func detectors(t *testing.T) []core.Detector {
 	t.Helper()
 	var out []core.Detector
 	for _, name := range core.Variants() {
-		d, err := core.New(name, core.DefaultConfig())
+		d, err := core.New(name, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,15 +142,11 @@ type Words struct {
 	sampled, suppressed uint64 // decided-variable counts, under mu
 }
 
-// NewWords returns a decision table for pol, pre-sized for capacity
-// variable ids (grown on demand past it).
-func NewWords(pol Policy, capacity int) *Words {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewWords returns an empty decision table for pol; it grows to cover each
+// variable id as the id is first decided.
+func NewWords(pol Policy) *Words {
 	w := &Words{pol: pol}
-	slice := make([]uint32, capacity)
-	w.p.Store(&slice)
+	w.p.Store(new([]uint32))
 	return w
 }
 

@@ -118,7 +118,7 @@ func TestSampledID(t *testing.T) {
 
 func TestWordsDecisionsMatchPolicy(t *testing.T) {
 	pol := Policy{Rate: 0.5, Seed: 3}
-	w := NewWords(pol, 8) // force growth past the hint
+	w := NewWords(pol)
 	const n = 1000
 	for x := trace.Var(0); x < n; x++ {
 		word := w.Word(x)
@@ -143,7 +143,7 @@ func TestWordsDecisionsMatchPolicy(t *testing.T) {
 }
 
 func TestWordsDenseIDsInTouchOrder(t *testing.T) {
-	w := NewWords(Policy{Rate: 1, Seed: 1}, 4)
+	w := NewWords(Policy{Rate: 1, Seed: 1})
 	touch := []trace.Var{9, 2, 77, 0}
 	for i, x := range touch {
 		id, ok := SampledID(w.Word(x))
@@ -158,7 +158,7 @@ func TestWordsDenseIDsInTouchOrder(t *testing.T) {
 // pure policy decision, and the dense id remap must stay a bijection.
 func TestWordsConcurrent(t *testing.T) {
 	pol := Policy{Rate: 0.5, Seed: 7}
-	w := NewWords(pol, 1)
+	w := NewWords(pol)
 	const vars, workers = 2048, 8
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {

@@ -23,27 +23,19 @@ import (
 // the old and new slices, so readers racing with growth still observe the
 // same objects.
 type Table[T any] struct {
-	mu    sync.Mutex
-	p     atomic.Pointer[[]*T]
-	init  func(id int) *T
-	grows atomic.Uint64
+	mu   sync.Mutex
+	p    atomic.Pointer[[]*T]
+	init func(id int) *T
 }
 
-// NewTable returns a table whose missing entries are created by init (which
-// must not return nil). capacity pre-sizes the table; ids beyond it grow the
-// table automatically. Pre-sizing populates the table directly and does not
-// count as growth in GrowCount — growth events measure how far the
-// configured capacity hints undershot the workload.
-func NewTable[T any](capacity int, init func(id int) *T) *Table[T] {
+// NewTable returns an empty table whose entries are created by init (which
+// must not return nil) the first time an id at or beyond them is named.
+func NewTable[T any](init func(id int) *T) *Table[T] {
 	if init == nil {
 		panic("shadow: NewTable requires an init function")
 	}
 	t := &Table[T]{init: init}
-	slice := make([]*T, capacity)
-	for i := range slice {
-		slice[i] = init(i)
-	}
-	t.p.Store(&slice)
+	t.p.Store(new([]*T))
 	return t
 }
 
@@ -77,13 +69,6 @@ func (t *Table[T]) Snapshot() []*T {
 	return *t.p.Load()
 }
 
-// GrowCount returns how many times the table grew beyond its initial
-// capacity. Each event is one copy-and-republish of the pointer slice, so
-// a nonzero count on a hot table means the capacity hint should be raised.
-func (t *Table[T]) GrowCount() uint64 {
-	return t.grows.Load()
-}
-
 // grow extends the table to cover id and returns its entry.
 func (t *Table[T]) grow(id int) *T {
 	t.mu.Lock()
@@ -102,6 +87,5 @@ func (t *Table[T]) grow(id int) *T {
 		grown[i] = t.init(i)
 	}
 	t.p.Store(&grown)
-	t.grows.Add(1)
 	return grown[id]
 }

@@ -9,12 +9,12 @@ type payload struct {
 	id int
 }
 
-func newTable(capacity int) *Table[payload] {
-	return NewTable(capacity, func(id int) *payload { return &payload{id: id} })
+func newTable() *Table[payload] {
+	return NewTable(func(id int) *payload { return &payload{id: id} })
 }
 
 func TestGetCreatesEntries(t *testing.T) {
-	tb := newTable(0)
+	tb := newTable()
 	p := tb.Get(5)
 	if p == nil || p.id != 5 {
 		t.Fatalf("Get(5) = %+v", p)
@@ -31,21 +31,11 @@ func TestGetCreatesEntries(t *testing.T) {
 }
 
 func TestPointerStability(t *testing.T) {
-	tb := newTable(1)
+	tb := newTable()
 	p0 := tb.Get(0)
 	tb.Get(1000) // force several growths
 	if tb.Get(0) != p0 {
 		t.Fatal("entry pointer changed across growth")
-	}
-}
-
-func TestPreSizedCapacity(t *testing.T) {
-	tb := newTable(8)
-	if tb.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", tb.Len())
-	}
-	if tb.Get(3).id != 3 {
-		t.Fatal("pre-sized entry wrong")
 	}
 }
 
@@ -55,7 +45,7 @@ func TestNegativeIDPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	newTable(0).Get(-1)
+	newTable().Get(-1)
 }
 
 func TestNilInitPanics(t *testing.T) {
@@ -64,13 +54,17 @@ func TestNilInitPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewTable[payload](0, nil)
+	NewTable[payload](nil)
 }
 
 func TestSnapshotSeesEntries(t *testing.T) {
-	tb := newTable(3)
+	tb := newTable()
+	if s := tb.Snapshot(); len(s) != 0 {
+		t.Fatalf("Snapshot of a new table = %v, want empty", s)
+	}
+	tb.Get(2)
 	s := tb.Snapshot()
-	if len(s) != 3 || s[2].id != 2 {
+	if len(s) < 3 || s[2].id != 2 {
 		t.Fatalf("Snapshot = %v", s)
 	}
 }
@@ -78,7 +72,7 @@ func TestSnapshotSeesEntries(t *testing.T) {
 // Concurrent Gets on overlapping id ranges must return one stable object per
 // id. Run with -race.
 func TestConcurrentGetUniqueness(t *testing.T) {
-	tb := newTable(0)
+	tb := newTable()
 	const goroutines = 8
 	const ids = 512
 	results := make([][]*payload, goroutines)
@@ -114,7 +108,7 @@ func TestConcurrentGetUniqueness(t *testing.T) {
 // is the stress test behind Snapshot's concurrent-growth guarantee, which
 // the parallel checker's stats pass relies on.
 func TestSnapshotDuringGrow(t *testing.T) {
-	tb := newTable(1)
+	tb := newTable()
 	const growers = 4
 	const maxID = 2048
 	var wg sync.WaitGroup
@@ -160,7 +154,7 @@ func TestSnapshotDuringGrow(t *testing.T) {
 }
 
 func BenchmarkGetHot(b *testing.B) {
-	tb := newTable(64)
+	tb := newTable()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {

@@ -1,9 +1,10 @@
 package trace
 
-// IDSpace is the shadow-table sizing a trace's lowered form will touch:
-// one entry per thread, data variable and lowered lock id. It is computed
-// by a cheap O(n) prescan of the raw (un-lowered) trace, so CheckTrace
-// can pre-size a detector's shadow tables and never grow them mid-run.
+// IDSpace is the id space a trace's lowered form will touch: one entry per
+// thread, data variable and lowered lock id, computed by an O(n) prescan of
+// the raw (un-lowered) trace. IDSpace and Scan are read only by
+// bench/offline.go (frozen with the benchmark); delete with the next
+// `benchmark` PR.
 type IDSpace struct {
 	// Threads is max(tid)+1 over every acting and forked/joined thread.
 	Threads int
@@ -15,10 +16,8 @@ type IDSpace struct {
 	// distinct volatile variable, barrier, atomic location or once id,
 	// and up to 2+capacity per channel) becomes 2k+1. The bound
 	// over-approximates when a barrier never completes a round (its
-	// pseudo-lock is then never allocated), which only costs a spare
-	// table entry, and under-approximates for channels whose buffer
-	// capacity exceeds the assumed single slot lock — shadow tables grow
-	// on demand, so an extra slot lock only costs one mid-run growth.
+	// pseudo-lock is then never allocated), and under-approximates for
+	// channels whose buffer capacity exceeds the assumed single slot lock.
 	Locks int
 }
 
@@ -64,7 +63,7 @@ func Scan(tr Trace) IDSpace {
 		s.Locks = 2*maxM + 1 // real lock m lowers to id 2m
 	}
 	// Per channel: close lock + rendezvous lock + one assumed slot lock
-	// (the capacity is out-of-band, so deeper buffers grow on demand).
+	// (the capacity is out-of-band).
 	pseudo := len(volatiles) + len(barriers) + len(atomics) + len(onces) + 3*len(chans)
 	if pseudo > 0 && 2*pseudo > s.Locks {
 		s.Locks = 2 * pseudo // k-th pseudo-lock lowers to id 2k+1

@@ -100,28 +100,6 @@ func ReadAll(src Source) (Trace, error) {
 	}
 }
 
-// headSource truncates a Source after n operations.
-type headSource struct {
-	src  Source
-	left int
-}
-
-func (h *headSource) Next() (Op, error) {
-	if h.left <= 0 {
-		return Op{}, io.EOF
-	}
-	op, err := h.src.Next()
-	if err == nil {
-		h.left--
-	}
-	return op, err
-}
-
-// Head returns a Source yielding at most the first n operations of src.
-// The underlying source is not drained past n, so a bounded prefix of an
-// unbounded stream stays bounded.
-func Head(src Source, n int) Source { return &headSource{src: src, left: n} }
-
 // TooLongError is the terminal error of a Limit source: the stream
 // exceeded the caller's operation budget. The limit is carried so callers
 // (an ingestion service enforcing per-tenant stream quotas) can report it.
@@ -174,10 +152,10 @@ func (l *limitSource) unread(k int) {
 }
 
 // Limit returns a Source that yields src's operations but fails with a
-// *TooLongError as soon as the stream runs past n operations. Unlike Head,
-// which silently truncates, Limit makes an over-budget stream an error —
-// the right contract for enforcing upload quotas, where checking a silent
-// prefix would misreport the trace's races. n <= 0 means no limit.
+// *TooLongError as soon as the stream runs past n operations. It never
+// silently truncates: an over-budget stream is an error — the right
+// contract for enforcing upload quotas, where checking a silent prefix
+// would misreport the trace's races. n <= 0 means no limit.
 func Limit(src Source, n int) Source {
 	if n <= 0 {
 		return src

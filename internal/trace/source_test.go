@@ -13,24 +13,16 @@ import (
 	"repro/internal/epoch"
 )
 
-func TestSliceSourceReadAllHead(t *testing.T) {
+func TestSliceSourceReadAll(t *testing.T) {
 	tr := Trace{Wr(0, 0), Rd(0, 1), Wr(0, 2)}
 	back, err := ReadAll(tr.Source())
 	if err != nil || !reflect.DeepEqual(tr, back) {
 		t.Fatalf("ReadAll: %v, %v", back, err)
 	}
-	head, err := ReadAll(Head(tr.Source(), 2))
-	if err != nil || !reflect.DeepEqual(tr[:2], head) {
-		t.Fatalf("Head(2): %v, %v", head, err)
-	}
-	none, err := ReadAll(Head(tr.Source(), 0))
-	if err != nil || len(none) != 0 {
-		t.Fatalf("Head(0): %v, %v", none, err)
-	}
 }
 
 // TestLimit: within budget Limit is transparent; past it the stream fails
-// with a typed *TooLongError (it never silently truncates like Head).
+// with a typed *TooLongError (it never silently truncates).
 func TestLimit(t *testing.T) {
 	tr := Trace{Wr(0, 0), Rd(0, 1), Wr(0, 2)}
 	back, err := ReadAll(Limit(tr.Source(), 3))
@@ -127,8 +119,15 @@ func TestLimitCounterBatches(t *testing.T) {
 	}
 	// Limit takes handed-back ops back into its budget.
 	l := Limit(NewBinaryDecoder(bytes.NewReader(full)), 3).(*limitSource)
-	if got, err := readBatches(t, Head(l, 3), 512); len(got) != 3 || err != nil || l.left != 0 {
-		t.Fatalf("Limit(3): %d ops, %v, %d left", len(got), err, l.left)
+	for got := 0; got < 3; {
+		n, err := NextBatch(l, buf)
+		if err != nil || got+n > 3 {
+			t.Fatalf("Limit(3): %d ops, then %d and %v", got, n, err)
+		}
+		got += n
+	}
+	if l.left != 0 {
+		t.Fatalf("Limit(3) after 3 ops: %d left", l.left)
 	}
 	if Unread(l, 2); l.left != 2 {
 		t.Errorf("Limit after Unread(2): %d left, want 2", l.left)

@@ -103,13 +103,3 @@ func (tr Trace) Desugar(ext *Extensions) Trace {
 	}
 	return out
 }
-
-// ByThread splits the trace into per-thread projections preserving program
-// order; useful for tests and for the reduction checker.
-func (tr Trace) ByThread() map[epoch.Tid]Trace {
-	out := map[epoch.Tid]Trace{}
-	for _, op := range tr {
-		out[op.T] = append(out[op.T], op)
-	}
-	return out
-}

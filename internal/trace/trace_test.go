@@ -246,17 +246,6 @@ func TestDesugarBarrierCompleteRound(t *testing.T) {
 	}
 }
 
-func TestByThread(t *testing.T) {
-	tr := Trace{Wr(0, 0), ForkOp(0, 1), Rd(1, 0), Wr(0, 1)}
-	by := tr.ByThread()
-	if len(by[0]) != 3 || len(by[1]) != 1 {
-		t.Fatalf("ByThread = %v", by)
-	}
-	if by[0][2] != Wr(0, 1) {
-		t.Fatal("program order not preserved")
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	tr := Generate(rand.New(rand.NewSource(3)), DefaultGenConfig())
 	tr = append(tr, VRd(0, 1), VWr(0, 1), BarrierOp(0, 0))

@@ -36,6 +36,21 @@ func (e *TidRangeError) Error() string {
 		e.Index, e.Op, e.Tid, e.Max)
 }
 
+// ClockRangeError reports an operation that would take thread Tid's clock
+// past Max, the largest clock the selected detector's epoch format holds
+// (FT-CAS's 24-bit clocks): the trace cannot be checked from there on.
+type ClockRangeError struct {
+	Index int // position of the offending operation
+	Op    Op
+	Tid   epoch.Tid
+	Max   uint64
+}
+
+func (e *ClockRangeError) Error() string {
+	return fmt.Sprintf("trace: #%d %v: clock of thread %d would exceed %d",
+		e.Index, e.Op, e.Tid, e.Max)
+}
+
 // threadPhase tracks a thread through the fork/join lifecycle imposed by
 // constraints (3)-(5) of §2.
 type threadPhase uint8

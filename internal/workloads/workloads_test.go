@@ -18,7 +18,7 @@ func TestAllWorkloadsRaceFree(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, name := range core.Variants() {
-				d, err := core.New(name, core.DefaultConfig())
+				d, err := core.New(name, core.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func ruleMix(t *testing.T, name string, sizeMul int) [spec.NumRules]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.New("vft-v2", core.DefaultConfig())
+	d, err := core.New("vft-v2", core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSeriesHasFewInstrumentedOps(t *testing.T) {
 func TestFastPathsCoverMostAccesses(t *testing.T) {
 	var total, fast uint64
 	for _, w := range All() {
-		d, err := core.New("vft-v2", core.DefaultConfig())
+		d, err := core.New("vft-v2", core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package verifiedft
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,27 +12,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/rtsim"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
-
-// recordWorkload captures the feasible event stream one run of a harness
-// workload delivers to a detector.
-func recordWorkload(t testing.TB, name string, size int) Trace {
-	t.Helper()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		t.Fatalf("workloads.ByName(%q): %v", name, err)
-	}
-	rec := core.NewRecorder()
-	rt := rtsim.New(rec)
-	if size <= 0 {
-		size = w.TestSize
-	}
-	w.Run(rt, size)
-	return rec.Trace()
-}
 
 // TestWithParallelismIsInert: WithParallelism is kept for the frozen
 // benchmark's sake and selects nothing. For any n the check returns the
@@ -147,28 +129,71 @@ func TestOutOfRangeTidIsTypedError(t *testing.T) {
 	}
 }
 
-// TestCheckTracePreSizesShadowTables asserts the satellite guarantee: on
-// harness workload traces, the id-space prescan sizes every shadow table
-// exactly, so the detector never grows one mid-run.
-func TestCheckTracePreSizesShadowTables(t *testing.T) {
-	for _, name := range []string{"montecarlo", "pmd", "sparse", "sor", "crypt"} {
-		tr := recordWorkload(t, name, 0)
-		for _, variant := range Variants() {
-			m := NewMetrics()
-			if _, err := CheckTrace(tr, WithVariant(variant), WithMetrics(m)); err != nil {
-				t.Fatalf("%s/%s: %v", name, variant, err)
-			}
-			s := m.Snapshot()
-			for _, table := range []string{"threads", "vars", "locks"} {
-				key := fmt.Sprintf("%s.shadow.%s.grows", variant, table)
-				if n, ok := s.Counters[key]; !ok {
-					t.Errorf("%s/%s: counter %s missing", name, variant, key)
-				} else if n != 0 {
-					t.Errorf("%s/%s: %s = %d, want 0 (prescan under-sized the table)", name, variant, key, n)
-				}
-			}
-		}
+// releaseStream is acq 0 0 / rel 0 0 repeated pairs times, then wr 0 0,
+// made as it is read: main's clock ticks once per release and never
+// resets, and the stream is never held in memory.
+type releaseStream struct{ pairs, next int }
+
+func (s *releaseStream) op(i int) (Op, error) {
+	switch {
+	case i < 2*s.pairs && i%2 == 0:
+		return Acquire(0, 0), nil
+	case i < 2*s.pairs:
+		return Release(0, 0), nil
+	case i == 2*s.pairs:
+		return Write(0, 0), nil
 	}
+	return Op{}, io.EOF
+}
+
+func (s *releaseStream) Next() (Op, error) {
+	op, err := s.op(s.next)
+	if err == nil {
+		s.next++
+	}
+	return op, err
+}
+
+func (s *releaseStream) NextBatch(buf []Op) (int, error) {
+	for n := range buf {
+		op, err := s.op(s.next)
+		if err != nil {
+			if n > 0 {
+				return n, nil
+			}
+			return 0, err
+		}
+		buf[n] = op
+		s.next++
+	}
+	return len(buf), nil
+}
+
+// TestFTCASClockCeilingIsTypedError: FT-CAS packs a 24-bit clock into its
+// epochs, so main's (2^24-1)-th release, which would take its clock from
+// 2^24-1 to 2^24, ends the check with a positioned *trace.ClockRangeError
+// where the detector used to panic on the next access. A 48-bit-clock
+// variant checks the same stream clean.
+func TestFTCASClockCeilingIsTypedError(t *testing.T) {
+	const pairs = 1 << 24
+	t.Run(FTCAS, func(t *testing.T) {
+		t.Parallel()
+		reports, err := CheckSource(&releaseStream{pairs: pairs}, WithVariant(FTCAS))
+		index := 2*core.MaxClock32 - 1 // the release that would make main's clock MaxClock32+1
+		var ce *trace.ClockRangeError
+		if !errors.As(err, &ce) || ce.Index != index || ce.Op != Release(0, 0) || ce.Tid != 0 || ce.Max != core.MaxClock32 {
+			t.Errorf("err = %v, want *ClockRangeError at #%d for thread 0 (max %d)", err, index, core.MaxClock32)
+		}
+		if reports != nil {
+			t.Errorf("want nil reports on error, got %+v", reports)
+		}
+	})
+	t.Run(FTMutex, func(t *testing.T) {
+		t.Parallel()
+		if reports, err := CheckSource(&releaseStream{pairs: pairs}, WithVariant(FTMutex)); err != nil || len(reports) != 0 {
+			t.Errorf("%v, %v; want a clean check", reports, err)
+		}
+	})
 }
 
 // TestIDSpaceScanMatchesLowering checks the prescan against the lowering

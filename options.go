@@ -32,11 +32,11 @@ type StatsSource = core.StatsSource
 // CheckTrace each start from their own defaults and read the subset that
 // concerns them.
 type settings struct {
-	variant  string
-	cfg      Config
-	parties  map[LockID]int
-	chancaps map[LockID]int
-	metrics  *Metrics
+	variant   string
+	maxPerVar int // WithMaxReportsPerVar's cap
+	parties   map[LockID]int
+	chancaps  map[LockID]int
+	metrics   *Metrics
 	// sampling is the WithSampling policy; nil is the precise tier. The
 	// "sampled[:rate]" variant spelling also sets it, via resolveSampling.
 	sampling *sample.Policy
@@ -79,7 +79,7 @@ type Option interface{ applyNew(*settings) }
 type CheckOption interface{ applyCheck(*settings) }
 
 // CommonOption is an option accepted by both New and CheckTrace
-// (WithMaxReportsPerVar, WithMetrics, WithThreads, WithVars, WithLocks).
+// (WithMaxReportsPerVar, WithMetrics, WithSampling).
 type CommonOption interface {
 	Option
 	CheckOption
@@ -138,7 +138,7 @@ func WithChanCapacities(caps map[LockID]int) CheckOption {
 // not redundant — this one bounds per-upload noise from one hot variable,
 // the tenant quota bounds long-term distinct-race retention.
 func WithMaxReportsPerVar(n int) CommonOption {
-	return commonOption(func(s *settings) { s.cfg.MaxReportsPerVar = n })
+	return commonOption(func(s *settings) { s.maxPerVar = n })
 }
 
 // WithMetrics attaches a metric registry. The detector is wrapped in a
@@ -210,21 +210,6 @@ func WithSampling(rate float64, opts ...SamplingOption) CommonOption {
 // benchmark); delete with the next `benchmark` PR.
 func WithParallelism(int) CheckOption {
 	return checkOption(func(*settings) {})
-}
-
-// WithThreads hints the thread shadow-table size (tables grow on demand).
-func WithThreads(n int) CommonOption {
-	return commonOption(func(s *settings) { s.cfg.Threads = n })
-}
-
-// WithVars hints the variable shadow-table size.
-func WithVars(n int) CommonOption {
-	return commonOption(func(s *settings) { s.cfg.Vars = n })
-}
-
-// WithLocks hints the lock shadow-table size.
-func WithLocks(n int) CommonOption {
-	return commonOption(func(s *settings) { s.cfg.Locks = n })
 }
 
 // Unwrap returns the detector underneath the latency sampler WithMetrics

@@ -55,7 +55,7 @@ func TestEveryReportNamesARaceRule(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", in.name, variant, err)
 			}
-			bare, err := core.New(variant, core.DefaultConfig())
+			bare, err := core.New(variant, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

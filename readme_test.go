@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,17 +52,50 @@ func TestReadmeVariantTable(t *testing.T) {
 	}
 }
 
-// packageConsts maps each string constant declared in this package's
-// non-test files to its value.
-func packageConsts(t *testing.T) map[string]string {
-	t.Helper()
-	files, err := filepath.Glob("*.go")
+// TestReadmeOptions keeps README's options in step with the code: every
+// With… name README mentions is an exported function of this package, and
+// every exported With… function of this package is in README, so adding or
+// deleting an option cannot leave the docs stale.
+func TestReadmeOptions(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]string{}
+	option := regexp.MustCompile(`\bWith[A-Z]\w*`)
+	named := map[string]bool{}
+	for _, name := range option.FindAllString(string(readme), -1) {
+		named[name] = true
+	}
+	funcs := map[string]bool{}
+	for _, f := range packageFiles(t) {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && option.MatchString(fd.Name.Name) {
+				funcs[fd.Name.Name] = true
+			}
+		}
+	}
+	for name := range named {
+		if !funcs[name] {
+			t.Errorf("README.md names %s, which is not an exported function of package verifiedft", name)
+		}
+	}
+	for name := range funcs {
+		if !named[name] {
+			t.Errorf("option %s is missing from README.md", name)
+		}
+	}
+}
+
+// packageFiles parses this package's non-test files.
+func packageFiles(t *testing.T) []*ast.File {
+	t.Helper()
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
 	fset := token.NewFileSet()
-	for _, path := range files {
+	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
@@ -69,6 +103,17 @@ func packageConsts(t *testing.T) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// packageConsts maps each string constant declared in this package's
+// non-test files to its value.
+func packageConsts(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, f := range packageFiles(t) {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {

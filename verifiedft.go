@@ -80,9 +80,6 @@ type Detector = core.Detector
 // Report describes one detected race.
 type Report = core.Report
 
-// Config sizes a detector's shadow tables (hints; tables grow on demand).
-type Config = core.Config
-
 // Rule identifies a Fig. 2 analysis rule.
 type Rule = spec.Rule
 
@@ -204,29 +201,28 @@ type (
 	Barrier = rtsim.Barrier
 )
 
-// New constructs a detector variant; see the variant constants. With no
-// options the shadow tables get mid-sized hints (they grow on demand, so
-// hints only matter for construction cost):
+// New constructs a detector variant; see the variant constants. Its
+// shadow tables start empty and grow with the thread, variable and lock
+// ids the program names:
 //
 //	d, err := verifiedft.New(verifiedft.V2)
 //	d, err := verifiedft.New(verifiedft.V2,
-//		verifiedft.WithThreads(64),
 //		verifiedft.WithMaxReportsPerVar(1),
 //		verifiedft.WithMetrics(m))
 func New(variant string, opts ...Option) (Detector, error) {
-	s := settings{variant: variant, cfg: core.DefaultConfig()}
+	s := settings{variant: variant}
 	for _, o := range opts {
 		o.applyNew(&s)
 	}
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
-	d, err := core.NewSampled(s.variant, s.cfg, s.sampling)
+	d, err := core.NewSampled(s.variant, core.Config{MaxReportsPerVar: s.maxPerVar}, s.sampling)
 	if err != nil {
 		return nil, err
 	}
 	if s.metrics != nil {
-		return core.InstrumentLatency(d, s.metrics, core.LatencySampleInterval), nil
+		return core.InstrumentLatency(d, s.metrics), nil
 	}
 	return d, nil
 }
@@ -257,9 +253,11 @@ func ValidateTrace(tr Trace) error { return trace.Validate(tr) }
 // variable and lock ids the stream names — never to their magnitude, and
 // never to the stream's length — so arbitrarily long traces check in
 // bounded memory (pair with WithMaxReportsPerVar on racy streams so the
-// report list stays bounded too). Shadow tables start from the defaults and
-// grow on demand. On a validation or decode error the error is returned
-// and any reports from the consumed prefix are discarded, matching
+// report list stays bounded too). Shadow tables start empty and grow with
+// the ids the stream names. On a validation or decode error, or at an
+// operation that would take a thread's clock past what the variant's epoch
+// format holds (only ft-cas's 24-bit clocks are that small), the error is
+// returned and any reports from the consumed prefix are discarded, matching
 // CheckTrace's contract that an infeasible trace yields no reports. With
 // WithMetrics the run is latency-sampled and the detector's counters are
 // frozen into the registry under the variant name when the stream ends.
@@ -267,7 +265,7 @@ func ValidateTrace(tr Trace) error { return trace.Validate(tr) }
 // CheckSource, CheckReader and CheckTrace are one path: the options map
 // onto internal/parcheck's, which assembles the check.
 func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
-	s := settings{variant: V2, cfg: core.DefaultConfig()}
+	s := settings{variant: V2}
 	for _, o := range opts {
 		o.applyCheck(&s)
 	}
@@ -276,10 +274,7 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	}
 	return parcheck.CheckSource(src, s.extensions(), parcheck.Options{
 		Variant:          s.variant,
-		MaxReportsPerVar: s.cfg.MaxReportsPerVar,
-		Threads:          s.cfg.Threads,
-		Vars:             s.cfg.Vars,
-		Locks:            s.cfg.Locks,
+		MaxReportsPerVar: s.maxPerVar,
 		Metrics:          s.metrics,
 		Sampling:         s.sampling,
 	})
@@ -308,28 +303,9 @@ func CheckReader(r io.Reader, opts ...CheckOption) ([]Report, error) {
 //
 // It is CheckSource on a slice-backed Source, so the materialized and
 // streaming paths cannot drift: identical operation sequences produce
-// identical reports whichever entry point sees them. Because the trace is
-// materialized, CheckTrace first runs a cheap O(n) id-space prescan and
-// pre-sizes the shadow tables so they never grow mid-run; explicit
-// WithThreads/WithVars/WithLocks options override the prescan.
+// identical reports whichever entry point sees them.
 func CheckTrace(tr Trace, opts ...CheckOption) ([]Report, error) {
-	sized := make([]CheckOption, 0, len(opts)+1)
-	sized = append(sized, withIDSpace(trace.Scan(tr), len(tr)))
-	sized = append(sized, opts...)
-	return CheckSource(tr.Source(), sized...)
-}
-
-// withIDSpace seeds the shadow-table hints from a prescan of an n-op
-// trace. It is prepended to the user's options so explicit sizing options
-// win. A hint allocates that many entries up front and the check numbers
-// ids densely, so each hint is capped at what n operations can name: a
-// hostile trace with huge sparse ids gets tables sized for the ids it has.
-func withIDSpace(ids trace.IDSpace, n int) CheckOption {
-	return checkOption(func(s *settings) {
-		s.cfg.Threads = min(ids.Threads, n+1) // main, plus one fork per op
-		s.cfg.Vars = min(ids.Vars, n)
-		s.cfg.Locks = min(ids.Locks, n)
-	})
+	return CheckSource(tr.Source(), opts...)
 }
 
 // HasRace is the oracle of §2: it decides, directly from the happens-before
@@ -343,8 +319,9 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.9.0 removes the lockset
-// variant and Report.Msg, which only that variant filled: every variant New
-// accepts is now a precise happens-before detector, and every report names
-// a Fig. 2 race rule.
-const Version = "2.9.0"
+// Version identifies this implementation. 2.10.0 removes the shadow-table
+// size hints — WithThreads, WithVars, WithLocks and the Config alias — since
+// every table starts empty and grows with the ids a run names. A check
+// under ft-cas now fails with a positioned error, where it used to panic,
+// at an operation that would take a clock past the variant's 24 bits.
+const Version = "2.10.0"

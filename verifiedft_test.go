@@ -245,7 +245,6 @@ func TestCheckTraceWithMetrics(t *testing.T) {
 func TestNewWithOptions(t *testing.T) {
 	m := verifiedft.NewMetrics()
 	d, err := verifiedft.New(verifiedft.V2,
-		verifiedft.WithThreads(4), verifiedft.WithVars(8), verifiedft.WithLocks(2),
 		verifiedft.WithMaxReportsPerVar(1),
 		verifiedft.WithMetrics(m))
 	if err != nil {
@@ -286,12 +285,42 @@ func TestFunctionalOptionsCoverRemovedWrappers(t *testing.T) {
 	if _, err := verifiedft.CheckTrace(racy, verifiedft.WithVariant("nope")); err == nil {
 		t.Fatal("CheckTrace accepted an unknown variant")
 	}
-	d, err := verifiedft.New(verifiedft.V2,
-		verifiedft.WithThreads(8), verifiedft.WithVars(64), verifiedft.WithLocks(8))
+	d, err := verifiedft.New(verifiedft.V2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(verifiedft.NewRuntime(d).Reports()); got != 0 {
 		t.Fatalf("fresh detector has %d reports", got)
+	}
+}
+
+// TestConstructionCostsWhatTheRunNames: shadow tables start empty and grow
+// with the ids a run names, so building a detector, or checking a 3-op
+// trace, costs a few dozen allocations under every variant rather than a
+// guessed table's worth (1,211 for New and 1,221 for the check when tables
+// were pre-sized; DJIT's 3,259 and 3,270). The check's allowance covers
+// what two threads and one variable cost a core detector's per-entity
+// shadow objects, on top of the check path's own.
+func TestConstructionCostsWhatTheRunNames(t *testing.T) {
+	const newCeiling, checkCeiling = 16, 40
+	tr := verifiedft.Trace{verifiedft.Fork(0, 1), verifiedft.Write(0, 0), verifiedft.Write(1, 0)}
+	for _, v := range verifiedft.Variants() {
+		newAllocs := testing.AllocsPerRun(20, func() {
+			if _, err := verifiedft.New(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkAllocs := testing.AllocsPerRun(20, func() {
+			if reports, err := verifiedft.CheckSource(tr.Source(), verifiedft.WithVariant(v)); err != nil || len(reports) != 1 {
+				t.Fatalf("%s: %v, %v; want the one race", v, reports, err)
+			}
+		})
+		t.Logf("%s: New %v allocations, 3-op CheckSource %v", v, newAllocs, checkAllocs)
+		if newAllocs > newCeiling {
+			t.Errorf("%s: New makes %v allocations, want at most %d", v, newAllocs, newCeiling)
+		}
+		if checkAllocs > checkCeiling {
+			t.Errorf("%s: a 3-op CheckSource makes %v allocations, want at most %d", v, checkAllocs, checkCeiling)
+		}
 	}
 }
