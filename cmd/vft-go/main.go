@@ -13,8 +13,8 @@
 //	vft-go [flags] test  <pkg-dir> [args...]  instrument tests, go test, check
 //
 // Exit codes: 0 no race, 1 race found, 2 error. See internal/cli for
-// flags (-elide, -o, -trace, -server, -metrics-addr) and internal/goinstr
-// for the front-end.
+// flags (-elide, -o, -trace, -sample, -sample-seed, -server, -tenant,
+// -metrics-addr, -v) and internal/goinstr for the front-end.
 package main
 
 import (

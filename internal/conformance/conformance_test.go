@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/hb"
+	"repro/internal/rtsim"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -57,6 +58,12 @@ func TestProgramsConform(t *testing.T) {
 	}
 }
 
+// fromWorkload wraps one Table 1 benchmark kernel at its test size so the
+// same programs the harness measures also run under schedule exploration.
+func fromWorkload(w workloads.Workload) Program {
+	return Program{Name: w.Name, Run: func(rt *rtsim.Runtime) { w.Run(rt, w.TestSize) }}
+}
+
 // TestWorkloadsConform runs every Table 1 benchmark kernel (at test size)
 // under schedule exploration. The kernels are race-free by construction, so
 // beyond detector/oracle agreement the oracle itself must stay silent on
@@ -71,7 +78,7 @@ func TestWorkloadsConform(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Schedules = schedules
-			sum, err := Explore(FromWorkload(w), opts)
+			sum, err := Explore(fromWorkload(w), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

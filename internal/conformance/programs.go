@@ -1,9 +1,6 @@
 package conformance
 
-import (
-	"repro/internal/rtsim"
-	"repro/internal/workloads"
-)
+import "repro/internal/rtsim"
 
 // Programs returns the built-in conformance kernels: small programs chosen
 // so that, together, they exercise every simulator primitive (vars, arrays,
@@ -24,12 +21,6 @@ func Programs() []Program {
 		{Name: "once-init", Run: onceInit},
 		{Name: "cond-handoff", Run: condHandoff},
 	}
-}
-
-// FromWorkload wraps one Table 1 benchmark kernel at its test size so the
-// same programs the harness measures also run under schedule exploration.
-func FromWorkload(w workloads.Workload) Program {
-	return Program{Name: w.Name, Run: func(rt *rtsim.Runtime) { w.Run(rt, w.TestSize) }}
 }
 
 // racyCounter: three threads bump an unlocked counter. Racy under every

@@ -220,10 +220,6 @@ func newSyncBase(name string, cfg Config, joinInc bool) syncBase {
 	}
 }
 
-// DroppedReports returns how many reports the MaxReportsPerVar cap
-// suppressed.
-func (b *syncBase) DroppedReports() uint64 { return b.sink.droppedCount() }
-
 func (b *syncBase) thread(t epoch.Tid) *ThreadState { return b.threads.Get(int(t)) }
 
 // Acquire implements [Acquire]: St.V := St.V ⊔ Sm.V. A never-released
@@ -298,7 +294,7 @@ type Config struct {
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited).
 	// RoadRunner tools typically warn once per field; set 1 for that
 	// behaviour. Suppressed reports are counted, not lost silently — see
-	// DroppedReports.
+	// the reports.dropped counter of Stats.
 	MaxReportsPerVar int
 	// ClockImpl is a zero-size placeholder read only by bench/probes.go
 	// (frozen with the benchmark); delete with the next `benchmark` PR.

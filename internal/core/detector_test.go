@@ -324,7 +324,7 @@ func TestMaxReportsPerVar(t *testing.T) {
 	if perVar[0] != 1 || perVar[1] != 1 {
 		t.Fatalf("per-var counts %v, want 1 each", perVar)
 	}
-	if d.DroppedReports() == 0 {
+	if d.Stats().Counters["reports.dropped"] == 0 {
 		t.Fatal("suppressed reports not counted")
 	}
 

@@ -3,46 +3,30 @@ package goinstr
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// atomicFuncMap maps sync/atomic package-level functions onto shim
-// wrappers; the first argument (the location pointer) passes through
-// unrewritten, trailing arguments are value-rewritten.
-var atomicFuncMap = map[string]string{
-	"LoadInt32": "ALoadInt32", "LoadInt64": "ALoadInt64",
-	"LoadUint32": "ALoadUint32", "LoadUint64": "ALoadUint64",
-	"StoreInt32": "AStoreInt32", "StoreInt64": "AStoreInt64",
-	"StoreUint32": "AStoreUint32", "StoreUint64": "AStoreUint64",
-	"AddInt32": "AAddInt32", "AddInt64": "AAddInt64",
-	"AddUint32": "AAddUint32", "AddUint64": "AAddUint64",
-	"SwapInt32": "ASwapInt32", "SwapInt64": "ASwapInt64",
-	"CompareAndSwapInt32": "ACASInt32", "CompareAndSwapInt64": "ACASInt64",
-	"CompareAndSwapUint32": "ACASUint32", "CompareAndSwapUint64": "ACASUint64",
-}
-
 // syncMethodMap maps (receiver type, method) onto shim wrappers for the
-// sync and sync/atomic named types. The receiver is passed as a pointer.
+// sync types the shim models. The receiver is passed as a pointer.
 var syncMethodMap = map[string]map[string]string{
 	"sync.Mutex":     {"Lock": "MutexLock", "Unlock": "MutexUnlock", "TryLock": "MutexTryLock"},
 	"sync.RWMutex":   {"Lock": "RWLock", "Unlock": "RWUnlock", "RLock": "RWRLock", "RUnlock": "RWRUnlock"},
 	"sync.WaitGroup": {"Add": "WGAdd", "Done": "WGDone", "Wait": "WGWait"},
 	"sync.Once":      {"Do": "OnceDo"},
-	"sync/atomic.Int32": {
-		"Load": "TLoadInt32", "Store": "TStoreInt32", "Add": "TAddInt32",
-		"Swap": "TSwapInt32", "CompareAndSwap": "TCASInt32",
-	},
-	"sync/atomic.Int64": {
-		"Load": "TLoadInt64", "Store": "TStoreInt64", "Add": "TAddInt64",
-		"Swap": "TSwapInt64", "CompareAndSwap": "TCASInt64",
-	},
-	"sync/atomic.Uint32": {"Load": "TLoadUint32", "Store": "TStoreUint32", "Add": "TAddUint32"},
-	"sync/atomic.Uint64": {"Load": "TLoadUint64", "Store": "TStoreUint64", "Add": "TAddUint64"},
-	"sync/atomic.Bool": {
-		"Load": "TLoadBool", "Store": "TStoreBool",
-		"Swap": "TSwapBool", "CompareAndSwap": "TCASBool",
-	},
-	"sync/atomic.Value":   {"Load": "VLoad", "Store": "VStore"},
-	"sync/atomic.Pointer": {"Load": "PLoad", "Store": "PStore"},
+}
+
+// atomicOps maps each sync/atomic operation onto its shim wrappers by
+// what the operation does, whatever its operand type: fn serves the
+// package functions named op plus an operand type (AddInt32,
+// LoadPointer), method the method named op on every atomic type.
+var atomicOps = []struct{ op, fn, method string }{
+	{"CompareAndSwap", "ACAS", "TCAS"},
+	{"Load", "ALoad", "TLoad"},
+	{"Store", "AStore", "TStore"},
+	{"Add", "ARMW", "TAdd"},
+	{"And", "ARMW", "TAnd"},
+	{"Or", "ARMW", "TOr"},
+	{"Swap", "ARMW", "TSwap"},
 }
 
 // call rewrites a call expression: type conversions pass through with
@@ -96,54 +80,96 @@ func (rw *rewriter) call(call *ast.CallExpr) ast.Expr {
 // pkgCall handles pkg.F(...) calls: the sync/atomic function vocabulary
 // maps onto the shim, anything else keeps its callee.
 func (rw *rewriter) pkgCall(call *ast.CallExpr, fun *ast.SelectorExpr, pn *types.PkgName) ast.Expr {
-	if pn.Imported().Path() == "sync/atomic" {
-		if wrapper, ok := atomicFuncMap[fun.Sel.Name]; ok && len(call.Args) >= 1 {
-			rw.stats.Sites++
-			args := []ast.Expr{rw.g(), strLit(rw.siteName(call.Args[0])), call.Args[0]}
-			args = append(args, rw.values(call.Args[1:])...)
-			return rw.vft(wrapper, args...)
-		}
-		rw.stats.Skipped++
-		return call
-	}
-	call.Args = rw.values(call.Args)
-	return call
-}
-
-// methodCall handles x.M(...) method calls: the sync vocabulary maps
-// onto the shim with &x as the identity; other methods keep their
-// receiver untouched (wrapping it would break addressability) and have
-// their arguments rewritten.
-func (rw *rewriter) methodCall(call *ast.CallExpr, fun *ast.SelectorExpr, sel *types.Selection) ast.Expr {
-	if key := syncTypeKey(sel.Recv()); key != "" {
-		if wrapper, ok := syncMethodMap[key][fun.Sel.Name]; ok {
-			rw.stats.Sites++
-			recv := fun.X
-			if _, isPtr := typeOf(rw.pkg, fun.X).Underlying().(*types.Pointer); !isPtr {
-				if !rw.addressable(fun.X) {
-					rw.stats.Skipped++
-					call.Args = rw.values(call.Args)
-					return call
-				}
-				recv = amp(fun.X)
-			}
-			args := []ast.Expr{rw.g(), strLit(rw.siteName(fun.X)), recv}
-			args = append(args, rw.values(call.Args)...)
-			return rw.vft(wrapper, args...)
-		}
-		if _, known := syncMethodMap[key]; known {
-			rw.stats.Skipped++ // e.g. RWMutex.TryRLock: unmapped sync method
-		}
+	if pn.Imported().Path() != "sync/atomic" {
 		call.Args = rw.values(call.Args)
 		return call
 	}
-	call.Args = rw.values(call.Args)
+	for _, a := range atomicOps {
+		if strings.HasPrefix(fun.Sel.Name, a.op) && len(call.Args) >= 1 {
+			// The location pointer passes through unrewritten, the
+			// operands are value-rewritten and the function itself
+			// rides along as the wrapper's last argument.
+			rw.stats.Sites++
+			args := []ast.Expr{rw.g(), strLit(rw.siteName(call.Args[0])), call.Args[0]}
+			args = append(args, rw.values(call.Args[1:])...)
+			return rw.vft(a.fn, append(args, fun)...)
+		}
+	}
+	rw.stats.Skipped++
 	return call
 }
 
-// syncTypeKey renders a sync/sync-atomic named receiver type as
+// methodCall handles x.M(...) method calls. A method declared on a sync
+// or sync/atomic type — also when promoted through embedded fields —
+// maps onto the shim with the receiver's address as the identity, and
+// one the shim does not model counts as skipped. Other methods keep
+// their receiver untouched (wrapping it would break addressability) and
+// have their arguments rewritten.
+func (rw *rewriter) methodCall(call *ast.CallExpr, fun *ast.SelectorExpr, sel *types.Selection) ast.Expr {
+	call.Args = rw.values(call.Args)
+	sig := sel.Obj().Type().(*types.Signature)
+	key := syncTypeKey(sig.Recv().Type())
+	if key == "" {
+		return call
+	}
+	wrapper := syncMethodMap[key][fun.Sel.Name]
+	if strings.HasPrefix(key, "sync/atomic.") {
+		for _, a := range atomicOps {
+			if a.op == fun.Sel.Name {
+				wrapper = a.method
+			}
+		}
+		// atomic.Value takes any: convert each operand, which type
+		// inference cannot do for the wrapper's type parameter.
+		for i, arg := range call.Args {
+			if types.IsInterface(sig.Params().At(i).Type()) {
+				// Braces at one source position print as interface{}.
+				braces := &ast.FieldList{Opening: fun.Sel.Pos(), Closing: fun.Sel.Pos()}
+				call.Args[i] = &ast.CallExpr{Fun: &ast.InterfaceType{Methods: braces}, Args: []ast.Expr{arg}}
+			}
+		}
+	}
+	if wrapper == "" {
+		rw.stats.Skipped++ // e.g. RWMutex.TryRLock, sync.Map: unmodelled
+		return call
+	}
+	rw.stats.Sites++
+	recv, ok := rw.receiver(fun.X, sel)
+	if !ok {
+		rw.stats.Skipped++
+		return call
+	}
+	args := []ast.Expr{rw.g(), strLit(rw.siteName(recv)), recv}
+	return rw.vft(wrapper, append(args, call.Args...)...)
+}
+
+// receiver returns the pointer a method call on x passes to the shim:
+// x, or &x unless x is a pointer, after selecting the embedded fields the
+// method is promoted through. ok is false when the address is illegal.
+func (rw *rewriter) receiver(x ast.Expr, sel *types.Selection) (recv ast.Expr, ok bool) {
+	t, addressable := typeOf(rw.pkg, x), rw.addressable(x)
+	path := sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
+			t, addressable = p.Elem(), true
+		}
+		f := t.Underlying().(*types.Struct).Field(i)
+		if !f.Exported() && f.Pkg() != rw.pkg.Pkg {
+			return nil, false
+		}
+		x, t = &ast.SelectorExpr{X: x, Sel: ast.NewIdent(f.Name())}, f.Type()
+	}
+	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
+		return x, true
+	}
+	return amp(x), addressable
+}
+
+// syncTypeKey renders a sync or sync/atomic named type as
 // "pkgpath.Name", stripping one pointer and any type arguments
-// (atomic.Pointer[T] keys as "sync/atomic.Pointer").
+// (atomic.Pointer[T] keys as "sync/atomic.Pointer"), and any other type
+// as "". A value of a sync type is never rd/wr instrumented: its
+// operations are mapped instead.
 func syncTypeKey(t types.Type) string {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()

@@ -41,6 +41,11 @@ var corpusWant = map[string][]string{
 	"clean_rwmutex":         {},
 	"racy_range_chan":       {"x"},
 	"clean_range_chan":      {},
+
+	"clean_atomic_vocab":     {},
+	"racy_atomic_other_flag": {"data"},
+	"clean_embedded_mutex":   {},
+	"racy_embedded_mutex":    {"c.n"},
 }
 
 // corpusNames returns the expectation table's program names, sorted.

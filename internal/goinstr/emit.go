@@ -7,7 +7,6 @@ import (
 	"go/printer"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/goid"
 	"repro/internal/goinstr/rt"
@@ -106,17 +105,3 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 `
-
-// pkgBaseName is the directory-derived default binary name.
-func pkgBaseName(dir string) string {
-	base := filepath.Base(dir)
-	if base == "." || base == string(filepath.Separator) || base == "" {
-		return "vftbin"
-	}
-	return strings.Map(func(r rune) rune {
-		if r == ' ' {
-			return '_'
-		}
-		return r
-	}, base)
-}

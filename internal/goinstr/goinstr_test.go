@@ -157,9 +157,8 @@ func TestInstrumentRequiresOutDir(t *testing.T) {
 }
 
 // TestVersionedImportKeepsQualifier: math/rand/v2 declares package rand,
-// so its qualifier is not the import path's last element. Deriving the
-// name from the path base would blank the import while rand.IntN
-// references remain, and the shadow module would not build.
+// so its qualifier is not the import path's last element. The rewritten
+// file must keep the import as it was, and the shadow module must build.
 func TestVersionedImportKeepsQualifier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a shadow module")

@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"strconv"
-	"strings"
 )
 
 // shimAlias is the identifier the rewritten source uses for the runtime
@@ -42,7 +41,9 @@ func newRewriter(pkg *Package, sh *ShareInfo, elide bool) *rewriter {
 }
 
 // rewriteAll processes every file, injecting the shim import where used
-// and the trace-flush defer into main.main.
+// and the trace-flush defer into main.main. Every rewrite keeps the
+// expressions it wraps, so no import of the original loses its last
+// reference.
 func (rw *rewriter) rewriteAll() {
 	for _, f := range rw.pkg.Files {
 		rw.fileVft = false
@@ -53,58 +54,8 @@ func (rw *rewriter) rewriteAll() {
 			}
 			rw.rewriteFunc(fd)
 		}
-		rw.blankUnusedImports(f)
 		if rw.fileVft {
 			injectImport(f, shimAlias, "vftshadow/rt")
-		}
-	}
-}
-
-// blankUnusedImports turns imports with no remaining qualified reference
-// into blank imports: mapping every sync/atomic call onto the shim can
-// leave the original import dangling, which the shadow build would
-// reject. The qualifier of an unnamed import is the imported package's
-// real name, which the type checker records in Info.Implicits — it can
-// differ from the path's last element (math/rand/v2 is package rand), so
-// deriving it from the path would blank imports that are still used.
-func (rw *rewriter) blankUnusedImports(f *ast.File) {
-	used := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				used[id.Name] = true
-			}
-		}
-		return true
-	})
-	for _, d := range f.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		for _, s := range gd.Specs {
-			spec := s.(*ast.ImportSpec)
-			if spec.Name != nil {
-				if spec.Name.Name != "_" && spec.Name.Name != "." && !used[spec.Name.Name] {
-					spec.Name.Name = "_"
-				}
-				continue
-			}
-			name := ""
-			if pn, ok := rw.pkg.Info.Implicits[spec].(*types.PkgName); ok {
-				name = pn.Name()
-			} else {
-				// No Implicits entry (should not happen for a checked
-				// file); fall back to the path base, the common case.
-				path := strings.Trim(spec.Path.Value, `"`)
-				name = path
-				if i := strings.LastIndexByte(path, '/'); i >= 0 {
-					name = path[i+1:]
-				}
-			}
-			if !used[name] {
-				spec.Name = ast.NewIdent("_")
-			}
 		}
 	}
 }
@@ -295,21 +246,6 @@ func (rw *rewriter) addressable(e ast.Expr) bool {
 	return false
 }
 
-// isSyncType reports whether t (after pointer stripping) is a named type
-// from sync or sync/atomic — their values are never rd/wr instrumented,
-// their operations are mapped instead.
-func (rw *rewriter) isSyncType(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	p := n.Obj().Pkg().Path()
-	return p == "sync" || p == "sync/atomic"
-}
-
 // value rewrites an expression in read context: every instrumentable
 // access becomes a shim call returning the same value.
 func (rw *rewriter) value(e ast.Expr) ast.Expr {
@@ -319,7 +255,7 @@ func (rw *rewriter) value(e ast.Expr) ast.Expr {
 		if !ok || obj.IsField() || x.Name == "_" {
 			return e
 		}
-		if rw.isSyncType(obj.Type()) {
+		if syncTypeKey(obj.Type()) != "" {
 			return e
 		}
 		if !rw.decide(x) {
@@ -341,7 +277,7 @@ func (rw *rewriter) value(e ast.Expr) ast.Expr {
 		if sel, ok := rw.pkg.Info.Selections[x]; ok && sel.Kind() != types.FieldVal {
 			return e // method value: receiver must stay addressable
 		}
-		if rw.isSyncType(typeOf(rw.pkg, x)) {
+		if syncTypeKey(typeOf(rw.pkg, x)) != "" {
 			return e
 		}
 		if !rw.addressable(x) {

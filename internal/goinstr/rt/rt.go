@@ -25,10 +25,13 @@
 //   - acquire is logged after Lock returns; release is logged before
 //     Unlock is called. The holder therefore always logs its release
 //     before the next holder can log its acquire.
-//   - release-like atomics (store, RMW) are logged before the operation;
-//     acquire-like atomics (load) after. A reader that observed a value
-//     then logs after the writer logged, so the pseudo-lock chain the
-//     lowering builds points the right way.
+//   - an atomic is logged by its shape, whatever its operand type: a
+//     load (acquire-like) after the operation; a store, a read-modify-write
+//     (Add, And, Or, Swap) and a CompareAndSwap (release-like) before it.
+//     A reader that observed a value then logs after the writer logged, so
+//     the pseudo-lock chain the lowering builds points the right way. The
+//     operation's arguments are the wrapper's own, so an access inside
+//     them is logged before the atomic record.
 //   - a channel send is logged at initiation, before the real send, and
 //     the sender then waits (log-side only) until the log-level channel
 //     state shows its send completed before logging anything else — the
@@ -328,14 +331,6 @@ func idFor(tbl map[unsafe.Pointer]int32, names map[int32]string, addr unsafe.Poi
 	return id
 }
 
-// varID interns a variable.
-func varID(addr unsafe.Pointer, site string) int32 {
-	st.mu.Lock()
-	id := idFor(st.vars, st.varNames, addr, site)
-	st.mu.Unlock()
-	return id
-}
-
 // read and write log one access event. They are the slow halves of the
 // generic wrappers in wrappers.go.
 func read(g *G, site string, addr unsafe.Pointer) {
@@ -350,15 +345,6 @@ func write(g *G, site string, addr unsafe.Pointer) {
 	id := idFor(st.vars, st.varNames, addr, site)
 	st.emitLocked(kWrite, g.tid, uint32(id))
 	st.mu.Unlock()
-}
-
-// atomicID interns an atomic location (its own X space, disjoint from
-// plain variables — the lowering keys pseudo-locks by class).
-func atomicID(addr unsafe.Pointer, site string) int32 {
-	st.mu.Lock()
-	id := idFor(st.atomics, st.atomicNames, addr, site)
-	st.mu.Unlock()
-	return id
 }
 
 func emitAtomic(g *G, kind uint8, addr unsafe.Pointer, site string) {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -147,8 +148,8 @@ func TestSequentialEventsDecode(t *testing.T) {
 	}
 	MutexUnlock(g, "mu t.go:3:1", &mu)
 	var a32 int32
-	AStoreInt32(g, "a32 t.go:4:1", &a32, 5)
-	if ALoadInt32(g, "a32 t.go:4:1", &a32) != 5 {
+	AStore(g, "a32 t.go:4:1", &a32, 5, atomic.StoreInt32)
+	if ALoad(g, "a32 t.go:4:1", &a32, atomic.LoadInt32) != 5 {
 		t.Fatal("atomic roundtrip")
 	}
 	Shutdown()
@@ -633,5 +634,111 @@ func TestSelectWrappers(t *testing.T) {
 	}
 	if err := trace.ValidateExt(tr, extFromMeta(meta)); err != nil {
 		t.Fatalf("infeasible: %v", err)
+	}
+}
+
+// cell is an atomic location that notes the shim's event count whenever
+// an operation runs on it, so a test can tell whether a wrapper logged
+// before or after the operation. Its methods have atomic.Int32's shapes,
+// And and Or included (atomic.Int32 gains those only in go1.23).
+type cell struct {
+	v  int32
+	at uint64
+}
+
+func loggedEvents() uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.events
+}
+
+func (c *cell) note()              { c.at = loggedEvents() }
+func (c *cell) Load() int32        { c.note(); return atomic.LoadInt32(&c.v) }
+func (c *cell) Store(v int32)      { c.note(); atomic.StoreInt32(&c.v, v) }
+func (c *cell) Add(d int32) int32  { c.note(); return atomic.AddInt32(&c.v, d) }
+func (c *cell) And(m int32) int32  { c.note(); old := c.v; c.v &= m; return old }
+func (c *cell) Or(m int32) int32   { c.note(); old := c.v; c.v |= m; return old }
+func (c *cell) Swap(v int32) int32 { c.note(); return atomic.SwapInt32(&c.v, v) }
+func (c *cell) CompareAndSwap(old, new int32) bool {
+	c.note()
+	return atomic.CompareAndSwapInt32(&c.v, old, new)
+}
+
+// TestAtomicShapes drives each sync/atomic wrapper on a fresh cell: it
+// must perform the operation, return its result and log one record of
+// its shape's kind — a load after the operation, every other shape
+// before it. An access inside an argument is logged before the atomic
+// record.
+func TestAtomicShapes(t *testing.T) {
+	path := resetForTest(t)
+	g := Bind()
+	b2i := func(b bool) int32 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	cases := []struct {
+		name    string
+		kind    trace.Kind
+		from    int32
+		do      func(c *cell) int32
+		ret, to int32
+	}{
+		{"ALoad", trace.AtomicLoad, 5, func(c *cell) int32 {
+			return ALoad(g, "c", &c.v, func(p *int32) int32 { c.note(); return atomic.LoadInt32(p) })
+		}, 5, 5},
+		{"AStore", trace.AtomicStore, 0, func(c *cell) int32 {
+			AStore(g, "c", &c.v, 7, func(p *int32, v int32) { c.note(); atomic.StoreInt32(p, v) })
+			return 0
+		}, 0, 7},
+		{"ARMW", trace.AtomicRMW, 4, func(c *cell) int32 {
+			return ARMW(g, "c", &c.v, 3, func(p *int32, d int32) int32 { c.note(); return atomic.AddInt32(p, d) })
+		}, 7, 7},
+		{"ACAS", trace.AtomicRMW, 4, func(c *cell) int32 {
+			return b2i(ACAS(g, "c", &c.v, 4, 9, func(p *int32, old, new int32) bool {
+				c.note()
+				return atomic.CompareAndSwapInt32(p, old, new)
+			}))
+		}, 1, 9},
+		{"TLoad", trace.AtomicLoad, 5, func(c *cell) int32 { return TLoad(g, "c", c) }, 5, 5},
+		{"TStore", trace.AtomicStore, 0, func(c *cell) int32 { TStore(g, "c", c, 7); return 0 }, 0, 7},
+		{"TAdd", trace.AtomicRMW, 4, func(c *cell) int32 { return TAdd(g, "c", c, 3) }, 7, 7},
+		{"TAnd", trace.AtomicRMW, 6, func(c *cell) int32 { return TAnd(g, "c", c, 3) }, 6, 2},
+		{"TOr", trace.AtomicRMW, 4, func(c *cell) int32 { return TOr(g, "c", c, 1) }, 4, 5},
+		{"TSwap", trace.AtomicRMW, 1, func(c *cell) int32 { return TSwap(g, "c", c, 8) }, 1, 8},
+		{"TCAS", trace.AtomicRMW, 4, func(c *cell) int32 { return b2i(TCAS(g, "c", c, 4, 9)) }, 1, 9},
+	}
+	var want []trace.Kind
+	for _, tc := range cases {
+		c := &cell{v: tc.from}
+		before := loggedEvents()
+		if ret := tc.do(c); ret != tc.ret || c.v != tc.to {
+			t.Errorf("%s: returned %d leaving %d, want %d leaving %d", tc.name, ret, c.v, tc.ret, tc.to)
+		}
+		at := before + 1 // logged before the operation
+		if tc.kind == trace.AtomicLoad {
+			at = before
+		}
+		if c.at != at {
+			t.Errorf("%s: the operation ran after %d records, want %d", tc.name, c.at-before, at-before)
+		}
+		want = append(want, tc.kind)
+	}
+	var c cell
+	var d int32
+	ARMW(g, "c", &c.v, Rd(g, "d", &d), atomic.AddInt32)
+	TStore(g, "c", &c, Rd(g, "d", &d))
+	want = append(want, trace.Read, trace.AtomicRMW, trace.Read, trace.AtomicStore)
+	Shutdown()
+
+	tr := decodeTrace(t, path)
+	if len(tr) != len(want) {
+		t.Fatalf("decoded %d ops, want %d: %v", len(tr), len(want), tr)
+	}
+	for i, k := range want {
+		if tr[i].Kind != k || tr[i].T != 0 {
+			t.Errorf("op %d = %v, want %v by thread 0", i, tr[i], k)
+		}
 	}
 }

@@ -14,10 +14,15 @@ package rt
 //     the meta sidecar can render reports identically across runs.
 //   - wrappers always perform the underlying operation, so an
 //     instrumented program with capture disabled behaves identically.
+//   - an atomic logs by its shape: a load after the operation; a store,
+//     a read-modify-write (Add, And, Or, Swap) and a CompareAndSwap
+//     before it. The operation's arguments are the wrapper's own
+//     parameters, so an access inside them is logged before the atomic
+//     record. Locks and channels follow the same rule — acquire-like
+//     after, release-like before — as the package comment details.
 
 import (
 	"reflect"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -198,235 +203,88 @@ func capturing() bool {
 	return a
 }
 
-// sync/atomic, function style. An atomic location gets its own id space
-// (the lowering keys pseudo-locks by class, so atomic ids never collide
-// with variable or lock ids). Loads are acquire-like and log after the
-// operation; stores and RMWs are release-like and log before, so the
-// pseudo-lock chain runs writer → reader. A failed CompareAndSwap is
-// still logged as an RMW — a harmless over-approximation that can only
-// add happens-before edges between operations that really executed.
+// sync/atomic. An atomic location gets its own id space (the lowering
+// keys pseudo-locks by class, so atomic ids never collide with variable
+// or lock ids). A wrapper is picked by what the operation does, never by
+// its operand type, and logs as the file header says, so the pseudo-lock
+// chain runs writer → reader. A failed CompareAndSwap is still logged as
+// an RMW — a harmless over-approximation that can only add
+// happens-before edges between operations that really executed.
 
-func ALoadInt32(g *G, site string, p *int32) int32 {
-	v := atomic.LoadInt32(p)
+// Function style: the rewriter passes the original sync/atomic function
+// as op, so atomic.AddInt32(p, d) becomes ARMW(g, site, p, d,
+// atomic.AddInt32) and each shape serves every operand type.
+
+// ALoad returns op(p) and logs an atomic load after it.
+func ALoad[T any](g *G, site string, p *T, op func(*T) T) T {
+	v := op(p)
 	emitAtomic(g, kAtomicLoad, ptr(p), site)
 	return v
 }
 
-func ALoadInt64(g *G, site string, p *int64) int64 {
-	v := atomic.LoadInt64(p)
-	emitAtomic(g, kAtomicLoad, ptr(p), site)
-	return v
-}
-
-func ALoadUint32(g *G, site string, p *uint32) uint32 {
-	v := atomic.LoadUint32(p)
-	emitAtomic(g, kAtomicLoad, ptr(p), site)
-	return v
-}
-
-func ALoadUint64(g *G, site string, p *uint64) uint64 {
-	v := atomic.LoadUint64(p)
-	emitAtomic(g, kAtomicLoad, ptr(p), site)
-	return v
-}
-
-func AStoreInt32(g *G, site string, p *int32, v int32) {
+// AStore logs an atomic store and performs op(p, v).
+func AStore[T any](g *G, site string, p *T, v T, op func(*T, T)) {
 	emitAtomic(g, kAtomicStore, ptr(p), site)
-	atomic.StoreInt32(p, v)
+	op(p, v)
 }
 
-func AStoreInt64(g *G, site string, p *int64, v int64) {
-	emitAtomic(g, kAtomicStore, ptr(p), site)
-	atomic.StoreInt64(p, v)
-}
-
-func AStoreUint32(g *G, site string, p *uint32, v uint32) {
-	emitAtomic(g, kAtomicStore, ptr(p), site)
-	atomic.StoreUint32(p, v)
-}
-
-func AStoreUint64(g *G, site string, p *uint64, v uint64) {
-	emitAtomic(g, kAtomicStore, ptr(p), site)
-	atomic.StoreUint64(p, v)
-}
-
-func AAddInt32(g *G, site string, p *int32, d int32) int32 {
+// ARMW logs an atomic read-modify-write and returns op(p, v): Add, And,
+// Or and Swap.
+func ARMW[T any](g *G, site string, p *T, v T, op func(*T, T) T) T {
 	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.AddInt32(p, d)
+	return op(p, v)
 }
 
-func AAddInt64(g *G, site string, p *int64, d int64) int64 {
+// ACAS logs an atomic read-modify-write and returns op(p, old, new).
+func ACAS[T any](g *G, site string, p *T, old, new T, op func(*T, T, T) bool) bool {
 	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.AddInt64(p, d)
+	return op(p, old, new)
 }
 
-func AAddUint32(g *G, site string, p *uint32, d uint32) uint32 {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.AddUint32(p, d)
-}
+// Method style: one wrapper per method name, over any receiver that has
+// the method — atomic.Int32 … Uintptr, Bool, Value and Pointer[T] alike.
+// a is the receiver's address, which is also the location's identity.
 
-func AAddUint64(g *G, site string, p *uint64, d uint64) uint64 {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.AddUint64(p, d)
-}
-
-func ASwapInt32(g *G, site string, p *int32, v int32) int32 {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.SwapInt32(p, v)
-}
-
-func ASwapInt64(g *G, site string, p *int64, v int64) int64 {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.SwapInt64(p, v)
-}
-
-func ACASInt32(g *G, site string, p *int32, old, new int32) bool {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.CompareAndSwapInt32(p, old, new)
-}
-
-func ACASInt64(g *G, site string, p *int64, old, new int64) bool {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.CompareAndSwapInt64(p, old, new)
-}
-
-func ACASUint32(g *G, site string, p *uint32, old, new uint32) bool {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.CompareAndSwapUint32(p, old, new)
-}
-
-func ACASUint64(g *G, site string, p *uint64, old, new uint64) bool {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
-	return atomic.CompareAndSwapUint64(p, old, new)
-}
-
-// sync/atomic, typed style (atomic.Int32 &c.). Same discipline.
-
-func TLoadInt32(g *G, site string, a *atomic.Int32) int32 {
+// TLoad returns a.Load() and logs an atomic load after it.
+func TLoad[A interface{ Load() R }, R any](g *G, site string, a A) R {
 	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
+	emitAtomic(g, kAtomicLoad, addrOf(a), site)
 	return v
 }
 
-func TLoadInt64(g *G, site string, a *atomic.Int64) int64 {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func TLoadUint32(g *G, site string, a *atomic.Uint32) uint32 {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func TLoadUint64(g *G, site string, a *atomic.Uint64) uint64 {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func TLoadBool(g *G, site string, a *atomic.Bool) bool {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func TStoreInt32(g *G, site string, a *atomic.Int32, v int32) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
+// TStore logs an atomic store and performs a.Store(v).
+func TStore[A interface{ Store(R) }, R any](g *G, site string, a A, v R) {
+	emitAtomic(g, kAtomicStore, addrOf(a), site)
 	a.Store(v)
 }
 
-func TStoreInt64(g *G, site string, a *atomic.Int64, v int64) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
-}
-
-func TStoreUint32(g *G, site string, a *atomic.Uint32, v uint32) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
-}
-
-func TStoreUint64(g *G, site string, a *atomic.Uint64, v uint64) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
-}
-
-func TStoreBool(g *G, site string, a *atomic.Bool, v bool) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
-}
-
-func TAddInt32(g *G, site string, a *atomic.Int32, d int32) int32 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
+// TAdd logs an atomic read-modify-write and returns a.Add(d).
+func TAdd[A interface{ Add(R) R }, R any](g *G, site string, a A, d R) R {
+	emitAtomic(g, kAtomicRMW, addrOf(a), site)
 	return a.Add(d)
 }
 
-func TAddInt64(g *G, site string, a *atomic.Int64, d int64) int64 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.Add(d)
+// TAnd logs an atomic read-modify-write and returns a.And(mask).
+func TAnd[A interface{ And(R) R }, R any](g *G, site string, a A, mask R) R {
+	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	return a.And(mask)
 }
 
-func TAddUint32(g *G, site string, a *atomic.Uint32, d uint32) uint32 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.Add(d)
+// TOr logs an atomic read-modify-write and returns a.Or(mask).
+func TOr[A interface{ Or(R) R }, R any](g *G, site string, a A, mask R) R {
+	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	return a.Or(mask)
 }
 
-func TAddUint64(g *G, site string, a *atomic.Uint64, d uint64) uint64 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.Add(d)
-}
-
-func TCASInt32(g *G, site string, a *atomic.Int32, old, new int32) bool {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.CompareAndSwap(old, new)
-}
-
-func TCASInt64(g *G, site string, a *atomic.Int64, old, new int64) bool {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.CompareAndSwap(old, new)
-}
-
-func TCASBool(g *G, site string, a *atomic.Bool, old, new bool) bool {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.CompareAndSwap(old, new)
-}
-
-func TSwapInt32(g *G, site string, a *atomic.Int32, v int32) int32 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
+// TSwap logs an atomic read-modify-write and returns a.Swap(v).
+func TSwap[A interface{ Swap(R) R }, R any](g *G, site string, a A, v R) R {
+	emitAtomic(g, kAtomicRMW, addrOf(a), site)
 	return a.Swap(v)
 }
 
-func TSwapInt64(g *G, site string, a *atomic.Int64, v int64) int64 {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.Swap(v)
-}
-
-func TSwapBool(g *G, site string, a *atomic.Bool, v bool) bool {
-	emitAtomic(g, kAtomicRMW, ptr(a), site)
-	return a.Swap(v)
-}
-
-// atomic.Value and atomic.Pointer[T].
-
-func VLoad(g *G, site string, a *atomic.Value) any {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func VStore(g *G, site string, a *atomic.Value, v any) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
-}
-
-func PLoad[T any](g *G, site string, a *atomic.Pointer[T]) *T {
-	v := a.Load()
-	emitAtomic(g, kAtomicLoad, ptr(a), site)
-	return v
-}
-
-func PStore[T any](g *G, site string, a *atomic.Pointer[T], v *T) {
-	emitAtomic(g, kAtomicStore, ptr(a), site)
-	a.Store(v)
+// TCAS logs an atomic read-modify-write and returns
+// a.CompareAndSwap(old, new).
+func TCAS[A interface{ CompareAndSwap(R, R) bool }, R any](g *G, site string, a A, old, new R) bool {
+	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	return a.CompareAndSwap(old, new)
 }

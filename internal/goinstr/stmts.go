@@ -252,7 +252,7 @@ func (rw *rewriter) writeLogs(s *ast.AssignStmt) []ast.Stmt {
 				continue
 			}
 		}
-		if rw.isSyncType(typeOf(rw.pkg, l)) {
+		if syncTypeKey(typeOf(rw.pkg, l)) != "" {
 			continue
 		}
 		if !rw.addressable(l) {
@@ -282,7 +282,7 @@ func (rw *rewriter) assignOne(s *ast.AssignStmt) []ast.Stmt {
 		}
 	}
 
-	if rw.isSyncType(typeOf(rw.pkg, lhs)) {
+	if syncTypeKey(typeOf(rw.pkg, lhs)) != "" {
 		s.Rhs[0] = rw.value(s.Rhs[0])
 		return one(s)
 	}
@@ -376,7 +376,7 @@ func (rw *rewriter) incDec(s *ast.IncDecStmt) []ast.Stmt {
 			}})
 		}
 	}
-	if rw.isSyncType(typeOf(rw.pkg, s.X)) || !rw.addressable(s.X) {
+	if syncTypeKey(typeOf(rw.pkg, s.X)) != "" || !rw.addressable(s.X) {
 		if !rw.addressable(s.X) {
 			rw.stats.Skipped++
 		}

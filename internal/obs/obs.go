@@ -393,45 +393,3 @@ func (s *Snapshot) mergePrefixed(prefix string, other Snapshot) {
 		s.Histograms[prefix+k] = v
 	}
 }
-
-// Delta returns the change from prev to s: counters and histogram counts
-// subtract (entries absent from prev subtract zero; counters are
-// monotonic, so negative deltas are clamped to zero), while gauges carry
-// s's instantaneous values unchanged.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := NewSnapshot()
-	for k, v := range s.Counters {
-		out.Counters[k] = monotonicSub(v, prev.Counters[k])
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range s.Histograms {
-		out.Histograms[k] = v.delta(prev.Histograms[k])
-	}
-	return out
-}
-
-func monotonicSub(cur, prev uint64) uint64 {
-	if cur < prev {
-		return 0
-	}
-	return cur - prev
-}
-
-func (h HistogramSnapshot) delta(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count: monotonicSub(h.Count, prev.Count),
-		Sum:   monotonicSub(h.Sum, prev.Sum),
-	}
-	prevBy := map[uint64]uint64{}
-	for _, b := range prev.Buckets {
-		prevBy[b.Le] = b.N
-	}
-	for _, b := range h.Buckets {
-		if n := monotonicSub(b.N, prevBy[b.Le]); n > 0 {
-			out.Buckets = append(out.Buckets, BucketCount{Le: b.Le, N: n})
-		}
-	}
-	return out
-}

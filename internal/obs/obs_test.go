@@ -156,53 +156,15 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotAndDelta(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("events").Add(0, 10)
 	r.Gauge("size").Set(7)
 	r.Histogram("lat").Observe(3)
 
-	before := r.Snapshot()
-	if before.Counters["events"] != 10 || before.Gauges["size"] != 7 {
-		t.Fatalf("snapshot = %+v", before)
-	}
-
-	r.Counter("events").Add(1, 5)
-	r.Gauge("size").Set(9)
-	r.Histogram("lat").Observe(3)
-	r.Histogram("lat").Observe(100)
-
-	after := r.Snapshot()
-	d := after.Delta(before)
-	if d.Counters["events"] != 5 {
-		t.Errorf("delta counter = %d, want 5", d.Counters["events"])
-	}
-	if d.Gauges["size"] != 9 {
-		t.Errorf("delta gauge = %d, want instantaneous 9", d.Gauges["size"])
-	}
-	h := d.Histograms["lat"]
-	if h.Count != 2 || h.Sum != 103 {
-		t.Errorf("delta hist count/sum = %d/%d, want 2/103", h.Count, h.Sum)
-	}
-	// The le=3 bucket gained one observation, and the 100 landed in the
-	// 7-bit bucket (le=127), which is new since the baseline.
-	var le3, le127 uint64
-	for _, b := range h.Buckets {
-		switch b.Le {
-		case BucketBound(2):
-			le3 = b.N
-		case BucketBound(7):
-			le127 = b.N
-		default:
-			t.Errorf("unexpected bucket %+v", b)
-		}
-	}
-	if le3 != 1 || le127 != 1 {
-		t.Errorf("delta buckets = %+v", h.Buckets)
-	}
-	// Delta against an empty snapshot is the snapshot itself for counters.
-	if full := after.Delta(Snapshot{}); full.Counters["events"] != 15 {
-		t.Errorf("delta vs empty = %d, want 15", full.Counters["events"])
+	s := r.Snapshot()
+	if s.Counters["events"] != 10 || s.Gauges["size"] != 7 || s.Histograms["lat"].Count != 1 {
+		t.Fatalf("snapshot = %+v", s)
 	}
 }
 

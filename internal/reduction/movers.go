@@ -173,10 +173,6 @@ func ClassifyVEntry(write, locked, shared, ownEntry bool) Mover {
 	}
 }
 
-// ClassifyThreadState classifies accesses to st.t / st.V: thread-local per
-// the §4 phase discipline, hence both-movers.
-func ClassifyThreadState() Mover { return B }
-
 // ClassifyLock returns the mover for lock operations.
 func ClassifyLock(acquire bool) Mover {
 	if acquire {

@@ -135,14 +135,6 @@ func New(p Policy) *Scheduler {
 	}
 }
 
-// Steps returns how many scheduling decisions have been made. Call at
-// quiescence (after Wait) for a stable value.
-func (s *Scheduler) Steps() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.steps
-}
-
 // Wait blocks until every registered thread has exited.
 func (s *Scheduler) Wait() { <-s.done }
 

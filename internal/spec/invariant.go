@@ -86,16 +86,3 @@ func (s *State) CheckInvariants() error {
 	}
 	return nil
 }
-
-// SharedVars returns the ids of variables currently in Shared mode — used
-// by the monotonicity test ("a VarState object that has entered Shared
-// mode remains in Shared mode", §6).
-func (s *State) SharedVars() map[int]bool {
-	out := map[int]bool{}
-	for x, sx := range s.vars {
-		if sx.R.IsShared() {
-			out[int(x)] = true
-		}
-	}
-	return out
-}

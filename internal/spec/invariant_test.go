@@ -35,6 +35,17 @@ func TestInvariantsHoldAlongRandomTraces(t *testing.T) {
 // mode" — under the VerifiedFT rules. The original FastTrack rules violate
 // it by design at [Write Shared]; the test checks both directions.
 func TestSharedModeMonotonicity(t *testing.T) {
+	// sharedVars returns the ids of the variables in Shared mode.
+	sharedVars := func(s *State) map[int]bool {
+		out := map[int]bool{}
+		for x, sx := range s.vars {
+			if sx.R.IsShared() {
+				out[int(x)] = true
+			}
+		}
+		return out
+	}
+
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 80
 	vftViolations, ftReversions := 0, 0
@@ -48,7 +59,7 @@ func TestSharedModeMonotonicity(t *testing.T) {
 			if _, err := s.Step(op); err != nil {
 				break
 			}
-			now := s.SharedVars()
+			now := sharedVars(s)
 			for x := range everShared {
 				if !now[x] {
 					vftViolations++
@@ -67,7 +78,7 @@ func TestSharedModeMonotonicity(t *testing.T) {
 			if _, err := s.Step(op); err != nil {
 				break
 			}
-			now := s.SharedVars()
+			now := sharedVars(s)
 			for x := range wasShared {
 				if !now[x] {
 					ftReversions++

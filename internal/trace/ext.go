@@ -78,12 +78,3 @@ func ParseIDValues(s, name string, min int) (map[Lock]int, error) {
 	}
 	return m, nil
 }
-
-// barrierExt wraps a bare parties map as an *Extensions; nil maps stay a
-// nil *Extensions so default paths take the nil fast path.
-func barrierExt(parties map[Lock]int) *Extensions {
-	if parties == nil {
-		return nil
-	}
-	return &Extensions{BarrierParties: parties}
-}

@@ -319,9 +319,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.10.0 removes the shadow-table
-// size hints — WithThreads, WithVars, WithLocks and the Config alias — since
-// every table starts empty and grows with the ids a run names. A check
-// under ft-cas now fails with a positioned error, where it used to panic,
-// at an operation that would take a clock past the variant's 24 bits.
-const Version = "2.10.0"
+// Version identifies this implementation. 2.11.0: vft-go logs every
+// sync/atomic operation the toolchain exports and the sync methods
+// promoted from embedded fields, and counts the sync calls it leaves
+// plain (sync.Map, Cond, Pool, Locker) as skipped.
+const Version = "2.11.0"
