@@ -85,9 +85,16 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest -run 'FuzzIngestHTTP' -count 1
 	$(GO) test . -run 'FuzzSamplingSoundness' -count 1
 
-# Long-running schedule exploration (hundreds of schedules per program).
+# Long-running schedule exploration (hundreds of schedules per program),
+# then ten shuffled tier-1 runs: a test that fails on any of them fails the
+# target, after all ten have run and each failure has printed.
 soak:
 	VFT_SOAK=1 $(GO) test ./internal/conformance -timeout 60m -count 1 -v
+	@failed=0; for i in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "soak: tier-1 run $$i of 10"; \
+		$(GO) test -count=1 -shuffle=on ./... || failed=$$((failed + 1)); \
+	done; \
+	if [ $$failed -gt 0 ]; then echo "soak: $$failed of 10 tier-1 runs failed"; exit 1; fi
 
 coverage:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -153,7 +153,7 @@ func BenchmarkJoinIncrement(b *testing.B) {
 // by TestFastPathZeroAllocs in internal/core).
 func BenchmarkFastPathLatency(b *testing.B) {
 	cfg := core.Config{}
-	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas", "djit"} {
+	for _, det := range core.Variants() {
 		det := det
 		b.Run("ReadSameEpoch/"+det, func(b *testing.B) {
 			d, err := core.New(det, cfg)
@@ -228,7 +228,7 @@ func BenchmarkReadSharedScaling(b *testing.B) {
 		// goroutines time-slicing still exercise the Shared fast path.
 		workers = 2
 	}
-	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
+	for _, det := range core.Variants() {
 		det := det
 		b.Run(det, func(b *testing.B) {
 			d, err := core.New(det, core.Config{})

@@ -197,7 +197,7 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 10, "measured iterations per cell (the paper uses 10)")
 	warmup := fs.Int("warmup", 2, "warm-up iterations per cell")
 	quick := fs.Bool("quick", false, "use the small test sizes")
-	detectors := fs.String("detectors", "ft-mutex,ft-cas,vft-v1,vft-v1.5,vft-v2",
+	detectors := fs.String("detectors", strings.Join(core.Variants(), ","),
 		"comma-separated detector variants")
 	programs := fs.String("programs", "", "comma-separated program subset (default: whole suite)")
 	ablation := fs.Bool("ablation", false, "also run the §3 rule-change ablations")

@@ -83,9 +83,9 @@ func TestRaceErrors(t *testing.T) {
 	if code, _, _ := runRace(t, []string{"/nonexistent/file"}, ""); code != 2 {
 		t.Fatalf("missing file exit = %d, want 2", code)
 	}
-	// Unknown detectors, the retired lockset variant among them: the
-	// message lists the six variants.
-	for _, name := range []string{"nope", "eraser"} {
+	// Unknown detectors, the retired lockset and vector-clock variants
+	// among them: the message lists the five variants.
+	for _, name := range []string{"nope", "eraser", "djit"} {
 		code, _, errOut := runRace(t, []string{"-d", name}, "rd 0 0\n")
 		if code != 2 || !strings.Contains(errOut, fmt.Sprint(core.Variants())) {
 			t.Fatalf("-d %s: exit = %d, stderr %q; want exit 2 and the variant list %v", name, code, errOut, core.Variants())
@@ -120,11 +120,11 @@ func TestRaceBarrierParties(t *testing.T) {
 func TestBenchQuickSubset(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := Bench([]string{"-quick", "-iters", "1", "-warmup", "0", "-json", "",
-		"-programs", "series,fop", "-detectors", "vft-v2,djit"}, &out, &errBuf)
+		"-programs", "series,fop", "-detectors", "vft-v2,ft-cas"}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
 	}
-	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "DJIT+",
+	for _, want := range []string{"Table 1", "series", "fop", "Geo Mean", "CAS",
 		"Rule mix under v2", "[Read Shared Same Epoch]", "lock-free fast paths"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())

@@ -363,7 +363,7 @@ func TestStreamingCommandSmoke(t *testing.T) {
 		{name: "vft-bench/trace-file", bin: "vft-bench", args: []string{"-iters", "1", "-warmup", "0", "-detectors", "vft-v2", "-trace"},
 			file: encodeBin(clean), exit: 0, out: "ops/sec"},
 	}
-	for _, d := range []string{"vft-v2", "djit"} {
+	for _, d := range []string{"vft-v2", "vft-v1"} {
 		rows = append(rows,
 			row{name: "vft-race/sparse-var/" + d, args: []string{"-d", d, "-"}, stdin: sparse,
 				exit: 1, out: "x2000000000", maxRSSMiB: 64},
@@ -461,7 +461,7 @@ func TestRaceOracleComparesOnlyWhatIsPromised(t *testing.T) {
 	}{
 		{"sample misses the racy variable", "sampled:0.5", racy, 0, "oracle: 1 concurrent conflicting pairs"},
 		{"sample holds the racy variable", "sampled:1", racy, 1, "oracle: 1 concurrent conflicting pairs"},
-		{"precise control", "djit", racy, 1, "oracle: 1 concurrent conflicting pairs"},
+		{"precise control", "ft-mutex", racy, 1, "oracle: 1 concurrent conflicting pairs"},
 	} {
 		code, out, errOut := runRace(t, []string{"-d", tc.variant, "-oracle"}, tc.input)
 		if code != tc.code || !strings.Contains(out, tc.oracleLine) || strings.Contains(errOut, "precision bug") {

@@ -13,7 +13,7 @@ import (
 // proportional to the access count — exactly what the epoch design exists
 // to avoid.
 func TestFastPathZeroAllocs(t *testing.T) {
-	for _, det := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
+	for _, det := range Variants() {
 		d, err := New(det, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestFastPathZeroAllocs(t *testing.T) {
 // own, which must mutate nothing and allocate nothing (the
 // skip-covered-entries scan).
 func TestReacquireJoinZeroAllocs(t *testing.T) {
-	for _, det := range []string{"vft-v2", "vft-v1", "ft-mutex", "djit"} {
+	for _, det := range Variants() {
 		d, err := New(det, Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,9 @@
 // Package core implements the paper's contribution: the VerifiedFT
 // concurrent race-detector algorithm, in the three stages evaluated in §8
 // (VerifiedFT-v1, -v1.5, -v2), together with the prior FastTrack
-// implementations it is compared against (FT-Mutex, FT-CAS) and a
-// DJIT+-style pure vector-clock baseline. Every variant is precise: it
-// reports a race exactly when the trace has two concurrent conflicting
-// accesses (Theorem 3.1).
+// implementations it is compared against (FT-Mutex, FT-CAS). Every
+// variant is precise: it reports a race exactly when the trace has two
+// concurrent conflicting accesses (Theorem 3.1).
 //
 // Every detector exposes the same six event handlers as the idealized
 // implementations of Fig. 3/Fig. 4. Handlers are designed to be called
@@ -320,17 +319,15 @@ func New(name string, cfg Config) (Detector, error) {
 		return NewFTMutex(cfg), nil
 	case "ft-cas":
 		return NewFTCAS(cfg), nil
-	case "djit":
-		return NewDJIT(cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown detector %q (want one of %v)", name, Variants())
 	}
 }
 
-// Variants lists the available detector names in the order Table 1 reports
-// them, plus the DJIT baseline.
+// Variants lists the available detector names: Table 1's columns, in
+// Table 1's order.
 func Variants() []string {
-	return []string{"ft-mutex", "ft-cas", "vft-v1", "vft-v1.5", "vft-v2", "djit"}
+	return []string{"ft-mutex", "ft-cas", "vft-v1", "vft-v1.5", "vft-v2"}
 }
 
 // Replay drives a detector sequentially over a core-language trace,

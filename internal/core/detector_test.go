@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/epoch"
-	"repro/internal/hb"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -81,14 +80,13 @@ func TestFirstReportMatchesSpecRacy(t *testing.T) {
 	}
 }
 
-// On race-free traces, the VerifiedFT variants and the FT baselines fire
-// exactly the same rules as the specification, access for access.
+// On race-free traces, every variant fires exactly the same rules as the
+// specification, access for access.
 func TestRuleCountsMatchSpecOnRaceFreeTraces(t *testing.T) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Ops = 80
 	cfg.Threads = 3
 	cfg.LockedFraction = 900 // bias toward race-free traces
-	variants := []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"}
 	checked := 0
 	for seed := int64(0); seed < 200 && checked < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,7 +96,7 @@ func TestRuleCountsMatchSpecOnRaceFreeTraces(t *testing.T) {
 			continue // rule counts are compared on race-free traces only
 		}
 		checked++
-		for _, name := range variants {
+		for _, name := range Variants() {
 			d := newDetector(t, name)
 			Replay(d, tr)
 			got := d.RuleCounts()
@@ -148,7 +146,7 @@ func TestReportEvidence(t *testing.T) {
 		trace.Wr(0, 3),
 		trace.Rd(1, 3),
 	}
-	for _, name := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
+	for _, name := range Variants() {
 		d := newDetector(t, name)
 		reports := Replay(d, tr)
 		if len(reports) != 1 {
@@ -212,9 +210,6 @@ func TestRepairAfterRaceSuppressesEcho(t *testing.T) {
 		trace.Wr(0, 0),     // ordered after the repair: no new report
 	}
 	for _, name := range Variants() {
-		if name == "djit" {
-			continue // see TestDJITReReportsWithoutEpochRepair
-		}
 		d := newDetector(t, name)
 		reports := Replay(d, tr)
 		if len(reports) != 1 {
@@ -223,35 +218,11 @@ func TestRepairAfterRaceSuppressesEcho(t *testing.T) {
 	}
 }
 
-// DJIT keeps the full per-thread write history in a vector clock, so it has
-// no equivalent of the epoch repair: a write that raced once keeps failing
-// the Wx ⊑ Ct check on later same-variable writes until ordering catches
-// up. This re-reporting is inherent to the representation — one of the
-// practical costs of the epoch-free baseline.
-func TestDJITReReportsWithoutEpochRepair(t *testing.T) {
-	tr := trace.Trace{
-		trace.ForkOp(0, 1),
-		trace.Wr(0, 0),
-		trace.Wr(1, 0),
-		trace.Wr(1, 0),
-	}
-	d := newDetector(t, "djit")
-	reports := Replay(d, tr)
-	if len(reports) != 2 {
-		t.Fatalf("djit: %d reports, want 2 (one per unordered write): %v", len(reports), reports)
-	}
-	for _, r := range reports {
-		if r.X != 0 {
-			t.Errorf("report on wrong variable: %v", r)
-		}
-	}
-}
-
 func TestReadSharedSameEpochCountsDifferOnlyInSpeed(t *testing.T) {
 	// Shared variable read twice in the same epoch by the same thread:
-	// every precise FastTrack-family detector classifies the second read
-	// as [Read Shared Same Epoch] regardless of whether that case is
-	// lock-free (v2) or locked (v1, v1.5, baselines).
+	// every variant classifies the second read as [Read Shared Same Epoch]
+	// regardless of whether that case is lock-free (v2) or locked (v1,
+	// v1.5, baselines).
 	tr := trace.Trace{
 		trace.ForkOp(0, 1),
 		trace.Rd(0, 0),
@@ -259,7 +230,7 @@ func TestReadSharedSameEpochCountsDifferOnlyInSpeed(t *testing.T) {
 		trace.Rd(1, 0), // shared same epoch
 		trace.Rd(1, 0),
 	}
-	for _, name := range []string{"vft-v1", "vft-v1.5", "vft-v2", "ft-mutex", "ft-cas"} {
+	for _, name := range Variants() {
 		d := newDetector(t, name)
 		Replay(d, tr)
 		counts := d.RuleCounts()
@@ -280,22 +251,6 @@ func TestDispatchPanicsOnExtendedOp(t *testing.T) {
 		}
 	}()
 	Dispatch(newDetector(t, "vft-v2"), trace.VRd(0, 0))
-}
-
-// DJIT is precise on positions but classifies rules differently; pin down
-// that its verdicts track the oracle directly too.
-func TestDJITMatchesOracle(t *testing.T) {
-	cfg := trace.DefaultGenConfig()
-	cfg.Ops = 50
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr := trace.Generate(rng, cfg)
-		want := hb.Analyze(tr).FirstRaceAt()
-		d := newDetector(t, "djit")
-		if got := FirstReportPosition(d, tr); got != want {
-			t.Fatalf("seed %d: djit at %d, oracle at %d\ntrace: %v", seed, got, want, tr)
-		}
-	}
 }
 
 // MaxReportsPerVar caps per-variable reporting (RoadRunner's warn-once

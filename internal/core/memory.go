@@ -111,16 +111,6 @@ func (d *FTCAS) ShadowBytes() uint64 {
 	return total
 }
 
-// ShadowBytes implements ShadowSized for DJIT: two full vector clocks per
-// variable — the O(threads)-per-variable cost epochs exist to avoid.
-func (d *DJIT) ShadowBytes() uint64 {
-	total := d.threadLockBytes()
-	for _, sx := range d.vars.Snapshot() {
-		total += vcBytes(sx.rvc) + vcBytes(sx.wvc)
-	}
-	return total
-}
-
 // Compile-time interface checks.
 var (
 	_ ShadowSized = (*V1)(nil)
@@ -128,5 +118,4 @@ var (
 	_ ShadowSized = (*V2)(nil)
 	_ ShadowSized = (*FTMutex)(nil)
 	_ ShadowSized = (*FTCAS)(nil)
-	_ ShadowSized = (*DJIT)(nil)
 )

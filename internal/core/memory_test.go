@@ -8,14 +8,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Epochs beat vector clocks on space: on a workload where many variables
-// are accessed by a single thread, v2's per-variable cost is O(1) while
-// DJIT's grows with the thread count.
+// Epochs beat vector clocks on space: on a workload where every variable
+// is accessed by a single thread, v2's per-variable footprint is O(1) — the
+// same at 2 threads as at 8 — where a vector clock per variable grows with
+// the thread count.
 func TestShadowBytesEpochsBeatVectors(t *testing.T) {
 	const nVars = 256
-	const nThreads = 8
-	run := func(name string) uint64 {
-		d := newDetector(t, name)
+	perVar := func(nThreads int) uint64 {
+		d := NewV2(Config{})
 		// Every thread writes its own disjoint variable block — thread-
 		// local data, the common case §5's fast paths target.
 		for w := 0; w < nThreads; w++ {
@@ -29,21 +29,16 @@ func TestShadowBytesEpochsBeatVectors(t *testing.T) {
 				d.Read(tid, x)
 			}
 		}
-		s, ok := d.(ShadowSized)
-		if !ok {
-			t.Fatalf("%s does not report shadow size", name)
+		if d.vars.Len() != nVars {
+			t.Fatalf("%d threads: %d variables in the shadow table, want %d", nThreads, d.vars.Len(), nVars)
 		}
-		return s.ShadowBytes()
+		return (d.ShadowBytes() - d.threadLockBytes()) / nVars
 	}
-	v2 := run("vft-v2")
-	dj := run("djit")
-	if v2 == 0 || dj == 0 {
-		t.Fatal("zero shadow bytes")
+	two, eight := perVar(2), perVar(8)
+	if two == 0 || two != eight {
+		t.Errorf("v2 shadow per variable: %d bytes at 2 threads, %d at 8; want equal and nonzero", two, eight)
 	}
-	if dj < 2*v2 {
-		t.Errorf("djit shadow %d bytes vs v2 %d bytes; expected a clear epoch advantage", dj, v2)
-	}
-	t.Logf("thread-local workload: v2 %d bytes, djit %d bytes (%.1fx)", v2, dj, float64(dj)/float64(v2))
+	t.Logf("thread-local workload: v2 %d bytes per variable at 2 and at 8 threads", two)
 }
 
 // Read-shared variables cost v2 a vector too ([Read Share] allocates it);

@@ -95,7 +95,9 @@ func (t Tally) Snapshot() obs.Snapshot {
 	s.Counters["reports.recorded"] = t.Recorded
 	s.Counters["reports.dropped"] = t.Dropped
 
-	addClockMetrics(s, clocks)
+	s.Counters["vc.grows"] = clocks.Grows
+	s.Counters["vc.joins"] = clocks.Joins
+	s.Counters["vc.join_scanned"] = clocks.JoinScanned
 	s.Gauges["vc.max_entries"] = uint64(maxEntries)
 	s.Gauges["shadow.threads"] = uint64(len(t.Threads))
 	s.Gauges["shadow.locks"] = uint64(len(t.Locks))
@@ -130,20 +132,12 @@ func (b *syncBase) statsCommon() obs.Snapshot {
 	return t.Snapshot()
 }
 
-func addClockMetrics(s obs.Snapshot, m vc.Metrics) {
-	s.Counters["vc.grows"] += m.Grows
-	s.Counters["vc.joins"] += m.Joins
-	s.Counters["vc.join_scanned"] += m.JoinScanned
-}
-
 // AddVarTable records a detector's variable shadow table: occupancy, how
-// many variables have been promoted to the Shared representation (pass -1
-// for detectors without one), and the semantic footprint.
+// many variables have been promoted to the Shared representation, and the
+// semantic footprint.
 func AddVarTable(s obs.Snapshot, entries, shared int, bytes uint64) {
 	s.Gauges["shadow.vars"] = uint64(entries)
-	if shared >= 0 {
-		s.Gauges["shadow.vars_shared"] = uint64(shared)
-	}
+	s.Gauges["shadow.vars_shared"] = uint64(shared)
 	s.Gauges["shadow.bytes"] = bytes
 }
 
@@ -206,21 +200,6 @@ func (d *FTCAS) Stats() obs.Snapshot {
 	return s
 }
 
-// Stats implements StatsSource for DJIT, which has no epochs and hence no
-// Shared representation; its per-variable clocks contribute to the vc
-// aggregates instead.
-func (d *DJIT) Stats() obs.Snapshot {
-	s := d.statsCommon()
-	var clocks vc.Metrics
-	for _, sx := range d.vars.Snapshot() {
-		clocks.Add(sx.rvc.Metrics())
-		clocks.Add(sx.wvc.Metrics())
-	}
-	addClockMetrics(s, clocks)
-	AddVarTable(s, d.vars.Len(), -1, d.ShadowBytes())
-	return s
-}
-
 // Compile-time checks: every detector is a StatsSource.
 var (
 	_ StatsSource = (*V1)(nil)
@@ -228,5 +207,4 @@ var (
 	_ StatsSource = (*V2)(nil)
 	_ StatsSource = (*FTMutex)(nil)
 	_ StatsSource = (*FTCAS)(nil)
-	_ StatsSource = (*DJIT)(nil)
 )

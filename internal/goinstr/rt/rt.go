@@ -410,13 +410,18 @@ func RWRUnlock(g *G, site string, m *sync.RWMutex) {
 	m.RUnlock()
 }
 
-// WaitGroups: Add and Done are release-like (logged before the real
-// operation), Wait is acquire-like (logged after it returns). Every
-// logged Done therefore precedes the Wait that observed it, giving the
-// Done → Wait happens-before edge through the pseudo-location's chain.
+// WaitGroups: Done is release-like (logged before the real operation),
+// Wait is acquire-like (logged after it returns). Every logged Done
+// therefore precedes the Wait that observed it, giving the Done → Wait
+// happens-before edge through the pseudo-location's chain. An Add with a
+// negative delta is a Done and logs the same record; a positive Add
+// releases nothing (sync.WaitGroup.Add calls race.ReleaseMerge only when
+// delta < 0) and logs nothing.
 
 func WGAdd(g *G, site string, wg *sync.WaitGroup, n int) {
-	emitAtomic(g, kAtomicRMW, addrOf(wg), site)
+	if n < 0 {
+		emitAtomic(g, kAtomicRMW, addrOf(wg), site)
+	}
 	wg.Add(n)
 }
 

@@ -331,11 +331,35 @@ func TestWaitGroupOrdering(t *testing.T) {
 			rmws++
 		}
 	}
-	if rmws != 3 || waitIdx < 0 {
-		t.Fatalf("stream %v: want 3 RMWs before one load", tr)
+	if rmws != 2 || waitIdx < 0 {
+		t.Fatalf("stream %v: want 2 RMWs (the Dones) before one load", tr)
 	}
 	if err := trace.ValidateExt(tr, nil); err != nil {
 		t.Fatalf("infeasible: %v", err)
+	}
+}
+
+// TestWGAddLogsOnlyDecrements: an Add with a positive delta releases
+// nothing — sync.WaitGroup.Add calls race.ReleaseMerge only when delta < 0
+// — so it logs nothing; an Add with a negative delta is a Done and logs
+// exactly the record Done does.
+func TestWGAddLogsOnlyDecrements(t *testing.T) {
+	path := resetForTest(t)
+	g := Bind()
+	var wg sync.WaitGroup
+	before := loggedEvents()
+	WGAdd(g, "wg", &wg, 1)
+	if n := loggedEvents() - before; n != 0 {
+		t.Errorf("WGAdd(+1) logged %d records, want none", n)
+	}
+	WGAdd(g, "wg", &wg, -1)
+	WGAdd(g, "wg", &wg, 1)
+	WGDone(g, "wg", &wg)
+	Shutdown()
+
+	tr := decodeTrace(t, path)
+	if len(tr) != 2 || tr[0] != tr[1] || tr[0].Kind != trace.AtomicRMW || tr[0].T != 0 {
+		t.Fatalf("stream %v: want WGAdd(-1) and WGDone to log one identical RMW each", tr)
 	}
 }
 

@@ -18,7 +18,6 @@ var displayName = map[string]string{
 	"vft-v1":   "v1",
 	"vft-v1.5": "v1.5",
 	"vft-v2":   "v2",
-	"djit":     "DJIT+",
 }
 
 // Format renders the table in the shape of the paper's Table 1: one row per

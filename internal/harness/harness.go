@@ -47,7 +47,7 @@ func DefaultOptions() Options {
 	return Options{
 		Warmup:    2,
 		Iters:     5,
-		Detectors: []string{"ft-mutex", "ft-cas", "vft-v1", "vft-v1.5", "vft-v2"},
+		Detectors: core.Variants(),
 	}
 }
 

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workloads"
 )
 
 func quickOpts() Options {
@@ -99,30 +102,38 @@ func TestGeoMeanClampsFloor(t *testing.T) {
 	}
 }
 
-// The core performance claim at the heart of Table 1: on the read-shared
-// extreme (sparse), v2 must beat v1 clearly; and v1 must never beat v2 on
-// the suite overall. Run at small-but-not-tiny size to keep the test fast
-// yet the contrast visible.
+// The mechanism behind Table 1's read-shared rows, from counters rather
+// than the clock (EXPERIMENTS.md E1's serialization table): at bench size
+// on sparse, v1 takes the per-variable lock on every access and v2 on a
+// small share (E1: 100% against 8%). Under VFT_SOAK=1 the wall-clock
+// consequence is asserted too: v2's overhead beats v1's.
 func TestV2BeatsV1OnSparse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
+	w, err := workloads.ByName("sparse")
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts := Options{
-		Warmup:    1,
-		Iters:     3,
-		Detectors: []string{"vft-v1", "vft-v2"},
-		Programs:  []string{"sparse"},
+	locked := func(det string) float64 { return 1 - FastPathShare(metricsPass(w, w.BenchSize, det)) }
+	v1, v2 := locked("vft-v1"), locked("vft-v2")
+	t.Logf("sparse: accesses under the per-variable lock: v1 %.1f%%, v2 %.1f%%", 100*v1, 100*v2)
+	if v1 != 1 {
+		t.Errorf("v1 locks %.1f%% of accesses, want every one", 100*v1)
 	}
-	// Mid-scale size: large enough for the lock serialization to bite.
-	table, err := Run(opts)
+	if v2 > 0.10 {
+		t.Errorf("v2 locks %.1f%% of accesses, want at most 10%%", 100*v2)
+	}
+
+	if os.Getenv("VFT_SOAK") == "" {
+		return
+	}
+	table, err := Run(Options{Warmup: 1, Iters: 3, Detectors: []string{"vft-v1", "vft-v2"}, Programs: []string{"sparse"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := table.Rows[0]
-	v1, v2 := r.Overhead["vft-v1"], r.Overhead["vft-v2"]
-	t.Logf("sparse: v1 overhead %.2fx, v2 overhead %.2fx", v1, v2)
-	if v2 >= v1 {
-		t.Errorf("v2 (%.2fx) should beat v1 (%.2fx) on sparse", v2, v1)
+	o1, o2 := r.Overhead["vft-v1"], r.Overhead["vft-v2"]
+	t.Logf("sparse: v1 overhead %.2fx, v2 overhead %.2fx", o1, o2)
+	if o2 >= o1 {
+		t.Errorf("v2 (%.2fx) should beat v1 (%.2fx) on sparse", o2, o1)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestDepotDistinctIdentity(t *testing.T) {
 	base := rep(1, 2, spec.WriteWriteRace, 0)
 	variants := []core.Report{
 		base,
-		func() core.Report { r := base; r.Detector = "djit"; return r }(),
+		func() core.Report { r := base; r.Detector = "ft-cas"; return r }(),
 		func() core.Report { r := base; r.Rule = spec.ReadWriteRace; return r }(),
 		func() core.Report { r := base; r.T = 9; return r }(),
 		func() core.Report { r := base; r.X = trace.Var(42); return r }(),

@@ -46,7 +46,7 @@ func FuzzIngestHTTP(f *testing.F) {
 	valid := racyTrace()
 	f.Add("t0", "vft-v2", "", "", encodeBody(f, valid, "text"))
 	f.Add("t1", "vft-v1", "", "", encodeBody(f, valid, "binary"))
-	f.Add("t2", "djit", "", "", encodeBody(f, valid, "gzip"))
+	f.Add("t2", "ft-mutex", "", "", encodeBody(f, valid, "gzip"))
 	bin := encodeBody(f, valid, "binary")
 	f.Add("t3", "ft-cas", "", "", bin[:len(bin)-3])
 	f.Add("t4", "", "", "", []byte("rd 0 0\nbogus"))
@@ -78,15 +78,15 @@ func FuzzIngestHTTP(f *testing.F) {
 	// below must hold however sparse the ids are.
 	sparse := []byte("fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n")
 	f.Add("t11", "vft-v2", "", "0.5", sparse)
-	f.Add("t12", "djit", "", "", sparse) // the sequential arm, unsampled and sampled
+	f.Add("t12", "vft-v1.5", "", "", sparse) // the sequential arm, unsampled and sampled
 	f.Add("t13", "ft-mutex", "", "1", sparse)
 	// One huge thread id, one huge lock id: tables are sized by the ids an
 	// upload names, on the sharded engine and on the sequential one.
 	for i, hostile := range []string{"fork 0 65000\nwr 65000 1\nwr 0 1\n", "acq 0 16000000\nrel 0 16000000\n"} {
 		f.Add(fmt.Sprintf("t%d", 14+2*i), "vft-v2", "", "", []byte(hostile))
-		f.Add(fmt.Sprintf("t%d", 15+2*i), "djit", "", "", []byte(hostile))
+		f.Add(fmt.Sprintf("t%d", 15+2*i), "vft-v1", "", "", []byte(hostile))
 	}
-	// With t0–t3, t12 and t13, every variant has a seed.
+	// t0–t3 and t12 give every variant a seed; vft-v1.5 also takes text.
 	f.Add("t18", "vft-v1.5", "", "", encodeBody(f, valid, "text"))
 
 	allowed := map[int]bool{

@@ -326,7 +326,7 @@ func validTenant(name string) bool {
 	return true
 }
 
-// variantKnown reports whether name is one of the six detector variants.
+// variantKnown reports whether name is one of the five detector variants.
 func variantKnown(name string) bool {
 	for _, v := range core.Variants() {
 		if v == name {

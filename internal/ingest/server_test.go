@@ -115,6 +115,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"tenant too long", "/v1/traces?tenant=" + strings.Repeat("x", 65), http.StatusBadRequest},
 		{"unknown variant", "/v1/traces?tenant=t&variant=nope", http.StatusBadRequest},
 		{"retired lockset variant", "/v1/traces?tenant=t&variant=eraser", http.StatusBadRequest},
+		{"retired vector-clock variant", "/v1/traces?tenant=t&variant=djit", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -501,7 +502,7 @@ func TestServerStateRoundTrip(t *testing.T) {
 	body := func() *bytes.Reader { return bytes.NewReader(encodeBody(t, racyTrace(), "text")) }
 	post(t, s1, "/v1/traces?tenant=alpha", body())
 	post(t, s1, "/v1/traces?tenant=alpha", body())
-	post(t, s1, "/v1/traces?tenant=beta&variant=djit", body())
+	post(t, s1, "/v1/traces?tenant=beta&variant=vft-v1", body())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
@@ -540,27 +541,30 @@ func TestServerStateRoundTrip(t *testing.T) {
 		t.Fatal("future state version accepted")
 	}
 
-	// A state file saved by version 2.8.0 still loads and serves, though
-	// it holds aggregates of the retired lockset variant, whose reports
-	// carry a "msg" field this build no longer has.
-	legacy, err := os.ReadFile("testdata/state_v1_lockset.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var saved persistedState
-	if err := json.Unmarshal(legacy, &saved); err != nil {
-		t.Fatal(err)
-	}
-	s3 := New(Config{})
-	if err := s3.LoadState(bytes.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	r3 := httptest.NewRecorder()
-	s3.Handler().ServeHTTP(r3, httptest.NewRequest(http.MethodGet, "/v1/reports?tenant=legacy", nil))
-	var got TenantReport
-	if err := json.Unmarshal(r3.Body.Bytes(), &got); err != nil || r3.Code != http.StatusOK ||
-		got.Uploads != 3 || got.Distinct != 2 || !reflect.DeepEqual(got.Aggregated, saved.Tenants[0].Aggregated) {
-		t.Fatalf("legacy state: status %d, err %v, reports %s", r3.Code, err, r3.Body.String())
+	// State files saved by earlier versions still load and serve, though
+	// they hold aggregates of retired variants: 2.8.0's of the lockset
+	// variant, whose reports carry a "msg" field this build no longer has,
+	// and 2.11.0's of the retired vector-clock variant.
+	for _, name := range []string{"state_v1_lockset.json", "state_v1_djit.json"} {
+		legacy, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved persistedState
+		if err := json.Unmarshal(legacy, &saved); err != nil {
+			t.Fatal(err)
+		}
+		s3 := New(Config{})
+		if err := s3.LoadState(bytes.NewReader(legacy)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r3 := httptest.NewRecorder()
+		s3.Handler().ServeHTTP(r3, httptest.NewRequest(http.MethodGet, "/v1/reports?tenant=legacy", nil))
+		var got TenantReport
+		if err := json.Unmarshal(r3.Body.Bytes(), &got); err != nil || r3.Code != http.StatusOK ||
+			got.Uploads != 3 || got.Distinct != 2 || !reflect.DeepEqual(got.Aggregated, saved.Tenants[0].Aggregated) {
+			t.Fatalf("%s: status %d, err %v, reports %s", name, r3.Code, err, r3.Body.String())
+		}
 	}
 }
 

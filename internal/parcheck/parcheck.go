@@ -13,7 +13,7 @@
 // the default, and what every product path runs — the detector is this
 // package's machine: core.V2's state and rules without the
 // synchronization that only concurrent callers need (see machine). The
-// other five variants are core's own detectors. The reports are the
+// other four variants are core's own detectors. The reports are the
 // detector's, mapped back onto the trace's ids. The machine, the front
 // stage and the batch buffer are recycled between checks (see checkState).
 //
@@ -261,7 +261,7 @@ var states = &sync.Pool{New: func() any { return new(checkState) }}
 // run assembles a check on a recycled state: drive hands the stream, in
 // the calling goroutine, to the front stage, which calls the handlers of
 // an empty detector — the unsynchronized machine for vft-v2, a new core
-// detector for the other five — under the compact ids their flat tables
+// detector for the other four — under the compact ids their flat tables
 // are indexed by.
 func run(opts Options, drive func(*checkState) error) ([]core.Report, error) {
 	st := states.Get().(*checkState)

@@ -272,7 +272,7 @@ func TestParallelDefaults(t *testing.T) {
 // offline check must match the bare replay on it — reports and analysis
 // counters — for a report cap drawn from the input, under a variant also
 // drawn from it and, on every input, under the default variant: that one
-// is parcheck's own machine, where the other five are core's detectors.
+// is parcheck's own machine, where the other four are core's detectors.
 // Each check runs on a fresh state and again on one the hostile Go-sync
 // trace has dirtied, and the two must agree (requireSameOutcome).
 func FuzzParallelEquivalence(f *testing.F) {

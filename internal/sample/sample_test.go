@@ -208,7 +208,7 @@ func TestResolve(t *testing.T) {
 		{"sampled", nil, 0, "vft-v2", &Policy{Rate: DefaultRate, Seed: DefaultSeed}, false},
 		{"sampled:0.25", nil, 7, "vft-v2", &Policy{Rate: 0.25, Seed: 7}, false},
 		{"sampled:0.25", rate(1), 0, "vft-v2", &Policy{Rate: 1, Seed: DefaultSeed}, false},
-		{"djit", rate(0.5), 9, "djit", &Policy{Rate: 0.5, Seed: 9}, false},
+		{"vft-v1.5", rate(0.5), 9, "vft-v1.5", &Policy{Rate: 0.5, Seed: 9}, false},
 		{"", rate(0), 0, "", &Policy{Rate: 0, Seed: DefaultSeed}, false},
 		{"sampled:2", nil, 0, "", nil, true},
 		{"vft-v2", rate(-0.1), 0, "", nil, true},

@@ -245,7 +245,7 @@ func BenchmarkJoinUnpredictable(b *testing.B) {
 	}
 }
 
-// BenchmarkLeqBulk is DJIT's per-access check at width 32 in its common,
+// BenchmarkLeqBulk is a whole-clock ⊑ check at width 32 in its common,
 // race-free outcome: every entry is compared and the answer is true.
 func BenchmarkLeqBulk(b *testing.B) {
 	recv, srcs := interleavedClocks(32, 64)

@@ -11,11 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// preciseVariantsUnderTest are the five FastTrack-family implementations
-// the paper evaluates; all must agree between the materialized and
-// streaming entry points.
-var preciseVariantsUnderTest = []string{FTMutex, FTCAS, V1, V15, V2}
-
 // TestCheckSourceMatchesCheckTrace: on the same 10k-op generated prefix,
 // CheckSource over a streaming generator and CheckTrace over the
 // materialized trace produce identical reports for every variant — the
@@ -27,7 +22,7 @@ func TestCheckSourceMatchesCheckTrace(t *testing.T) {
 	cfg.Ops = ops
 	materialized := trace.Generate(rand.New(rand.NewSource(seed)), cfg)
 
-	for _, variant := range preciseVariantsUnderTest {
+	for _, variant := range Variants() {
 		t.Run(variant, func(t *testing.T) {
 			want, err := CheckTrace(materialized, WithVariant(variant))
 			if err != nil {
@@ -78,7 +73,7 @@ func TestCheckSourceBoundedMemory(t *testing.T) {
 	}
 	const small, large = 200_000, 1_000_000
 	const deltaCeiling = 4 << 20
-	for _, variant := range preciseVariantsUnderTest {
+	for _, variant := range Variants() {
 		t.Run(variant, func(t *testing.T) {
 			base := checkGenerated(t, variant, small)
 			full := checkGenerated(t, variant, large)

@@ -37,11 +37,10 @@
 //	main.Join(child)
 //	races := rt.Reports()
 //
-// Six detector variants share the Detector interface: the three
-// VerifiedFT stages the paper evaluates (V1, V15, V2), the two prior
-// FastTrack implementations it compares against (FTMutex, FTCAS), and the
-// classical vector-clock baseline DJIT. All six are precise; V2 is the
-// paper's contribution and the right default.
+// Five detector variants share the Detector interface: the three
+// VerifiedFT stages the paper evaluates (V1, V15, V2) and the two prior
+// FastTrack implementations it compares against (FTMutex, FTCAS). All
+// five are precise; V2 is the paper's contribution and the right default.
 package verifiedft
 
 import (
@@ -69,8 +68,6 @@ const (
 	FTMutex = "ft-mutex"
 	// FTCAS is the prior CAS-packed FastTrack.
 	FTCAS = "ft-cas"
-	// DJIT is a pure vector-clock detector (no epochs).
-	DJIT = "djit"
 )
 
 // Detector is the six-handler event interface of the idealized
@@ -319,8 +316,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.11.0: vft-go logs every
-// sync/atomic operation the toolchain exports and the sync methods
-// promoted from embedded fields, and counts the sync calls it leaves
-// plain (sync.Map, Cond, Pool, Locker) as skipped.
-const Version = "2.11.0"
+// Version identifies this implementation. 2.12.0 removes the pure
+// vector-clock variant, so Variants() is Table 1's five columns, and
+// vft-go no longer logs a WaitGroup.Add with a positive delta (it releases
+// nothing).
+const Version = "2.12.0"

@@ -298,7 +298,7 @@ func TestFunctionalOptionsCoverRemovedWrappers(t *testing.T) {
 // with the ids a run names, so building a detector, or checking a 3-op
 // trace, costs a few dozen allocations under every variant rather than a
 // guessed table's worth (1,211 for New and 1,221 for the check when tables
-// were pre-sized; DJIT's 3,259 and 3,270). The check's allowance covers
+// were pre-sized). The check's allowance covers
 // what two threads and one variable cost a core detector's per-entity
 // shadow objects, on top of the check path's own.
 func TestConstructionCostsWhatTheRunNames(t *testing.T) {
