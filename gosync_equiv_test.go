@@ -249,27 +249,3 @@ func TestGoSyncParallelParity(t *testing.T) {
 		}
 	}
 }
-
-// The encode options on the public surface: a v2 trace refuses to encode
-// under WithFormatVersion(1), and the error is the typed version error.
-func TestEncodeBinaryFormatVersion(t *testing.T) {
-	tr := verifiedft.Trace{verifiedft.ChanSend(0, 0), verifiedft.ChanRecv(0, 0)}
-	var buf writerBuffer
-	if err := verifiedft.EncodeBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := verifiedft.EncodeBinary(&buf, tr, verifiedft.WithFormatVersion(1)); err == nil {
-		t.Fatal("WithFormatVersion(1) accepted a channel op")
-	}
-	core := verifiedft.Trace{verifiedft.Write(0, 0)}
-	if err := verifiedft.EncodeBinary(&buf, core, verifiedft.WithFormatVersion(1)); err != nil {
-		t.Fatalf("v1 encoding of a core trace: %v", err)
-	}
-}
-
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}

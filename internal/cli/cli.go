@@ -19,12 +19,10 @@ import (
 	verifiedft "repro"
 	"repro/internal/conformance"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/harness"
 	"repro/internal/hb"
 	"repro/internal/obs"
 	"repro/internal/sample"
-	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -190,7 +188,7 @@ func oracleVerdict(variant string, low trace.Trace, races []hb.RacePair) bool {
 	return false
 }
 
-// Bench implements vft-bench: regenerate Table 1 (+ ablations).
+// Bench implements vft-bench: regenerate Table 1.
 func Bench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vft-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -200,7 +198,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	detectors := fs.String("detectors", strings.Join(core.Variants(), ","),
 		"comma-separated detector variants")
 	programs := fs.String("programs", "", "comma-separated program subset (default: whole suite)")
-	ablation := fs.Bool("ablation", false, "also run the §3 rule-change ablations")
 	sampling := fs.Bool("sampling", false,
 		"run the sampling-tier benchmark (EXPERIMENTS.md E22) instead of Table 1: per-access cost, trace-checking overhead and conformance recall per sampling rate, with the soundness gates checked")
 	samplingRates := fs.String("rates", "",
@@ -297,11 +294,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-bench:", err)
 		return 2
-	}
-
-	if *ablation {
-		fmt.Fprintln(stdout)
-		runAblations(stdout)
 	}
 	return 0
 }
@@ -411,70 +403,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// runAblations times the two §3 rule changes at the specification level.
-func runAblations(stdout io.Writer) {
-	fmt.Fprintln(stdout, "Ablations — the §3 rule changes (VerifiedFT arm vs original FastTrack arm)")
-	fmt.Fprintln(stdout)
-	fmt.Fprintln(stdout, timeFlavors("[Write Shared] keeps R (thrash pattern)", ThrashTrace(2000)))
-	fmt.Fprintln(stdout, timeFlavors("[Join] without the Su.V(u) increment", JoinLadder(2000)))
-}
-
-func timeFlavors(name string, tr trace.Trace) harness.AblationResult {
-	const reps = 50
-	run := func(f spec.Flavor) time.Duration {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if res := spec.Run(f, tr); res.RaceAt != -1 {
-				panic(fmt.Sprintf("ablation trace raced: %v", res.Err))
-			}
-		}
-		return time.Since(start) / reps
-	}
-	return harness.AblationResult{
-		Name:        name,
-		Description: name,
-		ArmA:        "VerifiedFT",
-		ArmB:        "FastTrackOrig",
-		TimeA:       run(spec.VerifiedFT),
-		TimeB:       run(spec.FastTrackOrig),
-	}
-}
-
-// ThrashTrace alternates concurrent reads (keeping x Shared) with ordered
-// writes — the §3 pattern on which the original [Write Shared] reset makes
-// R oscillate between the shared and exclusive representations.
-func ThrashTrace(rounds int) trace.Trace {
-	tr := trace.Trace{trace.ForkOp(0, 1)}
-	for r := 0; r < rounds; r++ {
-		tr = append(tr,
-			trace.Rd(0, 0),
-			trace.Acq(1, 0), trace.Rd(1, 0), trace.Rel(1, 0),
-			trace.Acq(0, 0), trace.Wr(0, 0), trace.Rel(0, 0),
-			trace.Acq(1, 0), trace.Rel(1, 0),
-		)
-	}
-	trace.MustValidate(tr)
-	return tr
-}
-
-// JoinLadder forks, runs and joins a fresh thread per round.
-func JoinLadder(rounds int) trace.Trace {
-	var tr trace.Trace
-	next := epoch.Tid(1)
-	for r := 0; r < rounds; r++ {
-		u := next
-		next++
-		tr = append(tr,
-			trace.ForkOp(0, u),
-			trace.Wr(u, trace.Var(r%8)),
-			trace.JoinOp(0, u),
-			trace.Rd(0, trace.Var(r%8)),
-		)
-	}
-	trace.MustValidate(tr)
-	return tr
 }
 
 // ifSet returns v if the command line set the named flag, else nil: an

@@ -139,18 +139,6 @@ func TestBenchUnknownProgram(t *testing.T) {
 	}
 }
 
-func TestBenchAblation(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := Bench([]string{"-quick", "-iters", "1", "-warmup", "0", "-json", "",
-		"-programs", "series", "-detectors", "vft-v2", "-ablation"}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "[Write Shared] keeps R") {
-		t.Fatalf("ablation section missing:\n%s", out.String())
-	}
-}
-
 // The differential check vft-race -all -oracle runs, on generated traces
 // (named for cli.CheckOne, the wrapper the fuzz driver called it through).
 func TestCheckOneAgreesWithSuiteInvariants(t *testing.T) {
@@ -170,17 +158,6 @@ func TestShrinkIdentityOnHealthyTrace(t *testing.T) {
 	tr := trace.Generate(rand.New(rand.NewSource(1)), trace.DefaultGenConfig())
 	if got := conformance.Shrink(tr); len(got) != len(tr) {
 		t.Fatalf("Shrink changed a healthy trace: %d -> %d ops", len(tr), len(got))
-	}
-}
-
-func TestThrashAndLadderTracesAreFeasibleAndRaceFree(t *testing.T) {
-	for _, tr := range []trace.Trace{ThrashTrace(50), JoinLadder(50)} {
-		if err := trace.Validate(tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := conformance.CheckTrace(tr); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -33,8 +33,8 @@ type Sampling struct {
 	words *sample.Words
 
 	// suppressed counts filtered accesses in owner-written padded
-	// per-thread slots (the latency sampler's discipline), summed at
-	// quiescence, so the unsampled hot path stays contention-free. The
+	// per-thread slots, summed at quiescence, so the unsampled hot path
+	// stays contention-free. The
 	// slots live in fixed-size chunks behind a flat directory rather than
 	// in a shadow.Table of per-slot pointers: slot addresses compute from
 	// one atomic chunk load that does not depend on the decision-word

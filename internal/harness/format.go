@@ -71,7 +71,7 @@ var fastPathRules = []struct {
 	{spec.ReadSharedSameEpoch, "12%"},
 }
 
-// RuleMix sums the vft-v2 metrics passes over the table's programs: the
+// RuleMix sums the vft-v2 cells' metrics over the table's programs: the
 // accesses checked and how many of them each fast-path rule handled, in
 // fastPathRules order. accesses is 0 when v2 was not among the detectors.
 func (t *Table) RuleMix() (fired [3]uint64, accesses uint64) {

@@ -13,7 +13,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime/pprof"
 	"time"
@@ -64,12 +63,11 @@ type Row struct {
 	Reports map[string]int
 	// FastPath maps detector name to the measured fraction of accesses the
 	// detector handled on its lock-free fast paths — the §5/§8 quantity the
-	// whole v2 design banks on. Measured in a separate untimed pass.
+	// whole v2 design banks on.
 	FastPath map[string]float64
-	// Metrics maps detector name to the full metric snapshot of that pass:
-	// detector.* (rule firings, fast/slow splits, shadow occupancy),
-	// rtsim.events.* (instrumentation density) and latency.* (sampled
-	// handler latencies, power-of-two nanosecond buckets).
+	// Metrics maps detector name to the detector's own counters (rule
+	// firings, fast/slow splits, shadow occupancy) under "detector.", read
+	// from the last timed iteration once its clock has stopped.
 	Metrics map[string]obs.Snapshot
 }
 
@@ -116,7 +114,7 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 	if opts.Quick {
 		size = w.TestSize
 	}
-	base := timeRuns(func() *rtsim.Runtime { return rtsim.New(nil) }, w, size, opts)
+	base, _, _ := timeRuns(func() *rtsim.Runtime { return rtsim.New(nil) }, w, size, opts)
 
 	row := Row{
 		Program:  w.Name,
@@ -128,21 +126,26 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 		Metrics:  map[string]obs.Snapshot{},
 	}
 	for _, det := range opts.Detectors {
-		var lastReports int
 		mk := func() *rtsim.Runtime {
 			return rtsim.New(buildDetector(det))
 		}
 		var checked time.Duration
+		var last *rtsim.Runtime
+		var reports int
 		// pprof labels tag the timed samples so a CPU profile scraped from
 		// the -metrics-addr endpoint attributes cost per (program, detector)
 		// cell rather than lumping everything under measureProgram.
 		pprof.Do(context.Background(), pprof.Labels("program", w.Name, "detector", det), func(context.Context) {
-			checked = timeRunsReporting(mk, w, size, opts, &lastReports)
+			checked, last, reports = timeRuns(mk, w, size, opts)
 		})
 		row.Overhead[det] = float64(checked-base) / float64(base)
-		row.Reports[det] = lastReports
+		row.Reports[det] = reports
 
-		snap := metricsPass(w, size, det)
+		// The last iteration's run has quiesced (w.Run joins its threads),
+		// so its detector's per-thread counters are coherent.
+		reg := obs.NewRegistry()
+		reg.RegisterSource("detector", last.Detector().(core.StatsSource).Stats().Source())
+		snap := reg.Snapshot()
 		row.Metrics[det] = snap
 		row.FastPath[det] = FastPathShare(snap)
 		if opts.Registry != nil {
@@ -153,29 +156,8 @@ func measureProgram(w workloads.Workload, opts Options) (Row, error) {
 	return row, nil
 }
 
-// metricsPass runs one extra, untimed, fully instrumented execution of the
-// workload under the detector and returns the resulting snapshot: the
-// detector's own counters (frozen at quiescence under "detector."), rtsim
-// event counts and sampled handler latencies. Keeping instrumentation out
-// of the timed loops is what lets the overhead columns and the metrics
-// coexist — a latency sample costs more than a v2 pure block.
-func metricsPass(w workloads.Workload, size int, det string) obs.Snapshot {
-	reg := obs.NewRegistry()
-	d := buildDetector(det)
-	wrapped := core.InstrumentLatency(d, reg)
-	rt := rtsim.New(wrapped, rtsim.WithMetrics(reg))
-	w.Run(rt, size)
-
-	if ss, ok := d.(core.StatsSource); ok {
-		// The run has quiesced (w.Run joins its threads), so the per-thread
-		// counters are coherent; freeze them as a source.
-		reg.RegisterSource("detector", ss.Stats().Source())
-	}
-	return reg.Snapshot()
-}
-
 // FastPathShare extracts the fraction of accesses a detector handled on its
-// lock-free fast paths from a metrics-pass snapshot. Returns 0 when the
+// lock-free fast paths from a Row.Metrics snapshot. Returns 0 when the
 // snapshot has no detector access counters.
 func FastPathShare(s obs.Snapshot) float64 {
 	fast := s.Counters["detector.reads.fast"] + s.Counters["detector.writes.fast"]
@@ -197,31 +179,27 @@ func buildDetector(name string) core.Detector {
 
 // timeRuns measures mean time per iteration. Each iteration gets a fresh
 // Runtime (fresh target data structures and shadow state, as each workload
-// run inside RoadRunner's harness allocates fresh objects).
-func timeRuns(mk func() *rtsim.Runtime, w workloads.Workload, size int, opts Options) time.Duration {
-	var sink int
-	return timeRunsReporting(mk, w, size, opts, &sink)
-}
-
-func timeRunsReporting(mk func() *rtsim.Runtime, w workloads.Workload, size int, opts Options, reports *int) time.Duration {
+// run inside RoadRunner's harness allocates fresh objects). It also returns
+// the last iteration's Runtime and the reports of all measured iterations.
+func timeRuns(mk func() *rtsim.Runtime, w workloads.Workload, size int, opts Options) (time.Duration, *rtsim.Runtime, int) {
 	for i := 0; i < opts.Warmup; i++ {
 		w.Run(mk(), size)
 	}
 	var elapsed time.Duration
+	var rt *rtsim.Runtime
 	var nReports int
 	for i := 0; i < opts.Iters; i++ {
 		// Construction happens outside the timed region: the paper's
 		// detectors are built once per JVM, not once per workload
 		// iteration, so charging table allocation to small programs
 		// would distort their overheads.
-		rt := mk()
+		rt = mk()
 		start := time.Now()
 		w.Run(rt, size)
 		elapsed += time.Since(start)
 		nReports += len(rt.Reports())
 	}
-	*reports = nReports
-	return elapsed / time.Duration(opts.Iters)
+	return elapsed / time.Duration(opts.Iters), rt, nReports
 }
 
 // geoMean computes the geometric mean of a detector's overheads across
@@ -244,27 +222,4 @@ func geoMean(rows []Row, det string) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// Ablation experiments (E5/E6): microbenchmarks isolating the two analysis
-// rule changes of §3.
-
-// AblationResult reports one microbenchmark comparison.
-type AblationResult struct {
-	Name        string
-	Description string
-	// TimeA and TimeB are the per-iteration times of the two arms.
-	ArmA, ArmB string
-	TimeA      time.Duration
-	TimeB      time.Duration
-}
-
-// Speedup returns TimeB/TimeA (how much slower arm B is).
-func (r AblationResult) Speedup() float64 {
-	return float64(r.TimeB) / float64(r.TimeA)
-}
-
-func (r AblationResult) String() string {
-	return fmt.Sprintf("%s: %s %v vs %s %v (%.2fx)",
-		r.Name, r.ArmA, r.TimeA, r.ArmB, r.TimeB, r.Speedup())
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/workloads"
 )
 
 func quickOpts() Options {
@@ -108,12 +106,12 @@ func TestGeoMeanClampsFloor(t *testing.T) {
 // small share (E1: 100% against 8%). Under VFT_SOAK=1 the wall-clock
 // consequence is asserted too: v2's overhead beats v1's.
 func TestV2BeatsV1OnSparse(t *testing.T) {
-	w, err := workloads.ByName("sparse")
+	counted, err := Run(Options{Iters: 1, Detectors: []string{"vft-v1", "vft-v2"}, Programs: []string{"sparse"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked := func(det string) float64 { return 1 - FastPathShare(metricsPass(w, w.BenchSize, det)) }
-	v1, v2 := locked("vft-v1"), locked("vft-v2")
+	fast := counted.Rows[0].FastPath
+	v1, v2 := 1-fast["vft-v1"], 1-fast["vft-v2"]
 	t.Logf("sparse: accesses under the per-variable lock: v1 %.1f%%, v2 %.1f%%", 100*v1, 100*v2)
 	if v1 != 1 {
 		t.Errorf("v1 locks %.1f%% of accesses, want every one", 100*v1)
@@ -168,19 +166,6 @@ func TestFormatCSV(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("csv missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestAblationResult(t *testing.T) {
-	r := AblationResult{
-		Name: "x", ArmA: "A", ArmB: "B",
-		TimeA: 100 * time.Millisecond, TimeB: 170 * time.Millisecond,
-	}
-	if s := r.Speedup(); s < 1.69 || s > 1.71 {
-		t.Fatalf("Speedup = %f", s)
-	}
-	if out := r.String(); !strings.Contains(out, "1.70x") {
-		t.Fatalf("String = %q", out)
 	}
 }
 

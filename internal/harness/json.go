@@ -31,10 +31,10 @@ type jsonRow struct {
 	// healthy run, kept in the schema so regressions are machine-visible.
 	Reports map[string]int `json:"reports"`
 	// FastPath maps detector name to the measured fast-path hit rate of the
-	// untimed metrics pass, the companion number to each overhead column.
+	// last timed iteration, the companion number to each overhead column.
 	FastPath map[string]float64 `json:"fast_path,omitempty"`
-	// Metrics carries each detector's full metric snapshot (detector.*
-	// counters, rtsim.events.*, latency.* histograms) for that pass.
+	// Metrics carries each detector's detector.* counters from that
+	// iteration.
 	Metrics map[string]obs.Snapshot `json:"metrics,omitempty"`
 }
 

@@ -8,36 +8,25 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/workloads"
 )
 
-// metricsPass must produce a coherent snapshot: rtsim's event counts agree
-// with the detector's own access totals, the latency histograms actually
-// sampled, and the frozen detector counters are present under "detector.".
+// A Table 1 cell's metrics are the detector's own counters, frozen under
+// "detector." from its last timed iteration, and coherent: the fast/slow
+// split sums to the total and the shadow gauges are present.
 func TestMetricsPassCoherence(t *testing.T) {
-	w, err := workloads.ByName("montecarlo")
+	table, err := Run(Options{Iters: 1, Quick: true, Detectors: []string{"vft-v2"}, Programs: []string{"montecarlo"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := metricsPass(w, w.TestSize, "vft-v2")
+	snap := table.Rows[0].Metrics["vft-v2"]
 
 	reads := snap.Counters["detector.reads.total"]
 	writes := snap.Counters["detector.writes.total"]
 	if reads == 0 || writes == 0 {
 		t.Fatalf("empty access counts: %v", snap.Counters)
 	}
-	if got := snap.Counters["rtsim.events.read"]; got != reads {
-		t.Errorf("rtsim reads %d != detector reads %d", got, reads)
-	}
-	if got := snap.Counters["rtsim.events.write"]; got != writes {
-		t.Errorf("rtsim writes %d != detector writes %d", got, writes)
-	}
 	if snap.Counters["detector.reads.fast"]+snap.Counters["detector.reads.slow"] != reads {
 		t.Errorf("read fast/slow split does not sum to total")
-	}
-	h, ok := snap.Histograms["latency.read_ns"]
-	if !ok || h.Count == 0 {
-		t.Errorf("latency.read_ns empty: %+v", h)
 	}
 	if snap.Gauges["detector.shadow.vars"] == 0 {
 		t.Errorf("shadow.vars gauge empty")
@@ -50,12 +39,12 @@ func TestMetricsPassCoherence(t *testing.T) {
 // montecarlo and pmd are the suite's clearest exemplars (the suite-wide
 // share sits lower, pulled down by barrier-heavy kernels like sor).
 func TestV2SameEpochRulesDominate(t *testing.T) {
-	for _, name := range []string{"montecarlo", "pmd"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := metricsPass(w, w.TestSize, "vft-v2")
+	table, err := Run(Options{Iters: 1, Quick: true, Detectors: []string{"vft-v2"}, Programs: []string{"montecarlo", "pmd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range table.Rows {
+		name, snap := row.Program, row.Metrics["vft-v2"]
 		same := snap.Counters["detector.rule.read_same_epoch"] +
 			snap.Counters["detector.rule.write_same_epoch"] +
 			snap.Counters["detector.rule.read_shared_same_epoch"]

@@ -45,19 +45,13 @@ type Options struct {
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited),
 	// with the semantics of core's report sink.
 	MaxReportsPerVar int
-	// Metrics, when non-nil, observes the check the way it observes an
-	// online detector: sampled latency.* histograms while the check runs,
-	// and afterwards the detector's counters frozen under the variant name
-	// (plus ops.* and, when sampling, sampling.*). It does not choose the
-	// detector: a vft-v2 check is the machine with or without it, and the
-	// machine's counters carry core.V2's names.
-	Metrics *obs.Registry
-	// StatsSink, when non-nil, is called once with the same snapshot a
-	// Metrics registry would receive. Unlike Metrics — which registers a
-	// new frozen source per run and therefore suits one-shot tools — a
-	// sink lets a long-running caller (the ingestion service, which checks
-	// thousands of uploads per registry lifetime) fold each run's stats
-	// into its own accumulators without growing the registry per check.
+	// StatsSink, when non-nil, is called once, after the stream ends, with
+	// the detector's counters (plus ops.* and, when sampling, sampling.*).
+	// It does not choose the detector: a vft-v2 check is the machine with
+	// or without it, and the machine's counters carry core.V2's names. The
+	// library's WithMetrics registers the snapshot under the variant name;
+	// the ingestion service, which checks thousands of uploads per
+	// registry lifetime, folds it into its own accumulators instead.
 	StatsSink func(obs.Snapshot)
 	// Sampling, when non-nil, enables the per-variable sampling tier:
 	// accesses to variables the policy rejects are dropped by the front
@@ -287,23 +281,15 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 	}
 	front := &st.front
 	front.sampler, front.det = opts.Sampling, d
-	if opts.Metrics != nil {
-		front.det = core.InstrumentLatency(d, opts.Metrics)
-	}
 	if err := drive(st); err != nil {
 		return nil, err
 	}
-	if opts.Metrics != nil || opts.StatsSink != nil {
+	if opts.StatsSink != nil {
 		// The stream has ended, so the detector is quiescent and its
 		// per-thread counters are coherent.
 		snap := d.(core.StatsSource).Stats()
 		front.addStats(snap)
-		if opts.Metrics != nil {
-			opts.Metrics.RegisterSource(opts.Variant, snap.Source())
-		}
-		if opts.StatsSink != nil {
-			opts.StatsSink(snap)
-		}
+		opts.StatsSink(snap)
 	}
 	return front.restore(d.Reports()), nil
 }

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -39,7 +38,6 @@ import (
 type Runtime struct {
 	d core.Detector // nil: uninstrumented base run
 	s *sched.Scheduler
-	m *rtMetrics // nil: event counting disabled (the default)
 
 	nextTid  atomic.Int32
 	nextVar  atomic.Int32
@@ -48,49 +46,12 @@ type Runtime struct {
 	main *Thread
 }
 
-// Option configures a Runtime at construction.
-type Option func(*Runtime)
-
-// WithMetrics enables per-operation event counting into reg: each
-// instrumented operation increments an rtsim.events.* counter striped by
-// the acting thread, so enabling metrics adds one uncontended atomic add
-// per event and disabling them (the default) costs one nil check. The
-// counts quantify the §8 instrumentation-density story — how many shadow
-// events per unit of target work each kernel generates — independently of
-// which detector (if any) consumes the events.
-func WithMetrics(reg *obs.Registry) Option {
-	return func(rt *Runtime) { rt.m = newRTMetrics(reg) }
-}
-
-// rtMetrics holds the pre-resolved event counters so the hot paths never
-// touch the registry's name map.
-type rtMetrics struct {
-	reads, writes, acquires, releases *obs.Counter
-	forks, joins, volatiles, barriers *obs.Counter
-}
-
-func newRTMetrics(reg *obs.Registry) *rtMetrics {
-	return &rtMetrics{
-		reads:     reg.Counter("rtsim.events.read"),
-		writes:    reg.Counter("rtsim.events.write"),
-		acquires:  reg.Counter("rtsim.events.acquire"),
-		releases:  reg.Counter("rtsim.events.release"),
-		forks:     reg.Counter("rtsim.events.fork"),
-		joins:     reg.Counter("rtsim.events.join"),
-		volatiles: reg.Counter("rtsim.events.volatile"),
-		barriers:  reg.Counter("rtsim.events.barrier"),
-	}
-}
-
 // New returns a free-running Runtime delivering events to d; pass nil for
 // an uninstrumented base run.
-func New(d core.Detector, opts ...Option) *Runtime {
+func New(d core.Detector) *Runtime {
 	rt := &Runtime{d: d}
 	rt.nextTid.Store(1) // 0 is the main thread
 	rt.main = &Thread{rt: rt, id: 0, done: make(chan struct{})}
-	for _, opt := range opts {
-		opt(rt)
-	}
 	return rt
 }
 
@@ -106,8 +67,8 @@ func New(d core.Detector, opts ...Option) *Runtime {
 // serializes them), so controlled runs explore operation interleavings;
 // the free-running stress tests remain the coverage for intra-handler
 // memory races.
-func NewControlled(d core.Detector, s *sched.Scheduler, opts ...Option) *Runtime {
-	rt := New(d, opts...)
+func NewControlled(d core.Detector, s *sched.Scheduler) *Runtime {
+	rt := New(d)
 	rt.s = s
 	s.RegisterMain(0)
 	return rt
@@ -163,9 +124,6 @@ func (t *Thread) ID() epoch.Tid { return t.id }
 // Thread can be passed to Join.
 func (t *Thread) Go(body func(*Thread)) *Thread {
 	t.rt.yield(t)
-	if m := t.rt.m; m != nil {
-		m.forks.Inc(int(t.id))
-	}
 	id := epoch.Tid(t.rt.nextTid.Add(1) - 1)
 	child := &Thread{rt: t.rt, id: id, done: make(chan struct{})}
 	if s := t.rt.s; s != nil {
@@ -203,9 +161,6 @@ func (t *Thread) Join(child *Thread) {
 		s.JoinThread(int(t.id), int(child.id))
 	}
 	<-child.done
-	if m := t.rt.m; m != nil {
-		m.joins.Inc(int(t.id))
-	}
 	if d := t.rt.d; d != nil {
 		d.Join(t.id, child.id)
 	}
@@ -245,9 +200,6 @@ func (x *Var) ID() trace.Var { return x.id }
 // Load performs an instrumented read by thread t.
 func (x *Var) Load(t *Thread) int64 {
 	x.rt.yield(t)
-	if m := x.rt.m; m != nil {
-		m.reads.Inc(int(t.id))
-	}
 	if d := x.rt.d; d != nil {
 		d.Read(t.id, x.id)
 	}
@@ -257,9 +209,6 @@ func (x *Var) Load(t *Thread) int64 {
 // Store performs an instrumented write by thread t.
 func (x *Var) Store(t *Thread, val int64) {
 	x.rt.yield(t)
-	if m := x.rt.m; m != nil {
-		m.writes.Inc(int(t.id))
-	}
 	if d := x.rt.d; d != nil {
 		d.Write(t.id, x.id)
 	}
@@ -270,10 +219,6 @@ func (x *Var) Store(t *Thread, val int64) {
 // event, like the compound bytecode RoadRunner would instrument).
 func (x *Var) Add(t *Thread, delta int64) int64 {
 	x.rt.yield(t)
-	if m := x.rt.m; m != nil {
-		m.reads.Inc(int(t.id))
-		m.writes.Inc(int(t.id))
-	}
 	if d := x.rt.d; d != nil {
 		d.Read(t.id, x.id)
 		d.Write(t.id, x.id)
@@ -305,9 +250,6 @@ func (a *Array) ID(i int) trace.Var { return a.base + trace.Var(i) }
 // Load performs an instrumented read of element i.
 func (a *Array) Load(t *Thread, i int) int64 {
 	a.rt.yield(t)
-	if m := a.rt.m; m != nil {
-		m.reads.Inc(int(t.id))
-	}
 	if d := a.rt.d; d != nil {
 		d.Read(t.id, a.base+trace.Var(i))
 	}
@@ -317,9 +259,6 @@ func (a *Array) Load(t *Thread, i int) int64 {
 // Store performs an instrumented write of element i.
 func (a *Array) Store(t *Thread, i int, val int64) {
 	a.rt.yield(t)
-	if m := a.rt.m; m != nil {
-		m.writes.Inc(int(t.id))
-	}
 	if d := a.rt.d; d != nil {
 		d.Write(t.id, a.base+trace.Var(i))
 	}
@@ -329,10 +268,6 @@ func (a *Array) Store(t *Thread, i int, val int64) {
 // Add performs an instrumented read-modify-write of element i.
 func (a *Array) Add(t *Thread, i int, delta int64) int64 {
 	a.rt.yield(t)
-	if m := a.rt.m; m != nil {
-		m.reads.Inc(int(t.id))
-		m.writes.Inc(int(t.id))
-	}
 	if d := a.rt.d; d != nil {
 		d.Read(t.id, a.base+trace.Var(i))
 		d.Write(t.id, a.base+trace.Var(i))
@@ -366,9 +301,6 @@ func (m *Mutex) Lock(t *Thread) {
 		s.AcquireLock(int(t.id), int(m.id))
 	}
 	m.mu.Lock()
-	if mm := m.rt.m; mm != nil {
-		mm.acquires.Inc(int(t.id))
-	}
 	if d := m.rt.d; d != nil {
 		d.Acquire(t.id, m.id)
 	}
@@ -378,9 +310,6 @@ func (m *Mutex) Lock(t *Thread) {
 func (m *Mutex) Unlock(t *Thread) {
 	if s := m.rt.s; s != nil {
 		s.Yield(int(t.id))
-	}
-	if mm := m.rt.m; mm != nil {
-		mm.releases.Inc(int(t.id))
 	}
 	if d := m.rt.d; d != nil {
 		d.Release(t.id, m.id)
@@ -417,9 +346,6 @@ func (rt *Runtime) NewVolatile() *Volatile {
 // data published through the volatile.
 func (v *Volatile) Load(t *Thread) int64 {
 	v.rt.yield(t)
-	if m := v.rt.m; m != nil {
-		m.volatiles.Inc(int(t.id))
-	}
 	d := v.rt.d
 	if d == nil {
 		return v.v.Load()
@@ -436,9 +362,6 @@ func (v *Volatile) Load(t *Thread) int64 {
 // and the shadow events share one critical section.
 func (v *Volatile) Store(t *Thread, val int64) {
 	v.rt.yield(t)
-	if m := v.rt.m; m != nil {
-		m.volatiles.Inc(int(t.id))
-	}
 	d := v.rt.d
 	if d == nil {
 		v.v.Store(val)
@@ -479,9 +402,6 @@ func (rt *Runtime) NewBarrier(parties int) *Barrier {
 
 // Await blocks thread t until all parties of the current round arrive.
 func (b *Barrier) Await(t *Thread) {
-	if m := b.rt.m; m != nil {
-		m.barriers.Inc(int(t.id))
-	}
 	d := b.rt.d
 	if s := b.rt.s; s != nil {
 		// Controlled path: the round bookkeeping lives in the scheduler,

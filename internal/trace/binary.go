@@ -32,9 +32,7 @@ import (
 // unchanged. The decoder accepts both versions — a v1 stream decodes to
 // the identical Trace it always did, and a v1 stream containing a v2 kind
 // byte is rejected as an unknown kind, exactly as before. The encoder
-// writes v2 by default; SetVersion(1) pins the old header for consumers
-// that predate v2 (encoding a v2 kind then fails instead of smuggling it
-// past an old reader). A version this build does not know yields a typed
+// writes v2 only. A version this build does not know yields a typed
 // *UnsupportedVersionError, distinguishing "upgrade the reader" from
 // corruption.
 
@@ -48,7 +46,8 @@ const (
 	BinaryVersion1 = 1
 	// BinaryVersion2 adds the Go synchronization kinds.
 	BinaryVersion2 = 2
-	// MaxBinaryVersion is the newest version this build reads and writes.
+	// MaxBinaryVersion is the newest version this build reads, and the
+	// one it writes.
 	MaxBinaryVersion = BinaryVersion2
 )
 
@@ -98,16 +97,7 @@ const maxBinaryRecord = 1 + 2*binary.MaxVarintLen32
 
 // EncodeBinary writes tr in the binary format (the current version).
 func EncodeBinary(w io.Writer, tr Trace) error {
-	return EncodeBinaryVersion(w, tr, MaxBinaryVersion)
-}
-
-// EncodeBinaryVersion writes tr in the binary format pinned to the given
-// version; encoding a kind the version cannot carry fails.
-func EncodeBinaryVersion(w io.Writer, tr Trace, version int) error {
 	enc := NewBinaryEncoder(w)
-	if err := enc.SetVersion(version); err != nil {
-		return err
-	}
 	for _, op := range tr {
 		if err := enc.Encode(op); err != nil {
 			return err
@@ -121,30 +111,15 @@ func EncodeBinaryVersion(w io.Writer, tr Trace, version int) error {
 // trace. The header is emitted lazily before the first record (or by
 // Flush, so even an empty stream is well-formed).
 type BinaryEncoder struct {
-	w       *bufio.Writer
-	version int
-	opened  bool
-	buf     [binary.MaxVarintLen64 + maxBinaryRecord]byte
+	w      *bufio.Writer
+	opened bool
+	buf    [binary.MaxVarintLen64 + maxBinaryRecord]byte
 }
 
 // NewBinaryEncoder returns an encoder writing to w in the current format
-// version (SetVersion pins an older one). Call Flush when done.
+// version. Call Flush when done.
 func NewBinaryEncoder(w io.Writer) *BinaryEncoder {
-	return &BinaryEncoder{w: bufio.NewWriter(w), version: MaxBinaryVersion}
-}
-
-// SetVersion pins the format version the encoder writes. It must be
-// called before the first Encode; versions outside [1, MaxBinaryVersion]
-// are rejected.
-func (e *BinaryEncoder) SetVersion(v int) error {
-	if e.opened {
-		return fmt.Errorf("trace: encode: SetVersion(%d) after the header was written", v)
-	}
-	if v < BinaryVersion1 || v > MaxBinaryVersion {
-		return &UnsupportedVersionError{Got: v, Min: BinaryVersion1, Max: MaxBinaryVersion}
-	}
-	e.version = v
-	return nil
+	return &BinaryEncoder{w: bufio.NewWriter(w)}
 }
 
 func (e *BinaryEncoder) open() error {
@@ -155,17 +130,13 @@ func (e *BinaryEncoder) open() error {
 	if _, err := e.w.WriteString(binaryMagicPrefix); err != nil {
 		return err
 	}
-	return e.w.WriteByte(byte(e.version))
+	return e.w.WriteByte(MaxBinaryVersion)
 }
 
 // Encode appends one operation to the stream.
 func (e *BinaryEncoder) Encode(op Op) error {
 	if err := e.open(); err != nil {
 		return err
-	}
-	if op.Kind > maxKindForVersion(e.version) {
-		return fmt.Errorf("trace: encode: kind %v needs format version %d (encoder pinned to %d)",
-			op.Kind, BinaryVersion2, e.version)
 	}
 	var arg uint64
 	switch op.Kind {

@@ -13,8 +13,7 @@ import (
 // goldenV1Trace is the trace frozen inside testdata/golden_v1.bin, a
 // VFTb\x01 stream written before the format-v2 bump. The fixture bytes are
 // committed, never regenerated: the test proves a v2 reader decodes
-// yesterday's captures to the identical Trace, and that re-encoding at
-// version 1 reproduces the identical bytes.
+// yesterday's captures to the identical Trace.
 var goldenV1Trace = Trace{
 	ForkOp(0, 1),
 	Wr(0, 0),
@@ -48,28 +47,13 @@ func TestGoldenV1Decode(t *testing.T) {
 	if d.Version() != BinaryVersion1 {
 		t.Fatalf("fixture version = %d, want 1", d.Version())
 	}
-	var buf bytes.Buffer
-	if err := EncodeBinaryVersion(&buf, got, BinaryVersion1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, buf.Bytes()) {
-		t.Fatalf("re-encoding at v1 is not byte-identical: %x vs %x", data, buf.Bytes())
-	}
 }
 
-// TestEncodeVersionPinning: the encoder's version option draws a hard line
-// — a v2 kind cannot be smuggled into a v1 stream.
+// TestEncodeVersionPinning: the encoder writes the newest version only, so
+// a Go-sync kind round-trips through it.
 func TestEncodeVersionPinning(t *testing.T) {
 	v2only := Trace{SendOp(0, 0)}
 	var buf bytes.Buffer
-	if err := EncodeBinaryVersion(&buf, v2only, BinaryVersion1); err == nil {
-		t.Fatal("v1-pinned encoder accepted a channel op")
-	} else if !strings.Contains(err.Error(), "needs format version 2") {
-		t.Fatalf("unhelpful version error: %v", err)
-	}
-
-	// Default encoding (newest version) round-trips it.
-	buf.Reset()
 	if err := EncodeBinary(&buf, v2only); err != nil {
 		t.Fatal(err)
 	}
@@ -79,20 +63,7 @@ func TestEncodeVersionPinning(t *testing.T) {
 		t.Fatalf("v2 round trip: %v, %v", back, err)
 	}
 	if d.Version() != BinaryVersion2 {
-		t.Fatalf("default encode wrote version %d, want 2", d.Version())
-	}
-
-	// SetVersion is constructor-time configuration only.
-	enc := NewBinaryEncoder(&buf)
-	if err := enc.Encode(Wr(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetVersion(BinaryVersion1); err == nil {
-		t.Fatal("SetVersion accepted after the header was written")
-	}
-	var uve *UnsupportedVersionError
-	if err := NewBinaryEncoder(&buf).SetVersion(99); !errors.As(err, &uve) {
-		t.Fatalf("SetVersion(99): want *UnsupportedVersionError, got %v", err)
+		t.Fatalf("encode wrote version %d, want 2", d.Version())
 	}
 }
 

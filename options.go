@@ -8,12 +8,11 @@ import (
 )
 
 // Metrics is a registry of contention-free metric instruments. Attach one
-// to New or CheckTrace with WithMetrics to observe a detector at work:
-// sampled per-handler latency histograms stream into it live, and frozen
-// detector counters (rule firings, fast/slow-path splits, shadow-table
-// occupancy) are registered once the checked execution quiesces. A Metrics
-// value is safe to read concurrently with the run — Snapshot only touches
-// atomic instruments and frozen sources.
+// to CheckTrace (or CheckSource, CheckReader) with WithMetrics: once the
+// check ends, the detector's own counters (rule firings, fast/slow-path
+// splits, shadow-table occupancy) are registered in it, frozen, under the
+// variant name. A Metrics value is safe to read concurrently with the run
+// — Snapshot only touches atomic instruments and frozen sources.
 type Metrics = obs.Registry
 
 // MetricsSnapshot is a point-in-time reading of a Metrics registry; it
@@ -79,15 +78,11 @@ type Option interface{ applyNew(*settings) }
 type CheckOption interface{ applyCheck(*settings) }
 
 // CommonOption is an option accepted by both New and CheckTrace
-// (WithMaxReportsPerVar, WithMetrics, WithSampling).
+// (WithMaxReportsPerVar, WithSampling).
 type CommonOption interface {
 	Option
 	CheckOption
 }
-
-type newOption func(*settings)
-
-func (f newOption) applyNew(s *settings) { f(s) }
 
 type checkOption func(*settings)
 
@@ -141,23 +136,17 @@ func WithMaxReportsPerVar(n int) CommonOption {
 	return commonOption(func(s *settings) { s.maxPerVar = n })
 }
 
-// WithMetrics attaches a metric registry. The detector is wrapped in a
-// latency sampler (every metricsSampleInterval-th event per thread is timed
-// into the registry's latency.* histograms), and — for CheckTrace, which
-// owns the run's lifetime — the detector's internal counters are frozen
-// into the registry under the variant name once the replay completes. A
-// detector built by New is handed to the caller mid-flight, so there the
-// caller freezes stats itself when its run quiesces:
+// WithMetrics attaches a metric registry to a check: when the trace ends,
+// the detector's counters are frozen into m under the variant name. It
+// counts, it does not time: the check runs the same detector with or
+// without it. A detector built by New is handed to the caller mid-flight,
+// so there the caller freezes stats itself once its run quiesces:
 //
-//	if ss, ok := verifiedft.Unwrap(d).(verifiedft.StatsSource); ok {
+//	if ss, ok := d.(verifiedft.StatsSource); ok {
 //		m.RegisterSource("v2", ss.Stats().Source())
 //	}
-//
-// Sampling costs roughly one table lookup and an increment per event plus
-// a timed sample every interval; it is the opt-in observability mode, not
-// the configuration to benchmark.
-func WithMetrics(m *Metrics) CommonOption {
-	return commonOption(func(s *settings) { s.metrics = m })
+func WithMetrics(m *Metrics) CheckOption {
+	return checkOption(func(s *settings) { s.metrics = m })
 }
 
 // samplingConfig aggregates what SamplingOption can tune.
@@ -212,29 +201,6 @@ func WithParallelism(int) CheckOption {
 	return checkOption(func(*settings) {})
 }
 
-// Unwrap returns the detector underneath the latency sampler WithMetrics
-// installs, or d itself when it is not wrapped. Use it to reach the
-// StatsSource of an instrumented detector. (The wrapper forwards Stats
-// already; Unwrap exists for callers that need the concrete type.)
-func Unwrap(d Detector) Detector { return core.LatencyInner(d) }
-
-// encodeSettings aggregates what EncodeOption can configure.
-type encodeSettings struct {
-	version int
-}
-
-// EncodeOption configures EncodeBinary.
-type EncodeOption interface{ applyEncode(*encodeSettings) }
-
-type encodeOption func(*encodeSettings)
-
-func (f encodeOption) applyEncode(s *encodeSettings) { f(s) }
-
-// WithFormatVersion pins the binary wire-format version EncodeBinary
-// writes (default: the newest, BinaryFormatVersion). Pin version 1 to
-// produce traces for consumers that predate the Go-synchronization kinds;
-// encoding such a kind at version 1 then fails, instead of smuggling an
-// unknown kind past an old reader.
-func WithFormatVersion(v int) EncodeOption {
-	return encodeOption(func(s *encodeSettings) { s.version = v })
-}
+// Unwrap returns d. Caller: bench/online.go (frozen with the benchmark);
+// delete with the next `benchmark` PR.
+func Unwrap(d Detector) Detector { return d }

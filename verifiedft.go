@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/hb"
+	"repro/internal/obs"
 	"repro/internal/parcheck"
 	"repro/internal/rtsim"
 	"repro/internal/spec"
@@ -114,21 +115,9 @@ func NewTraceDecoder(r io.Reader) (Source, error) { return trace.NewDecoder(r) }
 // EncodeText writes tr in the line-oriented text trace format.
 func EncodeText(w io.Writer, tr Trace) error { return trace.Encode(w, tr) }
 
-// EncodeBinary writes tr in the binary trace format, by default at the
-// newest version (BinaryFormatVersion):
-//
-//	err := verifiedft.EncodeBinary(f, tr)
-//	err := verifiedft.EncodeBinary(f, tr, verifiedft.WithFormatVersion(1))
-//
-// WithFormatVersion pins an older version for consumers that predate it;
-// encoding an operation kind the pinned version cannot carry fails.
-func EncodeBinary(w io.Writer, tr Trace, opts ...EncodeOption) error {
-	s := encodeSettings{version: trace.MaxBinaryVersion}
-	for _, o := range opts {
-		o.applyEncode(&s)
-	}
-	return trace.EncodeBinaryVersion(w, tr, s.version)
-}
+// EncodeBinary writes tr in the binary trace format, at the newest
+// version (BinaryFormatVersion).
+func EncodeBinary(w io.Writer, tr Trace) error { return trace.EncodeBinary(w, tr) }
 
 // Trace-operation constructors (§2 syntax, plus the Go-synchronization
 // kinds of trace format v2).
@@ -175,7 +164,7 @@ var (
 type UnsupportedVersionError = trace.UnsupportedVersionError
 
 // BinaryFormatVersion is the newest binary wire-format version this build
-// reads and writes (see EncodeBinary and WithFormatVersion).
+// reads, and the one EncodeBinary writes.
 const BinaryFormatVersion = trace.MaxBinaryVersion
 
 // Runtime couples a concurrent Go program with a detector (the RoadRunner
@@ -203,9 +192,7 @@ type (
 // ids the program names:
 //
 //	d, err := verifiedft.New(verifiedft.V2)
-//	d, err := verifiedft.New(verifiedft.V2,
-//		verifiedft.WithMaxReportsPerVar(1),
-//		verifiedft.WithMetrics(m))
+//	d, err := verifiedft.New(verifiedft.V2, verifiedft.WithMaxReportsPerVar(1))
 func New(variant string, opts ...Option) (Detector, error) {
 	s := settings{variant: variant}
 	for _, o := range opts {
@@ -214,14 +201,7 @@ func New(variant string, opts ...Option) (Detector, error) {
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
-	d, err := core.NewSampled(s.variant, core.Config{MaxReportsPerVar: s.maxPerVar}, s.sampling)
-	if err != nil {
-		return nil, err
-	}
-	if s.metrics != nil {
-		return core.InstrumentLatency(d, s.metrics), nil
-	}
-	return d, nil
+	return core.NewSampled(s.variant, core.Config{MaxReportsPerVar: s.maxPerVar}, s.sampling)
 }
 
 // Variants lists all detector variant names.
@@ -256,8 +236,8 @@ func ValidateTrace(tr Trace) error { return trace.Validate(tr) }
 // format holds (only ft-cas's 24-bit clocks are that small), the error is
 // returned and any reports from the consumed prefix are discarded, matching
 // CheckTrace's contract that an infeasible trace yields no reports. With
-// WithMetrics the run is latency-sampled and the detector's counters are
-// frozen into the registry under the variant name when the stream ends.
+// WithMetrics the detector's counters are frozen into the registry under
+// the variant name when the stream ends.
 //
 // CheckSource, CheckReader and CheckTrace are one path: the options map
 // onto internal/parcheck's, which assembles the check.
@@ -269,10 +249,14 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	if err := s.resolveSampling(); err != nil {
 		return nil, err
 	}
+	var sink func(obs.Snapshot)
+	if m := s.metrics; m != nil {
+		sink = func(snap obs.Snapshot) { m.RegisterSource(s.variant, snap.Source()) }
+	}
 	return parcheck.CheckSource(src, s.extensions(), parcheck.Options{
 		Variant:          s.variant,
 		MaxReportsPerVar: s.maxPerVar,
-		Metrics:          s.metrics,
+		StatsSink:        sink,
 		Sampling:         s.sampling,
 	})
 }
@@ -316,8 +300,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.12.0 removes the pure
-// vector-clock variant, so Variants() is Table 1's five columns, and
-// vft-go no longer logs a WaitGroup.Add with a positive delta (it releases
-// nothing).
-const Version = "2.12.0"
+// Version identifies this implementation. 2.13.0 makes WithMetrics a
+// check option that registers the detector's own counters and times
+// nothing (the latency.* histograms are gone), and EncodeBinary writes
+// format v2 only (the decoder still reads v1).
+const Version = "2.13.0"

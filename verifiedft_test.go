@@ -1,6 +1,7 @@
 package verifiedft_test
 
 import (
+	"reflect"
 	"testing"
 
 	verifiedft "repro"
@@ -223,6 +224,9 @@ func TestCheckTraceMaxReportsPerVar(t *testing.T) {
 	}
 }
 
+// WithMetrics counts, it does not time: the registry receives the
+// detector's own counters under the variant name and nothing else, and
+// every variant's reports are the ones it gives without a registry.
 func TestCheckTraceWithMetrics(t *testing.T) {
 	m := verifiedft.NewMetrics()
 	tr := verifiedft.Trace{
@@ -240,13 +244,20 @@ func TestCheckTraceWithMetrics(t *testing.T) {
 	if got := snap.Counters["vft-v2.reports.recorded"]; got != 1 {
 		t.Fatalf("vft-v2.reports.recorded = %d, want 1", got)
 	}
+	if len(snap.Histograms) != 0 {
+		t.Fatalf("histograms %v, want none", snap.Histograms)
+	}
+	for _, v := range verifiedft.Variants() {
+		off, err1 := verifiedft.CheckTrace(tr, verifiedft.WithVariant(v))
+		on, err2 := verifiedft.CheckTrace(tr, verifiedft.WithVariant(v), verifiedft.WithMetrics(verifiedft.NewMetrics()))
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(off, on) {
+			t.Errorf("%s: metrics changed the reports: %v, %v vs %v, %v", v, off, err1, on, err2)
+		}
+	}
 }
 
 func TestNewWithOptions(t *testing.T) {
-	m := verifiedft.NewMetrics()
-	d, err := verifiedft.New(verifiedft.V2,
-		verifiedft.WithMaxReportsPerVar(1),
-		verifiedft.WithMetrics(m))
+	d, err := verifiedft.New(verifiedft.V2, verifiedft.WithMaxReportsPerVar(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +270,9 @@ func TestNewWithOptions(t *testing.T) {
 	if got := len(rt.Reports()); got != 1 {
 		t.Fatalf("reports = %d, want 1 (WithMaxReportsPerVar)", got)
 	}
-	// The metrics wrapper forwards Stats; Unwrap reaches the detector too.
-	ss, ok := verifiedft.Unwrap(d).(verifiedft.StatsSource)
+	ss, ok := d.(verifiedft.StatsSource)
 	if !ok {
-		t.Fatal("unwrapped detector is not a StatsSource")
+		t.Fatal("detector is not a StatsSource")
 	}
 	snap := ss.Stats()
 	if got := snap.Counters["writes.total"]; got != 2 {
