@@ -5,7 +5,9 @@
 //	          imports come from the compiler's export data, located by
 //	          one `go list -export` in the shadow module — the go tool
 //	          the Run step needs anyway, and no network: on a cold build
-//	          cache that call compiles the imported packages once
+//	          cache that call compiles the imported packages once. A
+//	          kept shadow module records the answer, and a rerun with an
+//	          unchanged toolchain and configuration reuses it
 //	Analyze   flow-insensitive may-share analysis over the typed AST
 //	Rewrite   instrument shared memory accesses and map Go
 //	          synchronization (go statements, sync.Mutex/RWMutex/
@@ -116,7 +118,8 @@ type Instrumented struct {
 	// Main reports whether the package is a main package.
 	Main bool
 	// GoList is the part of Instrument's time spent waiting for `go list
-	// -export` (zero for a package without imports).
+	// -export` (zero for a package without imports, and when the shadow
+	// module's record of an earlier list was trusted).
 	GoList time.Duration
 }
 

@@ -12,11 +12,13 @@ import (
 
 // offlineEnv is the environment for building the shadow module: module
 // mode with the network off — the shadow module has no requirements, so
-// nothing needs resolving.
+// nothing needs resolving — and no version-control stamp, which would
+// describe whatever repository encloses the shadow module and relink the
+// binary whenever that repository's state changed.
 func offlineEnv() []string {
 	return append(os.Environ(),
 		"GOPROXY=off",
-		"GOFLAGS=-mod=mod",
+		"GOFLAGS=-mod=mod -buildvcs=false",
 		"GO111MODULE=on",
 		"GOWORK=off",
 	)

@@ -300,8 +300,8 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.13.0 makes WithMetrics a
-// check option that registers the detector's own counters and times
-// nothing (the latency.* histograms are gone), and EncodeBinary writes
-// format v2 only (the decoder still reads v1).
-const Version = "2.13.0"
+// Version identifies this implementation. 2.14.0 makes vft-go reuse a
+// kept shadow module's record of the export data it type-checked
+// against (no `go list` on a rerun with an unchanged toolchain), honour
+// build constraints, and build without a version-control stamp.
+const Version = "2.14.0"
