@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -181,14 +182,7 @@ func Server(args []string, stdout, stderr io.Writer) int {
 	cancel()
 
 	if *statePath != "" {
-		f, err := os.Create(*statePath)
-		if err == nil {
-			err = srv.SaveState(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := writeState(*statePath, srv.SaveState); err != nil {
 			fmt.Fprintln(stderr, "vft-server:", err)
 			return 2
 		}
@@ -200,4 +194,28 @@ func Server(args []string, stdout, stderr io.Writer) int {
 		snap.Counters["ingest.rejected.saturated"],
 		snap.Counters["ingest.bytes.read"])
 	return 0
+}
+
+// writeState saves state to path through a temporary file in the same
+// directory, synced and then renamed over path, so a save that fails or is
+// killed part-way leaves the previous state file as it was.
+func writeState(path string, save func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*")
+	if err != nil {
+		return err
+	}
+	err = save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

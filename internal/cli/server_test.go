@@ -3,8 +3,10 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -241,4 +244,45 @@ func commandWithPipes(t *testing.T, bin string, args ...string) *pipedCmd {
 		t.Fatal(err)
 	}
 	return &pipedCmd{Cmd: c, stdout: &buf}
+}
+
+// TestWriteStateKeepsPreviousOnFailure: a state save that fails part-way
+// leaves the previous state file byte for byte as it was, and loadable,
+// with no temporary file beside it.
+func TestWriteStateKeepsPreviousOnFailure(t *testing.T) {
+	srv := ingest.New(ingest.Config{})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces?tenant=t",
+		strings.NewReader("fork 0 1\nwr 0 0\nwr 1 0\njoin 0 1\n")))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload: status %d: %s", rec.Code, rec.Body)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	if err := writeState(path, srv.SaveState); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	full := errors.New("no space left on device")
+	err = writeState(path, func(w io.Writer) error {
+		io.WriteString(w, `{"version":`)
+		return full
+	})
+	if !errors.Is(err, full) {
+		t.Fatalf("failed save returned %v, want the write's error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("state file after a failed save: %q, %v; want it unchanged", after, err)
+	}
+	if err := ingest.New(ingest.Config{}).LoadState(bytes.NewReader(after)); err != nil {
+		t.Fatalf("state file after a failed save does not load: %v", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory after a failed save holds %v (%v); want the state file alone", entries, err)
+	}
 }

@@ -113,9 +113,9 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	span("instrument", t0, " (go list "+inst.GoList.Round(time.Millisecond).String()+")")
 	shadow = inst.Dir // absolute, whatever -o said
-	cSites.Add(0, uint64(inst.Stats.Sites))
-	cElided.Add(0, uint64(inst.Stats.Elided))
-	cSkipped.Add(0, uint64(inst.Stats.Skipped))
+	cSites.Add(uint64(inst.Stats.Sites))
+	cElided.Add(uint64(inst.Stats.Elided))
+	cSkipped.Add(uint64(inst.Stats.Skipped))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: instrumented %s: %d sites, %d elided (%.0f%%), %d skipped\n",
 			dir, inst.Stats.Sites, inst.Stats.Elided, 100*inst.Stats.ElisionRate(), inst.Stats.Skipped)
@@ -184,7 +184,7 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	span("check", t0, "")
-	cEvents.Add(0, uint64(cr.Events))
+	cEvents.Add(uint64(cr.Events))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: checked %d events, %d reports\n", cr.Events, len(cr.Reports))
 	}

@@ -50,15 +50,15 @@ func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckR
 		return nil, fmt.Errorf("goinstr: %w", err)
 	}
 	defer f.Close()
-	src := &trace.Counter{Src: trace.NewBinaryDecoder(f)}
-	reports, err := verifiedft.CheckSource(src, opts...)
-	if src.Err != nil {
-		return nil, fmt.Errorf("goinstr: decoding trace: %w", src.Err)
+	dec := trace.NewBinaryDecoder(f)
+	reports, err := verifiedft.CheckSource(dec, opts...)
+	if err != nil && err == dec.Err() {
+		return nil, fmt.Errorf("goinstr: decoding trace: %w", err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("goinstr: checking trace: %w", err)
 	}
-	return &CheckResult{Reports: reports, Meta: meta, Events: src.N}, nil
+	return &CheckResult{Reports: reports, Meta: meta, Events: dec.Decoded()}, nil
 }
 
 // VarName renders a report's variable with its source-level name from

@@ -10,11 +10,11 @@
 //	POST /v1/traces?tenant=T&variant=V[&parties=id:n,...][&chancap=id:c,...]
 //	  → admission (drain flag, in-flight slots, tenant quotas)
 //	  → trace.NewDecoder (sniffs gzip / binary "VFTb" / text)
-//	  → trace.Limit (per-upload operation budget)
 //	  → parcheck.CheckSource (batches of decoded ops, each validated,
 //	    lowered and renumbered in one switch and handed to the variant's
-//	    detector on the handler's goroutine; memory bounded by the ids an
-//	    upload names, not their magnitude)
+//	    detector on the handler's goroutine, under the per-upload
+//	    operation budget; memory bounded by the ids an upload names, not
+//	    their magnitude)
 //	  → per-tenant depot (interned dedup/aggregation) + retained result
 //
 // Precision is the product (PAPER.md): the service must return exactly
@@ -73,7 +73,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxOpsPerUpload caps one upload's decoded (pre-lowering) trace
 	// operations; past it the upload fails with 413 rather than silently
-	// truncating (trace.Limit).
+	// truncating (parcheck.Options.MaxOps).
 	MaxOpsPerUpload int
 
 	// MaxReportsPerVar caps reports per variable within one upload's
@@ -199,7 +199,7 @@ type Server struct {
 	cfg Config
 	reg *obs.Registry
 
-	slots    chan int // in-flight slot ids, for contention-free striping
+	slots    chan struct{} // in-flight slots: a semaphore of MaxInFlight
 	inflight sync.WaitGroup
 	draining atomic.Bool
 
@@ -208,7 +208,7 @@ type Server struct {
 
 	mux *http.ServeMux
 
-	// Instruments. Counters are striped by in-flight slot id.
+	// Instruments.
 	cAccepted, cCompleted                   *obs.Counter
 	cRejSaturated, cRejDraining             *obs.Counter
 	cRejQuota, cRejInvalid, cRejLarge       *obs.Counter
@@ -229,7 +229,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		slots:   make(chan int, cfg.MaxInFlight),
+		slots:   make(chan struct{}, cfg.MaxInFlight),
 		tenants: map[string]*tenant{},
 
 		cAccepted:      reg.Counter("ingest.uploads.accepted"),
@@ -251,9 +251,6 @@ func New(cfg Config) *Server {
 		gTenants:       reg.Gauge("ingest.tenants"),
 		hLatency:       reg.Histogram("ingest.upload.ns"),
 		hUploadOps:     reg.Histogram("ingest.upload.ops"),
-	}
-	for i := 0; i < cfg.MaxInFlight; i++ {
-		s.slots <- i
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/traces", s.handleTraces)
@@ -363,22 +360,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // acquire admits one upload: it takes an in-flight slot, waiting up to
 // QueueWait when saturated. ok=false means saturation (429); otherwise
 // the caller must call the returned release exactly once.
-func (s *Server) acquire() (slot int, release func(), ok bool) {
+func (s *Server) acquire() (release func(), ok bool) {
 	select {
-	case slot = <-s.slots:
+	case s.slots <- struct{}{}:
 	default:
 		if s.cfg.QueueWait <= 0 {
-			return 0, nil, false
+			return nil, false
 		}
 		s.gQueue.Add(1)
 		timer := time.NewTimer(s.cfg.QueueWait)
 		select {
-		case slot = <-s.slots:
+		case s.slots <- struct{}{}:
 			s.gQueue.Sub(1)
 			timer.Stop()
 		case <-timer.C:
 			s.gQueue.Sub(1)
-			return 0, nil, false
+			return nil, false
 		}
 	}
 	s.inflight.Add(1)
@@ -387,11 +384,11 @@ func (s *Server) acquire() (slot int, release func(), ok bool) {
 	release = func() {
 		once.Do(func() {
 			s.gInflight.Sub(1)
-			s.slots <- slot
+			<-s.slots
 			s.inflight.Done()
 		})
 	}
-	return slot, release, true
+	return release, true
 }
 
 // bodyReader counts wire bytes and enforces the per-upload byte cap with
@@ -429,7 +426,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("tenant")
 	if !validTenant(name) {
-		s.cRejInvalid.Inc(0)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest,
 			"tenant must be 1-64 chars of [A-Za-z0-9._-], got %q", name)
 		return
@@ -440,36 +437,36 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	variant, pol, err := sample.ParseVariant(variant)
 	if err != nil {
-		s.cRejInvalid.Inc(0)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !variantKnown(variant) {
-		s.cRejInvalid.Inc(0)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest,
 			"unknown detector variant %q (one of %v, or sampled[:rate])", variant, core.Variants())
 		return
 	}
 	pol, err = s.resolveSampling(q, name, pol)
 	if err != nil {
-		s.cRejInvalid.Inc(0)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ext, err := parseExtensions(q.Get("parties"), q.Get("chancap"))
 	if err != nil {
-		s.cRejInvalid.Inc(0)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.draining.Load() {
-		s.cRejDraining.Inc(0)
+		s.cRejDraining.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	slot, release, ok := s.acquire()
+	release, ok := s.acquire()
 	if !ok {
-		s.cRejSaturated.Inc(0)
+		s.cRejSaturated.Inc()
 		s.writeError(w, http.StatusTooManyRequests,
 			"at capacity (%d uploads in flight)", s.cfg.MaxInFlight)
 		return
@@ -479,23 +476,23 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// for slots, so an upload that raced past the first check but lost
 	// the slot race must not start work the drainer will not wait for.
 	if s.draining.Load() {
-		s.cRejDraining.Inc(slot)
+		s.cRejDraining.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 
 	ten := s.tenantState(name)
 	if err := s.admitTenant(ten); err != nil {
-		s.cRejQuota.Inc(slot)
+		s.cRejQuota.Inc()
 		s.writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	s.cAccepted.Inc(slot)
+	s.cAccepted.Inc()
 
 	start := time.Now()
 	body := &bodyReader{r: r.Body, max: s.cfg.MaxBodyBytes}
 	res, herr := s.check(body, variant, ext, pol)
-	s.cBytes.Add(slot, uint64(body.n))
+	s.cBytes.Add(uint64(body.n))
 	ten.mu.Lock()
 	ten.bytes += body.n
 	ten.mu.Unlock()
@@ -505,35 +502,35 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if body.over {
-			s.cRejLarge.Inc(slot)
+			s.cRejLarge.Inc()
 			s.writeError(w, http.StatusRequestEntityTooLarge,
 				"upload exceeds %d bytes", s.cfg.MaxBodyBytes)
 			return
 		}
 		var tooLong *trace.TooLongError
 		if errors.As(herr, &tooLong) {
-			s.cRejLarge.Inc(slot)
+			s.cRejLarge.Inc()
 			s.writeError(w, http.StatusRequestEntityTooLarge, "%v", herr)
 			return
 		}
 		var tooNew *trace.UnsupportedVersionError
 		if errors.As(herr, &tooNew) {
-			s.cRejInvalid.Inc(slot)
+			s.cRejInvalid.Inc()
 			s.writeError(w, http.StatusBadRequest,
 				"binary trace format version %d not supported (this server ingests %d..%d); upgrade this server to ingest it",
 				tooNew.Got, tooNew.Min, tooNew.Max)
 			return
 		}
-		s.cRejInvalid.Inc(slot)
+		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest, "%v", herr)
 		return
 	}
 
 	res.Tenant = name
 	res.Bytes = body.n
-	s.commit(ten, res, slot)
-	s.cCompleted.Inc(slot)
-	s.cOps.Add(slot, uint64(res.Ops))
+	s.commit(ten, res)
+	s.cCompleted.Inc()
+	s.cOps.Add(uint64(res.Ops))
 	s.hUploadOps.Observe(uint64(res.Ops))
 	s.hLatency.Observe(uint64(time.Since(start).Nanoseconds()))
 	writeJSON(w, http.StatusOK, res)
@@ -619,9 +616,9 @@ func (s *Server) resolveSampling(q map[string][]string, tenant string, spelled *
 // fails that upload alone (500), not the process and every tenant's state.
 var errCheckPanic = errors.New("internal error checking the upload")
 
-// check runs one stream through decode → limit → parcheck (validation,
-// lowering and renumbering in one pass) and returns the upload result
-// (Tenant/Upload/Bytes unset).
+// check runs one stream through decode → parcheck (validation, lowering,
+// renumbering and the operation budget in one pass) and returns the
+// upload result (Tenant/Upload/Bytes unset).
 // A non-nil pol checks the upload through the sampling tier; the
 // decisions are a pure function of (seed, variable id), so the reports
 // are exactly what an offline sampled check of the same bytes returns.
@@ -629,7 +626,7 @@ var errCheckPanic = errors.New("internal error checking the upload")
 func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, pol *sample.Policy) (res *UploadResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.cPanics.Inc(0)
+			s.cPanics.Inc()
 			log.Printf("ingest: panic checking an upload: %v\n%s", v, debug.Stack())
 			res, err = nil, fmt.Errorf("%w: %v", errCheckPanic, v)
 		}
@@ -638,10 +635,9 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	if err != nil {
 		return nil, err
 	}
-	// Ops is the decoded, pre-lowering count.
-	counted := &trace.Counter{Src: trace.Limit(dec, s.cfg.MaxOpsPerUpload)}
-	reports, err := parcheck.CheckSource(counted, ext, parcheck.Options{
+	reports, ops, err := parcheck.CheckSource(dec, ext, parcheck.Options{
 		Variant:          variant,
+		MaxOps:           s.cfg.MaxOpsPerUpload,
 		MaxReportsPerVar: s.cfg.MaxReportsPerVar,
 		StatsSink:        s.foldParcheck,
 		Sampling:         pol,
@@ -651,7 +647,7 @@ func (s *Server) check(body io.Reader, variant string, ext *trace.Extensions, po
 	}
 	res = &UploadResult{
 		Variant: variant,
-		Ops:     counted.N,
+		Ops:     ops, // decoded, pre-lowering
 		Races:   len(reports),
 		Reports: FromCoreAll(reports),
 	}
@@ -672,9 +668,9 @@ func (s *Server) foldParcheck(snap obs.Snapshot) {
 		if v == 0 {
 			continue
 		}
-		s.reg.Counter("parcheck."+k).Add(0, v)
+		s.reg.Counter("parcheck." + k).Add(v)
 		if k == "reports.dropped" {
-			s.cPerVarDropped.Add(0, v)
+			s.cPerVarDropped.Add(v)
 		}
 	}
 }
@@ -682,7 +678,7 @@ func (s *Server) foldParcheck(snap obs.Snapshot) {
 // commit records a successful upload under its tenant: assign the upload
 // id, retain the verbatim result (bounded by UploadRetention), and fold
 // every report into the depot.
-func (s *Server) commit(t *tenant, res *UploadResult, slot int) {
+func (s *Server) commit(t *tenant, res *UploadResult) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
@@ -703,9 +699,9 @@ func (s *Server) commit(t *tenant, res *UploadResult, slot int) {
 			dropped++
 		}
 	}
-	s.cReports.Add(slot, uint64(len(res.Reports)))
-	s.cDeduped.Add(slot, deduped)
-	s.cQuotaDropped.Add(slot, dropped)
+	s.cReports.Add(uint64(len(res.Reports)))
+	s.cDeduped.Add(deduped)
+	s.cQuotaDropped.Add(dropped)
 }
 
 // handleReports serves GET /v1/reports?tenant=T (aggregated depot view)

@@ -203,13 +203,29 @@ func TestServerBodyByteLimit(t *testing.T) {
 	wantError(t, code, m, http.StatusRequestEntityTooLarge)
 }
 
+// TestServerOpsLimit: in every encoding, a budget one short of the 4-op
+// trace rejects it with 413 and counts ingest.rejected.too_large; a budget
+// of exactly 4 checks it.
 func TestServerOpsLimit(t *testing.T) {
-	s := New(Config{MaxOpsPerUpload: 3})
-	code, _, m := post(t, s, "/v1/traces?tenant=t",
-		bytes.NewReader(encodeBody(t, racyTrace(), "binary"))) // 4 ops > 3
-	wantError(t, code, m, http.StatusRequestEntityTooLarge)
-	if got := s.Registry().Snapshot().Counters["ingest.rejected.too_large"]; got != 1 {
-		t.Fatalf("ingest.rejected.too_large = %d, want 1", got)
+	for _, format := range []string{"text", "binary", "gzip"} {
+		for _, budget := range []int{3, 4} {
+			t.Run(fmt.Sprintf("%s/%d", format, budget), func(t *testing.T) {
+				s := New(Config{MaxOpsPerUpload: budget})
+				code, _, m := post(t, s, "/v1/traces?tenant=t",
+					bytes.NewReader(encodeBody(t, racyTrace(), format)))
+				tooLarge := s.Registry().Snapshot().Counters["ingest.rejected.too_large"]
+				if budget == 3 {
+					wantError(t, code, m, http.StatusRequestEntityTooLarge)
+					if tooLarge != 1 {
+						t.Fatalf("ingest.rejected.too_large = %d, want 1", tooLarge)
+					}
+					return
+				}
+				if code != http.StatusOK || m["ops"] != float64(4) || tooLarge != 0 {
+					t.Fatalf("status %d, body %v, ingest.rejected.too_large = %d; want 200 with 4 ops", code, m, tooLarge)
+				}
+			})
+		}
 	}
 }
 

@@ -7,13 +7,12 @@
 // absorb the overwhelming majority of accesses — so the instruments here
 // are designed never to perturb what they measure:
 //
-//   - Counter is striped per thread, following the ThreadState.rules
-//     pattern of internal/core: each stripe is written by one thread only,
-//     so increments are uncontended atomic adds on private cache lines and
-//     reads sum the stripes.
-//   - Gauge is a single atomic word with last-write and monotonic-max
-//     update modes; gauges are set on cold paths (table growth, snapshot
-//     assembly), never per access.
+//   - Counter is a single atomic word: counters here count per request or
+//     per run (the detectors' per-access counts live in core's
+//     ThreadState, and reach a Registry through a detector's Stats()).
+//   - Gauge is a single atomic word with set and add/sub update modes;
+//     gauges are set on cold paths (table growth, snapshot assembly),
+//     never per access.
 //   - Histogram buckets by power of two (bucket i counts values v with
 //     bits.Len64(v) == i), which turns Observe into a handful of
 //     arithmetic instructions plus one atomic add; it is intended for
@@ -33,102 +32,27 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing counter striped by a small
-// non-negative integer id — in this repository, the acting thread's Tid.
-// Increments to distinct stripes never contend; increments to the same
-// stripe from its owning thread are uncontended atomic adds. Value sums
-// the stripes and may run concurrently with increments (the total is then
-// a linearizable lower bound, exact at quiescence).
+// Counter is a monotonically increasing counter, safe for concurrent use.
 type Counter struct {
-	mu sync.Mutex
-	p  atomic.Pointer[[]*stripe]
-}
-
-// stripe pads the hot word to a cache line so adjacent stripes sharing an
-// allocation span never false-share.
-type stripe struct {
 	n atomic.Uint64
-	_ [56]byte
 }
 
-// NewCounter returns a counter with no stripes; a stripe is created the
-// first time an id at or beyond it is named.
-func NewCounter() *Counter {
-	c := &Counter{}
-	c.p.Store(new([]*stripe))
-	return c
-}
+// Add adds n to the counter.
+func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
-// Add adds n to the stripe for id. It is safe for concurrent use; callers
-// that dedicate one stripe per thread get contention-free counting.
-func (c *Counter) Add(id int, n uint64) {
-	c.stripe(id).n.Add(n)
-}
+// Inc adds one to the counter.
+func (c *Counter) Inc() { c.n.Add(1) }
 
-// Inc adds one to the stripe for id.
-func (c *Counter) Inc(id int) { c.Add(id, 1) }
+// Value returns the count.
+func (c *Counter) Value() uint64 { return c.n.Load() }
 
-func (c *Counter) stripe(id int) *stripe {
-	if id < 0 {
-		panic(fmt.Sprintf("obs: negative stripe id %d", id))
-	}
-	s := *c.p.Load()
-	if id < len(s) {
-		return s[id]
-	}
-	return c.grow(id)
-}
-
-// grow extends the stripe table, sharing existing stripes with concurrent
-// readers exactly as shadow.Table does.
-func (c *Counter) grow(id int) *stripe {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := *c.p.Load()
-	if id < len(s) {
-		return s[id]
-	}
-	newLen := len(s) * 2
-	if newLen <= id {
-		newLen = id + 1
-	}
-	grown := make([]*stripe, newLen)
-	copy(grown, s)
-	for i := len(s); i < newLen; i++ {
-		grown[i] = &stripe{}
-	}
-	c.p.Store(&grown)
-	return grown[id]
-}
-
-// Value returns the sum over all stripes.
-func (c *Counter) Value() uint64 {
-	var total uint64
-	for _, s := range *c.p.Load() {
-		total += s.n.Load()
-	}
-	return total
-}
-
-// Gauge is a single instantaneous value. Set overwrites; Max raises the
-// value monotonically (the mode used for high-water marks such as table
-// sizes). Both are safe for concurrent use.
+// Gauge is a single instantaneous value, safe for concurrent use.
 type Gauge struct {
 	v atomic.Uint64
 }
 
 // Set stores v.
 func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Max raises the gauge to v if v is larger (monotonic update).
-func (g *Gauge) Max(v uint64) {
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
 
 // Add adds n to the gauge.
 func (g *Gauge) Add(n uint64) { g.v.Add(n) }
@@ -237,7 +161,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = NewCounter()
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c

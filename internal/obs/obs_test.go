@@ -8,12 +8,11 @@ import (
 	"testing"
 )
 
-// TestCounterConcurrent hammers one counter from many goroutines, each on
-// its own stripe (the intended thread-confined pattern) plus a few sharing
-// a stripe (legal, just contended), and checks the exact total. Run under
-// -race this is also the memory-model check for grow-on-demand stripes.
+// TestCounterConcurrent hammers one counter from many goroutines, with
+// readers interleaved, and checks the exact total; under -race it is also
+// the counter's memory-model check.
 func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter()
+	var c Counter
 	const (
 		goroutines = 16
 		perG       = 10000
@@ -21,13 +20,12 @@ func TestCounterConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Inc(id)
+				c.Inc()
 			}
-		}(g * 7 % 12) // a few stripe collisions among the 16 goroutines
-		// concurrent readers interleave with growth
+		}()
 		if g%4 == 0 {
 			wg.Add(1)
 			go func() {
@@ -42,34 +40,11 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterGrowth(t *testing.T) {
-	c := NewCounter()
-	c.Add(100, 3)
-	c.Add(0, 2)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value() = %d, want 5", got)
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative stripe id")
-		}
-	}()
-	NewCounter().Inc(-1)
-}
-
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
-	g.Max(5)
-	if got := g.Value(); got != 10 {
-		t.Fatalf("Max(5) lowered gauge: got %d", got)
-	}
-	g.Max(20)
+	g.Set(20)
 	if got := g.Value(); got != 20 {
-		t.Fatalf("Max(20) = %d, want 20", got)
+		t.Fatalf("Set(20) = %d, want 20", got)
 	}
 	g.Add(5)
 	if got := g.Value(); got != 25 {
@@ -158,7 +133,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("events").Add(0, 10)
+	r.Counter("events").Add(10)
 	r.Gauge("size").Set(7)
 	r.Histogram("lat").Observe(3)
 
@@ -198,7 +173,7 @@ func TestRegistrySources(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a").Add(0, 1)
+	r.Counter("a").Add(1)
 	r.Histogram("h").Observe(9)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
@@ -215,7 +190,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestHandlerServesSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits").Add(0, 3)
+	r.Counter("hits").Add(3)
 	mux := http.NewServeMux()
 	HandleDebug(mux, r)
 	rec := httptest.NewRecorder()
@@ -243,9 +218,9 @@ func TestHandlerServesSnapshot(t *testing.T) {
 
 func TestPublishIdempotent(t *testing.T) {
 	r1 := NewRegistry()
-	r1.Counter("x").Add(0, 1)
+	r1.Counter("x").Add(1)
 	Publish("obs_test_registry", r1)
 	r2 := NewRegistry()
-	r2.Counter("x").Add(0, 2)
+	r2.Counter("x").Add(2)
 	Publish("obs_test_registry", r2) // must not panic, must rebind
 }

@@ -2,6 +2,7 @@ package parcheck
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -12,25 +13,130 @@ import (
 	"repro/internal/trace"
 )
 
-// pulled is the reference the feed must reproduce: the pull pipeline of
-// separate stages — decoder, ValidateSource, DesugarSource — into Check,
-// with a Counter over the (limited) decoder.
-func pulled(data []byte, ext *trace.Extensions, limit int, opts Options) ([]core.Report, *trace.Counter, error) {
-	c := &trace.Counter{Src: trace.Limit(trace.NewBinaryDecoder(bytes.NewReader(data)), limit)}
-	reports, err := Check(trace.DesugarSource(trace.ValidateSource(c, ext), ext), opts)
-	return reports, c, err
+// pulled is the reference the feed must reproduce: the bytes decoded
+// whole (trace.ReadAll), cut at the operation budget, then checked by the
+// pull pipeline of separate stages — ValidateSource, DesugarSource — into
+// Check. An error in checking the first limit ops comes first; then the
+// decoder's, if it stopped within them or at the next op; then the
+// budget's, if an op past it decoded. It also says whether the error is
+// the decoder's own.
+func pulled(data []byte, ext *trace.Extensions, limit int, opts Options) ([]core.Report, int, bool, error) {
+	tr, decErr := trace.ReadAll(trace.NewBinaryDecoder(bytes.NewReader(data)))
+	var over error
+	if limit > 0 && len(tr) > limit {
+		tr, decErr, over = tr[:limit], nil, &trace.TooLongError{Limit: limit}
+	}
+	reports, err := Check(trace.DesugarSource(trace.ValidateSource(tr.Source(), ext), ext), opts)
+	switch {
+	case err != nil:
+		return nil, 0, false, err
+	case decErr != nil:
+		return nil, 0, true, decErr
+	case over != nil:
+		return nil, 0, false, over
+	}
+	return reports, len(tr), false, nil
 }
 
 // fused is the product path on the same bytes: the sniffing decoder, as
-// CheckReader has it, under the same Limit and Counter, into CheckSource.
-func fused(t testing.TB, data []byte, ext *trace.Extensions, limit int, opts Options) ([]core.Report, *trace.Counter, error) {
+// CheckReader has it, into CheckSource under the same budget. The error is
+// the decoder's own when it is the one that ended the decoder's stream,
+// which is how goinstr.Check tells a bad capture from a bad trace.
+func fused(t testing.TB, data []byte, ext *trace.Extensions, limit int, opts Options) ([]core.Report, int, bool, error) {
+	src := mustDecoder(t, data)
+	opts.MaxOps = limit
+	reports, n, err := CheckSource(src, ext, opts)
+	dec, ok := src.(*trace.BinaryDecoder)
+	return reports, n, ok && err != nil && err == dec.Err(), err
+}
+
+// TestMaxOps: under a budget of n operations CheckSource decides as a
+// consumer pulling one op at a time would, whether the budget cuts a batch
+// of the binary decoder's mid-way or the text decoder yields one op at a
+// time: an op among the first n that fails returns its own error; a
+// decodable n+1-th op returns *trace.TooLongError, even an infeasible one;
+// a decode error at n+1 returns that error, and the stream's end there
+// ends the check cleanly with a count of n.
+func TestMaxOps(t *testing.T) {
+	base := trace.Trace{trace.ForkOp(0, 1), trace.Wr(0, 300), trace.Rd(1, 2), trace.Wr(1, 3), trace.JoinOp(0, 1)}
+	bad := trace.Rel(0, 9) // infeasible wherever it stands: thread 0 holds no lock
+	long := stripedTrace(8, 4, 100)
+	ops := func(tr trace.Trace, more ...trace.Op) trace.Trace {
+		return append(append(trace.Trace{}, tr...), more...)
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    trace.Trace
+		torn  bool // the last op's encoding is cut short: a decode error
+		limit int
+		want  string // "ok", "too long", "infeasible #i" or "decode"
+	}{
+		{"no budget", base, false, 0, "ok"},
+		{"exactly n", base, false, 5, "ok"},
+		{"under budget", base, false, 9, "ok"},
+		{"n+1", base, false, 4, "too long"},
+		{"n+1 infeasible", ops(base[:4], bad), false, 4, "too long"},
+		{"infeasible within", ops(base[:2], bad, base[2]), false, 4, "infeasible #2"},
+		{"infeasible at n", ops(base[:3], bad, base[3]), false, 4, "infeasible #3"},
+		{"decode error at n+1", base, true, 4, "decode"},
+		{"decode error within", base, true, 9, "decode"},
+		{"later batch, exactly n", long, false, len(long), "ok"},
+		{"later batch, n+1", long, false, 700, "too long"},
+		{"later batch, infeasible at n", ops(long[:699], bad), false, 700, "infeasible #699"},
+		{"later batch, n+1 infeasible", ops(long[:700], bad), false, 700, "too long"},
+		{"later batch, decode error at n+1", long[:701], true, 700, "decode"},
+	} {
+		var bin, text bytes.Buffer
+		if err := trace.EncodeBinary(&bin, tc.tr); err != nil {
+			t.Fatal(err)
+		}
+		whole := tc.tr
+		if tc.torn {
+			bin.Truncate(bin.Len() - 1)
+			whole = tc.tr[:len(tc.tr)-1]
+		}
+		if err := trace.Encode(&text, whole); err != nil {
+			t.Fatal(err)
+		}
+		if tc.torn {
+			text.WriteString("bogus\n")
+		}
+		inputs := map[string][]byte{"binary": bin.Bytes(), "text": text.Bytes()}
+		for enc, data := range inputs {
+			reports, n, err := CheckSource(mustDecoder(t, data), nil, Options{MaxOps: tc.limit})
+			var got string
+			var ie *trace.InfeasibleError
+			var tl *trace.TooLongError
+			switch {
+			case err == nil:
+				got = "ok"
+				if n != len(tc.tr) || len(reports) != 0 {
+					t.Errorf("%s, %s: %d ops, reports %v; want %d ops and none", tc.name, enc, n, reports, len(tc.tr))
+				}
+			case errors.As(err, &tl) && tl.Limit == tc.limit:
+				got = "too long"
+			case errors.As(err, &ie):
+				got = fmt.Sprintf("infeasible #%d", ie.Index)
+			default:
+				_, derr := trace.ReadAll(mustDecoder(t, data))
+				if err.Error() == fmt.Sprint(derr) {
+					got = "decode"
+				}
+			}
+			if got != tc.want || err != nil && (n != 0 || reports != nil) {
+				t.Errorf("%s, %s: %d ops, %v; want %s", tc.name, enc, n, err, tc.want)
+			}
+		}
+	}
+}
+
+// mustDecoder is trace.NewDecoder over data.
+func mustDecoder(t testing.TB, data []byte) trace.Source {
 	src, err := trace.NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &trace.Counter{Src: trace.Limit(src, limit)}
-	reports, err := CheckSource(c, ext, opts)
-	return reports, c, err
+	return src
 }
 
 // encodeRecords is tr in the binary format, without the header.
@@ -48,9 +154,10 @@ func encodeRecords(t testing.TB, tr trace.Trace) []byte {
 // dense windows or past int32, records cut short. The one switch that
 // validates, lowers and renumbers must agree with the pull pipeline on
 // every one of them: the same reports, the same error (text and
-// position), and the same Counter — N and Err — so a caller can still
-// tell a decode error from a check error. knobs picks an operation budget
-// (trace.Limit, as vft-server sets one) and a report cap. The feed runs
+// position), the same operation count, and the decoder's own error where
+// the pipeline's is the decoder's, so a caller can still tell a decode
+// error from a check error. knobs picks an operation budget (MaxOps, as
+// vft-server sets one) and a report cap. The feed runs
 // on a fresh state and again on one the hostile Go-sync trace has
 // dirtied, and the two must agree.
 func FuzzFeedMatchesPulled(f *testing.F) {
@@ -88,8 +195,8 @@ func FuzzFeedMatchesPulled(f *testing.F) {
 		if !reflect.DeepEqual(got.reports, want.reports) || got.err != want.err {
 			t.Fatalf("feed: %v, %v\npulled: %v, %v", got.reports, got.err, want.reports, want.err)
 		}
-		if got.n != want.n || got.counterErr != want.counterErr {
-			t.Fatalf("feed's Counter N=%d Err=%v, pulled's N=%d Err=%v", got.n, got.counterErr, want.n, want.counterErr)
+		if got.n != want.n || got.decodeErr != want.decodeErr {
+			t.Fatalf("feed: %d ops, decoder's error %v; pulled: %d ops, decoder's error %v", got.n, got.decodeErr, want.n, want.decodeErr)
 		}
 		onState(dirtied(t), func() { again = checkBytes(t, data, ext, limit, opts, false) })
 		requireSameOutcome(t, "feed", got, again)
@@ -131,7 +238,8 @@ func stripedGoSync(threads, stripes, rounds int) (trace.Trace, *trace.Extensions
 // BenchmarkCheckReader is the offline path from bytes to verdict on a
 // binary-encoded striped trace with Go-sync kinds, in ns per raw op: feed
 // is what CheckReader runs (the batch decoder into the one switch), pulled
-// the pull pipeline of separate stages it replaced, kept as the reference.
+// the reference — the trace decoded whole, then the pull pipeline of
+// separate stages the one switch replaced.
 func BenchmarkCheckReader(b *testing.B) {
 	tr, ext := stripedGoSync(32, 64, 600)
 	if err := trace.ValidateExt(tr, ext); err != nil {
@@ -146,8 +254,8 @@ func BenchmarkCheckReader(b *testing.B) {
 		name  string
 		check func() ([]core.Report, error)
 	}{
-		{"feed", func() ([]core.Report, error) { r, _, err := fused(b, data, ext, 0, Options{}); return r, err }},
-		{"pulled", func() ([]core.Report, error) { r, _, err := pulled(data, ext, 0, Options{}); return r, err }},
+		{"feed", func() ([]core.Report, error) { r, _, _, err := fused(b, data, ext, 0, Options{}); return r, err }},
+		{"pulled", func() ([]core.Report, error) { r, _, _, err := pulled(data, ext, 0, Options{}); return r, err }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

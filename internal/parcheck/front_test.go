@@ -248,10 +248,10 @@ func TestFeedClockCeiling(t *testing.T) {
 		st.m.reset(0)
 		st.front.det = &st.m
 		fd := &feed{v: trace.NewValidator(), low: trace.NewParityLowerer(nil), front: &st.front, maxClock: 3}
-		i, err := fd.check(tc.tr)
+		err := fd.check(tc.tr)
 		var ce *trace.ClockRangeError
-		if !errors.As(err, &ce) || i != tc.index || ce.Index != tc.index || ce.Op != tc.tr[tc.index] || ce.Tid != tc.tid || ce.Max != 3 {
-			t.Errorf("%s: stopped at %d with %v; want a *ClockRangeError at #%d for thread %d", tc.name, i, err, tc.index, tc.tid)
+		if !errors.As(err, &ce) || ce.Index != tc.index || ce.Op != tc.tr[tc.index] || ce.Tid != tc.tid || ce.Max != 3 {
+			t.Errorf("%s: stopped with %v; want a *ClockRangeError at #%d for thread %d", tc.name, err, tc.index, tc.tid)
 		}
 	}
 }

@@ -42,6 +42,10 @@ type Options struct {
 	// bench/offline.go (frozen with the benchmark); delete with the next
 	// `benchmark` PR.
 	Workers int
+	// MaxOps is CheckSource's operation budget (0 = none): a stream with
+	// more raw operations fails with a *trace.TooLongError, never checked
+	// as a silent prefix.
+	MaxOps int
 	// MaxReportsPerVar caps race reports per variable (0 = unlimited),
 	// with the semantics of core's report sink.
 	MaxReportsPerVar int
@@ -75,12 +79,18 @@ const batchSize = 512
 // (barrier participant counts, channel capacities; nil for all defaults),
 // and the lowering is the shared trace.Lowerer in its parity numbering, so
 // the detector sees what DesugarSource would hand it, operation for
-// operation. The first infeasible op ends the check with the validator's
+// operation. It returns the reports and how many raw operations it
+// admitted. The first infeasible op ends the check with the validator's
 // positioned error, and the first op that would take a thread's clock past
-// core.MaxClock with a *trace.ClockRangeError; on any error all reports
-// are discarded.
-func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return run(opts, func(st *checkState) error {
+// core.MaxClock with a *trace.ClockRangeError. Under a budget
+// (opts.MaxOps = n) the n+1-th operation, once it decodes, ends the check
+// with a *trace.TooLongError, feasible or not; an error in the first n,
+// or in decoding the n+1-th, is returned as itself. The source's own error
+// is returned bare, so a caller can tell it apart by identity. On any
+// error all reports are discarded and the count is 0.
+func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, int, error) {
+	var ops int
+	reports, err := run(opts, func(st *checkState) error {
 		v := trace.NewValidator()
 		v.Ext = ext
 		v.MaxTid = core.MaxTid(opts.Variant)
@@ -89,20 +99,34 @@ func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.
 			fd.maxClock = c
 		}
 		for {
-			n, err := trace.NextBatch(src, st.buf[:])
+			// Ask for no more than the budget has left, and with none left
+			// for one op: the stream's end or error, or the budget's.
+			buf, spent := st.buf[:], false
+			if opts.MaxOps > 0 {
+				left := opts.MaxOps - v.Count()
+				buf, spent = buf[:max(1, min(left, len(buf)))], left == 0
+			}
+			n, err := trace.NextBatch(src, buf)
 			if err == io.EOF {
 				st.front.origT = append(st.front.origT, v.Threads()...)
+				ops = v.Count()
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if i, err := fd.check(st.buf[:n]); err != nil {
-				trace.Unread(src, n-i-1) // the ops after the refused one were never consumed
+			if spent {
+				return &trace.TooLongError{Limit: opts.MaxOps}
+			}
+			if err := fd.check(buf[:n]); err != nil {
 				return err
 			}
 		}
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return reports, ops, nil
 }
 
 // feed is CheckSource's per-operation work.
@@ -121,11 +145,11 @@ type feed struct {
 }
 
 // check validates, lowers and renumbers ops in order, handing each to the
-// detector, and on the first infeasible one returns its index in ops and
-// the validator's error (or the clock ceiling's). The core kinds pass the
+// detector, and on the first infeasible one returns the validator's error
+// (or the clock ceiling's). The core kinds pass the
 // Lowerer by (only a real lock's id changes), so only the extended kinds
 // reach it.
-func (fd *feed) check(ops []trace.Op) (int, error) {
+func (fd *feed) check(ops []trace.Op) error {
 	v, front := fd.v, fd.front
 	for i := range ops {
 		op := ops[i]
@@ -179,10 +203,10 @@ func (fd *feed) check(ops []trace.Op) (int, error) {
 			}
 		}
 		if err != nil {
-			return i, err
+			return err
 		}
 	}
-	return len(ops), nil
+	return nil
 }
 
 // lowered hands on the acquire+release pairs op lowered to.
@@ -217,7 +241,8 @@ func (fd *feed) tick(op trace.Op, t epoch.Tid) error {
 
 // CheckTrace is CheckSource over a materialized trace.
 func CheckTrace(tr trace.Trace, ext *trace.Extensions, opts Options) ([]core.Report, error) {
-	return CheckSource(tr.Source(), ext, opts)
+	reports, _, err := CheckSource(tr.Source(), ext, opts)
+	return reports, err
 }
 
 // Check is CheckSource for a stream that is already validated and lowered

@@ -59,11 +59,11 @@ func dirtied(t testing.TB) *checkState {
 
 // outcome is everything a caller sees of one check of some bytes.
 type outcome struct {
-	reports    []core.Report
-	err        string
-	n          int    // the Counter's N
-	counterErr string // and its Err
-	snap       obs.Snapshot
+	reports   []core.Report
+	err       string
+	n         int  // the operation count
+	decodeErr bool // whether err is the decoder's own
+	snap      obs.Snapshot
 }
 
 // checkBytes checks data through CheckSource, as CheckReader does, or
@@ -72,27 +72,26 @@ func checkBytes(t testing.TB, data []byte, ext *trace.Extensions, limit int, opt
 	t.Helper()
 	var o outcome
 	opts.StatsSink = func(s obs.Snapshot) { o.snap = s }
-	var c *trace.Counter
 	var err error
 	if pull {
-		o.reports, c, err = pulled(data, ext, limit, opts)
+		o.reports, o.n, o.decodeErr, err = pulled(data, ext, limit, opts)
 	} else {
-		o.reports, c, err = fused(t, data, ext, limit, opts)
+		o.reports, o.n, o.decodeErr, err = fused(t, data, ext, limit, opts)
 	}
-	o.err, o.n, o.counterErr = fmt.Sprint(err), c.N, fmt.Sprint(c.Err)
+	o.err = fmt.Sprint(err)
 	return o
 }
 
 // requireSameOutcome holds a check on a recycled state to the same check
-// on a fresh one: the same reports, error, Counter and snapshot — except
-// that vc.grows counts only the clock reallocations the check made, which
-// recycled clocks can only make fewer.
+// on a fresh one: the same reports, error, operation count and snapshot —
+// except that vc.grows counts only the clock reallocations the check made,
+// which recycled clocks can only make fewer.
 func requireSameOutcome(t testing.TB, what string, fresh, warm outcome) {
 	t.Helper()
 	if !reflect.DeepEqual(fresh.reports, warm.reports) || fresh.err != warm.err ||
-		fresh.n != warm.n || fresh.counterErr != warm.counterErr {
-		t.Fatalf("%s: recycled state diverged from a fresh one:\nfresh: %+v, %s, N=%d Err=%s\nwarm:  %+v, %s, N=%d Err=%s",
-			what, fresh.reports, fresh.err, fresh.n, fresh.counterErr, warm.reports, warm.err, warm.n, warm.counterErr)
+		fresh.n != warm.n || fresh.decodeErr != warm.decodeErr {
+		t.Fatalf("%s: recycled state diverged from a fresh one:\nfresh: %+v, %s, %d ops\nwarm:  %+v, %s, %d ops",
+			what, fresh.reports, fresh.err, fresh.n, warm.reports, warm.err, warm.n)
 	}
 	requireSameSnapshot(t, what, fresh.snap, warm.snap)
 }
@@ -189,7 +188,7 @@ func TestWarmCheckAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reports, err := CheckSource(src, nil, Options{}); err != nil || len(reports) != 0 {
+			if reports, _, err := CheckSource(src, nil, Options{}); err != nil || len(reports) != 0 {
 				t.Fatal(reports, err)
 			}
 		}

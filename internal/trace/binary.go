@@ -218,6 +218,14 @@ func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
 // before the first Next call.
 func (d *BinaryDecoder) Version() int { return d.version }
 
+// Decoded returns how many records the decoder has delivered.
+func (d *BinaryDecoder) Decoded() int { return d.n }
+
+// Err returns the error that ended the stream — io.EOF at a clean end — or
+// nil while it has not ended. A consumer that stops at an error can tell
+// by comparing the two whether it is the decoder's own.
+func (d *BinaryDecoder) Err() error { return d.err }
+
 // failf makes the decode error of the record after the n decoded so far
 // in this batch, and keeps it (sticky).
 func (d *BinaryDecoder) failf(n int, format string, args ...any) error {

@@ -21,119 +21,6 @@ func TestSliceSourceReadAll(t *testing.T) {
 	}
 }
 
-// TestLimit: within budget Limit is transparent; past it the stream fails
-// with a typed *TooLongError (it never silently truncates).
-func TestLimit(t *testing.T) {
-	tr := Trace{Wr(0, 0), Rd(0, 1), Wr(0, 2)}
-	back, err := ReadAll(Limit(tr.Source(), 3))
-	if err != nil || !reflect.DeepEqual(tr, back) {
-		t.Fatalf("Limit(3) over 3 ops: %v, %v", back, err)
-	}
-	got, err := ReadAll(Limit(tr.Source(), 2))
-	var tooLong *TooLongError
-	if !errors.As(err, &tooLong) || tooLong.Limit != 2 {
-		t.Fatalf("Limit(2) over 3 ops: err %v, want *TooLongError{2}", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("Limit(2) yielded %d ops before failing, want 2", len(got))
-	}
-	if all, err := ReadAll(Limit(tr.Source(), 0)); err != nil || len(all) != 3 {
-		t.Fatalf("Limit(0) must disable the limit: %v, %v", all, err)
-	}
-}
-
-// TestCounter: every yielded op is counted, io.EOF is not a failure, and
-// the first real error of the wrapped source is kept (repeat calls after
-// it do not overwrite it).
-func TestCounter(t *testing.T) {
-	tr := Trace{Wr(0, 0), Rd(0, 1), Wr(0, 2)}
-	c := &Counter{Src: tr.Source()}
-	back, err := ReadAll(c)
-	if err != nil || !reflect.DeepEqual(tr, back) || c.N != 3 || c.Err != nil {
-		t.Fatalf("clean stream: %v, %v, N=%d Err=%v", back, err, c.N, c.Err)
-	}
-	c = &Counter{Src: Limit(tr.Source(), 2)}
-	_, err = ReadAll(c)
-	var tooLong *TooLongError
-	if !errors.As(c.Err, &tooLong) || c.Err != err || c.N != 2 {
-		t.Fatalf("failing stream: N=%d Err=%v, ReadAll err %v", c.N, c.Err, err)
-	}
-	first := c.Err
-	if _, err := c.Next(); err == nil || c.Err != first || c.N != 2 {
-		t.Fatalf("after the failure: err %v, N=%d, Err changed: %v", err, c.N, c.Err != first)
-	}
-}
-
-// TestLimitCounterBatches: Limit and Counter forward batches, and through
-// them a batch reader meets what Next meets one op at a time — the whole
-// budget, the budget overrun, and a decode error just past the budget,
-// which wins over the overrun as it does for Next — while Counter keeps
-// N and Err as Next would have left them.
-func TestLimitCounterBatches(t *testing.T) {
-	var bin bytes.Buffer
-	if err := EncodeBinary(&bin, Trace{ForkOp(0, 1), Wr(0, 300), Rd(1, 2), Wr(1, 3), JoinOp(0, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	full := bin.Bytes()
-	cut := full[:len(full)-1] // the fifth record is truncated
-	pull := func(src Source) (Trace, error) { return ReadAll(src) }
-	for _, size := range []int{1, 2, 512} {
-		for _, tc := range []struct {
-			name  string
-			data  []byte
-			limit int
-			ops   int
-			err   string
-		}{
-			{"exactly n", full, 5, 5, "<nil>"},
-			{"n+1", full, 4, 4, "trace: stream exceeds 4 operations"},
-			{"decode error at n+1", cut, 4, 4, "trace: binary op #4: reading 3-byte record: unexpected EOF"},
-			{"decode error inside", cut, 9, 4, "trace: binary op #4: reading 3-byte record: unexpected EOF"},
-		} {
-			want, werr := pull(&Counter{Src: Limit(NewBinaryDecoder(bytes.NewReader(tc.data)), tc.limit)})
-			c := &Counter{Src: Limit(NewBinaryDecoder(bytes.NewReader(tc.data)), tc.limit)}
-			got, gerr := readBatches(t, c, size)
-			if len(got) != tc.ops || fmt.Sprint(gerr) != tc.err || !reflect.DeepEqual(got, want) || fmt.Sprint(werr) != tc.err {
-				t.Errorf("%s, batches of %d: %d ops, %v (Next: %d ops, %v); want %d ops, %s",
-					tc.name, size, len(got), gerr, len(want), werr, tc.ops, tc.err)
-			}
-			if c.N != tc.ops || (gerr == nil) != (c.Err == nil) || gerr != nil && c.Err.Error() != tc.err {
-				t.Errorf("%s, batches of %d: Counter N=%d Err=%v", tc.name, size, c.N, c.Err)
-			}
-		}
-	}
-
-	// A consumer that refuses the second op of a batch (a check error)
-	// hands the rest back: N counts the two ops it took, as pulling one at
-	// a time would, and the decode error behind them never reaches Err —
-	// what lets goinstr.Check tell a bad capture from a bad trace.
-	c := &Counter{Src: NewBinaryDecoder(bytes.NewReader(cut))}
-	buf := make([]Op, 512)
-	n, err := NextBatch(c, buf)
-	if n != 4 || err != nil {
-		t.Fatalf("first batch: %d ops, %v; want the 4 whole records", n, err)
-	}
-	Unread(c, n-2)
-	if c.N != 2 || c.Err != nil {
-		t.Errorf("after Unread: N=%d Err=%v, want 2 and nil", c.N, c.Err)
-	}
-	// Limit takes handed-back ops back into its budget.
-	l := Limit(NewBinaryDecoder(bytes.NewReader(full)), 3).(*limitSource)
-	for got := 0; got < 3; {
-		n, err := NextBatch(l, buf)
-		if err != nil || got+n > 3 {
-			t.Fatalf("Limit(3): %d ops, then %d and %v", got, n, err)
-		}
-		got += n
-	}
-	if l.left != 0 {
-		t.Fatalf("Limit(3) after 3 ops: %d left", l.left)
-	}
-	if Unread(l, 2); l.left != 2 {
-		t.Errorf("Limit after Unread(2): %d left, want 2", l.left)
-	}
-}
-
 // TestValidateSourceMatchesValidate: the incremental validator accepts and
 // rejects exactly what the slice fold does, with identical errors.
 func TestValidateSourceMatchesValidate(t *testing.T) {

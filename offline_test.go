@@ -154,21 +154,6 @@ func (s *releaseStream) Next() (Op, error) {
 	return op, err
 }
 
-func (s *releaseStream) NextBatch(buf []Op) (int, error) {
-	for n := range buf {
-		op, err := s.op(s.next)
-		if err != nil {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, err
-		}
-		buf[n] = op
-		s.next++
-	}
-	return len(buf), nil
-}
-
 // TestFTCASClockCeilingIsTypedError: FT-CAS packs a 24-bit clock into its
 // epochs, so main's (2^24-1)-th release, which would take its clock from
 // 2^24-1 to 2^24, ends the check with a positioned *trace.ClockRangeError

@@ -253,12 +253,13 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	if m := s.metrics; m != nil {
 		sink = func(snap obs.Snapshot) { m.RegisterSource(s.variant, snap.Source()) }
 	}
-	return parcheck.CheckSource(src, s.extensions(), parcheck.Options{
+	reports, _, err := parcheck.CheckSource(src, s.extensions(), parcheck.Options{
 		Variant:          s.variant,
 		MaxReportsPerVar: s.maxPerVar,
 		StatsSink:        sink,
 		Sampling:         s.sampling,
 	})
+	return reports, err
 }
 
 // CheckReader decodes a trace stream from r — sniffing gzip, the binary
@@ -300,8 +301,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.14.0 makes vft-go reuse a
-// kept shadow module's record of the export data it type-checked
-// against (no `go list` on a rerun with an unchanged toolchain), honour
-// build constraints, and build without a version-control stamp.
-const Version = "2.14.0"
+// Version identifies this implementation. 2.14.1 makes vft-server's
+// drain-time state save replace the previous state file only once the
+// new one is written and synced.
+const Version = "2.14.1"
