@@ -48,7 +48,7 @@ bench-sampling:
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
 # The clock-kernel micro-benchmarks run a hundred iterations each, vft-go's
-# load and streamed-check benchmarks, the offline machine-beside-core.V2
+# load, build and streamed-check benchmarks, the offline machine-beside-core.V2
 # comparison and the bytes-to-verdict offline path beside the pull pipeline
 # it replaced three, so they cannot rot; so does the server's upload path,
 # with -benchmem, so its allocations per upload print on every run.
@@ -56,7 +56,7 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
-	$(GO) test -run '^$$' -bench 'LoadPool|CheckStream' -benchtime 3x ./internal/goinstr
+	$(GO) test -run '^$$' -bench 'LoadPool|BuildPool|CheckStream' -benchtime 3x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
 

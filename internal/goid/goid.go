@@ -3,9 +3,10 @@
 // The Go runtime deliberately hides goroutine ids, so a drop-in
 // instrumentation front-end (internal/goinstr) has exactly one portable
 // way to get one: parse the "goroutine N [running]:" header that
-// runtime.Stack prints. That parse costs roughly a microsecond — far too
-// much to pay per traced event — so the package splits identity capture
-// into two layers:
+// runtime.Stack prints. That parse costs microseconds — BenchmarkID read
+// 2.7–5.4 µs/op over `go test -run '^$' -bench 'ID$' -count 5
+// ./internal/goid` on go1.24.0 with 2 CPUs — far too much to pay per
+// traced event, so the package splits identity capture into two layers:
 //
 //   - ID reads the raw runtime id with a single small runtime.Stack call
 //     into a stack buffer (no allocation, no formatting of callers: the

@@ -86,7 +86,8 @@ func genMeta(t testing.TB, cfg trace.GenConfig) []byte {
 // build cache warm. /cold loads into a fresh shadow module every time, as
 // a default vft-go run does: parse, `go env`, one `go list -export`,
 // type-check against export data. /warm reloads into one kept module,
-// where the record of the first list stands in for the list.
+// where the record of the first list stands in for the list; goEnv's
+// memo is emptied before each load, as a new vft-go process starts.
 func BenchmarkLoadPool(b *testing.B) {
 	if _, err := Load(poolDir(), false, b.TempDir()); err != nil { // compiles the imports if the cache is cold
 		b.Fatal(err)
@@ -105,9 +106,47 @@ func BenchmarkLoadPool(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			forgetGoEnvs()
 			if _, err := Load(poolDir(), false, mod); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkBuildPool is Build of the instrumented pool program, after
+// the Instrument that precedes it in a vft-go run (whose go env it
+// shares), with the build cache warm. /cold builds a fresh shadow module
+// every time, as a default vft-go run does: one go build that links.
+// /warm rebuilds one kept module, where the build record stands in for
+// the go build: the module and the binary are hashed, and nothing runs.
+func BenchmarkBuildPool(b *testing.B) {
+	instrument := func(b *testing.B, mod string) {
+		if _, err := Instrument(poolDir(), Options{Elide: true, OutDir: mod}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	build := func(b *testing.B, mod string) {
+		if _, err := Build(mod); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			mod := b.TempDir()
+			instrument(b, mod)
+			b.StartTimer()
+			build(b, mod)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		mod := b.TempDir()
+		instrument(b, mod)
+		build(b, mod)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(b, mod)
 		}
 	})
 }

@@ -7,6 +7,8 @@ import (
 	"go/printer"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/goid"
 	"repro/internal/goinstr/rt"
@@ -22,7 +24,8 @@ import (
 //
 // The shim sources import "repro/internal/goid" when compiled inside this
 // repo; the copy rewrites that path to "vftshadow/goid" so the shadow
-// module resolves everything within itself.
+// module resolves everything within itself. Any other .go file in rt/ or
+// goid/ — left by an earlier vft-go in a kept module — is removed.
 func emitModule(out string) error {
 	for _, sub := range []string{"", "rt", "goid"} {
 		if err := os.MkdirAll(filepath.Join(out, sub), 0o755); err != nil {
@@ -52,12 +55,17 @@ func emitModule(out string) error {
 	if err := os.WriteFile(filepath.Join(out, "goid", "goid.go"), gsrc, 0o644); err != nil {
 		return fmt.Errorf("goinstr: %w", err)
 	}
-	return nil
+	if err := removeGoFilesExcept(filepath.Join(out, "rt"), "rt.go", "wrappers.go"); err != nil {
+		return err
+	}
+	return removeGoFilesExcept(filepath.Join(out, "goid"), "goid.go")
 }
 
 // emitPackage adds the rewritten sources, printed from the mutated ASTs,
 // to the shadow module in out, and for `vft-go test` a TestMain that
-// flushes the trace unless the package brings its own.
+// flushes the trace unless the package brings its own. It then removes
+// every other .go file from the module root: in a kept module those are
+// an earlier package's, and go build would compile them too.
 func emitPackage(out string, pkg *Package, includeTests bool) error {
 	cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}
 	for i, f := range pkg.Files {
@@ -70,10 +78,28 @@ func emitPackage(out string, pkg *Package, includeTests bool) error {
 		}
 	}
 
+	written := pkg.Names
 	if includeTests && !hasTestMain(pkg) {
 		tm := fmt.Sprintf(testMainSrc, pkg.Pkg.Name())
-		if err := os.WriteFile(filepath.Join(out, "vft_testmain_test.go"), []byte(tm), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(out, testMainName), []byte(tm), 0o644); err != nil {
 			return fmt.Errorf("goinstr: %w", err)
+		}
+		written = append(slices.Clip(written), testMainName)
+	}
+	return removeGoFilesExcept(out, written...)
+}
+
+// removeGoFilesExcept deletes every .go file directly in dir but keep.
+func removeGoFilesExcept(dir string, keep ...string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("goinstr: %w", err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !slices.Contains(keep, n) {
+			if err := os.Remove(filepath.Join(dir, n)); err != nil {
+				return fmt.Errorf("goinstr: %w", err)
+			}
 		}
 	}
 	return nil
@@ -89,6 +115,9 @@ func hasTestMain(pkg *Package) bool {
 	}
 	return false
 }
+
+// testMainName is the file emitPackage writes testMainSrc to.
+const testMainName = "vft_testmain_test.go"
 
 const testMainSrc = `package %s
 

@@ -15,9 +15,13 @@
 //	          runtime shim (internal/goinstr/rt)
 //	Emit      write the rewritten package into the shadow module, which
 //	          already holds the shim and its goid dependency and builds
-//	          offline (module vftshadow, no requirements)
+//	          offline (module vftshadow, no requirements), and delete
+//	          any other package's sources a kept module still holds
 //	Run       go build the shadow module and execute it with VFT_TRACE
-//	          set, yielding a binary v2 trace + meta sidecar
+//	          set, yielding a binary v2 trace + meta sidecar. A kept
+//	          shadow module records the binary it linked, and a rerun
+//	          whose module files, toolchain and configuration are
+//	          unchanged reuses it without a go build
 //	Check     stream the trace through the verified checker, rendering
 //	          reports with source-level names
 //

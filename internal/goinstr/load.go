@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -98,23 +99,46 @@ func (p *Package) findExports(modDir string, imports []string) (map[string]strin
 	return exports, goVersion, nil
 }
 
+// goEnvs memoizes goEnv for the life of the process, keyed by the module
+// directory and the exact environment the go command is given, so that
+// Load's call serves Build's.
+var goEnvs struct {
+	sync.Mutex
+	m map[string]map[string]string
+}
+
 // goEnv is `go env -json` in the shadow module, less GOGCCFLAGS, which
 // names a fresh temp directory on every call: the toolchain and build
-// configuration that export data depends on.
+// configuration that export data and the linked binary depend on. It runs
+// the go command once per module directory and environment; a failure is
+// not remembered.
 func goEnv(modDir string) (map[string]string, error) {
+	environ := offlineEnv()
+	key := strings.Join(append([]string{modDir}, environ...), "\x00")
+	goEnvs.Lock()
+	env, ok := goEnvs.m[key]
+	goEnvs.Unlock()
+	if ok {
+		return maps.Clone(env), nil
+	}
 	cmd := exec.Command("go", "env", "-json")
 	cmd.Dir = modDir
-	cmd.Env = offlineEnv()
+	cmd.Env = environ
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, err
 	}
-	var env map[string]string
 	if err := json.Unmarshal(out, &env); err != nil {
 		return nil, err
 	}
 	delete(env, "GOGCCFLAGS")
-	return env, nil
+	goEnvs.Lock()
+	if goEnvs.m == nil {
+		goEnvs.m = map[string]map[string]string{}
+	}
+	goEnvs.m[key] = env
+	goEnvs.Unlock()
+	return maps.Clone(env), nil
 }
 
 // releaseToolchain reports whether env names a release toolchain,
@@ -151,17 +175,22 @@ func readRecord(modDir string, env map[string]string, imports []string) map[stri
 	return rec.Exports
 }
 
-// writeRecord replaces modDir's record with exports under env, through a
-// temp file and a rename so that no reader sees half a record.
+// writeRecord replaces modDir's record with exports under env.
 func writeRecord(modDir string, env, exports map[string]string) {
-	if !releaseToolchain(env) {
-		return
+	if releaseToolchain(env) {
+		replaceJSON(modDir, recordName, exportRecord{Env: env, Exports: exports})
 	}
-	raw, err := json.Marshal(exportRecord{Env: env, Exports: exports})
+}
+
+// replaceJSON replaces the file name in dir with v as JSON, through a temp
+// file and a rename so that no reader sees half a record. A record that
+// cannot be written is only a miss later, so failures are dropped.
+func replaceJSON(dir, name string, v any) {
+	raw, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	f, err := os.CreateTemp(modDir, recordName+".*")
+	f, err := os.CreateTemp(dir, name+".*")
 	if err != nil {
 		return
 	}
@@ -170,7 +199,7 @@ func writeRecord(modDir string, env, exports map[string]string) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(f.Name(), filepath.Join(modDir, recordName))
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
 	}
 	if err != nil {
 		os.Remove(f.Name())

@@ -3,7 +3,6 @@ package goinstr
 import (
 	"debug/buildinfo"
 	"encoding/json"
-	"fmt"
 	"go/importer"
 	"maps"
 	"os"
@@ -247,28 +246,7 @@ func TestExportRecordMisses(t *testing.T) {
 // release (here the real one behind a wrapper that says "devel") gets no
 // record, and a record made under it is not trusted.
 func TestDevelToolchainIsNeverRecorded(t *testing.T) {
-	if runtime.GOOS == "windows" {
-		t.Skip("the wrapper is a shell script")
-	}
-	realGo, err := exec.LookPath("go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if realGo, err = filepath.Abs(realGo); err != nil {
-		t.Fatal(err)
-	}
-	bin := t.TempDir()
-	wrapper := fmt.Sprintf(`#!/bin/sh
-if [ "$1" = env ]; then
-	%[1]q "$@" | sed 's/"GOVERSION": "[^"]*"/"GOVERSION": "devel go1.99-0123abc"/'
-	exit 0
-fi
-exec %[1]q "$@"
-`, realGo)
-	if err := os.WriteFile(filepath.Join(bin, "go"), []byte(wrapper), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("PATH", bin+string(os.PathListSeparator)+os.Getenv("PATH"))
+	goOnPath(t, true)
 
 	dir := writePkg(t, map[string]string{"main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(1) }\n"})
 	mod := t.TempDir()

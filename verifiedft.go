@@ -301,7 +301,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.14.1 makes vft-server's
-// drain-time state save replace the previous state file only once the
-// new one is written and synced.
-const Version = "2.14.1"
+// Version identifies this implementation. 2.15.0 makes a kept vft-go
+// shadow module record the binary it linked, so a rerun into it with
+// unchanged sources, toolchain and configuration runs no go build.
+const Version = "2.15.0"
