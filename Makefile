@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet lint bench bench-sampling bench-smoke fuzz fuzz-smoke soak coverage clean
+.PHONY: all build test race vet lint bench bench-sampling bench-smoke layout fuzz fuzz-smoke soak coverage clean
 
 all: build
 
@@ -59,6 +59,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'LoadPool|BuildPool|CheckStream' -benchtime 3x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
+
+# Where the checker's code sits in vft-server and the benchmark binary, at
+# REV and in the working tree: the first repro/internal/core. text address,
+# that address mod 64, and whether every text symbol ahead of
+# repro/internal/goinstr kept REV's address. New standard-library code that
+# only goinstr calls lands ahead of the checker and can shift it to another
+# cache-line offset, which slowed offline-syncdense by 10–15% (EXPERIMENTS
+# E38). Usage: make layout REV=<rev>.
+layout:
+	@test -n "$(REV)" || { echo "usage: make layout REV=<rev>"; exit 2; }
+	bash scripts/layout.sh $(REV)
 
 # The differential fuzzers: generated core and Go-sync traces through the
 # sequential check and 20,000 controlled schedules each (it logs the

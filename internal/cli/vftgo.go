@@ -111,7 +111,13 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-go:", err)
 		return 2
 	}
-	span("instrument", t0, " (go list "+inst.GoList.Round(time.Millisecond).String()+")")
+	// Without a go list, Instrument ran no go command: in a kept module its
+	// record stood in for the list, or for all of Instrument.
+	if *keep != "" && inst.GoList == 0 {
+		span("instrument", t0, " (kept: no go command)")
+	} else {
+		span("instrument", t0, " (go list "+inst.GoList.Round(time.Millisecond).String()+")")
+	}
 	shadow = inst.Dir // absolute, whatever -o said
 	cSites.Add(uint64(inst.Stats.Sites))
 	cElided.Add(uint64(inst.Stats.Elided))

@@ -2,6 +2,7 @@ package goinstr
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,21 +10,22 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
-// forgetGoEnvs empties goEnv's memo, as a new process starts with it empty.
-func forgetGoEnvs() {
-	goEnvs.Lock()
-	goEnvs.m = nil
-	goEnvs.Unlock()
+// fakeGo is a shell script named go, first on PATH for the rest of a test.
+// It appends each call's arguments, one line per call, to log, and runs
+// the real go tool in the real GOROOT. $GOROOT, where toolchainKey reads
+// VERSION and go.env, names goroot instead: copies of those two files,
+// VERSION as the test asked. $GOENV names envFile, a copy of the user's go
+// env file.
+type fakeGo struct {
+	log, dir, goroot, envFile string
 }
 
-// goOnPath puts a shell script named go first on PATH for the rest of t.
-// The script appends each call's arguments, one line per call, to the log
-// file whose path goOnPath returns, then runs the real go tool; with devel
-// set, go env reports GOVERSION as the devel toolchain "devel
-// go1.99-0123abc".
-func goOnPath(t *testing.T, devel bool) string {
+// goOnPath puts a fakeGo on PATH whose VERSION file holds version, or the
+// real one's if version is "".
+func goOnPath(t *testing.T, version string) fakeGo {
 	t.Helper()
 	if runtime.GOOS == "windows" {
 		t.Skip("the wrapper is a shell script")
@@ -35,41 +37,146 @@ func goOnPath(t *testing.T, devel bool) string {
 	if realGo, err = filepath.Abs(realGo); err != nil {
 		t.Fatal(err)
 	}
-	bin := t.TempDir()
-	log := filepath.Join(bin, "calls.log")
-	wrapper := fmt.Sprintf("#!/bin/sh\necho \"$*\" >> %q\n", log)
-	if devel {
-		wrapper += fmt.Sprintf(`if [ "$1" = env ]; then
-	%[1]q "$@" | sed 's/"GOVERSION": "[^"]*"/"GOVERSION": "devel go1.99-0123abc"/'
-	exit 0
-fi
-`, realGo)
-	}
-	wrapper += fmt.Sprintf("exec %q \"$@\"\n", realGo)
-	if err := os.WriteFile(filepath.Join(bin, "go"), []byte(wrapper), 0o755); err != nil {
+	out, err := exec.Command(realGo, "env", "GOROOT", "GOENV").Output()
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("PATH", bin+string(os.PathListSeparator)+os.Getenv("PATH"))
-	return log
+	realRoot, realEnv, _ := strings.Cut(strings.TrimSpace(string(out)), "\n")
+	dir := t.TempDir()
+	fg := fakeGo{
+		log:     filepath.Join(dir, "calls.log"),
+		dir:     dir,
+		goroot:  filepath.Join(dir, "goroot"),
+		envFile: filepath.Join(dir, "goenv"),
+	}
+	if err := os.Mkdir(fg.goroot, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if version == "" {
+		raw, err := os.ReadFile(filepath.Join(realRoot, "VERSION"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		version = string(raw)
+	}
+	rootEnv, _ := os.ReadFile(filepath.Join(realRoot, "go.env"))
+	userEnv, _ := os.ReadFile(realEnv)
+	for path, content := range map[string]string{
+		filepath.Join(fg.goroot, "VERSION"): version,
+		filepath.Join(fg.goroot, "go.env"):  string(rootEnv),
+		fg.envFile:                          string(userEnv),
+		filepath.Join(dir, "go"):            fmt.Sprintf("#!/bin/sh\necho \"$*\" >> %q\nGOROOT=%q exec %q \"$@\"\n", fg.log, realRoot, realGo),
+	} {
+		if err := os.WriteFile(path, []byte(content), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
+	t.Setenv("GOROOT", fg.goroot)
+	t.Setenv("GOENV", fg.envFile)
+	return fg
 }
 
-// goCalls returns the calls log has recorded since the last goCalls, and
-// empties it.
-func goCalls(t *testing.T, log string) []string {
+// calls returns the go subcommands run since the last calls, in order, and
+// empties the log.
+func (fg fakeGo) calls(t *testing.T) []string {
 	t.Helper()
-	raw, err := os.ReadFile(log)
+	raw, err := os.ReadFile(fg.log)
 	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(log, nil, 0o644); err != nil {
+	if err := os.WriteFile(fg.log, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return strings.FieldsFunc(string(raw), func(r rune) bool { return r == '\n' })
+	var subs []string
+	for _, line := range strings.FieldsFunc(string(raw), func(r rune) bool { return r == '\n' }) {
+		subs = append(subs, strings.Fields(line)[0])
+	}
+	return subs
 }
 
-// linked reports whether calls include a go build.
-func linked(calls []string) bool {
-	return slices.ContainsFunc(calls, func(c string) bool { return strings.HasPrefix(c, "build ") })
+// pair instruments dir into mod with opts and builds it, as a vft-go run
+// does, and returns the go subcommands the two ran and whether Instrument
+// emitted the module (it rewrites go.mod whenever it does).
+func (fg fakeGo) pair(t *testing.T, dir, mod string, opts Options) (calls []string, emitted bool) {
+	t.Helper()
+	gomod := filepath.Join(mod, "go.mod")
+	old := time.Unix(1_000_000_000, 0)
+	if err := os.Chtimes(gomod, old, old); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	fg.calls(t)
+	opts.OutDir = mod
+	if _, err := Instrument(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(mod); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(gomod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fg.calls(t), !fi.ModTime().Equal(old)
+}
+
+// missRow is one way to make a kept module's record not hold: spoil runs
+// after a pair into the module that hit, and the next pair, with opts
+// changed by setOpts if set, must emit the module or not as emits says,
+// and run exactly the go subcommands in runs.
+type missRow struct {
+	name    string
+	spoil   func(t *testing.T, mod string)
+	setOpts func(*Options)
+	emits   bool
+	runs    []string
+}
+
+// checkMisses runs each row on a kept module of the package in dir, which
+// reset writes afresh before each row. It requires the pair after each
+// spoil to leave the very module, record and binary a cold pair into the
+// same directory leaves, and the pair after that to be a hit: no go
+// command, nothing emitted.
+func checkMisses(t *testing.T, fg fakeGo, dir string, reset func(t *testing.T), rows []missRow) {
+	t.Helper()
+	mod := filepath.Join(t.TempDir(), "mod")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			reset(t)
+			opts := Options{Elide: true}
+			fg.pair(t, dir, mod, opts)
+			if calls, emitted := fg.pair(t, dir, mod, opts); len(calls) != 0 || emitted {
+				t.Fatalf("before the spoil: go %q, emitted %v; want a hit", calls, emitted)
+			}
+			row.spoil(t, mod)
+			if row.setOpts != nil {
+				row.setOpts(&opts)
+			}
+			calls, emitted := fg.pair(t, dir, mod, opts)
+			if emitted != row.emits || !slices.Equal(calls, row.runs) {
+				t.Errorf("after the spoil: go %q, emitted %v; want go %q, emitted %v", calls, emitted, row.runs, row.emits)
+			}
+			got := readTree(t, mod)
+			if err := os.RemoveAll(mod); err != nil {
+				t.Fatal(err)
+			}
+			fg.pair(t, dir, mod, opts)
+			want := readTree(t, mod)
+			for name, content := range want {
+				if got[name] != content {
+					t.Errorf("%s differs from a cold run's", name)
+				}
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("%s is not in a cold run's module", name)
+				}
+			}
+			if calls, emitted := fg.pair(t, dir, mod, opts); len(calls) != 0 || emitted {
+				t.Errorf("after the miss: go %q, emitted %v; want a hit", calls, emitted)
+			}
+		})
+	}
 }
 
 // runBin runs a shadow binary with capture off and returns its stdout.
@@ -146,26 +253,22 @@ func appendByte(t *testing.T, path string) {
 	}
 }
 
-// TestBuildRecordMisses: every reason not to trust a kept module's build
-// record runs go build, which is no error and leaves a binary that runs
-// and a record that holds, so the next Build links nothing.
+// TestBuildRecordMisses: every module input and every toolchain input the
+// record covers, changed, makes the next Instrument and Build miss where
+// they must, and leaves what a cold run leaves.
 func TestBuildRecordMisses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	if !releaseToolchain(testGoEnv(t)) {
-		t.Skip("a devel toolchain's builds are never recorded")
+	fg := goOnPath(t, "")
+	if toolchainKey() == "" {
+		t.Skip("the toolchain is not one a record may be trusted under")
 	}
-	log := goOnPath(t, false)
-	mod := t.TempDir()
 	dir := writePkg(t, map[string]string{"main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(\"v1\") }\n"})
-	instrumentAndBuild(t, dir, mod)
-	output := "v1\n"
-	for _, tc := range []struct {
-		name  string
-		spoil func(t *testing.T, bin string)
-	}{
-		{"edited main.go", func(t *testing.T, _ string) {
+	link, list := []string{"build"}, []string{"list", "build"}
+	checkMisses(t, fg, dir, func(*testing.T) {}, []missRow{
+		// The module's own files.
+		{name: "edited main.go", emits: true, spoil: func(t *testing.T, mod string) {
 			path := filepath.Join(mod, "main.go")
 			src, err := os.ReadFile(path)
 			if err != nil {
@@ -179,140 +282,180 @@ func TestBuildRecordMisses(t *testing.T) {
 			if err := os.WriteFile(path, src, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			output = "v2\n"
 		}},
-		{"edited rt/rt.go", func(t *testing.T, _ string) { appendByte(t, filepath.Join(mod, "rt", "rt.go")) }},
-		{"edited go.mod", func(t *testing.T, _ string) { appendByte(t, filepath.Join(mod, "go.mod")) }},
-		{"truncated binary", func(t *testing.T, bin string) {
-			if err := os.Truncate(bin, 4096); err != nil {
+		{name: "edited rt/rt.go", emits: true, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "rt", "rt.go")) }},
+		{name: "edited go.mod", emits: true, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "go.mod")) }},
+		{name: "truncated binary", runs: link, spoil: func(t *testing.T, mod string) {
+			if err := os.Truncate(filepath.Join(mod, "vftbin"), 4096); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"deleted binary", func(t *testing.T, bin string) {
-			if err := os.Remove(bin); err != nil {
+		{name: "deleted binary", runs: link, spoil: func(t *testing.T, mod string) {
+			if err := os.Remove(filepath.Join(mod, "vftbin")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"corrupt record", func(t *testing.T, _ string) {
-			if err := os.WriteFile(filepath.Join(mod, buildRecordName), []byte(`{"key":`), 0o644); err != nil {
+		{name: "moved module", emits: true, runs: link, spoil: func(t *testing.T, mod string) {
+			// The module, record and binary as a cold run into another
+			// directory leaves them, copied here.
+			other := t.TempDir()
+			fg.pair(t, dir, other, Options{Elide: true})
+			if err := os.RemoveAll(mod); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"missing record", func(t *testing.T, _ string) {
-			if err := os.Remove(filepath.Join(mod, buildRecordName)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// Last: the changed environment lasts only for this case.
-		{"another fingerprint", func(t *testing.T, _ string) {
-			t.Setenv("CGO_CFLAGS", "-O1 -g -DVFT_BUILD_TEST")
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			goCalls(t, log)
-			bin, err := Build(mod)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if calls := goCalls(t, log); linked(calls) {
-				t.Fatalf("the build before the spoil was not a hit: %q", calls)
-			}
-			tc.spoil(t, bin)
-			for _, want := range []bool{true, false} {
-				got, err := Build(mod)
-				if err != nil {
+			for name, content := range readTree(t, other) {
+				path := filepath.Join(mod, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if calls := goCalls(t, log); linked(calls) != want {
-					t.Fatalf("go build ran = %v, want %v (go calls %q)", !want, want, calls)
-				}
-				if out := runBin(t, got); out != output {
-					t.Errorf("the binary printed %q, want %q", out, output)
+				if err := os.WriteFile(path, []byte(content), 0o755); err != nil {
+					t.Fatal(err)
 				}
 			}
-		})
-	}
+		}},
+		{name: "corrupt record", emits: true, runs: list, spoil: func(t *testing.T, mod string) {
+			if err := os.WriteFile(filepath.Join(mod, recordName), []byte(`{"toolchain":`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "missing record", emits: true, runs: list, spoil: func(t *testing.T, mod string) {
+			if err := os.Remove(filepath.Join(mod, recordName)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The toolchain's inputs.
+		{name: "go binary touched", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
+			now := time.Now().Add(time.Minute)
+			if err := os.Chtimes(filepath.Join(fg.dir, "go"), now, now); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "edited VERSION", emits: true, runs: list, spoil: func(t *testing.T, _ string) { appendByte(t, filepath.Join(fg.goroot, "VERSION")) }},
+		{name: "edited go.env", emits: true, runs: list, spoil: func(t *testing.T, _ string) { appendByte(t, filepath.Join(fg.goroot, "go.env")) }},
+		{name: "edited GOENV file", emits: true, runs: list, spoil: func(t *testing.T, _ string) { appendByte(t, fg.envFile) }},
+		{name: "C compiler added on PATH", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
+			name := cCompiler("", "")
+			if filepath.IsAbs(name) {
+				t.Skip("$CC names a path, not a command on PATH")
+			}
+			cc := filepath.Join(fg.dir, name)
+			script := "#!/bin/sh\nexit 1\n"
+			if real, err := exec.LookPath(name); err == nil {
+				script = fmt.Sprintf("#!/bin/sh\nexec %q \"$@\"\n", real)
+			}
+			if err := os.WriteFile(cc, []byte(script), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Remove(cc) })
+		}},
+		// The changed environment lasts only for its own row.
+		{name: "another fingerprint", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
+			t.Setenv("CGO_CFLAGS", "-O1 -g -DVFT_BUILD_TEST")
+		}},
+		{name: "unrelated variable", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
+			t.Setenv("VFT_BUILD_TEST", "1")
+		}},
+	})
 }
 
 // TestDevelToolchainIsNeverTrustedToLink: under a devel toolchain every
-// Build links, writes no build record, and trusts none it finds.
+// Build links, writes no record, and trusts none it finds.
 func TestDevelToolchainIsNeverTrustedToLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	log := goOnPath(t, true)
+	fg := goOnPath(t, "devel go1.99-0123abc\n")
+	if key := toolchainKey(); key != "" {
+		t.Fatalf("toolchainKey = %q under a devel VERSION", key)
+	}
 	mod := t.TempDir()
 	dir := writePkg(t, map[string]string{"main.go": "package main\n\nfunc main() {}\n"})
 	if _, err := Instrument(dir, Options{OutDir: mod}); err != nil {
 		t.Fatal(err)
 	}
-	env, err := goEnv(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env["GOVERSION"] != "devel go1.99-0123abc" {
-		t.Fatalf("the wrapper's GOVERSION is %q", env["GOVERSION"])
-	}
 	var bin string
+	var err error
 	for i := 0; i < 2; i++ {
-		goCalls(t, log)
+		fg.calls(t)
 		if bin, err = Build(mod); err != nil {
 			t.Fatal(err)
 		}
-		if calls := goCalls(t, log); !linked(calls) {
-			t.Fatalf("build %d under a devel toolchain linked nothing: %q", i+1, calls)
+		if calls := fg.calls(t); !slices.Equal(calls, []string{"build"}) {
+			t.Fatalf("build %d under a devel toolchain ran go %q, want one go build", i+1, calls)
 		}
-		if _, err := os.Stat(filepath.Join(mod, buildRecordName)); !os.IsNotExist(err) {
-			t.Fatalf("build %d: %s under a devel toolchain: %v", i+1, buildRecordName, err)
+		if _, err := os.Stat(filepath.Join(mod, recordName)); !os.IsNotExist(err) {
+			t.Fatalf("build %d: %s under a devel toolchain: %v", i+1, recordName, err)
 		}
 	}
-	replaceJSON(mod, buildRecordName, buildRecord{Key: buildKey(mod, env), Bin: fileHash(bin)})
+	writeRecordFile(t, mod, keptRecord{Module: moduleKey(mod), Bin: fileHash(bin)})
 	if _, err := Build(mod); err != nil {
 		t.Fatal(err)
 	}
-	if calls := goCalls(t, log); !linked(calls) {
-		t.Errorf("a build record was trusted under a devel toolchain: %q", calls)
+	if calls := fg.calls(t); !slices.Equal(calls, []string{"build"}) {
+		t.Errorf("a record was trusted under a devel toolchain: go %q", calls)
 	}
 }
 
-// TestWarmVerdictRunsOneGoCommand: instrumenting and building the pool
-// program again into a kept module, in a fresh process, runs go env and
-// nothing else; and the binary such a hit reuses is the one go build
-// links from that module.
-func TestWarmVerdictRunsOneGoCommand(t *testing.T) {
+// modTimes returns the modification time of every file under root, keyed
+// by relative path.
+func modTimes(t *testing.T, root string) map[string]time.Time {
+	t.Helper()
+	times := map[string]time.Time{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		times[path] = fi.ModTime()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return times
+}
+
+// TestWarmVerdictRunsNoGoCommand: instrumenting and building the pool
+// program again into a kept module runs no go command and writes no file;
+// and the binary such a hit reuses is the one go build links from that
+// module.
+func TestWarmVerdictRunsNoGoCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
-	if !releaseToolchain(testGoEnv(t)) {
-		t.Skip("a devel toolchain's builds are never recorded")
+	fg := goOnPath(t, "")
+	if toolchainKey() == "" {
+		t.Skip("the toolchain is not one a record may be trusted under")
 	}
-	log := goOnPath(t, false)
 	mod := t.TempDir()
-	for _, run := range []string{"cold", "warm"} {
-		forgetGoEnvs()
-		goCalls(t, log)
-		instrumentAndBuild(t, poolDir(), mod)
-		calls := goCalls(t, log)
-		if run == "warm" && !slices.Equal(calls, []string{"env -json"}) {
-			t.Errorf("the warm verdict ran go %q, want only go env -json", calls)
-		}
+	opts := Options{Elide: true, OutDir: mod}
+	fg.pair(t, poolDir(), mod, opts)
+	before := modTimes(t, mod)
+	if calls, _ := fg.pair(t, poolDir(), mod, opts); len(calls) != 0 {
+		t.Errorf("the warm verdict ran go %q, want no go command", calls)
+	}
+	after := modTimes(t, mod)
+	delete(before, filepath.Join(mod, "go.mod")) // pair set its time itself
+	delete(after, filepath.Join(mod, "go.mod"))
+	if !maps.Equal(before, after) {
+		t.Errorf("the warm verdict wrote files: %v, then %v", before, after)
 	}
 
-	rec := readBuildRecord(mod)
-	if err := os.Remove(filepath.Join(mod, buildRecordName)); err != nil {
+	rec := readRecord(mod)
+	if err := os.Remove(filepath.Join(mod, recordName)); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := Build(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls := goCalls(t, log); !linked(calls) {
-		t.Fatalf("Build without a record linked nothing: %q", calls)
+	if calls := fg.calls(t); !slices.Equal(calls, []string{"build"}) {
+		t.Fatalf("Build without a record ran go %q, want one go build", calls)
 	}
 	if sum := fileHash(bin); sum != rec.Bin {
 		t.Errorf("go build linked %s, the record names %s", sum, rec.Bin)
-	}
-	if again := readBuildRecord(mod); again != rec {
-		t.Errorf("the rewritten record %+v differs from the first %+v", again, rec)
 	}
 }

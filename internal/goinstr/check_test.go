@@ -84,10 +84,10 @@ func genMeta(t testing.TB, cfg trace.GenConfig) []byte {
 
 // BenchmarkLoadPool is Load on the benchmark's pool program with the
 // build cache warm. /cold loads into a fresh shadow module every time, as
-// a default vft-go run does: parse, `go env`, one `go list -export`,
-// type-check against export data. /warm reloads into one kept module,
-// where the record of the first list stands in for the list; goEnv's
-// memo is emptied before each load, as a new vft-go process starts.
+// a default vft-go run does: parse, one `go list -export`, type-check
+// against export data. /warm loads into one kept module whose record,
+// written by one Instrument, stands in for the list: parse and
+// type-check only, no go command.
 func BenchmarkLoadPool(b *testing.B) {
 	if _, err := Load(poolDir(), false, b.TempDir()); err != nil { // compiles the imports if the cache is cold
 		b.Fatal(err)
@@ -101,12 +101,11 @@ func BenchmarkLoadPool(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		mod := b.TempDir()
-		if _, err := Load(poolDir(), false, mod); err != nil {
+		if _, err := Instrument(poolDir(), Options{Elide: true, OutDir: mod}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			forgetGoEnvs()
 			if _, err := Load(poolDir(), false, mod); err != nil {
 				b.Fatal(err)
 			}
@@ -114,12 +113,13 @@ func BenchmarkLoadPool(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildPool is Build of the instrumented pool program, after
-// the Instrument that precedes it in a vft-go run (whose go env it
-// shares), with the build cache warm. /cold builds a fresh shadow module
-// every time, as a default vft-go run does: one go build that links.
-// /warm rebuilds one kept module, where the build record stands in for
-// the go build: the module and the binary are hashed, and nothing runs.
+// BenchmarkBuildPool is Build of the instrumented pool program with the
+// build cache warm. /cold builds a fresh shadow module every time, as a
+// default vft-go run does: one go build that links. /warm rebuilds one
+// kept module, where the record stands in for the go build: the keys and
+// the binary are hashed, and nothing runs. /pair is the whole front end
+// of a warm verdict, Instrument and Build into one kept module: the keys,
+// the record and the binary hash, and no go command.
 func BenchmarkBuildPool(b *testing.B) {
 	instrument := func(b *testing.B, mod string) {
 		if _, err := Instrument(poolDir(), Options{Elide: true, OutDir: mod}); err != nil {
@@ -146,6 +146,16 @@ func BenchmarkBuildPool(b *testing.B) {
 		build(b, mod)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			build(b, mod)
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		mod := b.TempDir()
+		instrument(b, mod)
+		build(b, mod)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			instrument(b, mod)
 			build(b, mod)
 		}
 	})

@@ -6,8 +6,9 @@
 //	          one `go list -export` in the shadow module — the go tool
 //	          the Run step needs anyway, and no network: on a cold build
 //	          cache that call compiles the imported packages once. A
-//	          kept shadow module records the answer, and a rerun with an
-//	          unchanged toolchain and configuration reuses it
+//	          kept shadow module records the answer, and a rerun under an
+//	          unchanged toolchain and configuration reuses it; a rerun of
+//	          unchanged sources too skips Load, Analyze, Rewrite and Emit
 //	Analyze   flow-insensitive may-share analysis over the typed AST
 //	Rewrite   instrument shared memory accesses and map Go
 //	          synchronization (go statements, sync.Mutex/RWMutex/
@@ -21,7 +22,10 @@
 //	          set, yielding a binary v2 trace + meta sidecar. A kept
 //	          shadow module records the binary it linked, and a rerun
 //	          whose module files, toolchain and configuration are
-//	          unchanged reuses it without a go build
+//	          unchanged reuses it without a go build. The one record
+//	          (vft-kept.json, see Instrument and Build) is keyed on
+//	          what the go command would read, read without running it,
+//	          so a warm rerun runs no go command at all
 //	Check     stream the trace through the verified checker, rendering
 //	          reports with source-level names
 //
@@ -109,7 +113,8 @@ type Package struct {
 	Info  *types.Info
 	Dir   string
 
-	goList time.Duration // what Load spent in `go list -export`
+	exports map[string]string // import path → export file, as Load found it
+	goList  time.Duration     // what Load spent in `go list -export`
 }
 
 // Instrumented is the result of Instrument: a shadow module on disk plus
@@ -122,8 +127,9 @@ type Instrumented struct {
 	// Main reports whether the package is a main package.
 	Main bool
 	// GoList is the part of Instrument's time spent waiting for `go list
-	// -export` (zero for a package without imports, and when the shadow
-	// module's record of an earlier list was trusted).
+	// -export`, the one go command Instrument may run: zero for a package
+	// without imports, and when the shadow module's record stood in for
+	// the list or for the whole of Instrument.
 	GoList time.Duration
 }
 
@@ -131,6 +137,16 @@ type Instrumented struct {
 // and emits the shadow module into opts.OutDir: Load writes the module's
 // fixed part, because it resolves imports from inside it, and the
 // rewritten package is added at the end.
+//
+// A kept shadow module holds the record of the last Instrument there
+// (recordName), and Instrument returns the recorded result and does
+// nothing else — no parse, no type check, no rewrite, no file written —
+// when the toolchain (toolchainKey), the source (sourceKey) and the
+// module's build inputs (moduleKey) are all the recorded ones. That is
+// sound because the module Instrument would emit is a function of the
+// source key's inputs and of the toolchain's export data, which the
+// toolchain key covers, and the module key shows the module on disk is
+// the one emitted. Any miss takes the whole path and rewrites the record.
 func Instrument(dir string, opts Options) (*Instrumented, error) {
 	if opts.OutDir == "" {
 		return nil, fmt.Errorf("goinstr: Options.OutDir must be set")
@@ -142,7 +158,12 @@ func Instrument(dir string, opts Options) (*Instrumented, error) {
 	if err != nil {
 		return nil, fmt.Errorf("goinstr: %w", err)
 	}
-	pkg, err := Load(dir, opts.IncludeTests, out)
+	toolchain, source := toolchainKey(), sourceKey(dir, opts)
+	rec := readRecord(out)
+	if toolchain != "" && source != "" && rec.Toolchain == toolchain && rec.Source == source && rec.Module == moduleKey(out) {
+		return &Instrumented{Dir: out, Stats: rec.Stats, Main: rec.Main}, nil
+	}
+	pkg, err := load(dir, opts.IncludeTests, out, toolchain, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -152,5 +173,11 @@ func Instrument(dir string, opts Options) (*Instrumented, error) {
 	if err := emitPackage(out, pkg, opts.IncludeTests); err != nil {
 		return nil, err
 	}
-	return &Instrumented{Dir: out, Stats: rw.stats, Main: pkg.Pkg.Name() == "main", GoList: pkg.goList}, nil
+	inst := &Instrumented{Dir: out, Stats: rw.stats, Main: pkg.Pkg.Name() == "main", GoList: pkg.goList}
+	next := keptRecord{Toolchain: toolchain, Source: source, Module: moduleKey(out), Exports: pkg.exports, Stats: inst.Stats, Main: inst.Main}
+	if rec.Toolchain == toolchain && rec.Module == next.Module {
+		next.Bin = rec.Bin // the binary linked from these same bytes
+	}
+	writeRecord(out, next)
+	return inst, nil
 }

@@ -4,7 +4,6 @@ import (
 	"debug/buildinfo"
 	"encoding/json"
 	"go/importer"
-	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func poolDir() string { return filepath.Join("..", "..", "bench", "testdata", "pool") }
@@ -74,7 +72,7 @@ func TestExportDataMatchesSourceImporter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the reference importer type-checks the standard library from source")
 	}
-	recorded := releaseToolchain(testGoEnv(t))
+	recorded := toolchainKey() != ""
 	dirs := []string{poolDir()}
 	for _, name := range corpusNames() {
 		dirs = append(dirs, filepath.Join(corpusRoot(), name))
@@ -117,36 +115,23 @@ func TestExportDataMatchesSourceImporter(t *testing.T) {
 	}
 }
 
-// testGoEnv is goEnv in a fresh shadow module.
-func testGoEnv(t *testing.T) map[string]string {
-	t.Helper()
-	mod := t.TempDir()
-	if err := emitModule(mod); err != nil {
-		t.Fatal(err)
-	}
-	env, err := goEnv(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
-}
-
 // readRecordFile returns the record in mod, failing the test if there is
 // none or it does not parse.
-func readRecordFile(t *testing.T, mod string) exportRecord {
+func readRecordFile(t *testing.T, mod string) keptRecord {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(mod, recordName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec exportRecord
+	var rec keptRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatalf("%s: %v", recordName, err)
 	}
 	return rec
 }
 
-func writeRecordFile(t *testing.T, mod string, rec exportRecord) {
+// writeRecordFile writes rec as mod's record, whatever it holds.
+func writeRecordFile(t *testing.T, mod string, rec keptRecord) {
 	t.Helper()
 	raw, err := json.Marshal(rec)
 	if err != nil {
@@ -157,32 +142,56 @@ func writeRecordFile(t *testing.T, mod string, rec exportRecord) {
 	}
 }
 
-// TestExportRecordMisses: every reason not to trust a kept module's record
-// runs go list, which is no error, and leaves a record that holds for the
-// package just loaded, so the next load trusts it.
+// TestExportRecordMisses: every source input the record covers, changed,
+// and every reason not to trust its export files makes the next
+// Instrument miss — listing the export data again only in the latter case
+// — and leaves what a cold run leaves.
 func TestExportRecordMisses(t *testing.T) {
-	if !releaseToolchain(testGoEnv(t)) {
-		t.Skip("a devel toolchain's export data is never recorded")
+	if testing.Short() {
+		t.Skip("builds binaries")
 	}
-	fmtPkg := writePkg(t, map[string]string{"main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(1) }\n"})
-	listPkg := writePkg(t, map[string]string{"main.go": "package main\n\nimport (\n\t\"container/list\"\n\t\"fmt\"\n)\n\nfunc main() { fmt.Println(list.New().Len()) }\n"})
-	load := func(t *testing.T, dir, mod string) time.Duration {
+	fg := goOnPath(t, "")
+	if toolchainKey() == "" {
+		t.Skip("the toolchain is not one a record may be trusted under")
+	}
+	base := map[string]string{
+		"main.go":    "package main\n\nimport \"fmt\"\n\nfunc main() {\n\tn := 1\n\tn++\n\tfmt.Println(greet(), n)\n}\n",
+		"greet.go":   "package main\n\nfunc greet() string { return \"v1\" }\n",
+		"extra.go":   "package main\n\nvar extra = 1\n",
+		"ignored.go": "//go:build ignore\n\npackage main\n\nconst ignored = 1\n",
+	}
+	dir := t.TempDir()
+	write := func(t *testing.T, name, src string) {
 		t.Helper()
-		pkg, err := Load(dir, false, mod)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reset := func(t *testing.T) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pkg.goList
+		for _, e := range entries {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, src := range base {
+			write(t, name, src)
+		}
 	}
-	for _, tc := range []struct {
-		name  string
-		dir   string                         // loaded after spoil
-		spoil func(t *testing.T, mod string) // runs after a recorded load of fmtPkg
-	}{
-		{"unrecorded import", listPkg, func(*testing.T, string) {}},
-		{"deleted recorded file", fmtPkg, func(t *testing.T, mod string) {
-			// Point the record at a copy of fmt's export data, show that the
-			// copy is what a hit reads, then delete it.
+	link, list := []string{"build"}, []string{"list", "build"}
+	checkMisses(t, fg, dir, reset, []missRow{
+		// The export files.
+		{name: "unrecorded import", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
+			write(t, "greet.go", "package main\n\nimport \"container/list\"\n\nfunc greet() string { return \"v1\" + string(rune('0'+list.New().Len())) }\n")
+		}},
+		{name: "deleted recorded file", emits: true, runs: []string{"list"}, spoil: func(t *testing.T, mod string) {
+			// Point the record at a copy of fmt's export data, show that a
+			// load reads the copy, then delete it and change the source so
+			// that Instrument must load.
 			rec := readRecordFile(t, mod)
 			data, err := os.ReadFile(rec.Exports["fmt"])
 			if err != nil {
@@ -194,91 +203,122 @@ func TestExportRecordMisses(t *testing.T) {
 			}
 			rec.Exports["fmt"] = cp
 			writeRecordFile(t, mod, rec)
-			if d := load(t, fmtPkg, mod); d != 0 {
-				t.Fatalf("go list ran for %v though the record's files all exist", d)
+			if pkg, err := Load(dir, false, mod); err != nil {
+				t.Fatal(err)
+			} else if pkg.goList != 0 {
+				t.Fatalf("go list ran for %v though the record's files all exist", pkg.goList)
 			}
 			if err := os.Remove(cp); err != nil {
 				t.Fatal(err)
 			}
+			appendByte(t, filepath.Join(dir, "main.go"))
 		}},
-		{"another fingerprint", fmtPkg, func(t *testing.T, _ string) {
+		{name: "another fingerprint", emits: true, runs: list, spoil: func(t *testing.T, _ string) {
 			t.Setenv("CGO_CFLAGS", "-O1 -g -DVFT_RECORD_TEST")
 		}},
-		{"corrupt record", fmtPkg, func(t *testing.T, mod string) {
-			if err := os.WriteFile(filepath.Join(mod, recordName), []byte(`{"env":`), 0o644); err != nil {
+		{name: "corrupt record", emits: true, runs: list, spoil: func(t *testing.T, mod string) {
+			if err := os.WriteFile(filepath.Join(mod, recordName), []byte(`{"toolchain":`), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mod := t.TempDir()
-			if d := load(t, fmtPkg, mod); d == 0 {
-				t.Fatal("the first load into a fresh shadow module ran no go list")
-			}
-			tc.spoil(t, mod)
-			if d := load(t, tc.dir, mod); d == 0 {
-				t.Fatal("go list did not run")
-			}
-			rec := readRecordFile(t, mod)
-			env, err := goEnv(mod)
-			if err != nil {
+		// The source: every .go file in the package directory, whether the
+		// build takes it or not; the options; the instrumenter.
+		{name: "edited file", emits: true, runs: link, spoil: func(t *testing.T, _ string) {
+			write(t, "greet.go", strings.Replace(base["greet.go"], "v1", "v2", 1))
+		}},
+		{name: "added file", emits: true, runs: link, spoil: func(t *testing.T, _ string) {
+			write(t, "more.go", "package main\n\nvar more = 2\n")
+		}},
+		{name: "removed file", emits: true, runs: link, spoil: func(t *testing.T, _ string) {
+			if err := os.Remove(filepath.Join(dir, "extra.go")); err != nil {
 				t.Fatal(err)
 			}
-			if !maps.Equal(rec.Env, env) {
-				t.Errorf("the rewritten record's fingerprint is not the go tool's")
-			}
-			for _, path := range []string{"fmt", "container/list"} {
-				if tc.dir == fmtPkg && path != "fmt" {
-					continue
-				}
-				if _, err := os.Stat(rec.Exports[path]); err != nil {
-					t.Errorf("the rewritten record's export file for %s: %v", path, err)
-				}
-			}
-			if d := load(t, tc.dir, mod); d != 0 {
-				t.Errorf("go list ran for %v after the record was rewritten", d)
-			}
-		})
-	}
+		}},
+		{name: "edited excluded file", emits: true, spoil: func(t *testing.T, _ string) {
+			appendByte(t, filepath.Join(dir, "ignored.go"))
+		}},
+		{name: "elision off", emits: true, runs: link, spoil: func(*testing.T, string) {}, setOpts: func(o *Options) { o.Elide = false }},
+		{name: "tests included", emits: true, runs: link, spoil: func(*testing.T, string) {}, setOpts: func(o *Options) { o.IncludeTests = true }},
+		{name: "another instrumenter", emits: true, spoil: func(t *testing.T, _ string) {
+			id := selfBuildID
+			selfBuildID = func() string { return "another/instrumenter" }
+			t.Cleanup(func() { selfBuildID = id })
+		}},
+	})
 }
 
-// TestDevelToolchainIsNeverRecorded: a go tool whose GOVERSION is not a
-// release (here the real one behind a wrapper that says "devel") gets no
-// record, and a record made under it is not trusted.
+// TestDevelToolchainIsNeverRecorded: under a go tool whose GOROOT's
+// VERSION is not a release, every Instrument lists the export data and
+// writes no record, and a record made under it is not trusted.
 func TestDevelToolchainIsNeverRecorded(t *testing.T) {
-	goOnPath(t, true)
-
+	goOnPath(t, "devel go1.99-0123abc\n")
 	dir := writePkg(t, map[string]string{"main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(1) }\n"})
 	mod := t.TempDir()
+	opts := Options{OutDir: mod}
 	for i := 0; i < 2; i++ {
-		pkg, err := Load(dir, false, mod)
+		inst, err := Instrument(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pkg.goList == 0 {
-			t.Fatalf("load %d ran no go list under a devel toolchain", i+1)
+		if inst.GoList == 0 {
+			t.Fatalf("instrument %d ran no go list under a devel toolchain", i+1)
 		}
 		if _, err := os.Stat(filepath.Join(mod, recordName)); !os.IsNotExist(err) {
-			t.Fatalf("load %d: %s under a devel toolchain: %v", i+1, recordName, err)
+			t.Fatalf("instrument %d: %s under a devel toolchain: %v", i+1, recordName, err)
 		}
 	}
 
-	env, err := goEnv(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env["GOVERSION"] != "devel go1.99-0123abc" {
-		t.Fatalf("the wrapper's GOVERSION is %q", env["GOVERSION"])
-	}
 	exports, err := listExports(mod, []string{"fmt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRecordFile(t, mod, exportRecord{Env: env, Exports: exports})
-	if pkg, err := Load(dir, false, mod); err != nil {
+	writeRecordFile(t, mod, keptRecord{Toolchain: toolchainKey(), Source: sourceKey(dir, opts), Module: moduleKey(mod), Exports: exports})
+	if inst, err := Instrument(dir, opts); err != nil {
 		t.Fatal(err)
-	} else if pkg.goList == 0 {
+	} else if inst.GoList == 0 {
 		t.Error("a record made under a devel toolchain was trusted")
+	}
+}
+
+// TestToolchainKeyReadsWhatGoReports: what the key reads without a go
+// command is what the go command reports: the GOROOT found beside the go
+// binary is `go env GOROOT`, the release in its VERSION file is `go env
+// GOVERSION`, and the build ID read from the running executable is the
+// one `go tool buildid` reads.
+func TestToolchainKeyReadsWhatGoReports(t *testing.T) {
+	out, err := exec.Command("go", "env", "GOROOT", "GOVERSION").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, version, _ := strings.Cut(strings.TrimSpace(string(out)), "\n")
+	t.Setenv("GOROOT", "")
+	_, resolved, err := lookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goroot(resolved, userEnvFile()); got != root {
+		t.Errorf("goroot = %q, go env GOROOT = %q", got, root)
+	}
+	if got := goVersion(); got != version {
+		t.Errorf("goVersion = %q, go env GOVERSION = %q", got, version)
+	}
+	if releaseVersion(version) && toolchainKey() == "" {
+		t.Errorf("no toolchain key under the release %s", version)
+	}
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command("go", "tool", "buildid", exe).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := selfBuildID(), strings.TrimSpace(string(out)); got != want {
+		t.Errorf("selfBuildID = %q, go tool buildid = %q", got, want)
+	}
+	if got := elfBuildID([]byte("#!/bin/sh\n")); got != "" {
+		t.Errorf("elfBuildID of a script = %q", got)
 	}
 }
 
@@ -428,7 +468,11 @@ func TestInstrumentLeavesParentGoModAlone(t *testing.T) {
 // import and which two releases met, not a bare "could not import".
 func TestImportFailureNamesBothToolchains(t *testing.T) {
 	src := "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(1) }\n"
-	goVersion := testGoEnv(t)["GOVERSION"]
+	out, err := exec.Command("go", "env", "GOVERSION").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goVersion := strings.TrimSpace(string(out))
 	for _, tc := range []struct {
 		name    string
 		exports map[string]string
@@ -442,7 +486,7 @@ func TestImportFailureNamesBothToolchains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = pkg.typeCheck(exportImporter(pkg.Fset, tc.exports, goVersion))
+			err = pkg.typeCheck(exportImporter(pkg.Fset, tc.exports))
 			if err == nil {
 				t.Fatal("type check succeeded without export data for fmt")
 			}

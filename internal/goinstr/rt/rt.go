@@ -44,7 +44,12 @@
 // When every peer of a channel is instrumented, the condition each
 // log-side waiter needs is established by a logger that has already
 // completed its real operation, so waits are transient (a scheduling
-// delay). But a channel fed or drained by uninstrumented code —
+// delay). That holds for a zero-value receive only because it waits for
+// the close and for every logged send to be matched, and consumes none:
+// the runtime hands out the zero value only once the buffer is drained,
+// so the receivers of those sends have completed and their records are
+// coming. Were it to take a logged send instead, the value receive that
+// really got it could never be justified. But a channel fed or drained by uninstrumented code —
 // time.After, ticker.C, ctx.Done(), signal.Notify, all reachable through
 // the stdlib imports Load permits — never produces the log records a
 // waiter needs, and an unconditional wait would hang the real goroutine
@@ -555,7 +560,8 @@ const (
 
 // recvDone logs a completed receive once the log-level channel state can
 // justify it: a logged unmatched send (or a credit from a dropped select
-// send) for a value receive, a logged close for a zero-value receive. For
+// send) for a value receive, a logged close with every logged send
+// matched for a zero-value receive, which consumes no send. For
 // recvUnknown it takes whichever becomes justifiable first. A receive
 // that stays unjustifiable past the wait timeout — its producer is
 // uninstrumented — is dropped and counted rather than blocked on or
@@ -567,7 +573,7 @@ func (cs *chanState) recvDone(g *G, class recvClass) {
 	case recvValue:
 		justified = cs.await(func() bool { return cs.sends > cs.recvs || cs.credits > 0 })
 	case recvZero:
-		justified = cs.await(func() bool { return cs.closed })
+		justified = cs.await(func() bool { return cs.closed && cs.sends <= cs.recvs })
 	default:
 		justified = cs.await(func() bool { return cs.sends > cs.recvs || cs.closed })
 	}

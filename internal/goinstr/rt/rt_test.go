@@ -9,9 +9,11 @@ package rt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -615,6 +617,78 @@ func TestSelectSendCloseRaceCreditsReceiver(t *testing.T) {
 	}
 	if err := trace.ValidateExt(tr, extFromMeta(meta)); err != nil {
 		t.Fatalf("infeasible: %v", err)
+	}
+}
+
+// TestZeroReceiveWaitsForDrain: two logged sends and a logged close, then
+// the three receives that really drained the channel logged with the
+// zero-value receive first. It must wait for both value receives, log
+// last and take no send; had it taken one, the value receive that really
+// got that send could never be justified and would time out and drop.
+func TestZeroReceiveWaitsForDrain(t *testing.T) {
+	path := resetForTest(t)
+	t.Setenv(EnvChanWait, "5s")
+	g := Bind()
+	ch := make(chan int, 2)
+	Send(g, "ch", ch, 1)
+	Send(g, "ch", ch, 2)
+	CloseChan(g, "ch", ch)
+	for _, want := range []bool{true, true, false} {
+		if _, ok := <-ch; ok != want {
+			t.Fatalf("real receive ok = %v, want %v", ok, want)
+		}
+	}
+	cs := chanFor(ch, "ch")
+
+	zero := make(chan int32)
+	go Spawn(Fork(g), func() {
+		zg := Bind()
+		cs.recvDone(zg, recvZero)
+		zero <- zg.tid
+	})
+	// Log the value receives only once the zero receive is waiting or,
+	// were it not to wait, logged: 2 sends, the close, the fork, its recv.
+	waiting := func() bool {
+		buf := make([]byte, 1<<16)
+		n := runtime.Stack(buf, true)
+		for ; n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		return bytes.Contains(buf[:n], []byte("(*chanState).await"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !waiting() && loggedEvents() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatal("the zero-value receive neither waited nor was logged")
+		}
+		runtime.Gosched()
+	}
+	cs.recvDone(g, recvValue)
+	cs.recvDone(g, recvValue)
+	var ztid int32
+	select {
+	case ztid = <-zero:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the zero-value receive was never logged")
+	}
+	Shutdown()
+
+	tr := decodeTrace(t, path)
+	meta := loadMeta(t, path)
+	if err := trace.ValidateExt(tr, extFromMeta(meta)); err != nil {
+		t.Fatalf("infeasible: %v", err)
+	}
+	if meta.Dropped != 0 || meta.Timeouts != 0 {
+		t.Errorf("dropped %d, timeouts %d; want none", meta.Dropped, meta.Timeouts)
+	}
+	var recvs []int32
+	for _, op := range tr {
+		if op.Kind == trace.ChanRecv {
+			recvs = append(recvs, int32(op.T))
+		}
+	}
+	if len(recvs) != 3 || recvs[2] != ztid {
+		t.Errorf("receives logged by threads %v, want 3 with the zero receive's thread %d last", recvs, ztid)
 	}
 }
 
