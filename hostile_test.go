@@ -54,7 +54,7 @@ func TestHostileIDsAreBounded(t *testing.T) {
 					}
 					if rate >= 0 {
 						opts = append(opts, WithSampling(rate))
-						if !(sample.Policy{Rate: rate, Seed: sample.DefaultSeed}).Sampled(tc.x) {
+						if !(sample.Policy{Rate: rate}).Sampled(tc.x) {
 							want = 0
 						}
 					}

@@ -61,7 +61,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false,
 		"run every variant; with -oracle, cross-check them differentially (first-report positions against the oracle, both specification flavours, rule counts; memory quadratic in the trace length, like -explain)")
 	oracle := fs.Bool("oracle", false,
-		"also run the happens-before oracle; the variant's verdict must equal it (on the sampled variables under -d sampled:<rate>)")
+		"also run the happens-before oracle; the variant's verdict must equal it")
 	explain := fs.Bool("explain", false, "explain every conflicting pair: a happens-before witness chain or RACE")
 	parties := fs.Int("parties", 2, "participant count for barrier lowering")
 	chancaps := fs.String("chancaps", "",
@@ -152,7 +152,7 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "vft-race: DIVERGENCE: %v — detector bug\n", err)
 				return 2
 			}
-		} else if oracleVerdict(variants[0], low, rep.Races) != raced {
+		} else if rep.HasRace() != raced {
 			fmt.Fprintln(stderr, "vft-race: detector verdict disagrees with the oracle — precision bug")
 			return 2
 		}
@@ -171,21 +171,6 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// oracleVerdict is the verdict the happens-before oracle's races imply for
-// the named variant, which every variant's verdict must equal. A
-// "sampled[:rate]" spelling promises the precise reports restricted to the
-// sampled variables, so the oracle's races are restricted the same way. low
-// is the lowered trace races index; CheckTrace has already accepted variant.
-func oracleVerdict(variant string, low trace.Trace, races []hb.RacePair) bool {
-	_, pol, _ := sample.ParseVariant(variant)
-	for _, p := range races {
-		if pol == nil || pol.Sampled(low[p.Second].X) {
-			return true
-		}
-	}
-	return false
 }
 
 // Bench implements vft-bench: regenerate Table 1.
@@ -403,19 +388,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// ifSet returns v if the command line set the named flag, else nil: an
-// explicit -sample (even -sample 1, the identity gate) selects the sampling
-// tier and overrides a -d sampled:<rate> spelling; the default does neither.
-func ifSet(fs *flag.FlagSet, name string, v *float64) *float64 {
-	var set *float64
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = v
-		}
-	})
-	return set
 }
 
 // validateFor checks a materialized trace against the §2 feasibility

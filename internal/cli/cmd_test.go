@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,8 +18,7 @@ import (
 	"testing"
 
 	verifiedft "repro"
-	"repro/internal/hb"
-	"repro/internal/sample"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -240,6 +238,33 @@ func TestCommandSmoke(t *testing.T) {
 			t.Errorf("found binaries %v, want exactly rel/vftbin", found)
 		}
 	})
+
+	// -sample 1 is the sampling tier at rate 1, which reports exactly what
+	// the precise default does; -sample-seed 0 is the default seed. Both
+	// runs reuse one kept module.
+	t.Run("vft-go/sample-1-seed-0", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("vft-go run builds a shadow module")
+		}
+		work := t.TempDir()
+		prog := filepath.Join(root, "internal", "goinstr", "testdata", "corpus", "racy_lock_wrong_mutex")
+		var canon [2][]string
+		for i, flags := range [][]string{nil, {"-sample", "1", "-sample-seed", "0"}} {
+			args := append(flags[:len(flags):len(flags)], "-o", "kept", "run", prog)
+			code, out, _ := runCmd(t, work, bin("vft-go"), nil, args...)
+			if code != 1 {
+				t.Fatalf("%v: exit %d, want 1\n%s", args, code, out)
+			}
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "race on ") {
+					canon[i] = append(canon[i], line)
+				}
+			}
+		}
+		if len(canon[0]) == 0 || strings.Join(canon[0], "\n") != strings.Join(canon[1], "\n") {
+			t.Errorf("-sample 1 -sample-seed 0 printed %q, the default run %q", canon[1], canon[0])
+		}
+	})
 }
 
 // chanMill is a deterministic send-heavy workload: rounds of buffered
@@ -327,8 +352,8 @@ func TestStreamingCommandSmoke(t *testing.T) {
 		fmt.Fprintf(&wide, "fork 0 %d\n", u)
 	}
 	wide.WriteString("wr 299 1\nwr 0 1\n")
-	// One huge variable id (racy; under the default seed rate 0.5 does not
-	// sample it), one huge thread id (racy), one huge lock id (clean).
+	// One huge variable id (racy), one huge thread id (racy), one huge
+	// lock id (clean).
 	sparse := []byte("fork 0 1\nwr 1 2000000000\nwr 0 2000000000\n")
 	bigTid := []byte("fork 0 65000\nwr 65000 1\nwr 0 1\n")
 	bigLock := []byte("acq 0 16000000\nrel 0 16000000\n")
@@ -358,8 +383,6 @@ func TestStreamingCommandSmoke(t *testing.T) {
 			exit: 2, out: "thread id 255 outside 0..254"},
 		{name: "vft-race/300-threads/ft-mutex", args: []string{"-d", "ft-mutex", "-"}, stdin: wide.Bytes(),
 			exit: 1, out: "Write-Write Race"},
-		{name: "vft-race/sparse-var/sampled:0.5", args: []string{"-d", "sampled:0.5", "-"}, stdin: sparse,
-			exit: 0, out: "no races detected", maxRSSMiB: 64},
 		{name: "vft-race/sparse-var/all-oracle", args: []string{"-all", "-oracle", "-"}, stdin: sparse,
 			exit: 1, out: "oracle: 1 concurrent conflicting pairs", maxRSSMiB: 64},
 		{name: "vft-race/huge-lock/all-oracle", args: []string{"-all", "-oracle", "-"}, stdin: bigLock,
@@ -393,31 +416,12 @@ func TestStreamingCommandSmoke(t *testing.T) {
 	rows = append(rows, row{name: "vft-race/chancaps", args: []string{"-chancaps", "0:2,1:0"}, file: encodeBin(mill),
 		exit: exit, out: out, exact: true})
 
-	// -d sampled:<rate> prints exactly the precise reports on the
-	// variables the default seed samples, re-numbered from zero. With no
-	// locking and no joins the trace has about a thousand to filter.
-	cfg := trace.DefaultGenConfig()
-	cfg.Ops, cfg.Threads, cfg.Vars, cfg.Locks = 5_000, 8, 256, 8
-	cfg.LockedFraction, cfg.JoinWeight = 0, 0
-	gen := trace.Generate(rand.New(rand.NewSource(20260808)), cfg)
-	precise, err := verifiedft.CheckTrace(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genBin := encodeBin(gen)
+	// Sampling is not a variant: every former -d sampled:<rate> spelling
+	// is an unknown variant, and the error names the five that exist.
 	for _, rate := range []float64{1, 0.5, 0.1, 0.01, 0} {
-		pol := sample.Policy{Rate: rate, Seed: sample.DefaultSeed}
-		var want []verifiedft.Report
-		for _, rep := range precise {
-			if pol.Sampled(rep.X) {
-				rep.Seq = len(want)
-				want = append(want, rep)
-			}
-		}
 		variant := fmt.Sprintf("sampled:%v", rate)
-		exit, out := raceOutput(want, variant, len(gen))
-		rows = append(rows, row{name: "vft-race/" + variant, args: []string{"-d", variant}, file: genBin,
-			exit: exit, out: out, exact: true})
+		rows = append(rows, row{name: "vft-race/" + variant, args: []string{"-d", variant}, file: encodeBin(racy),
+			exit: 2, out: fmt.Sprint(core.Variants())})
 	}
 
 	for _, r := range rows {
@@ -455,47 +459,30 @@ func TestStreamingCommandSmoke(t *testing.T) {
 	}
 }
 
-// TestRaceOracleComparesOnlyWhatIsPromised: -oracle asserts that every
-// variant's verdict equals the oracle's, restricted to the sampled
-// variables under sampled:<rate>. A sampled run whose sample misses the
-// racy variable is a correct answer, not a precision bug; a variant whose
-// verdict differs from the oracle's still is one.
+// TestRaceOracleComparesOnlyWhatIsPromised: -oracle asserts that the
+// variant's verdict equals the oracle's. vft-race checks precisely, so
+// the promise is the whole trace's verdict, for every variant; a sampled
+// spelling, which would promise less, is no variant and exits 2.
 func TestRaceOracleComparesOnlyWhatIsPromised(t *testing.T) {
 	const racy = "fork 0 1\nwr 0 5\nwr 1 5\njoin 0 1\n"
-	for _, tc := range []struct {
-		name, variant, input string
-		code                 int
-		oracleLine           string
-	}{
-		{"sample misses the racy variable", "sampled:0.5", racy, 0, "oracle: 1 concurrent conflicting pairs"},
-		{"sample holds the racy variable", "sampled:1", racy, 1, "oracle: 1 concurrent conflicting pairs"},
-		{"precise control", "ft-mutex", racy, 1, "oracle: 1 concurrent conflicting pairs"},
-	} {
-		code, out, errOut := runRace(t, []string{"-d", tc.variant, "-oracle"}, tc.input)
-		if code != tc.code || !strings.Contains(out, tc.oracleLine) || strings.Contains(errOut, "precision bug") {
-			t.Errorf("%s: exit %d, want %d with %q and no precision-bug verdict\nstdout: %s\nstderr: %s",
-				tc.name, code, tc.code, tc.oracleLine, out, errOut)
+	const clean = "fork 0 1\nwr 1 5\njoin 0 1\nwr 0 5\n"
+	for _, variant := range core.Variants() {
+		for _, tc := range []struct {
+			input, oracleLine string
+			code              int
+		}{
+			{racy, "oracle: 1 concurrent conflicting pairs", 1},
+			{clean, "oracle: 0 concurrent conflicting pairs", 0},
+		} {
+			code, out, errOut := runRace(t, []string{"-d", variant, "-oracle"}, tc.input)
+			if code != tc.code || !strings.Contains(out, tc.oracleLine) || strings.Contains(errOut, "precision bug") {
+				t.Errorf("%s: exit %d, want %d with %q and no precision-bug verdict\nstdout: %s\nstderr: %s",
+					variant, code, tc.code, tc.oracleLine, out, errOut)
+			}
 		}
 	}
-
-	// Forced mismatches: the comparison Race makes, with a detector
-	// verdict that cannot be right.
-	low := trace.Trace{trace.ForkOp(0, 1), trace.Wr(0, 5), trace.Wr(1, 5)}
-	races := hb.Analyze(low).Races
-	for _, tc := range []struct {
-		variant string
-		want    bool
-	}{
-		{"vft-v2", true}, // a silent detector would exit 2
-		{"ft-cas", true},
-		{"sampled:1", true},
-		{"sampled:0", false}, // and so would a sampled one reporting outside its sample
-	} {
-		if got := oracleVerdict(tc.variant, low, races); got != tc.want {
-			t.Errorf("oracleVerdict(%s) = %v, want %v", tc.variant, got, tc.want)
-		}
-	}
-	if oracleVerdict("vft-v2", low, nil) {
-		t.Error("oracleVerdict(vft-v2) on a race-free trace = true, want false")
+	if code, _, errOut := runRace(t, []string{"-d", "sampled:1", "-oracle"}, racy); code != 2 ||
+		!strings.Contains(errOut, fmt.Sprint(core.Variants())) {
+		t.Errorf("-d sampled:1 -oracle: exit %d, want 2 naming the variants\nstderr: %s", code, errOut)
 	}
 }

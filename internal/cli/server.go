@@ -83,7 +83,7 @@ func Server(args []string, stdout, stderr io.Writer) int {
 	sampleRate := fs.Float64("sample", 0,
 		"default per-variable sampling rate for uploads (0 = precise; requests override with ?sample=)")
 	sampleSeed := fs.Uint64("sample-seed", 0,
-		"sampling seed for uploads without ?sample_seed= (0 = library default)")
+		"sampling seed for uploads without ?sample_seed=")
 	tenantSamples := fs.String("tenant-samples", "",
 		"per-tenant sampling rates as comma-separated tenant:rate pairs (\"prod:0.01,staging:1\")")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
@@ -100,8 +100,8 @@ func Server(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-server:", err)
 		return 2
 	}
-	if *sampleRate < 0 || *sampleRate > 1 {
-		fmt.Fprintf(stderr, "vft-server: -sample must be in [0, 1], got %v\n", *sampleRate)
+	if err := (sample.Policy{Rate: *sampleRate}).Validate(); err != nil {
+		fmt.Fprintln(stderr, "vft-server:", err)
 		return 2
 	}
 

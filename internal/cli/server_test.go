@@ -147,6 +147,7 @@ func TestServerBadInvocations(t *testing.T) {
 		{"-shards", "2"}, // the sharded engine's knob: undefined, not ignored
 		{"positional"},
 		{"-addr", "256.256.256.256:99999"},
+		{"-sample", "2"},
 	}
 	for _, args := range cases {
 		var stdout, stderr syncBuffer

@@ -40,17 +40,20 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		"vft-server base URL: also upload the trace and diff its reports against the local check")
 	tenant := fs.String("tenant", "vft-go", "tenant name for -server uploads")
 	metricsAddr := fs.String("metrics-addr", "", "serve instrumentation counters on this address")
-	sampleRate := fs.Float64("sample", 1,
-		"check the captured trace through the sampling tier at this per-variable rate (1 = precise unless set explicitly)")
-	sampleSeed := fs.Uint64("sample-seed", 0, "sampling seed (0 = library default)")
+	sampleRate := fs.Float64("sample", 0,
+		"check the captured trace through the sampling tier at this per-variable rate (0 = precise)")
+	sampleSeed := fs.Uint64("sample-seed", 0, "sampling seed")
 	verbose := fs.Bool("v", false, "per-phase detail")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	_, pol, err := sample.Resolve("", ifSet(fs, "sample", sampleRate), *sampleSeed)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-go:", err)
-		return 2
+	var pol *sample.Policy
+	if *sampleRate != 0 {
+		pol = &sample.Policy{Rate: *sampleRate, Seed: *sampleSeed}
+		if err := pol.Validate(); err != nil {
+			fmt.Fprintln(stderr, "vft-go:", err)
+			return 2
+		}
 	}
 	rest := fs.Args()
 	if len(rest) < 2 {

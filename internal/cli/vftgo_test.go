@@ -135,4 +135,9 @@ func TestVftGoBadInvocations(t *testing.T) {
 	if code := RunVftGo([]string{"run", "/nonexistent-vft-go"}, strings.NewReader(""), &out, &errOut); code != 2 {
 		t.Errorf("bad dir: exit = %d, want 2", code)
 	}
+	errOut.Reset()
+	if code := RunVftGo([]string{"-sample", "2", "run", "."}, strings.NewReader(""), &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "rate must be in [0, 1]") {
+		t.Errorf("-sample 2: exit = %d, want 2 and a rate error\n%s", code, errOut.String())
+	}
 }

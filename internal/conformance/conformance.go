@@ -127,43 +127,31 @@ type DetectorOutcome struct {
 	// FirstReportAt is the event index (into the recorded linearization)
 	// of the detector's first report, -1 if it reported nothing.
 	FirstReportAt int
-	// Reports is the total number of reports the detector produced.
-	Reports int
 }
 
 // RunOne executes prog once under a controlled schedule fully determined by
 // (policy, seed) and returns the recorded event linearization plus each
-// named detector's outcome on exactly that linearization. All detectors
-// observe the identical schedule: they ride one rtsim run behind a Tee.
+// named detector's outcome on exactly that linearization: the controlled
+// run serializes its events, so a replay of the recording hands each
+// detector the calls a live detector would get, in the same order.
 func RunOne(prog Program, policy string, seed uint64, detectors []string) (trace.Trace, []DetectorOutcome, error) {
 	pol, err := sched.NewPolicy(policy, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	rec := core.NewRecorder()
-	ds := []core.Detector{rec}
-	trackers := make([]*core.PosTracker, 0, len(detectors))
-	for _, name := range detectors {
-		d, err := core.New(name, core.Config{})
-		if err != nil {
-			return nil, nil, err
-		}
-		pt := core.NewPosTracker(d)
-		trackers = append(trackers, pt)
-		ds = append(ds, pt)
-	}
-	rt := rtsim.NewControlled(core.NewTee(ds...), sched.New(pol))
+	rt := rtsim.NewControlled(rec, sched.New(pol))
 	prog.Run(rt)
 	rt.Shutdown()
 
 	tr := rec.Trace()
-	outs := make([]DetectorOutcome, len(trackers))
-	for i, pt := range trackers {
-		outs[i] = DetectorOutcome{
-			Name:          detectors[i],
-			FirstReportAt: pt.FirstReportPos(),
-			Reports:       len(pt.Reports()),
+	outs := make([]DetectorOutcome, len(detectors))
+	for i, name := range detectors {
+		d, err := core.New(name, core.Config{})
+		if err != nil {
+			return nil, nil, err
 		}
+		outs[i] = DetectorOutcome{Name: name, FirstReportAt: core.FirstReportPosition(d, tr)}
 	}
 	return tr, outs, nil
 }

@@ -364,14 +364,12 @@ func Dispatch(d Detector, op trace.Op) {
 // FirstReportPosition replays tr op by op and returns the index of the
 // operation at which d produced its first report, or -1 if none. It is the
 // bridge between the continuing detectors and the stop-at-first-error
-// specification, and the offline twin of PosTracker (which reports the
-// same position for a live serialized run).
+// specification.
 func FirstReportPosition(d Detector, tr trace.Trace) int {
-	pt := NewPosTracker(d)
-	for _, op := range tr {
-		Dispatch(pt, op)
-		if pos := pt.FirstReportPos(); pos != -1 {
-			return pos
+	for i, op := range tr {
+		Dispatch(d, op)
+		if len(d.Reports()) > 0 {
+			return i
 		}
 	}
 	return -1

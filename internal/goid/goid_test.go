@@ -82,70 +82,14 @@ func TestIDMatchesStackDump(t *testing.T) {
 	}
 }
 
-// TestCache exercises the per-G cache under concurrency: every goroutine
-// attaches a value keyed by its own id, hits it repeatedly, and deletes it
-// on the way out. With -race this doubles as the shim's locking contract.
-func TestCache(t *testing.T) {
-	var c Cache[int]
-	const goroutines = 48
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(val int) {
-			defer wg.Done()
-			id := ID()
-			c.Put(id, val)
-			for j := 0; j < 100; j++ {
-				got, ok := c.Get(id)
-				if !ok || got != val {
-					t.Errorf("cache for g%d: got (%d,%v), want (%d,true)", id, got, ok, val)
-					return
-				}
-			}
-			c.Delete(id)
-		}(i)
-	}
-	wg.Wait()
-	if n := c.Len(); n != 0 {
-		t.Fatalf("cache holds %d entries after all deletes, want 0", n)
-	}
-}
-
-func TestCacheGetOrPut(t *testing.T) {
-	var c Cache[*int]
-	id := ID()
-	calls := 0
-	mk := func() *int { calls++; v := 7; return &v }
-	a := c.GetOrPut(id, mk)
-	b := c.GetOrPut(id, mk)
-	if a != b || calls != 1 {
-		t.Fatalf("GetOrPut: distinct values or mk called %d times", calls)
-	}
-}
-
 // BenchmarkID prices the raw capture: one small runtime.Stack call plus
-// the header parse. This is the per-event floor a consumer pays if it
-// skips the cache.
+// the header parse, which the instrumentation shim pays once per
+// instrumented function call.
 func BenchmarkID(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ID() <= 0 {
 			b.Fatal("bad id")
-		}
-	}
-}
-
-// BenchmarkCacheHit prices the steady-state shim path: ID plus a sharded
-// cache read.
-func BenchmarkCacheHit(b *testing.B) {
-	var c Cache[*int]
-	v := 1
-	c.Put(ID(), &v)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p, ok := c.Get(ID()); !ok || *p != 1 {
-			b.Fatal("miss")
 		}
 	}
 }

@@ -165,7 +165,9 @@ type state struct {
 	dropped  uint64 // events dropped to keep the stream feasible
 	timeouts uint64 // log-side waits that hit EnvChanWait (lossy channels)
 
-	gs goid.Cache[*G]
+	// gs maps a goroutine id (goid.ID) to its *G. Only the goroutine an
+	// entry belongs to stores or deletes it, so no entry is ever contended.
+	gs sync.Map
 }
 
 type chanMetaEntry struct {
@@ -239,21 +241,21 @@ func init() {
 		// Capture disabled: register the main goroutine so Bind still
 		// works, and make every wrapper a pass-through.
 		st.nextTid = 1
-		st.gs.Put(goid.ID(), &G{tid: 0})
+		st.gs.Store(goid.ID(), &G{tid: 0})
 		return
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vft-rt: cannot open trace %q: %v (capture disabled)\n", path, err)
 		st.nextTid = 1
-		st.gs.Put(goid.ID(), &G{tid: 0})
+		st.gs.Store(goid.ID(), &G{tid: 0})
 		return
 	}
 	st.file = f
 	st.w = bufio.NewWriterSize(f, 1<<16)
 	st.active = true
 	st.nextTid = 1
-	st.gs.Put(goid.ID(), &G{tid: 0}) // the main goroutine is thread 0
+	st.gs.Store(goid.ID(), &G{tid: 0}) // the main goroutine is thread 0
 }
 
 // Bind returns the calling goroutine's trace identity, creating one if the
@@ -261,16 +263,21 @@ func init() {
 // goroutine started by an uninstrumented library, say). Such foreign
 // goroutines are adopted with a fork from the main thread — a conservative
 // happens-before edge that keeps the trace feasible.
+//
+// Only the calling goroutine ever stores its own entry, so a load that
+// misses can store without a check-and-set.
 func Bind() *G {
 	id := goid.ID()
-	return st.gs.GetOrPut(id, func() *G {
-		st.mu.Lock()
-		u := st.nextTid
-		st.nextTid++
-		st.emitLocked(kFork, 0, uint32(u))
-		st.mu.Unlock()
-		return &G{tid: u}
-	})
+	if g, ok := st.gs.Load(id); ok {
+		return g.(*G)
+	}
+	st.mu.Lock()
+	g := &G{tid: st.nextTid}
+	st.nextTid++
+	st.emitLocked(kFork, 0, uint32(g.tid))
+	st.mu.Unlock()
+	st.gs.Store(id, g)
+	return g
 }
 
 // Fork allocates a child thread id and emits fork(parent, child); it runs
@@ -290,7 +297,7 @@ func Fork(g *G) int32 {
 // `go __vft.Spawn(__vft.Fork(__vftg), func() { ... })`.
 func Spawn(u int32, fn func()) {
 	id := goid.ID()
-	st.gs.Put(id, &G{tid: u})
+	st.gs.Store(id, &G{tid: u})
 	defer st.gs.Delete(id)
 	fn()
 }

@@ -58,7 +58,7 @@ func resetForTest(t *testing.T) (tracePath string) {
 	st.byKind = [numKinds]uint64{}
 	st.dropped = 0
 	st.timeouts = 0
-	st.gs.Put(goid.ID(), &G{tid: 0})
+	st.gs.Store(goid.ID(), &G{tid: 0})
 	return tracePath
 }
 

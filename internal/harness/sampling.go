@@ -26,7 +26,7 @@ type SamplingOptions struct {
 	// Rates are the sampling rates to sweep, measured in descending order
 	// (default 1, 0.1, 0.01, 0.001).
 	Rates []float64
-	// Seed keys the sampling hash (default sample.DefaultSeed).
+	// Seed keys the sampling hash.
 	Seed uint64
 	// Warmup and Iters are per-cell warm-up and measured iteration counts;
 	// timed cells report the best measured iteration (min-of-N, the usual
@@ -46,9 +46,6 @@ func (o SamplingOptions) withDefaults() SamplingOptions {
 	rates := append([]float64(nil), o.Rates...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(rates)))
 	o.Rates = rates
-	if o.Seed == 0 {
-		o.Seed = sample.DefaultSeed
-	}
 	if o.Iters <= 0 {
 		o.Iters = 5
 	}

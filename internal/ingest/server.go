@@ -39,6 +39,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -103,9 +104,8 @@ type Config struct {
 	// DefaultSampleRate, when positive, checks every upload through the
 	// sampling tier at this per-variable rate unless the request says
 	// otherwise. Zero (the default) means uploads are checked precisely.
-	// The per-upload precedence is: ?sample= query parameter, then a
-	// "sampled:<rate>" variant spelling, then TenantSampleRates, then
-	// this field.
+	// The per-upload precedence is: ?sample= query parameter, then
+	// TenantSampleRates, then this field.
 	DefaultSampleRate float64
 	// TenantSampleRates overrides DefaultSampleRate per tenant. An entry
 	// applies sampling at that rate (including an explicit 0, which
@@ -113,9 +113,9 @@ type Config struct {
 	// precise tier).
 	TenantSampleRates map[string]float64
 	// SampleSeed keys the per-variable sampling hash for uploads that do
-	// not carry a ?sample_seed= parameter. Zero means sample.DefaultSeed,
-	// keeping server-side decisions byte-identical to an offline
-	// CheckTrace of the same bytes at the same rate.
+	// not carry a ?sample_seed= parameter. Its zero value is the library's
+	// default seed, 0, keeping server-side decisions byte-identical to an
+	// offline CheckTrace of the same bytes at the same rate.
 	SampleSeed uint64
 
 	// Metrics receives the service's instruments; nil creates a private
@@ -435,19 +435,13 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if variant == "" {
 		variant = "vft-v2"
 	}
-	variant, pol, err := sample.ParseVariant(variant)
-	if err != nil {
-		s.cRejInvalid.Inc()
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if !variantKnown(variant) {
 		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest,
-			"unknown detector variant %q (one of %v, or sampled[:rate])", variant, core.Variants())
+			"unknown detector variant %q (one of %v)", variant, core.Variants())
 		return
 	}
-	pol, err = s.resolveSampling(q, name, pol)
+	pol, err := s.resolveSampling(q, name)
 	if err != nil {
 		s.cRejInvalid.Inc()
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -575,41 +569,31 @@ func parseExtensions(parties, chancap string) (*trace.Extensions, error) {
 }
 
 // resolveSampling resolves the per-upload sampling policy: the ?sample=
-// query parameter wins, then a "sampled:<rate>" variant spelling
-// (spelled), then the tenant's configured rate, then the server default.
-// The seed is ?sample_seed= when present, else Config.SampleSeed, else the
-// library default — so a server-side check stays byte-identical to an
+// query parameter wins, then the tenant's configured rate, then the
+// server default. The seed is ?sample_seed= when present, else
+// Config.SampleSeed — so a server-side check stays byte-identical to an
 // offline CheckTrace of the same bytes at the same rate and seed.
-func (s *Server) resolveSampling(q map[string][]string, tenant string, spelled *sample.Policy) (*sample.Policy, error) {
-	get := func(key string) string {
-		if v := q[key]; len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
-	var rate *float64
-	if raw := get("sample"); raw != "" {
-		r, err := sample.ParseRate(raw) // its errors already carry the "sample:" prefix
-		if err != nil {
+func (s *Server) resolveSampling(q url.Values, tenant string) (*sample.Policy, error) {
+	pol := &sample.Policy{Seed: s.cfg.SampleSeed}
+	if raw := q.Get("sample"); raw != "" {
+		var err error
+		if pol.Rate, err = sample.ParseRate(raw); err != nil { // its errors already carry the "sample:" prefix
 			return nil, err
 		}
-		rate = &r
-	} else if spelled != nil {
-		rate = &spelled.Rate
 	} else if r, ok := s.cfg.TenantSampleRates[tenant]; ok {
-		rate = &r
+		pol.Rate = r
 	} else if s.cfg.DefaultSampleRate > 0 {
-		rate = &s.cfg.DefaultSampleRate
+		pol.Rate = s.cfg.DefaultSampleRate
+	} else {
+		return nil, nil
 	}
-	seed := s.cfg.SampleSeed
-	if raw := get("sample_seed"); raw != "" {
+	if raw := q.Get("sample_seed"); raw != "" {
 		var err error
-		if seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
+		if pol.Seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
 			return nil, fmt.Errorf("sample_seed: bad seed %q", raw)
 		}
 	}
-	_, pol, err := sample.Resolve("", rate, seed)
-	return pol, err
+	return pol, pol.Validate()
 }
 
 // errCheckPanic marks a panic in one upload's check, recovered so that it

@@ -116,6 +116,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown variant", "/v1/traces?tenant=t&variant=nope", http.StatusBadRequest},
 		{"retired lockset variant", "/v1/traces?tenant=t&variant=eraser", http.StatusBadRequest},
 		{"retired vector-clock variant", "/v1/traces?tenant=t&variant=djit", http.StatusBadRequest},
+		{"sampled spelling", "/v1/traces?tenant=t&variant=sampled", http.StatusBadRequest},
+		{"sampled rate spelling", "/v1/traces?tenant=t&variant=sampled:0.5", http.StatusBadRequest},
+		{"sample rate above 1", "/v1/traces?tenant=t&sample=2", http.StatusBadRequest},
+		{"bad sample seed", "/v1/traces?tenant=t&sample=0.5&sample_seed=x", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

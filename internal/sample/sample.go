@@ -24,30 +24,18 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/trace"
 )
 
-// DefaultSeed is the sampling seed used when none is given. A fixed
-// default keeps runs reproducible: the same trace checked anywhere at the
-// same rate reports the same races.
-const DefaultSeed uint64 = 1
-
-// DefaultRate is the sampling rate of the bare "sampled" variant
-// spelling: cheap enough for always-on production use, frequent enough
-// that hot races surface within a few deployments.
-const DefaultRate = 0.01
-
 // Policy is a deterministic per-variable Bernoulli sampling decision.
 // The zero value samples nothing; Rate >= 1 samples everything.
 type Policy struct {
 	// Rate is the per-variable sampling probability in [0, 1].
 	Rate float64
-	// Seed keys the hash; 0 is a valid seed (callers wanting the default
-	// reproducible behavior should use DefaultSeed).
+	// Seed keys the hash. Every seed is a seed: 0 is the default one.
 	Seed uint64
 }
 
@@ -249,46 +237,4 @@ func ParseRate(s string) (float64, error) {
 		return 0, err
 	}
 	return rate, nil
-}
-
-// ParseVariant resolves the "sampled" detector spelling wherever variant
-// names are parsed: "sampled" is vft-v2 at DefaultRate, "sampled:<rate>"
-// selects the rate explicitly ("sampled:0.1"). Any other name passes
-// through unchanged with a nil policy, so callers can feed every variant
-// string they accept through this one function.
-func ParseVariant(name string) (base string, pol *Policy, err error) {
-	if name != "sampled" && !strings.HasPrefix(name, "sampled:") {
-		return name, nil, nil
-	}
-	rate := DefaultRate
-	if rest, ok := strings.CutPrefix(name, "sampled:"); ok {
-		if rate, err = ParseRate(rest); err != nil {
-			return "", nil, fmt.Errorf("sample: variant %q: %w", name, err)
-		}
-	}
-	return "vft-v2", &Policy{Rate: rate, Seed: DefaultSeed}, nil
-}
-
-// Resolve is the one policy resolver behind every entry point that takes
-// a variant name and sampling settings (library options, CLI flags, the
-// server's query parameters): it splits a "sampled[:rate]" spelling off
-// variant, lets an explicit rate (non-nil) beat the spelling's, takes
-// seed 0 to mean DefaultSeed, and validates the result. pol is nil when
-// neither the spelling nor rate selects the tier.
-func Resolve(variant string, rate *float64, seed uint64) (base string, pol *Policy, err error) {
-	base, pol, err = ParseVariant(variant)
-	if err != nil {
-		return "", nil, err
-	}
-	if rate != nil {
-		pol = &Policy{Rate: *rate}
-	}
-	if pol == nil {
-		return base, nil, nil
-	}
-	pol.Seed = seed
-	if seed == 0 {
-		pol.Seed = DefaultSeed
-	}
-	return base, pol, pol.Validate()
 }

@@ -26,7 +26,7 @@ func TestPolicyEndpoints(t *testing.T) {
 func TestPolicyRateApproximation(t *testing.T) {
 	const n = 1 << 17
 	for _, rate := range []float64{0.01, 0.1, 0.5, 0.9} {
-		pol := Policy{Rate: rate, Seed: DefaultSeed}
+		pol := Policy{Rate: rate}
 		hits := 0
 		for x := trace.Var(0); x < n; x++ {
 			if pol.Sampled(x) {
@@ -77,26 +77,6 @@ func TestParseRate(t *testing.T) {
 	for _, spelling := range []string{"", "x", "2", "-1", "NaN"} {
 		if _, err := ParseRate(spelling); err == nil {
 			t.Fatalf("ParseRate(%q) accepted", spelling)
-		}
-	}
-}
-
-func TestParseVariant(t *testing.T) {
-	base, pol, err := ParseVariant("sampled")
-	if err != nil || base != "vft-v2" || pol == nil || pol.Rate != DefaultRate || pol.Seed != DefaultSeed {
-		t.Fatalf("ParseVariant(sampled) = %q, %+v, %v", base, pol, err)
-	}
-	base, pol, err = ParseVariant("sampled:0.1")
-	if err != nil || base != "vft-v2" || pol == nil || pol.Rate != 0.1 {
-		t.Fatalf("ParseVariant(sampled:0.1) = %q, %+v, %v", base, pol, err)
-	}
-	base, pol, err = ParseVariant("vft-v1")
-	if err != nil || base != "vft-v1" || pol != nil {
-		t.Fatalf("ParseVariant(vft-v1) = %q, %+v, %v", base, pol, err)
-	}
-	for _, bad := range []string{"sampled:2", "sampled:", "sampled:x"} {
-		if _, _, err := ParseVariant(bad); err == nil {
-			t.Fatalf("ParseVariant(%q) accepted", bad)
 		}
 	}
 }
@@ -188,41 +168,5 @@ func TestWordsConcurrent(t *testing.T) {
 	sampled, suppressed := w.Counts()
 	if sampled != uint64(len(seen)) || sampled+suppressed != vars {
 		t.Fatalf("Counts() = %d, %d; want %d sampled of %d", sampled, suppressed, len(seen), vars)
-	}
-}
-
-// TestResolve: an explicit rate beats the spelling's, seed 0 means the
-// default seed, a bad rate from either source is an error, and a precise
-// variant with no explicit rate has no policy.
-func TestResolve(t *testing.T) {
-	rate := func(r float64) *float64 { return &r }
-	cases := []struct {
-		variant string
-		rate    *float64
-		seed    uint64
-		base    string
-		want    *Policy
-		bad     bool
-	}{
-		{"vft-v1", nil, 7, "vft-v1", nil, false},
-		{"sampled", nil, 0, "vft-v2", &Policy{Rate: DefaultRate, Seed: DefaultSeed}, false},
-		{"sampled:0.25", nil, 7, "vft-v2", &Policy{Rate: 0.25, Seed: 7}, false},
-		{"sampled:0.25", rate(1), 0, "vft-v2", &Policy{Rate: 1, Seed: DefaultSeed}, false},
-		{"vft-v1.5", rate(0.5), 9, "vft-v1.5", &Policy{Rate: 0.5, Seed: 9}, false},
-		{"", rate(0), 0, "", &Policy{Rate: 0, Seed: DefaultSeed}, false},
-		{"sampled:2", nil, 0, "", nil, true},
-		{"vft-v2", rate(-0.1), 0, "", nil, true},
-	}
-	for _, tc := range cases {
-		base, pol, err := Resolve(tc.variant, tc.rate, tc.seed)
-		if tc.bad {
-			if err == nil {
-				t.Errorf("Resolve(%q, %v, %d): no error", tc.variant, tc.rate, tc.seed)
-			}
-			continue
-		}
-		if err != nil || base != tc.base || (pol == nil) != (tc.want == nil) || pol != nil && *pol != *tc.want {
-			t.Errorf("Resolve(%q, %v, %d) = %q, %+v, %v; want %q, %+v", tc.variant, tc.rate, tc.seed, base, pol, err, tc.base, tc.want)
-		}
 	}
 }

@@ -36,30 +36,8 @@ type settings struct {
 	parties   map[LockID]int
 	chancaps  map[LockID]int
 	metrics   *Metrics
-	// sampling is the WithSampling policy; nil is the precise tier. The
-	// "sampled[:rate]" variant spelling also sets it, via resolveSampling.
+	// sampling is the WithSampling policy; nil is the precise tier.
 	sampling *sample.Policy
-}
-
-// resolveSampling folds the "sampled[:rate]" variant spelling into the
-// base variant plus a sampling policy and validates the resulting rate,
-// erroring at the New/CheckTrace entry points. An explicit WithSampling
-// wins over a rate embedded in the variant name.
-func (s *settings) resolveSampling() error {
-	var rate *float64
-	var seed uint64
-	if s.sampling != nil {
-		rate, seed = &s.sampling.Rate, s.sampling.Seed
-	}
-	base, pol, err := sample.Resolve(s.variant, rate, seed)
-	if err != nil {
-		return err
-	}
-	if rate != nil {
-		pol.Seed = seed // WithSamplingSeed(0) is the seed 0, not "unset"
-	}
-	s.variant, s.sampling = base, pol
-	return nil
 }
 
 // extensions folds the out-of-band trace parameters into the form the
@@ -157,8 +135,7 @@ type samplingConfig struct {
 // SamplingOption tunes WithSampling.
 type SamplingOption func(*samplingConfig)
 
-// WithSamplingSeed sets the sampling seed (default sample.DefaultSeed's
-// fixed value, 1). The per-variable decision is a pure function of
+// WithSamplingSeed sets the sampling seed (default 0). The per-variable decision is a pure function of
 // (seed, variable id), so two runs with the same seed and rate — on one
 // machine or across a fleet, online or offline — sample the same
 // variables and report identically; distinct seeds give independent
@@ -179,13 +156,9 @@ func WithSamplingSeed(seed uint64) SamplingOption {
 //	reports, err := verifiedft.CheckTrace(tr, verifiedft.WithSampling(0.01))
 //	d, err := verifiedft.New(verifiedft.V2,
 //		verifiedft.WithSampling(0.01, verifiedft.WithSamplingSeed(7)))
-//
-// The variant spelling "sampled" (vft-v2 at the 0.01 default rate) and
-// "sampled:<rate>" select the same tier wherever variant names are
-// parsed (WithVariant, vft-race -d, the server's ?variant=).
 func WithSampling(rate float64, opts ...SamplingOption) CommonOption {
 	return commonOption(func(s *settings) {
-		c := samplingConfig{seed: sample.DefaultSeed}
+		var c samplingConfig
 		for _, o := range opts {
 			o(&c)
 		}

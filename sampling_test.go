@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/conformance"
@@ -112,102 +113,101 @@ func TestSamplingFilteredIdentity(t *testing.T) {
 }
 
 // TestSamplingSeededDeterminism pins that the decision is a pure function
-// of (seed, variable id): the same trace at the same rate and seed yields
-// byte-identical reports from two offline checks and from a vft-server
-// upload of the same bytes.
+// of (seed, variable id), and that seed 0 is the default seed on every
+// surface: the same racy trace at the same rate and seed yields
+// byte-identical, non-empty reports from two offline checks and from a
+// vft-server upload of the same bytes, and for seed 0 also from an
+// offline check and an upload that name no seed at all.
 func TestSamplingSeededDeterminism(t *testing.T) {
 	gen := trace.DefaultGenConfig()
-	gen.Ops = 20_000
-	gen.Threads = 8
-	gen.Vars = 256
-	gen.Locks = 8
+	gen.Ops, gen.Threads, gen.Vars, gen.Locks = 20_000, 8, 256, 8
+	gen.LockedFraction = 0
 	tr := trace.Generate(rand.New(rand.NewSource(3)), gen)
-
-	const rate, seed = 0.5, uint64(9)
-	first, err := CheckTrace(tr, WithSampling(rate, WithSamplingSeed(seed)))
+	precise, err := CheckTrace(tr)
 	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	again, err := CheckTrace(tr, WithSampling(rate, WithSamplingSeed(seed)))
-	if err != nil {
-		t.Fatalf("repeat: %v", err)
-	}
-	if !sameReports(first, again) {
-		t.Fatal("two sampled checks of the same trace disagreed")
+		t.Fatalf("precise: %v", err)
 	}
 
 	srv := ingest.New(ingest.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	var buf bytes.Buffer
-	if err := trace.EncodeBinary(&buf, tr); err != nil {
+	var body bytes.Buffer
+	if err := trace.EncodeBinary(&body, tr); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/traces?tenant=t&variant=vft-v2&sample=0.5&sample_seed=9",
-		"application/octet-stream", &buf)
-	if err != nil {
-		t.Fatalf("upload: %v", err)
+	upload := func(query string) []Report {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/traces?tenant=t&variant=vft-v2&"+query,
+			"application/octet-stream", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("upload: %v", err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload status %s", resp.Status)
+		}
+		var res struct {
+			SampleRate *float64        `json:"sample_rate"`
+			Reports    []ingest.Report `json:"reports"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatalf("upload response: %v", err)
+		}
+		if res.SampleRate == nil || *res.SampleRate != 0.5 {
+			t.Fatalf("upload response sample_rate = %v, want 0.5", res.SampleRate)
+		}
+		server := make([]Report, len(res.Reports))
+		for i, r := range res.Reports {
+			server[i] = r.Core()
+		}
+		return server
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload status %s", resp.Status)
+	check := func(opts ...SamplingOption) []Report {
+		t.Helper()
+		reports, err := CheckTrace(tr, WithSampling(0.5, opts...))
+		if err != nil {
+			t.Fatalf("check: %v", err)
+		}
+		return reports
 	}
-	var res struct {
-		SampleRate *float64        `json:"sample_rate"`
-		Reports    []ingest.Report `json:"reports"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatalf("upload response: %v", err)
-	}
-	if res.SampleRate == nil || *res.SampleRate != rate {
-		t.Fatalf("upload response sample_rate = %v, want %v", res.SampleRate, rate)
-	}
-	server := make([]Report, len(res.Reports))
-	for i, r := range res.Reports {
-		server[i] = r.Core()
-	}
-	if !sameReports(first, server) {
-		t.Fatalf("server sampled check diverged from local:\nwant %+v\ngot  %+v", first, server)
+
+	for _, seed := range []uint64{0, 9} {
+		first := check(WithSamplingSeed(seed))
+		if len(first) == 0 {
+			t.Fatalf("seed %d: no sampled reports, so the comparisons below would prove nothing", seed)
+		}
+		if want := filterSampled(precise, sample.Policy{Rate: 0.5, Seed: seed}); !sameReports(want, first) {
+			t.Fatalf("seed %d: sampled != filtered precise:\nwant %+v\ngot  %+v", seed, want, first)
+		}
+		others := map[string][]Report{
+			"repeat": check(WithSamplingSeed(seed)),
+			"server": upload(fmt.Sprintf("sample=0.5&sample_seed=%d", seed)),
+		}
+		if seed == 0 {
+			others["no seed"] = check()
+			others["server, no seed"] = upload("sample=0.5")
+		}
+		for name, got := range others {
+			if !sameReports(first, got) {
+				t.Errorf("seed %d, %s: diverged from the first check:\nwant %+v\ngot  %+v", seed, name, first, got)
+			}
+		}
 	}
 }
 
-// TestSampledVariantSpelling pins that the "sampled[:rate]" spelling is
-// accepted wherever variant names are parsed and means vft-v2 under the
-// tier at the given (or default) rate.
+// TestSampledVariantSpelling pins that sampling is not a variant: a
+// "sampled[:rate]" name is an unknown variant at New and CheckTrace, and
+// the error names the five that exist.
 func TestSampledVariantSpelling(t *testing.T) {
-	tr, _, err := conformance.RunOne(conformance.Programs()[0], "pct", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	precise, err := CheckTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CheckTrace(tr, WithVariant("sampled:1"))
-	if err != nil {
-		t.Fatalf("sampled:1: %v", err)
-	}
-	if !sameReports(precise, got) {
-		t.Fatalf("sampled:1 != precise vft-v2:\nwant %+v\ngot  %+v", precise, got)
-	}
-	def, err := CheckTrace(tr, WithVariant("sampled"))
-	if err != nil {
-		t.Fatalf("sampled: %v", err)
-	}
-	want := filterSampled(precise, sample.Policy{Rate: sample.DefaultRate, Seed: sample.DefaultSeed})
-	if !sameReports(want, def) {
-		t.Fatalf("bare sampled spelling != default-rate filter:\nwant %+v\ngot  %+v", want, def)
-	}
-	// An explicit WithSampling beats the spelling's embedded rate.
-	over, err := CheckTrace(tr, WithVariant("sampled:0.25"), WithSampling(1))
-	if err != nil {
-		t.Fatalf("override: %v", err)
-	}
-	if !sameReports(precise, over) {
-		t.Fatal("explicit WithSampling(1) did not override the variant-embedded rate")
-	}
-	if _, err := CheckTrace(tr, WithVariant("sampled:2")); err == nil {
-		t.Fatal("sampled:2 accepted; rates above 1 must be rejected")
+	tr := Trace{Write(0, 0)}
+	for _, name := range []string{"sampled", "sampled:0.5", "sampled:1"} {
+		_, err := CheckTrace(tr, WithVariant(name))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(Variants())) {
+			t.Errorf("CheckTrace(WithVariant(%q)) = %v, want an error naming %v", name, err, Variants())
+		}
+		if _, err := New(name); err == nil {
+			t.Errorf("New(%q) accepted", name)
+		}
 	}
 }
 

@@ -198,8 +198,10 @@ func New(variant string, opts ...Option) (Detector, error) {
 	for _, o := range opts {
 		o.applyNew(&s)
 	}
-	if err := s.resolveSampling(); err != nil {
-		return nil, err
+	if s.sampling != nil {
+		if err := s.sampling.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	return core.NewSampled(s.variant, core.Config{MaxReportsPerVar: s.maxPerVar}, s.sampling)
 }
@@ -246,8 +248,10 @@ func CheckSource(src Source, opts ...CheckOption) ([]Report, error) {
 	for _, o := range opts {
 		o.applyCheck(&s)
 	}
-	if err := s.resolveSampling(); err != nil {
-		return nil, err
+	if s.sampling != nil {
+		if err := s.sampling.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	var sink func(obs.Snapshot)
 	if m := s.metrics; m != nil {
@@ -301,7 +305,7 @@ func HasRace(tr Trace) (bool, error) {
 	return hb.Analyze(tr.Desugar(nil)).HasRace(), nil
 }
 
-// Version identifies this implementation. 2.15.0 makes a kept vft-go
-// shadow module record the binary it linked, so a rerun into it with
-// unchanged sources, toolchain and configuration runs no go build.
-const Version = "2.15.0"
+// Version identifies this implementation. 2.16.0 makes sampling one
+// policy, a rate and a seed, spelled the same way on every surface: the
+// "sampled[:rate]" variant spelling is gone, and the default seed is 0.
+const Version = "2.16.0"
