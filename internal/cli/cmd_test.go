@@ -291,11 +291,11 @@ func chanMill(rounds int) trace.Trace {
 	return append(tr, trace.CloseOp(0, 0), trace.RecvOp(2, 0), trace.JoinOp(0, 1), trace.JoinOp(0, 2))
 }
 
-// raceOutput is what vft-race -d variant prints for these reports of an
-// ops-long trace, and its exit code.
-func raceOutput(reports []verifiedft.Report, variant string, ops int) (int, string) {
+// raceOutput is what vft-race prints for these reports of an ops-long
+// trace, and its exit code.
+func raceOutput(reports []verifiedft.Report, ops int) (int, string) {
 	if len(reports) == 0 {
-		return 0, fmt.Sprintf("[%s] no races detected (%d operations)\n", variant, ops)
+		return 0, fmt.Sprintf("[vft-v2] no races detected (%d operations)\n", ops)
 	}
 	var b strings.Builder
 	for _, r := range reports {
@@ -412,7 +412,7 @@ func TestStreamingCommandSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exit, out := raceOutput(millReports, "vft-v2", len(mill))
+	exit, out := raceOutput(millReports, len(mill))
 	rows = append(rows, row{name: "vft-race/chancaps", args: []string{"-chancaps", "0:2,1:0"}, file: encodeBin(mill),
 		exit: exit, out: out, exact: true})
 
