@@ -51,12 +51,15 @@ bench-sampling:
 # load, build and streamed-check benchmarks, the offline machine-beside-core.V2
 # comparison and the bytes-to-verdict offline path beside the pull pipeline
 # it replaced three, so they cannot rot; so does the server's upload path,
-# with -benchmem, so its allocations per upload print on every run.
+# with -benchmem, so its allocations per upload print on every run. The
+# shim's goroutine-id read runs a thousand times: it is the per-call cost
+# every instrumented function pays in Bind.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|BuildPool|CheckStream' -benchtime 3x ./internal/goinstr
+	$(GO) test -run '^$$' -bench 'ID$$' -benchtime 1000x ./internal/goinstr/rt
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
 

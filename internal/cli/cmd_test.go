@@ -267,6 +267,45 @@ func TestCommandSmoke(t *testing.T) {
 	})
 }
 
+// TestToolsLeaveCaptureAlone: every command links the vft-go shim through
+// internal/goinstr, and the shim is inert outside an instrumented
+// program. With VFT_TRACE naming the very capture vft-race is asked to
+// check, the capture is read intact — exit 1 with the race, the file
+// byte-identical — and a VFT_TRACE path that does not exist is created by
+// no command.
+func TestToolsLeaveCaptureAlone(t *testing.T) {
+	bins := buildCmds(t)
+	work := t.TempDir()
+	var capture bytes.Buffer
+	if err := trace.EncodeBinary(&capture, trace.Trace{
+		trace.ForkOp(0, 1), trace.Wr(0, 0), trace.Wr(1, 0), trace.JoinOp(0, 1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f := filepath.Join(work, "run.bin")
+	if err := os.WriteFile(f, capture.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Setenv("VFT_TRACE", f)
+	code, out, _ := runCmd(t, work, filepath.Join(bins, "vft-race"), nil, f)
+	if code != 1 || !strings.Contains(out, "race #0 on x0") {
+		t.Errorf("vft-race %s with VFT_TRACE=%[1]s: exit %d, want 1 with the race\n%s", f, code, out)
+	}
+	if got, err := os.ReadFile(f); err != nil || !bytes.Equal(got, capture.Bytes()) {
+		t.Errorf("vft-race changed the capture it checked: %d bytes, was %d (%v)", len(got), capture.Len(), err)
+	}
+
+	missing := filepath.Join(work, "missing.bin")
+	t.Setenv("VFT_TRACE", missing)
+	for _, name := range []string{"vft-race", "vft-bench", "vft-server", "vft-go"} {
+		runCmd(t, work, filepath.Join(bins, name), nil, "-h")
+		if _, err := os.Stat(missing); !os.IsNotExist(err) {
+			t.Fatalf("%s -h with VFT_TRACE=%s: %v", name, missing, err)
+		}
+	}
+}
+
 // chanMill is a deterministic send-heavy workload: rounds of buffered
 // slot-ring traffic on channel 0 (capacity 2), an unbuffered rendezvous on
 // channel 1, atomics and a once, then a close and a drained zero-value

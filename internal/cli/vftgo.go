@@ -273,15 +273,9 @@ func uploadAndRender(base, tenant, tracePath string, cr *goinstr.CheckResult, po
 	if err := json.Unmarshal(body, &res); err != nil {
 		return nil, fmt.Errorf("server response: %w", err)
 	}
-	seen := map[string]bool{}
-	var lines []string
+	server := &goinstr.CheckResult{Meta: cr.Meta}
 	for _, rep := range res.Reports {
-		line := "race on " + cr.VarName(rep.Core())
-		if !seen[line] {
-			seen[line] = true
-			lines = append(lines, line)
-		}
+		server.Reports = append(server.Reports, rep.Core())
 	}
-	sort.Strings(lines)
-	return lines, nil
+	return server.Canonical(), nil
 }

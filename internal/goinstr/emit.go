@@ -2,6 +2,7 @@ package goinstr
 
 import (
 	"bytes"
+	"embed"
 	"fmt"
 	"go/ast"
 	"go/printer"
@@ -9,10 +10,15 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-
-	"repro/internal/goid"
-	"repro/internal/goinstr/rt"
 )
+
+// shim holds the runtime shim's sources, which emitModule copies into
+// every shadow module's rt/ directory. This directive is the one list of
+// the shim's files: the shim imports nothing outside the standard
+// library, so the copies build unchanged, and its tests stay behind.
+//
+//go:embed rt/rt.go rt/wrappers.go
+var shim embed.FS
 
 // emitModule writes everything of the shadow module that does not depend
 // on the package being instrumented:
@@ -20,17 +26,17 @@ import (
 //	out/
 //	  go.mod          module vftshadow (no requirements: builds offline)
 //	  rt/             the runtime shim, copied from its embedded sources
-//	  goid/           the shim's only repo dependency, likewise embedded
 //
-// The shim sources import "repro/internal/goid" when compiled inside this
-// repo; the copy rewrites that path to "vftshadow/goid" so the shadow
-// module resolves everything within itself. Any other .go file in rt/ or
-// goid/ — left by an earlier vft-go in a kept module — is removed.
+// Any other .go file in rt/ — left by an earlier vft-go in a kept module —
+// is removed, and so is the goid/ directory that earlier vft-go versions
+// wrote beside it.
 func emitModule(out string) error {
-	for _, sub := range []string{"", "rt", "goid"} {
-		if err := os.MkdirAll(filepath.Join(out, sub), 0o755); err != nil {
-			return fmt.Errorf("goinstr: %w", err)
-		}
+	rtDir := filepath.Join(out, "rt")
+	if err := os.MkdirAll(rtDir, 0o755); err != nil {
+		return fmt.Errorf("goinstr: %w", err)
+	}
+	if err := os.RemoveAll(filepath.Join(out, "goid")); err != nil {
+		return fmt.Errorf("goinstr: %w", err)
 	}
 
 	gomod := "module vftshadow\n\ngo 1.22\n"
@@ -38,27 +44,22 @@ func emitModule(out string) error {
 		return fmt.Errorf("goinstr: %w", err)
 	}
 
-	for _, name := range []string{"rt.go", "wrappers.go"} {
-		src, err := rt.Sources.ReadFile(name)
+	files, err := shim.ReadDir("rt")
+	if err != nil {
+		return fmt.Errorf("goinstr: embedded shim: %w", err)
+	}
+	var names []string
+	for _, f := range files {
+		src, err := shim.ReadFile("rt/" + f.Name())
 		if err != nil {
 			return fmt.Errorf("goinstr: embedded shim: %w", err)
 		}
-		src = bytes.ReplaceAll(src, []byte(`"repro/internal/goid"`), []byte(`"vftshadow/goid"`))
-		if err := os.WriteFile(filepath.Join(out, "rt", name), src, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(rtDir, f.Name()), src, 0o644); err != nil {
 			return fmt.Errorf("goinstr: %w", err)
 		}
+		names = append(names, f.Name())
 	}
-	gsrc, err := goid.Sources.ReadFile("goid.go")
-	if err != nil {
-		return fmt.Errorf("goinstr: embedded goid: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(out, "goid", "goid.go"), gsrc, 0o644); err != nil {
-		return fmt.Errorf("goinstr: %w", err)
-	}
-	if err := removeGoFilesExcept(filepath.Join(out, "rt"), "rt.go", "wrappers.go"); err != nil {
-		return err
-	}
-	return removeGoFilesExcept(filepath.Join(out, "goid"), "goid.go")
+	return removeGoFilesExcept(rtDir, names...)
 }
 
 // emitPackage adds the rewritten sources, printed from the mutated ASTs,

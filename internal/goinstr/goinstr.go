@@ -15,17 +15,17 @@
 //	          WaitGroup/Once, channels, sync/atomic) onto calls into the
 //	          runtime shim (internal/goinstr/rt)
 //	Emit      write the rewritten package into the shadow module, which
-//	          already holds the shim and its goid dependency and builds
-//	          offline (module vftshadow, no requirements), and delete
-//	          any other package's sources a kept module still holds
+//	          already holds the shim and builds offline (module
+//	          vftshadow, no requirements), and delete any other
+//	          package's sources a kept module still holds
 //	Run       go build the shadow module and execute it with VFT_TRACE
-//	          set, yielding a binary v2 trace + meta sidecar. A kept
-//	          shadow module records the binary it linked, and a rerun
-//	          whose module files, toolchain and configuration are
-//	          unchanged reuses it without a go build. The one record
-//	          (vft-kept.json, see Instrument and Build) is keyed on
-//	          what the go command would read, read without running it,
-//	          so a warm rerun runs no go command at all
+//	          set, yielding a binary v2 trace + the meta sidecar beside
+//	          it (rt.MetaPath). A kept shadow module records the binary
+//	          it linked, and a rerun whose module files, toolchain and
+//	          configuration are unchanged reuses it without a go build.
+//	          The one record (vft-kept.json, see Instrument and Build)
+//	          is keyed on what the go command would read, read without
+//	          running it, so a warm rerun runs no go command at all
 //	Check     stream the trace through the verified checker, rendering
 //	          reports with source-level names
 //

@@ -303,9 +303,9 @@ func cCompiler(userEnv, rootEnv string) string {
 
 // sourceKey is the SHA-256, in hex, of what Instrument emits besides the
 // toolchain's answers: the instrumenter (selfBuildID, which also names the
-// shim and goid sources it embeds), the options that change the rewrite,
-// the package directory, and the name and content of every .go file
-// directly in it. Those are all the files parse may take, whatever the
+// shim sources it embeds), the options that change the rewrite, the
+// package directory, and the name and content of every .go file directly
+// in it. Those are all the files parse may take, whatever the
 // build constraints say, so the key needs none evaluated. It is "" when
 // the build ID or a file cannot be read.
 func sourceKey(dir string, opts Options) string {

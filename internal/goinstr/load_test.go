@@ -4,12 +4,15 @@ import (
 	"debug/buildinfo"
 	"encoding/json"
 	"go/importer"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,6 +40,23 @@ func readTree(t *testing.T, root string) map[string]string {
 	return files
 }
 
+// sourceImporter is the stdlib "source" importer, shared by every
+// instrumentFromSource call so the standard library is type-checked from
+// source once per test process rather than once per program and elision
+// mode. The importer is not safe for concurrent use: Import holds mu.
+var sourceImporter = &lockedImporter{imp: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.Import(path)
+}
+
 // instrumentFromSource is Instrument as it was before export data: the
 // same pipeline, with imports type-checked from source by the stdlib
 // "source" importer. It is the reference the differential test holds
@@ -50,7 +70,7 @@ func instrumentFromSource(t *testing.T, dir string, opts Options) Stats {
 	if err := emitModule(opts.OutDir); err != nil {
 		t.Fatal(err)
 	}
-	if err := pkg.typeCheck(importer.ForCompiler(pkg.Fset, "source", nil)); err != nil {
+	if err := pkg.typeCheck(sourceImporter); err != nil {
 		t.Fatal(err)
 	}
 	rw := newRewriter(pkg, Analyze(pkg), opts.Elide)

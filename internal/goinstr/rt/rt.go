@@ -5,12 +5,18 @@
 // id spaces of the trace language and streams a binary VFTb\x02 trace
 // (trace format v2) that the verified checker replays offline, unchanged.
 //
-// The shim is deliberately self-contained — standard library plus
-// repro/internal/goid only — because the front-end copies its source into
-// the shadow module it generates, where no module requirements exist. It
-// must not import internal/trace; instead it re-implements the ~40-line
-// binary encoder, and a test in internal/goinstr pins the two wire formats
-// together by decoding this encoder's output with trace.NewBinaryDecoder.
+// The shim is deliberately self-contained — standard library only —
+// because the front-end copies its source into the shadow module it
+// generates, where no module requirements exist. It must not import
+// internal/trace; instead it re-implements the ~40-line binary encoder,
+// and a test in internal/goinstr pins the two wire formats together by
+// decoding this encoder's output with trace.NewBinaryDecoder.
+//
+// The shim is inert until its first event. Every tool of this repository
+// links it (through internal/goinstr), so init only registers the main
+// goroutine as thread 0; the capture named by [EnvTrace] is opened by the
+// first emitted event, the first check of whether capture is on, or
+// [Shutdown], whichever comes first.
 //
 // # Event ordering
 //
@@ -88,16 +94,16 @@ package rt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"time"
 	"unsafe"
-
-	"repro/internal/goid"
 )
 
 // Operation kinds, byte-compatible with internal/trace.Kind. A test in
@@ -127,7 +133,8 @@ var binaryMagic = []byte{'V', 'F', 'T', 'b', 2}
 
 // G is one goroutine's identity in the trace: its dense thread id. The
 // rewriter binds a *G once per instrumented function body (__vftg :=
-// __vft.Bind()) so the goid lookup is paid per call, not per access.
+// __vft.Bind()) so the goroutine-id lookup is paid per call, not per
+// access.
 type G struct {
 	tid int32
 }
@@ -139,10 +146,10 @@ func (g *G) Tid() int32 { return g.tid }
 // off the package-level singleton so the generated call sites stay short.
 type state struct {
 	mu      sync.Mutex // guards encoder, id tables, names, counters
-	active  bool
+	started bool       // the capture was opened, or found off (see start)
+	active  bool       // events are written; false when off or shut down
 	file    *os.File
 	w       *bufio.Writer
-	opened  bool
 	buf     [32]byte
 	nextTid int32
 
@@ -165,7 +172,7 @@ type state struct {
 	dropped  uint64 // events dropped to keep the stream feasible
 	timeouts uint64 // log-side waits that hit EnvChanWait (lossy channels)
 
-	// gs maps a goroutine id (goid.ID) to its *G. Only the goroutine an
+	// gs maps a goroutine id (goid) to its *G. Only the goroutine an
 	// entry belongs to stores or deletes it, so no entry is ever contended.
 	gs sync.Map
 }
@@ -206,13 +213,12 @@ var st = &state{
 	chanMeta:    map[int32]chanMetaEntry{},
 }
 
-// EnvTrace and EnvMeta name the environment variables the shim reads at
-// startup: the trace output path (empty disables capture — the program
-// runs with the shim pass-through) and the meta sidecar path (defaulting
-// to trace path + ".meta.json").
 const (
+	// EnvTrace names the environment variable the shim reads at its first
+	// event: the trace output path. Empty disables capture — the program
+	// runs with the shim pass-through. The meta sidecar goes to
+	// MetaPath(trace).
 	EnvTrace = "VFT_TRACE"
-	EnvMeta  = "VFT_META"
 
 	// EnvChanWait bounds every log-side channel wait (a time.ParseDuration
 	// string). Waits only ever span the scheduling delay of a logger whose
@@ -235,27 +241,44 @@ func chanWaitTimeout() time.Duration {
 	return defaultChanWait
 }
 
+// MetaPath is where the shim writes the meta sidecar of the trace at
+// tracePath.
+func MetaPath(tracePath string) string { return tracePath + ".meta.json" }
+
 func init() {
+	st.nextTid = 1
+	st.gs.Store(goid(), &G{tid: 0}) // the main goroutine is thread 0
+}
+
+// start opens the capture EnvTrace names and writes the stream header, or
+// leaves capture off — every wrapper a pass-through — when it is unset or
+// cannot be created. It runs once, at the shim's first event rather than
+// in init, so a program that links the shim but logs nothing never
+// touches the file. The caller holds st.mu.
+func (s *state) start() {
+	s.started = true
 	path := os.Getenv(EnvTrace)
 	if path == "" {
-		// Capture disabled: register the main goroutine so Bind still
-		// works, and make every wrapper a pass-through.
-		st.nextTid = 1
-		st.gs.Store(goid.ID(), &G{tid: 0})
 		return
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vft-rt: cannot open trace %q: %v (capture disabled)\n", path, err)
-		st.nextTid = 1
-		st.gs.Store(goid.ID(), &G{tid: 0})
 		return
 	}
-	st.file = f
-	st.w = bufio.NewWriterSize(f, 1<<16)
-	st.active = true
-	st.nextTid = 1
-	st.gs.Store(goid.ID(), &G{tid: 0}) // the main goroutine is thread 0
+	s.file = f
+	s.w = bufio.NewWriterSize(f, 1<<16)
+	s.w.Write(binaryMagic)
+	s.active = true
+}
+
+// capturingLocked reports whether events are written, starting the
+// capture on the first call. The caller holds st.mu.
+func (s *state) capturingLocked() bool {
+	if !s.started {
+		s.start()
+	}
+	return s.active
 }
 
 // Bind returns the calling goroutine's trace identity, creating one if the
@@ -267,7 +290,7 @@ func init() {
 // Only the calling goroutine ever stores its own entry, so a load that
 // misses can store without a check-and-set.
 func Bind() *G {
-	id := goid.ID()
+	id := goid()
 	if g, ok := st.gs.Load(id); ok {
 		return g.(*G)
 	}
@@ -296,7 +319,7 @@ func Fork(g *G) int32 {
 // the current goroutine to u for the duration of fn. The rewriter emits
 // `go __vft.Spawn(__vft.Fork(__vftg), func() { ... })`.
 func Spawn(u int32, fn func()) {
-	id := goid.ID()
+	id := goid()
 	st.gs.Store(id, &G{tid: u})
 	defer st.gs.Delete(id)
 	fn()
@@ -306,12 +329,8 @@ func Spawn(u int32, fn func()) {
 func (s *state) emitLocked(kind uint8, t int32, arg uint32) {
 	s.events++
 	s.byKind[kind]++
-	if !s.active {
+	if !s.capturingLocked() {
 		return
-	}
-	if !s.opened {
-		s.opened = true
-		s.w.Write(binaryMagic)
 	}
 	rec := s.buf[8:]
 	rec[0] = kind
@@ -648,21 +667,19 @@ func (cs *chanState) sendSelDone(g *G) {
 func Shutdown() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.active {
+	if !st.capturingLocked() {
 		return
 	}
 	st.active = false
-	if !st.opened {
-		st.opened = true
-		st.w.Write(binaryMagic) // even an empty trace gets a header
+	err := st.w.Flush() // even a program that logged nothing leaves the header
+	if cerr := st.file.Close(); err == nil {
+		err = cerr
 	}
-	st.w.Flush()
-	st.file.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vft-rt: writing trace: %v\n", err)
+	}
 
-	metaPath := os.Getenv(EnvMeta)
-	if metaPath == "" {
-		metaPath = st.file.Name() + ".meta.json"
-	}
+	metaPath := MetaPath(st.file.Name())
 	kinds := map[string]uint64{}
 	kindNames := []string{
 		"rd", "wr", "acq", "rel", "fork", "join", "vrd", "vwr", "barrier",
@@ -721,4 +738,50 @@ func (m *Meta) ChanCaps() map[int32]int {
 		}
 	}
 	return caps
+}
+
+// Goroutine identity. The Go runtime deliberately hides goroutine ids, so
+// the shim has exactly one portable way to get one: parse the "goroutine
+// N [running]:" header runtime.Stack prints. The runtime never reuses an
+// id within a process, so the gs key can never alias another goroutine.
+
+// stackHeader is the prefix runtime.Stack prints before the goroutine id.
+const stackHeader = "goroutine "
+
+// stackBufs recycles the tiny header buffers: runtime.Stack's argument
+// escapes, so a plain stack array would cost one 64-byte allocation per
+// call. The id and the " [" that terminates it always fit in 64 bytes —
+// ids are decimal int64s.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
+
+// goid returns the runtime id of the calling goroutine, parsed from the
+// runtime.Stack header. Steady state it does not allocate; the cost is
+// the runtime.Stack call itself, a few microseconds, which Bind pays once
+// per instrumented function call — BenchmarkID read 5.0–6.1 µs/op over
+// `go test -run '^$' -bench 'ID$' -count 5 ./internal/goinstr/rt` on
+// go1.24.0 with 2 CPUs.
+func goid() int64 {
+	buf := stackBufs.Get().(*[64]byte)
+	n := runtime.Stack(buf[:], false)
+	id := parseHeader(buf[:n])
+	stackBufs.Put(buf)
+	return id
+}
+
+// parseHeader extracts the goroutine id from a runtime.Stack prefix. It
+// returns 0 (never a valid goroutine id — the runtime numbers from 1) if
+// the buffer does not look like a stack header; split out for testing.
+func parseHeader(b []byte) int64 {
+	if !bytes.HasPrefix(b, []byte(stackHeader)) {
+		return 0
+	}
+	b = b[len(stackHeader):]
+	var id int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + int64(c-'0')
+	}
+	return id
 }

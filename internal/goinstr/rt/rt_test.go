@@ -8,9 +8,9 @@ package rt
 // Run with -race: the gadget's own locking is part of the contract.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,29 +20,22 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/goid"
 	"repro/internal/trace"
 )
 
-// resetForTest points the singleton at a fresh capture file and clears
-// every id table and counter, so each test sees deterministic ids with
-// the test's own goroutine as thread 0.
+// resetForTest points EnvTrace at a fresh capture file, which the next
+// event opens, and clears every id table and counter, so each test sees
+// deterministic ids with the test's own goroutine as thread 0.
 func resetForTest(t *testing.T) (tracePath string) {
 	t.Helper()
-	dir := t.TempDir()
-	tracePath = filepath.Join(dir, "out.vft")
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(EnvMeta, tracePath+".meta.json")
+	tracePath = filepath.Join(t.TempDir(), "out.vft")
+	t.Setenv(EnvTrace, tracePath)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.file = f
-	st.w = bufio.NewWriter(f)
-	st.active = true
-	st.opened = false
+	st.started = false
+	st.active = false
+	st.file, st.w = nil, nil
 	st.nextTid = 1
 	st.vars = map[unsafe.Pointer]int32{}
 	st.atomics = map[unsafe.Pointer]int32{}
@@ -58,7 +51,7 @@ func resetForTest(t *testing.T) (tracePath string) {
 	st.byKind = [numKinds]uint64{}
 	st.dropped = 0
 	st.timeouts = 0
-	st.gs.Store(goid.ID(), &G{tid: 0})
+	st.gs.Store(goid(), &G{tid: 0})
 	return tracePath
 }
 
@@ -78,7 +71,7 @@ func decodeTrace(t *testing.T, path string) trace.Trace {
 
 func loadMeta(t *testing.T, path string) *Meta {
 	t.Helper()
-	b, err := os.ReadFile(path + ".meta.json")
+	b, err := os.ReadFile(MetaPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,12 +453,10 @@ func TestMapWrappers(t *testing.T) {
 }
 
 // TestDisabledPassThrough verifies that with capture off every wrapper
-// still performs its underlying operation and writes nothing.
+// still performs its underlying operation and creates no file.
 func TestDisabledPassThrough(t *testing.T) {
 	path := resetForTest(t)
-	st.mu.Lock()
-	st.active = false
-	st.mu.Unlock()
+	t.Setenv(EnvTrace, "")
 
 	g := Bind()
 	var x int
@@ -489,12 +480,42 @@ func TestDisabledPassThrough(t *testing.T) {
 		t.Fatal("pass-through OnceDo")
 	}
 
-	fi, err := os.Stat(path)
+	Shutdown()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("capture disabled, yet %s: %v", path, err)
+	}
+}
+
+// TestCaptureOpensAtFirstEvent: the trace file does not exist until the
+// first event, which creates it, and a capture that logs nothing still
+// ends as a header-only trace with a sidecar.
+func TestCaptureOpensAtFirstEvent(t *testing.T) {
+	path := resetForTest(t)
+	g := Bind()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("before the first event: %s: %v", path, err)
+	}
+	var x int
+	*Wr(g, "x", &x) = 1
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("after the first event: %v", err)
+	}
+	Shutdown()
+	if tr := decodeTrace(t, path); len(tr) != 1 || tr[0].Kind != trace.Write {
+		t.Fatalf("trace = %v, want one write", tr)
+	}
+
+	path = resetForTest(t)
+	Shutdown()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != 0 {
-		t.Fatalf("capture file written while disabled: %d bytes", fi.Size())
+	if !bytes.Equal(raw, binaryMagic) {
+		t.Fatalf("a capture with no event holds %q, want the header %q alone", raw, binaryMagic)
+	}
+	if m := loadMeta(t, path); m.Events != 0 {
+		t.Fatalf("sidecar counts %d events, want 0", m.Events)
 	}
 }
 
@@ -837,6 +858,93 @@ func TestAtomicShapes(t *testing.T) {
 	for i, k := range want {
 		if tr[i].Kind != k || tr[i].T != 0 {
 			t.Errorf("op %d = %v, want %v by thread 0", i, tr[i], k)
+		}
+	}
+}
+
+// TestIDStableAndDistinct is the correctness contract: an id is stable
+// within one goroutine and distinct across live goroutines. Run with
+// -race (the repo's race CI job does) to double as a concurrency test of
+// the parse path.
+func TestIDStableAndDistinct(t *testing.T) {
+	const goroutines = 64
+	const reads = 200
+
+	ids := make([]int64, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			first := goid()
+			if first <= 0 {
+				t.Errorf("goroutine %d: goid() = %d, want positive", slot, first)
+				return
+			}
+			for j := 0; j < reads; j++ {
+				if got := goid(); got != first {
+					t.Errorf("goroutine %d: ID changed %d -> %d", slot, first, got)
+					return
+				}
+				if j%16 == 0 {
+					runtime.Gosched()
+				}
+			}
+			ids[slot] = first
+		}(i)
+	}
+	wg.Wait()
+
+	seen := map[int64]int{}
+	for slot, id := range ids {
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("goroutines %d and %d share id %d", prev, slot, id)
+		}
+		seen[id] = slot
+	}
+}
+
+func TestParseHeader(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+	}{
+		{"goroutine 1 [running]:\nmain.main()", 1},
+		{"goroutine 4711 [runnable]:", 4711},
+		{"goroutine 9223372036854775807 [running]:", 9223372036854775807},
+		{"garbage", 0},
+		{"goroutine x", 0},
+		{"", 0},
+	}
+	for _, c := range cases {
+		if got := parseHeader([]byte(c.in)); got != c.want {
+			t.Errorf("parseHeader(%q) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+func TestIDMatchesStackDump(t *testing.T) {
+	// Cross-check the small-buffer parse against a full runtime.Stack dump
+	// formatted the slow way.
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, false)
+	var want int64
+	if _, err := fmt.Sscanf(string(buf[:n]), "goroutine %d ", &want); err != nil {
+		t.Fatalf("parsing full stack dump: %v", err)
+	}
+	if got := goid(); got != want {
+		t.Fatalf("goid() = %d, full-dump parse = %d", got, want)
+	}
+}
+
+// BenchmarkID prices the goroutine-id capture: one small runtime.Stack
+// call plus the header parse, which Bind pays once per instrumented
+// function call.
+func BenchmarkID(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if goid() <= 0 {
+			b.Fatal("bad id")
 		}
 	}
 }

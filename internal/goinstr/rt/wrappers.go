@@ -198,7 +198,7 @@ func RecvSelOK(g *G, site string, c any, ok bool) {
 
 func capturing() bool {
 	st.mu.Lock()
-	a := st.active
+	a := st.capturingLocked()
 	st.mu.Unlock()
 	return a
 }

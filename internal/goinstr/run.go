@@ -66,13 +66,10 @@ func Build(shadowDir string) (string, error) {
 // returning the meta sidecar path. The program's own output flows to the
 // given writers.
 func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath := tracePath + ".meta.json"
+	metaPath := rt.MetaPath(tracePath)
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = stdout, stderr
-	cmd.Env = append(os.Environ(),
-		rt.EnvTrace+"="+tracePath,
-		rt.EnvMeta+"="+metaPath,
-	)
+	cmd.Env = append(os.Environ(), rt.EnvTrace+"="+tracePath)
 	if err := cmd.Run(); err != nil {
 		return metaPath, fmt.Errorf("goinstr: running %s: %w", filepath.Base(bin), err)
 	}
@@ -82,14 +79,11 @@ func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string
 // RunTests runs `go test` inside the shadow module with capture enabled
 // (the injected TestMain flushes the trace after m.Run).
 func RunTests(shadowDir, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath := tracePath + ".meta.json"
+	metaPath := rt.MetaPath(tracePath)
 	cmd := exec.Command("go", append([]string{"test"}, args...)...)
 	cmd.Dir = shadowDir
 	cmd.Stdout, cmd.Stderr = stdout, stderr
-	cmd.Env = append(offlineEnv(),
-		rt.EnvTrace+"="+tracePath,
-		rt.EnvMeta+"="+metaPath,
-	)
+	cmd.Env = append(offlineEnv(), rt.EnvTrace+"="+tracePath)
 	if err := cmd.Run(); err != nil {
 		return metaPath, fmt.Errorf("goinstr: go test: %w", err)
 	}
