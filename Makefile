@@ -65,11 +65,13 @@ bench-smoke:
 
 # Where the checker's code sits in vft-server and the benchmark binary, at
 # REV and in the working tree: the first repro/internal/core. text address,
-# that address mod 64, and whether every text symbol ahead of
-# repro/internal/goinstr kept REV's address. New standard-library code that
-# only goinstr calls lands ahead of the checker and can shift it to another
-# cache-line offset, which slowed offline-syncdense by 10–15% (EXPERIMENTS
-# E38). Usage: make layout REV=<rev>.
+# that address mod 64 (and the bench's first main. one), whether every text
+# symbol ahead of repro/internal/goinstr kept REV's address, and how many
+# symbols of main and of the checker's packages changed their address mod
+# 64. New standard-library code that only goinstr calls lands ahead of the
+# checker and can shift it to another cache-line offset, which slowed
+# offline-syncdense by 10–15% (EXPERIMENTS E38); the bench's main sits after
+# goinstr and moves with it (E41). Usage: make layout REV=<rev>.
 layout:
 	@test -n "$(REV)" || { echo "usage: make layout REV=<rev>"; exit 2; }
 	bash scripts/layout.sh $(REV)

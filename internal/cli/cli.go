@@ -73,6 +73,10 @@ func Race(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "vft-race: usage: vft-race [flags] [trace | -] (one trace per run)")
 		return 2
 	}
+	if *parties < 1 {
+		fmt.Fprintf(stderr, "vft-race: -parties: bad value %d (min 1)\n", *parties)
+		return 2
+	}
 	caps, err := trace.ParseIDValues(*chancaps, "-chancaps", 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-race:", err)

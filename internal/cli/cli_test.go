@@ -95,6 +95,14 @@ func TestRaceErrors(t *testing.T) {
 	if code, _, _ := runRace(t, []string{"-definitely-not-a-flag"}, ""); code != 2 {
 		t.Fatalf("bad flag exit = %d, want 2", code)
 	}
+	// A barrier of fewer than one party: an error, as vft-server's
+	// parties= makes it, not the default count.
+	for _, n := range []string{"0", "-5"} {
+		code, out, errOut := runRace(t, []string{"-parties", n}, "fork 0 1\nwr 1 1\nbarrier 0 9\nbarrier 1 9\nrd 0 1\n")
+		if code != 2 || out != "" || !strings.Contains(errOut, "-parties") {
+			t.Fatalf("-parties %s: exit = %d, stdout %q, stderr %q; want exit 2 naming -parties", n, code, out, errOut)
+		}
+	}
 	// Two traces: checking the first and calling the pair clean would
 	// certify a file that was never read.
 	dir := t.TempDir()

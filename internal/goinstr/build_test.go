@@ -418,6 +418,30 @@ func modTimes(t *testing.T, root string) map[string]time.Time {
 	return times
 }
 
+// TestWarmVerdictIgnoresTheShell: a rerun that differs from the cold run
+// only in the shell's PWD, OLDPWD and _ (run from another directory,
+// through another path to the binary) is still warm: the go command reads
+// none of the three, so the toolchain key does not hash them.
+func TestWarmVerdictIgnoresTheShell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	fg := goOnPath(t, "")
+	if toolchainKey() == "" {
+		t.Skip("the toolchain is not one a record may be trusted under")
+	}
+	mod := t.TempDir()
+	opts := Options{Elide: true, OutDir: mod}
+	fg.pair(t, poolDir(), mod, opts)
+	elsewhere := t.TempDir()
+	t.Setenv("PWD", elsewhere)
+	t.Setenv("OLDPWD", mod)
+	t.Setenv("_", filepath.Join(elsewhere, "vft-go"))
+	if calls, _ := fg.pair(t, poolDir(), mod, opts); len(calls) != 0 {
+		t.Errorf("a rerun from another shell ran go %q, want no go command", calls)
+	}
+}
+
 // TestWarmVerdictRunsNoGoCommand: instrumenting and building the pool
 // program again into a kept module runs no go command and writes no file;
 // and the binary such a hit reuses is the one go build links from that

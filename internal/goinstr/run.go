@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/goinstr/rt"
 )
@@ -14,9 +16,17 @@ import (
 // mode with the network off — the shadow module has no requirements, so
 // nothing needs resolving — and no version-control stamp, which would
 // describe whatever repository encloses the shadow module and relink the
-// binary whenever that repository's state changed.
+// binary whenever that repository's state changed. It leaves out the
+// shell's PWD, OLDPWD and _: the go command runs in the shadow module
+// (cmd.Dir) and reads none of the three, and toolchainKey hashes this
+// environment, so they would turn a rerun from another directory, or
+// through another path to vft-go, into a cold one.
 func offlineEnv() []string {
-	return append(os.Environ(),
+	env := slices.DeleteFunc(os.Environ(), func(kv string) bool {
+		k, _, _ := strings.Cut(kv, "=")
+		return k == "PWD" || k == "OLDPWD" || k == "_"
+	})
+	return append(env,
 		"GOPROXY=off",
 		"GOFLAGS=-mod=mod -buildvcs=false",
 		"GO111MODULE=on",

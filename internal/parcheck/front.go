@@ -38,29 +38,37 @@ type frontStage struct {
 	sampler *sample.Policy // nil: every access is admitted
 	det     core.Detector  // receives what the stage admits, under compact ids
 
-	// Every idMap entry a check sets is listed below, for reset.
-	tids, vars, locks idMap
-	origT             []epoch.Tid  // compact tid -> raw
-	origX             []trace.Var  // compact variable -> raw
-	origM             []trace.Lock // compact lock -> lowered
-	rejected          []trace.Var  // variables the sampler rejected
+	// Every id a check gives a value is listed below, for reset.
+	tids     trace.IDTable[epoch.Tid, uint32]
+	vars     trace.IDTable[trace.Var, uint32]
+	locks    trace.IDTable[trace.Lock, uint32]
+	origT    []epoch.Tid  // compact tid -> raw
+	origX    []trace.Var  // compact variable -> raw
+	origM    []trace.Lock // compact lock -> lowered
+	rejected []trace.Var  // variables the sampler rejected
 
 	accesses, syncs                   uint64 // ops handed to the detector
 	suppressedReads, suppressedWrites uint64
 }
 
-// idMap values: unseen, a variable the sampler rejected, or a compact id
-// offset by firstID.
+// The id tables' values: unseen, a variable the sampler rejected, or a
+// compact id offset by firstID.
 const (
 	unseen     = 0
 	suppressed = 1
 	firstID    = 2
+
+	// maxDenseIDs is the id tables' dense window: 2^21 ids, 8 MiB a table
+	// at most. Every access and lock op is renumbered through them, so it
+	// is wide enough that a real program's variable ids, in the millions,
+	// stay dense.
+	maxDenseIDs = 1 << 21
 )
 
 // read hands rd(t,x) on.
 func (f *frontStage) read(t epoch.Tid, x trace.Var) {
-	v, ok := f.vars.known(uint32(x))
-	if !ok {
+	v := f.vars.Get(x)
+	if v == unseen {
 		v = f.newVar(x)
 	}
 	if v == suppressed {
@@ -73,8 +81,8 @@ func (f *frontStage) read(t epoch.Tid, x trace.Var) {
 
 // write hands wr(t,x) on.
 func (f *frontStage) write(t epoch.Tid, x trace.Var) {
-	v, ok := f.vars.known(uint32(x))
-	if !ok {
+	v := f.vars.Get(x)
+	if v == unseen {
 		v = f.newVar(x)
 	}
 	if v == suppressed {
@@ -95,14 +103,14 @@ func (f *frontStage) newVar(x trace.Var) uint32 {
 	} else {
 		f.rejected = append(f.rejected, x)
 	}
-	f.vars.set(uint32(x), v)
+	f.vars.Set(x, v, maxDenseIDs)
 	return v
 }
 
 // acquire hands acq(t,m) on, m a lowered lock id.
 func (f *frontStage) acquire(t epoch.Tid, m trace.Lock) {
-	v, ok := f.locks.known(uint32(m))
-	if !ok {
+	v := f.locks.Get(m)
+	if v == unseen {
 		v = f.newLock(m)
 	}
 	f.syncs++
@@ -111,8 +119,8 @@ func (f *frontStage) acquire(t epoch.Tid, m trace.Lock) {
 
 // release hands rel(t,m) on, m a lowered lock id.
 func (f *frontStage) release(t epoch.Tid, m trace.Lock) {
-	v, ok := f.locks.known(uint32(m))
-	if !ok {
+	v := f.locks.Get(m)
+	if v == unseen {
 		v = f.newLock(m)
 	}
 	f.syncs++
@@ -150,11 +158,11 @@ func (f *frontStage) push(op trace.Op) {
 }
 
 func (f *frontStage) tid(t epoch.Tid) epoch.Tid {
-	v := f.tids.get(uint32(t))
+	v := f.tids.Get(t)
 	if v == unseen {
 		v = uint32(len(f.origT)) + firstID
 		f.origT = append(f.origT, t)
-		f.tids.set(uint32(t), v)
+		f.tids.Set(t, v, maxDenseIDs)
 	}
 	return epoch.Tid(v - firstID)
 }
@@ -163,7 +171,7 @@ func (f *frontStage) tid(t epoch.Tid) epoch.Tid {
 func (f *frontStage) newLock(m trace.Lock) uint32 {
 	v := uint32(len(f.origM)) + firstID
 	f.origM = append(f.origM, m)
-	f.locks.set(uint32(m), v)
+	f.locks.Set(m, v, maxDenseIDs)
 	return v
 }
 
@@ -190,77 +198,13 @@ func (f *frontStage) addStats(s obs.Snapshot) {
 	}
 }
 
-// reset empties the stage for the next check and returns how many idMap
-// entries it cleared: the ones the last check set, never more.
+// reset empties the stage for the next check and returns how many id
+// table entries it cleared: the ones the last check set, never more.
 func (f *frontStage) reset() int {
-	n := forget(&f.tids, f.origT) + forget(&f.vars, f.origX) + forget(&f.vars, f.rejected) + forget(&f.locks, f.origM)
+	n := f.tids.Forget(f.origT) + f.vars.Forget(f.origX) + f.vars.Forget(f.rejected) + f.locks.Forget(f.origM)
 	*f = frontStage{
 		tids: f.tids, vars: f.vars, locks: f.locks,
 		origT: f.origT[:0], origX: f.origX[:0], origM: f.origM[:0], rejected: f.rejected[:0],
 	}
 	return n
-}
-
-// idMap maps raw ids to uint32 values, zero meaning absent. Ids below
-// maxDenseIDs live in a slice grown by doubling; anything beyond (or
-// negative) spills into a map, so one huge id costs a map entry and the
-// slice never exceeds 8 MiB.
-type idMap struct {
-	dense  []uint32
-	sparse map[uint32]uint32
-}
-
-const maxDenseIDs = 1 << 21
-
-// known returns id's value and whether it has one. A dense id, which
-// nearly every id is, is answered without a call: the renumbering of
-// every access and every lock op runs through here.
-func (m *idMap) known(id uint32) (uint32, bool) {
-	if id < uint32(len(m.dense)) {
-		v := m.dense[id]
-		return v, v != unseen
-	}
-	v := m.get(id)
-	return v, v != unseen
-}
-
-func (m *idMap) get(id uint32) uint32 {
-	if int(id) < len(m.dense) {
-		return m.dense[id]
-	}
-	if id < maxDenseIDs {
-		return 0
-	}
-	return m.sparse[id]
-}
-
-// forget clears ids' dense entries and drops the spill map, returning how
-// many dense entries it cleared.
-func forget[ID epoch.Tid | trace.Var | trace.Lock](m *idMap, ids []ID) int {
-	n := 0
-	for _, id := range ids {
-		if uint32(id) < uint32(len(m.dense)) {
-			m.dense[id] = unseen
-			n++
-		}
-	}
-	m.sparse = nil
-	return n
-}
-
-func (m *idMap) set(id, v uint32) {
-	if id >= maxDenseIDs {
-		if m.sparse == nil {
-			m.sparse = map[uint32]uint32{}
-		}
-		m.sparse[id] = v
-		return
-	}
-	if int(id) >= len(m.dense) {
-		n := max(2*len(m.dense), int(id)+1, 64)
-		grown := make([]uint32, min(n, maxDenseIDs))
-		copy(grown, m.dense)
-		m.dense = grown
-	}
-	m.dense[id] = v
 }

@@ -23,7 +23,7 @@ func onState(st *checkState, check func()) {
 }
 
 // hostileGoSync names ids at the edges of the tables — a thread id far
-// past the others, a variable and a lock past the idMaps' dense windows,
+// past the others, a variable and a lock past the id tables' dense windows,
 // Go-sync objects with huge ids — beside a small variable id that three
 // threads share, so a state it has dirtied holds stale clocks, a read
 // vector, reports and ids both dense and spilled. (It stays cheap to check:
@@ -152,9 +152,9 @@ func TestRecycledCheckMatchesFresh(t *testing.T) {
 	}
 	inputs = append(inputs, input{name: "hostile again", data: binary(hostileGoSync)})
 
-	if st := dirtied(t); len(st.front.rejected) == 0 || st.front.vars.sparse == nil || len(st.m.reports) == 0 {
-		t.Fatalf("the hostile trace left rejected %v, spilled %v, reports %v; the fuzz targets need all three",
-			st.front.rejected, st.front.vars.sparse, st.m.reports)
+	if st := dirtied(t); len(st.front.rejected) == 0 || st.front.vars.Get(2000000000) == unseen || len(st.m.reports) == 0 {
+		t.Fatalf("the hostile trace left rejected %v, spilled variable %d, reports %v; the fuzz targets need all three",
+			st.front.rejected, st.front.vars.Get(2000000000), st.m.reports)
 	}
 	warm := new(checkState)
 	for _, in := range inputs {
@@ -218,9 +218,11 @@ func TestResetIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if len(st.front.tids.dense) <= 65000 || st.front.vars.sparse == nil {
-		t.Fatalf("the hostile check left %d dense thread slots and spilled variables %v; the test needs both",
-			len(st.front.tids.dense), st.front.vars.sparse)
+	// Thread 65000 is inside the tables' dense window, variable 2000000000
+	// past it: the check grew the dense thread table and spilled the variable.
+	if st.front.tids.Get(65000) == unseen || st.front.vars.Get(2000000000) == unseen {
+		t.Fatalf("the hostile check left thread 65000 as %d and variable 2000000000 as %d; the test needs both named",
+			st.front.tids.Get(65000), st.front.vars.Get(2000000000))
 	}
 	if n := st.front.reset(); n > 3 {
 		t.Errorf("reset cleared %d entries after a check that named 3 ids", n)

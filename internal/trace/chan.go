@@ -56,34 +56,14 @@ type ChanStep struct {
 	slot       int32     // the op's buffer slot (chanSlot)
 }
 
-// chanTable is a set of channels keyed by id, each allocated on first use
-// so core-language traces pay nothing: a slice for ids in
-// [0, denseIDs), a map beyond.
-type chanTable struct {
-	dense  []*chanState
-	sparse map[Lock]*chanState
-}
-
-func (t *chanTable) get(c Lock, ext *Extensions) *chanState {
-	if uint32(c) < uint32(len(t.dense)) && t.dense[c] != nil {
-		return t.dense[c]
+// channel returns channel c's state in t, allocating it on first use.
+func channel(t *IDTable[Lock, *chanState], c Lock, ext *Extensions) *chanState {
+	st := t.Get(c)
+	if st == nil {
+		st = &chanState{cap: ext.Capacity(c)}
+		t.Set(c, st, denseIDs)
 	}
-	if uint32(c) >= denseIDs {
-		st, ok := t.sparse[c]
-		if !ok {
-			if t.sparse == nil {
-				t.sparse = map[Lock]*chanState{}
-			}
-			st = &chanState{cap: ext.Capacity(c)}
-			t.sparse[c] = st
-		}
-		return st
-	}
-	for int(c) >= len(t.dense) {
-		t.dense = append(t.dense, nil)
-	}
-	t.dense[c] = &chanState{cap: ext.Capacity(c)}
-	return t.dense[c]
+	return st
 }
 
 // step applies a send, receive or close to the channel under the Go rules

@@ -464,10 +464,3 @@ func (g *generator) drain() {
 		g.holds[t] = nil
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -294,13 +294,13 @@ func TestGenerateGoSync(t *testing.T) {
 		cfg.Ops = ops
 		var sends, recvs, zeros, chanOps int
 		for seed := int64(0); seed < 10; seed++ {
-			var chans chanTable
+			var chans IDTable[Lock, *chanState]
 			for _, op := range Generate(rand.New(rand.NewSource(seed)), cfg) {
 				if op.Kind != ChanSend && op.Kind != ChanRecv && op.Kind != ChanClose {
 					continue
 				}
 				chanOps++
-				s, _ := chans.get(op.M, ext).step(op)
+				s, _ := channel(&chans, op.M, ext).step(op)
 				switch op.Kind {
 				case ChanSend:
 					sends++

@@ -97,18 +97,10 @@ type Lowerer struct {
 	realScale, pseudoBase, pseudoScale Lock
 	npseudo                            Lock // pseudo-locks allocated so far
 
-	objects  [numObjects]lockTable // object id → pseudo-lock, per kind of object
-	arrivals map[Lock][]epoch.Tid  // threads in the current round, per barrier
-	chans    chanTable             // channel state, for Lower
-	pairs    []Pair                // Lower's scratch
-}
-
-// lockTable maps object ids to pseudo-locks, held +1 so that zero is "not
-// yet": a slice for ids in [0, denseIDs), a map beyond, so a huge
-// id costs a map entry and not a huge slice.
-type lockTable struct {
-	dense  []Lock
-	sparse map[int32]Lock
+	objects  [numObjects]IDTable[int32, Lock] // object id → pseudo-lock +1, per kind of object
+	arrivals map[Lock][]epoch.Tid             // threads in the current round, per barrier
+	chans    IDTable[Lock, *chanState]        // channel state, for Lower
+	pairs    []Pair                           // Lower's scratch
 }
 
 // NewParityLowerer returns a Lowerer with the streaming id discipline: a
@@ -139,25 +131,12 @@ func (l *Lowerer) next() Lock {
 // allocating it on first use.
 func (l *Lowerer) objectLock(kind int, id int32) Lock {
 	t := &l.objects[kind]
-	if uint32(id) < uint32(len(t.dense)) && t.dense[id] != 0 {
-		return t.dense[id] - 1
+	m := t.Get(id)
+	if m == 0 {
+		m = l.next() + 1
+		t.Set(id, m, denseIDs)
 	}
-	if uint32(id) >= denseIDs {
-		m, ok := t.sparse[id]
-		if !ok {
-			if t.sparse == nil {
-				t.sparse = map[int32]Lock{}
-			}
-			m = l.next() + 1
-			t.sparse[id] = m
-		}
-		return m - 1
-	}
-	for int(id) >= len(t.dense) {
-		t.dense = append(t.dense, 0)
-	}
-	t.dense[id] = l.next() + 1
-	return t.dense[id] - 1
+	return m - 1
 }
 
 // chanLock returns channel lock i (chanCloseLock, ...) of st, allocating
@@ -185,7 +164,7 @@ func (l *Lowerer) Lower(op Op, emit func(Op)) {
 		emit(Rel(op.T, l.Real(op.M)))
 		return
 	case ChanSend, ChanRecv, ChanClose:
-		s, why := l.chans.get(op.M, l.ext).step(op)
+		s, why := channel(&l.chans, op.M, l.ext).step(op)
 		if why != "" {
 			return // infeasible; the validator rejects it
 		}

@@ -97,10 +97,10 @@ const (
 //
 // Validation sits on the critical path of every check, in front of the
 // detector, so the per-id state lives in dense slices indexed by id, one
-// slot per thread, lock and channel, with a map spill for lock and channel
-// ids outside the dense window (huge or negative) so the accepted language
-// is exactly the map implementation's. Thread ids need no spill: Check
-// admits only [0, MaxTid].
+// slot per thread, lock and channel; lock and channel ids outside the
+// dense window (huge or negative) spill to a map (IDTable), so the
+// accepted language is exactly the map implementation's. Thread ids need
+// no spill: Check admits only [0, MaxTid].
 //
 // Check takes any kind. A check path that already switches on the kind
 // calls the per-kind entries Check dispatches to — Access, Acquire,
@@ -123,26 +123,22 @@ type Validator struct {
 	// threads by ordinal.
 	threads []threadSlot
 	tids    []epoch.Tid
-	locks   []lockSlot
+	locks   IDTable[Lock, lockSlot]
 
-	// locksHi is the spill state for lock ids outside
-	// [0, denseIDs).
-	locksHi map[Lock]lockSlot
-
-	// Channel-discipline state (constraint 6); allocated on first channel
-	// op so core-language traces pay nothing.
-	chans     chanTable
-	blockedOn map[epoch.Tid]Lock // thread -> channel it is blocked sending on
+	// Channel-discipline state (constraint 6); a channel is allocated on
+	// its first op, so core-language traces pay nothing.
+	chans IDTable[Lock, *chanState]
 }
 
 // threadSlot is a thread's validation state. The lifecycle byte packs the
 // threadPhase into its low two bits; actedBit records whether the thread
 // has performed any op yet, blockedBit whether it is blocked in a channel
-// send (blockedOn says on which channel). ord is the thread's ordinal:
-// 0 for main, k for the k-th thread forked.
+// send, and blockedOn on which channel. ord is the thread's ordinal: 0
+// for main, k for the k-th thread forked.
 type threadSlot struct {
-	state uint8
-	ord   epoch.Tid
+	state     uint8
+	ord       epoch.Tid
+	blockedOn Lock
 }
 
 // lockSlot is a lock's validation state: who holds it, if anyone.
@@ -160,9 +156,10 @@ const (
 	// prove before it acts: running, has acted, not blocked.
 	settled = uint8(phaseRunning) | actedBit
 
-	// denseIDs bounds the slice-indexed id window of the per-lock,
-	// per-channel and per-object tables; beyond it (or below zero) state
-	// spills to a map so hostile sparse ids cannot force huge allocations.
+	// denseIDs is the IDTable window of the validator's and the lowerer's
+	// per-lock, per-channel and per-object tables: 2^16 ids, 512 KiB a
+	// table at most. Only synchronization objects have slots there, far
+	// fewer than the variables the front stage's wider window serves.
 	denseIDs = 1 << 16
 )
 
@@ -198,30 +195,6 @@ func (v *Validator) setThread(t epoch.Tid, s uint8) {
 		v.threads = append(v.threads, threadSlot{})
 	}
 	v.threads[t].state = s
-}
-
-func (v *Validator) lock(m Lock) lockSlot {
-	if uint32(m) < uint32(len(v.locks)) {
-		return v.locks[m]
-	}
-	if uint32(m) < denseIDs {
-		return lockSlot{}
-	}
-	return v.locksHi[m]
-}
-
-func (v *Validator) setLock(m Lock, s lockSlot) {
-	if uint32(m) < denseIDs {
-		for int(m) >= len(v.locks) {
-			v.locks = append(v.locks, lockSlot{})
-		}
-		v.locks[m] = s
-		return
-	}
-	if v.locksHi == nil {
-		v.locksHi = map[Lock]lockSlot{}
-	}
-	v.locksHi[m] = s
 }
 
 func (v *Validator) fail(op Op, rule int, msg string) error {
@@ -276,7 +249,7 @@ func (v *Validator) actor(op Op) (uint8, error) {
 		return 0, v.fail(op, 4, fmt.Sprintf("thread %d acts after being joined", op.T))
 	}
 	if ts&blockedBit != 0 {
-		return 0, v.fail(op, 6, fmt.Sprintf("thread %d acts while blocked sending on channel c%d", op.T, v.blockedOn[op.T]))
+		return 0, v.fail(op, 6, fmt.Sprintf("thread %d acts while blocked sending on channel c%d", op.T, v.threads[op.T].blockedOn))
 	}
 	return ts, nil
 }
@@ -325,10 +298,10 @@ func (v *Validator) Acquire(op Op) error {
 	if op.M >= maxRealLock {
 		return v.fail(op, 1, "lock id exceeds the real-lock space")
 	}
-	if s := v.lock(op.M); s.held {
+	if s := v.locks.Get(op.M); s.held {
 		return v.fail(op, 1, fmt.Sprintf("lock m%d already held by thread %d", op.M, s.holder))
 	}
-	v.setLock(op.M, lockSlot{held: true, holder: op.T})
+	v.locks.Set(op.M, lockSlot{held: true, holder: op.T}, denseIDs)
 	v.admit(op.T, ts)
 	return nil
 }
@@ -339,10 +312,10 @@ func (v *Validator) Release(op Op) error {
 	if err != nil {
 		return err
 	}
-	if s := v.lock(op.M); !s.held || s.holder != op.T {
+	if s := v.locks.Get(op.M); !s.held || s.holder != op.T {
 		return v.fail(op, 2, fmt.Sprintf("thread %d releases lock m%d it does not hold", op.T, op.M))
 	}
-	v.setLock(op.M, lockSlot{holder: op.T})
+	v.locks.Set(op.M, lockSlot{holder: op.T}, denseIDs)
 	v.admit(op.T, ts)
 	return nil
 }
@@ -392,7 +365,7 @@ func (v *Validator) Join(op Op) error {
 	// would deadlock — and its send completes at a later receive, which
 	// would put operations of u after join(t,u).
 	if us&blockedBit != 0 {
-		return v.fail(op, 6, fmt.Sprintf("join on thread %d which is blocked sending on channel c%d", op.U, v.blockedOn[op.U]))
+		return v.fail(op, 6, fmt.Sprintf("join on thread %d which is blocked sending on channel c%d", op.U, v.threads[op.U].blockedOn))
 	}
 	v.setThread(op.U, us&actedBit|uint8(phaseJoined))
 	v.admit(op.T, ts)
@@ -407,20 +380,16 @@ func (v *Validator) Chan(op Op) (ChanStep, error) {
 	if err != nil {
 		return ChanStep{}, err
 	}
-	s, why := v.chans.get(op.M, v.Ext).step(op)
+	s, why := channel(&v.chans, op.M, v.Ext).step(op)
 	if why != "" {
 		return s, v.fail(op, 6, why)
 	}
 	v.admit(op.T, ts)
 	switch {
 	case s.what == chanBlocked:
-		if v.blockedOn == nil {
-			v.blockedOn = map[epoch.Tid]Lock{}
-		}
-		v.blockedOn[op.T] = op.M
 		v.threads[op.T].state |= blockedBit
+		v.threads[op.T].blockedOn = op.M
 	case s.woke:
-		delete(v.blockedOn, s.sender)
 		v.threads[s.sender].state &^= blockedBit
 	}
 	return s, nil
