@@ -53,13 +53,16 @@ bench-sampling:
 # it replaced three, so they cannot rot; so does the server's upload path,
 # with -benchmem, so its allocations per upload print on every run. The
 # shim's goroutine-id read runs a thousand times: it is the per-call cost
-# every instrumented function pays in Bind.
+# every instrumented function pays in Bind. Beside it, BenchmarkEmit prints
+# the shim's cost per logged event (ns/event for Rd, RdWr and a
+# MutexLock/MutexUnlock pair, capture on to a temp file): interning, the
+# record's append and the inline check, under the shim's one mutex.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
 	$(GO) test -run '^$$' -bench 'Join|Leq' -benchtime 100x ./internal/vc
 	$(GO) test -run '^$$' -bench 'LoadPool|BuildPool|CheckStream' -benchtime 3x ./internal/goinstr
-	$(GO) test -run '^$$' -bench 'ID$$' -benchtime 1000x ./internal/goinstr/rt
+	$(GO) test -run '^$$' -bench 'ID$$|Emit' -benchtime 1000x ./internal/goinstr/rt
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
 

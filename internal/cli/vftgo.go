@@ -14,19 +14,20 @@ import (
 	"strings"
 	"time"
 
-	verifiedft "repro"
 	"repro/internal/goinstr"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/sample"
 )
 
-// RunVftGo implements vft-go: instrument a real Go package, execute it
-// under trace capture, and check the trace with the verified detector.
+// RunVftGo implements vft-go: instrument a real Go package and execute
+// it under trace capture; the verified detector checks the run inside the
+// program (see package rt), and vft-go renders the verdict the shim wrote
+// into the capture's sidecar.
 //
 //	vft-go [flags] build <pkg-dir>           instrument + compile only
-//	vft-go [flags] run   <pkg-dir> [args...] instrument, run, check
-//	vft-go [flags] test  <pkg-dir> [args...] instrument tests, go test, check
+//	vft-go [flags] run   <pkg-dir> [args...] instrument, run (checked inline)
+//	vft-go [flags] test  <pkg-dir> [args...] instrument tests, go test (checked inline)
 //
 // Exit codes follow vft-race: 0 no race, 1 race found, 2 error.
 func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -37,11 +38,11 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	keep := fs.String("o", "", "write the shadow module here and keep it (default: temp dir)")
 	traceFlag := fs.String("trace", "", "write the captured trace here and keep it")
 	server := fs.String("server", "",
-		"vft-server base URL: also upload the trace and diff its reports against the local check")
+		"vft-server base URL: also upload the trace and diff its reports against the inline check's")
 	tenant := fs.String("tenant", "vft-go", "tenant name for -server uploads")
 	metricsAddr := fs.String("metrics-addr", "", "serve instrumentation counters on this address")
 	sampleRate := fs.Float64("sample", 0,
-		"check the captured trace through the sampling tier at this per-variable rate (0 = precise)")
+		"report only the races on variables the sampling tier keeps at this per-variable rate (0 = precise); the program still logs every access")
 	sampleSeed := fs.Uint64("sample-seed", 0, "sampling seed")
 	verbose := fs.Bool("v", false, "per-phase detail")
 	if err := fs.Parse(args); err != nil {
@@ -181,18 +182,14 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		span("test", t0, "")
 	}
 
-	var checkOpts []verifiedft.CheckOption
-	if pol != nil {
-		checkOpts = append(checkOpts,
-			verifiedft.WithSampling(pol.Rate, verifiedft.WithSamplingSeed(pol.Seed)))
-	}
-	t0 = time.Now()
-	cr, err := goinstr.Check(tracePath, metaPath, checkOpts...)
+	cr, err := goinstr.Verdict(metaPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "vft-go:", err)
 		return 2
 	}
-	span("check", t0, "")
+	if pol != nil {
+		cr.Sample(*pol)
+	}
 	cEvents.Add(uint64(cr.Events))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: checked %d events, %d reports\n", cr.Events, len(cr.Reports))
@@ -214,7 +211,7 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if strings.Join(serverLines, "\n") != strings.Join(lines, "\n") {
-			fmt.Fprintf(stderr, "vft-go: server reports diverge from the local check\n  local:  %q\n  server: %q\n",
+			fmt.Fprintf(stderr, "vft-go: server reports diverge from the inline check\n  local:  %q\n  server: %q\n",
 				lines, serverLines)
 			return 2
 		}
@@ -229,9 +226,9 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // uploadAndRender POSTs the captured trace to a vft-server with the
 // sidecar's channel capacities and renders the server's reports with the
-// same canonical naming the local check used. A local sampling policy is
+// same canonical naming the local verdict used. A local sampling policy is
 // forwarded as ?sample=/&sample_seed= so the server's decisions (a pure
-// function of seed and variable id) match the local check's exactly and
+// function of seed and variable id) match the local filter's exactly and
 // the report diff stays meaningful.
 func uploadAndRender(base, tenant, tracePath string, cr *goinstr.CheckResult, pol *sample.Policy) ([]string, error) {
 	q := url.Values{"tenant": {tenant}}

@@ -141,3 +141,73 @@ func TestVftGoBadInvocations(t *testing.T) {
 		t.Errorf("-sample 2: exit = %d, want 2 and a rate error\n%s", code, errOut.String())
 	}
 }
+
+// exitProg races like racyProg but leaves with os.Exit, which skips the
+// Shutdown the rewriter defers in main, so the shim writes no verdict.
+const exitProg = `package main
+
+import (
+	"fmt"
+	"os"
+	"sync"
+)
+
+var counter int
+
+func main() {
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counter++
+		}()
+	}
+	wg.Wait()
+	fmt.Println(counter)
+	os.Exit(0)
+}
+`
+
+// lossyProg sends on an unbuffered channel whose receiver is
+// uninstrumented (reflect's Recv): the send is logged, its settle wait
+// times out, and main's next record comes from a thread the validator
+// still sees blocked in that send.
+const lossyProg = `package main
+
+import (
+	"fmt"
+	"reflect"
+)
+
+var after int
+
+func main() {
+	c := make(chan int)
+	go func() { reflect.ValueOf(c).Recv() }()
+	c <- 1
+	after = 1
+	fmt.Println(after)
+}
+`
+
+// TestVftGoNeedsAVerdict: a run without a verdict is an error (exit 2),
+// never "0 reports" — whether the program skipped the shim's Shutdown or
+// its capture went infeasible, and the message says which.
+func TestVftGoNeedsAVerdict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("vft-go run builds a shadow module")
+	}
+	t.Setenv("VFT_CHAN_WAIT", "20ms")
+	for _, tc := range []struct{ name, src, want string }{
+		{"os.Exit", exitProg, "os.Exit or a fatal signal skips"},
+		{"infeasible", lossyProg, "checking trace: trace: infeasible at #"},
+	} {
+		dir := writeVftGoProgram(t, tc.src)
+		var out, errOut strings.Builder
+		code := RunVftGo([]string{"run", dir}, strings.NewReader(""), &out, &errOut)
+		if code != 2 || !strings.Contains(errOut.String(), tc.want) || strings.Contains(out.String(), "race on") {
+			t.Errorf("%s: exit = %d, want 2 and %q\nstdout: %s\nstderr: %s", tc.name, code, tc.want, out.String(), errOut.String())
+		}
+	}
+}

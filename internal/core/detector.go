@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/shadow"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -61,20 +62,9 @@ type Detector interface {
 	RuleCounts() [spec.NumRules]uint64
 }
 
-// Report describes one detected race.
-type Report struct {
-	Detector string
-	Rule     spec.Rule
-	T        epoch.Tid   // the thread whose access completed the race
-	X        trace.Var   // the variable raced on
-	Prev     epoch.Epoch // evidence: the unordered prior-access epoch
-	Seq      int         // detection order within this detector (0-based)
-}
-
-func (r Report) String() string {
-	return fmt.Sprintf("[%s] race #%d on x%d by thread %d: [%v] prior access %v",
-		r.Detector, r.Seq, r.X, r.T, r.Rule, r.Prev)
-}
+// Report describes one detected race: the kernel's report, which the
+// offline machine and the vft-go shim also produce.
+type Report = kernel.Report
 
 // reportSink accumulates reports under a mutex: races are rare, so this
 // cold-path lock never matters for throughput. maxPerVar caps reports per
@@ -109,7 +99,7 @@ func (s *reportSink) add(r Report) {
 }
 
 // addRace sinks one piece of kernel evidence, if it holds a race.
-func (s *reportSink) addRace(ev Evidence, t epoch.Tid, x trace.Var) {
+func (s *reportSink) addRace(ev kernel.Evidence, t epoch.Tid, x trace.Var) {
 	if ev.Rule != spec.RuleNone {
 		s.add(Report{Rule: ev.Rule, T: t, X: x, Prev: ev.Prev})
 	}

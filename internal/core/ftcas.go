@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/shadow"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -79,7 +80,7 @@ func unpackRW(rw uint64) (r, w Epoch32) { return Epoch32(rw >> 32), Epoch32(rw) 
 type casVarState struct {
 	rw atomic.Uint64 // packed (R, W); zero value is (0@0, 0@0)
 	mu sync.Mutex
-	v  ReadVec
+	v  kernel.ReadVec
 }
 
 func newCASVarState(int) *casVarState { return &casVarState{} }
@@ -126,11 +127,11 @@ func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 		}
 
 		var rule spec.Rule
-		var upd Update
-		var race Evidence
+		var upd kernel.Update
+		var race kernel.Evidence
 		if r != Shared32 {
-			rule, upd, race = StepRead(Unpack32(r), Unpack32(w), 0, st.e, st.vc.View(), true)
-			if upd == SetR {
+			rule, upd, race = kernel.StepRead(Unpack32(r), Unpack32(w), 0, st.e, st.vc.View(), true)
+			if upd == kernel.SetR {
 				// [Read Exclusive]: one CAS swings R; W rides along
 				// unchanged, which is why the pair shares a word.
 				if sx.rw.CompareAndSwap(rw, packRW(e32, w)) {
@@ -155,10 +156,10 @@ func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 			continue
 		}
 		if r == Shared32 {
-			rule, upd, race = StepRead(epoch.Shared, Unpack32(w), sx.v.Get(t), st.e, st.vc.View(), true)
+			rule, upd, race = kernel.StepRead(epoch.Shared, Unpack32(w), sx.v.Get(t), st.e, st.vc.View(), true)
 		}
 		switch upd {
-		case Share:
+		case kernel.Share:
 			prev := Unpack32(r)
 			sx.v = sx.v.Set(prev.Tid(), prev).Set(t, st.e)
 			// Lock-free CASers do not take the lock, so the word can
@@ -169,7 +170,7 @@ func (d *FTCAS) Read(t epoch.Tid, x trace.Var) {
 				st.countRetry()
 				continue
 			}
-		case SetOwn:
+		case kernel.SetOwn:
 			sx.v = sx.v.Set(t, st.e)
 		}
 		sx.mu.Unlock()
@@ -198,7 +199,7 @@ func (d *FTCAS) Write(t epoch.Tid, x trace.Var) {
 
 		if r != Shared32 {
 			// [Write Exclusive] (or post-race repair): CAS W.
-			rule, _, race, race2 := StepWrite(Unpack32(r), Unpack32(w), st.e, nil, st.vc.View())
+			rule, _, race, race2 := kernel.StepWrite(Unpack32(r), Unpack32(w), st.e, nil, st.vc.View())
 			if sx.rw.CompareAndSwap(rw, packRW(r, e32)) {
 				d.sink.addRace(race, t, x)
 				d.sink.addRace(race2, t, x)
@@ -216,7 +217,7 @@ func (d *FTCAS) Write(t epoch.Tid, x trace.Var) {
 			st.countRetry()
 			continue
 		}
-		rule, _, race, race2 := StepWrite(epoch.Shared, Unpack32(w), st.e, sx.v, st.vc.View())
+		rule, _, race, race2 := kernel.StepWrite(epoch.Shared, Unpack32(w), st.e, sx.v, st.vc.View())
 		if !sx.rw.CompareAndSwap(rw, packRW(r, e32)) {
 			sx.mu.Unlock()
 			st.countRetry()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/vc"
@@ -72,9 +73,9 @@ func forEachKernelCase(fn func(kernelCase)) {
 // state after applying the update.
 type kernelOutcome struct {
 	rule spec.Rule
-	evs  []Evidence
+	evs  []kernel.Evidence
 	r, w epoch.Epoch
-	v    ReadVec
+	v    kernel.ReadVec
 }
 
 // stepKernel runs the kernel on c and applies its update to a model state
@@ -82,31 +83,31 @@ type kernelOutcome struct {
 func stepKernel(c kernelCase, priorRead bool) kernelOutcome {
 	o := kernelOutcome{r: c.r, w: c.w}
 	if c.r.IsShared() {
-		o.v = ReadVec{epoch.Make(0, c.vec[0]), epoch.Make(1, c.vec[1]), epoch.Make(2, c.vec[2])}
+		o.v = kernel.ReadVec{epoch.Make(0, c.vec[0]), epoch.Make(1, c.vec[1]), epoch.Make(2, c.vec[2])}
 	}
-	clock := ClockView(vc.FromClocks(c.clock[:]...).View())
+	clock := kernel.ClockView(vc.FromClocks(c.clock[:]...).View())
 	e := clock[c.t]
-	var upd Update
-	var race, race2 Evidence
+	var upd kernel.Update
+	var race, race2 kernel.Evidence
 	if c.write {
-		o.rule, upd, race, race2 = StepWrite(o.r, o.w, e, o.v, clock)
+		o.rule, upd, race, race2 = kernel.StepWrite(o.r, o.w, e, o.v, clock)
 	} else {
-		o.rule, upd, race = StepRead(o.r, o.w, o.v.Get(c.t), e, clock, priorRead)
+		o.rule, upd, race = kernel.StepRead(o.r, o.w, o.v.Get(c.t), e, clock, priorRead)
 	}
-	for _, ev := range []Evidence{race, race2} {
+	for _, ev := range []kernel.Evidence{race, race2} {
 		if ev.Rule != spec.RuleNone {
 			o.evs = append(o.evs, ev)
 		}
 	}
 	switch upd {
-	case SetR:
+	case kernel.SetR:
 		o.r = e
-	case Share:
+	case kernel.Share:
 		o.v = o.v.Set(o.r.Tid(), o.r).Set(c.t, e)
 		o.r = epoch.Shared
-	case SetOwn:
+	case kernel.SetOwn:
 		o.v = o.v.Set(c.t, e)
-	case SetW:
+	case kernel.SetW:
 		o.w = e
 	}
 	return o
@@ -163,7 +164,7 @@ func TestKernelMatchesSpec(t *testing.T) {
 				t.Fatalf("%v: kernel rule [%v], spec [%v]", c, got.rule, rule)
 			}
 			if raceErr != nil {
-				if len(got.evs) == 0 || got.evs[0] != (Evidence{Rule: raceErr.Rule, Prev: raceErr.Prev}) {
+				if len(got.evs) == 0 || got.evs[0] != (kernel.Evidence{Rule: raceErr.Rule, Prev: raceErr.Prev}) {
 					t.Fatalf("%v: kernel evidence %v, spec [%v] prior %v", c, got.evs, raceErr.Rule, raceErr.Prev)
 				}
 				return
@@ -213,14 +214,14 @@ func TestKernelMatchesSpec(t *testing.T) {
 // TestKernelZeroAllocs pins the kernel constraint behind the slow paths'
 // allocation profile: deciding a rule allocates nothing, races included.
 func TestKernelZeroAllocs(t *testing.T) {
-	clock := ClockView(vc.FromClocks(1, 0, 0).View())
-	vec := ReadVec{epoch.Make(0, 0), epoch.Make(1, 2), epoch.Make(2, 0)}
+	clock := kernel.ClockView(vc.FromClocks(1, 0, 0).View())
+	vec := kernel.ReadVec{epoch.Make(0, 0), epoch.Make(1, 2), epoch.Make(2, 0)}
 	e, racy := epoch.Make(0, 1), epoch.Make(1, 2)
 	if n := testing.AllocsPerRun(100, func() {
-		StepRead(racy, racy, 0, e, clock, false)
-		StepRead(epoch.Shared, racy, vec.Get(0), e, clock, true)
-		StepWrite(racy, racy, e, nil, clock)
-		StepWrite(epoch.Shared, racy, e, vec, clock)
+		kernel.StepRead(racy, racy, 0, e, clock, false)
+		kernel.StepRead(epoch.Shared, racy, vec.Get(0), e, clock, true)
+		kernel.StepWrite(racy, racy, e, nil, clock)
+		kernel.StepWrite(epoch.Shared, racy, e, vec, clock)
 	}); n != 0 {
 		t.Errorf("kernel steps allocate %.1f/op", n)
 	}

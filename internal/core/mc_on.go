@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/shadow"
 	"repro/internal/spec"
 	"repro/internal/vc"
@@ -72,7 +73,7 @@ func (sx *v1VarState) unlock() { mcStep(mcUnlock, 0); sx.mu.Unlock() }
 // before the first Share transition.
 type MCVar struct {
 	R, W epoch.Epoch
-	V    *ReadVec
+	V    *kernel.ReadVec
 }
 
 // MCRun is a detector set up for one explored execution: thread i holds
@@ -92,7 +93,7 @@ func NewMCRun(variant string, clocks [][]epoch.Epoch, v MCVar) (*MCRun, error) {
 		return nil, err
 	}
 	run := &MCRun{d: d}
-	var vec ReadVec
+	var vec kernel.ReadVec
 	if v.V != nil {
 		vec = append(vec, *v.V...)
 	}

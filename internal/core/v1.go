@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/shadow"
 	"repro/internal/trace"
 )
@@ -34,7 +35,7 @@ type v1VarState struct {
 	mu sync.Mutex
 	r  epoch.Epoch
 	w  epoch.Epoch
-	v  ReadVec
+	v  kernel.ReadVec
 }
 
 func newV1VarState(int) *v1VarState {
@@ -60,15 +61,15 @@ func (d *V1) Read(t epoch.Tid, x trace.Var) {
 	sx := d.vars.Get(int(x))
 
 	sx.lock()
-	rule, upd, race := StepRead(sx.r, sx.w, sx.v.Get(t), e, st.vc.View(), false)
+	rule, upd, race := kernel.StepRead(sx.r, sx.w, sx.v.Get(t), e, st.vc.View(), false)
 	d.sink.addRace(race, t, x)
 	switch upd {
-	case SetR:
+	case kernel.SetR:
 		sx.r = e
-	case Share:
+	case kernel.Share:
 		sx.v = sx.v.Set(sx.r.Tid(), sx.r).Set(t, e)
 		sx.r = epoch.Shared
-	case SetOwn:
+	case kernel.SetOwn:
 		sx.v = sx.v.Set(t, e)
 	}
 	sx.unlock()
@@ -83,10 +84,10 @@ func (d *V1) Write(t epoch.Tid, x trace.Var) {
 	sx := d.vars.Get(int(x))
 
 	sx.lock()
-	rule, upd, race, race2 := StepWrite(sx.r, sx.w, e, sx.v, st.vc.View())
+	rule, upd, race, race2 := kernel.StepWrite(sx.r, sx.w, e, sx.v, st.vc.View())
 	d.sink.addRace(race, t, x)
 	d.sink.addRace(race2, t, x)
-	if upd == SetW {
+	if upd == kernel.SetW {
 		sx.w = e
 	}
 	sx.unlock()

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/shadow"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -28,9 +29,9 @@ import (
 //	    exactly the role VarState's volatile declarations play in §5.
 type atomicVarState struct {
 	mu sync.Mutex
-	w  atomic.Uint64           // an epoch; zero value is ⊥e (0@0)
-	r  atomic.Uint64           // an epoch or epoch.Shared
-	v  atomic.Pointer[ReadVec] // nil until the first Share transition
+	w  atomic.Uint64                  // an epoch; zero value is ⊥e (0@0)
+	r  atomic.Uint64                  // an epoch or epoch.Shared
+	v  atomic.Pointer[kernel.ReadVec] // nil until the first Share transition
 }
 
 func newAtomicVarState(int) *atomicVarState { return &atomicVarState{} }
@@ -57,12 +58,12 @@ const (
 	mcUnlock                     // mu.Unlock
 )
 
-func (sx *atomicVarState) loadR() epoch.Epoch   { mcStep(mcLoadR, 0); return epoch.Epoch(sx.r.Load()) }
-func (sx *atomicVarState) loadW() epoch.Epoch   { mcStep(mcLoadW, 0); return epoch.Epoch(sx.w.Load()) }
-func (sx *atomicVarState) loadV() *ReadVec      { mcStep(mcLoadV, 0); return sx.v.Load() }
-func (sx *atomicVarState) storeR(e epoch.Epoch) { mcStep(mcStoreR, 0); sx.r.Store(uint64(e)) }
-func (sx *atomicVarState) storeW(e epoch.Epoch) { mcStep(mcStoreW, 0); sx.w.Store(uint64(e)) }
-func (sx *atomicVarState) storeV(v *ReadVec)    { mcStep(mcStoreV, 0); sx.v.Store(v) }
+func (sx *atomicVarState) loadR() epoch.Epoch       { mcStep(mcLoadR, 0); return epoch.Epoch(sx.r.Load()) }
+func (sx *atomicVarState) loadW() epoch.Epoch       { mcStep(mcLoadW, 0); return epoch.Epoch(sx.w.Load()) }
+func (sx *atomicVarState) loadV() *kernel.ReadVec   { mcStep(mcLoadV, 0); return sx.v.Load() }
+func (sx *atomicVarState) storeR(e epoch.Epoch)     { mcStep(mcStoreR, 0); sx.r.Store(uint64(e)) }
+func (sx *atomicVarState) storeW(e epoch.Epoch)     { mcStep(mcStoreW, 0); sx.w.Store(uint64(e)) }
+func (sx *atomicVarState) storeV(v *kernel.ReadVec) { mcStep(mcStoreV, 0); sx.v.Store(v) }
 
 // getShared reads the read-vector entry for thread t. Callers must either
 // hold mu or be thread t itself having observed r == Shared (the v2
@@ -81,7 +82,7 @@ func (sx *atomicVarState) getShared(t epoch.Tid) epoch.Epoch {
 // atomic pointer store makes the copied entries visible to unlocked
 // fast-path readers that load the new pointer.
 func (sx *atomicVarState) setShared(t epoch.Tid, e epoch.Epoch) {
-	var v ReadVec
+	var v kernel.ReadVec
 	if p := sx.loadV(); p != nil {
 		v = *p
 	}
@@ -107,16 +108,16 @@ func (sx *atomicVarState) lockedRead(r, w epoch.Epoch, st *ThreadState, e epoch.
 	if r.IsShared() {
 		own = sx.getShared(st.T)
 	}
-	rule, upd, race := StepRead(r, w, own, e, st.vc.View(), priorRead)
+	rule, upd, race := kernel.StepRead(r, w, own, e, st.vc.View(), priorRead)
 	sink.addRace(race, st.T, x)
 	switch upd {
-	case SetR:
+	case kernel.SetR:
 		sx.storeR(e)
-	case Share:
+	case kernel.Share:
 		sx.setShared(r.Tid(), r)
 		sx.setShared(st.T, e)
 		sx.storeR(epoch.Shared)
-	case SetOwn:
+	case kernel.SetOwn:
 		sx.setShared(st.T, e)
 	}
 	return rule
@@ -128,17 +129,17 @@ func (sx *atomicVarState) lockedRead(r, w epoch.Epoch, st *ThreadState, e epoch.
 // them). The W store is also the repair action after a race, so checking
 // continues.
 func (sx *atomicVarState) lockedWrite(w, r epoch.Epoch, st *ThreadState, e epoch.Epoch, sink *reportSink, x trace.Var) spec.Rule {
-	var v ReadVec
+	var v kernel.ReadVec
 	if r.IsShared() {
 		if p := sx.loadV(); p != nil {
 			mcStep(mcReadVec, 0)
 			v = *p
 		}
 	}
-	rule, upd, race, race2 := StepWrite(r, w, e, v, st.vc.View())
+	rule, upd, race, race2 := kernel.StepWrite(r, w, e, v, st.vc.View())
 	sink.addRace(race, st.T, x)
 	sink.addRace(race2, st.T, x)
-	if upd == SetW {
+	if upd == kernel.SetW {
 		sx.storeW(e)
 	}
 	return rule

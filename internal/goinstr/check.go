@@ -2,38 +2,74 @@ package goinstr
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 
 	verifiedft "repro"
 	"repro/internal/goinstr/rt"
+	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
-// CheckResult is the outcome of replaying a captured trace through the
-// verified checker.
+// CheckResult is a verdict on one run of an instrumented program.
 type CheckResult struct {
 	// Reports are the raw detector reports, in trace order.
 	Reports []verifiedft.Report
-	// Meta is the run's sidecar (names, capacities, shim counters).
+	// Meta is the run's sidecar (verdict, names, capacities, shim
+	// counters).
 	Meta *rt.Meta
-	// Events is the number of operations the trace decoded to.
+	// Events is the number of operations checked.
 	Events int
 }
 
-// Check streams the binary trace at tracePath through the verified
-// detector, with the channel capacities from the meta sidecar the shim
-// wrote: the capture is decoded once and never held in memory. Extra
-// options (a sampling tier, a clock implementation) are appended after
-// the defaults, so they win. A capture that does not decode to its end
-// yields the decoder's positioned error and no reports.
-func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckResult, error) {
+// Verdict returns the verdict the shim's inline check wrote into the
+// sidecar at metaPath (see package rt): the reports, or the validator's
+// positioned error for a capture that went infeasible. A run that left no
+// sidecar — the program called os.Exit, or died of a fatal signal, before
+// the shim's deferred Shutdown — has no verdict and is an error.
+func Verdict(metaPath string) (*CheckResult, error) {
+	meta, err := readMeta(metaPath)
+	if err != nil {
+		return nil, err
+	}
+	if meta.Error != "" {
+		return nil, fmt.Errorf("goinstr: checking trace: %s", meta.Error)
+	}
+	return &CheckResult{Reports: meta.Reports, Meta: meta, Events: int(meta.Events)}, nil
+}
+
+// readMeta reads the sidecar at metaPath, which must exist.
+func readMeta(metaPath string) (*rt.Meta, error) {
+	raw, err := os.ReadFile(metaPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("goinstr: no meta sidecar %s: the shim writes it in the Shutdown the program defers, which os.Exit or a fatal signal skips", metaPath)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("goinstr: %w", err)
+	}
 	meta := &rt.Meta{}
-	if raw, err := os.ReadFile(metaPath); err == nil {
-		if err := json.Unmarshal(raw, meta); err != nil {
-			return nil, fmt.Errorf("goinstr: meta sidecar: %w", err)
-		}
+	if err := json.Unmarshal(raw, meta); err != nil {
+		return nil, fmt.Errorf("goinstr: meta sidecar %s: %w", metaPath, err)
+	}
+	return meta, nil
+}
+
+// Check re-checks a capture: it streams the binary trace at tracePath
+// through the verified detector, with the channel capacities from the
+// meta sidecar the shim wrote, which must exist. The capture is decoded
+// once and never held in memory. It finds what the shim's inline check
+// found (Verdict); vft-go renders that, and Check serves the tests and
+// benchmarks that hold the two together. Extra options (a sampling tier,
+// a clock implementation) are appended after the defaults, so they win.
+// A capture that does not decode to its end yields the decoder's
+// positioned error and no reports.
+func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckResult, error) {
+	meta, err := readMeta(metaPath)
+	if err != nil {
+		return nil, err
 	}
 	caps := map[verifiedft.LockID]int{}
 	for id, c := range meta.ChanCaps() {
@@ -59,6 +95,22 @@ func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckR
 		return nil, fmt.Errorf("goinstr: checking trace: %w", err)
 	}
 	return &CheckResult{Reports: reports, Meta: meta, Events: dec.Decoded()}, nil
+}
+
+// Sample keeps the reports on variables pol samples, renumbered in
+// detection order. The sampling tier's decision is a pure function of the
+// policy and the variable, and a variable's races do not depend on the
+// accesses to others, so a precise verdict sampled this way equals a check
+// of the capture under pol (FuzzSamplingSoundness holds the two equal).
+func (cr *CheckResult) Sample(pol sample.Policy) {
+	var kept []verifiedft.Report
+	for _, r := range cr.Reports {
+		if pol.Sampled(r.X) {
+			r.Seq = len(kept)
+			kept = append(kept, r)
+		}
+	}
+	cr.Reports = kept
 }
 
 // VarName renders a report's variable with its source-level name from

@@ -9,11 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/goinstr/rt"
 	"repro/internal/trace"
 )
 
 // writeCapture encodes tr as a binary v2 capture, cut short by `cut`
-// bytes, and returns its path.
+// bytes, beside an empty sidecar (metaOf), and returns its path.
 func writeCapture(t testing.TB, tr trace.Trace, cut int) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,8 +25,14 @@ func writeCapture(t testing.TB, tr trace.Trace, cut int) string {
 	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(metaOf(path), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	return path
 }
+
+// metaOf is the sidecar path of the capture at path.
+func metaOf(path string) string { return rt.MetaPath(path) }
 
 // TestCheckTruncatedCapture: the streamed check has already seen a race
 // by the time the decoder hits the torn record; the caller must still get
@@ -37,7 +44,8 @@ func TestCheckTruncatedCapture(t *testing.T) {
 		trace.Wr(1, 7),
 		trace.JoinOp(0, 1),
 	}
-	whole, err := Check(writeCapture(t, racy, 0), "")
+	path := writeCapture(t, racy, 0)
+	whole, err := Check(path, metaOf(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +53,8 @@ func TestCheckTruncatedCapture(t *testing.T) {
 		t.Fatalf("whole capture: %d reports over %d events, want 1 over %d", len(whole.Reports), whole.Events, len(racy))
 	}
 
-	cr, err := Check(writeCapture(t, racy, 1), "")
+	path = writeCapture(t, racy, 1)
+	cr, err := Check(path, metaOf(path))
 	if cr != nil {
 		t.Errorf("truncated capture returned a result: %+v", cr)
 	}
@@ -58,7 +67,8 @@ func TestCheckTruncatedCapture(t *testing.T) {
 // TestCheckReportsCheckerErrors: a capture that decodes but is not a
 // feasible trace is the checker's error, not the decoder's.
 func TestCheckReportsCheckerErrors(t *testing.T) {
-	_, err := Check(writeCapture(t, trace.Trace{trace.Rel(0, 3)}, 0), "")
+	path := writeCapture(t, trace.Trace{trace.Rel(0, 3)}, 0)
+	_, err := Check(path, metaOf(path))
 	if err == nil || !strings.Contains(err.Error(), "goinstr: checking trace:") {
 		t.Errorf("err = %v, want a checking error", err)
 	}

@@ -6,10 +6,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	verifiedft "repro"
+	"repro/internal/sample"
 )
 
 func corpusRoot() string { return filepath.Join("testdata", "corpus") }
@@ -46,6 +50,7 @@ var corpusWant = map[string][]string{
 	"racy_atomic_other_flag": {"data"},
 	"clean_embedded_mutex":   {},
 	"racy_embedded_mutex":    {"c.n"},
+	"clean_single_goroutine": {},
 }
 
 // corpusNames returns the expectation table's program names, sorted.
@@ -92,14 +97,84 @@ func runCorpusOnce(dir string, elide bool) ([]string, Stats, int, error) {
 	if err != nil {
 		return nil, Stats{}, 0, err
 	}
-	cr, err := Check(tracePath, metaPath)
+	cr, err := inlineMatchesCheck(tracePath, metaPath)
 	if err != nil {
 		return nil, Stats{}, 0, err
 	}
-	if uint64(cr.Events) != cr.Meta.Events {
-		return nil, Stats{}, 0, fmt.Errorf("checked %d events, the shim logged %d", cr.Events, cr.Meta.Events)
-	}
 	return cr.Canonical(), inst.Stats, cr.Events, nil
+}
+
+// paritySampling is the sampling tier inlineMatchesCheck holds the
+// filtered inline verdict to.
+var paritySampling = sample.Policy{Rate: 0.5, Seed: 1}
+
+// inlineMatchesCheck returns the verdict the shim's inline check wrote
+// for a run, after holding it to a check of the run's capture: the raw
+// reports (rule, thread, variable, evidence, order) and the event count
+// must be Check's, and sampled at paritySampling they must be Check's
+// under the same tier.
+func inlineMatchesCheck(tracePath, metaPath string) (*CheckResult, error) {
+	inline, err := Verdict(metaPath)
+	if err != nil {
+		return nil, err
+	}
+	re, err := Check(tracePath, metaPath)
+	if err != nil {
+		return nil, err
+	}
+	if inline.Events != re.Events || !sameReports(inline.Reports, re.Reports) {
+		return nil, fmt.Errorf("inline check: %d events, reports %v; the capture's check: %d events, reports %v",
+			inline.Events, inline.Reports, re.Events, re.Reports)
+	}
+	sampledRe, err := Check(tracePath, metaPath,
+		verifiedft.WithSampling(paritySampling.Rate, verifiedft.WithSamplingSeed(paritySampling.Seed)))
+	if err != nil {
+		return nil, err
+	}
+	sampled := &CheckResult{Reports: inline.Reports}
+	sampled.Sample(paritySampling)
+	if !sameReports(sampled.Reports, sampledRe.Reports) {
+		return nil, fmt.Errorf("at %+v: the inline reports filtered are %v; the capture's sampled check reports %v",
+			paritySampling, sampled.Reports, sampledRe.Reports)
+	}
+	return inline, nil
+}
+
+// sameReports compares report lists, treating nil and empty alike.
+func sameReports(a, b []verifiedft.Report) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// TestPoolInlineMatchesCheck holds the inline verdict of the benchmark's
+// pool program, whose planted races and channel and lock mix make it the
+// corpus's largest capture, to a check of the capture at three seeds.
+func TestPoolInlineMatchesCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the pool program")
+	}
+	out := t.TempDir()
+	if _, err := Instrument(poolDir(), Options{Elide: true, OutDir: out}); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := Build(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []string{"3", "17", "40"} {
+		tracePath := filepath.Join(out, "trace.bin")
+		metaPath, err := Run(bin, tracePath, []string{"3000", seed}, io.Discard, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := inlineMatchesCheck(tracePath, metaPath)
+		if err != nil {
+			t.Fatalf("seed %s: %v", seed, err)
+		}
+		if len(cr.Reports) == 0 {
+			t.Errorf("seed %s: no reports on a program with planted races", seed)
+		}
+		t.Logf("seed %s: %d events, %d reports", seed, cr.Events, len(cr.Reports))
+	}
 }
 
 // checkCorpusProgram runs one corpus program through both elision modes

@@ -2,34 +2,34 @@ package goinstr
 
 import (
 	"bytes"
-	"embed"
 	"fmt"
 	"go/ast"
 	"go/printer"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
-)
 
-// shim holds the runtime shim's sources, which emitModule copies into
-// every shadow module's rt/ directory. This directive is the one list of
-// the shim's files: the shim imports nothing outside the standard
-// library, so the copies build unchanged, and its tests stay behind.
-//
-//go:embed rt/rt.go rt/wrappers.go
-var shim embed.FS
+	"repro/internal"
+)
 
 // emitModule writes everything of the shadow module that does not depend
 // on the package being instrumented:
 //
 //	out/
 //	  go.mod          module vftshadow (no requirements: builds offline)
-//	  rt/             the runtime shim, copied from its embedded sources
+//	  rt/             the runtime shim
+//	  rt/internal/    the packages it links: kernel, epoch, vc, spec, trace
 //
-// Any other .go file in rt/ — left by an earlier vft-go in a kept module —
-// is removed, and so is the goid/ directory that earlier vft-go versions
-// wrote beside it.
+// Every file comes from internal.ShimSources, the one list of the shim's
+// files; the shim and its packages import nothing else outside the
+// standard library, so the copies build once their "repro/internal/"
+// imports name the copies instead. Any other .go file in those
+// directories, and any other directory in rt/internal — left by an earlier
+// vft-go in a kept module — is removed, and so is the goid/ directory that
+// earlier vft-go versions wrote beside rt/.
 func emitModule(out string) error {
 	rtDir := filepath.Join(out, "rt")
 	if err := os.MkdirAll(rtDir, 0o755); err != nil {
@@ -38,28 +38,73 @@ func emitModule(out string) error {
 	if err := os.RemoveAll(filepath.Join(out, "goid")); err != nil {
 		return fmt.Errorf("goinstr: %w", err)
 	}
-
 	gomod := "module vftshadow\n\ngo 1.22\n"
 	if err := os.WriteFile(filepath.Join(out, "go.mod"), []byte(gomod), 0o644); err != nil {
 		return fmt.Errorf("goinstr: %w", err)
 	}
 
-	files, err := shim.ReadDir("rt")
+	// Every embedded file, by the directory of its package.
+	pkgs := map[string][]string{}
+	err := fs.WalkDir(internal.ShimSources, ".", func(name string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			pkgs[path.Dir(name)] = append(pkgs[path.Dir(name)], path.Base(name))
+		}
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("goinstr: embedded shim: %w", err)
 	}
-	var names []string
+	leafDir := filepath.Join(rtDir, "internal")
+	var leaves []string
+	for src, files := range pkgs {
+		dir := rtDir
+		if src != "goinstr/rt" {
+			leaves = append(leaves, src)
+			dir = filepath.Join(leafDir, src)
+		}
+		if err := emitShimPackage(dir, src, files); err != nil {
+			return err
+		}
+	}
+	entries, err := os.ReadDir(leafDir)
+	if err != nil {
+		return fmt.Errorf("goinstr: %w", err)
+	}
+	for _, e := range entries {
+		if !slices.Contains(leaves, e.Name()) {
+			if err := os.RemoveAll(filepath.Join(leafDir, e.Name())); err != nil {
+				return fmt.Errorf("goinstr: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
+// shimImport is the import path prefix of the shim's packages in this
+// repository, and shadowImport theirs in a shadow module.
+const (
+	shimImport   = `"repro/internal/`
+	shadowImport = `"vftshadow/rt/internal/`
+)
+
+// emitShimPackage writes the files of the embedded package src into dir,
+// naming the shadow module's copies in its imports, and removes every
+// other .go file from dir.
+func emitShimPackage(dir, src string, files []string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("goinstr: %w", err)
+	}
 	for _, f := range files {
-		src, err := shim.ReadFile("rt/" + f.Name())
+		code, err := internal.ShimSources.ReadFile(src + "/" + f)
 		if err != nil {
 			return fmt.Errorf("goinstr: embedded shim: %w", err)
 		}
-		if err := os.WriteFile(filepath.Join(rtDir, f.Name()), src, 0o644); err != nil {
+		code = bytes.ReplaceAll(code, []byte(shimImport), []byte(shadowImport))
+		if err := os.WriteFile(filepath.Join(dir, f), code, 0o644); err != nil {
 			return fmt.Errorf("goinstr: %w", err)
 		}
-		names = append(names, f.Name())
 	}
-	return removeGoFilesExcept(rtDir, names...)
+	return removeGoFilesExcept(dir, files...)
 }
 
 // emitPackage adds the rewritten sources, printed from the mutated ASTs,

@@ -422,8 +422,9 @@ func elfBuildID(head []byte) string {
 // module when it builds a package of it; go.mod and go.sum come on top.
 var buildInputs = []string{".go", ".s", ".S", ".sx", ".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp", ".hxx", ".m", ".f", ".F", ".for", ".f90", ".syso", ".swig", ".swigcxx"}
 
-// moduleKey is the SHA-256, in hex, of modDir's absolute path, which the
-// go command compiles into the binary, and of every file under modDir it
+// moduleKey is the SHA-256, in hex, of modDir's absolute path (under
+// offlineEnv's -trimpath the binary no longer holds it, but a module that
+// moved links afresh all the same), and of every file under modDir it
 // may read, each hashed with its path relative to modDir and its content;
 // or "" if a file cannot be read.
 func moduleKey(modDir string) string {

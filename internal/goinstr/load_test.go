@@ -371,7 +371,9 @@ func TestLoadFollowsBuildConstraints(t *testing.T) {
 
 // TestShadowBuildHasNoVCSStamp: a shadow module inside a git checkout
 // builds a binary that carries no version-control settings — they would
-// describe the enclosing repository, not the shadow module.
+// describe the enclosing repository, not the shadow module — and was built
+// with trimmed paths, so the shim and the packages it carries compile
+// once per build cache rather than once per shadow directory.
 func TestShadowBuildHasNoVCSStamp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -404,10 +406,15 @@ func TestShadowBuildHasNoVCSStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trimmed := false
 	for _, s := range info.Settings {
 		if strings.HasPrefix(s.Key, "vcs") {
 			t.Errorf("the shadow binary carries %s=%s", s.Key, s.Value)
 		}
+		trimmed = trimmed || s.Key == "-trimpath" && s.Value == "true"
+	}
+	if !trimmed {
+		t.Errorf("the shadow binary was built without -trimpath: %v", info.Settings)
 	}
 }
 

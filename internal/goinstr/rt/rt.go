@@ -2,15 +2,29 @@
 // vft-go front-end (internal/goinstr). Rewritten source calls into it for
 // every shared memory access and synchronization operation; the shim maps
 // goroutines, variables, locks, channels, atomics and onces onto the dense
-// id spaces of the trace language and streams a binary VFTb\x02 trace
-// (trace format v2) that the verified checker replays offline, unchanged.
+// id spaces of the trace language, streams a binary VFTb\x02 trace (trace
+// format v2) and checks it as it goes.
 //
-// The shim is deliberately self-contained — standard library only —
-// because the front-end copies its source into the shadow module it
-// generates, where no module requirements exist. It must not import
-// internal/trace; instead it re-implements the ~40-line binary encoder,
-// and a test in internal/goinstr pins the two wire formats together by
-// decoding this encoder's output with trace.NewBinaryDecoder.
+// The check runs inside the program, as §7's RoadRunner architecture has
+// it: every record is logged under the shim's one mutex, st.mu, and under
+// that same mutex, in capture order, it is stepped through the kernel's
+// Feed — a trace.Validator, a parity trace.Lowerer and a kernel.Machine
+// keeping one report per variable — a batch of records at a time, by
+// whichever goroutine logs the record that fills the batch. That is
+// exactly the check the offline path (internal/parcheck, through
+// goinstr.Check) runs on the capture, so the reports are the same.
+// Shutdown steps the last batch and writes the reports, or the validator's
+// positioned error, into the meta sidecar, from which vft-go renders the
+// verdict without a second pass. The capture itself is written all the
+// same, each record encoded in place into the shim's own buffer, for
+// vft-go's -trace and -server and for re-checking.
+//
+// The front-end copies the shim's source into the shadow module it
+// generates, where no module requirements exist, so the shim imports the
+// standard library and, of this repository, only the kernel and the
+// packages it imports (epoch, vc, spec, trace), which travel with it:
+// internal.ShimSources lists every file. The encoder is the shim's own,
+// and tests decode its output with trace.NewBinaryDecoder.
 //
 // The shim is inert until its first event. Every tool of this repository
 // links it (through internal/goinstr), so init only registers the main
@@ -93,7 +107,6 @@
 package rt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -104,32 +117,18 @@ import (
 	"sync"
 	"time"
 	"unsafe"
-)
 
-// Operation kinds, byte-compatible with internal/trace.Kind. A test in
-// internal/goinstr asserts the two enumerations agree.
-const (
-	kRead uint8 = iota
-	kWrite
-	kAcquire
-	kRelease
-	kFork
-	kJoin
-	kVolatileRead
-	kVolatileWrite
-	kBarrier
-	kChanSend
-	kChanRecv
-	kChanClose
-	kAtomicLoad
-	kAtomicStore
-	kAtomicRMW
-	kOnceDo
-	numKinds
+	"repro/internal/epoch"
+	"repro/internal/kernel"
+	"repro/internal/trace"
 )
 
 // binaryMagic opens the stream: "VFTb" + version 2.
 var binaryMagic = []byte{'V', 'F', 'T', 'b', 2}
+
+// numKinds bounds the kinds the shim logs, trace.Read through
+// trace.OnceDo.
+const numKinds = int(trace.OnceDo) + 1
 
 // G is one goroutine's identity in the trace: its dense thread id. The
 // rewriter binds a *G once per instrumented function body (__vftg :=
@@ -145,27 +144,33 @@ func (g *G) Tid() int32 { return g.tid }
 // state is the process-wide shim state. One per process; everything hangs
 // off the package-level singleton so the generated call sites stay short.
 type state struct {
-	mu      sync.Mutex // guards encoder, id tables, names, counters
+	mu      sync.Mutex // guards the capture, the check, id tables, names, counters
 	started bool       // the capture was opened, or found off (see start)
 	active  bool       // events are written; false when off or shut down
 	file    *os.File
-	w       *bufio.Writer
-	buf     [32]byte
+	buf     []byte // records not yet written to file, flushed at bufSize
+	werr    error  // the first write error; the capture stops there
 	nextTid int32
 
 	// The interning tables key on real pointers so the GC pins every
 	// traced object: stable addresses, stable ids (see package comment).
-	vars    map[unsafe.Pointer]int32 // object -> variable id (rd/wr X space)
-	atomics map[unsafe.Pointer]int32 // object -> atomic location id (aload/... X space)
-	locks   map[unsafe.Pointer]int32 // object -> lock id (acq/rel M space)
-	onces   map[unsafe.Pointer]int32 // object -> once id (once M space)
-	chanIDs map[unsafe.Pointer]*chanState
+	vars     idTable // rd/wr X space
+	atomics  idTable // aload/astore/armw X space
+	locks    idTable // acq/rel M space
+	onces    idTable // once M space
+	chanIDs  map[unsafe.Pointer]*chanState
+	chanMeta map[int32]chanMetaEntry
 
-	varNames    map[int32]string
-	atomicNames map[int32]string
-	lockNames   map[int32]string
-	onceNames   map[int32]string
-	chanMeta    map[int32]chanMetaEntry
+	// The inline check: pending holds the records logged since the feed
+	// last stepped, ext the channel capacities chanFor registers, which
+	// the feed's validator and lowerer read at each channel's first
+	// record, and checkErr the feed's first error, after which nothing
+	// more is checked.
+	pending  []trace.Op
+	ext      trace.Extensions
+	feed     *kernel.Feed
+	machine  kernel.Machine
+	checkErr error
 
 	events   uint64
 	byKind   [numKinds]uint64
@@ -200,17 +205,44 @@ type chanState struct {
 	lossy   bool // a wait timed out: peers are uninstrumented, stop gating
 }
 
-var st = &state{
-	vars:        map[unsafe.Pointer]int32{},
-	atomics:     map[unsafe.Pointer]int32{},
-	locks:       map[unsafe.Pointer]int32{},
-	onces:       map[unsafe.Pointer]int32{},
-	chanIDs:     map[unsafe.Pointer]*chanState{},
-	varNames:    map[int32]string{},
-	atomicNames: map[int32]string{},
-	lockNames:   map[int32]string{},
-	onceNames:   map[int32]string{},
-	chanMeta:    map[int32]chanMetaEntry{},
+var st = &state{}
+
+// idTable interns one class of traced object: a map from the object's
+// pointer to its dense id, with a direct-mapped cache of recent pointers
+// in front of it, and the name of each id. The tables start empty and
+// are sized by start, when capture turns on.
+type idTable struct {
+	ids   map[unsafe.Pointer]int32
+	names map[int32]string
+	cache []idCacheEntry // len a power of two
+}
+
+type idCacheEntry struct {
+	p  unsafe.Pointer
+	id int32
+}
+
+func newIDTable(cacheSize int) idTable {
+	return idTable{ids: map[unsafe.Pointer]int32{}, names: map[int32]string{}, cache: make([]idCacheEntry, cacheSize)}
+}
+
+// id interns an object, recording the site string as its name on first
+// touch. The table retains the pointer, so the object stays alive and its
+// id can never alias another object's storage. The caller holds st.mu.
+func (tb *idTable) id(p unsafe.Pointer, site string) int32 {
+	h := uintptr(p) >> 3
+	e := &tb.cache[(h^h>>10)&uintptr(len(tb.cache)-1)]
+	if e.p == p && p != nil { // an empty slot holds nil; a nil map is interned too
+		return e.id
+	}
+	id, ok := tb.ids[p]
+	if !ok {
+		id = int32(len(tb.ids))
+		tb.ids[p] = id
+		tb.names[id] = site
+	}
+	*e = idCacheEntry{p: p, id: id}
+	return id
 }
 
 const (
@@ -250,11 +282,23 @@ func init() {
 	st.gs.Store(goid(), &G{tid: 0}) // the main goroutine is thread 0
 }
 
-// start opens the capture EnvTrace names and writes the stream header, or
-// leaves capture off — every wrapper a pass-through — when it is unset or
-// cannot be created. It runs once, at the shim's first event rather than
-// in init, so a program that links the shim but logs nothing never
-// touches the file. The caller holds st.mu.
+// bufSize is the capture buffer: records collect in it and are written
+// to the file a buffer at a time.
+const bufSize = 1 << 16
+
+// maxRecord is the longest record: a one-byte length, the kind and two
+// uvarint32 operands.
+const maxRecord = 2 + 2*binary.MaxVarintLen32
+
+// batchSize is how many records the inline check takes at a time.
+const batchSize = 512
+
+// start opens the capture EnvTrace names, writes the stream header and
+// readies the id tables and the inline check, or leaves capture off —
+// every wrapper a pass-through — when it is unset or cannot be created.
+// It runs once, at the shim's first event rather than in init, so a
+// program that links the shim but logs nothing never touches the file or
+// the tables. The caller holds st.mu.
 func (s *state) start() {
 	s.started = true
 	path := os.Getenv(EnvTrace)
@@ -267,8 +311,15 @@ func (s *state) start() {
 		return
 	}
 	s.file = f
-	s.w = bufio.NewWriterSize(f, 1<<16)
-	s.w.Write(binaryMagic)
+	s.buf = append(make([]byte, 0, bufSize), binaryMagic...)
+	s.vars = newIDTable(1 << 12)
+	s.atomics, s.locks, s.onces = newIDTable(1<<8), newIDTable(1<<8), newIDTable(1<<6)
+	s.chanIDs = map[unsafe.Pointer]*chanState{}
+	s.chanMeta = map[int32]chanMetaEntry{}
+	s.ext = trace.Extensions{ChanCapacity: map[trace.Lock]int{}}
+	s.pending = make([]trace.Op, 0, batchSize)
+	s.machine.Reset(1)
+	s.feed = kernel.NewFeed(&s.ext, epoch.MaxTid, epoch.MaxClock, &s.machine)
 	s.active = true
 }
 
@@ -297,7 +348,9 @@ func Bind() *G {
 	st.mu.Lock()
 	g := &G{tid: st.nextTid}
 	st.nextTid++
-	st.emitLocked(kFork, 0, uint32(g.tid))
+	if st.capturingLocked() {
+		st.emitLocked(trace.Fork, 0, g.tid)
+	}
 	st.mu.Unlock()
 	st.gs.Store(id, g)
 	return g
@@ -310,7 +363,9 @@ func Fork(g *G) int32 {
 	st.mu.Lock()
 	u := st.nextTid
 	st.nextTid++
-	st.emitLocked(kFork, g.tid, uint32(u))
+	if st.capturingLocked() {
+		st.emitLocked(trace.Fork, g.tid, u)
+	}
 	st.mu.Unlock()
 	return u
 }
@@ -325,64 +380,79 @@ func Spawn(u int32, fn func()) {
 	fn()
 }
 
-// emitLocked appends one record; the caller holds st.mu.
-func (s *state) emitLocked(kind uint8, t int32, arg uint32) {
+// emitLocked logs one record: it appends it to the capture and to the
+// inline check's batch, which the check steps through once it is full —
+// every record in capture order, under st.mu, a batch later. The caller
+// holds st.mu and has seen capturingLocked report true.
+func (s *state) emitLocked(kind trace.Kind, t, arg int32) {
 	s.events++
 	s.byKind[kind]++
-	if !s.capturingLocked() {
-		return
+	if len(s.buf) > bufSize-maxRecord {
+		s.flushLocked()
 	}
-	rec := s.buf[8:]
-	rec[0] = kind
-	n := 1
-	n += binary.PutUvarint(rec[n:], uint64(uint32(t)))
-	n += binary.PutUvarint(rec[n:], uint64(arg))
-	ln := binary.PutUvarint(s.buf[:8], uint64(n))
-	s.w.Write(s.buf[:ln])
-	s.w.Write(rec[:n])
-}
+	// The record is encoded in place, in the room the flush left: a
+	// record assembled elsewhere would be copied out with wide loads of
+	// narrow stores still in flight.
+	end := len(s.buf)
+	rec := s.buf[end : end+maxRecord]
+	rec[1] = byte(kind)
+	n := 2 + binary.PutUvarint(rec[2:], uint64(uint32(t)))
+	n += binary.PutUvarint(rec[n:], uint64(uint32(arg)))
+	rec[0] = byte(n - 1) // the record's length, always below 128
+	s.buf = s.buf[:end+n]
 
-func emit(kind uint8, t int32, arg uint32) {
-	st.mu.Lock()
-	st.emitLocked(kind, t, arg)
-	st.mu.Unlock()
-}
-
-// idFor interns an object in one of the id tables, recording the site
-// string as its name on first touch. The table retains the pointer, so
-// the object stays alive and its id can never alias another object's
-// storage. The caller holds st.mu.
-func idFor(tbl map[unsafe.Pointer]int32, names map[int32]string, addr unsafe.Pointer, site string) int32 {
-	id, ok := tbl[addr]
-	if !ok {
-		id = int32(len(tbl))
-		tbl[addr] = id
-		names[id] = site
+	k := len(s.pending)
+	s.pending = s.pending[:k+1]
+	s.pending[k].SetRecord(kind, t, arg)
+	if k+1 == batchSize {
+		s.checkLocked()
 	}
-	return id
 }
 
-// read and write log one access event. They are the slow halves of the
-// generic wrappers in wrappers.go.
-func read(g *G, site string, addr unsafe.Pointer) {
+// checkLocked steps the pending records through the inline check. The
+// caller holds st.mu.
+func (s *state) checkLocked() {
+	if s.checkErr == nil {
+		s.checkErr = s.feed.Check(s.pending)
+	}
+	s.pending = s.pending[:0]
+}
+
+// flushLocked writes the buffered records to the capture file. After a
+// write error the capture is incomplete: it keeps the error for Shutdown
+// to report and writes nothing more. The caller holds st.mu.
+func (s *state) flushLocked() {
+	if s.werr == nil {
+		_, s.werr = s.file.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// emit logs one record if capture is on.
+func emit(kind trace.Kind, t, arg int32) {
 	st.mu.Lock()
-	id := idFor(st.vars, st.varNames, addr, site)
-	st.emitLocked(kRead, g.tid, uint32(id))
+	if st.capturingLocked() {
+		st.emitLocked(kind, t, arg)
+	}
 	st.mu.Unlock()
 }
 
-func write(g *G, site string, addr unsafe.Pointer) {
+// emitIn interns addr in tb and logs one record naming it, if capture is
+// on. read, write and emitAtomic are the slow halves of the generic
+// wrappers in wrappers.go.
+func emitIn(tb *idTable, kind trace.Kind, g *G, site string, addr unsafe.Pointer) {
 	st.mu.Lock()
-	id := idFor(st.vars, st.varNames, addr, site)
-	st.emitLocked(kWrite, g.tid, uint32(id))
+	if st.capturingLocked() {
+		st.emitLocked(kind, g.tid, tb.id(addr, site))
+	}
 	st.mu.Unlock()
 }
 
-func emitAtomic(g *G, kind uint8, addr unsafe.Pointer, site string) {
-	st.mu.Lock()
-	id := idFor(st.atomics, st.atomicNames, addr, site)
-	st.emitLocked(kind, g.tid, uint32(id))
-	st.mu.Unlock()
+func read(g *G, site string, addr unsafe.Pointer)  { emitIn(&st.vars, trace.Read, g, site, addr) }
+func write(g *G, site string, addr unsafe.Pointer) { emitIn(&st.vars, trace.Write, g, site, addr) }
+
+func emitAtomic(g *G, kind trace.Kind, addr unsafe.Pointer, site string) {
+	emitIn(&st.atomics, kind, g, site, addr)
 }
 
 // Mutexes: acquire logs after Lock returns, release logs before Unlock is
@@ -391,18 +461,12 @@ func emitAtomic(g *G, kind uint8, addr unsafe.Pointer, site string) {
 // MutexLock locks m and logs the acquire.
 func MutexLock(g *G, site string, m *sync.Mutex) {
 	m.Lock()
-	st.mu.Lock()
-	id := idFor(st.locks, st.lockNames, addrOf(m), site)
-	st.emitLocked(kAcquire, g.tid, uint32(id))
-	st.mu.Unlock()
+	emitIn(&st.locks, trace.Acquire, g, site, unsafe.Pointer(m))
 }
 
 // MutexUnlock logs the release and unlocks m.
 func MutexUnlock(g *G, site string, m *sync.Mutex) {
-	st.mu.Lock()
-	id := idFor(st.locks, st.lockNames, addrOf(m), site)
-	st.emitLocked(kRelease, g.tid, uint32(id))
-	st.mu.Unlock()
+	emitIn(&st.locks, trace.Release, g, site, unsafe.Pointer(m))
 	m.Unlock()
 }
 
@@ -411,10 +475,7 @@ func MutexTryLock(g *G, site string, m *sync.Mutex) bool {
 	if !m.TryLock() {
 		return false
 	}
-	st.mu.Lock()
-	id := idFor(st.locks, st.lockNames, addrOf(m), site)
-	st.emitLocked(kAcquire, g.tid, uint32(id))
-	st.mu.Unlock()
+	emitIn(&st.locks, trace.Acquire, g, site, unsafe.Pointer(m))
 	return true
 }
 
@@ -425,19 +486,23 @@ func MutexTryLock(g *G, site string, m *sync.Mutex) bool {
 // not both log an acquire of one trace lock. Acquire-like ops log after
 // the real operation, release-like ops before, as for atomics.
 
-func RWLock(g *G, site string, m *sync.RWMutex) { m.Lock(); emitAtomic(g, kAtomicRMW, addrOf(m), site) }
+func RWLock(g *G, site string, m *sync.RWMutex) {
+	m.Lock()
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
+}
+
 func RWRLock(g *G, site string, m *sync.RWMutex) {
 	m.RLock()
-	emitAtomic(g, kAtomicRMW, addrOf(m), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
 }
 
 func RWUnlock(g *G, site string, m *sync.RWMutex) {
-	emitAtomic(g, kAtomicRMW, addrOf(m), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
 	m.Unlock()
 }
 
 func RWRUnlock(g *G, site string, m *sync.RWMutex) {
-	emitAtomic(g, kAtomicRMW, addrOf(m), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
 	m.RUnlock()
 }
 
@@ -451,19 +516,19 @@ func RWRUnlock(g *G, site string, m *sync.RWMutex) {
 
 func WGAdd(g *G, site string, wg *sync.WaitGroup, n int) {
 	if n < 0 {
-		emitAtomic(g, kAtomicRMW, addrOf(wg), site)
+		emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg), site)
 	}
 	wg.Add(n)
 }
 
 func WGDone(g *G, site string, wg *sync.WaitGroup) {
-	emitAtomic(g, kAtomicRMW, addrOf(wg), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg), site)
 	wg.Done()
 }
 
 func WGWait(g *G, site string, wg *sync.WaitGroup) {
 	wg.Wait()
-	emitAtomic(g, kAtomicLoad, addrOf(wg), site)
+	emitAtomic(g, trace.AtomicLoad, unsafe.Pointer(wg), site)
 }
 
 // OnceDo forwards once.Do. The executor logs its once event inside f —
@@ -471,22 +536,20 @@ func WGWait(g *G, site string, wg *sync.WaitGroup) {
 // once record in the stream is always the executor's, which is how the
 // lowering picks the publishing thread.
 func OnceDo(g *G, site string, o *sync.Once, f func()) {
-	st.mu.Lock()
-	id := idFor(st.onces, st.onceNames, addrOf(o), site)
-	st.mu.Unlock()
 	ran := false
 	o.Do(func() {
 		f()
-		emit(kOnceDo, g.tid, uint32(id))
+		emitIn(&st.onces, trace.OnceDo, g, site, unsafe.Pointer(o))
 		ran = true
 	})
 	if !ran {
-		emit(kOnceDo, g.tid, uint32(id))
+		emitIn(&st.onces, trace.OnceDo, g, site, unsafe.Pointer(o))
 	}
 }
 
 // chanFor interns a channel (by its runtime header pointer, via reflect)
-// and snapshots its capacity for the meta sidecar.
+// and registers its capacity with the inline check and the meta sidecar.
+// The wrappers call it only while capture is on.
 func chanFor(c any, site string) *chanState {
 	v := reflect.ValueOf(c)
 	addr := v.UnsafePointer()
@@ -496,6 +559,9 @@ func chanFor(c any, site string) *chanState {
 		cs = &chanState{id: int32(len(st.chanIDs)), cap: v.Cap(), waitc: make(chan struct{})}
 		st.chanIDs[addr] = cs
 		st.chanMeta[cs.id] = chanMetaEntry{Cap: cs.cap, Name: site}
+		if cs.cap > 0 {
+			st.ext.ChanCapacity[trace.Lock(cs.id)] = cs.cap
+		}
 	}
 	st.mu.Unlock()
 	return cs
@@ -554,7 +620,7 @@ func (cs *chanState) await(cond func() bool) bool {
 // sendInit logs a send initiation. Called before the real send.
 func (cs *chanState) sendInit(g *G) int {
 	cs.mu.Lock()
-	emit(kChanSend, g.tid, uint32(cs.id))
+	emit(trace.ChanSend, g.tid, cs.id)
 	cs.sends++
 	k := cs.sends
 	cs.kick()
@@ -618,7 +684,7 @@ func (cs *chanState) recvDone(g *G, class recvClass) {
 		// receive on a closed channel.
 		cs.credits--
 	}
-	emit(kChanRecv, g.tid, uint32(cs.id))
+	emit(trace.ChanRecv, g.tid, cs.id)
 	cs.kick()
 	cs.mu.Unlock()
 }
@@ -631,7 +697,7 @@ func (cs *chanState) closeDone(g *G) {
 	cs.mu.Lock()
 	cs.await(func() bool { return cs.sends-cs.recvs <= cs.cap })
 	cs.closed = true
-	emit(kChanClose, g.tid, uint32(cs.id))
+	emit(trace.ChanClose, g.tid, cs.id)
 	cs.kick()
 	cs.mu.Unlock()
 }
@@ -652,7 +718,7 @@ func (cs *chanState) sendSelDone(g *G) {
 		cs.mu.Unlock()
 		return
 	}
-	emit(kChanSend, g.tid, uint32(cs.id))
+	emit(trace.ChanSend, g.tid, cs.id)
 	cs.sends++
 	k := cs.sends
 	cs.kick()
@@ -660,10 +726,13 @@ func (cs *chanState) sendSelDone(g *G) {
 	cs.mu.Unlock()
 }
 
-// Shutdown flushes the trace and writes the meta sidecar (variable,
-// lock, atomic and once names; channel capacities; event counters). The
-// rewriter defers it as the first statement of main, so it also runs when
-// the program panics. Events emitted after Shutdown are dropped.
+// Shutdown flushes the trace and writes the meta sidecar: the inline
+// check's verdict (its reports, or the validator's positioned error),
+// variable, lock, atomic and once names, channel capacities and event
+// counters. The rewriter defers it as the first statement of main, so it
+// also runs when the program panics — but not when it calls os.Exit or
+// dies of a fatal signal, which leaves no sidecar. Events emitted after
+// Shutdown are neither written nor checked.
 func Shutdown() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -671,7 +740,9 @@ func Shutdown() {
 		return
 	}
 	st.active = false
-	err := st.w.Flush() // even a program that logged nothing leaves the header
+	st.checkLocked()
+	st.flushLocked() // even a program that logged nothing leaves the header
+	err := st.werr
 	if cerr := st.file.Close(); err == nil {
 		err = cerr
 	}
@@ -679,15 +750,10 @@ func Shutdown() {
 		fmt.Fprintf(os.Stderr, "vft-rt: writing trace: %v\n", err)
 	}
 
-	metaPath := MetaPath(st.file.Name())
 	kinds := map[string]uint64{}
-	kindNames := []string{
-		"rd", "wr", "acq", "rel", "fork", "join", "vrd", "vwr", "barrier",
-		"send", "recv", "close", "aload", "astore", "armw", "once",
-	}
 	for k, n := range st.byKind {
 		if n > 0 {
-			kinds[kindNames[k]] = n
+			kinds[trace.Kind(k).String()] = n
 		}
 	}
 	meta := Meta{
@@ -695,25 +761,48 @@ func Shutdown() {
 		Dropped:  st.dropped,
 		Timeouts: st.timeouts,
 		Kinds:    kinds,
-		Vars:     st.varNames,
-		Atomics:  st.atomicNames,
-		Locks:    st.lockNames,
-		Onces:    st.onceNames,
+		Vars:     st.vars.names,
+		Atomics:  st.atomics.names,
+		Locks:    st.locks.names,
+		Onces:    st.onces.names,
 		Chans:    st.chanMeta,
+		Reports:  st.reports(),
+	}
+	if st.checkErr != nil {
+		meta.Error = st.checkErr.Error()
 	}
 	b, err := json.MarshalIndent(&meta, "", "  ")
 	if err == nil {
-		err = os.WriteFile(metaPath, b, 0o644)
+		err = os.WriteFile(MetaPath(st.file.Name()), b, 0o644)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vft-rt: writing meta sidecar: %v\n", err)
 	}
 }
 
-// Meta is the sidecar the shim writes next to the trace: everything the
-// offline checker needs that the trace bytes cannot carry — channel
-// capacities for the rule-6 validator and the lowering, source names for
-// rendering reports, and the shim's own counters.
+// reports returns the inline check's reports on the trace's own thread
+// ids: the machine numbers threads by their validator ordinal, as the
+// offline check does before it maps its reports back. The caller holds
+// st.mu.
+func (s *state) reports() []kernel.Report {
+	if s.checkErr != nil {
+		return nil
+	}
+	reports := s.machine.Reports()
+	tids := s.feed.V.Threads()
+	for i := range reports {
+		r := &reports[i]
+		r.T = tids[r.T]
+		r.Prev = epoch.Make(tids[r.Prev.Tid()], r.Prev.Clock())
+	}
+	return reports
+}
+
+// Meta is the sidecar the shim writes next to the trace: the verdict of
+// the inline check, and everything a check of the capture needs that the
+// trace bytes cannot carry — channel capacities for the rule-6 validator
+// and the lowering, source names for rendering reports, and the shim's
+// own counters.
 type Meta struct {
 	Events  uint64 `json:"events"`
 	Dropped uint64 `json:"dropped,omitempty"`
@@ -727,6 +816,14 @@ type Meta struct {
 	Locks    map[int32]string        `json:"locks,omitempty"`
 	Onces    map[int32]string        `json:"onces,omitempty"`
 	Chans    map[int32]chanMetaEntry `json:"chans,omitempty"`
+
+	// Reports are the inline check's races, at most one per variable, in
+	// detection order: what goinstr.Check finds in the capture.
+	Reports []kernel.Report `json:"reports"`
+	// Error, when set, is the inline check's error instead: the
+	// validator's positioned message for the first record it rejected.
+	// The check stopped there, and Reports is empty.
+	Error string `json:"error,omitempty"`
 }
 
 // ChanCaps returns the channel-capacity map in the sidecar.

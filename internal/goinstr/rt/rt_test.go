@@ -1,11 +1,10 @@
 package rt
 
-// The shim cannot import internal/trace (it travels into shadow modules),
-// so these tests are the bond between the two: they decode the shim's
-// output with the real trace.NewBinaryDecoder, pin the kind bytes to the
-// trace.Kind enumeration, and feed captured streams to the rule-6
-// validator to prove the log-ordering gadget emits only feasible traces.
-// Run with -race: the gadget's own locking is part of the contract.
+// The shim writes its capture with its own encoder, so these tests decode
+// its output with the real trace.NewBinaryDecoder, and feed captured
+// streams to the rule-6 validator to prove the log-ordering gadget emits
+// only feasible traces. Run with -race: the gadget's own locking is part
+// of the contract.
 
 import (
 	"bytes"
@@ -18,7 +17,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -26,7 +24,7 @@ import (
 // resetForTest points EnvTrace at a fresh capture file, which the next
 // event opens, and clears every id table and counter, so each test sees
 // deterministic ids with the test's own goroutine as thread 0.
-func resetForTest(t *testing.T) (tracePath string) {
+func resetForTest(t testing.TB) (tracePath string) {
 	t.Helper()
 	tracePath = filepath.Join(t.TempDir(), "out.vft")
 	t.Setenv(EnvTrace, tracePath)
@@ -35,18 +33,9 @@ func resetForTest(t *testing.T) (tracePath string) {
 	defer st.mu.Unlock()
 	st.started = false
 	st.active = false
-	st.file, st.w = nil, nil
+	st.file, st.buf, st.werr = nil, nil, nil
 	st.nextTid = 1
-	st.vars = map[unsafe.Pointer]int32{}
-	st.atomics = map[unsafe.Pointer]int32{}
-	st.locks = map[unsafe.Pointer]int32{}
-	st.onces = map[unsafe.Pointer]int32{}
-	st.chanIDs = map[unsafe.Pointer]*chanState{}
-	st.varNames = map[int32]string{}
-	st.atomicNames = map[int32]string{}
-	st.lockNames = map[int32]string{}
-	st.onceNames = map[int32]string{}
-	st.chanMeta = map[int32]chanMetaEntry{}
+	st.checkErr = nil
 	st.events = 0
 	st.byKind = [numKinds]uint64{}
 	st.dropped = 0
@@ -55,7 +44,7 @@ func resetForTest(t *testing.T) (tracePath string) {
 	return tracePath
 }
 
-func decodeTrace(t *testing.T, path string) trace.Trace {
+func decodeTrace(t testing.TB, path string) trace.Trace {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -69,7 +58,7 @@ func decodeTrace(t *testing.T, path string) trace.Trace {
 	return tr
 }
 
-func loadMeta(t *testing.T, path string) *Meta {
+func loadMeta(t testing.TB, path string) *Meta {
 	t.Helper()
 	b, err := os.ReadFile(MetaPath(path))
 	if err != nil {
@@ -88,32 +77,6 @@ func extFromMeta(m *Meta) *trace.Extensions {
 		caps[trace.Lock(id)] = e.Cap
 	}
 	return &trace.Extensions{ChanCapacity: caps}
-}
-
-// TestKindBytesMatchTrace pins the shim's private kind constants to the
-// trace package's enumeration, byte for byte.
-func TestKindBytesMatchTrace(t *testing.T) {
-	pairs := []struct {
-		shim uint8
-		real trace.Kind
-	}{
-		{kRead, trace.Read}, {kWrite, trace.Write},
-		{kAcquire, trace.Acquire}, {kRelease, trace.Release},
-		{kFork, trace.Fork}, {kJoin, trace.Join},
-		{kVolatileRead, trace.VolatileRead}, {kVolatileWrite, trace.VolatileWrite},
-		{kBarrier, trace.Barrier},
-		{kChanSend, trace.ChanSend}, {kChanRecv, trace.ChanRecv}, {kChanClose, trace.ChanClose},
-		{kAtomicLoad, trace.AtomicLoad}, {kAtomicStore, trace.AtomicStore}, {kAtomicRMW, trace.AtomicRMW},
-		{kOnceDo, trace.OnceDo},
-	}
-	for _, p := range pairs {
-		if trace.Kind(p.shim) != p.real {
-			t.Errorf("shim kind %d != trace.%v (%d)", p.shim, p.real, uint8(p.real))
-		}
-	}
-	if int(numKinds) != len(pairs) {
-		t.Errorf("shim knows %d kinds, table pins %d", numKinds, len(pairs))
-	}
 }
 
 // TestSequentialEventsDecode drives every basic wrapper on one goroutine

@@ -24,9 +24,13 @@ package rt
 import (
 	"reflect"
 	"unsafe"
+
+	"repro/internal/trace"
 )
 
-// addrOf and ptr produce the interning key for a traced object. Both
+// addrOf and ptr produce the interning key for a traced object: addrOf,
+// through reflect, for the receivers of the generic method wrappers; ptr
+// for a typed pointer, as the sync wrappers in rt.go convert theirs. Both
 // stay in unsafe.Pointer form end to end — never uintptr — so the
 // pointer remains visible to escape analysis and the GC: storing it in
 // the id tables heap-allocates the object and pins it, which is what
@@ -57,9 +61,11 @@ func Wr[T any](g *G, site string, p *T) *T {
 // e op= rhs — and returns p.
 func RdWr[T any](g *G, site string, p *T) *T {
 	st.mu.Lock()
-	id := idFor(st.vars, st.varNames, ptr(p), site)
-	st.emitLocked(kRead, g.tid, uint32(id))
-	st.emitLocked(kWrite, g.tid, uint32(id))
+	if st.capturingLocked() {
+		id := st.vars.id(ptr(p), site)
+		st.emitLocked(trace.Read, g.tid, id)
+		st.emitLocked(trace.Write, g.tid, id)
+	}
 	st.mu.Unlock()
 	return p
 }
@@ -218,26 +224,26 @@ func capturing() bool {
 // ALoad returns op(p) and logs an atomic load after it.
 func ALoad[T any](g *G, site string, p *T, op func(*T) T) T {
 	v := op(p)
-	emitAtomic(g, kAtomicLoad, ptr(p), site)
+	emitAtomic(g, trace.AtomicLoad, ptr(p), site)
 	return v
 }
 
 // AStore logs an atomic store and performs op(p, v).
 func AStore[T any](g *G, site string, p *T, v T, op func(*T, T)) {
-	emitAtomic(g, kAtomicStore, ptr(p), site)
+	emitAtomic(g, trace.AtomicStore, ptr(p), site)
 	op(p, v)
 }
 
 // ARMW logs an atomic read-modify-write and returns op(p, v): Add, And,
 // Or and Swap.
 func ARMW[T any](g *G, site string, p *T, v T, op func(*T, T) T) T {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
+	emitAtomic(g, trace.AtomicRMW, ptr(p), site)
 	return op(p, v)
 }
 
 // ACAS logs an atomic read-modify-write and returns op(p, old, new).
 func ACAS[T any](g *G, site string, p *T, old, new T, op func(*T, T, T) bool) bool {
-	emitAtomic(g, kAtomicRMW, ptr(p), site)
+	emitAtomic(g, trace.AtomicRMW, ptr(p), site)
 	return op(p, old, new)
 }
 
@@ -248,43 +254,43 @@ func ACAS[T any](g *G, site string, p *T, old, new T, op func(*T, T, T) bool) bo
 // TLoad returns a.Load() and logs an atomic load after it.
 func TLoad[A interface{ Load() R }, R any](g *G, site string, a A) R {
 	v := a.Load()
-	emitAtomic(g, kAtomicLoad, addrOf(a), site)
+	emitAtomic(g, trace.AtomicLoad, addrOf(a), site)
 	return v
 }
 
 // TStore logs an atomic store and performs a.Store(v).
 func TStore[A interface{ Store(R) }, R any](g *G, site string, a A, v R) {
-	emitAtomic(g, kAtomicStore, addrOf(a), site)
+	emitAtomic(g, trace.AtomicStore, addrOf(a), site)
 	a.Store(v)
 }
 
 // TAdd logs an atomic read-modify-write and returns a.Add(d).
 func TAdd[A interface{ Add(R) R }, R any](g *G, site string, a A, d R) R {
-	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	emitAtomic(g, trace.AtomicRMW, addrOf(a), site)
 	return a.Add(d)
 }
 
 // TAnd logs an atomic read-modify-write and returns a.And(mask).
 func TAnd[A interface{ And(R) R }, R any](g *G, site string, a A, mask R) R {
-	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	emitAtomic(g, trace.AtomicRMW, addrOf(a), site)
 	return a.And(mask)
 }
 
 // TOr logs an atomic read-modify-write and returns a.Or(mask).
 func TOr[A interface{ Or(R) R }, R any](g *G, site string, a A, mask R) R {
-	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	emitAtomic(g, trace.AtomicRMW, addrOf(a), site)
 	return a.Or(mask)
 }
 
 // TSwap logs an atomic read-modify-write and returns a.Swap(v).
 func TSwap[A interface{ Swap(R) R }, R any](g *G, site string, a A, v R) R {
-	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	emitAtomic(g, trace.AtomicRMW, addrOf(a), site)
 	return a.Swap(v)
 }
 
 // TCAS logs an atomic read-modify-write and returns
 // a.CompareAndSwap(old, new).
 func TCAS[A interface{ CompareAndSwap(R, R) bool }, R any](g *G, site string, a A, old, new R) bool {
-	emitAtomic(g, kAtomicRMW, addrOf(a), site)
+	emitAtomic(g, trace.AtomicRMW, addrOf(a), site)
 	return a.CompareAndSwap(old, new)
 }

@@ -14,9 +14,13 @@ import (
 
 // offlineEnv is the environment for building the shadow module: module
 // mode with the network off — the shadow module has no requirements, so
-// nothing needs resolving — and no version-control stamp, which would
+// nothing needs resolving — no version-control stamp, which would
 // describe whatever repository encloses the shadow module and relink the
-// binary whenever that repository's state changed. It leaves out the
+// binary whenever that repository's state changed, and -trimpath: the go
+// command keys a package outside GOROOT on its directory unless paths are
+// trimmed, so without it every new shadow directory — a default run's is
+// a fresh temp dir — would compile the shim and the packages it carries
+// again. It leaves out the
 // shell's PWD, OLDPWD and _: the go command runs in the shadow module
 // (cmd.Dir) and reads none of the three, and toolchainKey hashes this
 // environment, so they would turn a rerun from another directory, or
@@ -28,7 +32,7 @@ func offlineEnv() []string {
 	})
 	return append(env,
 		"GOPROXY=off",
-		"GOFLAGS=-mod=mod -buildvcs=false",
+		"GOFLAGS=-mod=mod -buildvcs=false -trimpath",
 		"GO111MODULE=on",
 		"GOWORK=off",
 	)

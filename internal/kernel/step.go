@@ -1,4 +1,4 @@
-package core
+package kernel
 
 import (
 	"repro/internal/epoch"
@@ -15,7 +15,7 @@ import (
 // representation, call the kernel, sink the reports, apply the update
 // under my synchronization discipline".
 //
-// The file imports only internal/epoch and internal/spec (for the Rule
+// The file uses only internal/epoch and internal/spec (for the Rule
 // names): it depends on no clock type, shadow table or lock.
 
 // ClockView is the acting thread's vector clock C_t as the raw entries of

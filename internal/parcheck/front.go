@@ -28,9 +28,9 @@ import (
 // coincide whenever threads are first named in increasing id order (every
 // producer in this repository forks that way).
 //
-// Its entries are one per lowered kind and take compact thread ids, raw
-// variable ids and lowered lock ids; the feed calls them from its own
-// switch. Thread ids arrive compact because on a validated stream the
+// It is the offline check's kernel.Sink: its entries are one per lowered
+// kind and take compact thread ids, raw variable ids and lowered lock ids,
+// and the kernel's Feed calls them from its switch. Thread ids arrive compact because on a validated stream the
 // validator's ordinals are first-touch order already (main, then each
 // thread at its fork: see trace.Validator.Ordinal); push, for an already
 // lowered stream, compacts them itself.
@@ -65,8 +65,8 @@ const (
 	maxDenseIDs = 1 << 21
 )
 
-// read hands rd(t,x) on.
-func (f *frontStage) read(t epoch.Tid, x trace.Var) {
+// Read hands rd(t,x) on.
+func (f *frontStage) Read(t epoch.Tid, x trace.Var) {
 	v := f.vars.Get(x)
 	if v == unseen {
 		v = f.newVar(x)
@@ -79,8 +79,8 @@ func (f *frontStage) read(t epoch.Tid, x trace.Var) {
 	f.det.Read(t, trace.Var(v-firstID))
 }
 
-// write hands wr(t,x) on.
-func (f *frontStage) write(t epoch.Tid, x trace.Var) {
+// Write hands wr(t,x) on.
+func (f *frontStage) Write(t epoch.Tid, x trace.Var) {
 	v := f.vars.Get(x)
 	if v == unseen {
 		v = f.newVar(x)
@@ -107,8 +107,8 @@ func (f *frontStage) newVar(x trace.Var) uint32 {
 	return v
 }
 
-// acquire hands acq(t,m) on, m a lowered lock id.
-func (f *frontStage) acquire(t epoch.Tid, m trace.Lock) {
+// Acquire hands acq(t,m) on, m a lowered lock id.
+func (f *frontStage) Acquire(t epoch.Tid, m trace.Lock) {
 	v := f.locks.Get(m)
 	if v == unseen {
 		v = f.newLock(m)
@@ -117,8 +117,8 @@ func (f *frontStage) acquire(t epoch.Tid, m trace.Lock) {
 	f.det.Acquire(t, trace.Lock(v-firstID))
 }
 
-// release hands rel(t,m) on, m a lowered lock id.
-func (f *frontStage) release(t epoch.Tid, m trace.Lock) {
+// Release hands rel(t,m) on, m a lowered lock id.
+func (f *frontStage) Release(t epoch.Tid, m trace.Lock) {
 	v := f.locks.Get(m)
 	if v == unseen {
 		v = f.newLock(m)
@@ -127,12 +127,12 @@ func (f *frontStage) release(t epoch.Tid, m trace.Lock) {
 	f.det.Release(t, trace.Lock(v-firstID))
 }
 
-func (f *frontStage) fork(t, u epoch.Tid) {
+func (f *frontStage) Fork(t, u epoch.Tid) {
 	f.syncs++
 	f.det.Fork(t, u)
 }
 
-func (f *frontStage) join(t, u epoch.Tid) {
+func (f *frontStage) Join(t, u epoch.Tid) {
 	f.syncs++
 	f.det.Join(t, u)
 }
@@ -143,17 +143,17 @@ func (f *frontStage) push(op trace.Op) {
 	t := f.tid(op.T)
 	switch op.Kind {
 	case trace.Read:
-		f.read(t, op.X)
+		f.Read(t, op.X)
 	case trace.Write:
-		f.write(t, op.X)
+		f.Write(t, op.X)
 	case trace.Acquire:
-		f.acquire(t, op.M)
+		f.Acquire(t, op.M)
 	case trace.Release:
-		f.release(t, op.M)
+		f.Release(t, op.M)
 	case trace.Fork:
-		f.fork(t, f.tid(op.U))
+		f.Fork(t, f.tid(op.U))
 	default: // join
-		f.join(t, f.tid(op.U))
+		f.Join(t, f.tid(op.U))
 	}
 }
 

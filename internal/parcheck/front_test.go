@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/spec"
@@ -245,10 +246,10 @@ func TestFeedClockCeiling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		st := new(checkState)
-		st.m.reset(0)
+		st.m.Reset(0)
 		st.front.det = &st.m
-		fd := &feed{v: trace.NewValidator(), low: trace.NewParityLowerer(nil), front: &st.front, maxClock: 3}
-		err := fd.check(tc.tr)
+		fd := kernel.NewFeed(nil, epoch.MaxTid, 3, &st.front)
+		err := fd.Check(tc.tr)
 		var ce *trace.ClockRangeError
 		if !errors.As(err, &ce) || ce.Index != tc.index || ce.Op != tc.tr[tc.index] || ce.Tid != tc.tid || ce.Max != 3 {
 			t.Errorf("%s: stopped with %v; want a *ClockRangeError at #%d for thread %d", tc.name, err, tc.index, tc.tid)

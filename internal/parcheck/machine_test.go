@@ -126,8 +126,8 @@ func TestMachineSteadyStateDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(5, replay); n != 0 {
 		t.Errorf("%v allocations per warm pass over %d ops, want 0", n, len(tr))
 	}
-	if len(m.reports) != 0 {
-		t.Errorf("the striped trace is race-free; got %v", m.reports)
+	if len(m.Reports()) != 0 {
+		t.Errorf("the striped trace is race-free; got %v", m.Reports())
 	}
 }
 

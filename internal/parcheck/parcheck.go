@@ -1,18 +1,20 @@
 // Package parcheck is the offline check path: every check of a recorded
-// trace — vft-race, vft-go, each vft-server upload, the library's
+// trace — vft-race, goinstr.Check, each vft-server upload, the library's
 // CheckTrace/CheckSource/CheckReader — is assembled here, once (see run).
 //
-// CheckSource takes the stream a batch at a time and runs one switch per
-// operation that validates it (trace.Validator), lowers it if it is a
-// Go-sync or §7 kind (trace.Lowerer; the six core kinds pass) and hands it
-// to the front stage (sampling on raw variable ids, then first-touch
-// compaction of thread, variable and lock ids; see frontStage), which
+// CheckSource takes the stream a batch at a time and runs the kernel's one
+// switch per operation (kernel.Feed), which validates it
+// (trace.Validator), lowers it if it is a Go-sync or §7 kind
+// (trace.Lowerer; the six core kinds pass) and hands it to the front stage
+// (sampling on raw variable ids, then first-touch compaction of thread,
+// variable and lock ids; see frontStage), which
 // calls the matching handler of an empty detector for what it admits, all
 // on the calling goroutine; Check does the same for a stream already
 // validated and lowered. For vft-v2 —
-// the default, and what every product path runs — the detector is this
-// package's machine: core.V2's state and rules without the
-// synchronization that only concurrent callers need (see machine). The
+// the default, and what every offline path runs — the detector is the
+// kernel's machine: core.V2's state and rules without the
+// synchronization that only concurrent callers need (see kernel.Machine),
+// the same one the vft-go shim runs inside the instrumented program. The
 // other four variants are core's own detectors. The reports are the
 // detector's, mapped back onto the trace's ids. The machine, the front
 // stage and the batch buffer are recycled between checks (see checkState).
@@ -28,7 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -73,7 +75,7 @@ const batchSize = 512
 // CheckSource checks a raw (not yet validated or lowered) stream: the §2
 // feasibility validation, under the variant's thread-id ceiling, the
 // extended-op lowering, the variant's clock ceiling and the front stage's
-// renumbering run in one switch per operation (see feed.check), over
+// renumbering run in one switch per operation (kernel.Feed), over
 // batches the source delivers (a binary decoder decodes one in place;
 // other sources yield one op per batch). ext has DesugarSource's meaning
 // (barrier participant counts, channel capacities; nil for all defaults),
@@ -91,13 +93,8 @@ const batchSize = 512
 func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, int, error) {
 	var ops int
 	reports, err := run(opts, func(st *checkState) error {
-		v := trace.NewValidator()
-		v.Ext = ext
-		v.MaxTid = core.MaxTid(opts.Variant)
-		fd := &feed{v: v, low: trace.NewParityLowerer(ext), front: &st.front}
-		if c := core.MaxClock(opts.Variant); c < epoch.MaxClock {
-			fd.maxClock = c
-		}
+		fd := kernel.NewFeed(ext, core.MaxTid(opts.Variant), core.MaxClock(opts.Variant), &st.front)
+		v := fd.V
 		for {
 			// Ask for no more than the budget has left, and with none left
 			// for one op: the stream's end or error, or the budget's.
@@ -118,7 +115,7 @@ func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.
 			if spent {
 				return &trace.TooLongError{Limit: opts.MaxOps}
 			}
-			if err := fd.check(buf[:n]); err != nil {
+			if err := fd.Check(buf[:n]); err != nil {
 				return err
 			}
 		}
@@ -127,116 +124,6 @@ func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.
 		return nil, 0, err
 	}
 	return reports, ops, nil
-}
-
-// feed is CheckSource's per-operation work.
-type feed struct {
-	v     *trace.Validator
-	low   *trace.Lowerer
-	front *frontStage
-	pairs []trace.Pair // the lowering's output, reused
-
-	// maxClock is the variant's clock ceiling where it is below
-	// epoch.MaxClock (ft-cas's), and 0 where there is none to police;
-	// ticks[o] then counts the increments of the clock of the thread with
-	// ordinal o, which starts at 1.
-	maxClock uint64
-	ticks    []uint64
-}
-
-// check validates, lowers and renumbers ops in order, handing each to the
-// detector, and on the first infeasible one returns the validator's error
-// (or the clock ceiling's). The core kinds pass the
-// Lowerer by (only a real lock's id changes), so only the extended kinds
-// reach it.
-func (fd *feed) check(ops []trace.Op) error {
-	v, front := fd.v, fd.front
-	for i := range ops {
-		op := ops[i]
-		var err error
-		switch op.Kind {
-		case trace.Read:
-			if err = v.Access(op); err == nil {
-				front.read(v.Ordinal(op.T), op.X)
-			}
-		case trace.Write:
-			if err = v.Access(op); err == nil {
-				front.write(v.Ordinal(op.T), op.X)
-			}
-		case trace.Acquire:
-			if err = v.Acquire(op); err == nil {
-				front.acquire(v.Ordinal(op.T), fd.low.Real(op.M))
-			}
-		case trace.Release:
-			if err = v.Release(op); err == nil && fd.maxClock != 0 {
-				err = fd.tick(op, op.T)
-			}
-			if err == nil {
-				front.release(v.Ordinal(op.T), fd.low.Real(op.M))
-			}
-		case trace.Fork:
-			if err = v.Fork(op); err == nil && fd.maxClock != 0 {
-				err = fd.tick(op, op.T)
-			}
-			if err == nil {
-				front.fork(v.Ordinal(op.T), v.Ordinal(op.U))
-			}
-		case trace.Join:
-			// Under the FT join rule, ft-cas's, a join ticks the joined
-			// thread's clock.
-			if err = v.Join(op); err == nil && fd.maxClock != 0 {
-				err = fd.tick(op, op.U)
-			}
-			if err == nil {
-				front.join(v.Ordinal(op.T), v.Ordinal(op.U))
-			}
-		case trace.ChanSend, trace.ChanRecv, trace.ChanClose:
-			var step trace.ChanStep
-			if step, err = v.Chan(op); err == nil {
-				fd.pairs = fd.low.AppendChan(fd.pairs[:0], op, step)
-				err = fd.lowered(op)
-			}
-		default:
-			if err = v.Check(op); err == nil {
-				fd.pairs = fd.low.AppendSync(fd.pairs[:0], op)
-				err = fd.lowered(op)
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lowered hands on the acquire+release pairs op lowered to.
-func (fd *feed) lowered(op trace.Op) error {
-	for _, p := range fd.pairs {
-		if fd.maxClock != 0 {
-			if err := fd.tick(op, p.T); err != nil {
-				return err
-			}
-		}
-		t := fd.v.Ordinal(p.T)
-		fd.front.acquire(t, p.M)
-		fd.front.release(t, p.M)
-	}
-	return nil
-}
-
-// tick counts one increment of thread t's clock for op, which the
-// validator has just admitted, or fails op if the increment would take the
-// clock past maxClock.
-func (fd *feed) tick(op trace.Op, t epoch.Tid) error {
-	o := int(fd.v.Ordinal(t))
-	for o >= len(fd.ticks) {
-		fd.ticks = append(fd.ticks, 0)
-	}
-	if 1+fd.ticks[o] == fd.maxClock {
-		return &trace.ClockRangeError{Index: fd.v.Count() - 1, Op: op, Tid: t, Max: fd.maxClock}
-	}
-	fd.ticks[o]++
-	return nil
 }
 
 // CheckTrace is CheckSource over a materialized trace.
@@ -296,8 +183,11 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 	}
 	var d core.Detector
 	if opts.Variant == "vft-v2" {
-		st.m.reset(opts.MaxReportsPerVar)
-		d = &st.m
+		// The kernel's machine itself, not the wrapper that adds Stats:
+		// the front stage then calls the handlers without a promoted-method
+		// hop.
+		st.m.Reset(opts.MaxReportsPerVar)
+		d = &st.m.Machine
 	} else {
 		var err error
 		if d, err = core.New(opts.Variant, core.Config{MaxReportsPerVar: opts.MaxReportsPerVar}); err != nil {
@@ -312,7 +202,12 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 	if opts.StatsSink != nil {
 		// The stream has ended, so the detector is quiescent and its
 		// per-thread counters are coherent.
-		snap := d.(core.StatsSource).Stats()
+		var snap obs.Snapshot
+		if d == &st.m.Machine {
+			snap = st.m.Stats()
+		} else {
+			snap = d.(core.StatsSource).Stats()
+		}
 		front.addStats(snap)
 		opts.StatsSink(snap)
 	}

@@ -152,9 +152,9 @@ func TestRecycledCheckMatchesFresh(t *testing.T) {
 	}
 	inputs = append(inputs, input{name: "hostile again", data: binary(hostileGoSync)})
 
-	if st := dirtied(t); len(st.front.rejected) == 0 || st.front.vars.Get(2000000000) == unseen || len(st.m.reports) == 0 {
+	if st := dirtied(t); len(st.front.rejected) == 0 || st.front.vars.Get(2000000000) == unseen || len(st.m.Reports()) == 0 {
 		t.Fatalf("the hostile trace left rejected %v, spilled variable %d, reports %v; the fuzz targets need all three",
-			st.front.rejected, st.front.vars.Get(2000000000), st.m.reports)
+			st.front.rejected, st.front.vars.Get(2000000000), st.m.Reports())
 	}
 	warm := new(checkState)
 	for _, in := range inputs {

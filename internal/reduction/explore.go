@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -109,11 +110,11 @@ type explorer struct {
 // mcThread is one thread's progress through its handler.
 type mcThread struct {
 	started bool
-	pending core.MCAction // the action the thread waits to take
-	entry   epoch.Tid     // the vector entry of a pending entry action
-	steps   []step        // the actions taken
-	seen    []byte        // what each load observed, encoded
-	held    *core.ReadVec // the vector pointer the thread last loaded
+	pending core.MCAction   // the action the thread waits to take
+	entry   epoch.Tid       // the vector entry of a pending entry action
+	steps   []step          // the actions taken
+	seen    []byte          // what each load observed, encoded
+	held    *kernel.ReadVec // the vector pointer the thread last loaded
 }
 
 // step is one action taken, with what its mover label depends on.
@@ -259,7 +260,7 @@ func appendEpoch(b []byte, e epoch.Epoch) []byte {
 	return binary.LittleEndian.AppendUint64(append(b, 'e'), uint64(e))
 }
 
-func appendVec(b []byte, v *core.ReadVec) []byte {
+func appendVec(b []byte, v *kernel.ReadVec) []byte {
 	if v == nil {
 		return append(b, 'n')
 	}
@@ -368,7 +369,7 @@ func runSerial(variant string, sc Scenario, order []int) (*core.MCRun, error) {
 // vector entries, and each of the n threads' rules.
 func outcome(mc *core.MCRun, n int) string {
 	v := mc.Var()
-	var vec core.ReadVec
+	var vec kernel.ReadVec
 	if v.V != nil {
 		vec = *v.V
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/spec"
 )
 
@@ -133,7 +134,7 @@ func TestExploreDroppedLock(t *testing.T) {
 // a writer, or a vector growth under a fast-path reader).
 func Scenarios() []Scenario {
 	e := func(t epoch.Tid, c uint64) epoch.Epoch { return epoch.Make(t, c) }
-	vec := func(es ...epoch.Epoch) *core.ReadVec { v := core.ReadVec(es); return &v }
+	vec := func(es ...epoch.Epoch) *kernel.ReadVec { v := kernel.ReadVec(es); return &v }
 	// Two concurrent threads: 0 at <5,3>, 1 at <2,7> (each knows a stale
 	// portion of the other), plus an ordered pair where 1 has absorbed 0.
 	concurrent := [][]epoch.Epoch{{e(0, 5), e(1, 3)}, {e(0, 2), e(1, 7)}}

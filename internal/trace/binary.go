@@ -332,7 +332,7 @@ func (d *BinaryDecoder) NextBatch(buf []Op) (int, error) {
 			if !tok || !aok || q != end || kind > maxKind {
 				break
 			}
-			put(&buf[n], kind, t, arg)
+			buf[n].SetRecord(kind, t, arg)
 			n, p = n+1, end
 		}
 		if n == len(buf) {
@@ -398,7 +398,7 @@ func (d *BinaryDecoder) NextBatch(buf []Op) (int, error) {
 		if q != end {
 			return d.stop(n, p, d.failf(n, "record has %d trailing bytes", end-q))
 		}
-		put(&buf[n], kind, t, arg)
+		buf[n].SetRecord(kind, t, arg)
 		n, p = n+1, end
 	}
 	d.consume(p)
@@ -418,10 +418,12 @@ func (d *BinaryDecoder) stop(n, p int, err error) (int, error) {
 	return 0, err
 }
 
-// put stores a decoded record into op, the operand in the one field the
-// kind uses. The fields are stored one by one: an Op assembled first would
-// be copied out with wide loads of narrow stores still in flight.
-func put(op *Op, kind Kind, t, arg int32) {
+// SetRecord stores the operation a binary record of the given kind,
+// acting thread and operand decodes to into op: the operand goes in the
+// one field of X, M and U the kind uses, the others are zeroed. The
+// fields are stored one by one, in place: an Op assembled first would be
+// copied out with wide loads of narrow stores still in flight.
+func (op *Op) SetRecord(kind Kind, t, arg int32) {
 	f := operandFields[kind&15]
 	op.Kind, op.T = kind, epoch.Tid(t)
 	op.X, op.M, op.U = Var(arg&f.x), Lock(arg&f.m), epoch.Tid(arg&f.u)

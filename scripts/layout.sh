@@ -47,7 +47,7 @@ mod64() {
 			print (16 * (index("0123456789abcdef", substr(a, 1, 1)) - 1) + index("0123456789abcdef", substr(a, 2, 1)) - 1) % 64, name
 		}'
 }
-checker='^repro/internal/(core|parcheck|trace|vc|epoch|shadow|spec|sample)\.'
+checker='^repro/internal/(core|kernel|parcheck|trace|vc|epoch|shadow|spec|sample)\.'
 for bin in vft-server bench; do
 	for side in rev tree; do
 		first="$(text "$tmp/bin-$side/$bin" | awk '!found && $2 ~ /^repro\/internal\/core\./ { print $1; found = 1 }')"
