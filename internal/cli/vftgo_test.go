@@ -199,15 +199,25 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 		t.Skip("vft-go run builds a shadow module")
 	}
 	t.Setenv("VFT_CHAN_WAIT", "20ms")
-	for _, tc := range []struct{ name, src, want string }{
-		{"os.Exit", exitProg, "os.Exit or a fatal signal skips"},
-		{"infeasible", lossyProg, "checking trace: trace: infeasible at #"},
+	// The last row runs into the module the racy run before it kept, so a
+	// verdict left there by that run must not stand in for its own.
+	kept := t.TempDir()
+	for _, tc := range []struct {
+		name, src string
+		args      []string
+		code      int
+		want      string
+	}{
+		{"os.Exit", exitProg, nil, 2, "os.Exit or a fatal signal skips"},
+		{"infeasible", lossyProg, nil, 2, "checking trace: trace: infeasible at #"},
+		{"racy, kept", racyProg, []string{"-o", kept}, 1, ", 1 reports"},
+		{"os.Exit after a verdict", exitProg, []string{"-o", kept}, 2, "os.Exit or a fatal signal skips"},
 	} {
 		dir := writeVftGoProgram(t, tc.src)
 		var out, errOut strings.Builder
-		code := RunVftGo([]string{"run", dir}, strings.NewReader(""), &out, &errOut)
-		if code != 2 || !strings.Contains(errOut.String(), tc.want) || strings.Contains(out.String(), "race on") {
-			t.Errorf("%s: exit = %d, want 2 and %q\nstdout: %s\nstderr: %s", tc.name, code, tc.want, out.String(), errOut.String())
+		code := RunVftGo(append(append([]string{"-v"}, tc.args...), "run", dir), strings.NewReader(""), &out, &errOut)
+		if code != tc.code || !strings.Contains(errOut.String(), tc.want) || strings.Contains(out.String(), "race on") != (tc.code == 1) {
+			t.Errorf("%s: exit = %d, want %d and %q\nstdout: %s\nstderr: %s", tc.name, code, tc.code, tc.want, out.String(), errOut.String())
 		}
 	}
 }

@@ -23,8 +23,8 @@
 // generates, where no module requirements exist, so the shim imports the
 // standard library and, of this repository, only the kernel and the
 // packages it imports (epoch, vc, spec, trace), which travel with it:
-// internal.ShimSources lists every file. The encoder is the shim's own,
-// and tests decode its output with trace.NewBinaryDecoder.
+// internal.ShimSources lists every file. Records are encoded by the trace
+// package's own AppendRecord, straight into the shim's buffer.
 //
 // The shim is inert until its first event. Every tool of this repository
 // links it (through internal/goinstr), so init only registers the main
@@ -108,7 +108,6 @@ package rt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -122,9 +121,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/trace"
 )
-
-// binaryMagic opens the stream: "VFTb" + version 2.
-var binaryMagic = []byte{'V', 'F', 'T', 'b', 2}
 
 // numKinds bounds the kinds the shim logs, trace.Read through
 // trace.OnceDo.
@@ -286,10 +282,6 @@ func init() {
 // to the file a buffer at a time.
 const bufSize = 1 << 16
 
-// maxRecord is the longest record: a one-byte length, the kind and two
-// uvarint32 operands.
-const maxRecord = 2 + 2*binary.MaxVarintLen32
-
 // batchSize is how many records the inline check takes at a time.
 const batchSize = 512
 
@@ -311,7 +303,7 @@ func (s *state) start() {
 		return
 	}
 	s.file = f
-	s.buf = append(make([]byte, 0, bufSize), binaryMagic...)
+	s.buf = trace.AppendHeader(make([]byte, 0, bufSize))
 	s.vars = newIDTable(1 << 12)
 	s.atomics, s.locks, s.onces = newIDTable(1<<8), newIDTable(1<<8), newIDTable(1<<6)
 	s.chanIDs = map[unsafe.Pointer]*chanState{}
@@ -319,7 +311,7 @@ func (s *state) start() {
 	s.ext = trace.Extensions{ChanCapacity: map[trace.Lock]int{}}
 	s.pending = make([]trace.Op, 0, batchSize)
 	s.machine.Reset(1)
-	s.feed = kernel.NewFeed(&s.ext, epoch.MaxTid, epoch.MaxClock, &s.machine)
+	s.feed = kernel.NewFeed(&s.ext, epoch.MaxTid, epoch.MaxClock, nil, &s.machine)
 	s.active = true
 }
 
@@ -387,19 +379,10 @@ func Spawn(u int32, fn func()) {
 func (s *state) emitLocked(kind trace.Kind, t, arg int32) {
 	s.events++
 	s.byKind[kind]++
-	if len(s.buf) > bufSize-maxRecord {
+	if len(s.buf) > bufSize-trace.MaxRecordLen {
 		s.flushLocked()
 	}
-	// The record is encoded in place, in the room the flush left: a
-	// record assembled elsewhere would be copied out with wide loads of
-	// narrow stores still in flight.
-	end := len(s.buf)
-	rec := s.buf[end : end+maxRecord]
-	rec[1] = byte(kind)
-	n := 2 + binary.PutUvarint(rec[2:], uint64(uint32(t)))
-	n += binary.PutUvarint(rec[n:], uint64(uint32(arg)))
-	rec[0] = byte(n - 1) // the record's length, always below 128
-	s.buf = s.buf[:end+n]
+	s.buf = trace.AppendRecord(s.buf, kind, t, arg)
 
 	k := len(s.pending)
 	s.pending = s.pending[:k+1]

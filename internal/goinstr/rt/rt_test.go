@@ -1,7 +1,8 @@
 package rt
 
-// The shim writes its capture with its own encoder, so these tests decode
-// its output with the real trace.NewBinaryDecoder, and feed captured
+// The shim encodes its capture itself, through trace.AppendRecord straight
+// into its own buffer, so these tests decode its output with the real
+// trace.NewBinaryDecoder, and feed captured
 // streams to the rule-6 validator to prove the log-ordering gadget emits
 // only feasible traces. Run with -race: the gadget's own locking is part
 // of the contract.
@@ -474,8 +475,8 @@ func TestCaptureOpensAtFirstEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, binaryMagic) {
-		t.Fatalf("a capture with no event holds %q, want the header %q alone", raw, binaryMagic)
+	if hdr := trace.AppendHeader(nil); !bytes.Equal(raw, hdr) {
+		t.Fatalf("a capture with no event holds %q, want the header %q alone", raw, hdr)
 	}
 	if m := loadMeta(t, path); m.Events != 0 {
 		t.Fatalf("sidecar counts %d events, want 0", m.Events)

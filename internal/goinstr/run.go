@@ -1,8 +1,10 @@
 package goinstr
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,7 +82,10 @@ func Build(shadowDir string) (string, error) {
 // returning the meta sidecar path. The program's own output flows to the
 // given writers.
 func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath := rt.MetaPath(tracePath)
+	metaPath, err := clearCapture(tracePath)
+	if err != nil {
+		return metaPath, err
+	}
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = stdout, stderr
 	cmd.Env = append(os.Environ(), rt.EnvTrace+"="+tracePath)
@@ -93,13 +98,30 @@ func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string
 // RunTests runs `go test` inside the shadow module with capture enabled
 // (the injected TestMain flushes the trace after m.Run).
 func RunTests(shadowDir, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath := rt.MetaPath(tracePath)
+	metaPath, err := clearCapture(tracePath)
+	if err != nil {
+		return metaPath, err
+	}
 	cmd := exec.Command("go", append([]string{"test"}, args...)...)
 	cmd.Dir = shadowDir
 	cmd.Stdout, cmd.Stderr = stdout, stderr
 	cmd.Env = append(offlineEnv(), rt.EnvTrace+"="+tracePath)
 	if err := cmd.Run(); err != nil {
 		return metaPath, fmt.Errorf("goinstr: go test: %w", err)
+	}
+	return metaPath, nil
+}
+
+// clearCapture removes the capture at tracePath and its sidecar, left by
+// an earlier run into the same path, and returns the sidecar path. The
+// verdict is read from the sidecar, so one left over would stand in for
+// that of a run that writes none (os.Exit, a fatal signal).
+func clearCapture(tracePath string) (string, error) {
+	metaPath := rt.MetaPath(tracePath)
+	for _, p := range []string{tracePath, metaPath} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return metaPath, fmt.Errorf("goinstr: %w", err)
+		}
 	}
 	return metaPath, nil
 }

@@ -5,30 +5,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Sink receives a Feed's output: the core operations of the lowered
-// stream, each thread named by its ordinal (trace.Validator.Ordinal) and
-// each lock by its lowered id. A Machine is one; the offline check's
-// front stage, which samples and renumbers in front of a detector, is
-// another.
-type Sink interface {
-	Read(t epoch.Tid, x trace.Var)
-	Write(t epoch.Tid, x trace.Var)
-	Acquire(t epoch.Tid, m trace.Lock)
-	Release(t epoch.Tid, m trace.Lock)
-	Fork(t, u epoch.Tid)
-	Join(t, u epoch.Tid)
-}
-
 // Feed is the per-operation work of every check of a raw stream: one
 // switch that validates an operation (trace.Validator), lowers it if it is
 // a Go-sync or §7 kind (trace.Lowerer in its parity numbering; the six
-// core kinds pass), polices the clock ceiling and hands the result to the
-// sink, a batch of operations at a time: a batch the offline check
-// decoded, or the records the vft-go shim logged since its last batch.
+// core kinds pass), polices the clock ceiling and hands the result on, a
+// batch of operations at a time: to the offline check's Front, for a batch
+// it decoded, or to the vft-go shim's Machine, for the records the shim
+// logged since its last batch. Both are called by their concrete type:
+// the switch is on the path of every operation either check admits, and
+// on offline-syncdense an interface call there read 2.9% slower than the
+// parent where a concrete call read 0.9% (EXPERIMENTS.md E43).
 type Feed struct {
-	V    *trace.Validator // read its Count and Threads as the stream goes
-	low  *trace.Lowerer
-	sink Sink
+	V     *trace.Validator // read its Count and Threads as the stream goes
+	low   *trace.Lowerer
+	front *Front   // where non-nil, receives what the feed hands on
+	m     *Machine // receives it where front is nil
 
 	// maxClock is the clock ceiling of the detector behind the sink where
 	// it is below epoch.MaxClock (ft-cas's), and 0 where there is none to
@@ -43,12 +34,13 @@ type Feed struct {
 // NewFeed returns a feed in the initial state of a stream whose channel
 // capacities and barrier party counts ext gives (nil for all defaults):
 // the validator admits thread ids up to maxTid, and clocks are policed up
-// to maxClock (epoch.MaxClock or more: not at all).
-func NewFeed(ext *trace.Extensions, maxTid epoch.Tid, maxClock uint64, sink Sink) *Feed {
+// to maxClock (epoch.MaxClock or more: not at all). It hands what it
+// admits to front, or, where front is nil, straight to m.
+func NewFeed(ext *trace.Extensions, maxTid epoch.Tid, maxClock uint64, front *Front, m *Machine) *Feed {
 	v := trace.NewValidator()
 	v.Ext = ext
 	v.MaxTid = maxTid
-	fd := &Feed{V: v, low: trace.NewParityLowerer(ext), sink: sink}
+	fd := &Feed{V: v, low: trace.NewParityLowerer(ext), front: front, m: m}
 	if maxClock < epoch.MaxClock {
 		fd.maxClock = maxClock
 	}
@@ -70,34 +62,54 @@ func (fd *Feed) Check(ops []trace.Op) error {
 // nothing. The core kinds pass the Lowerer by (only a real lock's id
 // changes), so only the extended kinds reach it.
 func (fd *Feed) Step(op trace.Op) error {
-	v, sink := fd.V, fd.sink
+	v, front, m := fd.V, fd.front, fd.m
 	var err error
 	switch op.Kind {
 	case trace.Read:
 		if err = v.Access(op); err == nil {
-			sink.Read(v.Ordinal(op.T), op.X)
+			if t := v.Ordinal(op.T); front != nil {
+				front.Read(t, op.X)
+			} else {
+				m.Read(t, op.X)
+			}
 		}
 	case trace.Write:
 		if err = v.Access(op); err == nil {
-			sink.Write(v.Ordinal(op.T), op.X)
+			if t := v.Ordinal(op.T); front != nil {
+				front.Write(t, op.X)
+			} else {
+				m.Write(t, op.X)
+			}
 		}
 	case trace.Acquire:
 		if err = v.Acquire(op); err == nil {
-			sink.Acquire(v.Ordinal(op.T), fd.low.Real(op.M))
+			if t, l := v.Ordinal(op.T), fd.low.Real(op.M); front != nil {
+				front.Acquire(t, l)
+			} else {
+				m.Acquire(t, l)
+			}
 		}
 	case trace.Release:
 		if err = v.Release(op); err == nil && fd.maxClock != 0 {
 			err = fd.tick(op, op.T)
 		}
 		if err == nil {
-			sink.Release(v.Ordinal(op.T), fd.low.Real(op.M))
+			if t, l := v.Ordinal(op.T), fd.low.Real(op.M); front != nil {
+				front.Release(t, l)
+			} else {
+				m.Release(t, l)
+			}
 		}
 	case trace.Fork:
 		if err = v.Fork(op); err == nil && fd.maxClock != 0 {
 			err = fd.tick(op, op.T)
 		}
 		if err == nil {
-			sink.Fork(v.Ordinal(op.T), v.Ordinal(op.U))
+			if t, u := v.Ordinal(op.T), v.Ordinal(op.U); front != nil {
+				front.Fork(t, u)
+			} else {
+				m.Fork(t, u)
+			}
 		}
 	case trace.Join:
 		// Under the FT join rule, ft-cas's, a join ticks the joined
@@ -106,7 +118,11 @@ func (fd *Feed) Step(op trace.Op) error {
 			err = fd.tick(op, op.U)
 		}
 		if err == nil {
-			sink.Join(v.Ordinal(op.T), v.Ordinal(op.U))
+			if t, u := v.Ordinal(op.T), v.Ordinal(op.U); front != nil {
+				front.Join(t, u)
+			} else {
+				m.Join(t, u)
+			}
 		}
 	case trace.ChanSend, trace.ChanRecv, trace.ChanClose:
 		var step trace.ChanStep
@@ -131,9 +147,13 @@ func (fd *Feed) lowered(op trace.Op) error {
 				return err
 			}
 		}
-		t := fd.V.Ordinal(p.T)
-		fd.sink.Acquire(t, p.M)
-		fd.sink.Release(t, p.M)
+		if t := fd.V.Ordinal(p.T); fd.front != nil {
+			fd.front.Acquire(t, p.M)
+			fd.front.Release(t, p.M)
+		} else {
+			fd.m.Acquire(t, p.M)
+			fd.m.Release(t, p.M)
+		}
 	}
 	return nil
 }

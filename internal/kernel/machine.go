@@ -1,12 +1,13 @@
 // Package kernel is the VerifiedFT-v2 analysis as a leaf: the Fig. 2
 // access-rule kernel (StepRead, StepWrite), the single-caller v2 machine
-// built on it (Machine), and the one switch that validates, lowers and
-// steps a raw operation (Feed). It imports only internal/epoch, vc, spec
+// built on it (Machine), the one switch that validates, lowers and steps
+// a raw operation (Feed), and the offline check's front stage (Front). It imports only internal/epoch, vc, spec
 // and trace, so it also travels, as source, into every shadow module
 // vft-go builds: the instrumented program's shim steps each record it
 // logs through a Feed and a Machine, under the lock it already holds.
 // internal/core runs the same kernel under its concurrent disciplines,
-// and internal/parcheck runs the same Feed and Machine offline.
+// and internal/parcheck runs the same Feed, through a Front, and Machine
+// offline.
 package kernel
 
 import (
@@ -289,7 +290,9 @@ func (m *Machine) Reports() []Report {
 // RuleCounts returns how many times each rule fired.
 func (m *Machine) RuleCounts() [spec.NumRules]uint64 { return m.rules }
 
-// Tally is what a statistics snapshot of the machine is assembled from.
+// Tally is what a statistics snapshot of the machine is assembled from:
+// the offline check assembles it under core.V2's key set, which takes
+// core and obs, neither of which the kernel may import.
 type Tally struct {
 	SlowReads, SlowWrites uint64
 	Dropped               uint64   // reports the per-variable cap suppressed

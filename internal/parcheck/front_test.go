@@ -247,8 +247,8 @@ func TestFeedClockCeiling(t *testing.T) {
 	for _, tc := range cases {
 		st := new(checkState)
 		st.m.Reset(0)
-		st.front.det = &st.m
-		fd := kernel.NewFeed(nil, epoch.MaxTid, 3, &st.front)
+		st.front.Det = &st.m
+		fd := kernel.NewFeed(nil, epoch.MaxTid, 3, &st.front, nil)
 		err := fd.Check(tc.tr)
 		var ce *trace.ClockRangeError
 		if !errors.As(err, &ce) || ce.Index != tc.index || ce.Op != tc.tr[tc.index] || ce.Tid != tc.tid || ce.Max != 3 {

@@ -6,15 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// machine is the offline check's vft-v2 detector: the kernel's
-// single-caller Machine (see kernel.Machine), which an offline check may
-// run because it has one goroutine, with core.V2's statistics.
-type machine struct{ kernel.Machine }
-
-// Stats implements core.StatsSource with core.V2's key set: the shared
-// assembly, then the variable table with the footprint the atomic
-// representation of the same fields reports.
-func (m *machine) Stats() obs.Snapshot {
+// machineStats is the snapshot of the offline check's vft-v2 detector, the
+// kernel's single-caller Machine (which an offline check may run because
+// it has one goroutine), under core.V2's key set: the shared assembly,
+// then the variable table with the footprint the atomic representation of
+// the same fields reports.
+func machineStats(m *kernel.Machine) obs.Snapshot {
 	t := m.Tally()
 	s := core.Tally{
 		Rules:     m.RuleCounts(),
@@ -26,8 +23,3 @@ func (m *machine) Stats() obs.Snapshot {
 		core.EpochShadowBytes(t.Threads, t.Locks, t.Vars, t.VecEntries))
 	return s
 }
-
-var (
-	_ core.Detector    = (*machine)(nil)
-	_ core.StatsSource = (*machine)(nil)
-)

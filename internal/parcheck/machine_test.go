@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -116,7 +117,7 @@ func stripedTrace(threads, stripes, rounds int) trace.Trace {
 // grows by slice doubling and appends a Report on a race, and that is all.
 func TestMachineSteadyStateDoesNotAllocate(t *testing.T) {
 	tr := stripedTrace(32, 16, 50)
-	m := &machine{}
+	m := &kernel.Machine{}
 	replay := func() {
 		for _, op := range tr {
 			core.Dispatch(m, op)

@@ -7,7 +7,7 @@
 // (trace.Validator), lowers it if it is a Go-sync or §7 kind
 // (trace.Lowerer; the six core kinds pass) and hands it to the front stage
 // (sampling on raw variable ids, then first-touch compaction of thread,
-// variable and lock ids; see frontStage), which
+// variable and lock ids; see kernel.Front), which
 // calls the matching handler of an empty detector for what it admits, all
 // on the calling goroutine; Check does the same for a stream already
 // validated and lowered. For vft-v2 —
@@ -93,7 +93,7 @@ const batchSize = 512
 func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.Report, int, error) {
 	var ops int
 	reports, err := run(opts, func(st *checkState) error {
-		fd := kernel.NewFeed(ext, core.MaxTid(opts.Variant), core.MaxClock(opts.Variant), &st.front)
+		fd := kernel.NewFeed(ext, core.MaxTid(opts.Variant), core.MaxClock(opts.Variant), &st.front, nil)
 		v := fd.V
 		for {
 			// Ask for no more than the budget has left, and with none left
@@ -105,7 +105,7 @@ func CheckSource(src trace.Source, ext *trace.Extensions, opts Options) ([]core.
 			}
 			n, err := trace.NextBatch(src, buf)
 			if err == io.EOF {
-				st.front.origT = append(st.front.origT, v.Threads()...)
+				st.front.SetThreads(v.Threads())
 				ops = v.Count()
 				return nil
 			}
@@ -147,7 +147,7 @@ func Check(src trace.Source, opts Options) ([]core.Report, error) {
 			if !op.Kind.IsCore() {
 				return &trace.InfeasibleError{Index: idx, Op: op, Msg: "extended op reached parcheck (desugar first)"}
 			}
-			st.front.push(op)
+			st.front.Push(op)
 		}
 	})
 }
@@ -157,8 +157,8 @@ func Check(src trace.Source, opts Options) ([]core.Report, error) {
 // that checks many traces (vft-server: one per upload) reuses grown tables; a
 // reset costs what the previous check touched, not what the tables hold.
 type checkState struct {
-	m     machine
-	front frontStage
+	m     kernel.Machine
+	front kernel.Front
 	buf   [batchSize]trace.Op
 }
 
@@ -177,17 +177,14 @@ func run(opts Options, drive func(*checkState) error) ([]core.Report, error) {
 }
 
 func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core.Report, error) {
-	st.front.reset()
+	st.front.Reset()
 	if opts.Variant == "" {
 		opts.Variant = "vft-v2"
 	}
 	var d core.Detector
 	if opts.Variant == "vft-v2" {
-		// The kernel's machine itself, not the wrapper that adds Stats:
-		// the front stage then calls the handlers without a promoted-method
-		// hop.
 		st.m.Reset(opts.MaxReportsPerVar)
-		d = &st.m.Machine
+		d = &st.m
 	} else {
 		var err error
 		if d, err = core.New(opts.Variant, core.Config{MaxReportsPerVar: opts.MaxReportsPerVar}); err != nil {
@@ -195,7 +192,10 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 		}
 	}
 	front := &st.front
-	front.sampler, front.det = opts.Sampling, d
+	front.Det = d
+	if opts.Sampling != nil {
+		front.Sampler = opts.Sampling
+	}
 	if err := drive(st); err != nil {
 		return nil, err
 	}
@@ -203,13 +203,13 @@ func (st *checkState) check(opts Options, drive func(*checkState) error) ([]core
 		// The stream has ended, so the detector is quiescent and its
 		// per-thread counters are coherent.
 		var snap obs.Snapshot
-		if d == &st.m.Machine {
-			snap = st.m.Stats()
+		if d == &st.m {
+			snap = machineStats(&st.m)
 		} else {
 			snap = d.(core.StatsSource).Stats()
 		}
-		front.addStats(snap)
+		addFrontStats(snap, front, opts.Sampling)
 		opts.StatsSink(snap)
 	}
-	return front.restore(d.Reports()), nil
+	return front.Restore(d.Reports()), nil
 }

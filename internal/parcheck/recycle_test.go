@@ -152,9 +152,11 @@ func TestRecycledCheckMatchesFresh(t *testing.T) {
 	}
 	inputs = append(inputs, input{name: "hostile again", data: binary(hostileGoSync)})
 
-	if st := dirtied(t); len(st.front.rejected) == 0 || st.front.vars.Get(2000000000) == unseen || len(st.m.Reports()) == 0 {
-		t.Fatalf("the hostile trace left rejected %v, spilled variable %d, reports %v; the fuzz targets need all three",
-			st.front.rejected, st.front.vars.Get(2000000000), st.m.Reports())
+	st := dirtied(t)
+	_, rejected := st.front.Vars()
+	if _, spilled := st.front.Named(0, 2000000000); rejected == 0 || !spilled || len(st.m.Reports()) == 0 {
+		t.Fatalf("the hostile trace left %d rejected variables, spilled variable named %v, reports %v; the fuzz targets need all three",
+			rejected, spilled, st.m.Reports())
 	}
 	warm := new(checkState)
 	for _, in := range inputs {
@@ -220,11 +222,11 @@ func TestResetIsBounded(t *testing.T) {
 	})
 	// Thread 65000 is inside the tables' dense window, variable 2000000000
 	// past it: the check grew the dense thread table and spilled the variable.
-	if st.front.tids.Get(65000) == unseen || st.front.vars.Get(2000000000) == unseen {
-		t.Fatalf("the hostile check left thread 65000 as %d and variable 2000000000 as %d; the test needs both named",
-			st.front.tids.Get(65000), st.front.vars.Get(2000000000))
+	if thread, variable := st.front.Named(65000, 2000000000); !thread || !variable {
+		t.Fatalf("the hostile check left thread 65000 named %v and variable 2000000000 named %v; the test needs both named",
+			thread, variable)
 	}
-	if n := st.front.reset(); n > 3 {
+	if n := st.front.Reset(); n > 3 {
 		t.Errorf("reset cleared %d entries after a check that named 3 ids", n)
 	}
 	var want, got []core.Report

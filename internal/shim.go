@@ -14,7 +14,7 @@ import "embed"
 // each package, at their paths below internal/.
 //
 //go:embed goinstr/rt/rt.go goinstr/rt/wrappers.go
-//go:embed kernel/feed.go kernel/machine.go kernel/step.go
+//go:embed kernel/feed.go kernel/front.go kernel/machine.go kernel/step.go
 //go:embed epoch/epoch.go vc/vc.go vc/benchcompat.go spec/spec.go spec/invariant.go
 //go:embed trace/binary.go trace/chan.go trace/codec.go trace/desugar.go trace/ext.go
 //go:embed trace/frombytes.go trace/gen.go trace/idspace.go trace/idtable.go

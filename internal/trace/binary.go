@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/epoch"
 )
@@ -113,7 +114,7 @@ func EncodeBinary(w io.Writer, tr Trace) error {
 type BinaryEncoder struct {
 	w      *bufio.Writer
 	opened bool
-	buf    [binary.MaxVarintLen64 + maxBinaryRecord]byte
+	buf    [MaxRecordLen]byte
 }
 
 // NewBinaryEncoder returns an encoder writing to w in the current format
@@ -127,10 +128,8 @@ func (e *BinaryEncoder) open() error {
 		return nil
 	}
 	e.opened = true
-	if _, err := e.w.WriteString(binaryMagicPrefix); err != nil {
-		return err
-	}
-	return e.w.WriteByte(MaxBinaryVersion)
+	_, err := e.w.WriteString(binaryHeader)
+	return err
 }
 
 // Encode appends one operation to the stream.
@@ -138,30 +137,51 @@ func (e *BinaryEncoder) Encode(op Op) error {
 	if err := e.open(); err != nil {
 		return err
 	}
-	var arg uint64
+	var arg int32
 	switch op.Kind {
 	case Read, Write, VolatileRead, VolatileWrite, AtomicLoad, AtomicStore, AtomicRMW:
-		arg = uint64(uint32(op.X))
+		arg = int32(op.X)
 	case Acquire, Release, Barrier, ChanSend, ChanRecv, ChanClose, OnceDo:
-		arg = uint64(uint32(op.M))
+		arg = int32(op.M)
 	case Fork, Join:
-		arg = uint64(uint32(op.U))
+		arg = int32(op.U)
 	default:
 		return fmt.Errorf("trace: encode: unknown kind %v", op.Kind)
 	}
-	// Assemble the record after a length-prefix placeholder, then write
-	// the varint length and the record in one buffered call each.
-	rec := e.buf[binary.MaxVarintLen64:]
-	rec[0] = byte(op.Kind)
-	n := 1
-	n += binary.PutUvarint(rec[n:], uint64(uint32(op.T)))
-	n += binary.PutUvarint(rec[n:], arg)
-	ln := binary.PutUvarint(e.buf[:], uint64(n))
-	if _, err := e.w.Write(e.buf[:ln]); err != nil {
-		return err
-	}
-	_, err := e.w.Write(rec[:n])
+	_, err := e.w.Write(AppendRecord(e.buf[:0], op.Kind, int32(op.T), arg))
 	return err
+}
+
+// binaryHeader opens every stream the encoder writes: the magic and the
+// current version.
+const binaryHeader = binaryMagicPrefix + string(rune(MaxBinaryVersion))
+
+// MaxRecordLen is the most bytes AppendRecord appends: a one-byte length
+// and a maximal record.
+const MaxRecordLen = 1 + maxBinaryRecord
+
+// AppendHeader appends the stream header, magic and current version, to
+// dst: what a producer that encodes records itself (AppendRecord) writes
+// first.
+func AppendHeader(dst []byte) []byte { return append(dst, binaryHeader...) }
+
+// AppendRecord appends one length-prefixed record to dst: kind, acting
+// thread t and operand arg (X, M or U, whichever the kind uses). Every
+// writer of the format encodes through it — BinaryEncoder, and the vft-go
+// shim straight into its capture buffer. The record is encoded in place,
+// in the room past len(dst): a record assembled elsewhere would be copied
+// out with wide loads of narrow stores still in flight.
+func AppendRecord(dst []byte, kind Kind, t, arg int32) []byte {
+	end := len(dst)
+	if cap(dst)-end < MaxRecordLen {
+		dst = slices.Grow(dst, MaxRecordLen)
+	}
+	rec := dst[end : end+MaxRecordLen]
+	rec[1] = byte(kind)
+	n := 2 + binary.PutUvarint(rec[2:], uint64(uint32(t)))
+	n += binary.PutUvarint(rec[n:], uint64(uint32(arg)))
+	rec[0] = byte(n - 1) // the record's length, always below 128
+	return dst[:end+n]
 }
 
 // Flush writes any buffered data (and the header, if nothing was encoded).
