@@ -21,7 +21,7 @@ type Feed struct {
 	front *Front   // where non-nil, receives what the feed hands on
 	m     *Machine // receives it where front is nil
 
-	// maxClock is the clock ceiling of the detector behind the sink where
+	// maxClock is the clock ceiling of the detector behind the feed where
 	// it is below epoch.MaxClock (ft-cas's), and 0 where there is none to
 	// police; ticks[o] then counts the increments of the clock of the
 	// thread with ordinal o, which starts at 1.
