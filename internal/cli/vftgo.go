@@ -66,6 +66,19 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vft-go: unknown mode %q (build, run or test)\n", mode)
 		return 2
 	}
+	// In a directory that does not exist the shim could not open the
+	// capture: the program would run unchecked and leave no verdict.
+	if *traceFlag != "" {
+		traceDir := filepath.Dir(*traceFlag)
+		fi, err := os.Stat(traceDir)
+		if err == nil && !fi.IsDir() {
+			err = fmt.Errorf("%s is not a directory", traceDir)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "vft-go: -trace %s: %v\n", *traceFlag, err)
+			return 2
+		}
+	}
 
 	reg := obs.NewRegistry()
 	cSites := reg.Counter("instr.sites")
@@ -92,10 +105,12 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		shadow = tmp
 	}
 
-	// The -v phase line: wall time around each goinstr call, in call order.
+	// The -v phase line: wall time around each goinstr call, in call order,
+	// to 0.1 ms: a warm phase takes about a millisecond.
 	var phases []string
+	round := func(d time.Duration) string { return d.Round(100 * time.Microsecond).String() }
 	span := func(name string, t0 time.Time, detail string) {
-		phases = append(phases, name+" "+time.Since(t0).Round(time.Millisecond).String()+detail)
+		phases = append(phases, name+" "+round(time.Since(t0))+detail)
 	}
 	if *verbose {
 		defer func() {
@@ -120,7 +135,7 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *keep != "" && inst.GoList == 0 {
 		span("instrument", t0, " (kept: no go command)")
 	} else {
-		span("instrument", t0, " (go list "+inst.GoList.Round(time.Millisecond).String()+")")
+		span("instrument", t0, " (go list "+round(inst.GoList)+")")
 	}
 	shadow = inst.Dir // absolute, whatever -o said
 	cSites.Add(uint64(inst.Stats.Sites))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/goinstr/rt"
 	"repro/internal/ingest"
 )
 
@@ -191,33 +192,104 @@ func main() {
 }
 `
 
+// chdirProg races like racyProg after moving to the temp directory, before
+// its first event opens the capture.
+const chdirProg = `package main
+
+import (
+	"fmt"
+	"os"
+	"sync"
+)
+
+var counter int
+
+func main() {
+	if err := os.Chdir(os.TempDir()); err != nil {
+		panic(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counter++
+		}()
+	}
+	wg.Wait()
+	fmt.Println(counter)
+}
+`
+
+// racyTest runs racyProg's main as a test: go test runs it in the shadow
+// package's directory.
+const racyTest = `package main
+
+import "testing"
+
+func TestRace(t *testing.T) { main() }
+`
+
 // TestVftGoNeedsAVerdict: a run without a verdict is an error (exit 2),
 // never "0 reports" — whether the program skipped the shim's Shutdown or
-// its capture went infeasible, and the message says which.
+// its capture went infeasible, and the message says which. A relative
+// -trace names the same file wherever the program runs, and one in a
+// directory that does not exist is refused before anything is
+// instrumented.
 func TestVftGoNeedsAVerdict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vft-go run builds a shadow module")
 	}
 	t.Setenv("VFT_CHAN_WAIT", "20ms")
-	// The last row runs into the module the racy run before it kept, so a
-	// verdict left there by that run must not stand in for its own.
+	// The relative -trace rows resolve in a directory of their own, which
+	// chdirProg's temp directory is not.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	t.Setenv("TMPDIR", t.TempDir())
+	// The os.Exit-after-a-verdict row runs into the module the racy run
+	// before it kept, so a verdict left there by that run must not stand
+	// in for its own.
 	kept := t.TempDir()
 	for _, tc := range []struct {
-		name, src string
-		args      []string
-		code      int
-		want      string
+		name, src, test string // test, if set, is a _test.go run by vft-go test
+		args            []string
+		code            int
+		want            string
 	}{
-		{"os.Exit", exitProg, nil, 2, "os.Exit or a fatal signal skips"},
-		{"infeasible", lossyProg, nil, 2, "checking trace: trace: infeasible at #"},
-		{"racy, kept", racyProg, []string{"-o", kept}, 1, ", 1 reports"},
-		{"os.Exit after a verdict", exitProg, []string{"-o", kept}, 2, "os.Exit or a fatal signal skips"},
+		{"os.Exit", exitProg, "", nil, 2, "os.Exit or a fatal signal skips"},
+		{"infeasible", lossyProg, "", nil, 2, "checking trace: trace: infeasible at #"},
+		{"racy, kept", racyProg, "", []string{"-o", kept}, 1, ", 1 reports"},
+		{"os.Exit after a verdict", exitProg, "", []string{"-o", kept}, 2, "os.Exit or a fatal signal skips"},
+		{"relative -trace, test", racyProg, racyTest, []string{"-trace", "test.trace"}, 1, ", 1 reports"},
+		{"relative -trace, chdir", chdirProg, "", []string{"-trace", "chdir.trace"}, 1, ", 1 reports"},
+		{"-trace in no directory", racyProg, "", []string{"-trace", filepath.Join("missing", "x.trace")}, 2, "vft-go: -trace " + filepath.Join("missing", "x.trace") + ": stat missing: "},
 	} {
 		dir := writeVftGoProgram(t, tc.src)
+		mode := "run"
+		if tc.test != "" {
+			mode = "test"
+			if err := os.WriteFile(filepath.Join(dir, "main_test.go"), []byte(tc.test), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var out, errOut strings.Builder
-		code := RunVftGo(append(append([]string{"-v"}, tc.args...), "run", dir), strings.NewReader(""), &out, &errOut)
+		code := RunVftGo(append(append([]string{"-v"}, tc.args...), mode, dir), strings.NewReader(""), &out, &errOut)
 		if code != tc.code || !strings.Contains(errOut.String(), tc.want) || strings.Contains(out.String(), "race on") != (tc.code == 1) {
 			t.Errorf("%s: exit = %d, want %d and %q\nstdout: %s\nstderr: %s", tc.name, code, tc.code, tc.want, out.String(), errOut.String())
+		}
+		if tc.code == 2 && strings.HasPrefix(tc.want, "vft-go: -trace") && strings.Contains(errOut.String(), "instrument") {
+			t.Errorf("%s: instrumented before refusing -trace:\n%s", tc.name, errOut.String())
+		}
+	}
+	for _, name := range []string{"test.trace", "chdir.trace"} {
+		if _, err := os.Stat(rt.MetaPath(name)); err != nil {
+			t.Errorf("-trace %s left no sidecar in vft-go's directory: %v", name, err)
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package goinstr
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -97,27 +101,24 @@ func (fg fakeGo) calls(t *testing.T) []string {
 
 // pair instruments dir into mod with opts and builds it, as a vft-go run
 // does, and returns the go subcommands the two ran and whether Instrument
-// emitted the module (it rewrites go.mod whenever it does).
+// emitted the module. It rewrites the record whenever it does, through a
+// rename that leaves a new file in its place; an emit may write no other
+// file.
 func (fg fakeGo) pair(t *testing.T, dir, mod string, opts Options) (calls []string, emitted bool) {
 	t.Helper()
-	gomod := filepath.Join(mod, "go.mod")
-	old := time.Unix(1_000_000_000, 0)
-	if err := os.Chtimes(gomod, old, old); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
+	record := filepath.Join(mod, recordName)
+	before, errBefore := os.Stat(record)
 	fg.calls(t)
 	opts.OutDir = mod
 	if _, err := Instrument(dir, opts); err != nil {
 		t.Fatal(err)
 	}
+	after, err := os.Stat(record)
+	emitted = err == nil && (errBefore != nil || !os.SameFile(before, after))
 	if _, err := Build(mod); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(gomod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fg.calls(t), !fi.ModTime().Equal(old)
+	return fg.calls(t), emitted
 }
 
 // missRow is one way to make a kept module's record not hold: spoil runs
@@ -136,7 +137,9 @@ type missRow struct {
 // reset writes afresh before each row. It requires the pair after each
 // spoil to leave the very module, record and binary a cold pair into the
 // same directory leaves, and the pair after that to be a hit: no go
-// command, nothing emitted.
+// command, nothing emitted. The record's module and binary keys name
+// files by their stamps, which differ from a cold run's files' however
+// equal the bytes: of those two keys, only that they are set is required.
 func checkMisses(t *testing.T, fg fakeGo, dir string, reset func(t *testing.T), rows []missRow) {
 	t.Helper()
 	mod := filepath.Join(t.TempDir(), "mod")
@@ -162,6 +165,11 @@ func checkMisses(t *testing.T, fg fakeGo, dir string, reset func(t *testing.T), 
 			}
 			fg.pair(t, dir, mod, opts)
 			want := readTree(t, mod)
+			if g, w := unstamped(t, got[recordName]), unstamped(t, want[recordName]); !reflect.DeepEqual(g, w) {
+				t.Errorf("the record differs from a cold run's beyond its stamp keys:\n%+v\n%+v", g, w)
+			}
+			delete(got, recordName)
+			delete(want, recordName)
 			for name, content := range want {
 				if got[name] != content {
 					t.Errorf("%s differs from a cold run's", name)
@@ -176,6 +184,61 @@ func checkMisses(t *testing.T, fg fakeGo, dir string, reset func(t *testing.T), 
 				t.Errorf("after the miss: go %q, emitted %v; want a hit", calls, emitted)
 			}
 		})
+	}
+}
+
+// unstamped parses a record's bytes and clears its module and binary
+// keys, which it requires to be set.
+func unstamped(t *testing.T, raw string) keptRecord {
+	t.Helper()
+	var rec keptRecord
+	if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+		t.Fatalf("%s: %v", recordName, err)
+	}
+	if rec.Module == "" || rec.Bin == "" {
+		t.Errorf("%s without a module or binary key: %+v", recordName, rec)
+	}
+	rec.Module, rec.Bin = "", ""
+	return rec
+}
+
+// contentHash is the SHA-256, in hex, of the file at path.
+func contentHash(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// rewriteInPlace changes one byte of the file at path, at offset, in
+// place: the same inode, the same size, and its old modification time
+// restored. Only its change time tells.
+func rewriteInPlace(t *testing.T, path string, offset int64) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, offset); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x20
+	if _, err := f.WriteAt(b, offset); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -267,8 +330,9 @@ func TestBuildRecordMisses(t *testing.T) {
 	dir := writePkg(t, map[string]string{"main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(\"v1\") }\n"})
 	link, list := []string{"build"}, []string{"list", "build"}
 	checkMisses(t, fg, dir, func(*testing.T) {}, []missRow{
-		// The module's own files.
-		{name: "edited main.go", emits: true, spoil: func(t *testing.T, mod string) {
+		// The module's own files. Instrument writes each spoiled source
+		// back, as a new file whose stamp no binary was linked from.
+		{name: "edited main.go", emits: true, runs: link, spoil: func(t *testing.T, mod string) {
 			path := filepath.Join(mod, "main.go")
 			src, err := os.ReadFile(path)
 			if err != nil {
@@ -283,8 +347,43 @@ func TestBuildRecordMisses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{name: "edited rt/rt.go", emits: true, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "rt", "rt.go")) }},
-		{name: "edited go.mod", emits: true, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "go.mod")) }},
+		{name: "edited rt/rt.go", emits: true, runs: link, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "rt", "rt.go")) }},
+		{name: "edited go.mod", emits: true, runs: link, spoil: func(t *testing.T, mod string) { appendByte(t, filepath.Join(mod, "go.mod")) }},
+		// What a stamp sees that size and modification time do not.
+		{name: "rt/rt.go rewritten in place", emits: true, runs: link, spoil: func(t *testing.T, mod string) {
+			rewriteInPlace(t, filepath.Join(mod, "rt", "rt.go"), 3)
+		}},
+		{name: "main.go renamed over", emits: true, runs: link, spoil: func(t *testing.T, mod string) {
+			// The same bytes and modification time, in a new file.
+			path := filepath.Join(mod, "main.go")
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path+".new", src, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chtimes(path+".new", fi.ModTime(), fi.ModTime()); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(path+".new", path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "binary rewritten in place", runs: link, spoil: func(t *testing.T, mod string) {
+			rewriteInPlace(t, filepath.Join(mod, "vftbin"), 4096)
+		}},
+		// An emit that writes the bytes the module holds leaves every
+		// stamp, and the binary linked from them, as it was.
+		{name: "identical re-emit", emits: true, runs: []string{"list"}, spoil: func(t *testing.T, mod string) {
+			rec := readRecordFile(t, mod)
+			rec.Source, rec.Exports = "another source", nil
+			writeRecordFile(t, mod, rec)
+		}},
 		{name: "truncated binary", runs: link, spoil: func(t *testing.T, mod string) {
 			if err := os.Truncate(filepath.Join(mod, "vftbin"), 4096); err != nil {
 				t.Fatal(err)
@@ -387,7 +486,7 @@ func TestDevelToolchainIsNeverTrustedToLink(t *testing.T) {
 			t.Fatalf("build %d: %s under a devel toolchain: %v", i+1, recordName, err)
 		}
 	}
-	writeRecordFile(t, mod, keptRecord{Module: moduleKey(mod), Bin: fileHash(bin)})
+	writeRecordFile(t, mod, keptRecord{Module: moduleKey(mod), Bin: stampKey(bin)})
 	if _, err := Build(mod); err != nil {
 		t.Fatal(err)
 	}
@@ -461,14 +560,11 @@ func TestWarmVerdictRunsNoGoCommand(t *testing.T) {
 	if calls, _ := fg.pair(t, poolDir(), mod, opts); len(calls) != 0 {
 		t.Errorf("the warm verdict ran go %q, want no go command", calls)
 	}
-	after := modTimes(t, mod)
-	delete(before, filepath.Join(mod, "go.mod")) // pair set its time itself
-	delete(after, filepath.Join(mod, "go.mod"))
-	if !maps.Equal(before, after) {
+	if after := modTimes(t, mod); !maps.Equal(before, after) {
 		t.Errorf("the warm verdict wrote files: %v, then %v", before, after)
 	}
 
-	rec := readRecord(mod)
+	linked := contentHash(t, filepath.Join(mod, "vftbin"))
 	if err := os.Remove(filepath.Join(mod, recordName)); err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +575,7 @@ func TestWarmVerdictRunsNoGoCommand(t *testing.T) {
 	if calls := fg.calls(t); !slices.Equal(calls, []string{"build"}) {
 		t.Fatalf("Build without a record ran go %q, want one go build", calls)
 	}
-	if sum := fileHash(bin); sum != rec.Bin {
-		t.Errorf("go build linked %s, the record names %s", sum, rec.Bin)
+	if sum := contentHash(t, bin); sum != linked {
+		t.Errorf("go build linked %s, the warm verdict reused %s", sum, linked)
 	}
 }

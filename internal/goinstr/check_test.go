@@ -127,9 +127,9 @@ func BenchmarkLoadPool(b *testing.B) {
 // build cache warm. /cold builds a fresh shadow module every time, as a
 // default vft-go run does: one go build that links. /warm rebuilds one
 // kept module, where the record stands in for the go build: the keys and
-// the binary are hashed, and nothing runs. /pair is the whole front end
-// of a warm verdict, Instrument and Build into one kept module: the keys,
-// the record and the binary hash, and no go command.
+// the binary's stamp are hashed, and nothing runs. /pair is the whole
+// front end of a warm verdict, Instrument and Build into one kept module:
+// the keys, the record and the binary's stamp, and no go command.
 func BenchmarkBuildPool(b *testing.B) {
 	instrument := func(b *testing.B, mod string) {
 		if _, err := Instrument(poolDir(), Options{Elide: true, OutDir: mod}); err != nil {

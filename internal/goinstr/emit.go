@@ -39,8 +39,8 @@ func emitModule(out string) error {
 		return fmt.Errorf("goinstr: %w", err)
 	}
 	gomod := "module vftshadow\n\ngo 1.22\n"
-	if err := os.WriteFile(filepath.Join(out, "go.mod"), []byte(gomod), 0o644); err != nil {
-		return fmt.Errorf("goinstr: %w", err)
+	if err := writeChanged(filepath.Join(out, "go.mod"), []byte(gomod)); err != nil {
+		return err
 	}
 
 	// Every embedded file, by the directory of its package.
@@ -100,8 +100,8 @@ func emitShimPackage(dir, src string, files []string) error {
 			return fmt.Errorf("goinstr: embedded shim: %w", err)
 		}
 		code = bytes.ReplaceAll(code, []byte(shimImport), []byte(shadowImport))
-		if err := os.WriteFile(filepath.Join(dir, f), code, 0o644); err != nil {
-			return fmt.Errorf("goinstr: %w", err)
+		if err := writeChanged(filepath.Join(dir, f), code); err != nil {
+			return err
 		}
 	}
 	return removeGoFilesExcept(dir, files...)
@@ -119,20 +119,42 @@ func emitPackage(out string, pkg *Package, includeTests bool) error {
 		if err := cfg.Fprint(&buf, pkg.Fset, f); err != nil {
 			return fmt.Errorf("goinstr: printing %s: %w", pkg.Names[i], err)
 		}
-		if err := os.WriteFile(filepath.Join(out, pkg.Names[i]), buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("goinstr: %w", err)
+		if err := writeChanged(filepath.Join(out, pkg.Names[i]), buf.Bytes()); err != nil {
+			return err
 		}
 	}
 
 	written := pkg.Names
 	if includeTests && !hasTestMain(pkg) {
 		tm := fmt.Sprintf(testMainSrc, pkg.Pkg.Name())
-		if err := os.WriteFile(filepath.Join(out, testMainName), []byte(tm), 0o644); err != nil {
-			return fmt.Errorf("goinstr: %w", err)
+		if err := writeChanged(filepath.Join(out, testMainName), []byte(tm)); err != nil {
+			return err
 		}
 		written = append(slices.Clip(written), testMainName)
 	}
 	return removeGoFilesExcept(out, written...)
+}
+
+// writeChanged makes the file at path hold data, and leaves it alone if it
+// already does: a kept module's record names its files by their stamps
+// (see moduleKey), so a file rewritten with the bytes it held would still
+// cost Build a link. A changed file is written beside the old one and
+// renamed over it, which gives it a new inode whatever the filesystem's
+// timestamp resolution.
+func writeChanged(path string, data []byte) error {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
+		return nil
+	}
+	tmp := path + ".vft-new"
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("goinstr: %w", err)
+	}
+	return nil
 }
 
 // removeGoFilesExcept deletes every .go file directly in dir but keep.

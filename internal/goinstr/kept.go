@@ -26,9 +26,12 @@ const recordName = "vft-kept.json"
 // names, the package Source names was emitted as the module whose build
 // inputs Module names, with Stats and Main; it was type-checked against
 // the export data Exports locates (import path → export file); and Bin is
-// the SHA-256 of the vftbin go build linked from that module. Source and
-// Bin are empty when no Instrument emitted the module or nothing linked it
-// yet. A record is only written under a toolchain toolchainKey trusts.
+// the stamp key (stampKey) of the vftbin go build linked from that module.
+// Module and Bin name files by their stamps (see stamp), not by their
+// bytes: vft-go wrote those files, and each file it writes gets a new
+// stamp. Source and Bin are empty when no Instrument emitted the module or
+// nothing linked it yet. A record is only written under a toolchain
+// toolchainKey trusts.
 type keptRecord struct {
 	Toolchain string            `json:"toolchain"`
 	Source    string            `json:"source"`
@@ -424,9 +427,8 @@ var buildInputs = []string{".go", ".s", ".S", ".sx", ".c", ".cc", ".cpp", ".cxx"
 
 // moduleKey is the SHA-256, in hex, of modDir's absolute path (under
 // offlineEnv's -trimpath the binary no longer holds it, but a module that
-// moved links afresh all the same), and of every file under modDir it
-// may read, each hashed with its path relative to modDir and its content;
-// or "" if a file cannot be read.
+// moved links afresh all the same), and of the stamp of every file under
+// modDir it may read; or "" if a file cannot be stat'ed.
 func moduleKey(modDir string) string {
 	abs, err := filepath.Abs(modDir)
 	if err != nil {
@@ -440,9 +442,9 @@ func moduleKey(modDir string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashInputs writes to h each build input under dir, whose path relative
-// to the module root is rel ("" for the root): its slash-separated
-// relative path, its length and its content, in lexical order.
+// hashInputs writes to h the stamp of each build input under dir, whose
+// path relative to the module root is rel ("" for the root), in lexical
+// order.
 //
 // It recurses over os.ReadDir rather than using filepath.WalkDir and
 // filepath.Rel. Nothing else in the binaries that link goinstr beside the
@@ -467,26 +469,18 @@ func hashInputs(h io.Writer, dir, rel string) error {
 		if name != "go.mod" && name != "go.sum" && !slices.Contains(buildInputs, filepath.Ext(name)) {
 			continue
 		}
-		content, err := os.ReadFile(full)
-		if err != nil {
+		if err := stamp(h, name, full); err != nil {
 			return err
 		}
-		fmt.Fprintf(h, "\x00%s\x00%d\x00", name, len(content))
-		h.Write(content)
 	}
 	return nil
 }
 
-// fileHash is the SHA-256, in hex, of the file at path, or "" if it
-// cannot be read.
-func fileHash(path string) string {
-	f, err := os.Open(path)
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
+// stampKey is the SHA-256, in hex, of the stamp of the file at path, or
+// "" if it cannot be stat'ed.
+func stampKey(path string) string {
 	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
+	if stamp(h, filepath.Base(path), path) != nil {
 		return ""
 	}
 	return hex.EncodeToString(h.Sum(nil))

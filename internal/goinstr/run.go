@@ -46,18 +46,18 @@ func offlineEnv() []string {
 //
 // Build runs no go build while the module's record holds: the toolchain
 // (toolchainKey) and the module's build inputs (moduleKey) are the
-// recorded ones, and the binary hashes to the recorded hash. That is
-// sound because the binary is a function of exactly what the two keys
-// cover — the toolchain and its configuration, under offlineEnv's fixed
-// flags, and every file the go command reads in the module — and the hash
-// shows the binary is the one that link wrote. Anything else is a miss:
-// Build links again and records the link, keeping what the record says of
-// the source only if the module is the one it describes.
+// recorded ones, and the binary's stamp key (stampKey) is the recorded
+// one. That is sound because the binary is a function of exactly what the
+// two keys cover — the toolchain and its configuration, under offlineEnv's
+// fixed flags, and every file the go command reads in the module — and
+// the stamp shows the binary is the file that link wrote. Anything else is
+// a miss: Build links again and records the link, keeping what the record
+// says of the source only if the module is the one it describes.
 func Build(shadowDir string) (string, error) {
 	bin := filepath.Join(shadowDir, "vftbin")
 	toolchain, module := toolchainKey(), moduleKey(shadowDir)
 	rec := readRecord(shadowDir)
-	if toolchain != "" && rec.Toolchain == toolchain && rec.Module == module && rec.Bin != "" && rec.Bin == fileHash(bin) {
+	if toolchain != "" && rec.Toolchain == toolchain && rec.Module == module && rec.Bin != "" && rec.Bin == stampKey(bin) {
 		return bin, nil
 	}
 	// go build leaves an existing binary alone when the build ID in it is
@@ -72,7 +72,7 @@ func Build(shadowDir string) (string, error) {
 	if rec.Toolchain != toolchain || rec.Module != module {
 		rec = keptRecord{Toolchain: toolchain, Module: module}
 	}
-	if rec.Bin = fileHash(bin); rec.Bin != "" {
+	if rec.Bin = stampKey(bin); rec.Bin != "" {
 		writeRecord(shadowDir, rec)
 	}
 	return bin, nil
@@ -82,7 +82,7 @@ func Build(shadowDir string) (string, error) {
 // returning the meta sidecar path. The program's own output flows to the
 // given writers.
 func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath, err := clearCapture(tracePath)
+	tracePath, metaPath, err := clearCapture(tracePath)
 	if err != nil {
 		return metaPath, err
 	}
@@ -98,7 +98,7 @@ func Run(bin, tracePath string, args []string, stdout, stderr io.Writer) (string
 // RunTests runs `go test` inside the shadow module with capture enabled
 // (the injected TestMain flushes the trace after m.Run).
 func RunTests(shadowDir, tracePath string, args []string, stdout, stderr io.Writer) (string, error) {
-	metaPath, err := clearCapture(tracePath)
+	tracePath, metaPath, err := clearCapture(tracePath)
 	if err != nil {
 		return metaPath, err
 	}
@@ -112,16 +112,23 @@ func RunTests(shadowDir, tracePath string, args []string, stdout, stderr io.Writ
 	return metaPath, nil
 }
 
-// clearCapture removes the capture at tracePath and its sidecar, left by
-// an earlier run into the same path, and returns the sidecar path. The
+// clearCapture makes tracePath absolute, removes the capture there and
+// its sidecar, left by an earlier run into the same path, and returns the
+// two paths. The shim opens the capture at the program's first event, in
+// whatever directory the program is in by then: the shadow package's
+// under go test, or wherever a program that changed directory went. The
 // verdict is read from the sidecar, so one left over would stand in for
 // that of a run that writes none (os.Exit, a fatal signal).
-func clearCapture(tracePath string) (string, error) {
+func clearCapture(tracePath string) (string, string, error) {
+	tracePath, err := filepath.Abs(tracePath)
+	if err != nil {
+		return "", "", fmt.Errorf("goinstr: %w", err)
+	}
 	metaPath := rt.MetaPath(tracePath)
 	for _, p := range []string{tracePath, metaPath} {
 		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return metaPath, fmt.Errorf("goinstr: %w", err)
+			return tracePath, metaPath, fmt.Errorf("goinstr: %w", err)
 		}
 	}
-	return metaPath, nil
+	return tracePath, metaPath, nil
 }
