@@ -59,6 +59,8 @@ bench-sampling:
 # the shim's cost per logged event (ns/event for Rd, RdWr and a
 # MutexLock/MutexUnlock pair, capture on to a temp file): interning, the
 # record's append and the inline check, under the shim's one mutex.
+# BenchmarkShutdown, three times, prices a run's end over 100,000
+# variables and prints the sidecar's bytes, which follow the reports.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
@@ -67,6 +69,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BuildPool/cold' -benchtime 3x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'BuildPool/(warm|pair)' -benchtime 50x ./internal/goinstr
 	$(GO) test -run '^$$' -bench 'ID$$|Emit' -benchtime 1000x ./internal/goinstr/rt
+	$(GO) test -run '^$$' -bench Shutdown -benchtime 3x ./internal/goinstr/rt
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
 

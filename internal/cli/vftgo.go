@@ -66,13 +66,17 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vft-go: unknown mode %q (build, run or test)\n", mode)
 		return 2
 	}
-	// In a directory that does not exist the shim could not open the
-	// capture: the program would run unchecked and leave no verdict.
+	// In a directory that does not exist, or over a directory, the shim
+	// could not open the capture: the program would run unchecked and
+	// leave no verdict.
 	if *traceFlag != "" {
 		traceDir := filepath.Dir(*traceFlag)
 		fi, err := os.Stat(traceDir)
 		if err == nil && !fi.IsDir() {
 			err = fmt.Errorf("%s is not a directory", traceDir)
+		}
+		if fi, serr := os.Stat(*traceFlag); err == nil && serr == nil && fi.IsDir() {
+			err = fmt.Errorf("is a directory")
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "vft-go: -trace %s: %v\n", *traceFlag, err)
@@ -209,7 +213,7 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: checked %d events, %d reports\n", cr.Events, len(cr.Reports))
 	}
-	if cr.Meta != nil && (cr.Meta.Dropped > 0 || cr.Meta.Timeouts > 0) {
+	if cr.Meta.Dropped > 0 || cr.Meta.Timeouts > 0 {
 		fmt.Fprintf(stderr, "vft-go: capture degraded: %d events dropped, %d channel waits timed out (channels with uninstrumented peers are traced best-effort)\n",
 			cr.Meta.Dropped, cr.Meta.Timeouts)
 	}
@@ -251,15 +255,13 @@ func uploadAndRender(base, tenant, tracePath string, cr *goinstr.CheckResult, po
 		q.Set("sample", strconv.FormatFloat(pol.Rate, 'g', -1, 64))
 		q.Set("sample_seed", strconv.FormatUint(pol.Seed, 10))
 	}
-	if cr.Meta != nil {
-		var pairs []string
-		for id, c := range cr.Meta.ChanCaps() {
-			pairs = append(pairs, fmt.Sprintf("%d:%d", id, c))
-		}
-		sort.Strings(pairs)
-		if len(pairs) > 0 {
-			q.Set("chancap", strings.Join(pairs, ","))
-		}
+	var pairs []string
+	for id, c := range cr.Meta.Chans {
+		pairs = append(pairs, fmt.Sprintf("%d:%d", id, c))
+	}
+	sort.Strings(pairs)
+	if len(pairs) > 0 {
+		q.Set("chancap", strings.Join(pairs, ","))
 	}
 	f, err := os.Open(tracePath)
 	if err != nil {

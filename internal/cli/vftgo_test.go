@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -234,8 +235,8 @@ func TestRace(t *testing.T) { main() }
 // never "0 reports" — whether the program skipped the shim's Shutdown or
 // its capture went infeasible, and the message says which. A relative
 // -trace names the same file wherever the program runs, and one in a
-// directory that does not exist is refused before anything is
-// instrumented.
+// directory that does not exist, or that names a directory, is refused
+// before anything is instrumented.
 func TestVftGoNeedsAVerdict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vft-go run builds a shadow module")
@@ -256,6 +257,12 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 	// before it kept, so a verdict left there by that run must not stand
 	// in for its own.
 	kept := t.TempDir()
+	if err := os.MkdirAll(filepath.Join("full", "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir("empty", 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, src, test string // test, if set, is a _test.go run by vft-go test
 		args            []string
@@ -269,6 +276,8 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 		{"relative -trace, test", racyProg, racyTest, []string{"-trace", "test.trace"}, 1, ", 1 reports"},
 		{"relative -trace, chdir", chdirProg, "", []string{"-trace", "chdir.trace"}, 1, ", 1 reports"},
 		{"-trace in no directory", racyProg, "", []string{"-trace", filepath.Join("missing", "x.trace")}, 2, "vft-go: -trace " + filepath.Join("missing", "x.trace") + ": stat missing: "},
+		{"-trace an empty directory", racyProg, "", []string{"-trace", "empty"}, 2, "vft-go: -trace empty: is a directory"},
+		{"-trace a directory", racyProg, "", []string{"-trace", "full"}, 2, "vft-go: -trace full: is a directory"},
 	} {
 		dir := writeVftGoProgram(t, tc.src)
 		mode := "run"
@@ -290,6 +299,70 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 	for _, name := range []string{"test.trace", "chdir.trace"} {
 		if _, err := os.Stat(rt.MetaPath(name)); err != nil {
 			t.Errorf("-trace %s left no sidecar in vft-go's directory: %v", name, err)
+		}
+	}
+	for _, name := range []string{"empty", filepath.Join("full", "sub")} {
+		if fi, err := os.Stat(name); err != nil || !fi.IsDir() {
+			t.Errorf("-trace left no directory %s: %v", name, err)
+		}
+	}
+}
+
+// snapshot reads every file under dir, by its path relative to dir.
+func snapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestVftGoKeepsForeignFiles: -o names where the shadow module goes, and
+// writing it replaces go.mod and every other .go file in the directory.
+// A directory that is neither empty nor a shadow module — the package's
+// own, another module — is refused, exit 2, with every file as it was.
+func TestVftGoKeepsForeignFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		out  func(pkg string) string // the -o directory, given the package's
+	}{
+		{"-o the package", func(pkg string) string { return pkg }},
+		{"-o another module", func(string) string {
+			dir := t.TempDir()
+			for name, src := range map[string]string{"go.mod": "module foo\n", "a.go": "package foo\n"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return dir
+		}},
+	} {
+		pkg := writeVftGoProgram(t, racyProg)
+		if err := os.WriteFile(filepath.Join(pkg, "main_test.go"), []byte(racyTest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := tc.out(pkg)
+		before, beforePkg := snapshot(t, out), snapshot(t, pkg)
+		var stdout, stderr strings.Builder
+		code := RunVftGo([]string{"-o", out, "run", pkg}, strings.NewReader(""), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), out+" is neither empty nor a shadow module") {
+			t.Errorf("%s: exit = %d, want 2 naming %s\nstderr: %s", tc.name, code, out, stderr.String())
+		}
+		if after := snapshot(t, out); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the -o directory holds %q, want %q as it was", tc.name, after, before)
+		}
+		if after := snapshot(t, pkg); !reflect.DeepEqual(after, beforePkg) {
+			t.Errorf("%s: the package holds %q, want %q as it was", tc.name, after, beforePkg)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func (rw *rewriter) pkgCall(call *ast.CallExpr, fun *ast.SelectorExpr, pn *types
 			// operands are value-rewritten and the function itself
 			// rides along as the wrapper's last argument.
 			rw.stats.Sites++
-			args := []ast.Expr{rw.g(), strLit(rw.siteName(call.Args[0])), call.Args[0]}
+			args := []ast.Expr{rw.g(), call.Args[0]}
 			args = append(args, rw.values(call.Args[1:])...)
 			return rw.vft(a.fn, append(args, fun)...)
 		}
@@ -139,7 +139,7 @@ func (rw *rewriter) methodCall(call *ast.CallExpr, fun *ast.SelectorExpr, sel *t
 		rw.stats.Skipped++
 		return call
 	}
-	args := []ast.Expr{rw.g(), strLit(rw.siteName(recv)), recv}
+	args := []ast.Expr{rw.g(), recv}
 	return rw.vft(wrapper, append(args, call.Args...)...)
 }
 
@@ -191,7 +191,7 @@ func (rw *rewriter) builtinCall(call *ast.CallExpr, name string) ast.Expr {
 	case "close":
 		if len(call.Args) == 1 {
 			rw.stats.Sites++
-			return rw.vft("CloseChan", rw.g(), strLit(rw.siteName(call.Args[0])), rw.value(call.Args[0]))
+			return rw.vft("CloseChan", rw.g(), rw.value(call.Args[0]))
 		}
 	case "delete":
 		if len(call.Args) == 2 {

@@ -18,8 +18,8 @@ import (
 type CheckResult struct {
 	// Reports are the raw detector reports, in trace order.
 	Reports []verifiedft.Report
-	// Meta is the run's sidecar (verdict, names, capacities, shim
-	// counters).
+	// Meta is the run's sidecar (verdict, the reported variables' names,
+	// channel capacities, shim counters).
 	Meta *rt.Meta
 	// Events is the number of operations checked.
 	Events int
@@ -63,7 +63,7 @@ func readMeta(metaPath string) (*rt.Meta, error) {
 // once and never held in memory. It finds what the shim's inline check
 // found (Verdict); vft-go renders that, and Check serves the tests and
 // benchmarks that hold the two together. Extra options (a sampling tier,
-// a clock implementation) are appended after the defaults, so they win.
+// a detector variant) are appended after the defaults, so they win.
 // A capture that does not decode to its end yields the decoder's
 // positioned error and no reports.
 func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckResult, error) {
@@ -71,14 +71,7 @@ func Check(tracePath, metaPath string, extra ...verifiedft.CheckOption) (*CheckR
 	if err != nil {
 		return nil, err
 	}
-	caps := map[verifiedft.LockID]int{}
-	for id, c := range meta.ChanCaps() {
-		caps[verifiedft.LockID(id)] = c
-	}
-	opts := []verifiedft.CheckOption{verifiedft.WithMaxReportsPerVar(1)}
-	if len(caps) > 0 {
-		opts = append(opts, verifiedft.WithChanCapacities(caps))
-	}
+	opts := []verifiedft.CheckOption{verifiedft.WithMaxReportsPerVar(1), verifiedft.WithChanCapacities(meta.Chans)}
 	opts = append(opts, extra...)
 
 	f, err := os.Open(tracePath)
@@ -114,12 +107,12 @@ func (cr *CheckResult) Sample(pol sample.Policy) {
 }
 
 // VarName renders a report's variable with its source-level name from
-// the sidecar ("counter main.go:7:6"), falling back to the raw id.
+// the sidecar ("counter main.go:7:6"), which names every variable the
+// inline check reported, falling back to the raw id — for a report of
+// another check (vft-server's) that the inline check did not make.
 func (cr *CheckResult) VarName(r verifiedft.Report) string {
-	if cr.Meta != nil {
-		if name, ok := cr.Meta.Vars[int32(r.X)]; ok && name != "" {
-			return name
-		}
+	if name := cr.Meta.Vars[r.X]; name != "" {
+		return name
 	}
 	return fmt.Sprintf("x%d", r.X)
 }

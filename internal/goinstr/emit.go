@@ -2,6 +2,7 @@ package goinstr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/printer"
@@ -38,8 +39,7 @@ func emitModule(out string) error {
 	if err := os.RemoveAll(filepath.Join(out, "goid")); err != nil {
 		return fmt.Errorf("goinstr: %w", err)
 	}
-	gomod := "module vftshadow\n\ngo 1.22\n"
-	if err := writeChanged(filepath.Join(out, "go.mod"), []byte(gomod)); err != nil {
+	if err := writeChanged(filepath.Join(out, "go.mod"), []byte(shadowModule+"\ngo 1.22\n")); err != nil {
 		return err
 	}
 
@@ -78,6 +78,22 @@ func emitModule(out string) error {
 		}
 	}
 	return nil
+}
+
+// shadowModule is the first line of a shadow module's go.mod.
+const shadowModule = "module vftshadow\n"
+
+// outDirOK reports whether Instrument may emit into out: a directory that
+// does not exist, an empty one, or a shadow module. Emit rewrites go.mod
+// and deletes every other .go file in the module root, so any other
+// directory — the package's own, another module — would lose its files.
+func outDirOK(out string) error {
+	entries, err := os.ReadDir(out)
+	gomod, _ := os.ReadFile(filepath.Join(out, "go.mod"))
+	if errors.Is(err, fs.ErrNotExist) || err == nil && len(entries) == 0 || bytes.HasPrefix(gomod, []byte(shadowModule)) {
+		return nil
+	}
+	return fmt.Errorf("goinstr: %s is neither empty nor a shadow module (a go.mod declaring module vftshadow): writing the shadow module there would replace its files", out)
 }
 
 // shimImport is the import path prefix of the shim's packages in this

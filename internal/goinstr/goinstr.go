@@ -76,8 +76,8 @@ type Options struct {
 	// test` mode) and injects a TestMain that flushes the trace.
 	IncludeTests bool
 
-	// OutDir is where the shadow module is written. Empty means the
-	// caller must set it (the CLI uses a temp dir).
+	// OutDir is where the shadow module is written (see outDirOK). Empty
+	// means the caller must set it (the CLI uses a temp dir).
 	OutDir string
 }
 
@@ -147,6 +147,8 @@ type Instrumented struct {
 // source key's inputs and of the toolchain's export data, which the
 // toolchain key covers, and the module key shows the module on disk is
 // the one emitted. Any miss takes the whole path and rewrites the record.
+// An OutDir holding anything but a shadow module is refused (outDirOK)
+// before anything is written.
 func Instrument(dir string, opts Options) (*Instrumented, error) {
 	if opts.OutDir == "" {
 		return nil, fmt.Errorf("goinstr: Options.OutDir must be set")
@@ -157,6 +159,9 @@ func Instrument(dir string, opts Options) (*Instrumented, error) {
 	out, err := filepath.Abs(opts.OutDir)
 	if err != nil {
 		return nil, fmt.Errorf("goinstr: %w", err)
+	}
+	if err := outDirOK(out); err != nil {
+		return nil, err
 	}
 	toolchain, source := toolchainKey(), sourceKey(dir, opts)
 	rec := readRecord(out)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal"
+	"repro/internal/goinstr/rt"
 	"repro/internal/trace"
 )
 
@@ -33,6 +34,33 @@ func TestCheckNeedsSidecar(t *testing.T) {
 		cr, err := Check(path, metaOf(path))
 		if cr != nil || err == nil || !strings.Contains(err.Error(), metaOf(path)) || strings.Contains(err.Error(), "infeasible") {
 			t.Errorf("%s: Check without a sidecar = %v, %v; want an error naming %s", name, cr, err, metaOf(path))
+		}
+	}
+}
+
+// TestRunKeepsDirectories: Run and RunTests remove an earlier run's
+// capture and sidecar, but refuse a directory at either path, empty or
+// not, rather than remove it.
+func TestRunKeepsDirectories(t *testing.T) {
+	dir := t.TempDir()
+	dirs := []string{filepath.Join(dir, "empty"), rt.MetaPath(filepath.Join(dir, "side")), filepath.Join(dir, "full", "sub")}
+	for _, d := range dirs {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"empty", "side", "full"} {
+		tracePath := filepath.Join(dir, name)
+		if _, err := Run(filepath.Join(dir, "vftbin"), tracePath, nil, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), " is a directory") {
+			t.Errorf("Run into %s: %v, want an error naming a directory", name, err)
+		}
+		if _, err := RunTests(dir, tracePath, nil, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), " is a directory") {
+			t.Errorf("RunTests into %s: %v, want an error naming a directory", name, err)
+		}
+	}
+	for _, d := range dirs {
+		if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
+			t.Errorf("directory %s is gone: %v", d, err)
 		}
 	}
 }

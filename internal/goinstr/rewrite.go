@@ -337,7 +337,7 @@ func (rw *rewriter) value(e ast.Expr) ast.Expr {
 			return e // taking an address is not an access
 		case token.ARROW:
 			rw.stats.Sites++
-			return rw.vft("Recv", rw.g(), strLit(rw.siteName(x.X)), rw.value(x.X))
+			return rw.vft("Recv", rw.g(), rw.value(x.X))
 		default:
 			x.X = rw.value(x.X)
 			return x

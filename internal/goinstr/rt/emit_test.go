@@ -71,21 +71,21 @@ func TestInlineCheckMatchesCapture(t *testing.T) {
 	var guarded, racy int
 	ch := make(chan int, 2)
 	var wg sync.WaitGroup
-	WGAdd(g, "wg", &wg, 2)
+	WGAdd(g, &wg, 2)
 	for i := 0; i < 2; i++ {
 		go Spawn(Fork(g), func() {
 			cg := Bind()
-			MutexLock(cg, "mu", &mu)
+			MutexLock(cg, &mu)
 			(*RdWr(cg, "guarded", &guarded))++
-			MutexUnlock(cg, "mu", &mu)
+			MutexUnlock(cg, &mu)
 			(*RdWr(cg, "racy", &racy))++
-			Send(cg, "ch", ch, i)
-			WGDone(cg, "wg", &wg)
+			Send(cg, ch, i)
+			WGDone(cg, &wg)
 		})
 	}
-	WGWait(g, "wg", &wg)
-	Recv(g, "ch", ch)
-	Recv(g, "ch", ch)
+	WGWait(g, &wg)
+	Recv(g, ch)
+	Recv(g, ch)
 	Shutdown()
 
 	meta := loadMeta(t, path)
@@ -99,7 +99,7 @@ func TestInlineCheckMatchesCapture(t *testing.T) {
 	if !reflect.DeepEqual(meta.Reports, want) {
 		t.Errorf("inline reports %v, the capture's %v", meta.Reports, want)
 	}
-	if len(meta.Reports) != 1 || meta.Vars[int32(meta.Reports[0].X)] != "racy" {
+	if len(meta.Reports) != 1 || len(meta.Vars) != 1 || meta.Vars[meta.Reports[0].X] != "racy" {
 		t.Errorf("reports %v (vars %v), want one race on racy", meta.Reports, meta.Vars)
 	}
 }
@@ -130,6 +130,81 @@ func TestInlineCheckStopsAtInfeasibleRecord(t *testing.T) {
 	}
 }
 
+// firstTouches writes n distinct variables once each, as a program filling
+// a fresh slice does: n ids, none of them raced on.
+func firstTouches(g *G, n int) {
+	xs := make([]int, n)
+	for i := range xs {
+		*Wr(g, "xs t.go:1:1", &xs[i]) = i
+	}
+}
+
+// TestSidecarGrowsWithReports: a run that interns 100,000 variables and
+// races on none writes a sidecar that names none of them; one that also
+// races on one names exactly that one, the variable its report names.
+func TestSidecarGrowsWithReports(t *testing.T) {
+	const vars = 100_000
+	sidecar := func(path string) *Meta {
+		t.Helper()
+		fi, err := os.Stat(MetaPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() >= 4<<10 {
+			t.Errorf("the sidecar of a run over %d variables holds %d bytes, want under 4 KiB", vars, fi.Size())
+		}
+		return loadMeta(t, path)
+	}
+
+	path := resetForTest(t)
+	firstTouches(Bind(), vars)
+	Shutdown()
+	if meta := sidecar(path); len(meta.Reports) != 0 || len(meta.Vars) != 0 || meta.Events != vars {
+		t.Errorf("sidecar: %d events, reports %v, %d names; want %d events and no report or name", meta.Events, meta.Reports, len(meta.Vars), vars)
+	}
+
+	path = resetForTest(t)
+	g := Bind()
+	firstTouches(g, vars)
+	var racy int
+	var wg sync.WaitGroup
+	wg.Add(2)
+	for range 2 {
+		go Spawn(Fork(g), func() {
+			*Wr(Bind(), "racy t.go:2:1", &racy) = 1
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	Shutdown()
+	meta := sidecar(path)
+	if len(meta.Reports) != 1 || len(meta.Vars) != 1 || meta.Vars[meta.Reports[0].X] != "racy t.go:2:1" {
+		t.Errorf("reports %v and %d names, want one race named racy t.go:2:1 and no other name", meta.Reports, len(meta.Vars))
+	}
+}
+
+// BenchmarkShutdown prices the end of a run over many variables: one
+// iteration interns 100,000 of them, then runs Shutdown, whose sidecar
+// names only the reported ones (here none).
+func BenchmarkShutdown(b *testing.B) {
+	var size int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		path := resetForTest(b)
+		g := Bind()
+		b.StartTimer()
+		firstTouches(g, 100_000)
+		Shutdown()
+		b.StopTimer()
+		fi, err := os.Stat(MetaPath(path))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = fi.Size()
+	}
+	b.ReportMetric(float64(size), "sidecar-B")
+}
+
 // BenchmarkEmit is the shim's cost per logged event with capture on: the
 // interning, the record's append to the buffer (and its share of the
 // writes to the file) and the inline check, under st.mu.
@@ -142,8 +217,8 @@ func BenchmarkEmit(b *testing.B) {
 		{"Rd", 1, func(g *G, x *int, _ *sync.Mutex) { Rd(g, "x", x) }},
 		{"RdWr", 2, func(g *G, x *int, _ *sync.Mutex) { RdWr(g, "x", x) }},
 		{"MutexLockUnlock", 2, func(g *G, _ *int, mu *sync.Mutex) {
-			MutexLock(g, "mu", mu)
-			MutexUnlock(g, "mu", mu)
+			MutexLock(g, mu)
+			MutexUnlock(g, mu)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

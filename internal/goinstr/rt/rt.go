@@ -15,7 +15,9 @@
 // goinstr.Check) runs on the capture, so the reports are the same.
 // Shutdown steps the last batch and writes the reports, or the validator's
 // positioned error, into the meta sidecar, from which vft-go renders the
-// verdict without a second pass. The capture itself is written all the
+// verdict without a second pass. It names only the variables the reports
+// name, so its size follows the reports, not the variables; no other
+// traced object has a name. The capture itself is written all the
 // same, each record encoded in place into the shim's own buffer, for
 // vft-go's -trace and -server and for re-checking.
 //
@@ -102,8 +104,8 @@
 // ids) and keeps it alive for the life of the process, so a freed
 // object's address can never be reused by a distinct variable aliasing
 // the old id and its name. Traced objects are therefore never collected —
-// an accepted cost for a tracing shim, proportional to the name tables
-// that grow alongside them.
+// an accepted cost for a tracing shim, proportional to the id tables that
+// grow alongside them.
 package rt
 
 import (
@@ -122,10 +124,6 @@ import (
 	"repro/internal/trace"
 )
 
-// numKinds bounds the kinds the shim logs, trace.Read through
-// trace.OnceDo.
-const numKinds = int(trace.OnceDo) + 1
-
 // G is one goroutine's identity in the trace: its dense thread id. The
 // rewriter binds a *G once per instrumented function body (__vftg :=
 // __vft.Bind()) so the goroutine-id lookup is paid per call, not per
@@ -134,13 +132,10 @@ type G struct {
 	tid int32
 }
 
-// Tid returns the goroutine's trace thread id.
-func (g *G) Tid() int32 { return g.tid }
-
 // state is the process-wide shim state. One per process; everything hangs
 // off the package-level singleton so the generated call sites stay short.
 type state struct {
-	mu      sync.Mutex // guards the capture, the check, id tables, names, counters
+	mu      sync.Mutex // guards the capture, the check, id tables, counters
 	started bool       // the capture was opened, or found off (see start)
 	active  bool       // events are written; false when off or shut down
 	file    *os.File
@@ -150,18 +145,17 @@ type state struct {
 
 	// The interning tables key on real pointers so the GC pins every
 	// traced object: stable addresses, stable ids (see package comment).
-	vars     idTable // rd/wr X space
-	atomics  idTable // aload/astore/armw X space
-	locks    idTable // acq/rel M space
-	onces    idTable // once M space
-	chanIDs  map[unsafe.Pointer]*chanState
-	chanMeta map[int32]chanMetaEntry
+	vars    idTable // rd/wr X space, named: reports name their variable
+	atomics idTable // aload/astore/armw X space
+	locks   idTable // acq/rel M space
+	onces   idTable // once M space
+	chanIDs map[unsafe.Pointer]*chanState
 
 	// The inline check: pending holds the records logged since the feed
 	// last stepped, ext the channel capacities chanFor registers, which
 	// the feed's validator and lowerer read at each channel's first
-	// record, and checkErr the feed's first error, after which nothing
-	// more is checked.
+	// record and the sidecar carries, and checkErr the feed's first error,
+	// after which nothing more is checked.
 	pending  []trace.Op
 	ext      trace.Extensions
 	feed     *kernel.Feed
@@ -169,18 +163,12 @@ type state struct {
 	checkErr error
 
 	events   uint64
-	byKind   [numKinds]uint64
 	dropped  uint64 // events dropped to keep the stream feasible
 	timeouts uint64 // log-side waits that hit EnvChanWait (lossy channels)
 
 	// gs maps a goroutine id (goid) to its *G. Only the goroutine an
 	// entry belongs to stores or deletes it, so no entry is ever contended.
 	gs sync.Map
-}
-
-type chanMetaEntry struct {
-	Cap  int    `json:"cap"`
-	Name string `json:"name"`
 }
 
 // chanState is one channel's log-ordering gadget. mu serializes only the
@@ -205,11 +193,12 @@ var st = &state{}
 
 // idTable interns one class of traced object: a map from the object's
 // pointer to its dense id, with a direct-mapped cache of recent pointers
-// in front of it, and the name of each id. The tables start empty and
-// are sized by start, when capture turns on.
+// in front of it, and, in a table that names its ids, each id's name:
+// ids are dense, in first-touch order. The tables start empty and are
+// sized by start, when capture turns on.
 type idTable struct {
 	ids   map[unsafe.Pointer]int32
-	names map[int32]string
+	names []string
 	cache []idCacheEntry // len a power of two
 }
 
@@ -219,13 +208,13 @@ type idCacheEntry struct {
 }
 
 func newIDTable(cacheSize int) idTable {
-	return idTable{ids: map[unsafe.Pointer]int32{}, names: map[int32]string{}, cache: make([]idCacheEntry, cacheSize)}
+	return idTable{ids: map[unsafe.Pointer]int32{}, cache: make([]idCacheEntry, cacheSize)}
 }
 
-// id interns an object, recording the site string as its name on first
-// touch. The table retains the pointer, so the object stays alive and its
-// id can never alias another object's storage. The caller holds st.mu.
-func (tb *idTable) id(p unsafe.Pointer, site string) int32 {
+// id interns an object. The table retains the pointer, so the object
+// stays alive and its id can never alias another object's storage. The
+// caller holds st.mu.
+func (tb *idTable) id(p unsafe.Pointer) int32 {
 	h := uintptr(p) >> 3
 	e := &tb.cache[(h^h>>10)&uintptr(len(tb.cache)-1)]
 	if e.p == p && p != nil { // an empty slot holds nil; a nil map is interned too
@@ -235,9 +224,18 @@ func (tb *idTable) id(p unsafe.Pointer, site string) int32 {
 	if !ok {
 		id = int32(len(tb.ids))
 		tb.ids[p] = id
-		tb.names[id] = site
 	}
 	*e = idCacheEntry{p: p, id: id}
+	return id
+}
+
+// named is id for a table that names its ids: an object's first touch
+// records site as its name. The caller holds st.mu.
+func (tb *idTable) named(p unsafe.Pointer, site string) int32 {
+	id := tb.id(p)
+	if int(id) == len(tb.names) {
+		tb.names = append(tb.names, site)
+	}
 	return id
 }
 
@@ -307,7 +305,6 @@ func (s *state) start() {
 	s.vars = newIDTable(1 << 12)
 	s.atomics, s.locks, s.onces = newIDTable(1<<8), newIDTable(1<<8), newIDTable(1<<6)
 	s.chanIDs = map[unsafe.Pointer]*chanState{}
-	s.chanMeta = map[int32]chanMetaEntry{}
 	s.ext = trace.Extensions{ChanCapacity: map[trace.Lock]int{}}
 	s.pending = make([]trace.Op, 0, batchSize)
 	s.machine.Reset(1)
@@ -378,7 +375,6 @@ func Spawn(u int32, fn func()) {
 // holds st.mu and has seen capturingLocked report true.
 func (s *state) emitLocked(kind trace.Kind, t, arg int32) {
 	s.events++
-	s.byKind[kind]++
 	if len(s.buf) > bufSize-trace.MaxRecordLen {
 		s.flushLocked()
 	}
@@ -421,44 +417,48 @@ func emit(kind trace.Kind, t, arg int32) {
 }
 
 // emitIn interns addr in tb and logs one record naming it, if capture is
-// on. read, write and emitAtomic are the slow halves of the generic
-// wrappers in wrappers.go.
-func emitIn(tb *idTable, kind trace.Kind, g *G, site string, addr unsafe.Pointer) {
+// on. emitVar and emitAtomic are the slow halves of the generic wrappers
+// in wrappers.go.
+func emitIn(tb *idTable, kind trace.Kind, g *G, addr unsafe.Pointer) {
 	st.mu.Lock()
 	if st.capturingLocked() {
-		st.emitLocked(kind, g.tid, tb.id(addr, site))
+		st.emitLocked(kind, g.tid, tb.id(addr))
 	}
 	st.mu.Unlock()
 }
 
-func read(g *G, site string, addr unsafe.Pointer)  { emitIn(&st.vars, trace.Read, g, site, addr) }
-func write(g *G, site string, addr unsafe.Pointer) { emitIn(&st.vars, trace.Write, g, site, addr) }
-
-func emitAtomic(g *G, kind trace.Kind, addr unsafe.Pointer, site string) {
-	emitIn(&st.atomics, kind, g, site, addr)
+// emitVar is emitIn for a variable: its first touch names it site.
+func emitVar(kind trace.Kind, g *G, site string, addr unsafe.Pointer) {
+	st.mu.Lock()
+	if st.capturingLocked() {
+		st.emitLocked(kind, g.tid, st.vars.named(addr, site))
+	}
+	st.mu.Unlock()
 }
+
+func emitAtomic(g *G, kind trace.Kind, addr unsafe.Pointer) { emitIn(&st.atomics, kind, g, addr) }
 
 // Mutexes: acquire logs after Lock returns, release logs before Unlock is
 // called, so the stream always shows rel before the next acq.
 
 // MutexLock locks m and logs the acquire.
-func MutexLock(g *G, site string, m *sync.Mutex) {
+func MutexLock(g *G, m *sync.Mutex) {
 	m.Lock()
-	emitIn(&st.locks, trace.Acquire, g, site, unsafe.Pointer(m))
+	emitIn(&st.locks, trace.Acquire, g, unsafe.Pointer(m))
 }
 
 // MutexUnlock logs the release and unlocks m.
-func MutexUnlock(g *G, site string, m *sync.Mutex) {
-	emitIn(&st.locks, trace.Release, g, site, unsafe.Pointer(m))
+func MutexUnlock(g *G, m *sync.Mutex) {
+	emitIn(&st.locks, trace.Release, g, unsafe.Pointer(m))
 	m.Unlock()
 }
 
 // MutexTryLock forwards TryLock, logging the acquire only on success.
-func MutexTryLock(g *G, site string, m *sync.Mutex) bool {
+func MutexTryLock(g *G, m *sync.Mutex) bool {
 	if !m.TryLock() {
 		return false
 	}
-	emitIn(&st.locks, trace.Acquire, g, site, unsafe.Pointer(m))
+	emitIn(&st.locks, trace.Acquire, g, unsafe.Pointer(m))
 	return true
 }
 
@@ -469,23 +469,23 @@ func MutexTryLock(g *G, site string, m *sync.Mutex) bool {
 // not both log an acquire of one trace lock. Acquire-like ops log after
 // the real operation, release-like ops before, as for atomics.
 
-func RWLock(g *G, site string, m *sync.RWMutex) {
+func RWLock(g *G, m *sync.RWMutex) {
 	m.Lock()
-	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m))
 }
 
-func RWRLock(g *G, site string, m *sync.RWMutex) {
+func RWRLock(g *G, m *sync.RWMutex) {
 	m.RLock()
-	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m))
 }
 
-func RWUnlock(g *G, site string, m *sync.RWMutex) {
-	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
+func RWUnlock(g *G, m *sync.RWMutex) {
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m))
 	m.Unlock()
 }
 
-func RWRUnlock(g *G, site string, m *sync.RWMutex) {
-	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m), site)
+func RWRUnlock(g *G, m *sync.RWMutex) {
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(m))
 	m.RUnlock()
 }
 
@@ -497,43 +497,43 @@ func RWRUnlock(g *G, site string, m *sync.RWMutex) {
 // releases nothing (sync.WaitGroup.Add calls race.ReleaseMerge only when
 // delta < 0) and logs nothing.
 
-func WGAdd(g *G, site string, wg *sync.WaitGroup, n int) {
+func WGAdd(g *G, wg *sync.WaitGroup, n int) {
 	if n < 0 {
-		emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg), site)
+		emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg))
 	}
 	wg.Add(n)
 }
 
-func WGDone(g *G, site string, wg *sync.WaitGroup) {
-	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg), site)
+func WGDone(g *G, wg *sync.WaitGroup) {
+	emitAtomic(g, trace.AtomicRMW, unsafe.Pointer(wg))
 	wg.Done()
 }
 
-func WGWait(g *G, site string, wg *sync.WaitGroup) {
+func WGWait(g *G, wg *sync.WaitGroup) {
 	wg.Wait()
-	emitAtomic(g, trace.AtomicLoad, unsafe.Pointer(wg), site)
+	emitAtomic(g, trace.AtomicLoad, unsafe.Pointer(wg))
 }
 
 // OnceDo forwards once.Do. The executor logs its once event inside f —
 // while every other Do on the same Once is still blocked — so the first
 // once record in the stream is always the executor's, which is how the
 // lowering picks the publishing thread.
-func OnceDo(g *G, site string, o *sync.Once, f func()) {
+func OnceDo(g *G, o *sync.Once, f func()) {
 	ran := false
 	o.Do(func() {
 		f()
-		emitIn(&st.onces, trace.OnceDo, g, site, unsafe.Pointer(o))
+		emitIn(&st.onces, trace.OnceDo, g, unsafe.Pointer(o))
 		ran = true
 	})
 	if !ran {
-		emitIn(&st.onces, trace.OnceDo, g, site, unsafe.Pointer(o))
+		emitIn(&st.onces, trace.OnceDo, g, unsafe.Pointer(o))
 	}
 }
 
 // chanFor interns a channel (by its runtime header pointer, via reflect)
 // and registers its capacity with the inline check and the meta sidecar.
 // The wrappers call it only while capture is on.
-func chanFor(c any, site string) *chanState {
+func chanFor(c any) *chanState {
 	v := reflect.ValueOf(c)
 	addr := v.UnsafePointer()
 	st.mu.Lock()
@@ -541,7 +541,6 @@ func chanFor(c any, site string) *chanState {
 	if !ok {
 		cs = &chanState{id: int32(len(st.chanIDs)), cap: v.Cap(), waitc: make(chan struct{})}
 		st.chanIDs[addr] = cs
-		st.chanMeta[cs.id] = chanMetaEntry{Cap: cs.cap, Name: site}
 		if cs.cap > 0 {
 			st.ext.ChanCapacity[trace.Lock(cs.id)] = cs.cap
 		}
@@ -710,12 +709,12 @@ func (cs *chanState) sendSelDone(g *G) {
 }
 
 // Shutdown flushes the trace and writes the meta sidecar: the inline
-// check's verdict (its reports, or the validator's positioned error),
-// variable, lock, atomic and once names, channel capacities and event
-// counters. The rewriter defers it as the first statement of main, so it
-// also runs when the program panics — but not when it calls os.Exit or
-// dies of a fatal signal, which leaves no sidecar. Events emitted after
-// Shutdown are neither written nor checked.
+// check's verdict (its reports, or the validator's positioned error), the
+// name of each variable a report names, the buffered channels' capacities
+// and the event counters. The rewriter defers it as the first statement
+// of main, so it also runs when the program panics — but not when it
+// calls os.Exit or dies of a fatal signal, which leaves no sidecar.
+// Events emitted after Shutdown are neither written nor checked.
 func Shutdown() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -733,23 +732,16 @@ func Shutdown() {
 		fmt.Fprintf(os.Stderr, "vft-rt: writing trace: %v\n", err)
 	}
 
-	kinds := map[string]uint64{}
-	for k, n := range st.byKind {
-		if n > 0 {
-			kinds[trace.Kind(k).String()] = n
-		}
-	}
 	meta := Meta{
 		Events:   st.events,
 		Dropped:  st.dropped,
 		Timeouts: st.timeouts,
-		Kinds:    kinds,
-		Vars:     st.vars.names,
-		Atomics:  st.atomics.names,
-		Locks:    st.locks.names,
-		Onces:    st.onces.names,
-		Chans:    st.chanMeta,
+		Vars:     map[trace.Var]string{},
+		Chans:    st.ext.ChanCapacity,
 		Reports:  st.reports(),
+	}
+	for _, r := range meta.Reports {
+		meta.Vars[r.X] = st.vars.names[r.X]
 	}
 	if st.checkErr != nil {
 		meta.Error = st.checkErr.Error()
@@ -782,23 +774,21 @@ func (s *state) reports() []kernel.Report {
 }
 
 // Meta is the sidecar the shim writes next to the trace: the verdict of
-// the inline check, and everything a check of the capture needs that the
-// trace bytes cannot carry — channel capacities for the rule-6 validator
-// and the lowering, source names for rendering reports, and the shim's
-// own counters.
+// the inline check, the source names that render it, what a check of the
+// capture needs that the trace bytes cannot carry — the channel
+// capacities for the rule-6 validator and the lowering — and the shim's
+// own counters. Its size follows the reports, not the traced objects.
 type Meta struct {
 	Events  uint64 `json:"events"`
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Timeouts counts log-side channel waits that hit EnvChanWait: each
 	// one marks a channel with uninstrumented peers going lossy, after
 	// which the capture on that channel is best-effort.
-	Timeouts uint64                  `json:"timeouts,omitempty"`
-	Kinds    map[string]uint64       `json:"kinds"`
-	Vars     map[int32]string        `json:"vars"`
-	Atomics  map[int32]string        `json:"atomics,omitempty"`
-	Locks    map[int32]string        `json:"locks,omitempty"`
-	Onces    map[int32]string        `json:"onces,omitempty"`
-	Chans    map[int32]chanMetaEntry `json:"chans,omitempty"`
+	Timeouts uint64 `json:"timeouts,omitempty"`
+	// Vars names each report's variable ("counter main.go:7:6"), no other.
+	Vars map[trace.Var]string `json:"vars"`
+	// Chans holds each buffered channel's capacity, by channel id.
+	Chans map[trace.Lock]int `json:"chans,omitempty"`
 
 	// Reports are the inline check's races, at most one per variable, in
 	// detection order: what goinstr.Check finds in the capture.
@@ -807,17 +797,6 @@ type Meta struct {
 	// validator's positioned message for the first record it rejected.
 	// The check stopped there, and Reports is empty.
 	Error string `json:"error,omitempty"`
-}
-
-// ChanCaps returns the channel-capacity map in the sidecar.
-func (m *Meta) ChanCaps() map[int32]int {
-	caps := map[int32]int{}
-	for id, e := range m.Chans {
-		if e.Cap > 0 {
-			caps[id] = e.Cap
-		}
-	}
-	return caps
 }
 
 // Goroutine identity. The Go runtime deliberately hides goroutine ids, so

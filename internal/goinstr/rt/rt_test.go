@@ -38,7 +38,6 @@ func resetForTest(t testing.TB) (tracePath string) {
 	st.nextTid = 1
 	st.checkErr = nil
 	st.events = 0
-	st.byKind = [numKinds]uint64{}
 	st.dropped = 0
 	st.timeouts = 0
 	st.gs.Store(goid(), &G{tid: 0})
@@ -73,11 +72,7 @@ func loadMeta(t testing.TB, path string) *Meta {
 }
 
 func extFromMeta(m *Meta) *trace.Extensions {
-	caps := map[trace.Lock]int{}
-	for id, e := range m.Chans {
-		caps[trace.Lock(id)] = e.Cap
-	}
-	return &trace.Extensions{ChanCapacity: caps}
+	return &trace.Extensions{ChanCapacity: m.Chans}
 }
 
 // TestSequentialEventsDecode drives every basic wrapper on one goroutine
@@ -85,8 +80,8 @@ func extFromMeta(m *Meta) *trace.Extensions {
 func TestSequentialEventsDecode(t *testing.T) {
 	path := resetForTest(t)
 	g := Bind()
-	if g.Tid() != 0 {
-		t.Fatalf("test goroutine bound to tid %d, want 0", g.Tid())
+	if g.tid != 0 {
+		t.Fatalf("test goroutine bound to tid %d, want 0", g.tid)
 	}
 
 	var x, y int
@@ -100,15 +95,15 @@ func TestSequentialEventsDecode(t *testing.T) {
 		t.Fatalf("x = %d after wrapped writes, want 42", x)
 	}
 	*Wr(g, "y t.go:2:1", &y) = 7
-	MutexLock(g, "mu t.go:3:1", &mu)
-	MutexUnlock(g, "mu t.go:3:1", &mu)
-	if !MutexTryLock(g, "mu t.go:3:1", &mu) {
+	MutexLock(g, &mu)
+	MutexUnlock(g, &mu)
+	if !MutexTryLock(g, &mu) {
 		t.Fatal("TryLock on free mutex failed")
 	}
-	MutexUnlock(g, "mu t.go:3:1", &mu)
+	MutexUnlock(g, &mu)
 	var a32 int32
-	AStore(g, "a32 t.go:4:1", &a32, 5, atomic.StoreInt32)
-	if ALoad(g, "a32 t.go:4:1", &a32, atomic.LoadInt32) != 5 {
+	AStore(g, &a32, 5, atomic.StoreInt32)
+	if ALoad(g, &a32, atomic.LoadInt32) != 5 {
 		t.Fatal("atomic roundtrip")
 	}
 	Shutdown()
@@ -133,11 +128,8 @@ func TestSequentialEventsDecode(t *testing.T) {
 	}
 
 	meta := loadMeta(t, path)
-	if meta.Vars[0] != "x t.go:1:1" || meta.Vars[1] != "y t.go:2:1" {
-		t.Errorf("var names = %v", meta.Vars)
-	}
-	if meta.Locks[0] != "mu t.go:3:1" {
-		t.Errorf("lock names = %v", meta.Locks)
+	if len(meta.Reports) != 0 || len(meta.Vars) != 0 {
+		t.Errorf("reports %v naming %v, want none: one goroutine cannot race", meta.Reports, meta.Vars)
 	}
 	if meta.Events != uint64(len(want)) {
 		t.Errorf("meta.Events = %d, want %d", meta.Events, len(want))
@@ -155,19 +147,19 @@ func TestForkSpawnFeasible(t *testing.T) {
 	var counter int
 
 	const children = 4
-	WGAdd(g, "wg", &wg, children)
+	WGAdd(g, &wg, children)
 	for i := 0; i < children; i++ {
 		go Spawn(Fork(g), func() {
 			cg := Bind()
 			for j := 0; j < 25; j++ {
-				MutexLock(cg, "mu", &mu)
+				MutexLock(cg, &mu)
 				(*RdWr(cg, "counter", &counter))++
-				MutexUnlock(cg, "mu", &mu)
+				MutexUnlock(cg, &mu)
 			}
-			WGDone(cg, "wg", &wg)
+			WGDone(cg, &wg)
 		})
 	}
-	WGWait(g, "wg", &wg)
+	WGWait(g, &wg)
 	if got := Rd(g, "counter", &counter); got != children*25 {
 		t.Fatalf("counter = %d", got)
 	}
@@ -212,7 +204,7 @@ func TestChannelGadgetFeasible(t *testing.T) {
 		go Spawn(Fork(g), func() {
 			cg := Bind()
 			for j := 0; j < perSender; j++ {
-				Send(cg, "buf", buf, j)
+				Send(cg, buf, j)
 			}
 			wg.Done()
 		})
@@ -220,25 +212,25 @@ func TestChannelGadgetFeasible(t *testing.T) {
 	go Spawn(Fork(g), func() {
 		cg := Bind()
 		for j := 0; j < perSender; j++ {
-			Send(cg, "rdv", rdv, j)
+			Send(cg, rdv, j)
 		}
 		wg.Done()
 	})
 
 	sum := 0
 	for j := 0; j < senders*perSender; j++ {
-		sum += Recv(g, "buf", buf)
+		sum += Recv(g, buf)
 	}
 	for j := 0; j < perSender; j++ {
-		v, ok := Recv2(g, "rdv", rdv)
+		v, ok := Recv2(g, rdv)
 		if !ok {
 			t.Fatal("rendezvous channel closed early")
 		}
 		sum += v
 	}
 	wg.Wait()
-	CloseChan(g, "buf", buf)
-	if _, ok := Recv2(g, "buf", buf); ok {
+	CloseChan(g, buf)
+	if _, ok := Recv2(g, buf); ok {
 		t.Fatal("drained closed channel returned ok=true")
 	}
 	_ = sum
@@ -252,13 +244,15 @@ func TestChannelGadgetFeasible(t *testing.T) {
 	if meta.Dropped != 0 {
 		t.Errorf("%d events dropped on the non-select path", meta.Dropped)
 	}
-	// The capacity snapshot must have seen both channels.
-	caps := map[int]bool{}
-	for _, e := range meta.Chans {
-		caps[e.Cap] = true
+	// The capacity map holds the buffered channel and leaves out the
+	// unbuffered one.
+	if len(meta.Chans) != 1 {
+		t.Errorf("channel capacities in meta = %v, want the cap-2 channel alone", meta.Chans)
 	}
-	if !caps[2] || !caps[0] {
-		t.Errorf("channel capacities in meta = %v, want one cap-2 and one cap-0", meta.Chans)
+	for _, c := range meta.Chans {
+		if c != 2 {
+			t.Errorf("channel capacities in meta = %v, want the cap-2 channel alone", meta.Chans)
+		}
 	}
 }
 
@@ -268,13 +262,13 @@ func TestWaitGroupOrdering(t *testing.T) {
 	path := resetForTest(t)
 	g := Bind()
 	var wg sync.WaitGroup
-	WGAdd(g, "wg", &wg, 2)
+	WGAdd(g, &wg, 2)
 	for i := 0; i < 2; i++ {
 		go Spawn(Fork(g), func() {
-			WGDone(Bind(), "wg", &wg)
+			WGDone(Bind(), &wg)
 		})
 	}
-	WGWait(g, "wg", &wg)
+	WGWait(g, &wg)
 	Shutdown()
 
 	tr := decodeTrace(t, path)
@@ -307,13 +301,13 @@ func TestWGAddLogsOnlyDecrements(t *testing.T) {
 	g := Bind()
 	var wg sync.WaitGroup
 	before := loggedEvents()
-	WGAdd(g, "wg", &wg, 1)
+	WGAdd(g, &wg, 1)
 	if n := loggedEvents() - before; n != 0 {
 		t.Errorf("WGAdd(+1) logged %d records, want none", n)
 	}
-	WGAdd(g, "wg", &wg, -1)
-	WGAdd(g, "wg", &wg, 1)
-	WGDone(g, "wg", &wg)
+	WGAdd(g, &wg, -1)
+	WGAdd(g, &wg, 1)
+	WGDone(g, &wg)
 	Shutdown()
 
 	tr := decodeTrace(t, path)
@@ -335,7 +329,7 @@ func TestOnceExecutorFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go Spawn(Fork(g), func() {
 			cg := Bind()
-			OnceDo(cg, "once", &once, func() { executor = cg.Tid() })
+			OnceDo(cg, &once, func() { executor = cg.tid })
 			wg.Done()
 		})
 	}
@@ -429,17 +423,17 @@ func TestDisabledPassThrough(t *testing.T) {
 		t.Fatal("pass-through Rd/Wr")
 	}
 	ch := make(chan int, 1)
-	Send(g, "ch", ch, 3)
-	if Recv(g, "ch", ch) != 3 {
+	Send(g, ch, 3)
+	if Recv(g, ch) != 3 {
 		t.Fatal("pass-through Send/Recv")
 	}
-	CloseChan(g, "ch", ch)
-	if _, ok := Recv2(g, "ch", ch); ok {
+	CloseChan(g, ch)
+	if _, ok := Recv2(g, ch); ok {
 		t.Fatal("pass-through Recv2 after close")
 	}
 	var once sync.Once
 	ran := false
-	OnceDo(g, "once", &once, func() { ran = true })
+	OnceDo(g, &once, func() { ran = true })
 	if !ran {
 		t.Fatal("pass-through OnceDo")
 	}
@@ -499,7 +493,7 @@ func TestUninstrumentedProducerFallsBack(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		cg := Bind()
-		done <- Recv(cg, "ch", ch)
+		done <- Recv(cg, ch)
 	}()
 	select {
 	case v := <-done:
@@ -515,7 +509,7 @@ func TestUninstrumentedProducerFallsBack(t *testing.T) {
 	go func() { ch <- 8 }()
 	go func() {
 		cg := Bind()
-		done <- Recv(cg, "ch", ch)
+		done <- Recv(cg, ch)
 	}()
 	select {
 	case v := <-done:
@@ -560,14 +554,14 @@ func TestSelectSendCloseRaceCreditsReceiver(t *testing.T) {
 	default:
 		t.Fatal("buffered send blocked")
 	}
-	CloseChan(g, "ch", ch) // close logged before the select send's record
-	SendSel(g, "ch", ch)   // too late: dropped, credits the receiver
+	CloseChan(g, ch) // close logged before the select send's record
+	SendSel(g, ch)   // too late: dropped, credits the receiver
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		cg := Bind()
-		if v, ok := Recv2(cg, "ch", ch); v != 1 || !ok {
+		if v, ok := Recv2(cg, ch); v != 1 || !ok {
 			t.Errorf("Recv2 = %d, %v; want 1, true", v, ok)
 		}
 	}()
@@ -615,15 +609,15 @@ func TestZeroReceiveWaitsForDrain(t *testing.T) {
 	t.Setenv(EnvChanWait, "5s")
 	g := Bind()
 	ch := make(chan int, 2)
-	Send(g, "ch", ch, 1)
-	Send(g, "ch", ch, 2)
-	CloseChan(g, "ch", ch)
+	Send(g, ch, 1)
+	Send(g, ch, 2)
+	CloseChan(g, ch)
 	for _, want := range []bool{true, true, false} {
 		if _, ok := <-ch; ok != want {
 			t.Fatalf("real receive ok = %v, want %v", ok, want)
 		}
 	}
-	cs := chanFor(ch, "ch")
+	cs := chanFor(ch)
 
 	zero := make(chan int32)
 	go Spawn(Fork(g), func() {
@@ -686,19 +680,19 @@ func TestSelectWrappers(t *testing.T) {
 	// A select-chosen send, then a select-chosen receive of it.
 	select {
 	case ch <- 1:
-		SendSel(g, "ch", ch)
+		SendSel(g, ch)
 	}
 	select {
 	case v, ok := <-ch:
-		RecvSelOK(g, "ch", ch, ok)
+		RecvSelOK(g, ch, ok)
 		if v != 1 || !ok {
 			t.Fatal("select recv")
 		}
 	}
-	CloseChan(g, "ch", ch)
+	CloseChan(g, ch)
 	// A select send racing a logged close is dropped, not emitted: forge
 	// the situation by calling the wrapper directly post-close.
-	SendSel(g, "ch", ch)
+	SendSel(g, ch)
 	Shutdown()
 
 	tr := decodeTrace(t, path)
@@ -769,28 +763,28 @@ func TestAtomicShapes(t *testing.T) {
 		ret, to int32
 	}{
 		{"ALoad", trace.AtomicLoad, 5, func(c *cell) int32 {
-			return ALoad(g, "c", &c.v, func(p *int32) int32 { c.note(); return atomic.LoadInt32(p) })
+			return ALoad(g, &c.v, func(p *int32) int32 { c.note(); return atomic.LoadInt32(p) })
 		}, 5, 5},
 		{"AStore", trace.AtomicStore, 0, func(c *cell) int32 {
-			AStore(g, "c", &c.v, 7, func(p *int32, v int32) { c.note(); atomic.StoreInt32(p, v) })
+			AStore(g, &c.v, 7, func(p *int32, v int32) { c.note(); atomic.StoreInt32(p, v) })
 			return 0
 		}, 0, 7},
 		{"ARMW", trace.AtomicRMW, 4, func(c *cell) int32 {
-			return ARMW(g, "c", &c.v, 3, func(p *int32, d int32) int32 { c.note(); return atomic.AddInt32(p, d) })
+			return ARMW(g, &c.v, 3, func(p *int32, d int32) int32 { c.note(); return atomic.AddInt32(p, d) })
 		}, 7, 7},
 		{"ACAS", trace.AtomicRMW, 4, func(c *cell) int32 {
-			return b2i(ACAS(g, "c", &c.v, 4, 9, func(p *int32, old, new int32) bool {
+			return b2i(ACAS(g, &c.v, 4, 9, func(p *int32, old, new int32) bool {
 				c.note()
 				return atomic.CompareAndSwapInt32(p, old, new)
 			}))
 		}, 1, 9},
-		{"TLoad", trace.AtomicLoad, 5, func(c *cell) int32 { return TLoad(g, "c", c) }, 5, 5},
-		{"TStore", trace.AtomicStore, 0, func(c *cell) int32 { TStore(g, "c", c, 7); return 0 }, 0, 7},
-		{"TAdd", trace.AtomicRMW, 4, func(c *cell) int32 { return TAdd(g, "c", c, 3) }, 7, 7},
-		{"TAnd", trace.AtomicRMW, 6, func(c *cell) int32 { return TAnd(g, "c", c, 3) }, 6, 2},
-		{"TOr", trace.AtomicRMW, 4, func(c *cell) int32 { return TOr(g, "c", c, 1) }, 4, 5},
-		{"TSwap", trace.AtomicRMW, 1, func(c *cell) int32 { return TSwap(g, "c", c, 8) }, 1, 8},
-		{"TCAS", trace.AtomicRMW, 4, func(c *cell) int32 { return b2i(TCAS(g, "c", c, 4, 9)) }, 1, 9},
+		{"TLoad", trace.AtomicLoad, 5, func(c *cell) int32 { return TLoad(g, c) }, 5, 5},
+		{"TStore", trace.AtomicStore, 0, func(c *cell) int32 { TStore(g, c, 7); return 0 }, 0, 7},
+		{"TAdd", trace.AtomicRMW, 4, func(c *cell) int32 { return TAdd(g, c, 3) }, 7, 7},
+		{"TAnd", trace.AtomicRMW, 6, func(c *cell) int32 { return TAnd(g, c, 3) }, 6, 2},
+		{"TOr", trace.AtomicRMW, 4, func(c *cell) int32 { return TOr(g, c, 1) }, 4, 5},
+		{"TSwap", trace.AtomicRMW, 1, func(c *cell) int32 { return TSwap(g, c, 8) }, 1, 8},
+		{"TCAS", trace.AtomicRMW, 4, func(c *cell) int32 { return b2i(TCAS(g, c, 4, 9)) }, 1, 9},
 	}
 	var want []trace.Kind
 	for _, tc := range cases {
@@ -810,8 +804,8 @@ func TestAtomicShapes(t *testing.T) {
 	}
 	var c cell
 	var d int32
-	ARMW(g, "c", &c.v, Rd(g, "d", &d), atomic.AddInt32)
-	TStore(g, "c", &c, Rd(g, "d", &d))
+	ARMW(g, &c.v, Rd(g, "d", &d), atomic.AddInt32)
+	TStore(g, &c, Rd(g, "d", &d))
 	want = append(want, trace.Read, trace.AtomicRMW, trace.Read, trace.AtomicStore)
 	Shutdown()
 

@@ -40,8 +40,7 @@ func (rw *rewriter) stmt(s ast.Stmt) []ast.Stmt {
 
 	case *ast.SendStmt:
 		rw.stats.Sites++
-		site := rw.siteName(x.Chan)
-		return one(exprStmt(rw.vft("Send", rw.g(), strLit(site), rw.value(x.Chan), rw.value(x.Value))))
+		return one(exprStmt(rw.vft("Send", rw.g(), rw.value(x.Chan), rw.value(x.Value))))
 
 	case *ast.GoStmt:
 		return rw.goStmt(x)
@@ -189,7 +188,7 @@ func (rw *rewriter) assign(s *ast.AssignStmt) []ast.Stmt {
 			if r.Op == token.ARROW {
 				rw.stats.Sites++
 				pre := rw.writeLogs(s)
-				s.Rhs[0] = rw.vft("Recv2", rw.g(), strLit(rw.siteName(r.X)), rw.value(r.X))
+				s.Rhs[0] = rw.vft("Recv2", rw.g(), rw.value(r.X))
 				return append(pre, s)
 			}
 		case *ast.IndexExpr:
@@ -517,7 +516,7 @@ func (rw *rewriter) rangeStmt(s *ast.RangeStmt) []ast.Stmt {
 //
 //	__vft_cN := ch
 //	for {
-//		__vft_vN, __vft_okN := __vft.Recv2(__vftg, site, __vft_cN)
+//		__vft_vN, __vft_okN := __vft.Recv2(__vftg, __vft_cN)
 //		if !__vft_okN { break }
 //		v := __vft_vN
 //		body
@@ -527,7 +526,6 @@ func (rw *rewriter) rangeStmt(s *ast.RangeStmt) []ast.Stmt {
 // their meaning: the new loop is the statement the label binds to.
 func (rw *rewriter) rangeChan(s *ast.RangeStmt) []ast.Stmt {
 	rw.stats.Sites++
-	site := rw.siteName(s.X)
 	ch := rw.fresh("__vft_c")
 	pre := defineStmt(ch, rw.value(s.X))
 
@@ -540,7 +538,7 @@ func (rw *rewriter) rangeChan(s *ast.RangeStmt) []ast.Stmt {
 	recv := &ast.AssignStmt{
 		Lhs: []ast.Expr{ast.NewIdent(vName), ast.NewIdent(okName)},
 		Tok: token.DEFINE,
-		Rhs: []ast.Expr{rw.vft("Recv2", rw.g(), strLit(site), ast.NewIdent(ch))},
+		Rhs: []ast.Expr{rw.vft("Recv2", rw.g(), ast.NewIdent(ch))},
 	}
 	brk := &ast.IfStmt{
 		Cond: &ast.UnaryExpr{Op: token.NOT, X: ast.NewIdent(okName)},
@@ -576,7 +574,6 @@ func (rw *rewriter) selectStmt(s *ast.SelectStmt) []ast.Stmt {
 		switch comm := cl.Comm.(type) {
 		case *ast.SendStmt:
 			rw.stats.Sites++
-			site := strLit(rw.siteName(comm.Chan))
 			ch := rw.fresh("__vft_c")
 			v := rw.fresh("__vft_s")
 			pre = append(pre,
@@ -585,36 +582,34 @@ func (rw *rewriter) selectStmt(s *ast.SelectStmt) []ast.Stmt {
 			comm.Chan = ast.NewIdent(ch)
 			comm.Value = ast.NewIdent(v)
 			cl.Body = append([]ast.Stmt{
-				exprStmt(rw.vft("SendSel", rw.g(), site, ast.NewIdent(ch))),
+				exprStmt(rw.vft("SendSel", rw.g(), ast.NewIdent(ch))),
 			}, cl.Body...)
 
 		case *ast.ExprStmt: // case <-ch:
 			if u, ok := comm.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 				rw.stats.Sites++
-				site := strLit(rw.siteName(u.X))
 				ch := rw.fresh("__vft_c")
 				pre = append(pre, defineStmt(ch, rw.value(u.X)))
 				u.X = ast.NewIdent(ch)
 				cl.Body = append([]ast.Stmt{
-					exprStmt(rw.vft("RecvSel", rw.g(), site, ast.NewIdent(ch))),
+					exprStmt(rw.vft("RecvSel", rw.g(), ast.NewIdent(ch))),
 				}, cl.Body...)
 			}
 
 		case *ast.AssignStmt: // case v := <-ch: / case v, ok := <-ch:
 			if u, ok := comm.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 				rw.stats.Sites++
-				site := strLit(rw.siteName(u.X))
 				ch := rw.fresh("__vft_c")
 				pre = append(pre, defineStmt(ch, rw.value(u.X)))
 				u.X = ast.NewIdent(ch)
 				var log ast.Stmt
 				if len(comm.Lhs) == 2 {
 					if okID, ok := comm.Lhs[1].(*ast.Ident); ok && okID.Name != "_" {
-						log = exprStmt(rw.vft("RecvSelOK", rw.g(), site, ast.NewIdent(ch), ast.NewIdent(okID.Name)))
+						log = exprStmt(rw.vft("RecvSelOK", rw.g(), ast.NewIdent(ch), ast.NewIdent(okID.Name)))
 					}
 				}
 				if log == nil {
-					log = exprStmt(rw.vft("RecvSel", rw.g(), site, ast.NewIdent(ch)))
+					log = exprStmt(rw.vft("RecvSel", rw.g(), ast.NewIdent(ch)))
 				}
 				logs := append(rw.commWriteLogs(comm), log)
 				cl.Body = append(logs, cl.Body...)
