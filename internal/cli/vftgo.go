@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/goinstr"
+	"repro/internal/goinstr/rt"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/sample"
@@ -67,16 +68,18 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// In a directory that does not exist, or over a directory, the shim
-	// could not open the capture: the program would run unchecked and
-	// leave no verdict.
+	// could not open the capture or write its sidecar: the program would
+	// run unchecked and leave no verdict.
 	if *traceFlag != "" {
 		traceDir := filepath.Dir(*traceFlag)
 		fi, err := os.Stat(traceDir)
 		if err == nil && !fi.IsDir() {
 			err = fmt.Errorf("%s is not a directory", traceDir)
 		}
-		if fi, serr := os.Stat(*traceFlag); err == nil && serr == nil && fi.IsDir() {
-			err = fmt.Errorf("is a directory")
+		for _, p := range []string{*traceFlag, rt.MetaPath(*traceFlag)} {
+			if fi, serr := os.Stat(p); err == nil && serr == nil && fi.IsDir() {
+				err = fmt.Errorf("%s is a directory", p)
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "vft-go: -trace %s: %v\n", *traceFlag, err)

@@ -235,8 +235,8 @@ func TestRace(t *testing.T) { main() }
 // never "0 reports" — whether the program skipped the shim's Shutdown or
 // its capture went infeasible, and the message says which. A relative
 // -trace names the same file wherever the program runs, and one in a
-// directory that does not exist, or that names a directory, is refused
-// before anything is instrumented.
+// directory that does not exist, or whose capture or sidecar path names
+// a directory, is refused before anything is instrumented.
 func TestVftGoNeedsAVerdict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vft-go run builds a shadow module")
@@ -263,6 +263,9 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 	if err := os.Mkdir("empty", 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Mkdir(rt.MetaPath("side"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, src, test string // test, if set, is a _test.go run by vft-go test
 		args            []string
@@ -276,8 +279,9 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 		{"relative -trace, test", racyProg, racyTest, []string{"-trace", "test.trace"}, 1, ", 1 reports"},
 		{"relative -trace, chdir", chdirProg, "", []string{"-trace", "chdir.trace"}, 1, ", 1 reports"},
 		{"-trace in no directory", racyProg, "", []string{"-trace", filepath.Join("missing", "x.trace")}, 2, "vft-go: -trace " + filepath.Join("missing", "x.trace") + ": stat missing: "},
-		{"-trace an empty directory", racyProg, "", []string{"-trace", "empty"}, 2, "vft-go: -trace empty: is a directory"},
-		{"-trace a directory", racyProg, "", []string{"-trace", "full"}, 2, "vft-go: -trace full: is a directory"},
+		{"-trace an empty directory", racyProg, "", []string{"-trace", "empty"}, 2, "vft-go: -trace empty: empty is a directory"},
+		{"-trace a directory", racyProg, "", []string{"-trace", "full"}, 2, "vft-go: -trace full: full is a directory"},
+		{"-trace over a sidecar directory", racyProg, "", []string{"-trace", "side"}, 2, "vft-go: -trace side: " + rt.MetaPath("side") + " is a directory"},
 	} {
 		dir := writeVftGoProgram(t, tc.src)
 		mode := "run"
@@ -301,7 +305,7 @@ func TestVftGoNeedsAVerdict(t *testing.T) {
 			t.Errorf("-trace %s left no sidecar in vft-go's directory: %v", name, err)
 		}
 	}
-	for _, name := range []string{"empty", filepath.Join("full", "sub")} {
+	for _, name := range []string{"empty", filepath.Join("full", "sub"), rt.MetaPath("side")} {
 		if fi, err := os.Stat(name); err != nil || !fi.IsDir() {
 			t.Errorf("-trace left no directory %s: %v", name, err)
 		}

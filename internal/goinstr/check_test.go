@@ -78,14 +78,7 @@ func TestCheckReportsCheckerErrors(t *testing.T) {
 // cfg's channels: what Check needs of it is the buffer capacities.
 func genMeta(t testing.TB, cfg trace.GenConfig) []byte {
 	t.Helper()
-	type entry struct {
-		Cap int `json:"cap"`
-	}
-	chans := map[int32]entry{}
-	for c, n := range cfg.Extensions().ChanCapacity {
-		chans[int32(c)] = entry{Cap: n}
-	}
-	raw, err := json.Marshal(map[string]any{"chans": chans})
+	raw, err := json.Marshal(rt.Meta{Chans: cfg.Extensions().ChanCapacity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,11 +145,12 @@ type state struct {
 
 	// The interning tables key on real pointers so the GC pins every
 	// traced object: stable addresses, stable ids (see package comment).
-	vars    idTable // rd/wr X space, named: reports name their variable
-	atomics idTable // aload/astore/armw X space
-	locks   idTable // acq/rel M space
-	onces   idTable // once M space
-	chanIDs map[unsafe.Pointer]*chanState
+	vars     idTable  // rd/wr X space
+	atomics  idTable  // aload/astore/armw X space
+	locks    idTable  // acq/rel M space
+	onces    idTable  // once M space
+	varNames []string // each variable's site, by id: reports name it
+	chanIDs  map[unsafe.Pointer]*chanState
 
 	// The inline check: pending holds the records logged since the feed
 	// last stepped, ext the channel capacities chanFor registers, which
@@ -192,13 +193,11 @@ type chanState struct {
 var st = &state{}
 
 // idTable interns one class of traced object: a map from the object's
-// pointer to its dense id, with a direct-mapped cache of recent pointers
-// in front of it, and, in a table that names its ids, each id's name:
-// ids are dense, in first-touch order. The tables start empty and are
-// sized by start, when capture turns on.
+// pointer to its dense id, in first-touch order, with a direct-mapped
+// cache of recent pointers in front of it. The tables start empty and
+// are sized by start, when capture turns on.
 type idTable struct {
 	ids   map[unsafe.Pointer]int32
-	names []string
 	cache []idCacheEntry // len a power of two
 }
 
@@ -229,12 +228,12 @@ func (tb *idTable) id(p unsafe.Pointer) int32 {
 	return id
 }
 
-// named is id for a table that names its ids: an object's first touch
-// records site as its name. The caller holds st.mu.
-func (tb *idTable) named(p unsafe.Pointer, site string) int32 {
-	id := tb.id(p)
-	if int(id) == len(tb.names) {
-		tb.names = append(tb.names, site)
+// varID interns a variable; its first touch records site as its name.
+// The caller holds st.mu.
+func (s *state) varID(p unsafe.Pointer, site string) int32 {
+	id := s.vars.id(p)
+	if int(id) == len(s.varNames) {
+		s.varNames = append(s.varNames, site)
 	}
 	return id
 }
@@ -302,7 +301,7 @@ func (s *state) start() {
 	}
 	s.file = f
 	s.buf = trace.AppendHeader(make([]byte, 0, bufSize))
-	s.vars = newIDTable(1 << 12)
+	s.vars, s.varNames = newIDTable(1<<12), nil
 	s.atomics, s.locks, s.onces = newIDTable(1<<8), newIDTable(1<<8), newIDTable(1<<6)
 	s.chanIDs = map[unsafe.Pointer]*chanState{}
 	s.ext = trace.Extensions{ChanCapacity: map[trace.Lock]int{}}
@@ -431,7 +430,7 @@ func emitIn(tb *idTable, kind trace.Kind, g *G, addr unsafe.Pointer) {
 func emitVar(kind trace.Kind, g *G, site string, addr unsafe.Pointer) {
 	st.mu.Lock()
 	if st.capturingLocked() {
-		st.emitLocked(kind, g.tid, st.vars.named(addr, site))
+		st.emitLocked(kind, g.tid, st.varID(addr, site))
 	}
 	st.mu.Unlock()
 }
@@ -741,7 +740,7 @@ func Shutdown() {
 		Reports:  st.reports(),
 	}
 	for _, r := range meta.Reports {
-		meta.Vars[r.X] = st.vars.names[r.X]
+		meta.Vars[r.X] = st.varNames[r.X]
 	}
 	if st.checkErr != nil {
 		meta.Error = st.checkErr.Error()

@@ -65,7 +65,7 @@ func Wr[T any](g *G, site string, p *T) *T {
 func RdWr[T any](g *G, site string, p *T) *T {
 	st.mu.Lock()
 	if st.capturingLocked() {
-		id := st.vars.named(ptr(p), site)
+		id := st.varID(ptr(p), site)
 		st.emitLocked(trace.Read, g.tid, id)
 		st.emitLocked(trace.Write, g.tid, id)
 	}

@@ -114,7 +114,8 @@ func RunTests(shadowDir, tracePath string, args []string, stdout, stderr io.Writ
 
 // clearCapture makes tracePath absolute, removes the capture there and
 // its sidecar, left by an earlier run into the same path, and returns the
-// two paths. It refuses a directory at either path rather than remove it. The shim opens the capture at the program's first event, in
+// two paths. It refuses a directory at either path rather than remove
+// it. The shim opens the capture at the program's first event, in
 // whatever directory the program is in by then: the shadow package's
 // under go test, or wherever a program that changed directory went. The
 // verdict is read from the sidecar, so one left over would stand in for
