@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet lint bench bench-sampling bench-smoke layout fuzz fuzz-smoke soak coverage clean
+.PHONY: all build test race vet lint bench bench-smoke layout fuzz fuzz-smoke soak coverage clean
 
 all: build
 
@@ -37,13 +37,6 @@ lint: vet
 bench:
 	$(GO) run ./cmd/vft-bench -quick -iters 3
 
-# The sampling-tier overhead-vs-recall sweep (EXPERIMENTS.md E22);
-# BENCH_sampling.json lands in the repo root. Drop -quick to reproduce the
-# committed numbers. Exits nonzero if any rate violates the soundness
-# gates (subset below 1.0, identity at 1.0).
-bench-sampling:
-	$(GO) run ./cmd/vft-bench -sampling -quick -iters 3
-
 # The nested bench module (its own go.mod, so the root ./... never sees
 # it): vet and test it, then one quick traced run — the traced pass is
 # what drives the per-layer probes against internal/vc and internal/core.
@@ -60,7 +53,11 @@ bench-sampling:
 # MutexLock/MutexUnlock pair, capture on to a temp file): interning, the
 # record's append and the inline check, under the shim's one mutex.
 # BenchmarkShutdown, three times, prices a run's end over 100,000
-# variables and prints the sidecar's bytes, which follow the reports.
+# variables and prints the sidecar's bytes, which follow the reports. The
+# sampling tier's two costs run last: one Read through the online wrapper
+# at each rate beside a no-op detector and the unsampled one, a million
+# times, and the offline check of a generated trace at each rate beside
+# the precise one, three.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh --workload offline-syncdense --quick --trace 1
@@ -72,6 +69,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Shutdown -benchtime 3x ./internal/goinstr/rt
 	$(GO) test -run '^$$' -bench 'CheckLowered|CheckReader' -benchtime 3x ./internal/parcheck
 	$(GO) test -run '^$$' -bench IngestThroughput -benchmem -benchtime 3x ./internal/ingest
+	$(GO) test -run '^$$' -bench SampledAccess -benchtime 1000000x .
+	$(GO) test -run '^$$' -bench CheckSampled -benchtime 3x .
 
 # Where the checker's code sits in vft-server and the benchmark binary, at
 # REV and in the working tree: the first repro/internal/core. text address,

@@ -14,7 +14,7 @@
 //
 // Exit codes: 0 no race, 1 race found, 2 error. See internal/cli for
 // flags (-elide, -o, -trace, -sample, -sample-seed, -server, -tenant,
-// -metrics-addr, -v) and internal/goinstr for the front-end.
+// -v) and internal/goinstr for the front-end.
 package main
 
 import (

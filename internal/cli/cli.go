@@ -22,7 +22,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hb"
 	"repro/internal/obs"
-	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
@@ -187,10 +186,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 	detectors := fs.String("detectors", strings.Join(core.Variants(), ","),
 		"comma-separated detector variants")
 	programs := fs.String("programs", "", "comma-separated program subset (default: whole suite)")
-	sampling := fs.Bool("sampling", false,
-		"run the sampling-tier benchmark (EXPERIMENTS.md E22) instead of Table 1: per-access cost, trace-checking overhead and conformance recall per sampling rate, with the soundness gates checked")
-	samplingRates := fs.String("rates", "",
-		"comma-separated sampling rates for -sampling (default 1,0.1,0.01,0.001)")
 	traceFile := fs.String("trace", "",
 		"benchmark the detectors over this recorded trace (text, binary or gzip) instead of the workload suite")
 	format := fs.String("format", "text", "output format: text or csv")
@@ -210,13 +205,6 @@ func Bench(args []string, stdout, stderr io.Writer) int {
 
 	if *traceFile != "" {
 		return benchTrace(*traceFile, splitList(*detectors), *iters, *warmup, stdout, stderr)
-	}
-	if *sampling {
-		path := *jsonPath
-		if path == "BENCH_table1.json" {
-			path = "BENCH_sampling.json" // the -json default names the other table
-		}
-		return benchSampling(*samplingRates, *iters, *warmup, *quick, path, stdout, stderr)
 	}
 
 	opts := harness.Options{
@@ -330,55 +318,6 @@ func benchTrace(path string, detectors []string, iters, warmup int, stdout, stde
 		}
 		fmt.Fprintf(stdout, "%-10s %14.0f ops/sec  (best %v)\n",
 			v, float64(len(tr))/best.Seconds(), best)
-	}
-	return 0
-}
-
-// benchSampling is vft-bench -sampling: the overhead-vs-recall sweep of
-// the sampling tier (EXPERIMENTS.md E22), written to BENCH_sampling.json.
-// Exit 1 flags a soundness failure — a rate-1.0 run that was not
-// report-identical to the precise tier, or any rate whose reports were
-// not the precise reports restricted to its sampled variables.
-func benchSampling(rates string, iters, warmup int, quick bool, jsonPath string, stdout, stderr io.Writer) int {
-	opts := harness.SamplingOptions{Iters: iters, Warmup: warmup, Quick: quick}
-	for _, raw := range splitList(rates) {
-		rate, err := sample.ParseRate(raw)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-bench:", err)
-			return 2
-		}
-		opts.Rates = append(opts.Rates, rate)
-	}
-	table, err := harness.RunSampling(opts)
-	if err != nil {
-		fmt.Fprintln(stderr, "vft-bench:", err)
-		return 2
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-bench:", err)
-			return 2
-		}
-		err = table.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-bench:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "vft-bench: wrote %s\n", jsonPath)
-	}
-	fmt.Fprintln(stdout, "Sampling tier — overhead vs recall (EXPERIMENTS.md E22)")
-	fmt.Fprintln(stdout)
-	if err := table.Format(stdout); err != nil {
-		fmt.Fprintln(stderr, "vft-bench:", err)
-		return 2
-	}
-	if table.Divergent() {
-		fmt.Fprintln(stderr, "vft-bench: sampling soundness gate failed (see the gates column)")
-		return 1
 	}
 	return 0
 }

@@ -201,8 +201,8 @@ func TestBenchCSV(t *testing.T) {
 	}
 }
 
-// TestServeMetrics scrapes the -metrics-addr endpoint vft-bench and vft-go
-// mount, after one bench cell has frozen its detector counters into the
+// TestServeMetrics scrapes the -metrics-addr endpoint vft-bench mounts,
+// after one bench cell has frozen its detector counters into the
 // registry: /metrics is the registry's snapshot, /debug/vars the expvar
 // dump carrying it under the published name.
 func TestServeMetrics(t *testing.T) {

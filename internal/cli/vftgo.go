@@ -17,7 +17,6 @@ import (
 	"repro/internal/goinstr"
 	"repro/internal/goinstr/rt"
 	"repro/internal/ingest"
-	"repro/internal/obs"
 	"repro/internal/sample"
 )
 
@@ -41,7 +40,6 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	server := fs.String("server", "",
 		"vft-server base URL: also upload the trace and diff its reports against the inline check's")
 	tenant := fs.String("tenant", "vft-go", "tenant name for -server uploads")
-	metricsAddr := fs.String("metrics-addr", "", "serve instrumentation counters on this address")
 	sampleRate := fs.Float64("sample", 0,
 		"report only the races on variables the sampling tier keeps at this per-variable rate (0 = precise); the program still logs every access")
 	sampleSeed := fs.Uint64("sample-seed", 0, "sampling seed")
@@ -85,20 +83,6 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "vft-go: -trace %s: %v\n", *traceFlag, err)
 			return 2
 		}
-	}
-
-	reg := obs.NewRegistry()
-	cSites := reg.Counter("instr.sites")
-	cElided := reg.Counter("instr.elided")
-	cSkipped := reg.Counter("instr.skipped")
-	cEvents := reg.Counter("instr.events")
-	if *metricsAddr != "" {
-		shutdown, err := serveMetrics(*metricsAddr, "vft-go", reg, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "vft-go:", err)
-			return 2
-		}
-		defer shutdown()
 	}
 
 	shadow := *keep
@@ -145,9 +129,6 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		span("instrument", t0, " (go list "+round(inst.GoList)+")")
 	}
 	shadow = inst.Dir // absolute, whatever -o said
-	cSites.Add(uint64(inst.Stats.Sites))
-	cElided.Add(uint64(inst.Stats.Elided))
-	cSkipped.Add(uint64(inst.Stats.Skipped))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: instrumented %s: %d sites, %d elided (%.0f%%), %d skipped\n",
 			dir, inst.Stats.Sites, inst.Stats.Elided, 100*inst.Stats.ElisionRate(), inst.Stats.Skipped)
@@ -212,7 +193,6 @@ func RunVftGo(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if pol != nil {
 		cr.Sample(*pol)
 	}
-	cEvents.Add(uint64(cr.Events))
 	if *verbose {
 		fmt.Fprintf(stderr, "vft-go: checked %d events, %d reports\n", cr.Events, len(cr.Reports))
 	}

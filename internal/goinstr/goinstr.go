@@ -81,8 +81,7 @@ type Options struct {
 	OutDir string
 }
 
-// Stats counts what the rewriter did; the CLI surfaces these through the
-// obs registry as instr.sites / instr.elided / instr.skipped.
+// Stats counts what the rewriter did; vft-go -v prints them.
 type Stats struct {
 	// Sites is the number of instrumentable access sites seen.
 	Sites int

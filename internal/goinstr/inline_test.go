@@ -3,15 +3,13 @@ package goinstr
 import (
 	"bytes"
 	"io"
-	"io/fs"
 	"math/rand"
 	"os"
-	"path"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal"
 	"repro/internal/goinstr/rt"
 	"repro/internal/trace"
 )
@@ -103,32 +101,35 @@ func TestGoldenCapture(t *testing.T) {
 	}
 }
 
-// TestShimSourcesAreWhole: every package the shim carries into a shadow
-// module carries every non-test file it has here, or the copy would not
-// build (or would build differently).
-func TestShimSourcesAreWhole(t *testing.T) {
-	dirs := map[string]bool{}
-	fs.WalkDir(internal.ShimSources, ".", func(name string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			dirs[path.Dir(name)] = true
-		}
-		return err
-	})
-	if !dirs["goinstr/rt"] || !dirs["kernel"] || !dirs["trace"] {
-		t.Fatalf("embedded packages %v lack the shim, the kernel or trace", dirs)
+// TestShimLinksOnlyTheChecker: the shim carries only the files its check
+// compiles, so an instrumented program links none of what the rest of
+// internal/trace needs: the gzip sniffing of NewDecoder (compress/*,
+// hash/crc32) and the trace generator (math/rand). A file the shim needs
+// and does not carry fails every shadow build instead.
+func TestShimLinksOnlyTheChecker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a program")
 	}
-	for dir := range dirs {
-		entries, err := os.ReadDir(filepath.Join("..", filepath.FromSlash(dir)))
-		if err != nil {
-			t.Fatal(err)
+	out := t.TempDir()
+	if _, err := Instrument(filepath.Join(corpusRoot(), "clean_single_goroutine"), Options{OutDir: out}); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := Build(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := exec.Command("go", "tool", "nm", bin).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool nm: %v\n%s", err, syms)
+	}
+	for _, line := range strings.Split(string(syms), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
 		}
-		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-				continue
-			}
-			if _, err := fs.Stat(internal.ShimSources, dir+"/"+n); err != nil {
-				t.Errorf("internal/%s/%s is not in internal.ShimSources", dir, n)
+		for _, pkg := range []string{"compress/", "hash/crc32.", "math/rand."} {
+			if strings.HasPrefix(f[len(f)-1], pkg) {
+				t.Errorf("the instrumented program links %s", f[len(f)-1])
 			}
 		}
 	}

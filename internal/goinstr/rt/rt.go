@@ -25,7 +25,7 @@
 // generates, where no module requirements exist, so the shim imports the
 // standard library and, of this repository, only the kernel and the
 // packages it imports (epoch, vc, spec, trace), which travel with it:
-// internal.ShimSources lists every file. Records are encoded by the trace
+// internal.ShimSources lists the files the shim compiles. Records are encoded by the trace
 // package's own AppendRecord, straight into the shim's buffer.
 //
 // The shim is inert until its first event. Every tool of this repository

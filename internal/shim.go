@@ -10,13 +10,14 @@ package internal
 
 import "embed"
 
-// ShimSources is the shim and its dependencies, every non-test file of
-// each package, at their paths below internal/.
+// ShimSources is the shim and the files of its dependencies that it
+// compiles, at their paths below internal/: not, among others, trace's
+// gzip-sniffing decoder or its generator, which would link compress/* and
+// math/rand into every instrumented program.
 //
 //go:embed goinstr/rt/rt.go goinstr/rt/wrappers.go
 //go:embed kernel/feed.go kernel/front.go kernel/machine.go kernel/step.go
-//go:embed epoch/epoch.go vc/vc.go vc/benchcompat.go spec/spec.go spec/invariant.go
-//go:embed trace/binary.go trace/chan.go trace/codec.go trace/desugar.go trace/ext.go
-//go:embed trace/frombytes.go trace/gen.go trace/idspace.go trace/idtable.go
+//go:embed epoch/epoch.go vc/vc.go spec/spec.go
+//go:embed trace/binary.go trace/chan.go trace/ext.go trace/idtable.go
 //go:embed trace/lower.go trace/op.go trace/source.go trace/trace.go trace/validate.go
 var ShimSources embed.FS

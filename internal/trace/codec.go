@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -211,22 +210,6 @@ func parseOperand(b []byte) (int32, error) {
 	}
 	if len(b) == 0 || n > math.MaxInt32 {
 		return parseID(string(b), "operand")
-	}
-	return int32(n), nil
-}
-
-// parseID parses a decimal id in [0, math.MaxInt32]; what labels the
-// errors.
-func parseID(s, what string) (int32, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("negative %s %d", what, n)
-	}
-	if n > math.MaxInt32 {
-		return 0, fmt.Errorf("%s %d exceeds %d", what, n, math.MaxInt32)
 	}
 	return int32(n), nil
 }

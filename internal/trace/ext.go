@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -77,4 +79,20 @@ func ParseIDValues(s, name string, min int) (map[Lock]int, error) {
 		m[Lock(i)] = int(v)
 	}
 	return m, nil
+}
+
+// parseID parses a decimal id in [0, math.MaxInt32]; what labels the
+// errors.
+func parseID(s, what string) (int32, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("negative %s %d", what, n)
+	}
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("%s %d exceeds %d", what, n, math.MaxInt32)
+	}
+	return int32(n), nil
 }

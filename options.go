@@ -16,7 +16,8 @@ import (
 type Metrics = obs.Registry
 
 // MetricsSnapshot is a point-in-time reading of a Metrics registry; it
-// marshals to the JSON shape served by the tools' -metrics-addr endpoints.
+// marshals to the JSON shape vft-bench's -metrics-addr endpoint and
+// vft-server's /metrics serve.
 type MetricsSnapshot = obs.Snapshot
 
 // NewMetrics returns an empty metric registry.

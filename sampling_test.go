@@ -260,3 +260,66 @@ func FuzzSamplingSoundness(f *testing.F) {
 		}
 	})
 }
+
+// benchRates are the rates the sampling benchmarks sweep.
+var benchRates = []float64{1, 0.1, 0.01, 0.001}
+
+// nopDetector is BenchmarkSampledAccess's floor: the same interface
+// dispatch, no detection. Only Read is called.
+type nopDetector struct{ Detector }
+
+func (nopDetector) Read(Tid, VarID) {}
+
+// BenchmarkSampledAccess is the cost of one steady-state Read through the
+// online sampling tier over vft-v2 (a warm pass first caches every
+// variable's decision), beside the same loop against nopDetector and
+// against unsampled vft-v2.
+func BenchmarkSampledAccess(b *testing.B) {
+	const vars = 1 << 16
+	run := func(b *testing.B, d Detector) {
+		for x := VarID(0); x < vars; x++ {
+			d.Read(0, x)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Read(0, VarID(i%vars))
+		}
+	}
+	b.Run("rate=none", func(b *testing.B) { run(b, nopDetector{}) })
+	v2 := func(name string, opts ...Option) {
+		b.Run(name, func(b *testing.B) {
+			d, err := New(V2, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, d)
+		})
+	}
+	v2("rate=precise")
+	for _, rate := range benchRates {
+		v2(fmt.Sprintf("rate=%v", rate), WithSampling(rate))
+	}
+}
+
+// BenchmarkCheckSampled is the offline check of a generated trace wide
+// enough (many variables, few accesses each) that sampling thins the
+// work, precise and at each rate; ns/traceop is per trace operation.
+func BenchmarkCheckSampled(b *testing.B) {
+	cfg := trace.DefaultGenConfig()
+	cfg.Ops, cfg.Threads, cfg.Vars, cfg.Locks = 200_000, 8, 1<<15, 64
+	tr := trace.Generate(rand.New(rand.NewSource(7)), cfg)
+	run := func(name string, opts ...CheckOption) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := CheckTrace(tr, opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr)), "ns/traceop")
+		})
+	}
+	run("rate=precise")
+	for _, rate := range benchRates {
+		run(fmt.Sprintf("rate=%v", rate), WithSampling(rate))
+	}
+}
